@@ -23,7 +23,7 @@ from .sca_ic import (Initialization, SolveOptions, SolveReport,
                      direct_flight_trajectory, optimize_power_ic,
                      optimize_time_ic, optimize_traj_ic, shf_trajectory_ic,
                      solve_p1, solve_p1_direct)
-from .sca_comp import (SlackState, SolveReportCoMP, optimize_power_comp,
+from .sca_comp import (SlackState, optimize_power_comp,
                        optimize_time_comp, optimize_traj_comp,
                        shf_trajectory_comp, solve_p21, solve_p21_direct)
 

@@ -21,8 +21,8 @@ from . import __version__
 from .hover_comp import solve_infinite_comp
 from .hover_ic import solve_infinite_ic
 from .mc import sample_zf_rate
-from .model import (ConfigError, ScenarioConfig, comp_rate_upper_bound,
-                    db_to_linear, dbm_to_watt)
+from .model import (AllocationCoMP, ConfigError, ScenarioConfig,
+                    comp_rate_upper_bound, db_to_linear, dbm_to_watt)
 from .sca_comp import solve_p21, solve_p21_direct
 from .sca_ic import SolveOptions, solve_p1, solve_p1_direct
 
@@ -151,29 +151,21 @@ def write_manifest(out_dir: Path, command: str, values: dict, seed: int,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def write_trajectory_csv(path: Path, cfg: ScenarioConfig, report, comp: bool) -> None:
+def write_trajectory_csv(path: Path, cfg: ScenarioConfig, report) -> None:
     pos = report.trajectory.positions
     alloc = report.allocation
-    if comp:
-        header = ["n", "t", "x1", "y1", "x2", "y2", "rho_E1", "rho_E2", "rho_I",
-                  "Q1", "Q2"]
+    if isinstance(alloc, AllocationCoMP):
+        names, times = ["rho_E1", "rho_E2", "rho_I"], [*alloc.beam_time, alloc.uplink_time]
     else:
-        header = ["n", "t", "x1", "y1", "x2", "y2", "delta_E", "delta_I", "Q1", "Q2"]
+        names, times = ["delta_E", "delta_I"], [alloc.charge_time, alloc.uplink_time]
+    per_slot = np.vstack(times + [alloc.tx_power])  # (columns, N)
     rows = []
     for n in range(cfg.num_slots + 1):
         row = [n, n * cfg.slot_duration,
                pos[0, n, 0], pos[0, n, 1], pos[1, n, 0], pos[1, n, 1]]
-        if n == 0:
-            row.extend([0.0] * (3 if comp else 2) + [0.0, 0.0])
-        elif comp:
-            row.extend([alloc.beam_time[0, n - 1], alloc.beam_time[1, n - 1],
-                        alloc.uplink_time[n - 1],
-                        alloc.tx_power[0, n - 1], alloc.tx_power[1, n - 1]])
-        else:
-            row.extend([alloc.charge_time[n - 1], alloc.uplink_time[n - 1],
-                        alloc.tx_power[0, n - 1], alloc.tx_power[1, n - 1]])
+        row.extend(per_slot[:, n - 1] if n else [0.0] * len(per_slot))
         rows.append(row)
-    write_csv(path, header, rows)
+    write_csv(path, ["n", "t", "x1", "y1", "x2", "y2", *names, "Q1", "Q2"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +174,29 @@ def write_trajectory_csv(path: Path, cfg: ScenarioConfig, report, comp: bool) ->
 
 _LABEL_ORDER = ("ic-proposed", "comp-proposed", "ic-direct", "comp-direct",
                 "ic-bound", "comp-bound")
+_SOLVERS = {"ic-proposed": solve_p1, "comp-proposed": solve_p21,
+            "ic-direct": solve_p1_direct, "comp-direct": solve_p21_direct}
+
+
+def _result_row(label, sweep_value, cfg: ScenarioConfig, opts: SolveOptions):
+    """Solve the design named by `label`; returns its RESULT_HEADER row, its
+    wall time and its solve report (None for the hovering bounds)."""
+    if label.endswith("-bound"):
+        comp = label == "comp-bound"
+        sol = (solve_infinite_comp if comp else solve_infinite_ic)(cfg, tau_grid=opts.tau_grid)
+        mode = "zero-forcing" if comp else sol.wit_mode.value
+        return (sweep_value, label, sol.common_rate, mode, sol.charge_time, 0, 0.0), 0.0, None
+    rep = _SOLVERS[label](cfg, opts)
+    alloc = rep.allocation
+    charge = alloc.beam_time if isinstance(alloc, AllocationCoMP) else alloc.charge_time
+    return (sweep_value, label, rep.common_rate, rep.initialization.value,
+            float(charge.sum()), rep.outer_iterations,
+            max(rep.residuals.values())), rep.wall_seconds, rep
 
 
 def _run_label(args):
-    label, sweep_value, cfg, opts = args
-    if label == "ic-bound":
-        sol = solve_infinite_ic(cfg, tau_grid=opts.tau_grid)
-        return (label, sweep_value, sol.common_rate, sol.wit_mode.value,
-                sol.charge_time, 0, 0.0, 0.0)
-    if label == "comp-bound":
-        sol = solve_infinite_comp(cfg, tau_grid=opts.tau_grid)
-        return (label, sweep_value, sol.common_rate, "zero-forcing",
-                sol.charge_time, 0, 0.0, 0.0)
-    solver = {"ic-proposed": solve_p1, "comp-proposed": solve_p21,
-              "ic-direct": solve_p1_direct, "comp-direct": solve_p21_direct}[label]
-    rep = solver(cfg, opts)
-    charge = rep.allocation.charge_time.sum() if hasattr(rep.allocation, "charge_time") \
-        else rep.allocation.beam_time.sum()
-    return (label, sweep_value, rep.common_rate, rep.initialization.value,
-            float(charge), rep.outer_iterations,
-            max(rep.residuals.values()), rep.wall_seconds)
+    row, wall, _ = _result_row(*args)
+    return row, wall
 
 
 def _run_tasks(tasks, jobs: int):
@@ -213,9 +208,9 @@ def _run_tasks(tasks, jobs: int):
 
 def _results_from(raw):
     order = {label: i for i, label in enumerate(_LABEL_ORDER)}
-    raw = sorted(raw, key=lambda r: (r[1], order[r[0]]))
-    rows = [(r[1], r[0], r[2], r[3], r[4], r[5], r[6]) for r in raw]
-    timings = {f"{r[0]}@{_fmt(r[1])}": r[7] for r in raw}
+    raw = sorted(raw, key=lambda r: (r[0][0], order[r[0][1]]))
+    rows = [row for row, _ in raw]
+    timings = {f"{row[1]}@{_fmt(row[0])}": wall for row, wall in raw}
     return rows, timings
 
 
@@ -272,26 +267,26 @@ def main():
     """Two-UAV wireless-powered network trajectory/allocation solver."""
 
 
-def _single_solve(command, config_path, overrides, out_dir, seed, comp: bool,
-                  direct: bool):
+def _solve_labels(command, labels, config_path, overrides, out_dir, seed):
+    """Solve each design in `labels` at one config: one results.csv row per
+    design, a trajectory CSV per finite-horizon design, and the manifest."""
     def body():
         values, cfg, out = _prepare(config_path, overrides, out_dir)
         opts = solver_options(values)
-        if comp:
-            rep = (solve_p21_direct if direct else solve_p21)(cfg, opts)
-        else:
-            rep = (solve_p1_direct if direct else solve_p1)(cfg, opts)
-        label = ("comp" if comp else "ic") + ("-direct" if direct else "-proposed")
-        rows = [(cfg.device_distance, label, rep.common_rate,
-                 rep.initialization.value,
-                 float(rep.allocation.beam_time.sum() if comp
-                       else rep.allocation.charge_time.sum()),
-                 rep.outer_iterations, max(rep.residuals.values()))]
+        rows, timings, files = [], {}, ["results.csv"]
+        for label in labels:
+            row, wall, rep = _result_row(label, cfg.device_distance, cfg, opts)
+            rows.append(row)
+            if rep is not None:
+                timings[label] = wall
+                name = f"trajectory_{label}.csv"
+                write_trajectory_csv(out / name, cfg, rep)
+                files.append(name)
         write_csv(out / "results.csv", RESULT_HEADER, rows)
-        write_trajectory_csv(out / f"trajectory_{label}.csv", cfg, rep, comp)
-        write_manifest(out, command, values, seed,
-                       {"runtime_s": {label: rep.wall_seconds},
-                        "files": ["results.csv", f"trajectory_{label}.csv"]})
+        extra = {"files": files}
+        if timings:
+            extra["runtime_s"] = timings
+        write_manifest(out, command, values, seed, extra)
     _guarded(command, body)
 
 
@@ -299,47 +294,28 @@ def _single_solve(command, config_path, overrides, out_dir, seed, comp: bool,
 @_common_options
 def solve_ic_cmd(config_path, overrides, out_dir, jobs, seed):
     """Finite-horizon solve, interference coordination."""
-    _single_solve("solve-ic", config_path, overrides, out_dir, seed,
-                  comp=False, direct=False)
+    _solve_labels("solve-ic", ["ic-proposed"], config_path, overrides, out_dir, seed)
 
 
 @main.command("solve-comp")
 @_common_options
 def solve_comp_cmd(config_path, overrides, out_dir, jobs, seed):
     """Finite-horizon solve, joint transmission/reception."""
-    _single_solve("solve-comp", config_path, overrides, out_dir, seed,
-                  comp=True, direct=False)
-
-
-def _infinite(command, config_path, overrides, out_dir, seed, comp: bool):
-    def body():
-        values, cfg, out = _prepare(config_path, overrides, out_dir)
-        opts = solver_options(values)
-        if comp:
-            sol = solve_infinite_comp(cfg, tau_grid=opts.tau_grid)
-            rows = [(cfg.device_distance, "comp-bound", sol.common_rate,
-                     "zero-forcing", sol.charge_time, 0, 0.0)]
-        else:
-            sol = solve_infinite_ic(cfg, tau_grid=opts.tau_grid)
-            rows = [(cfg.device_distance, "ic-bound", sol.common_rate,
-                     sol.wit_mode.value, sol.charge_time, 0, 0.0)]
-        write_csv(out / "results.csv", RESULT_HEADER, rows)
-        write_manifest(out, command, values, seed, {"files": ["results.csv"]})
-    _guarded(command, body)
+    _solve_labels("solve-comp", ["comp-proposed"], config_path, overrides, out_dir, seed)
 
 
 @main.command("infinite-ic")
 @_common_options
 def infinite_ic_cmd(config_path, overrides, out_dir, jobs, seed):
     """Infinite-horizon hovering bound, interference coordination."""
-    _infinite("infinite-ic", config_path, overrides, out_dir, seed, comp=False)
+    _solve_labels("infinite-ic", ["ic-bound"], config_path, overrides, out_dir, seed)
 
 
 @main.command("infinite-comp")
 @_common_options
 def infinite_comp_cmd(config_path, overrides, out_dir, jobs, seed):
     """Infinite-horizon hovering bound, joint transmission/reception."""
-    _infinite("infinite-comp", config_path, overrides, out_dir, seed, comp=True)
+    _solve_labels("infinite-comp", ["comp-bound"], config_path, overrides, out_dir, seed)
 
 
 @main.command("benchmark-direct")
@@ -348,28 +324,9 @@ def infinite_comp_cmd(config_path, overrides, out_dir, jobs, seed):
               default="both", show_default=True)
 def benchmark_direct_cmd(config_path, overrides, out_dir, jobs, seed, scenario):
     """Straight-flight benchmark (time/power optimization only)."""
-    def body():
-        values, cfg, out = _prepare(config_path, overrides, out_dir)
-        opts = solver_options(values)
-        labels = {"both": ["ic-direct", "comp-direct"], "ic": ["ic-direct"],
-                  "comp": ["comp-direct"]}[scenario]
-        rows, timings, files = [], {}, ["results.csv"]
-        for label in labels:
-            comp = label.startswith("comp")
-            rep = (solve_p21_direct if comp else solve_p1_direct)(cfg, opts)
-            charge = rep.allocation.beam_time.sum() if comp \
-                else rep.allocation.charge_time.sum()
-            rows.append((cfg.device_distance, label, rep.common_rate,
-                         rep.initialization.value, float(charge),
-                         rep.outer_iterations, max(rep.residuals.values())))
-            timings[label] = rep.wall_seconds
-            name = f"trajectory_{label}.csv"
-            write_trajectory_csv(out / name, cfg, rep, comp)
-            files.append(name)
-        write_csv(out / "results.csv", RESULT_HEADER, rows)
-        write_manifest(out, "benchmark-direct", values, seed,
-                       {"runtime_s": timings, "files": files})
-    _guarded("benchmark-direct", body)
+    labels = {"both": ["ic-direct", "comp-direct"], "ic": ["ic-direct"],
+              "comp": ["comp-direct"]}[scenario]
+    _solve_labels("benchmark-direct", labels, config_path, overrides, out_dir, seed)
 
 
 def _sweep(command, key, labels, config_path, overrides, out_dir, jobs, seed,

@@ -187,9 +187,6 @@ class ConcaveRow:
             grp.add_curvature(x, H, coef)
 
 
-_PAIR_P = 2.0 * np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]])
-
-
 class Problem:
     """Maximize c.x + const over affine, convex-quadratic and concave-form rows.
 
@@ -219,20 +216,18 @@ class Problem:
             self._aff_rhs.append(float(rhs))
         self._compiled = None
 
-    def add_quad(self, diag=None, blocks=(), lin=None, const: float = 0.0) -> None:
-        """Add one convex quadratic row; `blocks` must follow the squared
-        pair-difference pattern used by the speed constraints."""
-        if blocks:
-            if diag is not None or lin is not None or len(blocks) != 1:
-                raise ValueError("unsupported quadratic row shape")
-            idx, P = blocks[0]
-            if not np.allclose(P, _PAIR_P):
-                raise ValueError("unsupported quadratic block pattern")
-            self._pair_rows.append((np.asarray(idx, dtype=int), float(const)))
-        else:
-            d = np.zeros(self.n) if diag is None else np.asarray(diag, dtype=float)
-            l = np.zeros(self.n) if lin is None else np.asarray(lin, dtype=float)
-            self._diag_rows.append((d, l, float(const)))
+    def add_quad(self, diag=None, lin=None, const: float = 0.0) -> None:
+        """Add one diagonal convex quadratic row
+        0.5 x'diag(diag)x + lin.x + const <= 0."""
+        d = np.zeros(self.n) if diag is None else np.asarray(diag, dtype=float)
+        l = np.zeros(self.n) if lin is None else np.asarray(lin, dtype=float)
+        self._diag_rows.append((d, l, float(const)))
+        self._compiled = None
+
+    def add_pair_step(self, idx, const: float) -> None:
+        """Add one squared pair-difference row
+        ||x[idx[:2]] - x[idx[2:]]||^2 + const <= 0 (idx holds 4 indices)."""
+        self._pair_rows.append((np.asarray(idx, dtype=int), float(const)))
         self._compiled = None
 
     def add_concave_ge(self, **kw) -> None:

@@ -1,9 +1,13 @@
 """Finite-horizon alternating solver for the joint transmission/reception mode.
 
-Same alternation skeleton as the coordination engine, with two twists: the
-throughput objective uses the closed-form bound on the joint-reception rate,
-and the trajectory subproblem introduces amplitude/gain slack variables so
-the coherent charging term and the rate term become concave.
+This module holds the joint mode's starts and steps; the alternation loop,
+its start probe, the time LP and the trajectory trust-region loop are the
+ones in `sca_ic`, shared by both modes.  The joint mode differs in three
+places: the throughput objective uses the closed-form bound on the
+joint-reception rate; that bound is concave in the powers, so the power step
+is a single exact solve; and the trajectory subproblem introduces
+amplitude/gain slack variables so the coherent charging term and the rate
+term become concave.
 """
 
 from __future__ import annotations
@@ -14,40 +18,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
-from .kernel import (KernelOptions, LinearProgram, LogGroup, Problem,
-                     StartInfeasible, solve_concave, solve_lp)
+from .kernel import KernelOptions, LogGroup, Problem, solve_concave
 from .model import (AllocationCoMP, ScenarioConfig, Trajectory,
                     common_throughput_comp, comp_coherent_power,
                     comp_noncoherent_power, comp_rate_upper_bound,
-                    feasibility_report, harvested_energy_comp)
-from .sca_ic import (Initialization, SolveOptions, _SPEED_MARGIN, _epigraph_floor,
-                     _leg_time, _sample_piecewise, _slots_in_window,
-                     add_geometry_rows, build_visit_paths,
-                     direct_flight_trajectory, traj_var_base)
+                    harvested_energy_comp)
+from .sca_ic import (Initialization, SolveOptions, SolveReport, _Mode,
+                     _SPEED_MARGIN, _add_harvest_tangent, _add_strict_quad,
+                     _alternate, _direct_start, _dist2_parts,
+                     _finish_power_program, _free_coords, _lift_epigraph,
+                     _power_budgets, _refine_trajectory, _sample_piecewise,
+                     _slots_in_window, _time_lp, _within_budget,
+                     add_geometry_rows, build_visit_paths, traj_var_base)
 
 
 @dataclass(frozen=True)
 class SlackState:
-    """Amplitude and inverse-gain slacks of the trajectory subproblem; at
-    convergence both bind against the geometry (within solver tolerance)."""
+    """Amplitude and inverse-gain slacks of the trajectory subproblem; each
+    pass expands them at equality with the incumbent geometry."""
 
     amp: np.ndarray       # (2 devices, 2 uavs, N); amp^2 <= gain
     inv_gain: np.ndarray  # (2 devices, 2 uavs, N); dist^2 + H^2 <= 1/inv_gain
-
-
-@dataclass
-class SolveReportCoMP:
-    trajectory: Trajectory
-    allocation: AllocationCoMP
-    slack: SlackState
-    common_rate: float
-    objective_trace: np.ndarray
-    power_traces: list
-    traj_traces: list
-    residuals: dict
-    initialization: Initialization
-    outer_iterations: int
-    wall_seconds: float
 
 
 def slack_at_equality(cfg: ScenarioConfig, traj) -> SlackState:
@@ -161,6 +152,7 @@ def uplink_pair_trajectory_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
     return traj if traj.is_feasible(cfg) else None
 
 
+
 def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
                             hover: HoverSolutionCoMP, windows=None) -> AllocationCoMP:
     N, d = cfg.num_slots, cfg.slot_duration
@@ -186,13 +178,8 @@ def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
     # Positive power floor on every slot: see initial_allocation_ic.
     Q = np.full((2, N), 0.05)
     Q[:, uplink > 0] = 1.0
-    alloc = AllocationCoMP(beam, uplink, Q)
-    Q = Q.copy()
-    for k in range(2):
-        budget = harvested_energy_comp(alloc, traj, k, cfg)
-        spend = float((Q[k] * uplink).sum())
-        Q[k] *= 0.999 * budget / spend if spend > 0 else 0.0
-    return AllocationCoMP(beam, uplink, Q)
+    return _within_budget(cfg, AllocationCoMP(beam, uplink, Q), traj,
+                          harvested_energy_comp)
 
 
 # ---------------------------------------------------------------------------
@@ -202,62 +189,43 @@ def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
 def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power,
                        options: KernelOptions | None = None) -> AllocationCoMP:
     """Exact epigraph LP over beam-time, beam-time and uplink-time."""
-    N = cfg.num_slots
     pos = traj.slot_positions if isinstance(traj, Trajectory) else np.asarray(traj)
     Q = np.asarray(tx_power, dtype=float)
-    n = 3 * N + 1  # [beam1, beam2, uplink, R]
-    c = np.zeros(n)
-    c[-1] = 1.0
-    rows, rhs = [], []
+    rate = np.stack([comp_rate_upper_bound(Q[k], pos, k, cfg) for k in range(2)])
+    # Device k harvests coherently while the beam aims at it, and leaked
+    # power while it aims at the other device.
+    harvest = np.empty((2, 2, cfg.num_slots))
     for k in range(2):
-        ko = 1 - k
-        rate = comp_rate_upper_bound(Q[k], pos, k, cfg)
-        coh = comp_coherent_power(pos, k, cfg)
-        non = comp_noncoherent_power(pos, k, cfg)
-        row = np.zeros(n)
-        row[2 * N:3 * N] = -rate / cfg.duration
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(n)
-        row[k * N:(k + 1) * N] = -coh
-        row[ko * N:(ko + 1) * N] = -non
-        row[2 * N:3 * N] = Q[k]
-        rows.append(row)
-        rhs.append(0.0)
-    budget = np.zeros((N, n))
-    for j in range(3):
-        budget[:, j * N:(j + 1) * N] += np.eye(N)
-    rows.append(budget)
-    rhs.append(np.full(N, cfg.slot_duration))
-    A = np.vstack([np.atleast_2d(r) for r in rows])
-    b = np.concatenate([np.atleast_1d(r) for r in rhs])
-    out = solve_lp(LinearProgram(c, a_ub=A, b_ub=b, lb=np.zeros(n)), options)
-    x = np.clip(out.x, 0.0, None)
-    return AllocationCoMP(np.stack([x[:N], x[N:2 * N]]), x[2 * N:3 * N], Q.copy())
+        harvest[k, k] = comp_coherent_power(pos, k, cfg)
+        harvest[k, 1 - k] = comp_noncoherent_power(pos, k, cfg)
+    x = _time_lp(cfg, rate, harvest, Q, options)
+    return AllocationCoMP(x[:2], x[2], Q.copy())
 
 
 def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP,
                         options: KernelOptions | None = None):
     """Exact concave maximization of the transmit powers (no iteration: the
-    bound-rate is already concave in the powers)."""
+    bound-rate is already concave in the powers).
+
+    Returns the powers and the throughput [before, after] the solve.  The
+    powers are not checked against the start: solver noise can leave the
+    solve a hair below it, and the caller decides whether to accept them."""
     uplink = alloc.uplink_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
     Q = alloc.tx_power.copy()
+    before = common_throughput_comp(alloc, traj, cfg)
     if active.size == 0:
-        return Q
+        return Q, [before, before]
     pos = traj.slot_positions if isinstance(traj, Trajectory) else np.asarray(traj)
     d2 = ((pos[None, :, :, :] - cfg.device_positions[:, None, None, :]) ** 2).sum(axis=-1)
     csnr = 0.5 * cfg.ref_gain / cfg.noise_power * (1.0 / (d2 + cfg.altitude**2)).sum(axis=1)
-    budgets = [harvested_energy_comp(alloc, traj, k, cfg) for k in range(2)]
+    budgets = _power_budgets(cfg, alloc, traj, harvested_energy_comp, active)
     A = active.size
-    n = 2 * A + 1
-    r_idx = 2 * A
-    prob = Problem(n, np.eye(n)[r_idx])
+    prob = Problem(2 * A + 1, np.eye(2 * A + 1)[-1])
     wt = uplink[active] / (cfg.duration * np.log(2.0))
     for k in range(2):
-        lin = np.zeros(n)
-        lin[r_idx] = -1.0
+        lin = np.zeros(prob.n)
+        lin[-1] = -1.0
         logs = LogGroup(
             idx=(k * A + np.arange(A))[:, None],
             coeffs=csnr[k, active][:, None],
@@ -265,62 +233,45 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP,
             weights=wt,
         )
         prob.add_concave_ge(lin=lin, logs=(logs,))
-        row = np.zeros(n)
-        row[k * A:(k + 1) * A] = uplink[active]
-        prob.add_affine(row, budgets[k])
-    prob.add_affine(-np.eye(n)[:2 * A], np.zeros(2 * A))
-    start = np.zeros(n)
-    for k in range(2):
-        q0 = np.maximum(Q[k, active], 1e-9 * (1.0 + budgets[k] / cfg.duration))
-        spend = float((q0 * uplink[active]).sum())
-        if spend >= budgets[k]:
-            q0 = q0 * (0.999 * budgets[k] / spend)
-        start[k * A:(k + 1) * A] = q0
-    floor = _epigraph_floor(prob, start, r_idx)
-    start[r_idx] = floor - 1e-6 * (1.0 + abs(floor))
+    start = _finish_power_program(cfg, prob, Q, active, uplink, budgets)
     out = solve_concave(prob, start, options)
-    Q[0, active] = np.clip(out.x[:A], 0.0, None)
-    Q[1, active] = np.clip(out.x[A:2 * A], 0.0, None)
-    return Q
+    Q[:, active] = np.clip(out.x[:-1], 0.0, None).reshape(2, A)
+    return Q, [before, common_throughput_comp(replace(alloc, tx_power=Q), traj, cfg)]
 
 
 def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
-                          ref: np.ndarray, slack_ref: SlackState, trust_radius):
-    """Concave program of one trajectory SCA pass with slack variables."""
+                          ref: np.ndarray, trust_radius):
+    """Concave program of one trajectory SCA pass with slack variables,
+    expanded at `ref` with the slacks at equality (`slack_at_equality`).
+
+    Returns the program, its strictly feasible start and the variable index
+    of each amplitude and inverse-gain slack, keyed (device, uav, slot)."""
     N = cfg.num_slots
     H2 = cfg.altitude**2
     b0 = cfg.ref_gain
     w = cfg.device_positions
     beam, uplink, Q = alloc.beam_time, alloc.uplink_time, alloc.tx_power
+    slack_ref = slack_at_equality(cfg, ref[:, 1:, :])
     tol = 1e-6 * cfg.slot_duration
 
     beam_slots = [np.flatnonzero(beam[k] > tol) for k in range(2)]
     rate_slots = [np.flatnonzero((uplink > tol) & (Q[k] > 0.0)) for k in range(2)]
 
-    nq = 4 * (N - 1)
-    amp_index, inv_index = {}, {}
-    nxt = nq
-    for k in range(2):
-        for slot in beam_slots[k]:
-            for m in range(2):
-                amp_index[(k, m, int(slot))] = nxt
-                nxt += 1
-    for k in range(2):
-        for slot in rate_slots[k]:
-            for m in range(2):
-                inv_index[(k, m, int(slot))] = nxt
-                nxt += 1
-    r_idx = nxt
-    nv = nxt + 1
+    # Variables: interior positions, amplitude slacks, inverse-gain slacks, R.
+    keys = [(k, m, int(slot)) for k in range(2) for slot in beam_slots[k] for m in range(2)]
+    amp_index = {key: 4 * (N - 1) + i for i, key in enumerate(keys)}
+    keys = [(k, m, int(slot)) for k in range(2) for slot in rate_slots[k] for m in range(2)]
+    inv_index = {key: 4 * (N - 1) + len(amp_index) + i for i, key in enumerate(keys)}
+    nv = 4 * (N - 1) + len(amp_index) + len(inv_index) + 1
 
-    prob = Problem(nv, np.eye(nv)[r_idx])
+    prob = Problem(nv, np.eye(nv)[-1])
     slot_pos = ref[:, 1:, :]  # (uav, N, 2)
     ref_d2 = ((slot_pos[None, :, :, :] - w[:, None, None, :]) ** 2).sum(axis=-1)  # (dev, uav, N)
 
     # Rate rows through the inverse-gain slacks.
     for k in range(2):
         lin = np.zeros(nv)
-        lin[r_idx] = -1.0
+        lin[-1] = -1.0
         if rate_slots[k].size:
             idx = np.array([[inv_index[(k, 0, int(s))], inv_index[(k, 1, int(s))]]
                             for s in rate_slots[k]])
@@ -332,10 +283,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
             logs = ()
         prob.add_concave_ge(lin=lin, logs=logs)
 
-    x_ref = np.zeros(nv)
-    for m in range(2):
-        base = 2 * (N - 1) * m
-        x_ref[base: base + 2 * (N - 1)] = ref[m, 1:N, :].reshape(-1)
+    x_ref = _free_coords(cfg, ref, nv)
     for (k, m, slot), j in amp_index.items():
         x_ref[j] = slack_ref.amp[k, m, slot]
     for (k, m, slot), j in inv_index.items():
@@ -360,171 +308,65 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
             n = int(slot) + 1
             coef = eta_p * b0 * beam[ko, slot]
             for m in range(2):
-                u_ref = float(ref_d2[k, m, slot])
-                gamma = coef / (H2 + u_ref) ** 2
-                const -= 2.0 * coef / (H2 + u_ref)
-                if n <= N - 1:
-                    base = traj_var_base(cfg, m, n)
-                    diag[base] += 2.0 * gamma
-                    diag[base + 1] += 2.0 * gamma
-                    lin[base: base + 2] += -2.0 * gamma * w[k]
-                    const += gamma * (float((w[k] ** 2).sum()) + H2)
-                else:
-                    const += gamma * (H2 + u_ref)
-        at_ref = 0.5 * float(diag @ (x_ref * x_ref)) + float(lin @ x_ref) + const
-        eps = 1e-10 * (1.0 + spend) + max(0.0, at_ref)
-        prob.add_quad(diag=diag, lin=lin, const=const - eps)
+                const = _add_harvest_tangent(cfg, diag, lin, const, coef, ref, w[k], m, n)
+        _add_strict_quad(prob, diag, lin, const, x_ref, 1e-10 * (1.0 + spend))
 
-    # Slack-definition rows, with the convex reciprocals linearized.
-    def q_quad_parts(m: int, slot: int, kdev: int):
-        """diag/lin/const pieces of ||q_m[n] - w_kdev||^2 + H^2."""
-        n = int(slot) + 1
-        diag = np.zeros(nv)
-        lin = np.zeros(nv)
-        if n <= N - 1:
-            base = traj_var_base(cfg, m, n)
-            diag[base: base + 2] = 2.0
-            lin[base: base + 2] = -2.0 * w[kdev]
-            const = float((w[kdev] ** 2).sum()) + H2
-        else:
-            const = float(ref_d2[kdev, m, slot]) + H2
-        return diag, lin, const
-
-    for (k, m, slot), j in amp_index.items():
-        a_ref = float(slack_ref.amp[k, m, slot])
-        diag, lin, const = q_quad_parts(m, slot, k)
-        lin[j] += 2.0 * b0 / a_ref**3
-        const -= 3.0 * b0 / a_ref**2
-        at_ref = 0.5 * float(diag @ (x_ref * x_ref)) + float(lin @ x_ref) + const
-        eps = 1e-9 * (1.0 + H2) + max(0.0, at_ref)
-        prob.add_quad(diag=diag, lin=lin, const=const - eps)
-        row = np.zeros(nv)
-        row[j] = -1.0
-        prob.add_affine(row, 0.0)
-
-    for (k, m, slot), j in inv_index.items():
-        b_ref = float(slack_ref.inv_gain[k, m, slot])
-        diag, lin, const = q_quad_parts(m, slot, k)
-        lin[j] += 1.0 / b_ref**2
-        const -= 2.0 / b_ref
-        at_ref = 0.5 * float(diag @ (x_ref * x_ref)) + float(lin @ x_ref) + const
-        eps = 1e-9 * (1.0 + H2) + max(0.0, at_ref)
-        prob.add_quad(diag=diag, lin=lin, const=const - eps)
-        row = np.zeros(nv)
-        row[j] = -1.0
-        prob.add_affine(row, 0.0)
+    # Slack-definition rows ||q_m[n] - w_k||^2 + H^2 <= b0 / amp^2 and
+    # <= 1 / inv_gain, with the convex right-hand sides replaced by their
+    # tangents (slope on the slack, offset) at the reference slacks.
+    tangents = ((amp_index, slack_ref.amp, lambda a: (2.0 * b0 / a**3, 3.0 * b0 / a**2)),
+                (inv_index, slack_ref.inv_gain, lambda b: (1.0 / b**2, 2.0 / b)))
+    for index, slack_vals, tangent in tangents:
+        for (k, m, slot), j in index.items():
+            slope, offset = tangent(float(slack_vals[k, m, slot]))
+            n = int(slot) + 1
+            if n <= N - 1:
+                diag, lin, const = _dist2_parts(nv, traj_var_base(cfg, m, n), w[k])
+            else:
+                diag, lin, const = np.zeros(nv), np.zeros(nv), float(ref_d2[k, m, slot])
+            lin[j] += slope
+            const = const + H2 - offset
+            _add_strict_quad(prob, diag, lin, const, x_ref, 1e-9 * (1.0 + H2))
+            row = np.zeros(nv)
+            row[j] = -1.0
+            prob.add_affine(row, 0.0)
 
     add_geometry_rows(prob, cfg, ref, trust_radius)
-
-    start = x_ref.copy()
-    floor = _epigraph_floor(prob, start, r_idx)
-    start[r_idx] = floor - 1e-6 * (1.0 + abs(floor))
-    return prob, start, amp_index, inv_index
+    return prob, _lift_epigraph(prob, x_ref.copy()), amp_index, inv_index
 
 
 def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory,
-                       slack: SlackState | None = None, sca_tol: float = 1e-4,
-                       max_iter: int = 30, options: KernelOptions | None = None):
-    """Iterative concave maximization of the trajectories and slacks."""
-    best = common_throughput_comp(alloc, traj, cfg)
-    trace = [best]
-    positions = traj.positions.copy()
-    state = slack or slack_at_equality(cfg, traj)
-    N = cfg.num_slots
-    for _ in range(max_iter):
-        cand = None
-        radius = None
-        for _attempt in range(10):
-            try:
-                prob, start, amp_index, inv_index = _traj_subproblem_comp(
-                    cfg, alloc, positions, state, radius)
-                out = solve_concave(prob, start, options)
-                new_pos = positions.copy()
-                for m in range(2):
-                    base = 2 * (N - 1) * m
-                    new_pos[m, 1:N, :] = out.x[base: base + 2 * (N - 1)].reshape(N - 1, 2)
-                cand = new_pos
-                break
-            except (StartInfeasible, np.linalg.LinAlgError):
-                radius = 10.0 * cfg.max_step if radius is None else radius / 2.0
-                if radius < 1e-6 * cfg.max_step:
-                    break
-        if cand is None:
-            break
-        new_pos = cand
-        cand_traj = Trajectory(new_pos)
-        ok = cand_traj.is_feasible(cfg)
-        if ok:
-            for k in range(2):
-                spend = float((alloc.tx_power[k] * alloc.uplink_time).sum())
-                if harvested_energy_comp(alloc, cand_traj, k, cfg) - spend < -1e-9:
-                    ok = False
-        val = common_throughput_comp(alloc, cand_traj, cfg)
-        if not ok or val < best - 1e-12 * (1.0 + abs(best)):
-            break
-        positions, best = new_pos, val
-        # Each pass re-expands with the slacks tight against the accepted
-        # geometry; raising them to equality keeps every surrogate row valid.
-        state = slack_at_equality(cfg, cand_traj)
-        trace.append(val)
-        if val - trace[-2] <= sca_tol * (1.0 + abs(val)):
-            break
-    return Trajectory(positions), state, trace
+                       sca_tol: float = 1e-4, max_iter: int = 30,
+                       options: KernelOptions | None = None):
+    """Iterative concave maximization of the trajectories and slacks.
+
+    Every pass expands with the slacks at equality with the incumbent
+    geometry, which keeps every surrogate row valid.  Returns the trajectory,
+    those slacks for it and the accepted throughputs."""
+    traj, trace = _refine_trajectory(
+        cfg, alloc, traj,
+        lambda pos, radius: _traj_subproblem_comp(cfg, alloc, pos, radius)[:2],
+        common_throughput_comp, harvested_energy_comp, sca_tol, max_iter, options)
+    return traj, slack_at_equality(cfg, traj), trace
 
 
 # ---------------------------------------------------------------------------
 # Complete alternating solver
 # ---------------------------------------------------------------------------
 
-def _alternate_comp(cfg: ScenarioConfig, opts: SolveOptions, traj: Trajectory,
-                    alloc: AllocationCoMP, init: Initialization, t0: float) -> SolveReportCoMP:
-    trace = [common_throughput_comp(alloc, traj, cfg)]
-    power_traces, traj_traces = [], []
-    state = slack_at_equality(cfg, traj)
-    outer = 0
-    for outer in range(1, opts.max_outer + 1):
-        times = optimize_time_comp(cfg, traj, alloc.tx_power, opts.kernel)
-        cand = AllocationCoMP(times.beam_time, times.uplink_time, alloc.tx_power)
-        if common_throughput_comp(cand, traj, cfg) >= trace[-1] - 1e-12 * (1 + abs(trace[-1])):
-            alloc = cand
-
-        before = common_throughput_comp(alloc, traj, cfg)
-        Q = optimize_power_comp(cfg, traj, alloc, opts.kernel)
-        cand = AllocationCoMP(alloc.beam_time, alloc.uplink_time, Q)
-        after = common_throughput_comp(cand, traj, cfg)
-        power_traces.append([before, after])
-        if after >= before - 1e-12 * (1 + abs(before)):
-            alloc = cand
-
-        if opts.optimize_trajectory and cfg.num_slots >= 2:
-            traj, state, ttrace = optimize_traj_comp(cfg, alloc, traj, None,
-                                                     opts.inner_tol, opts.max_inner,
-                                                     opts.kernel)
-            traj_traces.append(ttrace)
-
-        value = common_throughput_comp(alloc, traj, cfg)
-        improved = value - trace[-1]
-        trace.append(value)
-        if improved <= opts.outer_tol * (1.0 + abs(value)) and outer >= 2:
-            break
-
-    return SolveReportCoMP(
-        trajectory=traj,
-        allocation=alloc,
-        slack=state,
-        common_rate=trace[-1],
-        objective_trace=np.asarray(trace),
-        power_traces=power_traces,
-        traj_traces=traj_traces,
-        residuals=dict(feasibility_report(cfg, traj, alloc)),
-        initialization=init,
-        outer_iterations=outer,
-        wall_seconds=time.perf_counter() - t0,
-    )
+def _comp_mode() -> _Mode:
+    # The power step is one exact solve, so it takes no pass cap.
+    return _Mode(
+        throughput=common_throughput_comp,
+        time_step=optimize_time_comp,
+        power_step=lambda cfg, traj, alloc, opts, max_iter: optimize_power_comp(
+            cfg, traj, alloc, opts.kernel),
+        traj_step=lambda cfg, alloc, traj, opts: optimize_traj_comp(
+            cfg, alloc, traj, opts.inner_tol, opts.max_inner, opts.kernel)[::2])
 
 
 def solve_p21(cfg: ScenarioConfig, options: SolveOptions | None = None,
-              hover: HoverSolutionCoMP | None = None) -> SolveReportCoMP:
+              hover: HoverSolutionCoMP | None = None) -> SolveReport:
     """Alternating time / power / trajectory optimization of the joint mode.
 
     Initialized from the hover-and-fly plan, the uplink-pair plan or direct
@@ -546,42 +388,16 @@ def solve_p21(cfg: ScenarioConfig, options: SolveOptions | None = None,
     if traj is not None:
         alloc = initial_allocation_comp(cfg, traj, hover, None)
         candidates.append((traj, alloc, Initialization.UPLINK_PAIR))
-    traj = direct_flight_trajectory(cfg)
-    alloc = initial_allocation_comp(cfg, traj, hover, None)
-    candidates.append((traj, alloc, Initialization.DIRECT_FLIGHT))
-    traj, alloc, init = _pick_start_comp(cfg, opts, candidates)
-    return _alternate_comp(cfg, opts, traj, alloc, init, t0)
-
-
-def _pick_start_comp(cfg: ScenarioConfig, opts: SolveOptions, candidates):
-    """Rank candidate starts by one cheap time+power pass (no trajectory
-    step); the raw initial objective misjudges which basin pays off."""
-    if len(candidates) == 1:
-        return candidates[0]
-    best = None
-    for order, (traj, alloc, init) in enumerate(candidates):
-        times = optimize_time_comp(cfg, traj, alloc.tx_power, opts.kernel)
-        cand = AllocationCoMP(times.beam_time, times.uplink_time, alloc.tx_power)
-        if common_throughput_comp(cand, traj, cfg) \
-                >= common_throughput_comp(alloc, traj, cfg):
-            probe = cand
-        else:
-            probe = alloc
-        Q = optimize_power_comp(cfg, traj, probe, opts.kernel)
-        value = common_throughput_comp(
-            AllocationCoMP(probe.beam_time, probe.uplink_time, Q), traj, cfg)
-        if best is None or value > best[0]:
-            best = (value, order, traj, alloc, init)
-    return best[2], best[3], best[4]
+    candidates.append(_direct_start(cfg, hover, initial_allocation_comp))
+    return _alternate(cfg, opts, _comp_mode(), candidates, t0)
 
 
 def solve_p21_direct(cfg: ScenarioConfig, options: SolveOptions | None = None,
-                     hover: HoverSolutionCoMP | None = None) -> SolveReportCoMP:
+                     hover: HoverSolutionCoMP | None = None) -> SolveReport:
     """Benchmark: fixed straight-line flight, only time and power optimized."""
     opts = replace(options or SolveOptions(), optimize_trajectory=False)
     t0 = time.perf_counter()
     if hover is None:
         hover = solve_infinite_comp(cfg, tau_grid=opts.tau_grid)
-    traj = direct_flight_trajectory(cfg)
-    alloc = initial_allocation_comp(cfg, traj, hover, None)
-    return _alternate_comp(cfg, opts, traj, alloc, Initialization.DIRECT_FLIGHT, t0)
+    return _alternate(cfg, opts, _comp_mode(),
+                      [_direct_start(cfg, hover, initial_allocation_comp)], t0)

@@ -1,10 +1,14 @@
-"""Finite-horizon alternating solver for the interference-coordination mode.
+"""Finite-horizon alternating solver for the interference-coordination mode,
+and the alternation engine both cooperation modes share.
 
 Time allocation (a linear program), device transmit powers and UAV
 trajectories (both successive convex approximation) are optimized in turn.
 Every subproblem contains the incumbent, so the true common throughput is
 non-decreasing across accepted iterates; candidates that fail that check are
-rejected, which keeps the trace monotone under solver noise.
+rejected, which keeps the trace monotone under solver noise.  The outer
+loop (`_alternate`), its start probe, the time LP and the trajectory
+trust-region loop (`_refine_trajectory`) see a mode only through its steps,
+so the joint mode (`sca_comp`) reuses them as they are.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .hover_ic import HoverSolutionIC, WitMode, solve_infinite_ic
 from .kernel import (KernelOptions, LinearProgram, LogGroup, NegLogGroup,
                      Problem, StartInfeasible, solve_concave, solve_lp)
-from .model import (AllocationIC, ScenarioConfig, Trajectory,
+from .model import (AllocationCoMP, AllocationIC, ScenarioConfig, Trajectory,
                     common_throughput_ic, feasibility_report, gain_matrix,
                     harvested_energy_ic)
 
@@ -48,8 +53,10 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
+    """Result of a finite-horizon solve in either cooperation mode."""
+
     trajectory: Trajectory
-    allocation: AllocationIC
+    allocation: AllocationIC | AllocationCoMP
     common_rate: float
     objective_trace: np.ndarray
     power_traces: list
@@ -58,6 +65,12 @@ class SolveReport:
     initialization: Initialization
     outer_iterations: int
     wall_seconds: float
+
+
+def _no_worse(new: float, old: float) -> bool:
+    """Acceptance test of every candidate: the throughput may drop by solver
+    noise, no more."""
+    return new >= old - 1e-12 * (1.0 + abs(old))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +176,17 @@ def _slots_in_window(cfg: ScenarioConfig, window) -> np.ndarray:
     return ((n - 1) * d >= start - 1e-9) & (n * d <= end + 1e-9)
 
 
+def _within_budget(cfg: ScenarioConfig, alloc, traj: Trajectory, harvested):
+    """`alloc` with each device's powers scaled to spend 0.999 of what it
+    harvests (`harvested` is the mode's harvested-energy function)."""
+    Q = alloc.tx_power.copy()
+    for k in range(2):
+        budget = harvested(alloc, traj, k, cfg)
+        spend = float((Q[k] * alloc.uplink_time).sum())
+        Q[k] *= 0.999 * budget / spend if spend > 0 else 0.0
+    return replace(alloc, tx_power=Q)
+
+
 def initial_allocation_ic(cfg: ScenarioConfig, traj: Trajectory,
                           hover: HoverSolutionIC, windows=None) -> AllocationIC:
     """Feasible warm-start allocation mirroring the hover solution's split."""
@@ -193,62 +217,97 @@ def initial_allocation_ic(cfg: ScenarioConfig, traj: Trajectory,
             Q[1, idx[half:]] = 1.0
         else:
             Q[:, idx] = 1.0
-    alloc = AllocationIC(charge, uplink, Q)
-    Q = Q.copy()
-    for k in range(2):
-        budget = harvested_energy_ic(alloc, traj, k, cfg)
-        spend = float((Q[k] * uplink).sum())
-        Q[k] *= 0.999 * budget / spend if spend > 0 else 0.0
-    return AllocationIC(charge, uplink, Q)
+    return _within_budget(cfg, AllocationIC(charge, uplink, Q), traj, harvested_energy_ic)
 
 
 # ---------------------------------------------------------------------------
 # Subproblems
 # ---------------------------------------------------------------------------
 
+def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
+             tx_power: np.ndarray, options: KernelOptions | None) -> np.ndarray:
+    """Exact epigraph LP of both modes' time steps.
+
+    The variables are the per-slot durations of each charging block, then the
+    uplink durations, then the common rate R; harvest[k, j] is device k's
+    harvested power per unit time of charging block j, rate[k] its uplink
+    rate.  Maximizes R subject to R <= sum(rate[k] * uplink) / T, each
+    device spending at most what it harvests, and each slot's durations
+    fitting in the slot.  Returns the (blocks + 1, N) durations, clipped at 0.
+    """
+    N = cfg.num_slots
+    nb = harvest.shape[1] + 1
+    n = nb * N + 1
+    c = np.zeros(n)
+    c[-1] = 1.0
+    up = slice((nb - 1) * N, nb * N)
+    A = np.zeros((4 + N, n))
+    for k in range(2):
+        A[2 * k, up] = -rate[k] / cfg.duration
+        A[2 * k, -1] = 1.0
+        A[2 * k + 1, :(nb - 1) * N] = -harvest[k].reshape(-1)
+        A[2 * k + 1, up] = tx_power[k]
+    A[4:, :-1] = np.tile(np.eye(N), nb)
+    b = np.zeros(4 + N)
+    b[4:] = cfg.slot_duration
+    out = solve_lp(LinearProgram(c, a_ub=A, b_ub=b, lb=np.zeros(n)), options)
+    return np.clip(out.x, 0.0, None)[:-1].reshape(nb, N)
+
+
 def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power,
                      options: KernelOptions | None = None) -> AllocationIC:
     """Exact epigraph LP over the per-slot charging/uplink durations."""
-    N = cfg.num_slots
     g = gain_matrix(traj, cfg)
     Q = np.asarray(tx_power, dtype=float)
-    n = 2 * N + 1  # [charge, uplink, R]
-    c = np.zeros(n)
-    c[-1] = 1.0
-    rows, rhs = [], []
+    rate = np.stack([np.log2(1.0 + Q[k] * g[k, k]
+                             / (Q[1 - k] * g[1 - k, k] + cfg.noise_power))
+                     for k in range(2)])
+    harvest = np.stack([cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
+                        for k in range(2)])[:, None, :]
+    x = _time_lp(cfg, rate, harvest, Q, options)
+    return AllocationIC(x[0], x[1], Q.copy())
+
+
+def _lift_epigraph(prob: Problem, x: np.ndarray) -> np.ndarray:
+    """Set the epigraph variable (the last one) of `x` just below the smallest
+    concave-row value, so every rate row is strictly feasible; returns x."""
+    x[-1] = 0.0
+    floor = float(min(row.value(x) for row in prob.conc_rows))
+    x[-1] = floor - 1e-6 * (1.0 + abs(floor))
+    return x
+
+
+def _power_budgets(cfg: ScenarioConfig, alloc, traj, harvested,
+                   active: np.ndarray) -> list:
+    """Energy each device may spend on the active slots: what it harvests
+    (`harvested` is the mode's harvested-energy function) minus what its
+    frozen powers already spend on the idle slots, whose uplink time is
+    tiny but not always zero."""
+    idle = np.setdiff1d(np.arange(cfg.num_slots), active)
+    Q, uplink = alloc.tx_power, alloc.uplink_time
+    return [harvested(alloc, traj, k, cfg) - float((Q[k, idle] * uplink[idle]).sum())
+            for k in range(2)]
+
+
+def _finish_power_program(cfg: ScenarioConfig, prob: Problem, Q: np.ndarray,
+                          active: np.ndarray, uplink: np.ndarray, budgets) -> np.ndarray:
+    """Add each device's energy budget and Q >= 0 to a power-step program
+    over [Q_1 on the active slots, Q_2 on them, R] that holds the rate rows.
+    Returns a strictly feasible start: the incumbent powers, lifted off zero
+    and scaled to 0.999 of a budget they exhaust."""
+    A = active.size
+    start = np.zeros(prob.n)
     for k in range(2):
-        ko = 1 - k
-        rate = np.log2(1.0 + Q[k] * g[k, k] / (Q[ko] * g[ko, k] + cfg.noise_power))
-        harvest = cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
-        row = np.zeros(n)
-        row[N:2 * N] = -rate / cfg.duration
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(n)
-        row[:N] = -harvest
-        row[N:2 * N] = Q[k]
-        rows.append(row)
-        rhs.append(0.0)
-    pair = np.zeros((N, n))
-    pair[:, :N] = np.eye(N)
-    pair[:, N:2 * N] += np.eye(N)
-    rows.append(pair)
-    rhs.append(np.full(N, cfg.slot_duration))
-    A = np.vstack([np.atleast_2d(r) for r in rows])
-    b = np.concatenate([np.atleast_1d(r) for r in rhs])
-    out = solve_lp(LinearProgram(c, a_ub=A, b_ub=b, lb=np.zeros(n)), options)
-    x = np.clip(out.x, 0.0, None)
-    return AllocationIC(x[:N], x[N:2 * N], Q.copy())
-
-
-def _epigraph_floor(prob: Problem, x: np.ndarray, r_idx: int) -> float:
-    """Smallest concave-row value at x with the epigraph variable zeroed."""
-    saved = x[r_idx]
-    x[r_idx] = 0.0
-    best = min(row.value(x) for row in prob.conc_rows)
-    x[r_idx] = saved
-    return float(best)
+        row = np.zeros(prob.n)
+        row[k * A:(k + 1) * A] = uplink[active]
+        prob.add_affine(row, budgets[k])
+        q0 = np.maximum(Q[k, active], 1e-9 * (1.0 + budgets[k] / cfg.duration))
+        spend = float((q0 * uplink[active]).sum())
+        if spend >= budgets[k]:
+            q0 = q0 * (0.999 * budgets[k] / spend)
+        start[k * A:(k + 1) * A] = q0
+    prob.add_affine(-np.eye(prob.n)[:2 * A], np.zeros(2 * A))
+    return _lift_epigraph(prob, start)
 
 
 def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
@@ -258,7 +317,8 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
 
     Slots with no uplink time are frozen at the incumbent; each pass solves
     the tangent surrogate of the interference term and is accepted only if
-    the true common throughput does not decrease.
+    the true common throughput does not decrease.  Returns the powers and the
+    throughput of every accepted iterate.
     """
     uplink, charge = alloc.uplink_time, alloc.charge_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
@@ -267,21 +327,19 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
     if active.size == 0:
         return Q, trace
     g = gain_matrix(traj, cfg)
-    budgets = [harvested_energy_ic(alloc, traj, k, cfg) for k in range(2)]
+    budgets = _power_budgets(cfg, alloc, traj, harvested_energy_ic, active)
     A = active.size
-    n = 2 * A + 1
-    r_idx = 2 * A
     prev_surrogate = None
     for _ in range(max_iter):
-        prob = Problem(n, np.eye(n)[r_idx])
+        prob = Problem(2 * A + 1, np.eye(2 * A + 1)[-1])
         wt = uplink[active] / (cfg.duration * np.log(2.0))
         for k in range(2):
             ko = 1 - k
             ref_itf = Q[ko, active] * g[ko, k, active] + cfg.noise_power
             slope = g[ko, k, active] * LOG2E / ref_itf
-            lin = np.zeros(n)
+            lin = np.zeros(prob.n)
             lin[ko * A:(ko + 1) * A] = -uplink[active] / cfg.duration * slope
-            lin[r_idx] = -1.0
+            lin[-1] = -1.0
             const = float((uplink[active] / cfg.duration
                            * (-np.log2(ref_itf) + slope * Q[ko, active])).sum())
             logs = LogGroup(
@@ -291,31 +349,16 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
                 weights=wt,
             )
             prob.add_concave_ge(const=const, lin=lin, logs=(logs,))
-            row = np.zeros(n)
-            row[k * A:(k + 1) * A] = uplink[active]
-            prob.add_affine(row, budgets[k])
-        eye = np.eye(n)[:2 * A]
-        prob.add_affine(-eye, np.zeros(2 * A))
-
-        start = np.zeros(n)
-        for k in range(2):
-            q0 = np.maximum(Q[k, active], 1e-9 * (1.0 + budgets[k] / cfg.duration))
-            spend = float((q0 * uplink[active]).sum())
-            if spend >= budgets[k]:
-                q0 = q0 * (0.999 * budgets[k] / spend)
-            start[k * A:(k + 1) * A] = q0
-        floor = _epigraph_floor(prob, start, r_idx)
-        start[r_idx] = floor - 1e-6 * (1.0 + abs(floor))
+        start = _finish_power_program(cfg, prob, Q, active, uplink, budgets)
         out = solve_concave(prob, start, options)
         Q_new = Q.copy()
-        Q_new[0, active] = np.clip(out.x[:A], 0.0, None)
-        Q_new[1, active] = np.clip(out.x[A:2 * A], 0.0, None)
+        Q_new[:, active] = np.clip(out.x[:-1], 0.0, None).reshape(2, A)
         val = common_throughput_ic(AllocationIC(charge, uplink, Q_new), traj, cfg)
-        if val < trace[-1] - 1e-12 * (1.0 + abs(trace[-1])):
+        if not _no_worse(val, trace[-1]):
             break
         Q = Q_new
         trace.append(val)
-        sur = float(out.x[r_idx])
+        sur = float(out.x[-1])
         if prev_surrogate is not None and \
                 sur - prev_surrogate <= sca_tol * (1.0 + abs(prev_surrogate)):
             break
@@ -324,11 +367,10 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
 
 
 def _free_coords(cfg: ScenarioConfig, ref: np.ndarray, nv: int) -> np.ndarray:
-    N = cfg.num_slots
+    """Length-nv vector holding the interior positions of `ref` in the
+    `traj_var_base` layout, zeros elsewhere."""
     x = np.zeros(nv)
-    for m in range(2):
-        base = 2 * (N - 1) * m
-        x[base: base + 2 * (N - 1)] = ref[m, 1:N, :].reshape(-1)
+    x[:4 * (cfg.num_slots - 1)] = ref[:, 1:-1, :].reshape(-1)
     return x
 
 
@@ -336,6 +378,25 @@ def traj_var_base(cfg: ScenarioConfig, m: int, slot: int) -> int:
     """Index of UAV m's x-coordinate at interior slot `slot` (1..N-1) in the
     trajectory subproblem layout shared by both engines."""
     return 2 * ((cfg.num_slots - 1) * m + (slot - 1))
+
+
+def _dist2_parts(nv: int, base: int, point: np.ndarray):
+    """(diag, lin, const) of ||x[base:base+2] - point||^2 in the
+    `Problem.add_quad` form."""
+    diag = np.zeros(nv)
+    diag[base: base + 2] = 2.0
+    lin = np.zeros(nv)
+    lin[base: base + 2] = -2.0 * point
+    return diag, lin, float((point**2).sum())
+
+
+def _add_strict_quad(prob: Problem, diag, lin, const: float, x_ref: np.ndarray,
+                     tol: float) -> None:
+    """Add the surrogate row 0.5 x'diag(diag)x + lin.x + const <= 0, relaxed
+    by `tol` plus whatever x_ref violates it by, so x_ref is strictly inside."""
+    at_ref = 0.5 * float(diag @ (x_ref * x_ref)) + float(lin @ x_ref) + const
+    eps = tol + max(0.0, at_ref)
+    prob.add_quad(diag=diag, lin=lin, const=const - eps)
 
 
 def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray,
@@ -364,30 +425,38 @@ def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray,
             eps = 1e-8 * max(1.0, step2) + max(0.0, ref_step - step2)
             if 1 <= n <= N - 2:
                 ia, ib = traj_var_base(cfg, m, n), traj_var_base(cfg, m, n + 1)
-                idx = np.array([ia, ia + 1, ib, ib + 1])
-                P = 2.0 * np.block([[np.eye(2), -np.eye(2)],
-                                    [-np.eye(2), np.eye(2)]])
-                prob.add_quad(blocks=((idx, P),), const=-step2 - eps)
+                prob.add_pair_step(np.array([ia, ia + 1, ib, ib + 1]), -step2 - eps)
             else:
                 fixed = cfg.uav_initial[m] if n == 0 else cfg.uav_final[m]
                 iv = traj_var_base(cfg, m, 1 if n == 0 else N - 1)
-                diag = np.zeros(nv)
-                diag[iv: iv + 2] = 2.0
-                lin = np.zeros(nv)
-                lin[iv: iv + 2] = -2.0 * fixed
-                prob.add_quad(diag=diag, lin=lin,
-                              const=float((fixed**2).sum()) - step2 - eps)
+                diag, lin, const = _dist2_parts(nv, iv, fixed)
+                prob.add_quad(diag=diag, lin=lin, const=const - step2 - eps)
 
     if trust_radius is not None:
         for m in range(2):
             for n in range(1, N):
-                base = traj_var_base(cfg, m, n)
-                diag = np.zeros(nv)
-                diag[base: base + 2] = 2.0
-                lin = np.zeros(nv)
-                lin[base: base + 2] = -2.0 * ref[m, n]
-                prob.add_quad(diag=diag, lin=lin,
-                              const=float((ref[m, n] ** 2).sum()) - trust_radius**2)
+                diag, lin, const = _dist2_parts(nv, traj_var_base(cfg, m, n), ref[m, n])
+                prob.add_quad(diag=diag, lin=lin, const=const - trust_radius**2)
+
+
+def _add_harvest_tangent(cfg: ScenarioConfig, diag: np.ndarray, lin: np.ndarray,
+                         const: float, coef: float, ref: np.ndarray,
+                         w_k: np.ndarray, m: int, n: int) -> float:
+    """Subtract from the energy row (diag, lin, const) the tangent lower bound
+    of coef / (H^2 + ||q_m[n] - w_k||^2), expanded at ref[m, n]; a fixed final
+    position enters as a constant.  Returns the new constant."""
+    H2 = cfg.altitude**2
+    u_ref = float(((ref[m, n] - w_k) ** 2).sum())
+    gamma = coef / (H2 + u_ref) ** 2
+    const -= 2.0 * coef / (H2 + u_ref)
+    if n <= cfg.num_slots - 1:
+        base = traj_var_base(cfg, m, n)
+        diag[base: base + 2] += 2.0 * gamma
+        lin[base: base + 2] += -2.0 * gamma * w_k
+        const += gamma * float((w_k ** 2).sum()) + gamma * H2
+    else:
+        const += gamma * (H2 + u_ref)
+    return const
 
 
 def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
@@ -397,14 +466,9 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
     H2 = cfg.altitude**2
     b0 = cfg.ref_gain
     nv = 4 * (N - 1) + 1
-    r_idx = nv - 1
-
-    def var_base(m: int, slot: int) -> int:
-        return 2 * ((N - 1) * m + (slot - 1))  # slot in 1..N-1
-
     uplink, charge, Q = alloc.uplink_time, alloc.charge_time, alloc.tx_power
     w = cfg.device_positions
-    prob = Problem(nv, np.eye(nv)[r_idx])
+    prob = Problem(nv, np.eye(nv)[-1])
 
     # Rate rows: one concave row per device (depends on its own UAV only).
     for k in range(2):
@@ -423,19 +487,16 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
             alpha = Q[:, slot] * b0 / (u_ref + H2) ** 2 * LOG2E / s_ref
             const += wt * float(np.log2(s_ref) + (alpha * u_ref).sum())
             if n <= N - 1:
-                base = var_base(k, n)
-                a_sum = float(alpha.sum())
-                diag[base] += 2.0 * wt * a_sum
-                diag[base + 1] += 2.0 * wt * a_sum
-                lin[base] += 2.0 * wt * float((alpha * w[:, 0]).sum())
-                lin[base + 1] += 2.0 * wt * float((alpha * w[:, 1]).sum())
+                base = traj_var_base(cfg, k, n)
+                diag[base: base + 2] += 2.0 * wt * float(alpha.sum())
+                lin[base: base + 2] += 2.0 * wt * (alpha[:, None] * w).sum(axis=0)
                 const -= wt * float((alpha * (w**2).sum(axis=1)).sum())
             else:
                 const -= wt * float((alpha * u_ref).sum())  # fixed final point
             if Q[ko, slot] <= 0.0:
                 const -= wt * np.log2(cfg.noise_power)
             elif n <= N - 1:
-                base = var_base(k, n)
+                base = traj_var_base(cfg, k, n)
                 grad = 2.0 * (qk - w[ko])
                 off = float(u_ref[ko] + H2 - grad @ qk)
                 nl_idx.append([base, base + 1])
@@ -450,7 +511,7 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
             else:
                 const -= wt * np.log2(cfg.noise_power
                                       + Q[ko, slot] * b0 / (u_ref[ko] + H2))
-        lin[r_idx] = -1.0
+        lin[-1] = -1.0
         neglogs = ()
         if nl_idx:
             neglogs = (NegLogGroup(
@@ -472,53 +533,40 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
             n = int(slot) + 1
             coef = cfg.eh_efficiency * cfg.uav_power * b0 * charge[slot]
             for m in range(2):
-                u_ref = float(((ref[m, n] - w[k]) ** 2).sum())
-                gamma = coef / (H2 + u_ref) ** 2
-                const -= 2.0 * coef / (H2 + u_ref)
-                if n <= N - 1:
-                    base = var_base(m, n)
-                    diag[base] += 2.0 * gamma
-                    diag[base + 1] += 2.0 * gamma
-                    lin[base: base + 2] += -2.0 * gamma * w[k]
-                    const += gamma * float((w[k] ** 2).sum()) + gamma * H2
-                else:
-                    const += gamma * (H2 + u_ref)
-        at_ref = 0.5 * float(diag @ (x_ref * x_ref)) + float(lin @ x_ref) + const
-        eps = 1e-10 * (1.0 + spend) + max(0.0, at_ref)
-        prob.add_quad(diag=diag, lin=lin, const=const - eps)
+                const = _add_harvest_tangent(cfg, diag, lin, const, coef, ref, w[k], m, n)
+        _add_strict_quad(prob, diag, lin, const, x_ref, 1e-10 * (1.0 + spend))
 
     add_geometry_rows(prob, cfg, ref, trust_radius)
-
-    start = x_ref.copy()
-    floor = _epigraph_floor(prob, start, r_idx)
-    start[r_idx] = floor - 1e-6 * (1.0 + abs(floor))
-    return prob, start
+    return prob, _lift_epigraph(prob, x_ref.copy())
 
 
-def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory,
-                     sca_tol: float = 1e-4, max_iter: int = 30,
-                     options: KernelOptions | None = None):
-    """Iterative concave maximization of both UAV trajectories.
+def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
+                       throughput, harvested, sca_tol: float, max_iter: int,
+                       options: KernelOptions | None):
+    """Trust-region SCA loop of both modes' trajectory steps.
 
-    A failed surrogate solve re-expands at the incumbent with a halving trust
-    region; the incumbent itself is always surrogate-feasible, so the loop
-    terminates."""
-    best = common_throughput_ic(alloc, traj, cfg)
+    `build(positions, radius)` returns the concave program of one pass at
+    `positions` and a strictly feasible start; its leading variables are the
+    interior positions (`traj_var_base` layout).  A failed surrogate solve
+    re-expands at the incumbent with a halving trust region; the incumbent
+    itself is always surrogate-feasible, so the loop terminates.  A candidate
+    is accepted when it is feasible, keeps every device's energy budget
+    (`harvested` is the mode's harvested-energy function) and does not lower
+    `throughput`.  Returns the trajectory and the accepted throughputs."""
+    best = throughput(alloc, traj, cfg)
     trace = [best]
     positions = traj.positions.copy()
     N = cfg.num_slots
+    spend = [float((alloc.tx_power[k] * alloc.uplink_time).sum()) for k in range(2)]
     for _ in range(max_iter):
         cand = None
         radius = None
         for _attempt in range(10):
             try:
-                prob, start = _traj_subproblem_ic(cfg, alloc, positions, radius)
+                prob, start = build(positions, radius)
                 out = solve_concave(prob, start, options)
-                new_pos = positions.copy()
-                for m in range(2):
-                    base = 2 * (N - 1) * m
-                    new_pos[m, 1:N, :] = out.x[base: base + 2 * (N - 1)].reshape(N - 1, 2)
-                cand = new_pos
+                cand = positions.copy()
+                cand[:, 1:N, :] = out.x[:4 * (N - 1)].reshape(2, N - 1, 2)
                 break
             except (StartInfeasible, np.linalg.LinAlgError):
                 radius = 10.0 * cfg.max_step if radius is None else radius / 2.0
@@ -527,49 +575,100 @@ def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory,
         if cand is None:
             break
         cand_traj = Trajectory(cand)
-        ok = cand_traj.is_feasible(cfg)
-        if ok:
-            for k in range(2):
-                spend = float((alloc.tx_power[k] * alloc.uplink_time).sum())
-                if harvested_energy_ic(alloc, cand_traj, k, cfg) - spend < -1e-9:
-                    ok = False
-        val = common_throughput_ic(alloc, cand_traj, cfg)
-        if not ok or val < best - 1e-12 * (1.0 + abs(best)):
+        ok = cand_traj.is_feasible(cfg) and all(
+            harvested(alloc, cand_traj, k, cfg) - spend[k] >= -1e-9 for k in range(2))
+        val = throughput(alloc, cand_traj, cfg)
+        if not (ok and _no_worse(val, best)):
             break
-        improved = val - best
         positions, best = cand, val
         trace.append(val)
-        if improved <= sca_tol * (1.0 + abs(best)):
+        if val - trace[-2] <= sca_tol * (1.0 + abs(val)):
             break
     return Trajectory(positions), trace
 
 
+def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory,
+                     sca_tol: float = 1e-4, max_iter: int = 30,
+                     options: KernelOptions | None = None):
+    """Iterative concave maximization of both UAV trajectories; returns the
+    trajectory and the accepted throughputs (see `_refine_trajectory`)."""
+    return _refine_trajectory(
+        cfg, alloc, traj, lambda pos, radius: _traj_subproblem_ic(cfg, alloc, pos, radius),
+        common_throughput_ic, harvested_energy_ic, sca_tol, max_iter, options)
+
+
 # ---------------------------------------------------------------------------
-# Complete alternating solver
+# Alternation engine shared by both modes
 # ---------------------------------------------------------------------------
 
-def _alternate_ic(cfg: ScenarioConfig, opts: SolveOptions, traj: Trajectory,
-                  alloc: AllocationIC, init: Initialization, t0: float) -> SolveReport:
-    trace = [common_throughput_ic(alloc, traj, cfg)]
+@dataclass(frozen=True)
+class _Mode:
+    """One cooperation mode's blocks, in the form `_alternate` calls them.
+
+    Each solve builds its record when called, from its module's globals, so
+    steps wrapped from outside (for tracing) are the ones that run."""
+
+    throughput: Callable   # (alloc, traj, cfg) -> common throughput
+    time_step: Callable    # (cfg, traj, tx_power, KernelOptions) -> allocation
+    power_step: Callable   # (cfg, traj, alloc, SolveOptions, max_iter) -> (Q, trace)
+    traj_step: Callable    # (cfg, alloc, traj, SolveOptions) -> (traj, trace)
+
+
+def _ic_mode() -> _Mode:
+    return _Mode(
+        throughput=common_throughput_ic,
+        time_step=optimize_time_ic,
+        power_step=lambda cfg, traj, alloc, opts, max_iter: optimize_power_ic(
+            cfg, traj, alloc, opts.inner_tol, max_iter, opts.kernel),
+        traj_step=lambda cfg, alloc, traj, opts: optimize_traj_ic(
+            cfg, alloc, traj, opts.inner_tol, opts.max_inner, opts.kernel))
+
+
+def _pick_start(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates):
+    """Rank candidate starts by one cheap time+power pass (no trajectory
+    step); the raw initial objective misjudges which basin the trajectory
+    step can refine.  A candidate scores the throughput of the power step's
+    last pass, accepted or not."""
+    if len(candidates) == 1:
+        return candidates[0]
+    best = None
+    for traj, alloc, init in candidates:
+        times = mode.time_step(cfg, traj, alloc.tx_power, opts.kernel)
+        probe = times if mode.throughput(times, traj, cfg) \
+            >= mode.throughput(alloc, traj, cfg) else alloc
+        _, ptrace = mode.power_step(cfg, traj, probe, opts, 5)
+        if best is None or ptrace[-1] > best[0]:
+            best = (ptrace[-1], (traj, alloc, init))
+    return best[1]
+
+
+def _alternate(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates,
+               t0: float) -> SolveReport:
+    """Alternate the time, power and trajectory steps of `mode` from the best
+    of the (trajectory, allocation, Initialization) `candidates` until an
+    outer iteration gains less than `outer_tol`."""
+    traj, alloc, init = _pick_start(cfg, opts, mode, candidates)
+    trace = [mode.throughput(alloc, traj, cfg)]
     power_traces, traj_traces = [], []
     outer = 0
     for outer in range(1, opts.max_outer + 1):
-        times = optimize_time_ic(cfg, traj, alloc.tx_power, opts.kernel)
-        cand = AllocationIC(times.charge_time, times.uplink_time, alloc.tx_power)
-        if common_throughput_ic(cand, traj, cfg) >= trace[-1] - 1e-12 * (1 + abs(trace[-1])):
+        cand = mode.time_step(cfg, traj, alloc.tx_power, opts.kernel)
+        if _no_worse(mode.throughput(cand, traj, cfg), trace[-1]):
             alloc = cand
 
-        Q, ptrace = optimize_power_ic(cfg, traj, alloc, opts.inner_tol,
-                                      opts.max_inner, opts.kernel)
+        Q, ptrace = mode.power_step(cfg, traj, alloc, opts, opts.max_inner)
         power_traces.append(ptrace)
-        alloc = AllocationIC(alloc.charge_time, alloc.uplink_time, Q)
+        # Only a step's last pass can be unvetted: the coordination step
+        # rejects lowering passes itself, the joint step returns its single
+        # solve as it is.
+        if len(ptrace) == 1 or _no_worse(ptrace[-1], ptrace[-2]):
+            alloc = replace(alloc, tx_power=Q)
 
         if opts.optimize_trajectory and cfg.num_slots >= 2:
-            traj, ttrace = optimize_traj_ic(cfg, alloc, traj, opts.inner_tol,
-                                            opts.max_inner, opts.kernel)
+            traj, ttrace = mode.traj_step(cfg, alloc, traj, opts)
             traj_traces.append(ttrace)
 
-        value = common_throughput_ic(alloc, traj, cfg)
+        value = mode.throughput(alloc, traj, cfg)
         improved = value - trace[-1]
         trace.append(value)
         if improved <= opts.outer_tol * (1.0 + abs(value)) and outer >= 2:
@@ -589,12 +688,18 @@ def _alternate_ic(cfg: ScenarioConfig, opts: SolveOptions, traj: Trajectory,
     )
 
 
+def _direct_start(cfg: ScenarioConfig, hover, initial_allocation):
+    """Direct-flight start candidate, with the mode's warm-start allocation."""
+    traj = direct_flight_trajectory(cfg)
+    return traj, initial_allocation(cfg, traj, hover, None), Initialization.DIRECT_FLIGHT
+
+
 def solve_p1(cfg: ScenarioConfig, options: SolveOptions | None = None,
              hover: HoverSolutionIC | None = None) -> SolveReport:
     """Alternating time / power / trajectory optimization.
 
     Initialized from the hover-and-fly plan or from direct flight, whichever
-    starts with the better objective (hover-and-fly can be dominated when the
+    the start probe ranks best (hover-and-fly can be dominated when the
     mission barely fits the visit legs)."""
     opts = options or SolveOptions()
     t0 = time.perf_counter()
@@ -606,33 +711,8 @@ def solve_p1(cfg: ScenarioConfig, options: SolveOptions | None = None,
         traj, windows = built
         alloc = initial_allocation_ic(cfg, traj, hover, windows)
         candidates.append((traj, alloc, Initialization.SHF))
-    traj = direct_flight_trajectory(cfg)
-    alloc = initial_allocation_ic(cfg, traj, hover, None)
-    candidates.append((traj, alloc, Initialization.DIRECT_FLIGHT))
-    traj, alloc, init = _pick_start_ic(cfg, opts, candidates)
-    return _alternate_ic(cfg, opts, traj, alloc, init, t0)
-
-
-def _pick_start_ic(cfg: ScenarioConfig, opts: SolveOptions, candidates):
-    """Rank candidate starts by one cheap time+power pass; the raw initial
-    objective misjudges which basin the trajectory step can refine."""
-    if len(candidates) == 1:
-        return candidates[0]
-    best = None
-    for order, (traj, alloc, init) in enumerate(candidates):
-        times = optimize_time_ic(cfg, traj, alloc.tx_power, opts.kernel)
-        cand = AllocationIC(times.charge_time, times.uplink_time, alloc.tx_power)
-        if common_throughput_ic(cand, traj, cfg) \
-                >= common_throughput_ic(alloc, traj, cfg):
-            probe = cand
-        else:
-            probe = alloc
-        Q, _ = optimize_power_ic(cfg, traj, probe, opts.inner_tol, 5, opts.kernel)
-        value = common_throughput_ic(
-            AllocationIC(probe.charge_time, probe.uplink_time, Q), traj, cfg)
-        if best is None or value > best[0]:
-            best = (value, order, traj, alloc, init)
-    return best[2], best[3], best[4]
+    candidates.append(_direct_start(cfg, hover, initial_allocation_ic))
+    return _alternate(cfg, opts, _ic_mode(), candidates, t0)
 
 
 def solve_p1_direct(cfg: ScenarioConfig, options: SolveOptions | None = None,
@@ -642,6 +722,5 @@ def solve_p1_direct(cfg: ScenarioConfig, options: SolveOptions | None = None,
     t0 = time.perf_counter()
     if hover is None:
         hover = solve_infinite_ic(cfg, tau_grid=opts.tau_grid)
-    traj = direct_flight_trajectory(cfg)
-    alloc = initial_allocation_ic(cfg, traj, hover, None)
-    return _alternate_ic(cfg, opts, traj, alloc, Initialization.DIRECT_FLIGHT, t0)
+    return _alternate(cfg, opts, _ic_mode(),
+                      [_direct_start(cfg, hover, initial_allocation_ic)], t0)

@@ -1,7 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from wpcn_traj import ScenarioConfig
+# Single-threaded BLAS, set before numpy loads: the solvers' small dense
+# factorizations run faster than with threaded BLAS, and rates then do not
+# depend on the thread count (they differ in the 9th digit).  A value the
+# user sets still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from wpcn_traj import ScenarioConfig  # noqa: E402
 
 
 def benchmark_config(device_distance=15.0, duration=10.0, num_slots=None, **kw):

@@ -425,7 +425,7 @@ def test_criterion_9_subproblem_oracles():
     uplink = np.array([0.5, 0.5])
     alloc = AllocationCoMP(beam, uplink, np.full((2, 2), 1e-8))
     budgets = [harvested_energy_comp(alloc, traj, k, cfg) for k in range(2)]
-    Qc = optimize_power_comp(cfg, traj, alloc)
+    Qc, _ = optimize_power_comp(cfg, traj, alloc)
     got = common_throughput_comp(AllocationCoMP(beam, uplink, Qc), traj, cfg)
     per_dev = []
     for k in range(2):

@@ -149,9 +149,7 @@ class TestSolveConcave:
         logs = (LogGroup(idx=[[0, 2]], coeffs=[[2.0, -1.0]], offsets=[3.0],
                          weights=[1.2]),)
         prob.add_concave_ge(const=const, lin=lin, diag_neg=diag, logs=logs)
-        idx = np.array([0, 1, 2, 3])
-        P = 2.0 * np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]])
-        prob.add_quad(blocks=((idx, P),), const=-2.25)
+        prob.add_pair_step(np.array([0, 1, 2, 3]), const=-2.25)
         d = np.zeros(nv)
         d[:2] = 2.0
         l2 = np.zeros(nv)

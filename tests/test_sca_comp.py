@@ -127,7 +127,7 @@ class TestOptimizePower:
         beam = np.full((2, 2), 0.15)
         uplink = np.full(2, 0.2)
         alloc = AllocationCoMP(beam, uplink, np.full((2, 2), 1e-7))
-        Q = optimize_power_comp(cfg, traj, alloc)
+        Q, _ = optimize_power_comp(cfg, traj, alloc)
         assert np.allclose(Q[0], Q[1], rtol=1e-6)
 
     def test_single_slot_uses_full_budget(self):
@@ -136,7 +136,7 @@ class TestOptimizePower:
         alloc = AllocationCoMP(np.full((2, 1), 0.2), np.array([0.5]),
                                np.full((2, 1), 1e-8))
         budgets = [harvested_energy_comp(alloc, traj, k, cfg) for k in range(2)]
-        Q = optimize_power_comp(cfg, traj, alloc)
+        Q, _ = optimize_power_comp(cfg, traj, alloc)
         for k in range(2):
             assert Q[k, 0] == pytest.approx(budgets[k] / 0.5, rel=1e-4)
 
@@ -149,7 +149,7 @@ class TestOptimizePower:
         uplink = np.array([0.5, 0.5])
         alloc = AllocationCoMP(beam, uplink, np.full((2, 2), 1e-8))
         budgets = [harvested_energy_comp(alloc, traj, k, cfg) for k in range(2)]
-        Q = optimize_power_comp(cfg, traj, alloc)
+        Q, _ = optimize_power_comp(cfg, traj, alloc)
         got = common_throughput_comp(AllocationCoMP(beam, uplink, Q), traj, cfg)
         # The bound-rate decouples across devices, so sweep each device's
         # first-slot power with the energy constraint binding.
@@ -175,7 +175,7 @@ class TestOptimizePower:
         beam = np.full((2, 4), 0.1)
         uplink = np.full(4, 0.2)
         alloc = AllocationCoMP(beam, uplink, np.full((2, 4), 1e-8))
-        Q = optimize_power_comp(cfg, traj, alloc)
+        Q, _ = optimize_power_comp(cfg, traj, alloc)
         out = AllocationCoMP(beam, uplink, Q)
         residuals = [harvested_energy_comp(out, traj, k, cfg)
                      - float((Q[k] * uplink).sum()) for k in range(2)]
@@ -191,7 +191,7 @@ class TestOptimizeTrajectory:
         traj = direct_flight_trajectory(cfg)
         alloc = initial_allocation_comp(cfg, traj, hover, None)
         alloc = optimize_time_comp(cfg, traj, alloc.tx_power)
-        Q = optimize_power_comp(cfg, traj, alloc)
+        Q, _ = optimize_power_comp(cfg, traj, alloc)
         alloc = AllocationCoMP(alloc.beam_time, alloc.uplink_time, Q)
         return cfg, traj, alloc
 
