@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Print the common rate of both finite-horizon solvers on a fixed grid.
+
+One JSON line per config: mode, D, T, N, repr(common_rate), initialization,
+outer iterations, whether the solution is feasible and whether its objective
+trace is monotone.  The grid is `solve_p1` at N=6 and `solve_p21` at N=12 on
+D in {5, 15, 30} x T in {4, 20, 50}, plus both direct-flight solvers at N=80,
+T=20, D in {5, 10, ..., 30}.
+
+Running it in two checkouts and diffing the outputs shows whether a change
+moved any rate:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/grid_rates.py > a.jsonl
+"""
+
+import os
+
+# One BLAS thread before numpy loads: rates differ in the 9th digit between
+# thread counts.  A value the user sets still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import json  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from wpcn_traj import (ScenarioConfig, is_feasible, solve_p1,  # noqa: E402
+                       solve_p1_direct, solve_p21, solve_p21_direct)
+
+# Engines accept a step when the throughput drops by at most 1e-12 relative;
+# one outer iteration chains three such steps.
+TRACE_SLACK = 3e-12
+
+
+def configs():
+    for solver, mode, N in ((solve_p1, "p1", 6), (solve_p21, "p21", 12)):
+        for D in (5.0, 15.0, 30.0):
+            for T in (4.0, 20.0, 50.0):
+                yield solver, mode, D, T, N
+    for solver, mode in ((solve_p1_direct, "p1_direct"), (solve_p21_direct, "p21_direct")):
+        for D in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
+            yield solver, mode, D, 20.0, 80
+
+
+def main() -> None:
+    for solver, mode, D, T, N in configs():
+        cfg = ScenarioConfig(device_distance=D, duration=T, num_slots=N)
+        rep = solver(cfg)
+        trace = np.asarray(rep.objective_trace, dtype=float)
+        monotone = bool(np.all(np.diff(trace) >= -TRACE_SLACK * (1.0 + np.abs(trace[:-1]))))
+        print(json.dumps({
+            "mode": mode, "D": D, "T": T, "N": N,
+            "common_rate": repr(float(rep.common_rate)),
+            "initialization": rep.initialization.value,
+            "outer_iterations": int(rep.outer_iterations),
+            "is_feasible": bool(is_feasible(cfg, rep.trajectory, rep.allocation)),
+            "monotone": monotone,
+        }), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,11 +1,13 @@
 """Small dense structured convex solver for the per-iteration subproblems.
 
-One log-barrier Newton engine covers both subproblem shapes the alternating
-solvers emit: linear programs (epigraph max-min time allocation) and smooth
-concave programs whose curvature comes from logarithmic rate terms plus convex
-quadratic geometry constraints.  Instances stay small (tens to a few hundred
-variables), so dense factorizations are adequate, and everything is
-deterministic: identical problem and start give bit-identical outcomes.
+One log-barrier Newton engine serves the subproblems the alternating solvers
+emit: smooth concave programs whose curvature comes from logarithmic rate
+terms plus convex quadratic geometry constraints.  A linear program (the
+epigraph max-min time allocation) is an ordinary `Problem` with affine rows
+only, solved from a strictly feasible start its caller supplies.  Instances
+stay small (tens to a few hundred variables), so dense factorizations are
+adequate, and everything is deterministic: identical problem and start give
+bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, null_space
+from scipy.linalg import cho_factor, cho_solve
 
 
 class Status(Enum):
     OPTIMAL = "optimal"
     MAX_ITER = "max_iter"
-    INFEASIBLE = "infeasible"
 
 
 class StartInfeasible(RuntimeError):
@@ -347,13 +348,11 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("barrier Hessian could not be factorized")
 
 
-def solve_concave(problem: Problem, start, options: KernelOptions | None = None,
-                  stop_when=None) -> SolveOutcome:
+def solve_concave(problem: Problem, start,
+                  options: KernelOptions | None = None) -> SolveOutcome:
     """Log-barrier maximization from a strictly feasible start.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
-    With stop_when given, the stage loop exits early once it returns True at
-    the current iterate (used by the phase-1 feasibility search).
     """
     opts = options or KernelOptions()
     x = np.asarray(start, dtype=float).copy()
@@ -433,8 +432,6 @@ def solve_concave(problem: Problem, start, options: KernelOptions | None = None,
         last = pure_center or gap <= opts.gap_abs + opts.gap_rel * abs(obj)
         x, took, dec = center(t, x, opts.newton_tol if last else loose)
         total_steps += took
-        if stop_when is not None and stop_when(x):
-            break
         obj = problem.objective(x)
         gap = m / t
         if pure_center or gap <= opts.gap_abs + opts.gap_rel * abs(obj):
@@ -447,9 +444,7 @@ def solve_concave(problem: Problem, start, options: KernelOptions | None = None,
     # no gap and no dual bound.
     converged = dec <= opts.newton_tol and (
         pure_center or gap <= opts.gap_abs + opts.gap_rel * abs(obj))
-    if stop_when is not None and stop_when(x):
-        converged = True
-    elif not converged:
+    if not converged:
         gap = np.inf
     s = problem.slacks(x)
     G = problem.row_grads(x)
@@ -466,129 +461,3 @@ def solve_concave(problem: Problem, start, options: KernelOptions | None = None,
             "dual_bound": obj + gap,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Linear programs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LinearProgram:
-    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, lb <= x <= ub."""
-
-    c: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-
-
-def _lp_rows(lp: LinearProgram, n: int):
-    rows, rhs = [], []
-    if lp.a_ub is not None:
-        A = np.atleast_2d(np.asarray(lp.a_ub, dtype=float))
-        rows.append(A)
-        rhs.append(np.atleast_1d(np.asarray(lp.b_ub, dtype=float)))
-    if lp.lb is not None:
-        lb = np.broadcast_to(np.asarray(lp.lb, dtype=float), (n,))
-        fin = np.isfinite(lb)
-        if fin.any():
-            rows.append(-np.eye(n)[fin])
-            rhs.append(-lb[fin])
-    if lp.ub is not None:
-        ub = np.broadcast_to(np.asarray(lp.ub, dtype=float), (n,))
-        fin = np.isfinite(ub)
-        if fin.any():
-            rows.append(np.eye(n)[fin])
-            rhs.append(ub[fin])
-    if rows:
-        return np.vstack(rows), np.concatenate(rhs)
-    return np.zeros((0, n)), np.zeros(0)
-
-
-def solve_lp(lp: LinearProgram, options: KernelOptions | None = None) -> SolveOutcome:
-    """Barrier LP solve with an internal phase-1 feasibility search.
-
-    Equality rows are eliminated through their null space.  Infeasibility is
-    certified when the minimized worst violation stays positive beyond its
-    duality gap.
-    """
-    opts = options or KernelOptions()
-    n = lp.c.shape[0]
-    A, b = _lp_rows(lp, n)
-
-    x_part = np.zeros(n)
-    basis = None
-    if lp.a_eq is not None and np.size(lp.a_eq):
-        Aeq = np.atleast_2d(np.asarray(lp.a_eq, dtype=float))
-        beq = np.atleast_1d(np.asarray(lp.b_eq, dtype=float))
-        x_part, *_ = np.linalg.lstsq(Aeq, beq, rcond=None)
-        if np.abs(Aeq @ x_part - beq).max() > 1e-8 * (1.0 + np.abs(beq).max()):
-            return SolveOutcome(x_part, np.nan, Status.INFEASIBLE, 0,
-                                {"feasibility": np.inf, "gap": np.inf,
-                                 "stationarity": np.inf, "dual_bound": np.nan})
-        basis = null_space(Aeq)
-        if basis.shape[1] == 0:
-            viol = float((A @ x_part - b).max()) if b.size else 0.0
-            ok = viol <= 1e-8 * (1.0 + (np.abs(b).max() if b.size else 1.0))
-            return SolveOutcome(x_part, float(lp.c @ x_part),
-                                Status.OPTIMAL if ok else Status.INFEASIBLE, 0,
-                                {"feasibility": max(0.0, viol), "gap": 0.0,
-                                 "stationarity": 0.0, "dual_bound": float(lp.c @ x_part)})
-        A_r = A @ basis
-        b_r = b - A @ x_part
-        c_r = basis.T @ lp.c
-    else:
-        A_r, b_r, c_r = A, b, lp.c
-
-    nr = c_r.shape[0]
-    scale = 1.0 + (np.abs(b_r).max() if b_r.size else 0.0)
-
-    # Phase 1: minimize the worst violation s over (z, s) in a big box.
-    box = 1e8
-    p1 = Problem(nr + 1, np.concatenate([np.zeros(nr), [-1.0]]))
-    if b_r.size:
-        p1.add_affine(np.hstack([A_r, -np.ones((A_r.shape[0], 1))]), b_r)
-    eye = np.eye(nr + 1)[:nr]
-    p1.add_affine(eye, np.full(nr, box))
-    p1.add_affine(-eye, np.full(nr, box))
-    z0 = np.zeros(nr + 1)
-    z0[-1] = (float((-b_r).max()) if b_r.size else 0.0) + 1.0
-
-    margin = max(1e-9, 1e-9 * scale)
-
-    def strictly_inside(v: np.ndarray) -> bool:
-        return bool(b_r.size == 0 or (A_r @ v[:nr] - b_r).max() < -margin)
-
-    out1 = solve_concave(p1, z0, opts, stop_when=strictly_inside)
-    z_try = out1.x[:nr]
-    if b_r.size and (A_r @ z_try - b_r).max() >= 0.0:
-        s_star = float(out1.x[-1])
-        certified = s_star - out1.residuals["gap"] > 0.0
-        note = "certified" if certified else "empty interior"
-        return SolveOutcome(x_part + (basis @ z_try if basis is not None else z_try),
-                            np.nan, Status.INFEASIBLE, out1.iterations,
-                            {"feasibility": max(0.0, s_star), "gap": out1.residuals["gap"],
-                             "stationarity": np.inf, "dual_bound": np.nan,
-                             "infeasibility": note})
-
-    # Phase 2 from the interior point.
-    p2 = Problem(nr, c_r)
-    if b_r.size:
-        p2.add_affine(A_r, b_r)
-    out2 = solve_concave(p2, z_try, opts)
-    x = x_part + (basis @ out2.x if basis is not None else out2.x)
-    viol = float(max(0.0, (A @ x - b).max())) if b.size else 0.0
-    if lp.a_eq is not None and np.size(lp.a_eq):
-        viol = max(viol, float(np.abs(np.atleast_2d(lp.a_eq) @ x
-                                      - np.atleast_1d(lp.b_eq)).max()))
-    res = dict(out2.residuals)
-    res["feasibility"] = viol
-    res["dual_bound"] = float(lp.c @ x) + res["gap"]
-    return SolveOutcome(x, float(lp.c @ x), out2.status,
-                        out1.iterations + out2.iterations, res)

@@ -4,8 +4,8 @@ This module holds the joint mode's starts and steps; the alternation loop,
 its start probe, the time LP and the trajectory trust-region loop are the
 ones in `sca_ic`, shared by both modes.  The joint mode differs in three
 places: the throughput objective uses the closed-form bound on the
-joint-reception rate; that bound is concave in the powers, so the power step
-is a single exact solve; and the trajectory subproblem introduces
+joint-reception rate; that bound separates across devices, so the power step
+is one water-filling per device; and the trajectory subproblem introduces
 amplitude/gain slack variables so the coherent charging term and the rate
 term become concave.
 """
@@ -18,18 +18,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
-from .kernel import KernelOptions, LogGroup, Problem, solve_concave
+from .kernel import KernelOptions, LogGroup, Problem
 from .model import (AllocationCoMP, ScenarioConfig, Trajectory,
                     common_throughput_comp, comp_coherent_power,
                     comp_noncoherent_power, comp_rate_upper_bound,
                     harvested_energy_comp)
 from .sca_ic import (Initialization, SolveOptions, SolveReport, _Mode,
                      _SPEED_MARGIN, _add_harvest_tangent, _add_strict_quad,
-                     _alternate, _direct_start, _dist2_parts,
-                     _finish_power_program, _free_coords, _lift_epigraph,
-                     _power_budgets, _refine_trajectory, _sample_piecewise,
-                     _slots_in_window, _time_lp, _within_budget,
-                     add_geometry_rows, build_visit_paths, traj_var_base)
+                     _alternate, _direct_start, _dist2_parts, _free_coords,
+                     _lift_epigraph, _power_budgets, _refine_trajectory,
+                     _sample_piecewise, _slots_in_window, _time_lp,
+                     _within_budget, add_geometry_rows, build_visit_paths,
+                     traj_var_base)
 
 
 @dataclass(frozen=True)
@@ -202,14 +202,31 @@ def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power,
     return AllocationCoMP(x[:2], x[2], Q.copy())
 
 
-def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP,
-                        options: KernelOptions | None = None):
-    """Exact concave maximization of the transmit powers (no iteration: the
-    bound-rate is already concave in the powers).
+def _water_fill(floors: np.ndarray, weights: np.ndarray, budget: float) -> np.ndarray:
+    """Powers q = (L - floors)^+ whose weighted spend sum(weights * q) is
+    `budget`, with the level L found exactly by sorting the floors."""
+    if budget <= 0.0:
+        return np.zeros_like(floors)
+    order = np.argsort(floors)
+    f, w = floors[order], weights[order]
+    # Level that fills exactly the j+1 lowest floors; it stays above f[j]
+    # for every j up to the optimal count and not beyond.
+    levels = (budget + np.cumsum(w * f)) / np.cumsum(w)
+    level = levels[np.count_nonzero(levels > f) - 1]
+    return np.maximum(level - floors, 0.0)
 
-    Returns the powers and the throughput [before, after] the solve.  The
-    powers are not checked against the start: solver noise can leave the
-    solve a hair below it, and the caller decides whether to accept them."""
+
+def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP):
+    """Transmit powers of the joint mode in closed form.
+
+    The bound-rate of each device depends on its own powers only, with
+    weight 1/T per unit of uplink time on every slot, so the step splits
+    into one water-filling per device: on the active slots,
+    q_n = (L_k - 1/c_kn)^+ with c_kn the slot's SNR per watt and the level
+    L_k set so the device spends its whole budget.
+
+    Returns the powers and the throughput [before, after] the step; the
+    caller decides whether to accept them."""
     uplink = alloc.uplink_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
     Q = alloc.tx_power.copy()
@@ -220,22 +237,8 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP,
     d2 = ((pos[None, :, :, :] - cfg.device_positions[:, None, None, :]) ** 2).sum(axis=-1)
     csnr = 0.5 * cfg.ref_gain / cfg.noise_power * (1.0 / (d2 + cfg.altitude**2)).sum(axis=1)
     budgets = _power_budgets(cfg, alloc, traj, harvested_energy_comp, active)
-    A = active.size
-    prob = Problem(2 * A + 1, np.eye(2 * A + 1)[-1])
-    wt = uplink[active] / (cfg.duration * np.log(2.0))
     for k in range(2):
-        lin = np.zeros(prob.n)
-        lin[-1] = -1.0
-        logs = LogGroup(
-            idx=(k * A + np.arange(A))[:, None],
-            coeffs=csnr[k, active][:, None],
-            offsets=np.ones(A),
-            weights=wt,
-        )
-        prob.add_concave_ge(lin=lin, logs=(logs,))
-    start = _finish_power_program(cfg, prob, Q, active, uplink, budgets)
-    out = solve_concave(prob, start, options)
-    Q[:, active] = np.clip(out.x[:-1], 0.0, None).reshape(2, A)
+        Q[k, active] = _water_fill(1.0 / csnr[k, active], uplink[active], budgets[k])
     return Q, [before, common_throughput_comp(replace(alloc, tx_power=Q), traj, cfg)]
 
 
@@ -355,12 +358,12 @@ def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Traject
 # ---------------------------------------------------------------------------
 
 def _comp_mode() -> _Mode:
-    # The power step is one exact solve, so it takes no pass cap.
+    # The power step is closed-form, so it takes no pass cap.
     return _Mode(
         throughput=common_throughput_comp,
         time_step=optimize_time_comp,
         power_step=lambda cfg, traj, alloc, opts, max_iter: optimize_power_comp(
-            cfg, traj, alloc, opts.kernel),
+            cfg, traj, alloc),
         traj_step=lambda cfg, alloc, traj, opts: optimize_traj_comp(
             cfg, alloc, traj, opts.inner_tol, opts.max_inner, opts.kernel)[::2])
 

@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .hover_ic import HoverSolutionIC, WitMode, solve_infinite_ic
-from .kernel import (KernelOptions, LinearProgram, LogGroup, NegLogGroup,
-                     Problem, StartInfeasible, solve_concave, solve_lp)
+from .kernel import (KernelOptions, LogGroup, NegLogGroup, Problem,
+                     StartInfeasible, solve_concave)
 from .model import (AllocationCoMP, AllocationIC, ScenarioConfig, Trajectory,
                     common_throughput_ic, feasibility_report, gain_matrix,
                     harvested_energy_ic)
@@ -232,10 +232,16 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
     uplink durations, then the common rate R; harvest[k, j] is device k's
     harvested power per unit time of charging block j, rate[k] its uplink
     rate.  Maximizes R subject to R <= sum(rate[k] * uplink) / T, each
-    device spending at most what it harvests, and each slot's durations
-    fitting in the slot.  Returns the (blocks + 1, N) durations, clipped at 0.
+    device spending at most what it harvests, each slot's durations fitting
+    in the slot, and every variable >= 0.  Returns the (blocks + 1, N)
+    durations, clipped at 0.
+
+    The barrier starts from a strictly feasible point built in closed form:
+    the charging blocks share half of every slot, every slot gets the same
+    uplink time, small enough that each device spends at most a quarter of
+    what it harvests, and R is half the smaller device rate.
     """
-    N = cfg.num_slots
+    N, d = cfg.num_slots, cfg.slot_duration
     nb = harvest.shape[1] + 1
     n = nb * N + 1
     c = np.zeros(n)
@@ -249,9 +255,25 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
         A[2 * k + 1, up] = tx_power[k]
     A[4:, :-1] = np.tile(np.eye(N), nb)
     b = np.zeros(4 + N)
-    b[4:] = cfg.slot_duration
-    out = solve_lp(LinearProgram(c, a_ub=A, b_ub=b, lb=np.zeros(n)), options)
-    return np.clip(out.x, 0.0, None)[:-1].reshape(nb, N)
+    b[4:] = d
+
+    charge = d / (2.0 * (nb - 1))
+    uplink = d / 4.0
+    for k in range(2):
+        spend = float(tx_power[k].sum())
+        if spend > 0.0:
+            uplink = min(uplink, 0.25 * charge * float(harvest[k].sum()) / spend)
+    start = np.full(n, charge)
+    start[up] = uplink
+    start[-1] = 0.5 * uplink * min(float(rate[k].sum()) for k in range(2)) / cfg.duration
+    # R = 0 here means some device has zero rate on every slot: then R = 0
+    # is optimal, the LP has no interior and the start is the answer.
+    if start[-1] > 0.0:
+        prob = Problem(n, c)
+        prob.add_affine(A, b)
+        prob.add_affine(-np.eye(n), np.zeros(n))
+        start = np.clip(solve_concave(prob, start, options).x, 0.0, None)
+    return start[:-1].reshape(nb, N)
 
 
 def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power,
@@ -291,8 +313,9 @@ def _power_budgets(cfg: ScenarioConfig, alloc, traj, harvested,
 
 def _finish_power_program(cfg: ScenarioConfig, prob: Problem, Q: np.ndarray,
                           active: np.ndarray, uplink: np.ndarray, budgets) -> np.ndarray:
-    """Add each device's energy budget and Q >= 0 to a power-step program
-    over [Q_1 on the active slots, Q_2 on them, R] that holds the rate rows.
+    """Add each device's energy budget and Q >= 0 to the coordination power
+    step's program over [Q_1 on the active slots, Q_2 on them, R] that holds
+    the rate rows.
     Returns a strictly feasible start: the incumbent powers, lifted off zero
     and scaled to 0.999 of a budget they exhaust."""
     A = active.size

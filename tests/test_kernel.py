@@ -3,86 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from wpcn_traj import (KernelOptions, LinearProgram, Problem, StartInfeasible,
-                       Status, solve_concave, solve_lp)
+from wpcn_traj import KernelOptions, Problem, StartInfeasible, Status, solve_concave
 from wpcn_traj.kernel import LogGroup, NegLogGroup
-
-
-class TestSolveLP:
-    def test_scalar_box(self):
-        out = solve_lp(LinearProgram(c=[1.0], lb=[0.0], ub=[1.0]))
-        assert out.status is Status.OPTIMAL
-        assert out.x[0] == pytest.approx(1.0, abs=1e-7)
-        assert out.residuals["gap"] <= 1e-8 * (1 + abs(out.objective))
-        assert out.residuals["feasibility"] <= 1e-8
-
-    def test_zero_objective_returns_feasible(self):
-        out = solve_lp(LinearProgram(c=[0.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
-                                     lb=[0.0, 0.0]))
-        assert out.status is Status.OPTIMAL
-        assert out.x.sum() <= 1.0 + 1e-9
-        assert np.all(out.x >= -1e-12)
-
-    def test_infeasible_certified(self):
-        out = solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0]))
-        assert out.status is Status.INFEASIBLE
-        assert out.residuals.get("infeasibility") == "certified"
-
-    def test_equality_elimination(self):
-        out = solve_lp(LinearProgram(c=[1.0, 1.0, 0.0], a_eq=[[1.0, 1.0, 1.0]],
-                                     b_eq=[1.0], lb=[0.0, 0.0, 0.2], ub=[1.0, 1.0, 1.0]))
-        assert out.status is Status.OPTIMAL
-        assert out.objective == pytest.approx(0.8, abs=1e-6)
-        assert abs(out.x.sum() - 1.0) <= 1e-8
-
-    def test_time_allocation_toy_vs_grid(self):
-        # Two slots, fixed per-slot rates and harvest yields; epigraph LP vs a
-        # brute-force split of each slot between charging and uplink.
-        slot = 1.0
-        rates = np.array([[1.5, 0.4], [0.3, 1.2]])   # device x slot
-        yields = np.array([[2e-4, 1e-4], [1e-4, 3e-4]])
-        q = np.array([2e-4, 3e-4])
-        n = 5  # [charge0, charge1, up0, up1, R]
-        c = np.zeros(n)
-        c[-1] = 1.0
-        rows, rhs = [], []
-        for k in range(2):
-            r = np.zeros(n)
-            r[2:4] = -rates[k]
-            r[4] = 1.0
-            rows.append(r)
-            rhs.append(0.0)
-            r = np.zeros(n)
-            r[:2] = -yields[k]
-            r[2:4] = q[k]
-            rows.append(r)
-            rhs.append(0.0)
-        rows.append([1, 0, 1, 0, 0])
-        rhs.append(slot)
-        rows.append([0, 1, 0, 1, 0])
-        rhs.append(slot)
-        out = solve_lp(LinearProgram(np.array(c), a_ub=np.array(rows, float),
-                                     b_ub=np.array(rhs, float), lb=np.zeros(n)))
-        # Oracle: slots are fully used at an optimum, so sweep the charge share.
-        e = np.linspace(0.0, slot, 2001)
-        E0, E1 = np.meshgrid(e, e, indexing="ij")
-        U0, U1 = slot - E0, slot - E1
-        best = -np.inf
-        dev_rate = []
-        for k in range(2):
-            feas = q[k] * (U0 + U1) <= yields[k, 0] * E0 + yields[k, 1] * E1 + 1e-15
-            dev_rate.append(np.where(feas, rates[k, 0] * U0 + rates[k, 1] * U1, -np.inf))
-        best = np.maximum.reduce([np.minimum(dev_rate[0], dev_rate[1])]).max()
-        assert out.objective == pytest.approx(best, abs=2e-3)
-        assert out.status is Status.OPTIMAL
-
-    def test_deterministic(self):
-        lp = LinearProgram(c=[1.0, 2.0], a_ub=[[1.0, 1.0], [2.0, 0.5]],
-                           b_ub=[1.0, 1.0], lb=[0.0, 0.0])
-        a = solve_lp(lp)
-        b = solve_lp(lp)
-        assert np.array_equal(a.x, b.x)
-        assert a.objective == b.objective
 
 
 def _toy_epigraph(weighted=False):

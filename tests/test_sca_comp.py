@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from wpcn_traj import (AllocationCoMP, Initialization, SolveOptions,
                        common_throughput_comp, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
                        direct_flight_trajectory, harvested_energy_comp,
                        optimize_power_comp, optimize_time_comp,
-                       optimize_traj_comp, shf_trajectory_comp,
+                       optimize_traj_comp, rates_comp, shf_trajectory_comp,
                        solve_infinite_comp, solve_infinite_ic, solve_p1,
                        solve_p21, solve_p21_direct)
 from wpcn_traj.model import gain_matrix
@@ -154,13 +155,14 @@ class TestOptimizePower:
         # The bound-rate decouples across devices, so sweep each device's
         # first-slot power with the energy constraint binding.
         pos = traj.slot_positions
-        per_dev = []
+        per_dev, c_dev = [], []
         for k in range(2):
             c = np.array([float(comp_rate_upper_bound(1.0, pos[:, n], k, cfg) * 0
                                 + 0.5 * 1.0 / cfg.noise_power * cfg.ref_gain
                                 * sum(1.0 / (((pos[m, n] - cfg.device_positions[k]) ** 2).sum()
                                              + cfg.altitude**2) for m in range(2)))
                           for n in range(2)])
+            c_dev.append(c)
             q0 = np.linspace(0.0, budgets[k] / uplink[0], 40001)
             q1 = (budgets[k] - q0 * uplink[0]) / uplink[1]
             r = (uplink[0] * np.log2(1 + c[0] * q0)
@@ -168,6 +170,21 @@ class TestOptimizePower:
             per_dev.append(r.max())
         oracle = min(per_dev)
         assert got == pytest.approx(oracle, abs=1e-3 * (1 + oracle))
+        # The devices do not interact, so each one reaches its own maximum,
+        # found here by a bounded scalar search on the same energy line, and
+        # spends its whole budget.
+        rates = rates_comp(AllocationCoMP(beam, uplink, Q), traj, cfg)
+        for k in range(2):
+            def neg_rate(q0, k=k):
+                q1 = (budgets[k] - q0 * uplink[0]) / uplink[1]
+                return -float(uplink[0] * np.log2(1 + c_dev[k][0] * q0)
+                              + uplink[1] * np.log2(1 + c_dev[k][1] * q1)) / cfg.duration
+            hi = budgets[k] / uplink[0]
+            res = minimize_scalar(neg_rate, bounds=(0.0, hi), method="bounded",
+                                  options={"xatol": 1e-14 * hi})
+            best = -min(res.fun, neg_rate(0.0), neg_rate(hi))
+            assert rates[k] == pytest.approx(best, rel=1e-9)
+            assert float(Q[k] @ uplink) == pytest.approx(budgets[k], rel=1e-12)
 
     def test_energy_binds_at_optimum(self):
         cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=4)

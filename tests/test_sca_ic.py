@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from wpcn_traj import (AllocationIC, Initialization, SolveOptions, Trajectory,
                        common_throughput_ic, direct_flight_trajectory,
-                       harvested_energy_ic, optimize_power_ic, optimize_time_ic,
-                       optimize_traj_ic, shf_trajectory_ic, solve_infinite_ic,
-                       solve_p1, solve_p1_direct)
+                       energy_residual_ic, harvested_energy_ic, optimize_power_ic,
+                       optimize_time_ic, optimize_traj_ic, shf_trajectory_ic,
+                       sinr_ic, solve_infinite_ic, solve_p1, solve_p1_direct)
 from wpcn_traj.model import gain_matrix
-from wpcn_traj.sca_ic import _shf_ic, initial_allocation_ic
+from wpcn_traj.sca_ic import _shf_ic, _time_lp, initial_allocation_ic
 from conftest import benchmark_config
 
 
@@ -88,6 +89,90 @@ class TestOptimizeTime:
         alloc1 = optimize_time_ic(cfg, traj, alloc0.tx_power)
         assert common_throughput_ic(alloc1, traj, cfg) >= \
             common_throughput_ic(alloc0, traj, cfg) - 1e-12
+
+    def test_time_allocation_toy_vs_grid(self):
+        # Two slots with different rates and harvest yields; the epigraph LP
+        # against a brute-force split of each slot between charging and
+        # uplink.  Slots are fully used at an optimum (more charging time
+        # never hurts), so the sweep is over the two charge shares.
+        cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=2,
+                               uav_initial=[[-7, -1], [7, -1]],
+                               uav_final=[[-2, 1], [2, 1]])
+        traj = direct_flight_trajectory(cfg)
+        Q = np.array([[2e-4, 5e-5], [3e-5, 3e-4]])
+        alloc = optimize_time_ic(cfg, traj, Q)
+        got = common_throughput_ic(alloc, traj, cfg)
+        g = gain_matrix(traj, cfg)
+        rates = np.stack([np.log2(1.0 + sinr_ic(Q, traj, k, cfg)) for k in range(2)])
+        yields = np.stack([cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
+                           for k in range(2)])
+        slot = cfg.slot_duration
+        e = np.linspace(0.0, slot, 2001)
+        E0, E1 = np.meshgrid(e, e, indexing="ij")
+        U0, U1 = slot - E0, slot - E1
+        dev_rate = []
+        for k in range(2):
+            feas = Q[k, 0] * U0 + Q[k, 1] * U1 <= yields[k, 0] * E0 + yields[k, 1] * E1
+            dev_rate.append(np.where(feas, rates[k, 0] * U0 + rates[k, 1] * U1, -np.inf)
+                            / cfg.duration)
+        best = np.minimum(dev_rate[0], dev_rate[1]).max()
+        assert best > 0.0
+        # Every grid point is feasible for the LP, so the LP is no worse, up
+        # to the barrier's stopping gap of 1e-9 + 1e-9 R.
+        assert got >= best - 1e-9 * (1 + best)
+        assert got == pytest.approx(best, abs=2e-3 * (1 + best))
+        assert max(alloc.residuals(cfg).values()) <= 1e-9
+        for k in range(2):
+            assert energy_residual_ic(alloc, traj, k, cfg) >= -1e-9
+
+    def test_deterministic(self):
+        cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=12)
+        traj = direct_flight_trajectory(cfg)
+        Q = np.full((2, 12), 1e-4)
+        a = optimize_time_ic(cfg, traj, Q)
+        b = optimize_time_ic(cfg, traj, Q)
+        assert np.array_equal(a.charge_time, b.charge_time)
+        assert np.array_equal(a.uplink_time, b.uplink_time)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_time_lp_matches_highs(blocks):
+    # Random instances of the time step of either mode (one charging block in
+    # the coordination mode, two in the joint mode) against HiGHS on the
+    # same LP: maximize R s.t. R <= rate[k].u / T, spend <= harvest, each
+    # slot's durations <= the slot, every duration >= 0.
+    rng = np.random.default_rng(20 + blocks)
+    for _ in range(12):
+        N = int(rng.integers(1, 13))
+        cfg = benchmark_config(device_distance=15.0, duration=float(rng.uniform(1.0, 20.0)),
+                               num_slots=N)
+        rate = rng.uniform(0.0, 10.0, (2, N)) * (rng.random((2, N)) < 0.8)
+        rate[:, 0] += 0.1   # every device has some rate somewhere
+        harvest = 10.0 ** rng.uniform(-5.0, -3.0, (2, blocks, N))
+        tx_power = 10.0 ** rng.uniform(-5.0, -3.0, (2, N))
+        x = _time_lp(cfg, rate, harvest, tx_power, None)
+        uplink = x[-1]
+        got = min(float(rate[k] @ uplink) for k in range(2)) / cfg.duration
+
+        n = (blocks + 1) * N + 1
+        A = np.zeros((4 + N, n))
+        for k in range(2):
+            A[2 * k, blocks * N:-1] = -rate[k] / cfg.duration
+            A[2 * k, -1] = 1.0
+            A[2 * k + 1, :blocks * N] = -harvest[k].reshape(-1)
+            A[2 * k + 1, blocks * N:-1] = tx_power[k]
+        A[4:, :-1] = np.tile(np.eye(N), blocks + 1)
+        b = np.concatenate([np.zeros(4), np.full(N, cfg.slot_duration)])
+        ref = linprog(-np.eye(n)[-1], A_ub=A, b_ub=b, method="highs")
+        assert ref.status == 0
+        # The barrier stops once its gap is below 1e-9 + 1e-9 R.
+        assert got == pytest.approx(-ref.fun, rel=1e-8, abs=1e-9)
+
+        assert np.all(x >= 0.0)
+        assert np.all(x.sum(axis=0) <= cfg.slot_duration * (1.0 + 1e-12))
+        for k in range(2):
+            spend = float(tx_power[k] @ uplink)
+            assert spend <= float((harvest[k] * x[:-1]).sum()) + 1e-12 * spend
 
 
 def _refining_power_oracle(cfg, traj, uplink, budgets, rounds=3, grid=24):
