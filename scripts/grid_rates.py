@@ -2,15 +2,17 @@
 """Print the common rate of both finite-horizon solvers on a fixed grid.
 
 One JSON line per config: mode, D, T, N, repr(common_rate), initialization,
-outer iterations, whether the solution is feasible and whether its objective
-trace is monotone.  The grid is `solve_p1` at N=6 and `solve_p21` at N=12 on
-D in {5, 15, 30} x T in {4, 20, 50}, plus both direct-flight solvers at N=80,
-T=20, D in {5, 10, ..., 30}.
+outer iterations, whether the solution is feasible, whether its objective
+trace is monotone, and the repr of every trace entry.  The grid is `solve_p1`
+at N=6 and `solve_p21` at N=12 on D in {5, 15, 30} x T in {4, 20, 50}, plus
+both direct-flight solvers at N=80, T=20, D in {5, 10, ..., 30}.  Then one
+line per infinite-horizon mode on the same (D, T) points, with the repr of
+the charging time and common rate of `solve_infinite_*(cfg, tau_grid=1000)`.
 
-Running it in two checkouts and diffing the outputs shows whether a change
-moved any rate:
+Running it against two checkouts and diffing the outputs shows whether a
+change moved any rate or trace:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/grid_rates.py > a.jsonl
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src python3 scripts/grid_rates.py > a.jsonl
 """
 
 import os
@@ -24,8 +26,9 @@ import json  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from wpcn_traj import (ScenarioConfig, is_feasible, solve_p1,  # noqa: E402
-                       solve_p1_direct, solve_p21, solve_p21_direct)
+from wpcn_traj import (ScenarioConfig, is_feasible, solve_infinite_comp,  # noqa: E402
+                       solve_infinite_ic, solve_p1, solve_p1_direct, solve_p21,
+                       solve_p21_direct)
 
 # Engines accept a step when the throughput drops by at most 1e-12 relative;
 # one outer iteration chains three such steps.
@@ -55,7 +58,18 @@ def main() -> None:
             "outer_iterations": int(rep.outer_iterations),
             "is_feasible": bool(is_feasible(cfg, rep.trajectory, rep.allocation)),
             "monotone": monotone,
+            "trace": [repr(float(v)) for v in trace],
         }), flush=True)
+    for solver, mode in ((solve_infinite_ic, "infinite_ic"),
+                         (solve_infinite_comp, "infinite_comp")):
+        for D in (5.0, 15.0, 30.0):
+            for T in (4.0, 20.0, 50.0):
+                hover = solver(ScenarioConfig(device_distance=D, duration=T), tau_grid=1000)
+                print(json.dumps({
+                    "mode": mode, "D": D, "T": T,
+                    "charge_time": repr(float(hover.charge_time)),
+                    "common_rate": repr(float(hover.common_rate)),
+                }), flush=True)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ from .hover_ic import (HoverSolutionIC, WitMode, phi_derivative,
                        wpt_hover_ic)
 from .hover_comp import (EmptyFeasibleGrid, HoverSolutionCoMP,
                          solve_infinite_comp, wit_hover_comp, wpt_hover_comp)
-from .kernel import (KernelOptions, Problem, SolveOutcome, StartInfeasible,
-                     Status, solve_concave)
+from .kernel import Problem, SolveOutcome, StartInfeasible, Status, solve_concave
 from .mc import McEstimate, SingularChannel, sample_received_power, sample_zf_rate
 from .sca_ic import (Initialization, SolveOptions, SolveReport,
                      direct_flight_trajectory, optimize_power_ic,

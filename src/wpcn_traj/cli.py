@@ -225,10 +225,12 @@ def _common_options(fn):
                       help="override a config key")(fn)
     fn = click.option("--out", "out_dir", required=True,
                       type=click.Path(file_okay=False), help="output directory")(fn)
-    fn = click.option("--jobs", default=1, show_default=True,
-                      help="concurrent sweep points")(fn)
     fn = click.option("--seed", default=0, show_default=True)(fn)
     return fn
+
+
+_jobs_option = click.option("--jobs", default=1, show_default=True,
+                            help="concurrent sweep points")
 
 
 def _guarded(command, fn):
@@ -292,28 +294,28 @@ def _solve_labels(command, labels, config_path, overrides, out_dir, seed):
 
 @main.command("solve-ic")
 @_common_options
-def solve_ic_cmd(config_path, overrides, out_dir, jobs, seed):
+def solve_ic_cmd(config_path, overrides, out_dir, seed):
     """Finite-horizon solve, interference coordination."""
     _solve_labels("solve-ic", ["ic-proposed"], config_path, overrides, out_dir, seed)
 
 
 @main.command("solve-comp")
 @_common_options
-def solve_comp_cmd(config_path, overrides, out_dir, jobs, seed):
+def solve_comp_cmd(config_path, overrides, out_dir, seed):
     """Finite-horizon solve, joint transmission/reception."""
     _solve_labels("solve-comp", ["comp-proposed"], config_path, overrides, out_dir, seed)
 
 
 @main.command("infinite-ic")
 @_common_options
-def infinite_ic_cmd(config_path, overrides, out_dir, jobs, seed):
+def infinite_ic_cmd(config_path, overrides, out_dir, seed):
     """Infinite-horizon hovering bound, interference coordination."""
     _solve_labels("infinite-ic", ["ic-bound"], config_path, overrides, out_dir, seed)
 
 
 @main.command("infinite-comp")
 @_common_options
-def infinite_comp_cmd(config_path, overrides, out_dir, jobs, seed):
+def infinite_comp_cmd(config_path, overrides, out_dir, seed):
     """Infinite-horizon hovering bound, joint transmission/reception."""
     _solve_labels("infinite-comp", ["comp-bound"], config_path, overrides, out_dir, seed)
 
@@ -322,7 +324,7 @@ def infinite_comp_cmd(config_path, overrides, out_dir, jobs, seed):
 @_common_options
 @click.option("--scenario", type=click.Choice(["both", "ic", "comp"]),
               default="both", show_default=True)
-def benchmark_direct_cmd(config_path, overrides, out_dir, jobs, seed, scenario):
+def benchmark_direct_cmd(config_path, overrides, out_dir, seed, scenario):
     """Straight-flight benchmark (time/power optimization only)."""
     labels = {"both": ["ic-direct", "comp-direct"], "ic": ["ic-direct"],
               "comp": ["comp-direct"]}[scenario]
@@ -352,6 +354,7 @@ def _sweep(command, key, labels, config_path, overrides, out_dir, jobs, seed,
 
 @main.command("sweep-D")
 @_common_options
+@_jobs_option
 @click.option("--values", "values_text", required=True,
               help="comma-separated device distances, metres")
 def sweep_d_cmd(config_path, overrides, out_dir, jobs, seed, values_text):
@@ -363,6 +366,7 @@ def sweep_d_cmd(config_path, overrides, out_dir, jobs, seed, values_text):
 
 @main.command("sweep-T")
 @_common_options
+@_jobs_option
 @click.option("--values", "values_text", required=True,
               help="comma-separated mission durations, seconds")
 def sweep_t_cmd(config_path, overrides, out_dir, jobs, seed, values_text):
@@ -375,7 +379,7 @@ def sweep_t_cmd(config_path, overrides, out_dir, jobs, seed, values_text):
 
 @main.command("verify-bound")
 @_common_options
-def verify_bound_cmd(config_path, overrides, out_dir, jobs, seed):
+def verify_bound_cmd(config_path, overrides, out_dir, seed):
     """Monte-Carlo check that the joint-reception rate bound dominates."""
     def body():
         values, cfg, out = _prepare(config_path, overrides, out_dir)

@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import ScenarioConfig
-from .hover_ic import interior_hover_x, pair_gain_sum
+from .hover_ic import _best_charge_time, _pair_hover_x, pair_gain_sum
+
+# Step of the local refinement around the coarse charging-pair optimum, m.
+REFINE_STEP = 0.01
 
 
 class EmptyFeasibleGrid(RuntimeError):
@@ -60,36 +62,33 @@ def _best_pair_on(xs1: np.ndarray, xs2: np.ndarray, cfg: ScenarioConfig):
     return float(X1[i, j]), float(X2[i, j]), float(val[i, j])
 
 
-def wpt_hover_comp(cfg: ScenarioConfig, tau_E_total: float,
-                   grid_step: float = 0.25, refine_step: float = 0.01):
+def wpt_hover_comp(cfg: ScenarioConfig, tau_E_total: float, grid_step: float = 0.25):
     """Exhaustive-search charging hover pair and the per-device energy.
 
     Searches the box [-(D/2+H), D/2+H]^2 under the separation constraint with
-    a coarse grid, then refines locally.  The second charging phase is the
-    mirror image, so both devices harvest the same energy.
+    a coarse grid, then refines locally with step REFINE_STEP.  The second
+    charging phase is the mirror image, so both devices harvest the same
+    energy.
     """
-    if grid_step <= 0 or refine_step <= 0:
-        raise ValueError("grid steps must be positive")
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
     D, H = cfg.device_distance, cfg.altitude
     span = D / 2.0 + H
     coarse = np.arange(-span, span + grid_step / 2.0, grid_step)
     x1, x2, _ = _best_pair_on(coarse, coarse, cfg)
-    fine1 = np.clip(np.arange(x1 - grid_step, x1 + grid_step + refine_step / 2.0,
-                              refine_step), -span, span)
-    fine2 = np.clip(np.arange(x2 - grid_step, x2 + grid_step + refine_step / 2.0,
-                              refine_step), -span, span)
+    fine1 = np.clip(np.arange(x1 - grid_step, x1 + grid_step + REFINE_STEP / 2.0,
+                              REFINE_STEP), -span, span)
+    fine2 = np.clip(np.arange(x2 - grid_step, x2 + grid_step + REFINE_STEP / 2.0,
+                              REFINE_STEP), -span, span)
     x1, x2, best = _best_pair_on(fine1, fine2, cfg)
     energy = tau_E_total / 2.0 * best
     return (x1, x2), float(energy)
 
 
 def wit_hover_comp(cfg: ScenarioConfig) -> float:
-    """Closed-form uplink hover offset; same branch structure as the
-    charging hover of the coordination mode."""
-    D, H = cfg.device_distance, cfg.altitude
-    if D <= 2.0 * H / np.sqrt(3.0):
-        return cfg.min_separation / 2.0
-    return max(interior_hover_x(D, H), cfg.min_separation / 2.0)
+    """Closed-form uplink hover offset: the charging hover offset of the
+    coordination mode."""
+    return _pair_hover_x(cfg)
 
 
 def bound_rate_at(cfg: ScenarioConfig, tau_E: float, energy: float, x_I: float) -> float:
@@ -102,31 +101,21 @@ def bound_rate_at(cfg: ScenarioConfig, tau_E: float, energy: float, x_I: float) 
     return float(tau_I / cfg.duration * np.log2(1.0 + snr))
 
 
-def solve_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 1000,
-                        hover_grid_step: float = 0.25) -> HoverSolutionCoMP:
-    """1-D search of the charging duration on top of the 2-D hover search.
+def solve_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionCoMP:
+    """1-D search of the charging duration (`_best_charge_time`) on top of
+    the 2-D hover search.
 
     The charging objective scales linearly with the charging time, so the 2-D
     hover search runs once and its per-second yield is reused on the grid.
     """
-    if tau_grid < 2:
-        raise ValueError("tau_grid must be at least 2")
     T = cfg.duration
-    pair, e_unit = wpt_hover_comp(cfg, 1.0, grid_step=hover_grid_step)
+    pair, e_unit = wpt_hover_comp(cfg, 1.0)
     x_I = wit_hover_comp(cfg)
 
     def rate(tau: float) -> float:
         return bound_rate_at(cfg, tau, e_unit * tau, x_I)
 
-    step = T / tau_grid
-    taus = step * np.arange(1, tau_grid)
-    rates = np.array([rate(t) for t in taus])
-    best = int(rates.argmax())
-    lo = max(taus[best] - step, step * 1e-3)
-    hi = min(taus[best] + step, T - step * 1e-3)
-    res = minimize_scalar(lambda t: -rate(t), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10 * T})
-    tau = float(res.x) if -res.fun >= rates[best] else float(taus[best])
+    tau = _best_charge_time(rate, T, tau_grid)
     energy = e_unit * tau
     return HoverSolutionCoMP(
         charge_time=tau,

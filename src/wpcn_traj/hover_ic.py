@@ -58,18 +58,24 @@ def phi_derivative(x, D: float, H: float, tau_E: float,
     return -4.0 * eta * tau_E * beta0 * P * x * num / den
 
 
+def _pair_hover_x(cfg: ScenarioConfig) -> float:
+    """Offset x of the symmetric hover pair (-x, 0), (x, 0) maximizing
+    pair_gain_sum under the separation constraint."""
+    D, H = cfg.device_distance, cfg.altitude
+    if D <= 2.0 * H / np.sqrt(3.0):
+        return cfg.min_separation / 2.0
+    return max(interior_hover_x(D, H), cfg.min_separation / 2.0)
+
+
 def wpt_hover_ic(cfg: ScenarioConfig, tau_E: float) -> tuple[float, float]:
     """Optimal symmetric charging hover offset and the per-device energy.
 
     The first UAV hovers at (-x, 0) next to the first device, the second at
     (x, 0); both devices harvest the same amount by symmetry.
     """
-    D, H = cfg.device_distance, cfg.altitude
-    if D <= 2.0 * H / np.sqrt(3.0):
-        x = cfg.min_separation / 2.0
-    else:
-        x = max(interior_hover_x(D, H), cfg.min_separation / 2.0)
-    energy = tau_E * cfg.eh_efficiency * cfg.uav_power * cfg.ref_gain * pair_gain_sum(x, D, H)
+    x = _pair_hover_x(cfg)
+    energy = tau_E * cfg.eh_efficiency * cfg.uav_power * cfg.ref_gain \
+        * pair_gain_sum(x, cfg.device_distance, cfg.altitude)
     return x, float(energy)
 
 
@@ -162,25 +168,27 @@ def _rate_at(cfg: ScenarioConfig, tau_E: float) -> tuple[float, WitMode, float, 
     return r_td, WitMode.TDMA, cfg.device_distance / 2.0, x_E, energy
 
 
-def solve_infinite_ic(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionIC:
-    """Grid-plus-refinement search of the charging duration.
-
-    Evaluates the best of the two uplink modes on a uniform grid over (0, T)
-    (the endpoint tau_E = T gives zero rate and is excluded), then refines
-    around the best cell with a bounded scalar minimizer.
-    """
+def _best_charge_time(rate, T: float, tau_grid: int) -> float:
+    """Charging duration maximizing `rate(tau)`: a uniform grid over (0, T)
+    (the endpoint tau = T gives zero rate and is excluded), then a bounded
+    scalar minimizer around the best cell."""
     if tau_grid < 2:
         raise ValueError("tau_grid must be at least 2")
-    T = cfg.duration
     step = T / tau_grid
     taus = step * np.arange(1, tau_grid)
-    rates = np.array([_rate_at(cfg, t)[0] for t in taus])
+    rates = np.array([rate(t) for t in taus])
     best = int(rates.argmax())
     lo = max(taus[best] - step, step * 1e-3)
     hi = min(taus[best] + step, T - step * 1e-3)
-    res = minimize_scalar(lambda t: -_rate_at(cfg, t)[0], bounds=(lo, hi),
+    res = minimize_scalar(lambda t: -rate(t), bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-10 * T})
-    tau = float(res.x) if -res.fun >= rates[best] else float(taus[best])
+    return float(res.x) if -res.fun >= rates[best] else float(taus[best])
+
+
+def solve_infinite_ic(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionIC:
+    """Grid-plus-refinement search of the charging duration
+    (`_best_charge_time`) for the best of the two uplink modes."""
+    tau = _best_charge_time(lambda t: _rate_at(cfg, t)[0], cfg.duration, tau_grid)
     rate, mode, x_I, x_E, energy = _rate_at(cfg, tau)
     return HoverSolutionIC(
         charge_time=tau,

@@ -1,13 +1,13 @@
 """Small dense structured convex solver for the per-iteration subproblems.
 
 One log-barrier Newton engine serves the subproblems the alternating solvers
-emit: smooth concave programs whose curvature comes from logarithmic rate
-terms plus convex quadratic geometry constraints.  A linear program (the
-epigraph max-min time allocation) is an ordinary `Problem` with affine rows
-only, solved from a strictly feasible start its caller supplies.  Instances
-stay small (tens to a few hundred variables), so dense factorizations are
-adequate, and everything is deterministic: identical problem and start give
-bit-identical outcomes.
+emit.  Every one is a max-min in epigraph form: maximize the last variable,
+the common rate R, subject to concave rate rows, energy rows and convex
+quadratic geometry rows.  The time allocation is such a program with affine
+rows only.  Each is solved from a strictly feasible start its caller
+supplies, with the fixed settings below.  Instances stay small (tens to a
+few hundred variables), so dense factorizations are adequate, and everything
+is deterministic: identical problem and start give bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -28,16 +28,15 @@ class StartInfeasible(RuntimeError):
     """The supplied start point is not strictly feasible."""
 
 
-@dataclass
-class KernelOptions:
-    mu: float = 10.0              # barrier parameter growth per stage
-    armijo: float = 0.25          # sufficient-decrease fraction
-    backtrack: float = 0.5        # step shrink factor
-    gap_abs: float = 1e-9
-    gap_rel: float = 1e-9
-    newton_tol: float = 1e-8      # half squared Newton decrement
-    max_stage_steps: int = 100
-    max_stages: int = 64
+# Barrier settings, read when `solve_concave` runs.
+MU = 10.0               # barrier parameter growth per stage
+ARMIJO = 0.25           # sufficient-decrease fraction
+BACKTRACK = 0.5         # step shrink factor
+GAP_ABS = 1e-9
+GAP_REL = 1e-9
+NEWTON_TOL = 1e-8       # half squared Newton decrement
+MAX_STAGE_STEPS = 100
+MAX_STAGES = 64
 
 
 @dataclass(frozen=True)
@@ -189,16 +188,15 @@ class ConcaveRow:
 
 
 class Problem:
-    """Maximize c.x + const over affine, convex-quadratic and concave-form rows.
+    """Maximize the last of n variables (the epigraph variable) over affine,
+    convex-quadratic and concave-form rows.
 
     Quadratic rows are either diagonal (0.5 x'diag(d)x + lin.x + c <= 0) or
     squared pair differences (||x[a] - x[b]||^2 + c <= 0); both batch cleanly.
     """
 
-    def __init__(self, n: int, c, const: float = 0.0):
+    def __init__(self, n: int):
         self.n = n
-        self.c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
-        self.const = const
         self._aff_rows: list = []
         self._aff_rhs: list = []
         self._diag_rows: list = []   # (diag, lin, const)
@@ -321,9 +319,6 @@ class Problem:
         for i, row in enumerate(self.conc_rows):
             row.add_curvature(x, H, inv_s[off + i])
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(self.c @ x) + self.const
-
 
 # ---------------------------------------------------------------------------
 # Barrier engine
@@ -348,13 +343,12 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("barrier Hessian could not be factorized")
 
 
-def solve_concave(problem: Problem, start,
-                  options: KernelOptions | None = None) -> SolveOutcome:
-    """Log-barrier maximization from a strictly feasible start.
+def solve_concave(problem: Problem, start) -> SolveOutcome:
+    """Log-barrier maximization of the last variable from a strictly feasible
+    start.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
     """
-    opts = options or KernelOptions()
     x = np.asarray(start, dtype=float).copy()
     if x.shape != (problem.n,):
         raise ValueError(f"start must have shape ({problem.n},)")
@@ -363,16 +357,9 @@ def solve_concave(problem: Problem, start,
         raise StartInfeasible(f"start violates {int((s0 <= 0).sum())} row(s); "
                               f"worst slack {s0.min():.3e}")
     m = problem.num_rows
-    if m == 0:
-        return SolveOutcome(x, problem.objective(x), Status.OPTIMAL, 0,
-                            {"feasibility": 0.0, "gap": 0.0, "stationarity": 0.0,
-                             "dual_bound": problem.objective(x)})
-
-    cnorm = float(np.linalg.norm(problem.c))
-    pure_center = cnorm == 0.0
     # Start with the barrier term dominant (objective weight O(1) per unit of
     # gradient) so the first centering is cheap even from near the boundary.
-    t = 1.0 if pure_center else 1.0 / max(1.0, cnorm)
+    t = 1.0
 
     def center(t: float, x: np.ndarray, tol: float):
         """Damped Newton centering; also returns the step count and the half
@@ -380,11 +367,12 @@ def solve_concave(problem: Problem, start,
         ran out or the line search collapsed)."""
         count = 0
         dec = np.inf
-        for _it in range(opts.max_stage_steps):
+        for _it in range(MAX_STAGE_STEPS):
             s = problem.slacks(x)
             G = problem.row_grads(x)
             inv_s = 1.0 / s
-            grad = -t * problem.c + G.T @ inv_s
+            grad = G.T @ inv_s
+            grad[-1] -= t
             Gs = G * inv_s[:, None]
             H = Gs.T @ Gs
             problem.add_row_curvatures(x, H, inv_s)
@@ -402,17 +390,17 @@ def solve_concave(problem: Problem, start,
             alpha = 1.0
             if near.any():
                 alpha = min(1.0, 0.99 * float((s[near] / gd_rows[near]).min()))
-            f0 = -t * float(problem.c @ x) - float(np.log(s).sum())
+            f0 = -t * float(x[-1]) - float(np.log(s).sum())
             gd = float(grad @ d)
 
             def psi(xx: np.ndarray) -> float:
                 ss = problem.slacks(xx)
                 if ss.min() <= 0.0:
                     return np.inf
-                return -t * float(problem.c @ xx) - float(np.log(ss).sum())
+                return -t * float(xx[-1]) - float(np.log(ss).sum())
 
-            while psi(x + alpha * d) > f0 + opts.armijo * alpha * gd:
-                alpha *= opts.backtrack
+            while psi(x + alpha * d) > f0 + ARMIJO * alpha * gd:
+                alpha *= BACKTRACK
                 if alpha < 1e-16:
                     break
             if alpha < 1e-16:
@@ -425,30 +413,27 @@ def solve_concave(problem: Problem, start,
     dec = np.inf
     # Intermediate stages are centered loosely (long-step style); the final
     # stage is polished to the tight Newton tolerance.
-    loose = max(1e-6, opts.newton_tol)
-    for _stage in range(opts.max_stages):
+    loose = max(1e-6, NEWTON_TOL)
+    for _stage in range(MAX_STAGES):
         gap = m / t
-        obj = problem.objective(x)
-        last = pure_center or gap <= opts.gap_abs + opts.gap_rel * abs(obj)
-        x, took, dec = center(t, x, opts.newton_tol if last else loose)
+        last = gap <= GAP_ABS + GAP_REL * abs(x[-1])
+        x, took, dec = center(t, x, NEWTON_TOL if last else loose)
         total_steps += took
-        obj = problem.objective(x)
         gap = m / t
-        if pure_center or gap <= opts.gap_abs + opts.gap_rel * abs(obj):
-            gap = 0.0 if pure_center else gap
+        if gap <= GAP_ABS + GAP_REL * abs(x[-1]):
             break
-        t *= opts.mu
-    obj = problem.objective(x)
+        t *= MU
+    obj = float(x[-1])
     # m/t bounds the suboptimality only on the central path, so an iterate
     # whose final centering stopped short of the Newton tolerance certifies
     # no gap and no dual bound.
-    converged = dec <= opts.newton_tol and (
-        pure_center or gap <= opts.gap_abs + opts.gap_rel * abs(obj))
+    converged = dec <= NEWTON_TOL and gap <= GAP_ABS + GAP_REL * abs(obj)
     if not converged:
         gap = np.inf
     s = problem.slacks(x)
     G = problem.row_grads(x)
-    stationarity = float(np.abs(-problem.c + (G.T @ (1.0 / s)) / t).max())
+    residual = (G.T @ (1.0 / s)) / t
+    residual[-1] -= 1.0
     return SolveOutcome(
         x=x,
         objective=obj,
@@ -457,7 +442,7 @@ def solve_concave(problem: Problem, start,
         residuals={
             "feasibility": max(0.0, float(-s.min())),
             "gap": gap,
-            "stationarity": stationarity,
+            "stationarity": float(np.abs(residual).max()),
             "dual_bound": obj + gap,
         },
     )

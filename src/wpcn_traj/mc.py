@@ -14,6 +14,9 @@ import numpy as np
 
 from .model import ScenarioConfig, channel_gain
 
+# Largest condition number of an accepted channel draw.
+MAX_COND = 1e12
+
 
 class SingularChannel(RuntimeError):
     """Persistent ill-conditioned channel draws (probability-zero geometry)."""
@@ -47,13 +50,13 @@ def _gains(cfg: ScenarioConfig, uav_positions, gain_override) -> np.ndarray:
 
 
 def sample_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int,
-                   seed: int, gain_override=None, max_cond: float = 1e12):
+                   seed: int, gain_override=None):
     """Expected zero-forcing uplink rate of each device, estimated by sampling
     the channel phases.
 
     Both devices transmit at once; the receivers invert the 2x2 channel
     matrix (rows renormalized to unit norm), which nulls the other device
-    exactly.  Draws whose matrix condition number exceeds max_cond are
+    exactly.  Draws whose matrix condition number exceeds MAX_COND are
     rejected and resampled.  Returns one McEstimate per device.
     """
     if samples < 1:
@@ -70,7 +73,7 @@ def sample_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int,
         # Channel matrix rows = UAVs, columns = devices.
         M = (amp.T[None, :, :] * np.exp(1j * theta.transpose(0, 2, 1)))
         cond = np.linalg.cond(M)
-        ok = cond <= max_cond
+        ok = cond <= MAX_COND
         if ok.any():
             idx = pending[ok]
             Minv = np.linalg.inv(M[ok])

@@ -10,7 +10,7 @@ they only matter to the Monte-Carlo oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -109,9 +109,6 @@ class ScenarioConfig:
         """Maximum per-slot displacement."""
         return self.max_speed * self.slot_duration
 
-    def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -150,8 +147,8 @@ class Trajectory:
         separation = max(0.0, float(cfg.min_separation - gaps.min()))
         return {"endpoint": endpoint, "speed": speed, "separation": separation}
 
-    def is_feasible(self, cfg: ScenarioConfig, tol: float = GEOM_TOL) -> bool:
-        return max(self.residuals(cfg).values()) <= tol
+    def is_feasible(self, cfg: ScenarioConfig) -> bool:
+        return max(self.residuals(cfg).values()) <= GEOM_TOL
 
 
 def _positions_of(traj) -> np.ndarray:
@@ -327,10 +324,9 @@ def feasibility_report(cfg: ScenarioConfig, traj: Trajectory, alloc) -> Mapping[
     return out
 
 
-def is_feasible(cfg: ScenarioConfig, traj: Trajectory, alloc,
-                geom_tol: float = GEOM_TOL, phys_tol: float = PHYS_TOL) -> bool:
+def is_feasible(cfg: ScenarioConfig, traj: Trajectory, alloc) -> bool:
     rep = feasibility_report(cfg, traj, alloc)
     geom = max(rep["endpoint"], rep["speed"], rep["separation"])
     phys = max(rep["slot_budget"], rep["negativity"],
                rep["energy_dev1"], rep["energy_dev2"])
-    return geom <= geom_tol and phys <= phys_tol
+    return geom <= GEOM_TOL and phys <= PHYS_TOL

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
-from .kernel import KernelOptions, LogGroup, Problem
+from .kernel import LogGroup, Problem
 from .model import (AllocationCoMP, ScenarioConfig, Trajectory,
                     common_throughput_comp, comp_coherent_power,
                     comp_noncoherent_power, comp_rate_upper_bound,
@@ -186,8 +186,7 @@ def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
 # Subproblems
 # ---------------------------------------------------------------------------
 
-def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power,
-                       options: KernelOptions | None = None) -> AllocationCoMP:
+def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power) -> AllocationCoMP:
     """Exact epigraph LP over beam-time, beam-time and uplink-time."""
     pos = traj.slot_positions if isinstance(traj, Trajectory) else np.asarray(traj)
     Q = np.asarray(tx_power, dtype=float)
@@ -198,7 +197,7 @@ def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power,
     for k in range(2):
         harvest[k, k] = comp_coherent_power(pos, k, cfg)
         harvest[k, 1 - k] = comp_noncoherent_power(pos, k, cfg)
-    x = _time_lp(cfg, rate, harvest, Q, options)
+    x = _time_lp(cfg, rate, harvest, Q)
     return AllocationCoMP(x[:2], x[2], Q.copy())
 
 
@@ -267,7 +266,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
     inv_index = {key: 4 * (N - 1) + len(amp_index) + i for i, key in enumerate(keys)}
     nv = 4 * (N - 1) + len(amp_index) + len(inv_index) + 1
 
-    prob = Problem(nv, np.eye(nv)[-1])
+    prob = Problem(nv)
     slot_pos = ref[:, 1:, :]  # (uav, N, 2)
     ref_d2 = ((slot_pos[None, :, :, :] - w[:, None, None, :]) ** 2).sum(axis=-1)  # (dev, uav, N)
 
@@ -339,8 +338,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
 
 
 def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory,
-                       sca_tol: float = 1e-4, max_iter: int = 30,
-                       options: KernelOptions | None = None):
+                       sca_tol: float = 1e-4, max_iter: int = 30):
     """Iterative concave maximization of the trajectories and slacks.
 
     Every pass expands with the slacks at equality with the incumbent
@@ -349,7 +347,7 @@ def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Traject
     traj, trace = _refine_trajectory(
         cfg, alloc, traj,
         lambda pos, radius: _traj_subproblem_comp(cfg, alloc, pos, radius)[:2],
-        common_throughput_comp, harvested_energy_comp, sca_tol, max_iter, options)
+        common_throughput_comp, harvested_energy_comp, sca_tol, max_iter)
     return traj, slack_at_equality(cfg, traj), trace
 
 
@@ -365,7 +363,7 @@ def _comp_mode() -> _Mode:
         power_step=lambda cfg, traj, alloc, opts, max_iter: optimize_power_comp(
             cfg, traj, alloc),
         traj_step=lambda cfg, alloc, traj, opts: optimize_traj_comp(
-            cfg, alloc, traj, opts.inner_tol, opts.max_inner, opts.kernel)[::2])
+            cfg, alloc, traj, opts.inner_tol, opts.max_inner)[0])
 
 
 def solve_p21(cfg: ScenarioConfig, options: SolveOptions | None = None,

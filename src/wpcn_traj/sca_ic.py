@@ -14,15 +14,15 @@ so the joint mode (`sca_comp`) reuses them as they are.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .hover_ic import HoverSolutionIC, WitMode, solve_infinite_ic
-from .kernel import (KernelOptions, LogGroup, NegLogGroup, Problem,
-                     StartInfeasible, solve_concave)
+from .kernel import (LogGroup, NegLogGroup, Problem, StartInfeasible,
+                     solve_concave)
 from .model import (AllocationCoMP, AllocationIC, ScenarioConfig, Trajectory,
                     common_throughput_ic, feasibility_report, gain_matrix,
                     harvested_energy_ic)
@@ -48,7 +48,6 @@ class SolveOptions:
     inner_tol: float = 1e-4
     tau_grid: int = 400           # grid for the embedded infinite-horizon solve
     optimize_trajectory: bool = True
-    kernel: KernelOptions = field(default_factory=KernelOptions)
 
 
 @dataclass
@@ -59,8 +58,6 @@ class SolveReport:
     allocation: AllocationIC | AllocationCoMP
     common_rate: float
     objective_trace: np.ndarray
-    power_traces: list
-    traj_traces: list
     residuals: dict
     initialization: Initialization
     outer_iterations: int
@@ -225,7 +222,7 @@ def initial_allocation_ic(cfg: ScenarioConfig, traj: Trajectory,
 # ---------------------------------------------------------------------------
 
 def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
-             tx_power: np.ndarray, options: KernelOptions | None) -> np.ndarray:
+             tx_power: np.ndarray) -> np.ndarray:
     """Exact epigraph LP of both modes' time steps.
 
     The variables are the per-slot durations of each charging block, then the
@@ -244,8 +241,6 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
     N, d = cfg.num_slots, cfg.slot_duration
     nb = harvest.shape[1] + 1
     n = nb * N + 1
-    c = np.zeros(n)
-    c[-1] = 1.0
     up = slice((nb - 1) * N, nb * N)
     A = np.zeros((4 + N, n))
     for k in range(2):
@@ -269,15 +264,14 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
     # R = 0 here means some device has zero rate on every slot: then R = 0
     # is optimal, the LP has no interior and the start is the answer.
     if start[-1] > 0.0:
-        prob = Problem(n, c)
+        prob = Problem(n)
         prob.add_affine(A, b)
         prob.add_affine(-np.eye(n), np.zeros(n))
-        start = np.clip(solve_concave(prob, start, options).x, 0.0, None)
+        start = np.clip(solve_concave(prob, start).x, 0.0, None)
     return start[:-1].reshape(nb, N)
 
 
-def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power,
-                     options: KernelOptions | None = None) -> AllocationIC:
+def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power) -> AllocationIC:
     """Exact epigraph LP over the per-slot charging/uplink durations."""
     g = gain_matrix(traj, cfg)
     Q = np.asarray(tx_power, dtype=float)
@@ -286,7 +280,7 @@ def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power,
                      for k in range(2)])
     harvest = np.stack([cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
                         for k in range(2)])[:, None, :]
-    x = _time_lp(cfg, rate, harvest, Q, options)
+    x = _time_lp(cfg, rate, harvest, Q)
     return AllocationIC(x[0], x[1], Q.copy())
 
 
@@ -334,8 +328,7 @@ def _finish_power_program(cfg: ScenarioConfig, prob: Problem, Q: np.ndarray,
 
 
 def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
-                      sca_tol: float = 1e-4, max_iter: int = 30,
-                      options: KernelOptions | None = None):
+                      sca_tol: float = 1e-4, max_iter: int = 30):
     """Iterative concave maximization of the transmit powers.
 
     Slots with no uplink time are frozen at the incumbent; each pass solves
@@ -354,7 +347,7 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
     A = active.size
     prev_surrogate = None
     for _ in range(max_iter):
-        prob = Problem(2 * A + 1, np.eye(2 * A + 1)[-1])
+        prob = Problem(2 * A + 1)
         wt = uplink[active] / (cfg.duration * np.log(2.0))
         for k in range(2):
             ko = 1 - k
@@ -373,7 +366,7 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
             )
             prob.add_concave_ge(const=const, lin=lin, logs=(logs,))
         start = _finish_power_program(cfg, prob, Q, active, uplink, budgets)
-        out = solve_concave(prob, start, options)
+        out = solve_concave(prob, start)
         Q_new = Q.copy()
         Q_new[:, active] = np.clip(out.x[:-1], 0.0, None).reshape(2, A)
         val = common_throughput_ic(AllocationIC(charge, uplink, Q_new), traj, cfg)
@@ -491,7 +484,7 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
     nv = 4 * (N - 1) + 1
     uplink, charge, Q = alloc.uplink_time, alloc.charge_time, alloc.tx_power
     w = cfg.device_positions
-    prob = Problem(nv, np.eye(nv)[-1])
+    prob = Problem(nv)
 
     # Rate rows: one concave row per device (depends on its own UAV only).
     for k in range(2):
@@ -564,8 +557,7 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
 
 
 def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
-                       throughput, harvested, sca_tol: float, max_iter: int,
-                       options: KernelOptions | None):
+                       throughput, harvested, sca_tol: float, max_iter: int):
     """Trust-region SCA loop of both modes' trajectory steps.
 
     `build(positions, radius)` returns the concave program of one pass at
@@ -587,7 +579,7 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
         for _attempt in range(10):
             try:
                 prob, start = build(positions, radius)
-                out = solve_concave(prob, start, options)
+                out = solve_concave(prob, start)
                 cand = positions.copy()
                 cand[:, 1:N, :] = out.x[:4 * (N - 1)].reshape(2, N - 1, 2)
                 break
@@ -611,13 +603,12 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
 
 
 def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory,
-                     sca_tol: float = 1e-4, max_iter: int = 30,
-                     options: KernelOptions | None = None):
+                     sca_tol: float = 1e-4, max_iter: int = 30):
     """Iterative concave maximization of both UAV trajectories; returns the
     trajectory and the accepted throughputs (see `_refine_trajectory`)."""
     return _refine_trajectory(
         cfg, alloc, traj, lambda pos, radius: _traj_subproblem_ic(cfg, alloc, pos, radius),
-        common_throughput_ic, harvested_energy_ic, sca_tol, max_iter, options)
+        common_throughput_ic, harvested_energy_ic, sca_tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +623,9 @@ class _Mode:
     steps wrapped from outside (for tracing) are the ones that run."""
 
     throughput: Callable   # (alloc, traj, cfg) -> common throughput
-    time_step: Callable    # (cfg, traj, tx_power, KernelOptions) -> allocation
+    time_step: Callable    # (cfg, traj, tx_power) -> allocation
     power_step: Callable   # (cfg, traj, alloc, SolveOptions, max_iter) -> (Q, trace)
-    traj_step: Callable    # (cfg, alloc, traj, SolveOptions) -> (traj, trace)
+    traj_step: Callable    # (cfg, alloc, traj, SolveOptions) -> trajectory
 
 
 def _ic_mode() -> _Mode:
@@ -642,9 +633,9 @@ def _ic_mode() -> _Mode:
         throughput=common_throughput_ic,
         time_step=optimize_time_ic,
         power_step=lambda cfg, traj, alloc, opts, max_iter: optimize_power_ic(
-            cfg, traj, alloc, opts.inner_tol, max_iter, opts.kernel),
+            cfg, traj, alloc, opts.inner_tol, max_iter),
         traj_step=lambda cfg, alloc, traj, opts: optimize_traj_ic(
-            cfg, alloc, traj, opts.inner_tol, opts.max_inner, opts.kernel))
+            cfg, alloc, traj, opts.inner_tol, opts.max_inner)[0])
 
 
 def _pick_start(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates):
@@ -656,7 +647,7 @@ def _pick_start(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates
         return candidates[0]
     best = None
     for traj, alloc, init in candidates:
-        times = mode.time_step(cfg, traj, alloc.tx_power, opts.kernel)
+        times = mode.time_step(cfg, traj, alloc.tx_power)
         probe = times if mode.throughput(times, traj, cfg) \
             >= mode.throughput(alloc, traj, cfg) else alloc
         _, ptrace = mode.power_step(cfg, traj, probe, opts, 5)
@@ -672,15 +663,13 @@ def _alternate(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates,
     outer iteration gains less than `outer_tol`."""
     traj, alloc, init = _pick_start(cfg, opts, mode, candidates)
     trace = [mode.throughput(alloc, traj, cfg)]
-    power_traces, traj_traces = [], []
     outer = 0
     for outer in range(1, opts.max_outer + 1):
-        cand = mode.time_step(cfg, traj, alloc.tx_power, opts.kernel)
+        cand = mode.time_step(cfg, traj, alloc.tx_power)
         if _no_worse(mode.throughput(cand, traj, cfg), trace[-1]):
             alloc = cand
 
         Q, ptrace = mode.power_step(cfg, traj, alloc, opts, opts.max_inner)
-        power_traces.append(ptrace)
         # Only a step's last pass can be unvetted: the coordination step
         # rejects lowering passes itself, the joint step returns its single
         # solve as it is.
@@ -688,8 +677,7 @@ def _alternate(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates,
             alloc = replace(alloc, tx_power=Q)
 
         if opts.optimize_trajectory and cfg.num_slots >= 2:
-            traj, ttrace = mode.traj_step(cfg, alloc, traj, opts)
-            traj_traces.append(ttrace)
+            traj = mode.traj_step(cfg, alloc, traj, opts)
 
         value = mode.throughput(alloc, traj, cfg)
         improved = value - trace[-1]
@@ -702,8 +690,6 @@ def _alternate(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates,
         allocation=alloc,
         common_rate=trace[-1],
         objective_trace=np.asarray(trace),
-        power_traces=power_traces,
-        traj_traces=traj_traces,
         residuals=dict(feasibility_report(cfg, traj, alloc)),
         initialization=init,
         outer_iterations=outer,

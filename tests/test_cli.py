@@ -55,6 +55,15 @@ class TestConfigHandling:
                       "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("cmd", ["solve-ic", "solve-comp", "infinite-ic",
+                                     "infinite-comp", "benchmark-direct",
+                                     "verify-bound"])
+    def test_jobs_is_a_sweep_option_only(self, tmp_path, cmd):
+        res = invoke([cmd, "--out", str(tmp_path), "--jobs", "2"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+        assert not any(tmp_path.iterdir())
+
 
 class TestCommands:
     def test_infinite_commands(self, tmp_path):

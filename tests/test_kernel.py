@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from wpcn_traj import KernelOptions, Problem, StartInfeasible, Status, solve_concave
+from wpcn_traj import Problem, StartInfeasible, Status, kernel, solve_concave
 from wpcn_traj.kernel import LogGroup, NegLogGroup
 
 
 def _toy_epigraph(weighted=False):
     # maximize min(ln(1+x), ln(1+y)) s.t. x + y <= 2, x, y >= 0
-    prob = Problem(3, [0.0, 0.0, 1.0])
+    prob = Problem(3)
     for i in range(2):
         lin = np.zeros(3)
         lin[2] = -1.0
@@ -22,7 +22,7 @@ def _toy_epigraph(weighted=False):
 
 class TestSolveConcave:
     def test_monotone_log_hits_upper_bound(self):
-        prob = Problem(2, [0.0, 1.0])  # [x, R]
+        prob = Problem(2)  # [x, R]
         prob.add_concave_ge(lin=np.array([0.0, -1.0]), logs=(LogGroup(
             idx=[[0]], coeffs=[[1.0]], offsets=[1.0], weights=[1.0]),))
         prob.add_affine([[1.0, 0.0], [-1.0, 0.0]], [3.0, 0.0])
@@ -38,7 +38,7 @@ class TestSolveConcave:
         assert out.objective == pytest.approx(np.log(2.0), abs=1e-8)
 
     def test_start_infeasible_raises(self):
-        prob = Problem(1, [1.0])
+        prob = Problem(1)
         prob.add_affine([1.0], 1.0)
         with pytest.raises(StartInfeasible):
             solve_concave(prob, np.array([2.0]))
@@ -64,7 +64,7 @@ class TestSolveConcave:
         # radius cap.  The instance is symmetric in y, so the oracle sweeps the
         # x coordinates on a fine grid with y = 0.
         nv = 5  # [x1, y1, x2, y2, R]
-        prob = Problem(nv, np.eye(nv)[4])
+        prob = Problem(nv)
         diag = np.array([0.8, 0.8, 1.2, 1.2, 0.0])
         lin = np.array([0.8, 0.0, -1.2, 0.0, -1.0])  # from expanding the squares
         const = -0.4 - 0.6
@@ -108,9 +108,9 @@ class TestSolveConcave:
             num = (grp.value(xp) - grp.value(xm)) / (2 * h)
             assert g[i] == pytest.approx(num, rel=1e-5)
 
-    def test_step_cap_reports_max_iter(self):
-        out = solve_concave(_toy_epigraph(), np.array([0.5, 0.7, 0.1]),
-                            KernelOptions(max_stage_steps=1))
+    def test_step_cap_reports_max_iter(self, monkeypatch):
+        monkeypatch.setattr(kernel, "MAX_STAGE_STEPS", 1)
+        out = solve_concave(_toy_epigraph(), np.array([0.5, 0.7, 0.1]))
         assert out.status is Status.MAX_ITER
         # An uncentered iterate certifies no gap and no dual bound.
         assert out.residuals["gap"] == np.inf
@@ -119,7 +119,7 @@ class TestSolveConcave:
     def test_step_cap_ignores_far_rows_without_overflow(self):
         # The second row's slack is 1e10 while the Newton step moves it by
         # ~1e-300: its slack ratio would overflow, yet it can never bind.
-        prob = Problem(1, [1.0])
+        prob = Problem(1)
         prob.add_affine([[1.0], [1e-300]], [1.0, 1e10])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

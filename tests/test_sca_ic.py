@@ -150,7 +150,7 @@ def test_time_lp_matches_highs(blocks):
         rate[:, 0] += 0.1   # every device has some rate somewhere
         harvest = 10.0 ** rng.uniform(-5.0, -3.0, (2, blocks, N))
         tx_power = 10.0 ** rng.uniform(-5.0, -3.0, (2, N))
-        x = _time_lp(cfg, rate, harvest, tx_power, None)
+        x = _time_lp(cfg, rate, harvest, tx_power)
         uplink = x[-1]
         got = min(float(rate[k] @ uplink) for k in range(2)) / cfg.duration
 
