@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Time the finite-horizon solvers at the roadmap's fixed configs.
+
+For each config it records the wall time, the common rate and, per kind of
+barrier subproblem (time LP, power step, trajectory step), the kernel calls,
+Newton steps, busy time, milliseconds per Newton step and kernel statuses.
+The kernel calls are counted by wrapping `sca_ic.solve_concave`, the name
+through which both engines call the kernel, and a call's kind is the name of
+the function that made it.  The configs (D = 15 m) are:
+
+- coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
+- both direct-flight solvers at N=80, T=20 s;
+- joint at N=100, T=10 s.
+
+Results are merged into the output file under `--label`, so one file holds
+a before/after pair measured on the same host:
+
+    PYTHONPATH=<checkout>/src python3 scripts/bench_configs.py --label parent
+    PYTHONPATH=src python3 scripts/bench_configs.py --label change
+
+BLAS is pinned to one thread before numpy loads (a value set in the
+environment wins); the thread count in effect is recorded with the results.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import ctypes  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from collections import defaultdict  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+import wpcn_traj  # noqa: E402
+from wpcn_traj import ScenarioConfig, sca_ic  # noqa: E402
+
+CONFIGS = (
+    ("coordination N=40 T=4", "solve_p1", 40, 4.0),
+    ("joint N=40 T=4", "solve_p21", 40, 4.0),
+    ("coordination direct N=80 T=20", "solve_p1_direct", 80, 20.0),
+    ("joint direct N=80 T=20", "solve_p21_direct", 80, 20.0),
+    ("joint N=100 T=10", "solve_p21", 100, 10.0),
+)
+
+# Function that calls the kernel -> subproblem kind.
+KINDS = {"_time_lp": "time_lp", "optimize_power_ic": "power_step",
+         "_refine_trajectory": "trajectory_step"}
+
+
+def blas_threads() -> dict:
+    """Thread count reported by every OpenBLAS loaded into this process."""
+    out = {}
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return {"unknown": None}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, sym):
+                getter = getattr(lib, sym)
+                getter.restype = ctypes.c_int
+                getter.argtypes = []
+                out[Path(path).name] = int(getter())
+                break
+    return out
+
+
+def source_digest() -> str:
+    """Digest of the imported package's sources, naming the code measured."""
+    h = hashlib.sha256()
+    src = Path(wpcn_traj.__file__).resolve().parent
+    for path in sorted(src.rglob("*.py")):
+        h.update(str(path.relative_to(src)).encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def run_config(solver_name: str, N: int, T: float) -> dict:
+    stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0,
+                                 "statuses": defaultdict(int)})
+    kernel_call = sca_ic.solve_concave
+
+    def counted(problem, start):
+        kind = KINDS.get(sys._getframe(1).f_code.co_name, "other")
+        t0 = time.perf_counter()
+        out = kernel_call(problem, start)
+        rec = stats[kind]
+        rec["busy_s"] += time.perf_counter() - t0
+        rec["calls"] += 1
+        rec["newton_steps"] += int(out.iterations)
+        rec["statuses"][out.status.value] += 1
+        return out
+
+    cfg = ScenarioConfig(device_distance=15.0, duration=T, num_slots=N)
+    sca_ic.solve_concave = counted
+    try:
+        t0 = time.perf_counter()
+        rep = getattr(wpcn_traj, solver_name)(cfg)
+        wall = time.perf_counter() - t0
+    finally:
+        sca_ic.solve_concave = kernel_call
+    kinds = {}
+    for kind, rec in sorted(stats.items()):
+        steps = rec["newton_steps"]
+        kinds[kind] = {"calls": rec["calls"], "newton_steps": steps,
+                       "busy_s": round(rec["busy_s"], 4),
+                       "ms_per_step": round(1e3 * rec["busy_s"] / steps, 4) if steps else None,
+                       "statuses": dict(rec["statuses"])}
+    return {"solver": solver_name, "D": 15.0, "N": N, "T": T,
+            "wall_s": round(wall, 3), "common_rate": repr(float(rep.common_rate)),
+            "outer_iterations": int(rep.outer_iterations),
+            "newton_steps": sum(k["newton_steps"] for k in kinds.values()),
+            "kinds": kinds}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--out", default="BENCH_structured_step.json")
+    args = ap.parse_args()
+
+    runs = {}
+    for name, solver, N, T in CONFIGS:
+        runs[name] = run_config(solver, N, T)
+        print(json.dumps({name: runs[name]}), flush=True)
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc[args.label] = {
+        "src_sha256": source_digest(),
+        "blas_threads": blas_threads(),
+        "blas_env": {v: os.environ.get(v) for v in
+                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        "configs": runs,
+    }
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

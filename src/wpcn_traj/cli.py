@@ -230,7 +230,7 @@ def _common_options(fn):
 
 
 _jobs_option = click.option("--jobs", default=1, show_default=True,
-                            help="concurrent sweep points")
+                            type=click.IntRange(min=1), help="concurrent sweep points")
 
 
 def _guarded(command, fn):

@@ -1,13 +1,25 @@
-"""Small dense structured convex solver for the per-iteration subproblems.
+"""Structured log-barrier solver for the per-iteration subproblems.
 
 One log-barrier Newton engine serves the subproblems the alternating solvers
 emit.  Every one is a max-min in epigraph form: maximize the last variable,
 the common rate R, subject to concave rate rows, energy rows and convex
 quadratic geometry rows.  The time allocation is such a program with affine
 rows only.  Each is solved from a strictly feasible start its caller
-supplies, with the fixed settings below.  Instances stay small (tens to a
-few hundred variables), so dense factorizations are adequate, and everything
-is deterministic: identical problem and start give bit-identical outcomes.
+supplies, with the fixed settings below, and everything is deterministic:
+identical problem and start give bit-identical outcomes.
+
+Rows are stored sparsely, and every subproblem is slot-structured: each
+slot's rows couple only its own few variables, while a handful of dense rows
+(the rate rows and the energy or budget rows) couple everything.  The Newton
+step uses that.  The sparse rows and every row's curvature form a banded
+matrix once the variables are put in reverse Cuthill-McKee order; it is
+factored with `cholesky_banded`, and each dense row is added to the factor
+as a positive rank-one update kept in product form (method C1 of Gill,
+Golub, Murray and Saunders, "Methods for modifying matrix factorizations",
+Math. Comp. 1974; its use for dense rows of interior-point systems is
+Goldfarb and Scheinberg, Math. Prog. 2004).  A step then costs O(n) for a
+bounded bandwidth.  Below a crossover in n the one dense factorization of
+the whole Hessian is faster, and that is used instead.
 """
 
 from __future__ import annotations
@@ -16,7 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class Status(Enum):
@@ -37,6 +52,12 @@ GAP_REL = 1e-9
 NEWTON_TOL = 1e-8       # half squared Newton decrement
 MAX_STAGE_STEPS = 100
 MAX_STAGES = 64
+# Programs with fewer variables, or with a band wider than this share of n,
+# take the dense factorization: the measured crossovers of the Newton step
+# (one BLAS thread; ROADMAP item 3) lie near n = 150 on the subproblems the
+# solvers emit, and near a band of n/2 on random banded systems at n = 200.
+STRUCTURED_MIN_N = 150
+STRUCTURED_MAX_BAND = 0.5
 
 
 @dataclass(frozen=True)
@@ -78,17 +99,11 @@ class LogGroup:
             return -np.inf
         return float((self.weights * np.log(v)).sum())
 
-    def add_grad(self, x: np.ndarray, out: np.ndarray) -> None:
-        v = self.args(x)
-        coef = self.weights / v
-        np.add.at(out, self.idx, coef[:, None] * self.coeffs)
-
-    def add_curvature(self, x: np.ndarray, H: np.ndarray, coef: float) -> None:
-        """H += coef * (-d2/dx2 of this group), PSD for coef > 0."""
-        v = self.args(x)
-        w = coef * self.weights / v**2
-        block = w[:, None, None] * self.coeffs[:, :, None] * self.coeffs[:, None, :]
-        np.add.at(H, (self.idx[:, :, None], self.idx[:, None, :]), block)
+    def slopes(self, v: np.ndarray):
+        """First derivative and negated second derivative of each term in its
+        argument v."""
+        d1 = self.weights / v
+        return d1, d1 / v
 
 
 @dataclass
@@ -125,204 +140,299 @@ class NegLogGroup:
             return -np.inf
         return float(-(self.weights * np.log(self.bases + self.scales / v)).sum())
 
-    def add_grad(self, x: np.ndarray, out: np.ndarray) -> None:
-        v = self.args(x)
+    def slopes(self, v: np.ndarray):
+        """First derivative and negated second derivative of each term in its
+        argument v."""
         p = self.bases * v**2 + self.scales * v
-        coef = self.weights * self.scales / p
-        np.add.at(out, self.idx, coef[:, None] * self.coeffs)
-
-    def add_curvature(self, x: np.ndarray, H: np.ndarray, coef: float) -> None:
-        v = self.args(x)
-        p = self.bases * v**2 + self.scales * v
-        t2 = self.weights * self.scales * (2.0 * self.bases * v + self.scales) / p**2
-        w = coef * t2
-        block = w[:, None, None] * self.coeffs[:, :, None] * self.coeffs[:, None, :]
-        np.add.at(H, (self.idx[:, :, None], self.idx[:, None, :]), block)
+        ws = self.weights * self.scales
+        return ws / p, ws * (2.0 * self.bases * v + self.scales) / p**2
 
 
-@dataclass
-class ConcaveRow:
-    """Concave row F(x) >= 0 with
-    F = const + lin.x - 0.5 x'diag(dneg)x + sum(logs) + sum(neglogs)."""
-
-    n: int
-    const: float = 0.0
-    lin: np.ndarray | None = None
-    diag_neg: np.ndarray | None = None   # entries >= 0
-    logs: tuple = ()
-    neglogs: tuple = ()
-
-    def value(self, x: np.ndarray) -> float:
-        v = self.const
-        if self.lin is not None:
-            v += float(self.lin @ x)
-        if self.diag_neg is not None:
-            v -= 0.5 * float(self.diag_neg @ (x * x))
-        for grp in self.logs:
-            v += grp.value(x)
-        for grp in self.neglogs:
-            v += grp.value(x)
-        return v  # -inf on domain violation
-
-    def grad_neg(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of g = -F (the <= 0 form)."""
-        gF = np.zeros(self.n)
-        if self.lin is not None:
-            gF += self.lin
-        if self.diag_neg is not None:
-            gF -= self.diag_neg * x
-        for grp in self.logs:
-            grp.add_grad(x, gF)
-        for grp in self.neglogs:
-            grp.add_grad(x, gF)
-        return -gF
-
-    def add_curvature(self, x: np.ndarray, H: np.ndarray, coef: float) -> None:
-        """H += coef * (d2 of -F), which is PSD."""
-        if self.diag_neg is not None:
-            H[np.diag_indices_from(H)] += coef * self.diag_neg
-        for grp in self.logs:
-            grp.add_curvature(x, H, coef)
-        for grp in self.neglogs:
-            grp.add_curvature(x, H, coef)
+def _rows_of(idx, *values):
+    """Row-major (rows, k) int index array and float arrays of the same shape;
+    a 1-D idx is one row."""
+    idx = np.atleast_2d(np.asarray(idx, dtype=int))
+    return (idx,) + tuple(np.broadcast_to(np.asarray(v, dtype=float), idx.shape)
+                          for v in values)
 
 
 class Problem:
     """Maximize the last of n variables (the epigraph variable) over affine,
-    convex-quadratic and concave-form rows.
+    convex-quadratic and concave-form rows, each stored by its nonzeros.
 
-    Quadratic rows are either diagonal (0.5 x'diag(d)x + lin.x + c <= 0) or
-    squared pair differences (||x[a] - x[b]||^2 + c <= 0); both batch cleanly.
+    Every row is kept in the form g(x) <= 0 as a constant plus linear terms
+    c * x[j], square terms c * x[j]^2 and pair terms (x[a] - x[b])^2, and a
+    concave row also carries log groups.  `slacks` lists the rows in the
+    order they were added.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._aff_rows: list = []
-        self._aff_rhs: list = []
-        self._diag_rows: list = []   # (diag, lin, const)
-        self._pair_rows: list = []   # (idx4, const)
-        self.conc_rows: list[ConcaveRow] = []
-        self._compiled = None
-        self._gbuf = None
+        self.num_rows = 0
+        self._const: list = []
+        self._lin: list = []     # (rows, cols, coefs): g += coef * x[col]
+        self._sq: list = []      # (rows, cols, coefs): g += coef * x[col]^2
+        self._pair: list = []    # (rows, a, b):        g += (x[a] - x[b])^2
+        self._groups: list = []  # (row, group):        g -= group.value(x)
+        self._layout = None
 
     # -- construction -------------------------------------------------------
-    def add_affine(self, a, b) -> None:
-        """Add rows a.x <= b."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        for row, rhs in zip(a, b):
-            self._aff_rows.append(row)
-            self._aff_rhs.append(float(rhs))
-        self._compiled = None
+    def _new_rows(self, g_const) -> np.ndarray:
+        g_const = np.atleast_1d(np.asarray(g_const, dtype=float))
+        rows = self.num_rows + np.arange(g_const.size)
+        self.num_rows += g_const.size
+        self._const.append(g_const)
+        self._layout = None
+        return rows
 
-    def add_quad(self, diag=None, lin=None, const: float = 0.0) -> None:
-        """Add one diagonal convex quadratic row
-        0.5 x'diag(diag)x + lin.x + const <= 0."""
-        d = np.zeros(self.n) if diag is None else np.asarray(diag, dtype=float)
-        l = np.zeros(self.n) if lin is None else np.asarray(lin, dtype=float)
-        self._diag_rows.append((d, l, float(const)))
-        self._compiled = None
+    def _terms(self, store: list, rows, idx, coef) -> None:
+        keep = coef != 0.0
+        store.append((np.broadcast_to(rows[:, None], idx.shape)[keep], idx[keep], coef[keep]))
 
-    def add_pair_step(self, idx, const: float) -> None:
-        """Add one squared pair-difference row
-        ||x[idx[:2]] - x[idx[2:]]||^2 + const <= 0 (idx holds 4 indices)."""
-        self._pair_rows.append((np.asarray(idx, dtype=int), float(const)))
-        self._compiled = None
+    def add_affine(self, idx, coef, rhs) -> None:
+        """Add rows coef[r] . x[idx[r]] <= rhs[r] (idx and coef (rows, k), or
+        (k,) for one row)."""
+        idx, coef = _rows_of(idx, coef)
+        self._terms(self._lin, self._new_rows(-np.asarray(rhs, dtype=float)), idx, coef)
 
-    def add_concave_ge(self, **kw) -> None:
-        self.conc_rows.append(ConcaveRow(n=self.n, **kw))
-        self._compiled = None
+    def add_bounds(self, idx) -> None:
+        """Add rows x[idx] >= 0."""
+        idx = np.atleast_1d(np.asarray(idx, dtype=int))
+        rows = self._new_rows(np.zeros(idx.size))
+        self._lin.append((rows, idx, np.full(idx.size, -1.0)))
 
-    # -- compiled evaluation --------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        return (len(self._aff_rows) + len(self._diag_rows) + len(self._pair_rows)
-                + len(self.conc_rows))
+    def add_quad(self, idx, diag, lin, const) -> None:
+        """Add diagonal convex quadratic rows
+        0.5 diag[r] . x[idx[r]]^2 + lin[r] . x[idx[r]] + const[r] <= 0
+        (diag >= 0; idx, diag and lin (rows, k), or (k,) for one row)."""
+        idx, diag, lin = _rows_of(idx, diag, lin)
+        rows = self._new_rows(const)
+        self._terms(self._sq, rows, idx, 0.5 * diag)
+        self._terms(self._lin, rows, idx, lin)
 
-    def _parts(self):
-        if self._compiled is None:
-            self._gbuf = None
-            A = np.vstack(self._aff_rows) if self._aff_rows else np.zeros((0, self.n))
-            b = np.asarray(self._aff_rhs) if self._aff_rhs else np.zeros(0)
-            if self._diag_rows:
-                D = np.stack([r[0] for r in self._diag_rows])
-                L = np.stack([r[1] for r in self._diag_rows])
-                dc = np.array([r[2] for r in self._diag_rows])
-            else:
-                D = np.zeros((0, self.n))
-                L = np.zeros((0, self.n))
-                dc = np.zeros(0)
-            if self._pair_rows:
-                PI = np.stack([r[0] for r in self._pair_rows])  # (r, 4)
-                pc = np.array([r[1] for r in self._pair_rows])
-            else:
-                PI = np.zeros((0, 4), dtype=int)
-                pc = np.zeros(0)
-            self._compiled = (A, b, D, L, dc, PI, pc)
-        return self._compiled
+    def add_pair_step(self, idx, const) -> None:
+        """Add squared pair-difference rows
+        ||x[idx[r, :2]] - x[idx[r, 2:]]||^2 + const[r] <= 0 (idx (rows, 4))."""
+        idx = np.atleast_2d(np.asarray(idx, dtype=int))
+        rows = np.repeat(self._new_rows(const), 2)
+        self._pair.append((rows, idx[:, :2].reshape(-1), idx[:, 2:].reshape(-1)))
+
+    def add_concave_ge(self, idx=(), lin=(), diag_neg=None, const: float = 0.0,
+                       logs=(), neglogs=()) -> None:
+        """Add one concave row F(x) >= 0 with F = const + lin . x[idx]
+        - 0.5 diag_neg . x[idx]^2 + sum(logs) + sum(neglogs), diag_neg >= 0."""
+        row = self._new_rows(-const)
+        idx = np.asarray(idx, dtype=int)[None, :]
+        self._terms(self._lin, row, idx, -np.asarray(lin, dtype=float)[None, :])
+        if diag_neg is not None:
+            self._terms(self._sq, row, idx, 0.5 * np.asarray(diag_neg, dtype=float)[None, :])
+        self._groups.extend((int(row[0]), grp) for grp in (*logs, *neglogs))
+
+    # -- evaluation ---------------------------------------------------------
+    def _compiled(self) -> "_Layout":
+        if self._layout is None:
+            self._layout = _Layout(self)
+        return self._layout
 
     def slacks(self, x: np.ndarray) -> np.ndarray:
-        """All row slacks (-g_i); any non-positive entry means infeasible.
-        Order: affine, diagonal-quadratic, pair-quadratic, concave."""
-        A, b, D, L, dc, PI, pc = self._parts()
-        parts = [b - A @ x]
-        parts.append(-(0.5 * (D @ (x * x)) + L @ x + dc))
-        if PI.shape[0]:
-            diff = x[PI[:, :2]] - x[PI[:, 2:]]
-            parts.append(-((diff**2).sum(axis=1) + pc))
+        """Slack -g(x) of every row, in the order the rows were added; any
+        non-positive entry means infeasible."""
+        return self._compiled().slacks(x)
+
+
+def _columns(parts: list, dtypes) -> tuple:
+    """Each column of a list of array tuples, concatenated."""
+    return tuple(np.concatenate([p[i] for p in parts]) if parts else np.zeros(0, t)
+                 for i, t in enumerate(dtypes))
+
+
+class _Layout:
+    """A `Problem` compiled for evaluation: its terms as flat arrays, the
+    sparsity pattern of the row gradients, and the Newton system's split
+    into a band part and dense rows, with the variable order and storage
+    positions of each Hessian entry."""
+
+    def __init__(self, p: Problem):
+        n, m = p.n, p.num_rows
+        self.n, self.m = n, m
+        self.neg_const = -(np.concatenate(p._const) if p._const else np.zeros(0))
+        lin_r, self.lin_c, self.lin_v = _columns(p._lin, (int, int, float))
+        self.sq_r, self.sq_c, self.sq_v = _columns(p._sq, (int, int, float))
+        self.pr_r, self.pr_a, self.pr_b = _columns(p._pair, (int, int, int))
+        self.groups = p._groups
+
+        # Gradient pattern: one slot per distinct (row, column), rows in order.
+        rows = np.concatenate([lin_r, self.sq_r, self.pr_r, self.pr_r]
+                              + [np.full(g.idx.size, r) for r, g in self.groups])
+        cols = np.concatenate([self.lin_c, self.sq_c, self.pr_a, self.pr_b]
+                              + [g.idx.ravel() for _, g in self.groups])
+        keys, self.g_slot = np.unique(rows * n + cols, return_inverse=True)
+        self.pat_row, self.pat_col = np.divmod(keys, n)
+        self.nnz = keys.size
+        support = np.bincount(self.pat_row, minlength=m)
+        starts = np.cumsum(support) - support
+
+        # Curvature entries (i, j), in the order `derivatives` lists their
+        # values: square terms, pair terms, then each log group's blocks.
+        ci = [self.sq_c, self.pr_a, self.pr_b, self.pr_a, self.pr_b]
+        cj = [self.sq_c, self.pr_a, self.pr_b, self.pr_b, self.pr_a]
+        self.grp_outer = []
+        for _, g in self.groups:
+            k = g.idx.shape[1]
+            ci.append(np.repeat(g.idx, k, axis=1).ravel())
+            cj.append(np.tile(g.idx, (1, k)).ravel())
+            self.grp_outer.append((g.coeffs[:, :, None] * g.coeffs[:, None, :]).reshape(-1, k * k))
+        ci, cj = np.concatenate(ci), np.concatenate(cj)
+
+        # The band part holds every curvature and each row whose support
+        # fits the band that the curvatures and the narrow rows (k^2 <= n
+        # nonzeros, none on the epigraph column) give; every other row is a
+        # dense row, added as a rank-one term.  The variables are in reverse
+        # Cuthill-McKee order of that band, the epigraph column last, where a
+        # zero pivot needs no special case in the updates.
+        on_r = np.zeros(m, bool)
+        on_r[self.pat_row[self.pat_col == n - 1]] = True
+        a, b = self._row_pairs((support**2 <= n) & ~(on_r & (support > 1)), support, starts)
+        hi = np.concatenate((self.pat_col[a], ci))
+        hj = np.concatenate((self.pat_col[b], cj))
+        pos = self._order(hi, hj)
+        first = np.full(m, n)
+        last = np.zeros(m, int)
+        np.minimum.at(first, self.pat_row, pos[self.pat_col])
+        np.maximum.at(last, self.pat_row, pos[self.pat_col])
+        dense = last - first > (np.abs(pos[hi] - pos[hj]).max() if hi.size else 0)
+        a, b = self._row_pairs(~dense, support, starts)
+        self.op_a, self.op_b, self.op_row = a, b, self.pat_row[a]
+        hi = np.concatenate((self.pat_col[a], ci))
+        hj = np.concatenate((self.pat_col[b], cj))
+        self.band = int(np.abs(pos[hi] - pos[hj]).max()) if hi.size else 0
+        self.structured = n >= STRUCTURED_MIN_N and self.band <= STRUCTURED_MAX_BAND * n
+
+        self.dense_rows = np.flatnonzero(dense)
+        self.k = self.dense_rows.size
+        rank = np.zeros(m, int)
+        rank[self.dense_rows] = np.arange(self.k)
+        self.dz = np.flatnonzero(dense[self.pat_row])
+        self.dz_row = self.pat_row[self.dz]
+        if self.structured:
+            self.keep = np.flatnonzero(pos[hi] >= pos[hj])
+            self.h_target = (pos[hi] - pos[hj])[self.keep] * n + pos[hj][self.keep]
+            self.z_target = rank[self.dz_row] * n + pos[self.pat_col[self.dz]]
+            self.pos, self.perm = pos, np.argsort(pos)
+            # Row of every band-storage entry (clipped past the last row,
+            # where the storage holds zeros).
+            self.band_rows = np.minimum(np.arange(n) + np.arange(self.band + 1)[:, None], n - 1)
         else:
-            parts.append(np.zeros(0))
-        parts.append(np.array([row.value(x) for row in self.conc_rows]))
-        return np.concatenate(parts)
+            self.keep = None
+            self.h_target = hi * n + hj
+            self.z_target = rank[self.dz_row] * n + self.pat_col[self.dz]
 
-    def row_grads(self, x: np.ndarray) -> np.ndarray:
-        A, b, D, L, dc, PI, pc = self._parts()
-        if self._gbuf is None or self._gbuf.shape != (self.num_rows, self.n):
-            self._gbuf = np.zeros((self.num_rows, self.n))
-            self._gbuf[:A.shape[0]] = A
-        G = self._gbuf
-        off = A.shape[0]
-        nd = D.shape[0]
-        if nd:
-            np.multiply(D, x[None, :], out=G[off:off + nd])
-            G[off:off + nd] += L
-        off += nd
-        if PI.shape[0]:
-            blk = G[off:off + PI.shape[0]]
-            blk[:] = 0.0
-            diff = 2.0 * (x[PI[:, :2]] - x[PI[:, 2:]])
-            rows = np.arange(PI.shape[0])[:, None]
-            np.add.at(blk, (rows, PI[:, :2]), diff)
-            np.add.at(blk, (rows, PI[:, 2:]), -diff)
-            off += PI.shape[0]
-        for i, row in enumerate(self.conc_rows):
-            G[off + i] = row.grad_neg(x)
-        return G
+        # Slacks of the dense rows are evaluated as dense products: rate and
+        # budget rows are near-active at the optimum, where the line search
+        # needs them to the last bits a BLAS dot product gives and a
+        # sequential sum of their terms does not.
+        self.lin_dense = np.zeros((self.k, n))
+        self.sq_dense = np.zeros((self.k, n))
+        on_l, on_s = dense[lin_r], dense[self.sq_r]
+        np.add.at(self.lin_dense, (rank[lin_r[on_l]], self.lin_c[on_l]), self.lin_v[on_l])
+        np.add.at(self.sq_dense, (rank[self.sq_r[on_s]], self.sq_c[on_s]), self.sq_v[on_s])
+        self.sparse_terms = (self.lin_c[~on_l], self.lin_v[~on_l], self.sq_c[~on_s],
+                             self.sq_v[~on_s])
+        self.sparse_rows = np.concatenate((lin_r[~on_l], self.sq_r[~on_s], self.pr_r))
 
-    def add_row_curvatures(self, x: np.ndarray, H: np.ndarray, inv_s: np.ndarray) -> None:
-        A, b, D, L, dc, PI, pc = self._parts()
-        off = A.shape[0]
-        nd = D.shape[0]
-        if nd:
-            H[np.diag_indices_from(H)] += inv_s[off:off + nd] @ D
-        off += nd
-        npair = PI.shape[0]
-        if npair:
-            w = 2.0 * inv_s[off:off + npair]
-            for c in range(2):
-                a_i, b_i = PI[:, c], PI[:, 2 + c]
-                np.add.at(H, (a_i, a_i), w)
-                np.add.at(H, (b_i, b_i), w)
-                np.add.at(H, (a_i, b_i), -w)
-                np.add.at(H, (b_i, a_i), -w)
-        off += npair
-        for i, row in enumerate(self.conc_rows):
-            row.add_curvature(x, H, inv_s[off + i])
+    @staticmethod
+    def _row_pairs(select, support, starts):
+        """Pattern-slot pairs (a, b) covering every ordered pair of nonzeros
+        within each selected row."""
+        rows = np.flatnonzero(select)
+        k = support[rows]
+        first = np.repeat(starts[rows], k)
+        slots = first + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        reps = np.repeat(k, k)
+        a = np.repeat(slots, reps)
+        b = np.repeat(first, reps) + (np.arange(reps.sum())
+                                      - np.repeat(np.cumsum(reps) - reps, reps))
+        return a, b
+
+    def _order(self, hi, hj) -> np.ndarray:
+        """Position of every variable: reverse Cuthill-McKee order of the
+        graph of (hi, hj) over all variables but the last, which comes last."""
+        n = self.n
+        pos = np.arange(n)
+        inner = (hi < n - 1) & (hj < n - 1) & (hi != hj)
+        if n > 2 and inner.any():
+            graph = coo_matrix((np.ones(int(inner.sum())), (hi[inner], hj[inner])),
+                               shape=(n - 1, n - 1)).tocsr()
+            order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+            pos[order] = np.arange(n - 1)
+        return pos
+
+    # -- per-step evaluation --------------------------------------------------
+    def slacks(self, x: np.ndarray) -> np.ndarray:
+        lc, lv, sc, sv = self.sparse_terms
+        vals = np.concatenate((lv * x[lc], sv * x[sc] ** 2, (x[self.pr_a] - x[self.pr_b]) ** 2))
+        s = self.neg_const - np.bincount(self.sparse_rows, vals, minlength=self.m)
+        s[self.dense_rows] -= self.lin_dense @ x + self.sq_dense @ (x * x)
+        for row, grp in self.groups:
+            s[row] += grp.value(x)
+        return s
+
+    def derivatives(self, x: np.ndarray, inv_s: np.ndarray):
+        """Row-gradient values on the pattern, and the values of the band
+        part of the barrier Hessian at each of its storage entries."""
+        diff = 2.0 * (x[self.pr_a] - x[self.pr_b])
+        gparts = [self.lin_v, 2.0 * self.sq_v * x[self.sq_c], diff, -diff]
+        hparts = [None, 2.0 * self.sq_v * inv_s[self.sq_r]]
+        c = 2.0 * inv_s[self.pr_r]
+        hparts += [c, c, -c, -c]
+        for (row, grp), outer in zip(self.groups, self.grp_outer):
+            d1, d2 = grp.slopes(grp.args(x))
+            gparts.append(-(d1[:, None] * grp.coeffs).ravel())
+            hparts.append(((inv_s[row] * d2)[:, None] * outer).ravel())
+        gv = np.bincount(self.g_slot, np.concatenate(gparts), minlength=self.nnz)
+        hparts[0] = inv_s[self.op_row] ** 2 * gv[self.op_a] * gv[self.op_b]
+        hv = np.concatenate(hparts)
+        return gv, (hv if self.keep is None else hv[self.keep])
+
+    def gradient(self, gv: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
+        """Gradient of -sum(log s)."""
+        return np.bincount(self.pat_col, gv * inv_s[self.pat_row], minlength=self.n)
+
+    def row_dot(self, gv: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Directional derivative of every row, G d."""
+        return np.bincount(self.pat_row, gv * d[self.pat_col], minlength=self.m)
+
+    def newton(self, gv: np.ndarray, hv: np.ndarray, inv_s: np.ndarray,
+               rhs: np.ndarray) -> np.ndarray:
+        """Solve (band part + sum of the dense rows' z z^T) d = rhs, where z
+        is a dense row's gradient over its slack."""
+        n, k = self.n, self.k
+        Z = np.bincount(self.z_target, gv[self.dz] * inv_s[self.dz_row],
+                        minlength=k * n).reshape(k, n)
+        if not self.structured:
+            H = np.bincount(self.h_target, hv, minlength=n * n).reshape(n, n)
+            if k:
+                H += Z.T @ Z
+            return _solve_spd(H, rhs)
+        ab = np.bincount(self.h_target, hv, minlength=(self.band + 1) * n).reshape(-1, n)
+        return _solve_band_updates(ab, Z, rhs[self.perm], self.band_rows)[self.pos]
 
 
 # ---------------------------------------------------------------------------
-# Barrier engine
+# Newton systems
 # ---------------------------------------------------------------------------
+
+def _damped(solve):
+    """Call solve(damp) with damp = 0, then with a growing diagonal shift of
+    the equilibrated matrix until it factorizes."""
+    damp = 0.0
+    for _ in range(40):
+        try:
+            return solve(damp)
+        except np.linalg.LinAlgError:
+            damp = 1e-12 if damp == 0.0 else damp * 10.0
+    raise np.linalg.LinAlgError("barrier Hessian could not be factorized")
+
 
 def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     # Jacobi equilibration keeps the factorization well-scaled; the barrier
@@ -332,16 +442,87 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     inv_d = 1.0 / d
     Hs = H * inv_d[:, None] * inv_d[None, :]
     gs = g * inv_d
-    damp = 0.0
-    for _ in range(40):
-        try:
-            M = Hs if damp == 0.0 else Hs + damp * np.eye(Hs.shape[0])
-            cf = cho_factor(M, lower=True, check_finite=False)
-            return cho_solve(cf, gs, check_finite=False) * inv_d
-        except np.linalg.LinAlgError:
-            damp = 1e-12 if damp == 0.0 else damp * 10.0
-    raise np.linalg.LinAlgError("barrier Hessian could not be factorized")
 
+    def solve(damp):
+        M = Hs if damp == 0.0 else Hs + damp * np.eye(Hs.shape[0])
+        return cho_solve(cho_factor(M, lower=True, check_finite=False), gs,
+                         check_finite=False)
+
+    return _damped(solve) * inv_d
+
+
+def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray,
+                        band_rows: np.ndarray) -> np.ndarray:
+    """Solve (B + Z^T Z) x = g, B symmetric banded in lower storage
+    (ab[r, j] = B[j + r, j], band_rows[r, j] = min(j + r, n - 1)), with the
+    same Jacobi equilibration and damping as `_solve_spd`, then one step of
+    iterative refinement against the undamped matrix: with the dense rows
+    dominating B, the product form alone can leave residuals ~1e3 times the
+    dense factorization's, and one refinement step removes that gap."""
+    diag = ab[0] + np.einsum("kn,kn->n", Z, Z)
+    inv_d = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
+    Bs = ab * inv_d[None, :] * inv_d[band_rows]
+    Zs = Z * inv_d
+    gs = g * inv_d
+    solve = _damped(lambda damp: _band_factor(Bs, Zs, damp))
+    x = solve(gs)
+    upper = (Bs[1:] * x[band_rows[1:]]).sum(axis=0)
+    r = gs - np.bincount(band_rows.ravel(), (Bs * x).ravel(), minlength=x.size) - upper \
+        - Zs.T @ (Zs @ x)
+    return (x + solve(r)) * inv_d
+
+
+def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float):
+    """Factor B + damp I + Z^T Z and return the function that solves with it.
+
+    B + damp I = L D L^T is factored by `cholesky_banded` (L unit lower).
+    Each row z of Z then updates D + p p^T = Lt Dbar Lt^T, with p the
+    forward-solved z and Lt = I + tril(p beta^T, -1), beta_j = p_j/(d_j t_j),
+    t_j = 1 + sum_{i<=j} p_i^2 / d_i (method C1).  Lt is never formed: a
+    solve with it is a cumulative sum.  Only the last pivot may be zero (an
+    epigraph column no band row touches), and the recurrences never divide
+    by it."""
+    n, k = B.shape[1], Z.shape[0]
+    M = B.copy()
+    M[0] += damp
+    cut = n - 1 if M[0, -1] == 0.0 else n
+    L = cholesky_banded(M[:, :cut], lower=True, check_finite=False)
+    d = np.zeros(n)
+    d[:cut] = L[0] ** 2
+    L /= L[0]
+    Y = Z.T.copy()
+    Y[:cut] = dtbtrs(L, Y[:cut], uplo="L", diag="U")[0]
+    updates = []
+    tp = np.ones(n)
+    for i in range(k):
+        p = Y[:, i]
+        pd = p[:-1] / d[:-1]
+        np.cumsum(p[:-1] * pd, out=tp[1:])
+        tp[1:] += 1.0
+        d += p * p / tp
+        Y[1:, i + 1:] -= (p[1:] / tp[1:])[:, None] * np.cumsum(pd[:, None] * Y[:-1, i + 1:],
+                                                               axis=0)
+        updates.append((p, pd, p[1:] / tp[1:], 1.0 / tp[1:]))
+    if not d[-1] > 0.0:
+        raise np.linalg.LinAlgError("singular barrier Hessian")
+
+    def solve(g: np.ndarray) -> np.ndarray:
+        y = g.copy()
+        y[:cut] = dtbtrs(L, y[:cut, None], uplo="L", diag="U")[0][:, 0]
+        for _p, pd, p_tp, _inv_tp in updates:
+            y[1:] -= p_tp * np.cumsum(pd * y[:-1])
+        y /= d
+        for p, pd, _p_tp, inv_tp in reversed(updates):
+            y[:-1] -= pd * np.cumsum((p[:0:-1] * y[:0:-1]) * inv_tp[::-1])[::-1]
+        y[:cut] = dtbtrs(L, y[:cut, None], uplo="L", trans="T", diag="U")[0][:, 0]
+        return y
+
+    return solve
+
+
+# ---------------------------------------------------------------------------
+# Barrier engine
+# ---------------------------------------------------------------------------
 
 def solve_concave(problem: Problem, start) -> SolveOutcome:
     """Log-barrier maximization of the last variable from a strictly feasible
@@ -352,7 +533,8 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     x = np.asarray(start, dtype=float).copy()
     if x.shape != (problem.n,):
         raise ValueError(f"start must have shape ({problem.n},)")
-    s0 = problem.slacks(x)
+    lay = problem._compiled()
+    s0 = lay.slacks(x)
     if s0.size and s0.min() <= 0.0:
         raise StartInfeasible(f"start violates {int((s0 <= 0).sum())} row(s); "
                               f"worst slack {s0.min():.3e}")
@@ -368,15 +550,12 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
         count = 0
         dec = np.inf
         for _it in range(MAX_STAGE_STEPS):
-            s = problem.slacks(x)
-            G = problem.row_grads(x)
+            s = lay.slacks(x)
             inv_s = 1.0 / s
-            grad = G.T @ inv_s
+            gv, hv = lay.derivatives(x, inv_s)
+            grad = lay.gradient(gv, inv_s)
             grad[-1] -= t
-            Gs = G * inv_s[:, None]
-            H = Gs.T @ Gs
-            problem.add_row_curvatures(x, H, inv_s)
-            d = _solve_spd(H, -grad)
+            d = lay.newton(gv, hv, inv_s, -grad)
             dec = float(-grad @ d) / 2.0
             count += 1
             if dec <= tol:
@@ -385,7 +564,7 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             # Only rows whose slack the full step uses up by more than half
             # can bind (elsewhere 0.99 * s/g >= 1.98); skipping the others
             # keeps s/g from overflowing.
-            gd_rows = G @ d
+            gd_rows = lay.row_dot(gv, d)
             near = gd_rows > 0.5 * s
             alpha = 1.0
             if near.any():
@@ -394,7 +573,7 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             gd = float(grad @ d)
 
             def psi(xx: np.ndarray) -> float:
-                ss = problem.slacks(xx)
+                ss = lay.slacks(xx)
                 if ss.min() <= 0.0:
                     return np.inf
                 return -t * float(xx[-1]) - float(np.log(ss).sum())
@@ -430,9 +609,9 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     converged = dec <= NEWTON_TOL and gap <= GAP_ABS + GAP_REL * abs(obj)
     if not converged:
         gap = np.inf
-    s = problem.slacks(x)
-    G = problem.row_grads(x)
-    residual = (G.T @ (1.0 / s)) / t
+    s = lay.slacks(x)
+    inv_s = 1.0 / s
+    residual = lay.gradient(lay.derivatives(x, inv_s)[0], inv_s) / t
     residual[-1] -= 1.0
     return SolveOutcome(
         x=x,

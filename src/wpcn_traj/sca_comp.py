@@ -24,8 +24,8 @@ from .model import (AllocationCoMP, ScenarioConfig, Trajectory,
                     comp_noncoherent_power, comp_rate_upper_bound,
                     harvested_energy_comp)
 from .sca_ic import (Initialization, SolveOptions, SolveReport, _Mode,
-                     _SPEED_MARGIN, _add_harvest_tangent, _add_strict_quad,
-                     _alternate, _direct_start, _dist2_parts, _free_coords,
+                     _SPEED_MARGIN, _add_strict_quad, _alternate, _direct_start,
+                     _free_coords, _harvest_tangent,
                      _lift_epigraph, _power_budgets, _refine_trajectory,
                      _sample_piecewise, _slots_in_window, _time_lp,
                      _within_budget, add_geometry_rows, build_visit_paths,
@@ -272,8 +272,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
 
     # Rate rows through the inverse-gain slacks.
     for k in range(2):
-        lin = np.zeros(nv)
-        lin[-1] = -1.0
+        logs = ()
         if rate_slots[k].size:
             idx = np.array([[inv_index[(k, 0, int(s))], inv_index[(k, 1, int(s))]]
                             for s in rate_slots[k]])
@@ -281,9 +280,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
             logs = (LogGroup(idx=idx, coeffs=np.repeat(coef, 2, axis=1),
                              offsets=np.ones(rate_slots[k].size),
                              weights=uplink[rate_slots[k]] / (cfg.duration * np.log(2.0))),)
-        else:
-            logs = ()
-        prob.add_concave_ge(lin=lin, logs=logs)
+        prob.add_concave_ge(idx=[nv - 1], lin=[-1.0], logs=logs)
 
     x_ref = _free_coords(cfg, ref, nv)
     for (k, m, slot), j in amp_index.items():
@@ -297,41 +294,40 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
     for k in range(2):
         ko = 1 - k
         spend = float((Q[k] * uplink).sum())
-        diag = np.zeros(nv)
-        lin = np.zeros(nv)
-        const = spend
-        for slot in beam_slots[k]:
-            s_ref = float(slack_ref.amp[k, :, slot].sum())
-            scale = eta_p * beam[k, slot]
-            for m in range(2):
-                lin[amp_index[(k, m, int(slot))]] -= scale * 2.0 * s_ref
-            const += scale * s_ref**2
-        for slot in beam_slots[ko]:
-            n = int(slot) + 1
-            coef = eta_p * b0 * beam[ko, slot]
-            for m in range(2):
-                const = _add_harvest_tangent(cfg, diag, lin, const, coef, ref, w[k], m, n)
-        _add_strict_quad(prob, diag, lin, const, x_ref, 1e-10 * (1.0 + spend))
+        slots = beam_slots[k]
+        s_ref = slack_ref.amp[k, :, slots].sum(axis=1)
+        scale = eta_p * beam[k, slots]
+        amp = [amp_index[(k, m, int(s))] for s in slots for m in range(2)]
+        idx, diag, lin, const = _harvest_tangent(
+            cfg, eta_p * b0 * beam[ko, beam_slots[ko]], ref, w[k], beam_slots[ko])
+        _add_strict_quad(prob, np.concatenate((np.asarray(amp, dtype=int), idx)),
+                         np.concatenate((np.zeros(len(amp)), diag)),
+                         np.concatenate((np.repeat(-2.0 * scale * s_ref, 2), lin)),
+                         spend + float((scale * s_ref**2).sum()) + const,
+                         x_ref, 1e-10 * (1.0 + spend))
 
     # Slack-definition rows ||q_m[n] - w_k||^2 + H^2 <= b0 / amp^2 and
     # <= 1 / inv_gain, with the convex right-hand sides replaced by their
-    # tangents (slope on the slack, offset) at the reference slacks.
-    tangents = ((amp_index, slack_ref.amp, lambda a: (2.0 * b0 / a**3, 3.0 * b0 / a**2)),
-                (inv_index, slack_ref.inv_gain, lambda b: (1.0 / b**2, 2.0 / b)))
-    for index, slack_vals, tangent in tangents:
-        for (k, m, slot), j in index.items():
-            slope, offset = tangent(float(slack_vals[k, m, slot]))
-            n = int(slot) + 1
-            if n <= N - 1:
-                diag, lin, const = _dist2_parts(nv, traj_var_base(cfg, m, n), w[k])
-            else:
-                diag, lin, const = np.zeros(nv), np.zeros(nv), float(ref_d2[k, m, slot])
-            lin[j] += slope
-            const = const + H2 - offset
-            _add_strict_quad(prob, diag, lin, const, x_ref, 1e-9 * (1.0 + H2))
-            row = np.zeros(nv)
-            row[j] = -1.0
-            prob.add_affine(row, 0.0)
+    # tangents (slope on the slack, offset) at the reference slacks.  Each
+    # row holds the slot's two position coordinates and its slack; a fixed
+    # final position enters as a constant, its coordinates with coefficient 0.
+    keys = np.array(list(amp_index) + list(inv_index), dtype=int).reshape(-1, 3)
+    K, M, S = keys.T
+    J = np.array(list(amp_index.values()) + list(inv_index.values()), dtype=int)
+    na = len(amp_index)
+    amp_ref = slack_ref.amp[K[:na], M[:na], S[:na]]
+    inv_ref = slack_ref.inv_gain[K[na:], M[na:], S[na:]]
+    slope = np.concatenate((2.0 * b0 / amp_ref**3, 1.0 / inv_ref**2))
+    offset = np.concatenate((3.0 * b0 / amp_ref**2, 2.0 / inv_ref))
+    inner = S + 1 <= N - 1
+    base = np.where(inner, traj_var_base(cfg, M, S + 1), J)
+    wk = w[K] * inner[:, None]
+    _add_strict_quad(prob, np.stack([base, base + inner, J], axis=1),
+                     np.stack([2.0 * inner, 2.0 * inner, np.zeros(J.size)], axis=1),
+                     np.column_stack([-2.0 * wk, slope]),
+                     np.where(inner, (w[K] ** 2).sum(axis=1), ref_d2[K, M, S]) + H2 - offset,
+                     x_ref, 1e-9 * (1.0 + H2))
+    prob.add_bounds(J)
 
     add_geometry_rows(prob, cfg, ref, trust_radius)
     return prob, _lift_epigraph(prob, x_ref.copy()), amp_index, inv_index

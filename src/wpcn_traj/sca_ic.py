@@ -241,17 +241,7 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
     N, d = cfg.num_slots, cfg.slot_duration
     nb = harvest.shape[1] + 1
     n = nb * N + 1
-    up = slice((nb - 1) * N, nb * N)
-    A = np.zeros((4 + N, n))
-    for k in range(2):
-        A[2 * k, up] = -rate[k] / cfg.duration
-        A[2 * k, -1] = 1.0
-        A[2 * k + 1, :(nb - 1) * N] = -harvest[k].reshape(-1)
-        A[2 * k + 1, up] = tx_power[k]
-    A[4:, :-1] = np.tile(np.eye(N), nb)
-    b = np.zeros(4 + N)
-    b[4:] = d
-
+    up = np.arange((nb - 1) * N, nb * N)
     charge = d / (2.0 * (nb - 1))
     uplink = d / 4.0
     for k in range(2):
@@ -265,8 +255,13 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
     # is optimal, the LP has no interior and the start is the answer.
     if start[-1] > 0.0:
         prob = Problem(n)
-        prob.add_affine(A, b)
-        prob.add_affine(-np.eye(n), np.zeros(n))
+        for k in range(2):
+            prob.add_affine(np.append(up, n - 1),
+                            np.append(-rate[k] / cfg.duration, 1.0), 0.0)
+            prob.add_affine(np.arange(n - 1),
+                            np.concatenate((-harvest[k].reshape(-1), tx_power[k])), 0.0)
+        prob.add_affine(np.arange(n - 1).reshape(nb, N).T, 1.0, np.full(N, d))
+        prob.add_bounds(np.arange(n))
         start = np.clip(solve_concave(prob, start).x, 0.0, None)
     return start[:-1].reshape(nb, N)
 
@@ -286,9 +281,10 @@ def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power) -> AllocationIC:
 
 def _lift_epigraph(prob: Problem, x: np.ndarray) -> np.ndarray:
     """Set the epigraph variable (the last one) of `x` just below the smallest
-    concave-row value, so every rate row is strictly feasible; returns x."""
+    rate-row value, so every rate row is strictly feasible; returns x.  The
+    rate rows are the program's first two rows, the only ones holding it."""
     x[-1] = 0.0
-    floor = float(min(row.value(x) for row in prob.conc_rows))
+    floor = float(prob.slacks(x)[:2].min())
     x[-1] = floor - 1e-6 * (1.0 + abs(floor))
     return x
 
@@ -315,15 +311,13 @@ def _finish_power_program(cfg: ScenarioConfig, prob: Problem, Q: np.ndarray,
     A = active.size
     start = np.zeros(prob.n)
     for k in range(2):
-        row = np.zeros(prob.n)
-        row[k * A:(k + 1) * A] = uplink[active]
-        prob.add_affine(row, budgets[k])
+        prob.add_affine(k * A + np.arange(A), uplink[active], budgets[k])
         q0 = np.maximum(Q[k, active], 1e-9 * (1.0 + budgets[k] / cfg.duration))
         spend = float((q0 * uplink[active]).sum())
         if spend >= budgets[k]:
             q0 = q0 * (0.999 * budgets[k] / spend)
         start[k * A:(k + 1) * A] = q0
-    prob.add_affine(-np.eye(prob.n)[:2 * A], np.zeros(2 * A))
+    prob.add_bounds(np.arange(2 * A))
     return _lift_epigraph(prob, start)
 
 
@@ -353,9 +347,8 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
             ko = 1 - k
             ref_itf = Q[ko, active] * g[ko, k, active] + cfg.noise_power
             slope = g[ko, k, active] * LOG2E / ref_itf
-            lin = np.zeros(prob.n)
-            lin[ko * A:(ko + 1) * A] = -uplink[active] / cfg.duration * slope
-            lin[-1] = -1.0
+            idx = np.append(ko * A + np.arange(A), prob.n - 1)
+            lin = np.append(-uplink[active] / cfg.duration * slope, -1.0)
             const = float((uplink[active] / cfg.duration
                            * (-np.log2(ref_itf) + slope * Q[ko, active])).sum())
             logs = LogGroup(
@@ -364,7 +357,7 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
                 offsets=np.full(A, cfg.noise_power),
                 weights=wt,
             )
-            prob.add_concave_ge(const=const, lin=lin, logs=(logs,))
+            prob.add_concave_ge(idx=idx, lin=lin, const=const, logs=(logs,))
         start = _finish_power_program(cfg, prob, Q, active, uplink, budgets)
         out = solve_concave(prob, start)
         Q_new = Q.copy()
@@ -390,94 +383,96 @@ def _free_coords(cfg: ScenarioConfig, ref: np.ndarray, nv: int) -> np.ndarray:
     return x
 
 
-def traj_var_base(cfg: ScenarioConfig, m: int, slot: int) -> int:
+def traj_var_base(cfg: ScenarioConfig, m, slot):
     """Index of UAV m's x-coordinate at interior slot `slot` (1..N-1) in the
-    trajectory subproblem layout shared by both engines."""
+    trajectory subproblem layout shared by both engines (elementwise for
+    arrays)."""
     return 2 * ((cfg.num_slots - 1) * m + (slot - 1))
 
 
-def _dist2_parts(nv: int, base: int, point: np.ndarray):
-    """(diag, lin, const) of ||x[base:base+2] - point||^2 in the
-    `Problem.add_quad` form."""
-    diag = np.zeros(nv)
-    diag[base: base + 2] = 2.0
-    lin = np.zeros(nv)
-    lin[base: base + 2] = -2.0 * point
-    return diag, lin, float((point**2).sum())
+def _dist2_rows(base, point):
+    """(idx, diag, lin, const) of the rows ||x[base:base+2] - point||^2 in the
+    `Problem.add_quad` form, one row per entry of `base` (points (rows, 2))."""
+    idx = np.stack([base, base + 1], axis=-1)
+    return idx, np.full(idx.shape, 2.0), -2.0 * point, (point**2).sum(axis=-1)
 
 
-def _add_strict_quad(prob: Problem, diag, lin, const: float, x_ref: np.ndarray,
+def _add_strict_quad(prob: Problem, idx, diag, lin, const, x_ref: np.ndarray,
                      tol: float) -> None:
-    """Add the surrogate row 0.5 x'diag(diag)x + lin.x + const <= 0, relaxed
-    by `tol` plus whatever x_ref violates it by, so x_ref is strictly inside."""
-    at_ref = 0.5 * float(diag @ (x_ref * x_ref)) + float(lin @ x_ref) + const
-    eps = tol + max(0.0, at_ref)
-    prob.add_quad(diag=diag, lin=lin, const=const - eps)
+    """Add the surrogate rows 0.5 diag . x[idx]^2 + lin . x[idx] + const <= 0
+    ((rows, k) arrays, or (k,) for one row), each relaxed by `tol` plus
+    whatever x_ref violates it by, so x_ref is strictly inside."""
+    idx = np.atleast_2d(idx)
+    xr = x_ref[idx]
+    at_ref = 0.5 * (diag * xr * xr).sum(axis=-1) + (lin * xr).sum(axis=-1) + const
+    prob.add_quad(idx, diag, lin, const - (tol + np.maximum(0.0, at_ref)))
 
 
 def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray,
                       trust_radius=None) -> None:
-    """Collision (affine minorant), speed and optional trust-region rows.
+    """Speed, optional trust-region and collision (affine minorant) rows, the
+    N-1 collision rows last.
 
     Rows are relaxed just enough that the reference trajectory is strictly
     inside; the relaxations stay far below the feasibility tolerances.
     """
     N = cfg.num_slots
-    nv = prob.n
-    dmin2 = cfg.min_separation**2
-    for n in range(1, N):
-        d_ref = ref[0, n] - ref[1, n]
-        nrm2 = float((d_ref**2).sum())
-        eps = 1e-8 * max(1.0, dmin2) + max(0.0, dmin2 - nrm2)
-        row = np.zeros(nv)
-        row[traj_var_base(cfg, 0, n): traj_var_base(cfg, 0, n) + 2] = -2.0 * d_ref
-        row[traj_var_base(cfg, 1, n): traj_var_base(cfg, 1, n) + 2] = 2.0 * d_ref
-        prob.add_affine(row, -(dmin2 - eps) - nrm2)
-
+    slots = np.arange(1, N)
     step2 = cfg.max_step**2
     for m in range(2):
-        for n in range(N):
-            ref_step = float(((ref[m, n + 1] - ref[m, n]) ** 2).sum())
-            eps = 1e-8 * max(1.0, step2) + max(0.0, ref_step - step2)
-            if 1 <= n <= N - 2:
-                ia, ib = traj_var_base(cfg, m, n), traj_var_base(cfg, m, n + 1)
-                prob.add_pair_step(np.array([ia, ia + 1, ib, ib + 1]), -step2 - eps)
-            else:
-                fixed = cfg.uav_initial[m] if n == 0 else cfg.uav_final[m]
-                iv = traj_var_base(cfg, m, 1 if n == 0 else N - 1)
-                diag, lin, const = _dist2_parts(nv, iv, fixed)
-                prob.add_quad(diag=diag, lin=lin, const=const - step2 - eps)
+        ref_step = ((ref[m, 1:] - ref[m, :-1]) ** 2).sum(axis=-1)
+        eps = 1e-8 * max(1.0, step2) + np.maximum(0.0, ref_step - step2)
+        # Legs between interior positions, then the legs from the start and
+        # to the end, whose far point is fixed.
+        ia = traj_var_base(cfg, m, slots[:-1])
+        prob.add_pair_step(np.stack([ia, ia + 1, ia + 2, ia + 3], axis=1),
+                           -step2 - eps[1:N - 1])
+        idx, diag, lin, const = _dist2_rows(
+            traj_var_base(cfg, m, np.array([1, N - 1])),
+            np.stack([cfg.uav_initial[m], cfg.uav_final[m]]))
+        prob.add_quad(idx, diag, lin, const - step2 - eps[[0, N - 1]])
 
     if trust_radius is not None:
         for m in range(2):
-            for n in range(1, N):
-                diag, lin, const = _dist2_parts(nv, traj_var_base(cfg, m, n), ref[m, n])
-                prob.add_quad(diag=diag, lin=lin, const=const - trust_radius**2)
+            idx, diag, lin, const = _dist2_rows(traj_var_base(cfg, m, slots), ref[m, 1:N])
+            prob.add_quad(idx, diag, lin, const - trust_radius**2)
+
+    dmin2 = cfg.min_separation**2
+    d_ref = ref[0, 1:N] - ref[1, 1:N]
+    nrm2 = (d_ref**2).sum(axis=-1)
+    eps = 1e-8 * max(1.0, dmin2) + np.maximum(0.0, dmin2 - nrm2)
+    b0, b1 = traj_var_base(cfg, 0, slots), traj_var_base(cfg, 1, slots)
+    prob.add_affine(np.stack([b0, b0 + 1, b1, b1 + 1], axis=1),
+                    np.hstack([-2.0 * d_ref, 2.0 * d_ref]), -(dmin2 - eps) - nrm2)
 
 
-def _add_harvest_tangent(cfg: ScenarioConfig, diag: np.ndarray, lin: np.ndarray,
-                         const: float, coef: float, ref: np.ndarray,
-                         w_k: np.ndarray, m: int, n: int) -> float:
-    """Subtract from the energy row (diag, lin, const) the tangent lower bound
-    of coef / (H^2 + ||q_m[n] - w_k||^2), expanded at ref[m, n]; a fixed final
-    position enters as a constant.  Returns the new constant."""
+def _harvest_tangent(cfg: ScenarioConfig, coef: np.ndarray, ref: np.ndarray,
+                     w_k: np.ndarray, slots: np.ndarray):
+    """Minus the tangent lower bound of the sum over `slots` and both UAVs of
+    coef / (H^2 + ||q_m[n] - w_k||^2), expanded at ref[m, n] (n = slot + 1),
+    as (idx, diag, lin, const) of one `Problem.add_quad` row; a fixed final
+    position enters as a constant."""
     H2 = cfg.altitude**2
-    u_ref = float(((ref[m, n] - w_k) ** 2).sum())
+    n = slots + 1
+    u_ref = ((ref[:, n, :] - w_k) ** 2).sum(axis=-1)         # (uav, slot)
     gamma = coef / (H2 + u_ref) ** 2
-    const -= 2.0 * coef / (H2 + u_ref)
-    if n <= cfg.num_slots - 1:
-        base = traj_var_base(cfg, m, n)
-        diag[base: base + 2] += 2.0 * gamma
-        lin[base: base + 2] += -2.0 * gamma * w_k
-        const += gamma * float((w_k ** 2).sum()) + gamma * H2
-    else:
-        const += gamma * (H2 + u_ref)
-    return const
+    inner = n <= cfg.num_slots - 1
+    const = (float((-2.0 * coef / (H2 + u_ref)).sum())
+             + float((gamma[:, inner] * (float((w_k**2).sum()) + H2)).sum())
+             + float((gamma[:, ~inner] * (H2 + u_ref[:, ~inner])).sum()))
+    base = traj_var_base(cfg, np.arange(2)[:, None], n[inner][None, :])
+    g = gamma[:, inner]
+    return (np.stack([base, base + 1], axis=-1).reshape(-1),
+            np.repeat(2.0 * g.reshape(-1), 2),
+            (-2.0 * g[:, :, None] * w_k).reshape(-1), const)
 
 
 def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
                         ref: np.ndarray, trust_radius):
-    """Concave program of one trajectory SCA pass at the reference `ref`."""
+    """Concave program of one trajectory SCA pass at the reference `ref`.
+
+    Rows, in order: the two rate rows, the two energy rows, the domain rows
+    of the interference terms, then `add_geometry_rows`."""
     N = cfg.num_slots
     H2 = cfg.altitude**2
     b0 = cfg.ref_gain
@@ -485,73 +480,62 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
     uplink, charge, Q = alloc.uplink_time, alloc.charge_time, alloc.tx_power
     w = cfg.device_positions
     prob = Problem(nv)
+    x_ref = _free_coords(cfg, ref, nv)
 
     # Rate rows: one concave row per device (depends on its own UAV only).
+    slot = np.flatnonzero(uplink > 1e-6 * cfg.slot_duration)
+    n = slot + 1
+    inner = n <= N - 1
+    wt = uplink[slot] / cfg.duration
+    domain = []
     for k in range(2):
         ko = 1 - k
-        const = 0.0
-        lin = np.zeros(nv)
-        diag = np.zeros(nv)
-        nl_idx, nl_coeff, nl_off, nl_scale, nl_w = [], [], [], [], []
-        for slot in np.flatnonzero(uplink > 1e-6 * cfg.slot_duration):
-            n = int(slot) + 1
-            wt = uplink[slot] / cfg.duration
-            qk = ref[k, n]
-            u_ref = ((qk - w) ** 2).sum(axis=-1)
-            s_ref = (Q[0, slot] * b0 / (u_ref[0] + H2)
-                     + Q[1, slot] * b0 / (u_ref[1] + H2) + cfg.noise_power)
-            alpha = Q[:, slot] * b0 / (u_ref + H2) ** 2 * LOG2E / s_ref
-            const += wt * float(np.log2(s_ref) + (alpha * u_ref).sum())
-            if n <= N - 1:
-                base = traj_var_base(cfg, k, n)
-                diag[base: base + 2] += 2.0 * wt * float(alpha.sum())
-                lin[base: base + 2] += 2.0 * wt * (alpha[:, None] * w).sum(axis=0)
-                const -= wt * float((alpha * (w**2).sum(axis=1)).sum())
-            else:
-                const -= wt * float((alpha * u_ref).sum())  # fixed final point
-            if Q[ko, slot] <= 0.0:
-                const -= wt * np.log2(cfg.noise_power)
-            elif n <= N - 1:
-                base = traj_var_base(cfg, k, n)
-                grad = 2.0 * (qk - w[ko])
-                off = float(u_ref[ko] + H2 - grad @ qk)
-                nl_idx.append([base, base + 1])
-                nl_coeff.append(grad)
-                nl_off.append(off)
-                nl_scale.append(Q[ko, slot] * b0)
-                nl_w.append(wt / np.log(2.0))
-                # Keep the affine squared-distance minorant inside the domain.
-                row = np.zeros(nv)
-                row[base: base + 2] = -grad
-                prob.add_affine(row, off - 0.01 * H2)
-            else:
-                const -= wt * np.log2(cfg.noise_power
-                                      + Q[ko, slot] * b0 / (u_ref[ko] + H2))
-        lin[-1] = -1.0
-        neglogs = ()
-        if nl_idx:
-            neglogs = (NegLogGroup(
-                idx=np.asarray(nl_idx), coeffs=np.asarray(nl_coeff),
-                offsets=np.asarray(nl_off), weights=np.asarray(nl_w),
-                bases=np.full(len(nl_idx), cfg.noise_power),
-                scales=np.asarray(nl_scale)),)
-        prob.add_concave_ge(const=const, lin=lin, diag_neg=diag, neglogs=neglogs)
+        qk = ref[k, n]                                          # (slot, 2)
+        u_ref = ((qk[:, None, :] - w[None]) ** 2).sum(axis=-1)  # (slot, device)
+        s_ref = (Q[0, slot] * b0 / (u_ref[:, 0] + H2)
+                 + Q[1, slot] * b0 / (u_ref[:, 1] + H2) + cfg.noise_power)
+        alpha = Q[:, slot].T * b0 / (u_ref + H2) ** 2 * LOG2E / s_ref[:, None]
+        const = wt * (np.log2(s_ref) + (alpha * u_ref).sum(axis=1))
+        # Interior positions are variables; the fixed final point enters
+        # as a constant.
+        const -= wt * np.where(inner, (alpha * (w**2).sum(axis=1)).sum(axis=1),
+                               (alpha * u_ref).sum(axis=1))
+        base = traj_var_base(cfg, k, n[inner])
+        idx = np.append(np.stack([base, base + 1], axis=1).reshape(-1), nv - 1)
+        diag = np.append(np.repeat(2.0 * wt[inner] * alpha[inner].sum(axis=1), 2), 0.0)
+        lin = np.append((2.0 * wt[inner, None] * (alpha[inner] @ w)).reshape(-1), -1.0)
 
-    x_ref = _free_coords(cfg, ref, nv)
+        silent = Q[ko, slot] <= 0.0
+        end = ~silent & ~inner
+        const[silent] -= wt[silent] * np.log2(cfg.noise_power)
+        const[end] -= wt[end] * np.log2(cfg.noise_power
+                                        + Q[ko, slot[end]] * b0 / (u_ref[end, ko] + H2))
+        neglogs = ()
+        nl = ~silent & inner
+        if nl.any():
+            grad = 2.0 * (qk[nl] - w[ko])
+            off = u_ref[nl, ko] + H2 - (grad * qk[nl]).sum(axis=1)
+            bn = traj_var_base(cfg, k, n[nl])
+            nl_idx = np.stack([bn, bn + 1], axis=1)
+            neglogs = (NegLogGroup(
+                idx=nl_idx, coeffs=grad, offsets=off, weights=wt[nl] / np.log(2.0),
+                bases=np.full(int(nl.sum()), cfg.noise_power),
+                scales=Q[ko, slot[nl]] * b0),)
+            # Keep the affine squared-distance minorant inside the domain.
+            domain.append((nl_idx, -grad, off - 0.01 * H2))
+        prob.add_concave_ge(idx=idx, lin=lin, diag_neg=diag, const=float(const.sum()),
+                            neglogs=neglogs)
 
     # Energy rows: spend - (tangent lower bound of harvested energy) <= 0.
     for k in range(2):
         spend = float((Q[k] * uplink).sum())
-        diag = np.zeros(nv)
-        lin = np.zeros(nv)
-        const = spend
-        for slot in np.flatnonzero(charge > 1e-6 * cfg.slot_duration):
-            n = int(slot) + 1
-            coef = cfg.eh_efficiency * cfg.uav_power * b0 * charge[slot]
-            for m in range(2):
-                const = _add_harvest_tangent(cfg, diag, lin, const, coef, ref, w[k], m, n)
-        _add_strict_quad(prob, diag, lin, const, x_ref, 1e-10 * (1.0 + spend))
+        slots = np.flatnonzero(charge > 1e-6 * cfg.slot_duration)
+        coef = cfg.eh_efficiency * cfg.uav_power * b0 * charge[slots]
+        idx, diag, lin, const = _harvest_tangent(cfg, coef, ref, w[k], slots)
+        _add_strict_quad(prob, idx, diag, lin, spend + const, x_ref, 1e-10 * (1.0 + spend))
 
+    for rows in domain:
+        prob.add_affine(*rows)
     add_geometry_rows(prob, cfg, ref, trust_radius)
     return prob, _lift_epigraph(prob, x_ref.copy())
 

@@ -64,6 +64,14 @@ class TestConfigHandling:
         assert "No such option" in res.output
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("cmd", ["sweep-D", "sweep-T"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, cmd, jobs):
+        res = invoke([cmd, "--out", str(tmp_path), "--values", "2", "--jobs", jobs] + FAST)
+        assert res.exit_code == 2
+        assert "--jobs" in res.output
+        assert not any(tmp_path.iterdir())
+
 
 class TestCommands:
     def test_infinite_commands(self, tmp_path):

@@ -2,30 +2,36 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from wpcn_traj import Problem, StartInfeasible, Status, kernel, solve_concave
+from conftest import benchmark_config
+from wpcn_traj import (Problem, StartInfeasible, Status, direct_flight_trajectory,
+                       kernel, sca_ic, solve_concave, solve_infinite_comp,
+                       solve_infinite_ic)
 from wpcn_traj.kernel import LogGroup, NegLogGroup
+from wpcn_traj.sca_comp import (_traj_subproblem_comp, initial_allocation_comp,
+                                optimize_time_comp)
+from wpcn_traj.sca_ic import (_traj_subproblem_ic, initial_allocation_ic,
+                              optimize_power_ic, optimize_time_ic)
 
 
 def _toy_epigraph(weighted=False):
     # maximize min(ln(1+x), ln(1+y)) s.t. x + y <= 2, x, y >= 0
     prob = Problem(3)
     for i in range(2):
-        lin = np.zeros(3)
-        lin[2] = -1.0
-        prob.add_concave_ge(lin=lin, logs=(LogGroup(
+        prob.add_concave_ge(idx=[2], lin=[-1.0], logs=(LogGroup(
             idx=[[i]], coeffs=[[1.0]], offsets=[1.0], weights=[1.0]),))
-    prob.add_affine([1.0, 1.0, 0.0], 2.0)
-    prob.add_affine([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], [0.0, 0.0])
+    prob.add_affine([0, 1], [1.0, 1.0], 2.0)
+    prob.add_bounds([0, 1])
     return prob
 
 
 class TestSolveConcave:
     def test_monotone_log_hits_upper_bound(self):
         prob = Problem(2)  # [x, R]
-        prob.add_concave_ge(lin=np.array([0.0, -1.0]), logs=(LogGroup(
+        prob.add_concave_ge(idx=[1], lin=[-1.0], logs=(LogGroup(
             idx=[[0]], coeffs=[[1.0]], offsets=[1.0], weights=[1.0]),))
-        prob.add_affine([[1.0, 0.0], [-1.0, 0.0]], [3.0, 0.0])
+        prob.add_affine([[0], [0]], [[1.0], [-1.0]], [3.0, 0.0])
         out = solve_concave(prob, np.array([1.0, 0.1]))
         assert out.status is Status.OPTIMAL
         assert out.x[0] == pytest.approx(3.0, abs=1e-6)
@@ -39,7 +45,7 @@ class TestSolveConcave:
 
     def test_start_infeasible_raises(self):
         prob = Problem(1)
-        prob.add_affine([1.0], 1.0)
+        prob.add_affine([0], [1.0], 1.0)
         with pytest.raises(StartInfeasible):
             solve_concave(prob, np.array([2.0]))
 
@@ -70,13 +76,10 @@ class TestSolveConcave:
         const = -0.4 - 0.6
         logs = (LogGroup(idx=[[0, 2]], coeffs=[[2.0, -1.0]], offsets=[3.0],
                          weights=[1.2]),)
-        prob.add_concave_ge(const=const, lin=lin, diag_neg=diag, logs=logs)
+        prob.add_concave_ge(idx=np.arange(nv), lin=lin, diag_neg=diag, const=const,
+                            logs=logs)
         prob.add_pair_step(np.array([0, 1, 2, 3]), const=-2.25)
-        d = np.zeros(nv)
-        d[:2] = 2.0
-        l2 = np.zeros(nv)
-        l2[0] = -1.0
-        prob.add_quad(diag=d, lin=l2, const=0.25 - 4.0)
+        prob.add_quad(idx=[0, 1], diag=[2.0, 2.0], lin=[-1.0, 0.0], const=0.25 - 4.0)
         out = solve_concave(prob, np.array([0.5, 0.05, -0.5, 0.05, -5.0]))
 
         xs = np.arange(-1.7, 2.6, 1e-3)
@@ -98,7 +101,7 @@ class TestSolveConcave:
         v = 0.5 + 0.4 + 0.6
         assert grp.value(x) == pytest.approx(-0.7 * np.log(0.3 + 1.5 / v), rel=1e-12)
         g = np.zeros(2)
-        grp.add_grad(x, g)
+        np.add.at(g, grp.idx, grp.slopes(grp.args(x))[0][:, None] * grp.coeffs)
         h = 1e-7
         for i in range(2):
             xp = x.copy()
@@ -120,7 +123,7 @@ class TestSolveConcave:
         # The second row's slack is 1e10 while the Newton step moves it by
         # ~1e-300: its slack ratio would overflow, yet it can never bind.
         prob = Problem(1)
-        prob.add_affine([[1.0], [1e-300]], [1.0, 1e10])
+        prob.add_affine([[0], [0]], [[1.0], [1e-300]], [1.0, 1e10])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = solve_concave(prob, np.array([0.0]))
@@ -130,3 +133,114 @@ class TestSolveConcave:
     def test_domain_violation_is_minus_inf(self):
         grp = LogGroup(idx=[[0]], coeffs=[[1.0]], offsets=[0.0], weights=[1.0])
         assert grp.value(np.array([-1.0])) == -np.inf
+
+
+# ---------------------------------------------------------------------------
+# The Newton step against a dense reference
+# ---------------------------------------------------------------------------
+
+def _dense_reference(prob, x, rhs):
+    """Barrier Hessian at x assembled densely, (G/s)^T (G/s) plus every
+    row's curvature over its slack, the step solved by one Jacobi-scaled
+    dense Cholesky factorization, shifted until it factorizes, and that step
+    after one round of iterative refinement."""
+    lay = prob._compiled()
+    s = prob.slacks(x)
+    gv, _ = lay.derivatives(x, 1.0 / s)
+    G = np.zeros((lay.m, lay.n))
+    G[lay.pat_row, lay.pat_col] = gv
+    Gs = G / s[:, None]
+    H = Gs.T @ Gs
+    np.add.at(H, (lay.sq_c, lay.sq_c), 2.0 * lay.sq_v / s[lay.sq_r])
+    w = 2.0 / s[lay.pr_r]
+    for a, b, sign in ((lay.pr_a, lay.pr_a, 1), (lay.pr_b, lay.pr_b, 1),
+                       (lay.pr_a, lay.pr_b, -1), (lay.pr_b, lay.pr_a, -1)):
+        np.add.at(H, (a, b), sign * w)
+    for row, grp in lay.groups:
+        c = grp.slopes(grp.args(x))[1] / s[row]
+        np.add.at(H, (grp.idx[:, :, None], grp.idx[:, None, :]),
+                  c[:, None, None] * grp.coeffs[:, :, None] * grp.coeffs[:, None, :])
+    inv = 1.0 / np.sqrt(np.maximum(H.diagonal(), 1e-300))
+    Hs = H * inv[:, None] * inv[None, :]
+    damp = 0.0
+    while True:
+        try:
+            cf = cho_factor(Hs + damp * np.eye(lay.n), lower=True)
+            d = cho_solve(cf, rhs * inv) * inv
+            return H, d, d + cho_solve(cf, (rhs - H @ d) * inv) * inv
+        except np.linalg.LinAlgError:
+            damp = 1e-12 if damp == 0.0 else 10.0 * damp
+
+
+def _captured_subproblems(monkeypatch):
+    """One subproblem of every kind, built from warm starts below (N=6) and
+    above the crossover: both time LPs (the joint one from equal powers on a
+    symmetric path, so its two rate rows coincide) and the coordination
+    power step at N=80, both trajectory steps at N=40."""
+    probs = []
+
+    def keep(prob, start):
+        probs.append((prob, start))
+        return solve_concave(prob, start)
+
+    for n_slots in (6, 40, 80):
+        cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=n_slots)
+        traj = direct_flight_trajectory(cfg)
+        a_ic = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+        a_comp = initial_allocation_comp(cfg, traj, solve_infinite_comp(cfg, tau_grid=100))
+        if n_slots != 40:
+            monkeypatch.setattr(sca_ic, "solve_concave", keep)
+            a_ic = optimize_time_ic(cfg, traj, a_ic.tx_power)
+            optimize_time_comp(cfg, traj, a_comp.tx_power)
+            optimize_power_ic(cfg, traj, a_ic, max_iter=1)
+            monkeypatch.undo()
+        if n_slots != 80:
+            probs.append(_traj_subproblem_ic(cfg, a_ic, traj.positions, None))
+            probs.append(_traj_subproblem_comp(cfg, a_comp, traj.positions, None)[:2])
+    return probs
+
+
+def _newton_systems(prob, start):
+    """Every Newton system of one solve, as (x, right-hand side, step)."""
+    lay = prob._compiled()
+    seen = []
+    derivatives, newton = lay.derivatives, lay.newton
+
+    def record_x(x, inv_s):
+        seen.append(x.copy())
+        return derivatives(x, inv_s)
+
+    def record_step(gv, hv, inv_s, rhs):
+        d = newton(gv, hv, inv_s, rhs)
+        seen[-1] = (seen[-1], rhs.copy(), d)
+        return d
+
+    lay.derivatives, lay.newton = record_x, record_step
+    solve_concave(prob, start)
+    return [rec for rec in seen if isinstance(rec, tuple)]
+
+
+def test_newton_step_matches_dense_reference(monkeypatch):
+    sides = set()
+    for prob, start in _captured_subproblems(monkeypatch):
+        sides.add(prob._compiled().structured)
+        systems = _newton_systems(prob, start)
+        # The first steps, a sample of the middle and the late-stage steps,
+        # where the near-active dense rows dominate the Hessian.
+        picks = sorted(set(range(3)) | set(range(0, len(systems), 10))
+                       | set(range(len(systems) - 5, len(systems))))
+        for i in picks:
+            x, rhs, d = systems[i]
+            H, d_ref, d_refined = _dense_reference(prob, x, rhs)
+            r, r_ref = np.linalg.norm(H @ d - rhs), np.linalg.norm(H @ d_refined - rhs)
+            assert r <= 10.0 * np.linalg.norm(H @ d_ref - rhs) + 1e-12 * np.linalg.norm(rhs), \
+                (prob.n, i)
+            # Decrements agree to 1e-8 relative, beyond what the two
+            # residuals let any solver of this system differ by:
+            # |rhs.(d - d')| <= |d'| (|r| + |r'|).  The reference is the
+            # refined dense step, since on ill-conditioned time-LP systems
+            # the plain dense step is the less accurate one.
+            dec, dec_ref = rhs @ d, rhs @ d_refined
+            assert abs(dec - dec_ref) <= 1e-8 * abs(dec_ref) \
+                + np.linalg.norm(d_refined) * (r + r_ref), (prob.n, i)
+    assert sides == {True, False}

@@ -1,6 +1,10 @@
 """The trajectory subproblems assemble their surrogate rows by hand; these
 tests evaluate each assembled row at random points near the expansion point
-and compare it with the reference surrogate in `bounds.py`."""
+and compare it with the reference surrogate in `bounds.py`.
+
+Rows are read through `Problem.slacks` (slack = -g for a row g(x) <= 0), in
+the order the builders add them: the two rate rows, the two energy rows, the
+joint mode's slack-definition rows, and the N-1 collision rows last."""
 
 import numpy as np
 import pytest
@@ -45,15 +49,6 @@ def _positions(ref, x):
     return pos
 
 
-def _quad(row, x):
-    diag, lin, const = row
-    return 0.5 * float(diag @ (x * x)) + float(lin @ x) + const
-
-
-def _affine_slacks(prob, x):
-    return np.asarray(prob._aff_rhs) - np.vstack(prob._aff_rows) @ x
-
-
 def _collision_slack(cfg, ref, pos):
     """Collision-row slack expected from `separation_bound`, with the
     relaxation `add_geometry_rows` applies."""
@@ -74,18 +69,19 @@ def test_coordination_rows_match_bounds(seed):
     for _ in range(5):
         x = _point(rng, ref, prob.n)
         pos = _positions(ref, x)[:, 1:, :]
+        slacks = prob.slacks(x)
         for k in range(2):
             want = traj_rate_bound(pos, ref_slots, Q, alloc.uplink_time, k, cfg).sum()
-            assert prob.conc_rows[k].value(x) == pytest.approx(
+            assert slacks[k] == pytest.approx(
                 want / cfg.duration, rel=1e-10, abs=1e-12)
             # Energy row: spend - harvest bound <= 0, relaxed so that the
             # reference is strictly inside.
             at_ref = spend[k] - harvested_energy_ic(alloc, ref_slots, k, cfg)
             eps = 1e-10 * (1.0 + spend[k]) + max(0.0, at_ref)
             want = spend[k] - harvest_bound_ic(pos, ref_slots, alloc.charge_time, k, cfg) - eps
-            assert _quad(prob._diag_rows[k], x) == pytest.approx(want, rel=1e-9, abs=1e-15)
-        slacks = _affine_slacks(prob, x)[-(N - 1):]
-        np.testing.assert_allclose(slacks, _collision_slack(cfg, ref, _positions(ref, x)),
+            assert -slacks[2 + k] == pytest.approx(want, rel=1e-9, abs=1e-15)
+        np.testing.assert_allclose(slacks[-(N - 1):],
+                                   _collision_slack(cfg, ref, _positions(ref, x)),
                                    rtol=1e-10, atol=1e-10)
 
 
@@ -102,7 +98,6 @@ def test_joint_rows_match_bounds(seed):
     w = cfg.device_positions
     spend = (Q * alloc.uplink_time).sum(axis=1)
     eta_p = cfg.eh_efficiency * cfg.uav_power
-    slack_rows = prob._diag_rows[2:2 + len(amp_index) + len(inv_index)]
     for _ in range(5):
         x = _point(rng, ref, prob.n)
         amp = slack.amp * rng.uniform(0.8, 1.2, size=slack.amp.shape)
@@ -123,14 +118,15 @@ def test_joint_rows_match_bounds(seed):
             leaked = harvest_bound_ic(pos, ref[:, 1:, :], beam[1 - k], k, cfg)
             return spend[k] - coherent - leaked
 
+        slacks = prob.slacks(x)
         for k in range(2):
             eps = 1e-10 * (1.0 + spend[k]) + max(0.0, energy(k, ref[:, 1:, :], slack.amp))
-            assert _quad(prob._diag_rows[k], x) == pytest.approx(
+            assert -slacks[2 + k] == pytest.approx(
                 energy(k, pos, amp) - eps, rel=1e-9, abs=1e-15)
 
         # Slack rows: ||q - w_k||^2 + H^2 <= b0 inv_square_bound(amp) and
         # <= reciprocal_bound(inv_gain), relaxed at the reference.
-        rows = iter(slack_rows)
+        rows = iter(-slacks[4:4 + len(amp_index) + len(inv_index)])
         for index, bound, refs in (
                 (amp_index, lambda v, r: cfg.ref_gain * inv_square_bound(v, r), slack.amp),
                 (inv_index, reciprocal_bound, slack.inv_gain)):
@@ -140,8 +136,8 @@ def test_joint_rows_match_bounds(seed):
                             - float(bound(v, refs[k, m, s])))
 
                 eps = 1e-9 * (1.0 + H2) + max(0.0, gap(ref[:, 1:, :], x_ref[j]))
-                assert _quad(next(rows), x) == pytest.approx(gap(pos, x[j]) - eps,
+                assert next(rows) == pytest.approx(gap(pos, x[j]) - eps,
                                                              rel=1e-9, abs=1e-12)
-        slacks = _affine_slacks(prob, x)[-(N - 1):]
-        np.testing.assert_allclose(slacks, _collision_slack(cfg, ref, _positions(ref, x)),
+        np.testing.assert_allclose(slacks[-(N - 1):],
+                                   _collision_slack(cfg, ref, _positions(ref, x)),
                                    rtol=1e-10, atol=1e-10)
