@@ -13,6 +13,13 @@ Running it against two checkouts and diffing the outputs shows whether a
 change moved any rate or trace:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src python3 scripts/grid_rates.py > a.jsonl
+
+`--against REV` does that in one command: it checks REV out into a
+temporary `git worktree` (local, no fetch), prints this grid for REV and for
+the working tree this script sits in (one BLAS thread each), prints the
+differing lines, removes the worktree and exits 1 on any difference:
+
+    python3 scripts/grid_rates.py --against HEAD~1
 """
 
 import os
@@ -22,13 +29,18 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import argparse  # noqa: E402
+import difflib  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from wpcn_traj import (ScenarioConfig, is_feasible, solve_infinite_comp,  # noqa: E402
-                       solve_infinite_ic, solve_p1, solve_p1_direct, solve_p21,
-                       solve_p21_direct)
+ROOT = Path(__file__).resolve().parent.parent
 
 # Engines accept a step when the throughput drops by at most 1e-12 relative;
 # one outer iteration chains three such steps.
@@ -36,19 +48,25 @@ TRACE_SLACK = 3e-12
 
 
 def configs():
-    for solver, mode, N in ((solve_p1, "p1", 6), (solve_p21, "p21", 12)):
+    for mode, N in (("p1", 6), ("p21", 12)):
         for D in (5.0, 15.0, 30.0):
             for T in (4.0, 20.0, 50.0):
-                yield solver, mode, D, T, N
-    for solver, mode in ((solve_p1_direct, "p1_direct"), (solve_p21_direct, "p21_direct")):
+                yield mode, D, T, N
+    for mode in ("p1_direct", "p21_direct"):
         for D in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
-            yield solver, mode, D, 20.0, 80
+            yield mode, D, 20.0, 80
 
 
-def main() -> None:
-    for solver, mode, D, T, N in configs():
+def print_grid() -> None:
+    from wpcn_traj import (ScenarioConfig, is_feasible, solve_infinite_comp,
+                           solve_infinite_ic, solve_p1, solve_p1_direct, solve_p21,
+                           solve_p21_direct)
+
+    solvers = {"p1": solve_p1, "p21": solve_p21, "p1_direct": solve_p1_direct,
+               "p21_direct": solve_p21_direct}
+    for mode, D, T, N in configs():
         cfg = ScenarioConfig(device_distance=D, duration=T, num_slots=N)
-        rep = solver(cfg)
+        rep = solvers[mode](cfg)
         trace = np.asarray(rep.objective_trace, dtype=float)
         monotone = bool(np.all(np.diff(trace) >= -TRACE_SLACK * (1.0 + np.abs(trace[:-1]))))
         print(json.dumps({
@@ -72,5 +90,46 @@ def main() -> None:
                 }), flush=True)
 
 
+def grid_of(checkout: Path) -> list:
+    """The grid lines of the package in `checkout`, one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, str(Path(__file__).resolve())], env=env,
+                         check=True, stdout=subprocess.PIPE, text=True)
+    return run.stdout.splitlines()
+
+
+def against(rev: str) -> int:
+    """Diff the grid of `rev` against that of the working tree; 1 if any
+    line differs."""
+    tmp = Path(tempfile.mkdtemp(prefix="grid-rates-"))
+    tree = tmp / "tree"
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                    str(tree), rev], check=True)
+    try:
+        base = grid_of(tree)
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                       check=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+    head = grid_of(ROOT)
+    diff = list(difflib.unified_diff(base, head, rev, "working tree", lineterm="", n=0))
+    print("\n".join(diff))
+    print(f"{len(base)} lines at {rev}, {len(head)} in the working tree: "
+          + ("identical" if not diff else "DIFFERENT"))
+    return 1 if diff else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="diff this grid between git revision REV and the working tree")
+    args = parser.parse_args()
+    if args.against is None:
+        print_grid()
+        return 0
+    return against(args.against)
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

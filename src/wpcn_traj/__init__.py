@@ -11,19 +11,17 @@ from .model import (AllocationCoMP, AllocationIC, ConfigError, ScenarioConfig,
                     energy_residual_ic, feasibility_report, gain_matrix,
                     harvested_energy_comp, harvested_energy_ic, is_feasible,
                     rates_comp, rates_ic, sinr_ic, watt_to_dbm)
-from .hover_ic import (HoverSolutionIC, WitMode, phi_derivative,
-                       solve_infinite_ic, wit_mode1_hover, wit_mode2_rate,
-                       wpt_hover_ic)
+from .hover_ic import (HoverSolutionIC, WitMode, solve_infinite_ic,
+                       wit_mode1_hover, wit_mode2_rate, wpt_hover_ic)
 from .hover_comp import (EmptyFeasibleGrid, HoverSolutionCoMP,
                          solve_infinite_comp, wit_hover_comp, wpt_hover_comp)
 from .kernel import Problem, SolveOutcome, StartInfeasible, Status, solve_concave
-from .mc import McEstimate, SingularChannel, sample_received_power, sample_zf_rate
+from .mc import McEstimate, SingularChannel, sample_zf_rate
 from .sca_ic import (Initialization, SolveOptions, SolveReport,
                      direct_flight_trajectory, optimize_power_ic,
-                     optimize_time_ic, optimize_traj_ic, shf_trajectory_ic,
-                     solve_p1, solve_p1_direct)
-from .sca_comp import (SlackState, optimize_power_comp,
-                       optimize_time_comp, optimize_traj_comp,
-                       shf_trajectory_comp, solve_p21, solve_p21_direct)
+                     optimize_time_ic, optimize_traj_ic, solve_p1,
+                     solve_p1_direct)
+from .sca_comp import (SlackState, optimize_power_comp, optimize_time_comp,
+                       optimize_traj_comp, solve_p21, solve_p21_direct)
 
 __version__ = "0.1.0"

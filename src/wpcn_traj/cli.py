@@ -67,9 +67,12 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"unknown config key '{key}'")
     typ = CONFIG_KEYS[key][0]
     try:
-        return typ(raw) if typ is not int else int(float(raw))
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': cannot parse '{raw}'") from exc
+    if not np.isfinite(value) or (typ is int and not value.is_integer()):
+        raise ConfigError(f"config key '{key}': '{raw}' is not a finite {typ.__name__}")
+    return typ(value)
 
 
 def load_settings(config_path: str | None, overrides) -> dict:
@@ -292,32 +295,21 @@ def _solve_labels(command, labels, config_path, overrides, out_dir, seed):
     _guarded(command, body)
 
 
-@main.command("solve-ic")
-@_common_options
-def solve_ic_cmd(config_path, overrides, out_dir, seed):
-    """Finite-horizon solve, interference coordination."""
-    _solve_labels("solve-ic", ["ic-proposed"], config_path, overrides, out_dir, seed)
+def _single_design_command(command: str, label: str, doc: str) -> None:
+    """Register `command`, which solves the one design `label`."""
+    @main.command(command, help=doc)
+    @_common_options
+    def cmd(config_path, overrides, out_dir, seed):
+        _solve_labels(command, [label], config_path, overrides, out_dir, seed)
 
 
-@main.command("solve-comp")
-@_common_options
-def solve_comp_cmd(config_path, overrides, out_dir, seed):
-    """Finite-horizon solve, joint transmission/reception."""
-    _solve_labels("solve-comp", ["comp-proposed"], config_path, overrides, out_dir, seed)
-
-
-@main.command("infinite-ic")
-@_common_options
-def infinite_ic_cmd(config_path, overrides, out_dir, seed):
-    """Infinite-horizon hovering bound, interference coordination."""
-    _solve_labels("infinite-ic", ["ic-bound"], config_path, overrides, out_dir, seed)
-
-
-@main.command("infinite-comp")
-@_common_options
-def infinite_comp_cmd(config_path, overrides, out_dir, seed):
-    """Infinite-horizon hovering bound, joint transmission/reception."""
-    _solve_labels("infinite-comp", ["comp-bound"], config_path, overrides, out_dir, seed)
+for _args in (
+        ("solve-ic", "ic-proposed", "Finite-horizon solve, interference coordination."),
+        ("solve-comp", "comp-proposed", "Finite-horizon solve, joint transmission/reception."),
+        ("infinite-ic", "ic-bound", "Infinite-horizon hovering bound, interference coordination."),
+        ("infinite-comp", "comp-bound",
+         "Infinite-horizon hovering bound, joint transmission/reception.")):
+    _single_design_command(*_args)
 
 
 @main.command("benchmark-direct")

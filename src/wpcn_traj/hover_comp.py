@@ -76,10 +76,8 @@ def wpt_hover_comp(cfg: ScenarioConfig, tau_E_total: float, grid_step: float = 0
     span = D / 2.0 + H
     coarse = np.arange(-span, span + grid_step / 2.0, grid_step)
     x1, x2, _ = _best_pair_on(coarse, coarse, cfg)
-    fine1 = np.clip(np.arange(x1 - grid_step, x1 + grid_step + REFINE_STEP / 2.0,
-                              REFINE_STEP), -span, span)
-    fine2 = np.clip(np.arange(x2 - grid_step, x2 + grid_step + REFINE_STEP / 2.0,
-                              REFINE_STEP), -span, span)
+    fine1, fine2 = (np.clip(np.arange(x - grid_step, x + grid_step + REFINE_STEP / 2.0,
+                                      REFINE_STEP), -span, span) for x in (x1, x2))
     x1, x2, best = _best_pair_on(fine1, fine2, cfg)
     energy = tau_E_total / 2.0 * best
     return (x1, x2), float(energy)

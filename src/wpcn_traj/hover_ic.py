@@ -16,10 +16,6 @@ from scipy.optimize import brentq, minimize_scalar
 from .model import ScenarioConfig
 
 
-class NoRootInBracket(RuntimeError):
-    """Stationarity equation has no sign change inside the hover bracket."""
-
-
 class WitMode(Enum):
     SIMULTANEOUS = "simultaneous"
     TDMA = "tdma"
@@ -46,16 +42,6 @@ def interior_hover_x(D: float, H: float) -> float:
     """Interior maximizer of pair_gain_sum, defined for D > 2H/sqrt(3)."""
     u = -(D**2 / 4.0 + H**2) + np.sqrt(D**4 / 4.0 + H**2 * D**2)
     return float(np.sqrt(u))
-
-
-def phi_derivative(x, D: float, H: float, tau_E: float,
-                   eta: float, P: float, beta0: float) -> np.ndarray:
-    """Derivative of the charging-hover objective tau_E*eta*P*beta0*pair_gain_sum."""
-    x = np.asarray(x, dtype=float)
-    a = D**2 / 4.0 + H**2
-    num = x**4 + 2.0 * a * x**2 - 3.0 * D**4 / 16.0 + H**4 - H**2 * D**2 / 2.0
-    den = ((x**2 + a - D * x) ** 2) * ((x**2 + a + D * x) ** 2)
-    return -4.0 * eta * tau_E * beta0 * P * x * num / den
 
 
 def _pair_hover_x(cfg: ScenarioConfig) -> float:
@@ -130,21 +116,18 @@ def wit_mode1_hover(cfg: ScenarioConfig, tau_E: float, energy: float) -> tuple[f
     c = cfg.ref_gain * Q / cfg.noise_power
     lo = max(D / 2.0, cfg.min_separation / 2.0)
     hi = max(cfg.min_separation / 2.0, float(np.sqrt((D / 2.0) ** 2 + H**2)))
-    try:
-        if hi - lo < 1e-12:
-            raise NoRootInBracket("degenerate bracket")
+    x = None
+    if hi - lo >= 1e-12:
         f_lo, f_hi = _stationarity(lo, D, H, c), _stationarity(hi, D, H, c)
         if f_lo == 0.0:
             x = lo
         elif f_hi == 0.0:
             x = hi
-        elif f_lo * f_hi > 0.0:
-            raise NoRootInBracket(f"no sign change on [{lo}, {hi}]")
-        else:
+        elif f_lo * f_hi <= 0.0:
             x = float(brentq(_stationarity, lo, hi, args=(D, H, c),
                              xtol=1e-12, rtol=8.9e-16))
             x = _polish_root(x, lo, hi, D, H, c)
-    except NoRootInBracket:
+    if x is None:  # degenerate bracket or no sign change
         r_lo, r_hi = (float(simultaneous_rate_at(cfg, tau_E, energy, e)) for e in (lo, hi))
         x = lo if r_lo >= r_hi else hi
     return x, float(simultaneous_rate_at(cfg, tau_E, energy, x))

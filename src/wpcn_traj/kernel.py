@@ -107,32 +107,22 @@ class LogGroup:
 
 
 @dataclass
-class NegLogGroup:
+class NegLogGroup(LogGroup):
     """sum_j -w_j * ln(base_j + scale_j / v_j),  v_j = off_j + C[j] . x[idx[j]].
 
     Concave and increasing in each v_j for v_j > 0 (base > 0, scale >= 0);
     the standard interference-rate term of the trajectory surrogates.
     """
 
-    idx: np.ndarray
-    coeffs: np.ndarray
-    offsets: np.ndarray
-    weights: np.ndarray
     bases: np.ndarray
     scales: np.ndarray
 
     def __post_init__(self):
-        self.idx = np.atleast_2d(np.asarray(self.idx, dtype=int))
-        self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        self.offsets = np.asarray(self.offsets, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+        super().__post_init__()
         self.bases = np.asarray(self.bases, dtype=float)
         self.scales = np.asarray(self.scales, dtype=float)
-        if np.any(self.weights <= 0.0) or np.any(self.bases <= 0.0) or np.any(self.scales < 0.0):
-            raise ValueError("need weights > 0, bases > 0, scales >= 0")
-
-    def args(self, x: np.ndarray) -> np.ndarray:
-        return self.offsets + np.einsum("jk,jk->j", self.coeffs, x[self.idx])
+        if np.any(self.bases <= 0.0) or np.any(self.scales < 0.0):
+            raise ValueError("need bases > 0, scales >= 0")
 
     def value(self, x: np.ndarray) -> float:
         v = self.args(x)

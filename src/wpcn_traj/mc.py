@@ -2,8 +2,8 @@
 
 The deterministic model works with channel magnitudes and expectations only;
 this module samples the random channel phases to estimate the expected
-zero-forcing uplink rate and to validate the coherent/leakage received-power
-formulas.  Estimates are reproducible per seed (fixed reduction order).
+zero-forcing uplink rate.  Estimates are reproducible per seed (fixed
+reduction order).
 """
 
 from __future__ import annotations
@@ -83,29 +83,6 @@ def sample_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int,
             break
     else:
         raise SingularChannel("channel draws persistently exceed the condition cap")
-    if pending.size:
-        raise SingularChannel("channel draws persistently exceed the condition cap")
 
     rates = np.log2(1.0 + Q[None, :] * inv_row_norm2 / cfg.noise_power)
     return tuple(_estimate(rates[:, k], seed) for k in range(2))
-
-
-def sample_received_power(cfg: ScenarioConfig, uav_positions, target: int,
-                          samples: int, seed: int):
-    """Received powers while both UAVs phase-align their charging signal to
-    `target`: the (deterministic) coherent power there and the random leakage
-    power at the other device.  Returns (coherent, leakage) estimates."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    g = _gains(cfg, uav_positions, None)
-    amp = np.sqrt(g)
-    other = 1 - target
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))  # (s, device, uav)
-    beam = -theta[:, target, :]  # conjugate of the target's channel phases
-    field_target = (amp[target][None, :] * np.exp(1j * (theta[:, target, :] + beam))).sum(axis=1)
-    field_other = (amp[other][None, :] * np.exp(1j * (theta[:, other, :] + beam))).sum(axis=1)
-    scale = cfg.eh_efficiency * cfg.uav_power
-    coherent = scale * np.abs(field_target) ** 2
-    leakage = scale * np.abs(field_other) ** 2
-    return _estimate(coherent, seed), _estimate(leakage, seed)

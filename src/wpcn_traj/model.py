@@ -10,7 +10,7 @@ they only matter to the Monte-Carlo oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -40,6 +40,8 @@ def _as_point_pair(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (2, 2):
         raise ConfigError(f"{name} must be two 2-D points, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} must be finite")
     return arr
 
 
@@ -77,15 +79,12 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "device_positions", np.array([[-half, 0.0], [half, 0.0]])
             )
-        object.__setattr__(
-            self, "device_positions", _as_point_pair(self.device_positions, "device_positions")
-        )
-        object.__setattr__(self, "uav_initial", _as_point_pair(self.uav_initial, "uav_initial"))
-        object.__setattr__(self, "uav_final", _as_point_pair(self.uav_final, "uav_final"))
+        for name in ("device_positions", "uav_initial", "uav_final"):
+            object.__setattr__(self, name, _as_point_pair(getattr(self, name), name))
         for key in ("altitude", "uav_power", "ref_gain", "noise_power",
                     "max_speed", "min_separation", "duration", "device_distance"):
-            if getattr(self, key) <= 0.0:
-                raise ConfigError(f"{key} must be positive")
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ConfigError(f"{key} must be positive and finite")
         if not 0.0 < self.eh_efficiency <= 1.0:
             raise ConfigError("eh_efficiency must lie in (0, 1]")
         if self.num_slots < 1:
@@ -127,10 +126,6 @@ class Trajectory:
         object.__setattr__(self, "positions", arr)
 
     @property
-    def num_slots(self) -> int:
-        return self.positions.shape[1] - 1
-
-    @property
     def slot_positions(self) -> np.ndarray:
         """Positions used for slot-n model quantities, shape (2, N, 2)."""
         return self.positions[:, 1:, :]
@@ -159,50 +154,39 @@ def _positions_of(traj) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AllocationIC:
+class _Allocation:
+    """What both modes' allocations share: float-array fields and the slot
+    checks.  The fields are, in order, the charging durations (one row per
+    charging block), the uplink durations and the device transmit powers."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+
+    def residuals(self, cfg: ScenarioConfig) -> dict:
+        charge, uplink, power = (getattr(self, f.name) for f in fields(self))
+        used = np.atleast_2d(charge).sum(axis=0) + uplink
+        budget = float((used - cfg.slot_duration).max())
+        neg = -min(float(charge.min()), float(uplink.min()), float(power.min()))
+        return {"slot_budget": max(0.0, budget), "negativity": max(0.0, neg)}
+
+
+@dataclass(frozen=True)
+class AllocationIC(_Allocation):
     """Per-slot sub-slot durations and device transmit powers, coordination mode."""
 
     charge_time: np.ndarray  # (N,) downlink charging sub-slot, s
     uplink_time: np.ndarray  # (N,) uplink data sub-slot, s
     tx_power: np.ndarray     # (2, N) device transmit power, W
 
-    def __post_init__(self):
-        object.__setattr__(self, "charge_time", np.asarray(self.charge_time, dtype=float))
-        object.__setattr__(self, "uplink_time", np.asarray(self.uplink_time, dtype=float))
-        object.__setattr__(self, "tx_power", np.asarray(self.tx_power, dtype=float))
-
-    def residuals(self, cfg: ScenarioConfig) -> dict:
-        budget = float((self.charge_time + self.uplink_time - cfg.slot_duration).max())
-        neg = -min(
-            float(self.charge_time.min()),
-            float(self.uplink_time.min()),
-            float(self.tx_power.min()),
-        )
-        return {"slot_budget": max(0.0, budget), "negativity": max(0.0, neg)}
-
 
 @dataclass(frozen=True)
-class AllocationCoMP:
+class AllocationCoMP(_Allocation):
     """Per-slot beamforming sub-sub-slots, uplink sub-slot and powers, joint mode."""
 
     beam_time: np.ndarray    # (2, N) charging sub-sub-slot aimed at device k, s
     uplink_time: np.ndarray  # (N,) joint-reception uplink sub-slot, s
     tx_power: np.ndarray     # (2, N) device transmit power, W
-
-    def __post_init__(self):
-        object.__setattr__(self, "beam_time", np.asarray(self.beam_time, dtype=float))
-        object.__setattr__(self, "uplink_time", np.asarray(self.uplink_time, dtype=float))
-        object.__setattr__(self, "tx_power", np.asarray(self.tx_power, dtype=float))
-
-    def residuals(self, cfg: ScenarioConfig) -> dict:
-        used = self.beam_time.sum(axis=0) + self.uplink_time
-        budget = float((used - cfg.slot_duration).max())
-        neg = -min(
-            float(self.beam_time.min()),
-            float(self.uplink_time.min()),
-            float(self.tx_power.min()),
-        )
-        return {"slot_budget": max(0.0, budget), "negativity": max(0.0, neg)}
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +201,16 @@ def channel_gain(q, w, cfg: ScenarioConfig) -> np.ndarray:
     return cfg.ref_gain / (d2 + cfg.altitude**2)
 
 
+def _device_dist2(traj, cfg: ScenarioConfig) -> np.ndarray:
+    """Squared horizontal distances d2[k, m, n] from UAV m to device k over
+    all slots."""
+    pos = _positions_of(traj)  # (2, N, 2)
+    return ((pos[None, :, :, :] - cfg.device_positions[:, None, None, :]) ** 2).sum(axis=-1)
+
+
 def gain_matrix(traj, cfg: ScenarioConfig) -> np.ndarray:
     """Channel power gains g[k, m, n] from UAV m to device k over all slots."""
-    pos = _positions_of(traj)  # (2, N, 2)
-    dev = cfg.device_positions  # (2, 2)
-    d2 = ((pos[None, :, :, :] - dev[:, None, None, :]) ** 2).sum(axis=-1)
-    return cfg.ref_gain / (d2 + cfg.altitude**2)
+    return cfg.ref_gain / (_device_dist2(traj, cfg) + cfg.altitude**2)
 
 
 def harvested_energy_ic(alloc: AllocationIC, traj, k: int, cfg: ScenarioConfig) -> float:
@@ -315,12 +303,9 @@ def feasibility_report(cfg: ScenarioConfig, traj: Trajectory, alloc) -> Mapping[
     """All constraint residuals of a candidate solution (0 = satisfied)."""
     out = dict(traj.residuals(cfg))
     out.update(alloc.residuals(cfg))
-    if isinstance(alloc, AllocationIC):
-        for k in range(2):
-            out[f"energy_dev{k + 1}"] = max(0.0, -energy_residual_ic(alloc, traj, k, cfg))
-    else:
-        for k in range(2):
-            out[f"energy_dev{k + 1}"] = max(0.0, -energy_residual_comp(alloc, traj, k, cfg))
+    energy = energy_residual_ic if isinstance(alloc, AllocationIC) else energy_residual_comp
+    for k in range(2):
+        out[f"energy_dev{k + 1}"] = max(0.0, -energy(alloc, traj, k, cfg))
     return out
 
 

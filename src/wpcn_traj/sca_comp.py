@@ -19,17 +19,16 @@ import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
 from .kernel import LogGroup, Problem
-from .model import (AllocationCoMP, ScenarioConfig, Trajectory,
-                    common_throughput_comp, comp_coherent_power,
-                    comp_noncoherent_power, comp_rate_upper_bound,
-                    harvested_energy_comp)
+from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
+                    _positions_of, common_throughput_comp,
+                    comp_coherent_power, comp_noncoherent_power,
+                    comp_rate_upper_bound, harvested_energy_comp)
 from .sca_ic import (Initialization, SolveOptions, SolveReport, _Mode,
-                     _SPEED_MARGIN, _add_strict_quad, _alternate, _direct_start,
-                     _free_coords, _harvest_tangent,
+                     _add_strict_quad, _alternate, _direct_start,
+                     _feasible_plan, _free_coords, _harvest_tangent, _leg_time,
                      _lift_epigraph, _power_budgets, _refine_trajectory,
-                     _sample_piecewise, _slots_in_window, _time_lp,
-                     _within_budget, add_geometry_rows, build_visit_paths,
-                     traj_var_base)
+                     _sample_paths, _time_lp, _window_masks, _within_budget,
+                     add_geometry_rows, build_visit_paths, traj_var_base)
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,7 @@ class SlackState:
 
 def slack_at_equality(cfg: ScenarioConfig, traj) -> SlackState:
     """Slacks that make both defining inequalities tight for a trajectory."""
-    pos = traj.slot_positions if isinstance(traj, Trajectory) else np.asarray(traj)
-    d2 = ((pos[None, :, :, :] - cfg.device_positions[:, None, None, :]) ** 2).sum(axis=-1)
-    inv = 1.0 / (d2 + cfg.altitude**2)
+    inv = 1.0 / (_device_dist2(traj, cfg) + cfg.altitude**2)
     return SlackState(amp=np.sqrt(cfg.ref_gain * inv), inv_gain=inv)
 
 
@@ -56,11 +53,9 @@ def slack_at_equality(cfg: ScenarioConfig, traj) -> SlackState:
 def _staggered_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
     """Serialize each transition (one UAV moves while the other holds) with a
     greedy per-leg order keeping the pair farthest apart."""
-    v = cfg.max_speed * _SPEED_MARGIN
     n_legs = len(waypoints[0]) - 1
     wp = [[np.asarray(p, dtype=float) for p in waypoints[m]] for m in range(2)]
-    t_fly = sum(float(np.linalg.norm(wp[m][i + 1] - wp[m][i])) / v
-                for m in range(2) for i in range(n_legs))
+    t_fly = sum(_leg_time(wp[m][i], wp[m][i + 1], cfg) for m in range(2) for i in range(n_legs))
     if t_fly > cfg.duration:
         return None
     slack = cfg.duration - t_fly
@@ -84,7 +79,7 @@ def _staggered_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
         tgt = [wp[0][i + 1], wp[1][i + 1]]
         first = 0 if min_sep_serial(0, cur, tgt) >= min_sep_serial(1, cur, tgt) else 1
         for m in (first, 1 - first):
-            dur = float(np.linalg.norm(tgt[m] - cur[m])) / v
+            dur = _leg_time(cur[m], tgt[m], cfg)
             if dur > 0.0:
                 sched[m].append((t, cur[m]))
                 sched[m].append((t + dur, tgt[m]))
@@ -93,19 +88,19 @@ def _staggered_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
         if i < n_legs - 1:
             windows.append((t, t + float(dwells[i])))
             t += float(dwells[i])
-    at = cfg.slot_duration * np.arange(cfg.num_slots + 1)
-    pos = np.empty((2, cfg.num_slots + 1, 2))
     for m in range(2):
         sched[m].append((cfg.duration, cur[m]))
-        times = np.array([p[0] for p in sched[m]])
-        pts = np.array([p[1] for p in sched[m]])
-        pos[m] = _sample_piecewise(times, pts, at)
-        pos[m, 0] = wp[m][0]
-        pos[m, -1] = wp[m][-1]
-    return pos, windows
+    times = [np.array([p[0] for p in sched[m]]) for m in range(2)]
+    points = [np.array([p[1] for p in sched[m]]) for m in range(2)]
+    return _sample_paths(cfg, times, points, wp), windows
 
 
 def _shf_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
+    """Hover-and-fly start visiting, in order, the first device's charging
+    pair, the uplink pair and the second device's charging pair.  Transitions
+    are serialized one UAV at a time when flying both at once would breach
+    the separation.  Returns the trajectory and its dwell windows, or None
+    when the mission is too short (direct flight)."""
     x1, x2 = hover.wpt_hover_pair
     m1, m2 = hover.mirror_pair
     xi = hover.wit_hover_x
@@ -117,24 +112,8 @@ def _shf_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
     ]
     tau_e = hover.charge_time
     weights = [tau_e / 2.0, cfg.duration - tau_e, tau_e / 2.0]
-    for builder in (build_visit_paths, _staggered_paths):
-        built = builder(cfg, wp, weights)
-        if built is None:
-            continue
-        traj = Trajectory(built[0])
-        if traj.is_feasible(cfg):
-            return traj, {"charge1": built[1][0], "uplink": built[1][1],
-                          "charge2": built[1][2]}
-    return None
-
-
-def shf_trajectory_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
-    """Hover-and-fly start visiting, in order, the first device's charging
-    pair, the uplink pair and the second device's charging pair.  Transitions
-    are serialized one UAV at a time when flying both at once would breach
-    the separation; None when the mission is too short (direct flight)."""
-    built = _shf_comp(cfg, hover)
-    return None if built is None else built[0]
+    return _feasible_plan(cfg, wp, weights, (build_visit_paths, _staggered_paths),
+                          ("charge1", "uplink", "charge2"))
 
 
 def uplink_pair_trajectory_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
@@ -145,12 +124,8 @@ def uplink_pair_trajectory_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
     xi = hover.wit_hover_x
     wp = [[cfg.uav_initial[0], np.array([-xi, 0.0]), cfg.uav_final[0]],
           [cfg.uav_initial[1], np.array([xi, 0.0]), cfg.uav_final[1]]]
-    built = build_visit_paths(cfg, wp, [1.0])
-    if built is None:
-        return None
-    traj = Trajectory(built[0])
-    return traj if traj.is_feasible(cfg) else None
-
+    built = _feasible_plan(cfg, wp, [1.0], (build_visit_paths,), ("uplink",))
+    return None if built is None else built[0]
 
 
 def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
@@ -158,18 +133,13 @@ def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
     N, d = cfg.num_slots, cfg.slot_duration
     beam = np.zeros((2, N))
     uplink = np.zeros(N)
-    masks = None
-    if windows is not None:
-        masks = [_slots_in_window(cfg, windows[key])
-                 for key in ("charge1", "uplink", "charge2")]
-        if masks[1].sum() < 2:
-            masks = None
+    masks = _window_masks(cfg, windows)
     if masks is None:
         rho = min(max(hover.charge_time / cfg.duration, 0.05), 0.95)
         beam[:, :] = d * rho / 2.0
         uplink[:] = d * (1.0 - rho)
     else:
-        c1, up, c2 = masks
+        c1, up, c2 = (masks[key] for key in ("charge1", "uplink", "charge2"))
         beam[0, c1] = d
         beam[1, c2] = d
         uplink[up] = d
@@ -188,7 +158,7 @@ def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
 
 def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power) -> AllocationCoMP:
     """Exact epigraph LP over beam-time, beam-time and uplink-time."""
-    pos = traj.slot_positions if isinstance(traj, Trajectory) else np.asarray(traj)
+    pos = _positions_of(traj)
     Q = np.asarray(tx_power, dtype=float)
     rate = np.stack([comp_rate_upper_bound(Q[k], pos, k, cfg) for k in range(2)])
     # Device k harvests coherently while the beam aims at it, and leaked
@@ -232,8 +202,7 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP):
     before = common_throughput_comp(alloc, traj, cfg)
     if active.size == 0:
         return Q, [before, before]
-    pos = traj.slot_positions if isinstance(traj, Trajectory) else np.asarray(traj)
-    d2 = ((pos[None, :, :, :] - cfg.device_positions[:, None, None, :]) ** 2).sum(axis=-1)
+    d2 = _device_dist2(traj, cfg)
     csnr = 0.5 * cfg.ref_gain / cfg.noise_power * (1.0 / (d2 + cfg.altitude**2)).sum(axis=1)
     budgets = _power_budgets(cfg, alloc, traj, harvested_energy_comp, active)
     for k in range(2):
@@ -246,8 +215,9 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
     """Concave program of one trajectory SCA pass with slack variables,
     expanded at `ref` with the slacks at equality (`slack_at_equality`).
 
-    Returns the program, its strictly feasible start and the variable index
-    of each amplitude and inverse-gain slack, keyed (device, uav, slot)."""
+    Returns the program, its strictly feasible start and the (device, uav,
+    slot, variable index) rows of the amplitude slacks, then of the
+    inverse-gain slacks."""
     N = cfg.num_slots
     H2 = cfg.altitude**2
     b0 = cfg.ref_gain
@@ -260,33 +230,34 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
     rate_slots = [np.flatnonzero((uplink > tol) & (Q[k] > 0.0)) for k in range(2)]
 
     # Variables: interior positions, amplitude slacks, inverse-gain slacks, R.
-    keys = [(k, m, int(slot)) for k in range(2) for slot in beam_slots[k] for m in range(2)]
-    amp_index = {key: 4 * (N - 1) + i for i, key in enumerate(keys)}
-    keys = [(k, m, int(slot)) for k in range(2) for slot in rate_slots[k] for m in range(2)]
-    inv_index = {key: 4 * (N - 1) + len(amp_index) + i for i, key in enumerate(keys)}
-    nv = 4 * (N - 1) + len(amp_index) + len(inv_index) + 1
+    # Slack variable J[i] belongs to device K[i], UAV M[i] and slot S[i]; the
+    # amplitude slacks (the first na) run over each device's charging slots,
+    # the inverse-gain slacks over its rate slots, both UAVs per slot.
+    K = np.repeat([0, 1, 0, 1], [2 * s.size for s in beam_slots + rate_slots])
+    S = np.repeat(np.concatenate(beam_slots + rate_slots), 2)
+    M = np.tile([0, 1], S.size // 2)
+    J = 4 * (N - 1) + np.arange(S.size)
+    na = 2 * (beam_slots[0].size + beam_slots[1].size)
+    nv = 4 * (N - 1) + J.size + 1
 
     prob = Problem(nv)
-    slot_pos = ref[:, 1:, :]  # (uav, N, 2)
-    ref_d2 = ((slot_pos[None, :, :, :] - w[:, None, None, :]) ** 2).sum(axis=-1)  # (dev, uav, N)
+    ref_d2 = _device_dist2(ref[:, 1:, :], cfg)
 
     # Rate rows through the inverse-gain slacks.
     for k in range(2):
         logs = ()
         if rate_slots[k].size:
-            idx = np.array([[inv_index[(k, 0, int(s))], inv_index[(k, 1, int(s))]]
-                            for s in rate_slots[k]])
+            idx = J[na:][K[na:] == k].reshape(-1, 2)
             coef = (Q[k, rate_slots[k]] * b0 / (2.0 * cfg.noise_power))[:, None]
             logs = (LogGroup(idx=idx, coeffs=np.repeat(coef, 2, axis=1),
                              offsets=np.ones(rate_slots[k].size),
                              weights=uplink[rate_slots[k]] / (cfg.duration * np.log(2.0))),)
         prob.add_concave_ge(idx=[nv - 1], lin=[-1.0], logs=logs)
 
+    amp_ref = slack_ref.amp[K[:na], M[:na], S[:na]]
+    inv_ref = slack_ref.inv_gain[K[na:], M[na:], S[na:]]
     x_ref = _free_coords(cfg, ref, nv)
-    for (k, m, slot), j in amp_index.items():
-        x_ref[j] = slack_ref.amp[k, m, slot]
-    for (k, m, slot), j in inv_index.items():
-        x_ref[j] = slack_ref.inv_gain[k, m, slot]
+    x_ref[J] = np.concatenate((amp_ref, inv_ref))
 
     # Energy rows: coherent part through the amplitude slacks (tangent of the
     # squared sum), leaked part through the tangent bound in the positions.
@@ -297,11 +268,11 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
         slots = beam_slots[k]
         s_ref = slack_ref.amp[k, :, slots].sum(axis=1)
         scale = eta_p * beam[k, slots]
-        amp = [amp_index[(k, m, int(s))] for s in slots for m in range(2)]
+        amp = J[:na][K[:na] == k]
         idx, diag, lin, const = _harvest_tangent(
             cfg, eta_p * b0 * beam[ko, beam_slots[ko]], ref, w[k], beam_slots[ko])
-        _add_strict_quad(prob, np.concatenate((np.asarray(amp, dtype=int), idx)),
-                         np.concatenate((np.zeros(len(amp)), diag)),
+        _add_strict_quad(prob, np.concatenate((amp, idx)),
+                         np.concatenate((np.zeros(amp.size), diag)),
                          np.concatenate((np.repeat(-2.0 * scale * s_ref, 2), lin)),
                          spend + float((scale * s_ref**2).sum()) + const,
                          x_ref, 1e-10 * (1.0 + spend))
@@ -311,12 +282,6 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
     # tangents (slope on the slack, offset) at the reference slacks.  Each
     # row holds the slot's two position coordinates and its slack; a fixed
     # final position enters as a constant, its coordinates with coefficient 0.
-    keys = np.array(list(amp_index) + list(inv_index), dtype=int).reshape(-1, 3)
-    K, M, S = keys.T
-    J = np.array(list(amp_index.values()) + list(inv_index.values()), dtype=int)
-    na = len(amp_index)
-    amp_ref = slack_ref.amp[K[:na], M[:na], S[:na]]
-    inv_ref = slack_ref.inv_gain[K[na:], M[na:], S[na:]]
     slope = np.concatenate((2.0 * b0 / amp_ref**3, 1.0 / inv_ref**2))
     offset = np.concatenate((3.0 * b0 / amp_ref**2, 2.0 / inv_ref))
     inner = S + 1 <= N - 1
@@ -330,7 +295,8 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
     prob.add_bounds(J)
 
     add_geometry_rows(prob, cfg, ref, trust_radius)
-    return prob, _lift_epigraph(prob, x_ref.copy()), amp_index, inv_index
+    keys = np.column_stack((K, M, S, J))
+    return prob, _lift_epigraph(prob, x_ref.copy()), keys[:na], keys[na:]
 
 
 def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory,

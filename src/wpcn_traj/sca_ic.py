@@ -74,10 +74,18 @@ def _no_worse(new: float, old: float) -> bool:
 # Initial trajectories
 # ---------------------------------------------------------------------------
 
-def _sample_piecewise(times: np.ndarray, points: np.ndarray, at: np.ndarray) -> np.ndarray:
-    x = np.interp(at, times, points[:, 0])
-    y = np.interp(at, times, points[:, 1])
-    return np.stack([x, y], axis=-1)
+def _sample_paths(cfg: ScenarioConfig, times, points, waypoints) -> np.ndarray:
+    """Slot-boundary positions, shape (2, N+1, 2), of both UAVs flying the
+    piecewise-linear paths through points[m] at times[m], pinned to their
+    first and last waypoints."""
+    at = cfg.slot_duration * np.arange(cfg.num_slots + 1)
+    pos = np.empty((2, cfg.num_slots + 1, 2))
+    for m in range(2):
+        pos[m, :, 0] = np.interp(at, times[m], points[m][:, 0])
+        pos[m, :, 1] = np.interp(at, times[m], points[m][:, 1])
+        pos[m, 0] = waypoints[m][0]
+        pos[m, -1] = waypoints[m][-1]
+    return pos
 
 
 def _leg_time(a, b, cfg: ScenarioConfig) -> float:
@@ -117,18 +125,10 @@ def build_visit_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
     times = np.asarray(times)
     times[-1] = cfg.duration  # absorb rounding in the final breakpoint
 
-    at = cfg.slot_duration * np.arange(cfg.num_slots + 1)
-    pos = np.empty((2, cfg.num_slots + 1, 2))
-    for m in range(2):
-        pts = [np.asarray(waypoints[m][0], dtype=float)]
-        for i in range(n_legs):
-            pts.append(np.asarray(waypoints[m][i + 1], dtype=float))
-            if i < n_legs - 1:
-                pts.append(pts[-1])
-        pos[m] = _sample_piecewise(times, np.asarray(pts), at)
-        pos[m, 0] = waypoints[m][0]
-        pos[m, -1] = waypoints[m][-1]
-    return pos, windows
+    # Each interior waypoint is listed twice: held through its dwell.
+    reps = [1] + [2] * (n_legs - 1) + [1]
+    points = [np.repeat(np.asarray(waypoints[m], dtype=float), reps, axis=0) for m in range(2)]
+    return _sample_paths(cfg, (times, times), points, waypoints), windows
 
 
 def direct_flight_trajectory(cfg: ScenarioConfig) -> Trajectory:
@@ -138,39 +138,47 @@ def direct_flight_trajectory(cfg: ScenarioConfig) -> Trajectory:
     return Trajectory(pos)
 
 
+def _feasible_plan(cfg: ScenarioConfig, waypoints, dwell_weights, builders, names):
+    """The first plan of `builders` (each called as build_visit_paths is)
+    whose trajectory is feasible, as the Trajectory and its dwell windows
+    keyed by `names`; None when there is none."""
+    for builder in builders:
+        built = builder(cfg, waypoints, dwell_weights)
+        if built is not None:
+            traj = Trajectory(built[0])
+            if traj.is_feasible(cfg):
+                return traj, dict(zip(names, built[1]))
+    return None
+
+
 def _shf_ic(cfg: ScenarioConfig, hover: HoverSolutionIC):
+    """Hover-and-fly start: initial -> charging hover -> uplink hover ->
+    final, hovering with the leftover time.  Returns the trajectory and its
+    dwell windows, or None when the mission is too short for the visits."""
     x_e, x_i = hover.wpt_hover_x, hover.wit_hover_x
     wp = [
         [cfg.uav_initial[0], np.array([-x_e, 0.0]), np.array([-x_i, 0.0]), cfg.uav_final[0]],
         [cfg.uav_initial[1], np.array([x_e, 0.0]), np.array([x_i, 0.0]), cfg.uav_final[1]],
     ]
     tau_e = hover.charge_time
-    built = build_visit_paths(cfg, wp, [tau_e, cfg.duration - tau_e])
-    if built is None:
-        return None
-    traj = Trajectory(built[0])
-    if not traj.is_feasible(cfg):
-        return None
-    return traj, {"charge": built[1][0], "uplink": built[1][1]}
-
-
-def shf_trajectory_ic(cfg: ScenarioConfig, hover: HoverSolutionIC):
-    """Hover-and-fly initial trajectory: initial -> charging hover -> uplink
-    hover -> final, hovering with the leftover time; None when the mission is
-    too short for the visits (direct flight needed)."""
-    built = _shf_ic(cfg, hover)
-    return None if built is None else built[0]
+    return _feasible_plan(cfg, wp, [tau_e, cfg.duration - tau_e], (build_visit_paths,),
+                          ("charge", "uplink"))
 
 
 # ---------------------------------------------------------------------------
 # Initial allocation
 # ---------------------------------------------------------------------------
 
-def _slots_in_window(cfg: ScenarioConfig, window) -> np.ndarray:
-    start, end = window
+def _window_masks(cfg: ScenarioConfig, windows):
+    """Mask of the slots lying inside each dwell window of a plan; None
+    without windows or when the uplink window holds fewer than two slots."""
+    if windows is None:
+        return None
     d = cfg.slot_duration
     n = np.arange(1, cfg.num_slots + 1)
-    return ((n - 1) * d >= start - 1e-9) & (n * d <= end + 1e-9)
+    masks = {key: ((n - 1) * d >= start - 1e-9) & (n * d <= end + 1e-9)
+             for key, (start, end) in windows.items()}
+    return masks if masks["uplink"].sum() >= 2 else None
 
 
 def _within_budget(cfg: ScenarioConfig, alloc, traj: Trajectory, harvested):
@@ -188,26 +196,22 @@ def initial_allocation_ic(cfg: ScenarioConfig, traj: Trajectory,
                           hover: HoverSolutionIC, windows=None) -> AllocationIC:
     """Feasible warm-start allocation mirroring the hover solution's split."""
     N, d = cfg.num_slots, cfg.slot_duration
-    uplink_mask = None
-    if windows is not None:
-        uplink_mask = _slots_in_window(cfg, windows["uplink"])
-        if uplink_mask.sum() < 2:
-            uplink_mask = None
+    masks = _window_masks(cfg, windows)
     charge = np.full(N, d)
     uplink = np.zeros(N)
     # A small positive power floor everywhere keeps every slot visible to the
     # time-allocation LP, so later passes can re-activate slots the warm
     # start left idle.
     Q = np.full((2, N), 0.05)
-    if uplink_mask is None:
+    if masks is None:
         rho = min(max(hover.charge_time / cfg.duration, 0.05), 0.95)
         charge = np.full(N, d * rho)
         uplink = np.full(N, d * (1.0 - rho))
         Q[:, :] = 1.0
     else:
-        charge[uplink_mask] = 0.0
-        uplink[uplink_mask] = d
-        idx = np.flatnonzero(uplink_mask)
+        charge[masks["uplink"]] = 0.0
+        uplink[masks["uplink"]] = d
+        idx = np.flatnonzero(masks["uplink"])
         if hover.wit_mode is WitMode.TDMA:
             half = idx.size // 2
             Q[0, idx[:half]] = 1.0

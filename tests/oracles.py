@@ -1,16 +1,20 @@
-"""Concave global lower bounds used by the successive convex approximation.
+"""Evaluation-form oracles the tests check the solvers against.
 
-Each bound is exact at its expansion point and valid everywhere on its
-domain; the iterative engines replace the non-convex rate, harvested-energy
-and separation terms with these surrogates.  They are exposed as plain
-functions so the tightness and validity properties can be tested directly.
+The concave global lower bounds of the successive convex approximation:
+each is exact at its expansion point and valid everywhere on its domain.
+The trajectory and power subproblems assemble the same surrogates as rows;
+here they are plain functions, so tightness and validity can be tested
+directly and each assembled row compared with its bound.  Also the sampled
+received powers of joint energy beamforming and the analytic derivative of
+the charging-hover objective.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ScenarioConfig, gain_matrix
+from wpcn_traj.mc import _estimate, _gains
+from wpcn_traj.model import ScenarioConfig, gain_matrix
 
 LOG2E = float(np.log2(np.e))
 
@@ -114,3 +118,34 @@ def inv_square_bound(a, a_ref) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a_ref = np.asarray(a_ref, dtype=float)
     return 1.0 / a_ref**2 - 2.0 * (a - a_ref) / a_ref**3
+
+
+def sample_received_power(cfg: ScenarioConfig, uav_positions, target: int,
+                          samples: int, seed: int):
+    """Received powers while both UAVs phase-align their charging signal to
+    `target`: the (deterministic) coherent power there and the random leakage
+    power at the other device.  Returns (coherent, leakage) estimates."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    rng = np.random.default_rng(seed)
+    g = _gains(cfg, uav_positions, None)
+    amp = np.sqrt(g)
+    other = 1 - target
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))  # (s, device, uav)
+    beam = -theta[:, target, :]  # conjugate of the target's channel phases
+    field_target = (amp[target][None, :] * np.exp(1j * (theta[:, target, :] + beam))).sum(axis=1)
+    field_other = (amp[other][None, :] * np.exp(1j * (theta[:, other, :] + beam))).sum(axis=1)
+    scale = cfg.eh_efficiency * cfg.uav_power
+    coherent = scale * np.abs(field_target) ** 2
+    leakage = scale * np.abs(field_other) ** 2
+    return _estimate(coherent, seed), _estimate(leakage, seed)
+
+
+def phi_derivative(x, D: float, H: float, tau_E: float,
+                   eta: float, P: float, beta0: float) -> np.ndarray:
+    """Derivative of the charging-hover objective tau_E*eta*P*beta0*pair_gain_sum."""
+    x = np.asarray(x, dtype=float)
+    a = D**2 / 4.0 + H**2
+    num = x**4 + 2.0 * a * x**2 - 3.0 * D**4 / 16.0 + H**4 - H**2 * D**2 / 2.0
+    den = ((x**2 + a - D * x) ** 2) * ((x**2 + a + D * x) ** 2)
+    return -4.0 * eta * tau_E * beta0 * P * x * num / den

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from wpcn_traj import AllocationIC, harvested_energy_ic, sinr_ic
-from wpcn_traj.bounds import (amp_sum_sq_bound, harvest_bound_ic,
-                              inv_square_bound, power_rate_bound,
-                              reciprocal_bound, separation_bound,
-                              traj_rate_bound)
 from conftest import benchmark_config
+from oracles import (amp_sum_sq_bound, harvest_bound_ic, inv_square_bound,
+                     power_rate_bound, reciprocal_bound, separation_bound,
+                     traj_rate_bound)
 
 N = 8
 RNG = np.random.default_rng(2024)

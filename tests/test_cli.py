@@ -31,6 +31,20 @@ class TestConfigHandling:
                       "--set", "altitude_m=tall"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("item", ["altitude_m=nan", "mission_s=inf",
+                                      "num_slots=6.7", "max_outer=2.5"])
+    def test_non_finite_or_non_integral_value_exits_one(self, tmp_path, item):
+        res = invoke(["infinite-ic", "--out", str(tmp_path), "--set", item])
+        assert res.exit_code == 1
+        assert item.split("=")[0] in res.output
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_integral_value_of_int_key_accepted(self, tmp_path):
+        res = invoke(["infinite-ic", "--out", str(tmp_path), "--set", "tau_grid=1e2"])
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["tau_grid"] == 100
+
     def test_config_file_and_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(

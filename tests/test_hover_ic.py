@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from wpcn_traj import (AllocationIC, WitMode, common_throughput_ic,
-                       harvested_energy_ic, phi_derivative, solve_infinite_ic,
-                       wit_mode1_hover, wit_mode2_rate, wpt_hover_ic)
+                       harvested_energy_ic, solve_infinite_ic, wit_mode1_hover,
+                       wit_mode2_rate, wpt_hover_ic)
 from wpcn_traj.hover_ic import interior_hover_x
 from conftest import benchmark_config, hover_positions
+from oracles import phi_derivative
 
 
 def charge_objective(x, D, H):

@@ -3,8 +3,9 @@ import pytest
 
 from wpcn_traj import (SingularChannel, channel_gain, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
-                       sample_received_power, sample_zf_rate)
+                       sample_zf_rate)
 from conftest import benchmark_config, hover_positions
+from oracles import sample_received_power
 
 
 class TestZfRate:

@@ -283,6 +283,14 @@ class TestConfigValidation:
             ScenarioConfig(uav_initial=[[0, 0], [0.5, 0]],
                            uav_final=[[-2, 2], [2, 2]])
 
+    @pytest.mark.parametrize("kw", [
+        {"duration": np.inf}, {"noise_power": np.nan}, {"altitude": np.nan},
+        {"max_speed": np.inf}, {"device_positions": [[-7.5, 0.0], [np.nan, 0.0]]},
+        {"uav_initial": [[-2.0, -2.0], [np.nan, -2.0]]}])
+    def test_non_finite_values(self, kw):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**kw)
+
     def test_slot_duration(self):
         cfg = ScenarioConfig(duration=7.0, num_slots=70)
         assert cfg.slot_duration == pytest.approx(0.1)

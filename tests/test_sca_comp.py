@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from wpcn_traj import (AllocationCoMP, Initialization, SolveOptions,
+from wpcn_traj import (AllocationCoMP, Initialization, SolveOptions, Trajectory,
                        common_throughput_comp, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
                        direct_flight_trajectory, harvested_energy_comp,
-                       optimize_power_comp, optimize_time_comp,
-                       optimize_traj_comp, rates_comp, shf_trajectory_comp,
-                       solve_infinite_comp, solve_infinite_ic, solve_p1,
-                       solve_p21, solve_p21_direct)
+                       is_feasible, optimize_power_comp, optimize_time_comp,
+                       optimize_traj_comp, rates_comp, solve_infinite_comp,
+                       solve_infinite_ic, solve_p1, solve_p21, solve_p21_direct)
+from wpcn_traj import sca_comp
 from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import (_shf_comp, initial_allocation_comp,
                                 uplink_pair_trajectory_comp)
@@ -48,8 +48,9 @@ class TestShfTrajectory:
     def test_uavs_revisit_similar_spots_at_different_times(self):
         cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=100)
         hover = solve_infinite_comp(cfg, tau_grid=150)
-        traj = shf_trajectory_comp(cfg, hover)
-        assert traj is not None
+        built = _shf_comp(cfg, hover)
+        assert built is not None
+        traj = built[0]
         # Each UAV passes close to where the other one hovers for charging,
         # yet the separation constraint holds throughout.
         x1, _ = hover.wpt_hover_pair
@@ -61,7 +62,7 @@ class TestShfTrajectory:
     def test_short_mission_needs_direct_flight(self):
         cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=10)
         hover = solve_infinite_comp(cfg, tau_grid=150)
-        assert shf_trajectory_comp(cfg, hover) is None
+        assert _shf_comp(cfg, hover) is None
 
     def test_uplink_pair_start_hovers_between_devices(self):
         cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=100)
@@ -79,6 +80,32 @@ class TestShfTrajectory:
             np.abs(cfg.uav_final[:, 0]).max())
         short = benchmark_config(device_distance=15.0, duration=1.0, num_slots=10)
         assert uplink_pair_trajectory_comp(short, hover) is None
+
+    def test_crossing_endpoints_take_the_staggered_plan(self, monkeypatch):
+        # The UAVs swap sides on the way, so flying both legs of each
+        # transition at once breaches the separation: the synchronized plan
+        # is built but infeasible, and the one-UAV-at-a-time plan is used.
+        cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=12,
+                               uav_initial=[[2.0, -2.0], [-2.0, -2.0]])
+        hover = solve_infinite_comp(cfg, tau_grid=150)
+        plans = []
+        for name in ("build_visit_paths", "_staggered_paths"):
+            def record(*args, _builder=getattr(sca_comp, name), _name=name):
+                built = _builder(*args)
+                plans.append((_name, built))
+                return built
+            monkeypatch.setattr(sca_comp, name, record)
+        built = _shf_comp(cfg, hover)
+        assert [name for name, _ in plans] == ["build_visit_paths", "_staggered_paths"]
+        assert plans[0][1] is not None
+        assert not Trajectory(plans[0][1][0]).is_feasible(cfg)
+        assert built is not None and built[0].is_feasible(cfg)
+        np.testing.assert_array_equal(built[0].positions, plans[1][1][0])
+        monkeypatch.undo()
+        rep = solve_p21(cfg, small_options(), hover=hover)
+        assert is_feasible(cfg, rep.trajectory, rep.allocation)
+        trace = rep.objective_trace
+        assert np.all(trace[1:] >= trace[:-1] - 1e-12 * (1.0 + np.abs(trace[:-1])))
 
 
 class TestOptimizeTime:

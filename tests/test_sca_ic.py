@@ -5,8 +5,8 @@ from scipy.optimize import linprog
 from wpcn_traj import (AllocationIC, Initialization, SolveOptions, Trajectory,
                        common_throughput_ic, direct_flight_trajectory,
                        energy_residual_ic, harvested_energy_ic, optimize_power_ic,
-                       optimize_time_ic, optimize_traj_ic, shf_trajectory_ic,
-                       sinr_ic, solve_infinite_ic, solve_p1, solve_p1_direct)
+                       optimize_time_ic, optimize_traj_ic, sinr_ic,
+                       solve_infinite_ic, solve_p1, solve_p1_direct)
 from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_ic import _shf_ic, _time_lp, initial_allocation_ic
 from conftest import benchmark_config
@@ -20,8 +20,9 @@ class TestShfTrajectory:
     def test_visits_hovers_and_dwells(self):
         cfg = benchmark_config(device_distance=15.0, duration=10.0, num_slots=100)
         hover = solve_infinite_ic(cfg, tau_grid=150)
-        traj = shf_trajectory_ic(cfg, hover)
-        assert traj is not None
+        built = _shf_ic(cfg, hover)
+        assert built is not None
+        traj = built[0]
         assert traj.is_feasible(cfg)
         for m, sign in ((0, -1.0), (1, 1.0)):
             for hx in (hover.wpt_hover_x, hover.wit_hover_x):
@@ -44,7 +45,7 @@ class TestShfTrajectory:
     def test_short_mission_needs_direct_flight(self):
         cfg = benchmark_config(device_distance=15.0, duration=1.5, num_slots=15)
         hover = solve_infinite_ic(cfg, tau_grid=150)
-        assert shf_trajectory_ic(cfg, hover) is None
+        assert _shf_ic(cfg, hover) is None
 
     def test_direct_flight_is_feasible(self):
         cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=20)

@@ -1,6 +1,6 @@
 """The trajectory subproblems assemble their surrogate rows by hand; these
 tests evaluate each assembled row at random points near the expansion point
-and compare it with the reference surrogate in `bounds.py`.
+and compare it with the reference surrogate in `oracles.py`.
 
 Rows are read through `Problem.slacks` (slack = -g for a row g(x) <= 0), in
 the order the builders add them: the two rate rows, the two energy rows, the
@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from wpcn_traj import AllocationCoMP, AllocationIC, direct_flight_trajectory
-from wpcn_traj.bounds import (amp_sum_sq_bound, harvest_bound_ic,
-                              inv_square_bound, reciprocal_bound,
-                              separation_bound, traj_rate_bound)
 from wpcn_traj.model import harvested_energy_ic
 from wpcn_traj.sca_comp import _traj_subproblem_comp, slack_at_equality
 from wpcn_traj.sca_ic import _traj_subproblem_ic
 from conftest import benchmark_config
+from oracles import (amp_sum_sq_bound, harvest_bound_ic, inv_square_bound,
+                     reciprocal_bound, separation_bound, traj_rate_bound)
 
 N = 8
 
@@ -92,7 +91,7 @@ def test_joint_rows_match_bounds(seed):
     split = rng.uniform(0.1, 0.9, size=N)
     beam = np.stack([split, 1.0 - split]) * d * (1.0 - share)
     alloc = AllocationCoMP(beam, d * share, Q)
-    prob, start, amp_index, inv_index = _traj_subproblem_comp(cfg, alloc, ref, None)
+    prob, start, amp_keys, inv_keys = _traj_subproblem_comp(cfg, alloc, ref, None)
     slack = slack_at_equality(cfg, ref[:, 1:, :])
     H2 = cfg.altitude**2
     w = cfg.device_positions
@@ -102,9 +101,9 @@ def test_joint_rows_match_bounds(seed):
         x = _point(rng, ref, prob.n)
         amp = slack.amp * rng.uniform(0.8, 1.2, size=slack.amp.shape)
         inv = slack.inv_gain * rng.uniform(0.8, 1.2, size=slack.inv_gain.shape)
-        for (k, m, s), j in amp_index.items():
+        for k, m, s, j in amp_keys:
             x[j] = amp[k, m, s]
-        for (k, m, s), j in inv_index.items():
+        for k, m, s, j in inv_keys:
             x[j] = inv[k, m, s]
         pos = _positions(ref, x)[:, 1:, :]
         x_ref = start.copy()
@@ -112,7 +111,7 @@ def test_joint_rows_match_bounds(seed):
 
         def energy(k, pos, amp):
             """spend minus the coherent (amplitude) and leaked harvest bounds."""
-            slots = sorted({s for (kk, _, s) in amp_index if kk == k})
+            slots = sorted({s for kk, _, s, _ in amp_keys if kk == k})
             coherent = sum(eta_p * beam[k, s] * float(amp_sum_sq_bound(
                 amp[k, :, s], slack.amp[k, :, s])) for s in slots)
             leaked = harvest_bound_ic(pos, ref[:, 1:, :], beam[1 - k], k, cfg)
@@ -126,11 +125,11 @@ def test_joint_rows_match_bounds(seed):
 
         # Slack rows: ||q - w_k||^2 + H^2 <= b0 inv_square_bound(amp) and
         # <= reciprocal_bound(inv_gain), relaxed at the reference.
-        rows = iter(-slacks[4:4 + len(amp_index) + len(inv_index)])
-        for index, bound, refs in (
-                (amp_index, lambda v, r: cfg.ref_gain * inv_square_bound(v, r), slack.amp),
-                (inv_index, reciprocal_bound, slack.inv_gain)):
-            for (k, m, s), j in index.items():
+        rows = iter(-slacks[4:4 + len(amp_keys) + len(inv_keys)])
+        for keys, bound, refs in (
+                (amp_keys, lambda v, r: cfg.ref_gain * inv_square_bound(v, r), slack.amp),
+                (inv_keys, reciprocal_bound, slack.inv_gain)):
+            for k, m, s, j in keys:
                 def gap(p, v):
                     return (float(((p[m, s] - w[k]) ** 2).sum()) + H2
                             - float(bound(v, refs[k, m, s])))
