@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Print the common rate of both finite-horizon solvers on a fixed grid.
 
-One JSON line per config: mode, D, T, N, repr(common_rate), initialization,
-outer iterations, whether the solution is feasible, whether its objective
-trace is monotone, and the repr of every trace entry.  The grid is `solve_p1`
-at N=6 and `solve_p21` at N=12 on D in {5, 15, 30} x T in {4, 20, 50}, plus
-both direct-flight solvers at N=80, T=20, D in {5, 10, ..., 30}.  Then one
+One JSON line per config: mode, noise power (dBm), D, T, N,
+repr(common_rate), initialization, outer iterations, whether the solution is
+feasible, whether its objective trace is monotone, and the repr of every
+trace entry.  The grid is `solve_p1` at N=6 and `solve_p21` at N=12 on D in
+{5, 15, 30} x T in {4, 20, 50}, plus both direct-flight solvers at N=80,
+T=20, D in {5, 10, ..., 30}, all at the default -100 dBm noise.  Then one
 line per infinite-horizon mode on the same (D, T) points, with the repr of
-the charging time and common rate of `solve_infinite_*(cfg, tau_grid=1000)`.
+the charging time, common rate and hover offsets of
+`solve_infinite_*(cfg, tau_grid=1000)`, and the coordination mode's uplink
+mode.  At -100 dBm turn-taking wins the uplink on every D of the grid, so a
+-80 dBm block follows, `solve_p1` (N=6) and `solve_infinite_ic` on D in
+{15, 30} x T in {4, 20, 50}: there D=30 takes the simultaneous uplink.
 
 Running it against two checkouts and diffing the outputs shows whether a
 change moved any rate or trace:
@@ -48,29 +53,46 @@ TRACE_SLACK = 3e-12
 
 
 def configs():
+    """(mode, noise dBm, D, T, N) of every solver line."""
     for mode, N in (("p1", 6), ("p21", 12)):
         for D in (5.0, 15.0, 30.0):
             for T in (4.0, 20.0, 50.0):
-                yield mode, D, T, N
+                yield mode, -100.0, D, T, N
     for mode in ("p1_direct", "p21_direct"):
         for D in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
-            yield mode, D, 20.0, 80
+            yield mode, -100.0, D, 20.0, 80
+    for D in (15.0, 30.0):
+        for T in (4.0, 20.0, 50.0):
+            yield "p1", -80.0, D, T, 6
+
+
+def hover_configs():
+    """(mode, noise dBm, D, T) of every infinite-horizon line."""
+    for mode in ("infinite_ic", "infinite_comp"):
+        for D in (5.0, 15.0, 30.0):
+            for T in (4.0, 20.0, 50.0):
+                yield mode, -100.0, D, T
+    for D in (15.0, 30.0):
+        for T in (4.0, 20.0, 50.0):
+            yield "infinite_ic", -80.0, D, T
 
 
 def print_grid() -> None:
     from wpcn_traj import (ScenarioConfig, is_feasible, solve_infinite_comp,
                            solve_infinite_ic, solve_p1, solve_p1_direct, solve_p21,
                            solve_p21_direct)
+    from wpcn_traj.model import dbm_to_watt
 
     solvers = {"p1": solve_p1, "p21": solve_p21, "p1_direct": solve_p1_direct,
                "p21_direct": solve_p21_direct}
-    for mode, D, T, N in configs():
-        cfg = ScenarioConfig(device_distance=D, duration=T, num_slots=N)
+    for mode, noise, D, T, N in configs():
+        cfg = ScenarioConfig(device_distance=D, duration=T, num_slots=N,
+                             noise_power=dbm_to_watt(noise))
         rep = solvers[mode](cfg)
         trace = np.asarray(rep.objective_trace, dtype=float)
         monotone = bool(np.all(np.diff(trace) >= -TRACE_SLACK * (1.0 + np.abs(trace[:-1]))))
         print(json.dumps({
-            "mode": mode, "D": D, "T": T, "N": N,
+            "mode": mode, "noise_dbm": noise, "D": D, "T": T, "N": N,
             "common_rate": repr(float(rep.common_rate)),
             "initialization": rep.initialization.value,
             "outer_iterations": int(rep.outer_iterations),
@@ -78,16 +100,20 @@ def print_grid() -> None:
             "monotone": monotone,
             "trace": [repr(float(v)) for v in trace],
         }), flush=True)
-    for solver, mode in ((solve_infinite_ic, "infinite_ic"),
-                         (solve_infinite_comp, "infinite_comp")):
-        for D in (5.0, 15.0, 30.0):
-            for T in (4.0, 20.0, 50.0):
-                hover = solver(ScenarioConfig(device_distance=D, duration=T), tau_grid=1000)
-                print(json.dumps({
-                    "mode": mode, "D": D, "T": T,
-                    "charge_time": repr(float(hover.charge_time)),
-                    "common_rate": repr(float(hover.common_rate)),
-                }), flush=True)
+    hover_solvers = {"infinite_ic": solve_infinite_ic, "infinite_comp": solve_infinite_comp}
+    for mode, noise, D, T in hover_configs():
+        cfg = ScenarioConfig(device_distance=D, duration=T, noise_power=dbm_to_watt(noise))
+        hover = hover_solvers[mode](cfg, tau_grid=1000)
+        line = {"mode": mode, "noise_dbm": noise, "D": D, "T": T,
+                "charge_time": repr(float(hover.charge_time)),
+                "common_rate": repr(float(hover.common_rate))}
+        if mode == "infinite_ic":
+            line.update(wit_mode=hover.wit_mode.value,
+                        wpt_hover_x=repr(float(hover.wpt_hover_x)))
+        else:
+            line.update(wpt_hover_pair=[repr(float(x)) for x in hover.wpt_hover_pair])
+        line["wit_hover_x"] = repr(float(hover.wit_hover_x))
+        print(json.dumps(line), flush=True)
 
 
 def grid_of(checkout: Path) -> list:

@@ -92,6 +92,11 @@ def load_settings(config_path: str | None, overrides) -> dict:
             raise ConfigError(f"--set needs key=value, got '{item}'")
         key, raw = (part.strip() for part in item.split("=", 1))
         values[key] = _parse_value(key, raw)
+    for key, ok, need in (("slot_s", values["slot_s"] > 0, "> 0"),
+                          ("tau_grid", values["tau_grid"] >= 2, ">= 2"),
+                          ("mc_samples", values["mc_samples"] >= 1, ">= 1")):
+        if not ok:
+            raise ConfigError(f"config key '{key}' must be {need}, got {values[key]}")
     return values
 
 

@@ -14,7 +14,9 @@ import numpy as np
 from .model import ScenarioConfig
 from .hover_ic import _best_charge_time, _pair_hover_x, pair_gain_sum
 
-# Step of the local refinement around the coarse charging-pair optimum, m.
+# Steps of the coarse charging-pair grid and of the refinement around its
+# optimum, m.
+GRID_STEP = 0.25
 REFINE_STEP = 0.01
 
 
@@ -62,21 +64,19 @@ def _best_pair_on(xs1: np.ndarray, xs2: np.ndarray, cfg: ScenarioConfig):
     return float(X1[i, j]), float(X2[i, j]), float(val[i, j])
 
 
-def wpt_hover_comp(cfg: ScenarioConfig, tau_E_total: float, grid_step: float = 0.25):
+def wpt_hover_comp(cfg: ScenarioConfig, tau_E_total: float):
     """Exhaustive-search charging hover pair and the per-device energy.
 
     Searches the box [-(D/2+H), D/2+H]^2 under the separation constraint with
-    a coarse grid, then refines locally with step REFINE_STEP.  The second
-    charging phase is the mirror image, so both devices harvest the same
-    energy.
+    a coarse grid of step GRID_STEP, then refines locally with step
+    REFINE_STEP.  The second charging phase is the mirror image, so both
+    devices harvest the same energy.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     D, H = cfg.device_distance, cfg.altitude
     span = D / 2.0 + H
-    coarse = np.arange(-span, span + grid_step / 2.0, grid_step)
+    coarse = np.arange(-span, span + GRID_STEP / 2.0, GRID_STEP)
     x1, x2, _ = _best_pair_on(coarse, coarse, cfg)
-    fine1, fine2 = (np.clip(np.arange(x - grid_step, x + grid_step + REFINE_STEP / 2.0,
+    fine1, fine2 = (np.clip(np.arange(x - GRID_STEP, x + GRID_STEP + REFINE_STEP / 2.0,
                                       REFINE_STEP), -span, span) for x in (x1, x2))
     x1, x2, best = _best_pair_on(fine1, fine2, cfg)
     energy = tau_E_total / 2.0 * best

@@ -11,15 +11,17 @@ identical problem and start give bit-identical outcomes.
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
 (the rate rows and the energy or budget rows) couple everything.  The Newton
-step uses that.  The sparse rows and every row's curvature form a banded
-matrix once the variables are put in reverse Cuthill-McKee order; it is
-factored with `cholesky_banded`, and each dense row is added to the factor
-as a positive rank-one update kept in product form (method C1 of Gill,
-Golub, Murray and Saunders, "Methods for modifying matrix factorizations",
-Math. Comp. 1974; its use for dense rows of interior-point systems is
-Goldfarb and Scheinberg, Math. Prog. 2004).  A step then costs O(n) for a
-bounded bandwidth.  Below a crossover in n the one dense factorization of
-the whole Hessian is faster, and that is used instead.
+step uses that.  A row is dense when its k nonzeros exceed sqrt(n), or
+when it holds the epigraph column beside another variable; the other rows
+and every row's curvature form a banded matrix once the variables are put
+in reverse Cuthill-McKee order.  That matrix is factored with
+`cholesky_banded`, and each dense row is added to the factor as a positive
+rank-one update kept in product form (method C1 of Gill, Golub, Murray and
+Saunders, "Methods for modifying matrix factorizations", Math. Comp. 1974;
+its use for dense rows of interior-point systems is Goldfarb and
+Scheinberg, Math. Prog. 2004).  A step then costs O(n) for a bounded
+bandwidth.  Below a crossover in n the one dense factorization of the whole
+Hessian is faster, and that is used instead.
 """
 
 from __future__ import annotations
@@ -52,12 +54,10 @@ GAP_REL = 1e-9
 NEWTON_TOL = 1e-8       # half squared Newton decrement
 MAX_STAGE_STEPS = 100
 MAX_STAGES = 64
-# Programs with fewer variables, or with a band wider than this share of n,
-# take the dense factorization: the measured crossovers of the Newton step
-# (one BLAS thread; ROADMAP item 3) lie near n = 150 on the subproblems the
-# solvers emit, and near a band of n/2 on random banded systems at n = 200.
+# Programs with fewer variables take the dense factorization: the measured
+# crossover of the Newton step (one BLAS thread; ROADMAP item 3) lies near
+# n = 150 on the subproblems the solvers emit, whose bands stay below n/7.
 STRUCTURED_MIN_N = 150
-STRUCTURED_MAX_BAND = 0.5
 
 
 @dataclass(frozen=True)
@@ -274,29 +274,20 @@ class _Layout:
             self.grp_outer.append((g.coeffs[:, :, None] * g.coeffs[:, None, :]).reshape(-1, k * k))
         ci, cj = np.concatenate(ci), np.concatenate(cj)
 
-        # The band part holds every curvature and each row whose support
-        # fits the band that the curvatures and the narrow rows (k^2 <= n
-        # nonzeros, none on the epigraph column) give; every other row is a
-        # dense row, added as a rank-one term.  The variables are in reverse
+        # A row with more than sqrt(n) nonzeros, or holding the epigraph
+        # column beside another variable, is a dense row, added as a
+        # rank-one term; the band part holds every curvature and the other
+        # rows.  On the structured path the variables are in reverse
         # Cuthill-McKee order of that band, the epigraph column last, where a
         # zero pivot needs no special case in the updates.
-        on_r = np.zeros(m, bool)
-        on_r[self.pat_row[self.pat_col == n - 1]] = True
-        a, b = self._row_pairs((support**2 <= n) & ~(on_r & (support > 1)), support, starts)
-        hi = np.concatenate((self.pat_col[a], ci))
-        hj = np.concatenate((self.pat_col[b], cj))
-        pos = self._order(hi, hj)
-        first = np.full(m, n)
-        last = np.zeros(m, int)
-        np.minimum.at(first, self.pat_row, pos[self.pat_col])
-        np.maximum.at(last, self.pat_row, pos[self.pat_col])
-        dense = last - first > (np.abs(pos[hi] - pos[hj]).max() if hi.size else 0)
+        on_epigraph = np.zeros(m, bool)
+        on_epigraph[self.pat_row[self.pat_col == n - 1]] = True
+        dense = (support**2 > n) | (on_epigraph & (support > 1))
         a, b = self._row_pairs(~dense, support, starts)
         self.op_a, self.op_b, self.op_row = a, b, self.pat_row[a]
         hi = np.concatenate((self.pat_col[a], ci))
         hj = np.concatenate((self.pat_col[b], cj))
-        self.band = int(np.abs(pos[hi] - pos[hj]).max()) if hi.size else 0
-        self.structured = n >= STRUCTURED_MIN_N and self.band <= STRUCTURED_MAX_BAND * n
+        self.structured = n >= STRUCTURED_MIN_N
 
         self.dense_rows = np.flatnonzero(dense)
         self.k = self.dense_rows.size
@@ -305,6 +296,8 @@ class _Layout:
         self.dz = np.flatnonzero(dense[self.pat_row])
         self.dz_row = self.pat_row[self.dz]
         if self.structured:
+            pos = self._order(hi, hj)
+            self.band = int(np.abs(pos[hi] - pos[hj]).max()) if hi.size else 0
             self.keep = np.flatnonzero(pos[hi] >= pos[hj])
             self.h_target = (pos[hi] - pos[hj])[self.keep] * n + pos[hj][self.keep]
             self.z_target = rank[self.dz_row] * n + pos[self.pat_col[self.dz]]

@@ -1,8 +1,8 @@
 """Finite-horizon alternating solver for the joint transmission/reception mode.
 
 This module holds the joint mode's starts and steps; the alternation loop,
-its start probe, the time LP and the trajectory trust-region loop are the
-ones in `sca_ic`, shared by both modes.  The joint mode differs in three
+its start probe, the time LP and the trajectory SCA loop are the ones in
+`sca_ic`, shared by both modes.  The joint mode differs in three
 places: the throughput objective uses the closed-form bound on the
 joint-reception rate; that bound separates across devices, so the power step
 is one water-filling per device; and the trajectory subproblem introduces
@@ -210,8 +210,7 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP):
     return Q, [before, common_throughput_comp(replace(alloc, tx_power=Q), traj, cfg)]
 
 
-def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
-                          ref: np.ndarray, trust_radius):
+def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, ref: np.ndarray):
     """Concave program of one trajectory SCA pass with slack variables,
     expanded at `ref` with the slacks at equality (`slack_at_equality`).
 
@@ -294,7 +293,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP,
                      x_ref, 1e-9 * (1.0 + H2))
     prob.add_bounds(J)
 
-    add_geometry_rows(prob, cfg, ref, trust_radius)
+    add_geometry_rows(prob, cfg, ref)
     keys = np.column_stack((K, M, S, J))
     return prob, _lift_epigraph(prob, x_ref.copy()), keys[:na], keys[na:]
 
@@ -308,7 +307,7 @@ def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Traject
     those slacks for it and the accepted throughputs."""
     traj, trace = _refine_trajectory(
         cfg, alloc, traj,
-        lambda pos, radius: _traj_subproblem_comp(cfg, alloc, pos, radius)[:2],
+        lambda pos: _traj_subproblem_comp(cfg, alloc, pos)[:2],
         common_throughput_comp, harvested_energy_comp, sca_tol, max_iter)
     return traj, slack_at_equality(cfg, traj), trace
 
@@ -358,9 +357,9 @@ def solve_p21(cfg: ScenarioConfig, options: SolveOptions | None = None,
 def solve_p21_direct(cfg: ScenarioConfig, options: SolveOptions | None = None,
                      hover: HoverSolutionCoMP | None = None) -> SolveReport:
     """Benchmark: fixed straight-line flight, only time and power optimized."""
-    opts = replace(options or SolveOptions(), optimize_trajectory=False)
+    opts = options or SolveOptions()
     t0 = time.perf_counter()
     if hover is None:
         hover = solve_infinite_comp(cfg, tau_grid=opts.tau_grid)
-    return _alternate(cfg, opts, _comp_mode(),
+    return _alternate(cfg, opts, replace(_comp_mode(), traj_step=None),
                       [_direct_start(cfg, hover, initial_allocation_comp)], t0)

@@ -6,9 +6,9 @@ trajectories (both successive convex approximation) are optimized in turn.
 Every subproblem contains the incumbent, so the true common throughput is
 non-decreasing across accepted iterates; candidates that fail that check are
 rejected, which keeps the trace monotone under solver noise.  The outer
-loop (`_alternate`), its start probe, the time LP and the trajectory
-trust-region loop (`_refine_trajectory`) see a mode only through its steps,
-so the joint mode (`sca_comp`) reuses them as they are.
+loop (`_alternate`), its start probe, the time LP and the trajectory SCA
+loop (`_refine_trajectory`) see a mode only through its steps, so the joint
+mode (`sca_comp`) reuses them as they are.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class SolveOptions:
     max_inner: int = 30
     inner_tol: float = 1e-4
     tau_grid: int = 400           # grid for the embedded infinite-horizon solve
-    optimize_trajectory: bool = True
 
 
 @dataclass
@@ -394,13 +393,6 @@ def traj_var_base(cfg: ScenarioConfig, m, slot):
     return 2 * ((cfg.num_slots - 1) * m + (slot - 1))
 
 
-def _dist2_rows(base, point):
-    """(idx, diag, lin, const) of the rows ||x[base:base+2] - point||^2 in the
-    `Problem.add_quad` form, one row per entry of `base` (points (rows, 2))."""
-    idx = np.stack([base, base + 1], axis=-1)
-    return idx, np.full(idx.shape, 2.0), -2.0 * point, (point**2).sum(axis=-1)
-
-
 def _add_strict_quad(prob: Problem, idx, diag, lin, const, x_ref: np.ndarray,
                      tol: float) -> None:
     """Add the surrogate rows 0.5 diag . x[idx]^2 + lin . x[idx] + const <= 0
@@ -412,10 +404,9 @@ def _add_strict_quad(prob: Problem, idx, diag, lin, const, x_ref: np.ndarray,
     prob.add_quad(idx, diag, lin, const - (tol + np.maximum(0.0, at_ref)))
 
 
-def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray,
-                      trust_radius=None) -> None:
-    """Speed, optional trust-region and collision (affine minorant) rows, the
-    N-1 collision rows last.
+def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray) -> None:
+    """Speed and collision (affine minorant) rows, the N-1 collision rows
+    last.
 
     Rows are relaxed just enough that the reference trajectory is strictly
     inside; the relaxations stay far below the feasibility tolerances.
@@ -427,19 +418,14 @@ def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray,
         ref_step = ((ref[m, 1:] - ref[m, :-1]) ** 2).sum(axis=-1)
         eps = 1e-8 * max(1.0, step2) + np.maximum(0.0, ref_step - step2)
         # Legs between interior positions, then the legs from the start and
-        # to the end, whose far point is fixed.
+        # to the end, whose far point is fixed: ||x[b:b+2] - end||^2.
         ia = traj_var_base(cfg, m, slots[:-1])
         prob.add_pair_step(np.stack([ia, ia + 1, ia + 2, ia + 3], axis=1),
                            -step2 - eps[1:N - 1])
-        idx, diag, lin, const = _dist2_rows(
-            traj_var_base(cfg, m, np.array([1, N - 1])),
-            np.stack([cfg.uav_initial[m], cfg.uav_final[m]]))
-        prob.add_quad(idx, diag, lin, const - step2 - eps[[0, N - 1]])
-
-    if trust_radius is not None:
-        for m in range(2):
-            idx, diag, lin, const = _dist2_rows(traj_var_base(cfg, m, slots), ref[m, 1:N])
-            prob.add_quad(idx, diag, lin, const - trust_radius**2)
+        ends = np.stack([cfg.uav_initial[m], cfg.uav_final[m]])
+        b = traj_var_base(cfg, m, np.array([1, N - 1]))
+        prob.add_quad(np.stack([b, b + 1], axis=-1), 2.0, -2.0 * ends,
+                      (ends**2).sum(axis=-1) - step2 - eps[[0, N - 1]])
 
     dmin2 = cfg.min_separation**2
     d_ref = ref[0, 1:N] - ref[1, 1:N]
@@ -471,8 +457,7 @@ def _harvest_tangent(cfg: ScenarioConfig, coef: np.ndarray, ref: np.ndarray,
             (-2.0 * g[:, :, None] * w_k).reshape(-1), const)
 
 
-def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
-                        ref: np.ndarray, trust_radius):
+def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC, ref: np.ndarray):
     """Concave program of one trajectory SCA pass at the reference `ref`.
 
     Rows, in order: the two rate rows, the two energy rows, the domain rows
@@ -540,43 +525,33 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC,
 
     for rows in domain:
         prob.add_affine(*rows)
-    add_geometry_rows(prob, cfg, ref, trust_radius)
+    add_geometry_rows(prob, cfg, ref)
     return prob, _lift_epigraph(prob, x_ref.copy())
 
 
 def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
                        throughput, harvested, sca_tol: float, max_iter: int):
-    """Trust-region SCA loop of both modes' trajectory steps.
+    """SCA loop of both modes' trajectory steps: one surrogate solve per pass.
 
-    `build(positions, radius)` returns the concave program of one pass at
+    `build(positions)` returns the concave program of one pass at
     `positions` and a strictly feasible start; its leading variables are the
-    interior positions (`traj_var_base` layout).  A failed surrogate solve
-    re-expands at the incumbent with a halving trust region; the incumbent
-    itself is always surrogate-feasible, so the loop terminates.  A candidate
-    is accepted when it is feasible, keeps every device's energy budget
-    (`harvested` is the mode's harvested-energy function) and does not lower
-    `throughput`.  Returns the trajectory and the accepted throughputs."""
+    interior positions (`traj_var_base` layout).  A candidate is accepted
+    when it is feasible, keeps every device's energy budget (`harvested` is
+    the mode's harvested-energy function) and does not lower `throughput`.
+    The step ends at the incumbent on the first rejected candidate or failed
+    surrogate solve.  Returns the trajectory and the accepted throughputs."""
     best = throughput(alloc, traj, cfg)
     trace = [best]
     positions = traj.positions.copy()
     N = cfg.num_slots
     spend = [float((alloc.tx_power[k] * alloc.uplink_time).sum()) for k in range(2)]
     for _ in range(max_iter):
-        cand = None
-        radius = None
-        for _attempt in range(10):
-            try:
-                prob, start = build(positions, radius)
-                out = solve_concave(prob, start)
-                cand = positions.copy()
-                cand[:, 1:N, :] = out.x[:4 * (N - 1)].reshape(2, N - 1, 2)
-                break
-            except (StartInfeasible, np.linalg.LinAlgError):
-                radius = 10.0 * cfg.max_step if radius is None else radius / 2.0
-                if radius < 1e-6 * cfg.max_step:
-                    break
-        if cand is None:
+        try:
+            out = solve_concave(*build(positions))
+        except (StartInfeasible, np.linalg.LinAlgError):
             break
+        cand = positions.copy()
+        cand[:, 1:N, :] = out.x[:4 * (N - 1)].reshape(2, N - 1, 2)
         cand_traj = Trajectory(cand)
         ok = cand_traj.is_feasible(cfg) and all(
             harvested(alloc, cand_traj, k, cfg) - spend[k] >= -1e-9 for k in range(2))
@@ -595,7 +570,7 @@ def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory,
     """Iterative concave maximization of both UAV trajectories; returns the
     trajectory and the accepted throughputs (see `_refine_trajectory`)."""
     return _refine_trajectory(
-        cfg, alloc, traj, lambda pos, radius: _traj_subproblem_ic(cfg, alloc, pos, radius),
+        cfg, alloc, traj, lambda pos: _traj_subproblem_ic(cfg, alloc, pos),
         common_throughput_ic, harvested_energy_ic, sca_tol, max_iter)
 
 
@@ -613,7 +588,7 @@ class _Mode:
     throughput: Callable   # (alloc, traj, cfg) -> common throughput
     time_step: Callable    # (cfg, traj, tx_power) -> allocation
     power_step: Callable   # (cfg, traj, alloc, SolveOptions, max_iter) -> (Q, trace)
-    traj_step: Callable    # (cfg, alloc, traj, SolveOptions) -> trajectory
+    traj_step: Callable | None   # (cfg, alloc, traj, SolveOptions) -> trajectory, or None
 
 
 def _ic_mode() -> _Mode:
@@ -664,7 +639,7 @@ def _alternate(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates,
         if len(ptrace) == 1 or _no_worse(ptrace[-1], ptrace[-2]):
             alloc = replace(alloc, tx_power=Q)
 
-        if opts.optimize_trajectory and cfg.num_slots >= 2:
+        if mode.traj_step is not None and cfg.num_slots >= 2:
             traj = mode.traj_step(cfg, alloc, traj, opts)
 
         value = mode.throughput(alloc, traj, cfg)
@@ -715,9 +690,9 @@ def solve_p1(cfg: ScenarioConfig, options: SolveOptions | None = None,
 def solve_p1_direct(cfg: ScenarioConfig, options: SolveOptions | None = None,
                     hover: HoverSolutionIC | None = None) -> SolveReport:
     """Benchmark: fixed straight-line flight, only time and power optimized."""
-    opts = replace(options or SolveOptions(), optimize_trajectory=False)
+    opts = options or SolveOptions()
     t0 = time.perf_counter()
     if hover is None:
         hover = solve_infinite_ic(cfg, tau_grid=opts.tau_grid)
-    return _alternate(cfg, opts, _ic_mode(),
+    return _alternate(cfg, opts, replace(_ic_mode(), traj_step=None),
                       [_direct_start(cfg, hover, initial_allocation_ic)], t0)

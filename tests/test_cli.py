@@ -39,6 +39,17 @@ class TestConfigHandling:
         assert item.split("=")[0] in res.output
         assert not (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("cmd, item", [("infinite-ic", "slot_s=-0.1"),
+                                           ("infinite-ic", "slot_s=0"),
+                                           ("infinite-ic", "tau_grid=1"),
+                                           ("verify-bound", "mc_samples=0")])
+    def test_out_of_range_value_exits_one(self, tmp_path, cmd, item):
+        res = invoke([cmd, "--out", str(tmp_path), "--set", item])
+        assert res.exit_code == 1
+        assert "config error" in res.output
+        assert item.split("=")[0] in res.output
+        assert not any(tmp_path.iterdir())
+
     def test_integral_value_of_int_key_accepted(self, tmp_path):
         res = invoke(["infinite-ic", "--out", str(tmp_path), "--set", "tau_grid=1e2"])
         assert res.exit_code == 0

@@ -99,13 +99,11 @@ class TestWptHoverPair:
         assert e_comp >= e_ic
 
     def test_empty_grid_raises(self):
-        cfg = benchmark_config(device_distance=2.0, altitude=1.0,
-                               min_separation=1.0,
-                               uav_initial=[[-10, -10], [10, -10]],
-                               uav_final=[[-10, 10], [10, 10]],
-                               duration=50.0, num_slots=10)
+        # The search box [-0.3, 0.3] m cannot hold a 1 m separation.
+        cfg = benchmark_config(device_distance=0.2, altitude=0.2,
+                               min_separation=1.0, num_slots=10)
         with pytest.raises(EmptyFeasibleGrid):
-            wpt_hover_comp(cfg, 1.0, grid_step=10.0)
+            wpt_hover_comp(cfg, 1.0)
 
 
 class TestSolveInfiniteCoMP:

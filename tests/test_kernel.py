@@ -195,8 +195,8 @@ def _captured_subproblems(monkeypatch):
             optimize_power_ic(cfg, traj, a_ic, max_iter=1)
             monkeypatch.undo()
         if n_slots != 80:
-            probs.append(_traj_subproblem_ic(cfg, a_ic, traj.positions, None))
-            probs.append(_traj_subproblem_comp(cfg, a_comp, traj.positions, None)[:2])
+            probs.append(_traj_subproblem_ic(cfg, a_ic, traj.positions))
+            probs.append(_traj_subproblem_comp(cfg, a_comp, traj.positions)[:2])
     return probs
 
 

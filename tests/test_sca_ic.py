@@ -3,11 +3,16 @@ import pytest
 from scipy.optimize import linprog
 
 from wpcn_traj import (AllocationIC, Initialization, SolveOptions, Trajectory,
-                       common_throughput_ic, direct_flight_trajectory,
-                       energy_residual_ic, harvested_energy_ic, optimize_power_ic,
-                       optimize_time_ic, optimize_traj_ic, sinr_ic,
-                       solve_infinite_ic, solve_p1, solve_p1_direct)
+                       common_throughput_comp, common_throughput_ic,
+                       direct_flight_trajectory, energy_residual_ic,
+                       harvested_energy_ic, optimize_power_ic, optimize_time_ic,
+                       optimize_traj_comp, optimize_traj_ic, sinr_ic,
+                       solve_infinite_comp, solve_infinite_ic, solve_p1,
+                       solve_p1_direct)
+from wpcn_traj import sca_ic
+from wpcn_traj.kernel import StartInfeasible
 from wpcn_traj.model import gain_matrix
+from wpcn_traj.sca_comp import initial_allocation_comp
 from wpcn_traj.sca_ic import _shf_ic, _time_lp, initial_allocation_ic
 from conftest import benchmark_config
 
@@ -265,6 +270,31 @@ class TestOptimizeTrajectory:
         for k in range(2):
             spend = float((alloc.tx_power[k] * alloc.uplink_time).sum())
             assert harvested_energy_ic(alloc, new_traj, k, cfg) - spend >= -1e-9
+
+    @pytest.mark.parametrize("error", [StartInfeasible, np.linalg.LinAlgError])
+    @pytest.mark.parametrize("mode", ["ic", "comp"])
+    def test_failed_surrogate_solve_ends_the_step(self, monkeypatch, mode, error):
+        # Both modes' steps run one surrogate solve per pass; a failed one
+        # ends the step at the incumbent, after that single kernel call.
+        cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=8)
+        traj = direct_flight_trajectory(cfg)
+        if mode == "ic":
+            alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+            step, throughput = optimize_traj_ic, common_throughput_ic
+        else:
+            alloc = initial_allocation_comp(cfg, traj, solve_infinite_comp(cfg, tau_grid=100))
+            step, throughput = optimize_traj_comp, common_throughput_comp
+        calls = []
+
+        def fail(prob, start):
+            calls.append(prob.n)
+            raise error("surrogate solve failed")
+
+        monkeypatch.setattr(sca_ic, "solve_concave", fail)
+        out = step(cfg, alloc, traj)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(out[0].positions, traj.positions)
+        assert out[-1] == [throughput(alloc, traj, cfg)]
 
 
 class TestSolveP1:

@@ -62,7 +62,7 @@ def test_coordination_rows_match_bounds(seed):
     rng, cfg, ref, share, Q = _setup(seed)
     d = cfg.slot_duration
     alloc = AllocationIC(d * (1.0 - share), d * share, Q)
-    prob, start = _traj_subproblem_ic(cfg, alloc, ref, None)
+    prob, start = _traj_subproblem_ic(cfg, alloc, ref)
     ref_slots = ref[:, 1:, :]
     spend = (Q * alloc.uplink_time).sum(axis=1)
     for _ in range(5):
@@ -91,7 +91,7 @@ def test_joint_rows_match_bounds(seed):
     split = rng.uniform(0.1, 0.9, size=N)
     beam = np.stack([split, 1.0 - split]) * d * (1.0 - share)
     alloc = AllocationCoMP(beam, d * share, Q)
-    prob, start, amp_keys, inv_keys = _traj_subproblem_comp(cfg, alloc, ref, None)
+    prob, start, amp_keys, inv_keys = _traj_subproblem_comp(cfg, alloc, ref)
     slack = slack_at_equality(cfg, ref[:, 1:, :])
     H2 = cfg.altitude**2
     w = cfg.device_positions
