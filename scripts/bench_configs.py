@@ -3,10 +3,13 @@
 
 For each config it records the wall time, the common rate and, per kind of
 barrier subproblem (time LP, power step, trajectory step), the kernel calls,
-Newton steps, busy time, milliseconds per Newton step and kernel statuses.
-The kernel calls are counted by wrapping `sca_ic.solve_concave`, the name
-through which both engines call the kernel, and a call's kind is the name of
-the function that made it.  The configs (D = 15 m) are:
+Newton steps, busy time, milliseconds per Newton step, slack evaluations per
+Newton step and kernel statuses.  The kernel calls are counted by wrapping
+`sca_ic.solve_concave`, the name through which both engines call the kernel,
+and a call's kind is the name of the function that made it.  Slack
+evaluations are counted by wrapping `kernel._Layout.slacks`: one per Newton
+step, one per line-search trial, and two per call (start check and final
+residuals).  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
@@ -15,8 +18,8 @@ the function that made it.  The configs (D = 15 m) are:
 Results are merged into the output file under `--label`, so one file holds
 a before/after pair measured on the same host:
 
-    PYTHONPATH=<checkout>/src python3 scripts/bench_configs.py --label parent
-    PYTHONPATH=src python3 scripts/bench_configs.py --label change
+    PYTHONPATH=<checkout>/src python3 scripts/bench_configs.py --label parent --out B.json
+    PYTHONPATH=src python3 scripts/bench_configs.py --label change --out B.json
 
 BLAS is pinned to one thread before numpy loads (a value set in the
 environment wins); the thread count in effect is recorded with the results.
@@ -41,7 +44,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import wpcn_traj  # noqa: E402
-from wpcn_traj import ScenarioConfig, sca_ic  # noqa: E402
+from wpcn_traj import ScenarioConfig, kernel, sca_ic  # noqa: E402
 
 CONFIGS = (
     ("coordination N=40 T=4", "solve_p1", 40, 4.0),
@@ -88,14 +91,19 @@ def source_digest() -> str:
 
 
 def run_config(solver_name: str, N: int, T: float) -> dict:
-    stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0,
+    stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0, "slacks": 0,
                                  "statuses": defaultdict(int)})
-    kernel_call = sca_ic.solve_concave
+    kernel_call, slacks_call = sca_ic.solve_concave, kernel._Layout.slacks
+    current = []
 
     def counted(problem, start):
         kind = KINDS.get(sys._getframe(1).f_code.co_name, "other")
+        current.append(kind)
         t0 = time.perf_counter()
-        out = kernel_call(problem, start)
+        try:
+            out = kernel_call(problem, start)
+        finally:
+            current.pop()
         rec = stats[kind]
         rec["busy_s"] += time.perf_counter() - t0
         rec["calls"] += 1
@@ -103,20 +111,26 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
         rec["statuses"][out.status.value] += 1
         return out
 
+    def counted_slacks(layout, x):
+        if current:
+            stats[current[-1]]["slacks"] += 1
+        return slacks_call(layout, x)
+
     cfg = ScenarioConfig(device_distance=15.0, duration=T, num_slots=N)
-    sca_ic.solve_concave = counted
+    sca_ic.solve_concave, kernel._Layout.slacks = counted, counted_slacks
     try:
         t0 = time.perf_counter()
         rep = getattr(wpcn_traj, solver_name)(cfg)
         wall = time.perf_counter() - t0
     finally:
-        sca_ic.solve_concave = kernel_call
+        sca_ic.solve_concave, kernel._Layout.slacks = kernel_call, slacks_call
     kinds = {}
     for kind, rec in sorted(stats.items()):
         steps = rec["newton_steps"]
         kinds[kind] = {"calls": rec["calls"], "newton_steps": steps,
                        "busy_s": round(rec["busy_s"], 4),
                        "ms_per_step": round(1e3 * rec["busy_s"] / steps, 4) if steps else None,
+                       "slacks_per_step": round(rec["slacks"] / steps, 3) if steps else None,
                        "statuses": dict(rec["statuses"])}
     return {"solver": solver_name, "D": 15.0, "N": N, "T": T,
             "wall_s": round(wall, 3), "common_rate": repr(float(rep.common_rate)),

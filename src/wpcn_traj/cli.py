@@ -94,7 +94,8 @@ def load_settings(config_path: str | None, overrides) -> dict:
         values[key] = _parse_value(key, raw)
     for key, ok, need in (("slot_s", values["slot_s"] > 0, "> 0"),
                           ("tau_grid", values["tau_grid"] >= 2, ">= 2"),
-                          ("mc_samples", values["mc_samples"] >= 1, ">= 1")):
+                          ("mc_samples", values["mc_samples"] >= 1, ">= 1"),
+                          ("mc_cases", values["mc_cases"] >= 1, ">= 1")):
         if not ok:
             raise ConfigError(f"config key '{key}' must be {need}, got {values[key]}")
     return values

@@ -21,17 +21,19 @@ Saunders, "Methods for modifying matrix factorizations", Math. Comp. 1974;
 its use for dense rows of interior-point systems is Goldfarb and
 Scheinberg, Math. Prog. 2004).  A step then costs O(n) for a bounded
 bandwidth.  Below a crossover in n the one dense factorization of the whole
-Hessian is faster, and that is used instead.
+Hessian is faster, and that is used instead.  On both paths the log groups
+of all rows are evaluated at once, in one stacked evaluation per kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpotrf, dpotrs, dtbtrs
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -85,19 +87,23 @@ class LogGroup:
     def __post_init__(self):
         self.idx = np.atleast_2d(np.asarray(self.idx, dtype=int))
         self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        self.offsets = np.asarray(self.offsets, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.offsets = np.broadcast_to(self.offsets, len(self.idx)).astype(float)
+        self.weights = np.broadcast_to(self.weights, len(self.idx)).astype(float)
         if np.any(self.weights <= 0.0):
             raise ValueError("log weights must be positive")
 
     def args(self, x: np.ndarray) -> np.ndarray:
-        return self.offsets + np.einsum("jk,jk->j", self.coeffs, x[self.idx])
+        return self.offsets + (self.coeffs * x[self.idx]).sum(axis=1)
 
     def value(self, x: np.ndarray) -> float:
         v = self.args(x)
         if np.any(v <= 0.0):
             return -np.inf
-        return float((self.weights * np.log(v)).sum())
+        return float(self.terms(v).sum())
+
+    def terms(self, v: np.ndarray) -> np.ndarray:
+        """Each term at its argument v > 0."""
+        return self.weights * np.log(v)
 
     def slopes(self, v: np.ndarray):
         """First derivative and negated second derivative of each term in its
@@ -119,16 +125,13 @@ class NegLogGroup(LogGroup):
 
     def __post_init__(self):
         super().__post_init__()
-        self.bases = np.asarray(self.bases, dtype=float)
-        self.scales = np.asarray(self.scales, dtype=float)
+        self.bases = np.broadcast_to(self.bases, len(self.idx)).astype(float)
+        self.scales = np.broadcast_to(self.scales, len(self.idx)).astype(float)
         if np.any(self.bases <= 0.0) or np.any(self.scales < 0.0):
             raise ValueError("need bases > 0, scales >= 0")
 
-    def value(self, x: np.ndarray) -> float:
-        v = self.args(x)
-        if np.any(v <= 0.0):
-            return -np.inf
-        return float(-(self.weights * np.log(self.bases + self.scales / v)).sum())
+    def terms(self, v: np.ndarray) -> np.ndarray:
+        return -(self.weights * np.log(self.bases + self.scales / v))
 
     def slopes(self, v: np.ndarray):
         """First derivative and negated second derivative of each term in its
@@ -251,11 +254,27 @@ class _Layout:
         self.pr_r, self.pr_a, self.pr_b = _columns(p._pair, (int, int, int))
         self.groups = p._groups
 
+        # Each run of consecutive log groups of one kind (class and term width)
+        # is stacked into one group, evaluated with one gather and one `args`;
+        # rows and shared Hessian entries sum the values in group order.
+        self.grp_rows = np.array([r for r, _ in self.groups], int)
+        self.stacks = []
+        for (cls, k), run in groupby(self.groups, lambda rg: (type(rg[1]), rg[1].idx.shape[1])):
+            rows, gs = zip(*run)
+            grp = cls(**{f.name: np.concatenate([getattr(g, f.name) for g in gs])
+                         for f in fields(cls)})
+            terms = [g.idx.shape[0] for g in gs]
+            ends = np.cumsum(terms)
+            spans = list(zip((ends - terms).tolist(), ends.tolist()))
+            outer = (grp.coeffs[:, :, None] * grp.coeffs[:, None, :]).reshape(-1, k * k)
+            self.stacks.append((grp, np.repeat(rows, terms), spans, outer))
+        stacked = [g.idx for g, *_ in self.stacks]
+
         # Gradient pattern: one slot per distinct (row, column), rows in order.
         rows = np.concatenate([lin_r, self.sq_r, self.pr_r, self.pr_r]
-                              + [np.full(g.idx.size, r) for r, g in self.groups])
+                              + [np.repeat(r, g.idx.shape[1]) for g, r, *_ in self.stacks])
         cols = np.concatenate([self.lin_c, self.sq_c, self.pr_a, self.pr_b]
-                              + [g.idx.ravel() for _, g in self.groups])
+                              + [idx.ravel() for idx in stacked])
         keys, self.g_slot = np.unique(rows * n + cols, return_inverse=True)
         self.pat_row, self.pat_col = np.divmod(keys, n)
         self.nnz = keys.size
@@ -264,15 +283,10 @@ class _Layout:
 
         # Curvature entries (i, j), in the order `derivatives` lists their
         # values: square terms, pair terms, then each log group's blocks.
-        ci = [self.sq_c, self.pr_a, self.pr_b, self.pr_a, self.pr_b]
-        cj = [self.sq_c, self.pr_a, self.pr_b, self.pr_b, self.pr_a]
-        self.grp_outer = []
-        for _, g in self.groups:
-            k = g.idx.shape[1]
-            ci.append(np.repeat(g.idx, k, axis=1).ravel())
-            cj.append(np.tile(g.idx, (1, k)).ravel())
-            self.grp_outer.append((g.coeffs[:, :, None] * g.coeffs[:, None, :]).reshape(-1, k * k))
-        ci, cj = np.concatenate(ci), np.concatenate(cj)
+        ci = np.concatenate([self.sq_c, self.pr_a, self.pr_b, self.pr_a, self.pr_b]
+                            + [np.repeat(idx, idx.shape[1], axis=1).ravel() for idx in stacked])
+        cj = np.concatenate([self.sq_c, self.pr_a, self.pr_b, self.pr_b, self.pr_a]
+                            + [np.tile(idx, (1, idx.shape[1])).ravel() for idx in stacked])
 
         # A row with more than sqrt(n) nonzeros, or holding the epigraph
         # column beside another variable, is a dense row, added as a
@@ -319,6 +333,7 @@ class _Layout:
         on_l, on_s = dense[lin_r], dense[self.sq_r]
         np.add.at(self.lin_dense, (rank[lin_r[on_l]], self.lin_c[on_l]), self.lin_v[on_l])
         np.add.at(self.sq_dense, (rank[self.sq_r[on_s]], self.sq_c[on_s]), self.sq_v[on_s])
+        self.sq_dense = self.sq_dense if on_s.any() else None
         self.sparse_terms = (self.lin_c[~on_l], self.lin_v[~on_l], self.sq_c[~on_s],
                              self.sq_v[~on_s])
         self.sparse_rows = np.concatenate((lin_r[~on_l], self.sq_r[~on_s], self.pr_r))
@@ -353,28 +368,41 @@ class _Layout:
     # -- per-step evaluation --------------------------------------------------
     def slacks(self, x: np.ndarray) -> np.ndarray:
         lc, lv, sc, sv = self.sparse_terms
-        vals = np.concatenate((lv * x[lc], sv * x[sc] ** 2, (x[self.pr_a] - x[self.pr_b]) ** 2))
+        vals = lv * x[lc]
+        if sc.size or self.pr_r.size:
+            vals = np.concatenate((vals, sv * x[sc] ** 2, (x[self.pr_a] - x[self.pr_b]) ** 2))
         s = self.neg_const - np.bincount(self.sparse_rows, vals, minlength=self.m)
-        s[self.dense_rows] -= self.lin_dense @ x + self.sq_dense @ (x * x)
-        for row, grp in self.groups:
-            s[row] += grp.value(x)
+        s[self.dense_rows] -= self.lin_dense @ x if self.sq_dense is None \
+            else self.lin_dense @ x + self.sq_dense @ (x * x)
+        if self.stacks:
+            # Each group's sum as `LogGroup.value` takes it, -inf off its domain.
+            sums = []
+            for grp, _, spans, _ in self.stacks:
+                v = grp.args(x)
+                bad = v <= 0.0
+                t = grp.terms(np.where(bad, 1.0, v))
+                t[bad] = -np.inf
+                sums += [t[a:b].sum() for a, b in spans]
+            np.add.at(s, self.grp_rows, sums)
         return s
 
     def derivatives(self, x: np.ndarray, inv_s: np.ndarray):
         """Row-gradient values on the pattern, and the values of the band
         part of the barrier Hessian at each of its storage entries."""
-        diff = 2.0 * (x[self.pr_a] - x[self.pr_b])
-        slopes = [grp.slopes(grp.args(x)) for _, grp in self.groups]
-        gv = np.bincount(self.g_slot, np.concatenate(
-            [self.lin_v, 2.0 * self.sq_v * x[self.sq_c], diff, -diff]
-            + [-(d1[:, None] * grp.coeffs).ravel()
-               for (_, grp), (d1, _) in zip(self.groups, slopes)]), minlength=self.nnz)
-        c = 2.0 * inv_s[self.pr_r]
-        hv = np.concatenate(
-            [inv_s[self.op_row] ** 2 * gv[self.op_a] * gv[self.op_b],
-             2.0 * self.sq_v * inv_s[self.sq_r], c, c, -c, -c]
-            + [((inv_s[row] * d2)[:, None] * outer).ravel()
-               for (row, _), (_, d2), outer in zip(self.groups, slopes, self.grp_outer)])
+        gvals, curv = [self.lin_v], []
+        if self.sq_c.size:
+            gvals.append(2.0 * self.sq_v * x[self.sq_c])
+            curv.append(2.0 * self.sq_v * inv_s[self.sq_r])
+        if self.pr_r.size:
+            diff, c = 2.0 * (x[self.pr_a] - x[self.pr_b]), 2.0 * inv_s[self.pr_r]
+            gvals += [diff, -diff]
+            curv += [c, c, -c, -c]
+        for grp, rows, _, outer in self.stacks:
+            d1, d2 = grp.slopes(grp.args(x))
+            gvals.append(-(d1[:, None] * grp.coeffs).ravel())
+            curv.append(((inv_s[rows] * d2)[:, None] * outer).ravel())
+        gv = np.bincount(self.g_slot, np.concatenate(gvals), minlength=self.nnz)
+        hv = np.concatenate([inv_s[self.op_row] ** 2 * gv[self.op_a] * gv[self.op_b]] + curv)
         return gv, (hv if self.keep is None else hv[self.keep])
 
     def gradient(self, gv: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
@@ -428,8 +456,10 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     def solve(damp):
         M = Hs if damp == 0.0 else Hs + damp * np.eye(Hs.shape[0])
-        return cho_solve(cho_factor(M, lower=True, check_finite=False), gs,
-                         check_finite=False)
+        L, info = dpotrf(M, lower=1, clean=0)
+        if info:
+            raise np.linalg.LinAlgError("barrier Hessian is not positive definite")
+        return dpotrs(L, gs, lower=1)[0]
 
     return _damped(solve) * inv_d
 

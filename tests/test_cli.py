@@ -42,7 +42,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("cmd, item", [("infinite-ic", "slot_s=-0.1"),
                                            ("infinite-ic", "slot_s=0"),
                                            ("infinite-ic", "tau_grid=1"),
-                                           ("verify-bound", "mc_samples=0")])
+                                           ("verify-bound", "mc_samples=0"),
+                                           ("verify-bound", "mc_cases=0")])
     def test_out_of_range_value_exits_one(self, tmp_path, cmd, item):
         res = invoke([cmd, "--out", str(tmp_path), "--set", item])
         assert res.exit_code == 1

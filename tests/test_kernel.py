@@ -130,6 +130,22 @@ class TestSolveConcave:
         assert out.status is Status.OPTIMAL
         assert out.x[0] == pytest.approx(1.0, abs=1e-7)
 
+    def test_scalar_group_fields_apply_to_every_term(self):
+        def solve(offsets, weights, bases, scales):
+            prob = Problem(3)
+            prob.add_concave_ge(idx=[2], lin=[-1.0], logs=(LogGroup(
+                idx=[[0], [1]], coeffs=[[1.0], [2.0]], offsets=offsets, weights=weights),),
+                neglogs=(NegLogGroup(idx=[[0], [1]], coeffs=[[1.0], [1.0]], offsets=offsets,
+                                     weights=weights, bases=bases, scales=scales),))
+            prob.add_affine([0, 1], [1.0, 1.0], 2.0)
+            prob.add_bounds([0, 1])
+            return solve_concave(prob, np.array([0.5, 0.5, -5.0]))
+
+        scalar, per_term = solve(1.0, 0.5, 0.8, 0.3), solve([1.0] * 2, [0.5] * 2, [0.8] * 2,
+                                                            [0.3] * 2)
+        assert scalar.status is Status.OPTIMAL
+        assert np.array_equal(scalar.x, per_term.x)
+
     def test_domain_violation_is_minus_inf(self):
         grp = LogGroup(idx=[[0]], coeffs=[[1.0]], offsets=[0.0], weights=[1.0])
         assert grp.value(np.array([-1.0])) == -np.inf
@@ -244,3 +260,127 @@ def test_newton_step_matches_dense_reference(monkeypatch):
             assert abs(dec - dec_ref) <= 1e-8 * abs(dec_ref) \
                 + np.linalg.norm(d_refined) * (r + r_ref), (prob.n, i)
     assert sides == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The stacked log-group evaluation against the per-group form
+# ---------------------------------------------------------------------------
+
+def _group(cls, rng, terms, *extra):
+    """A random group of `cls` over x[0..5], with each field named in
+    `extra` drawn per term."""
+    return cls(idx=rng.integers(0, 6, size=(terms, 2)), coeffs=rng.uniform(0.2, 2.0, (terms, 2)),
+               offsets=rng.uniform(0.5, 1.5, terms), weights=rng.uniform(0.1, 1.0, terms),
+               **{name: rng.uniform(0.5, 2.0, terms) for name in extra})
+
+
+def _mixed_group_program(with_groups=True):
+    """Seven variables and the epigraph column.  Row 0 holds two log groups
+    and a negated one, rows 1 and 2 one group each, with 3 and 12 terms (on
+    both sides of numpy's 8-term pairwise-sum block) and shared variables;
+    in group order the kinds run L L N N L, so two stacks hold two groups.
+    Square, pair and affine rows come after them.  Only the first term of
+    the 3-term negated group reads x[6]."""
+    rng = np.random.default_rng(11)
+    la, lb, lc = (_group(LogGroup, rng, terms) for terms in (3, 12, 12))
+    na, nb = (_group(NegLogGroup, rng, terms, "bases", "scales") for terms in (12, 3))
+    nb.idx[0] = 6                           # x[6] is in no other group
+    groups = [((la, lb), (na,)), ((), (nb,)), ((lc,), ())] if with_groups else [((), ())] * 3
+    prob = Problem(8)
+    prob.add_concave_ge(idx=[7], lin=[-1.0], const=20.0, logs=groups[0][0], neglogs=groups[0][1])
+    prob.add_concave_ge(idx=[7], lin=[-1.0], const=20.0, logs=groups[1][0], neglogs=groups[1][1])
+    prob.add_concave_ge(idx=[0, 1, 7], lin=[0.5, 0.2, -1.0], diag_neg=[1.0, 0.5, 0.0],
+                        const=20.0, logs=groups[2][0], neglogs=groups[2][1])
+    prob.add_pair_step(np.array([0, 1, 2, 3]), const=-4.0)
+    prob.add_quad(idx=[4, 5], diag=[2.0, 1.0], lin=[-1.0, 0.0], const=-3.0)
+    prob.add_affine(np.arange(7), np.ones(7), 6.0)
+    prob.add_bounds(np.arange(7))
+    return prob
+
+
+def _per_group_reference(prob, x):
+    """Slacks with each group's value added to its row in group order, and
+    row-gradient and Hessian values with each group evaluated on its own, as
+    the kernel computed them before the groups were stacked."""
+    lay = prob._compiled()
+    s = _mixed_group_program(with_groups=False).slacks(x)
+    for row, grp in lay.groups:
+        s[row] += grp.value(x)
+    inv_s = 1.0 / s
+    diff = 2.0 * (x[lay.pr_a] - x[lay.pr_b])
+    slopes = [grp.slopes(grp.offsets + np.einsum("jk,jk->j", grp.coeffs, x[grp.idx]))
+              for _, grp in lay.groups]
+    gv = np.bincount(lay.g_slot, np.concatenate(
+        [lay.lin_v, 2.0 * lay.sq_v * x[lay.sq_c], diff, -diff]
+        + [-(d1[:, None] * grp.coeffs).ravel()
+           for (_, grp), (d1, _) in zip(lay.groups, slopes)]), minlength=lay.nnz)
+    c = 2.0 * inv_s[lay.pr_r]
+    hv = np.concatenate(
+        [inv_s[lay.op_row] ** 2 * gv[lay.op_a] * gv[lay.op_b],
+         2.0 * lay.sq_v * inv_s[lay.sq_r], c, c, -c, -c]
+        + [((inv_s[row] * d2)[:, None]
+            * (grp.coeffs[:, :, None] * grp.coeffs[:, None, :]).reshape(d2.size, -1)).ravel()
+           for (row, grp), (_, d2) in zip(lay.groups, slopes)])
+    return s, gv, hv
+
+
+def test_stacked_groups_match_per_group_form():
+    prob = _mixed_group_program()
+    lay = prob._compiled()
+    assert [len(spans) for _, _, spans, _ in lay.stacks] == [2, 2, 1]
+    for x in np.random.default_rng(5).uniform(0.0, 0.8, (20, 8)):
+        s, gv, hv = _per_group_reference(prob, x)
+        assert (s > 0.0).all()
+        assert np.array_equal(prob.slacks(x), s)
+        gv_new, hv_new = lay.derivatives(x, 1.0 / s)
+        assert np.array_equal(gv_new, gv)
+        assert np.array_equal(hv_new, hv)
+
+
+def test_group_off_its_domain_makes_only_its_row_infinite():
+    prob = _mixed_group_program()
+    lay = prob._compiled()
+    x = np.full(8, 0.3)
+    grp = lay.groups[3][1]                  # the 3-term negated group, row 1
+    x[6] = -(grp.offsets[0] + 0.1) / grp.coeffs[0].sum()
+    assert grp.args(x)[0] < 0.0
+    assert all((g.args(x) > 0.0).all() for i, (_, g) in enumerate(lay.groups) if i != 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = prob.slacks(x)
+    assert s[1] == -np.inf
+    assert np.isfinite(np.delete(s, 1)).all()
+    assert np.array_equal(np.delete(s, 1), np.delete(_per_group_reference(prob, x)[0], 1))
+
+
+def test_spd_solve_equals_cho_solve():
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((9, 9))
+    H = A @ A.T + np.diag(rng.uniform(0.1, 100.0, 9))
+    g = rng.standard_normal(9)
+    inv_d = 1.0 / np.sqrt(H.diagonal())
+    ref = cho_solve(cho_factor(H * inv_d[:, None] * inv_d[None, :], lower=True), g * inv_d)
+    assert np.array_equal(kernel._solve_spd(H, g), ref * inv_d)
+
+
+def test_spd_solve_damps_a_singular_matrix(monkeypatch):
+    # Rank 3 of 6, one variable with no curvature at all: the undamped
+    # factorization breaks down and a shifted one gives the step.
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((6, 3))
+    B[2] = 0.0
+    H = B @ B.T
+    g = H @ rng.standard_normal(6)
+    infos = []
+    dpotrf = kernel.dpotrf
+
+    def counted(*args, **kw):
+        out = dpotrf(*args, **kw)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(kernel, "dpotrf", counted)
+    d = kernel._solve_spd(H, g)
+    assert infos[0] > 0 and infos[-1] == 0
+    assert np.isfinite(d).all()
+    assert np.linalg.norm(H @ d - g) <= 1e-6 * np.linalg.norm(g)
