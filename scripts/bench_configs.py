@@ -13,10 +13,11 @@ residuals).  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
-- joint at N=100, T=10 s.
+- coordination and joint at N=100, T=10 s;
+- coordination and joint at N=500, T=50 s (the paper's 0.1 s slots).
 
-Results are merged into the output file under `--label`, so one file holds
-a before/after pair measured on the same host:
+Results are merged into the `--out` file under `--label`, so one file
+holds a before/after pair measured on the same host:
 
     PYTHONPATH=<checkout>/src python3 scripts/bench_configs.py --label parent --out B.json
     PYTHONPATH=src python3 scripts/bench_configs.py --label change --out B.json
@@ -51,7 +52,10 @@ CONFIGS = (
     ("joint N=40 T=4", "solve_p21", 40, 4.0),
     ("coordination direct N=80 T=20", "solve_p1_direct", 80, 20.0),
     ("joint direct N=80 T=20", "solve_p21_direct", 80, 20.0),
+    ("coordination N=100 T=10", "solve_p1", 100, 10.0),
     ("joint N=100 T=10", "solve_p21", 100, 10.0),
+    ("coordination N=500 T=50", "solve_p1", 500, 50.0),
+    ("joint N=500 T=50", "solve_p21", 500, 50.0),
 )
 
 # Function that calls the kernel -> subproblem kind.
@@ -142,7 +146,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
-    ap.add_argument("--out", default="BENCH_structured_step.json")
+    ap.add_argument("--out", required=True, help="JSON file the run is merged into")
     args = ap.parse_args()
 
     runs = {}

@@ -17,7 +17,7 @@ from .hover_comp import (EmptyFeasibleGrid, HoverSolutionCoMP,
                          solve_infinite_comp, wit_hover_comp, wpt_hover_comp)
 from .kernel import Problem, SolveOutcome, StartInfeasible, Status, solve_concave
 from .mc import McEstimate, SingularChannel, sample_zf_rate
-from .sca_ic import (Initialization, SolveOptions, SolveReport,
+from .sca_ic import (Initialization, SolveReport,
                      direct_flight_trajectory, optimize_power_ic,
                      optimize_time_ic, optimize_traj_ic, solve_p1,
                      solve_p1_direct)

@@ -24,7 +24,7 @@ from .mc import sample_zf_rate
 from .model import (AllocationCoMP, ConfigError, ScenarioConfig,
                     comp_rate_upper_bound, db_to_linear, dbm_to_watt)
 from .sca_comp import solve_p21, solve_p21_direct
-from .sca_ic import SolveOptions, solve_p1, solve_p1_direct
+from .sca_ic import solve_p1, solve_p1_direct
 
 SCHEMA_VERSION = 1
 
@@ -49,10 +49,6 @@ CONFIG_KEYS = {
     "uav2_initial_y_m": (float, -2.0, ""),
     "uav2_final_x_m": (float, 2.0, ""),
     "uav2_final_y_m": (float, 2.0, ""),
-    "outer_tol": (float, 1e-4, "relative outer-loop stop tolerance"),
-    "max_outer": (int, 50, "outer iteration cap"),
-    "max_inner": (int, 30, "inner SCA iteration cap"),
-    "inner_tol": (float, 1e-4, "relative inner SCA stop tolerance"),
     "tau_grid": (int, 400, "grid size of the 1-D charge-duration search"),
     "mc_samples": (int, 100000, "Monte-Carlo samples per bound check"),
     "mc_cases": (int, 50, "random geometries in verify-bound"),
@@ -123,12 +119,6 @@ def scenario_from_settings(values: dict) -> ScenarioConfig:
     )
 
 
-def solver_options(values: dict) -> SolveOptions:
-    return SolveOptions(outer_tol=values["outer_tol"], max_outer=values["max_outer"],
-                        max_inner=values["max_inner"], inner_tol=values["inner_tol"],
-                        tau_grid=values["tau_grid"])
-
-
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -187,15 +177,16 @@ _SOLVERS = {"ic-proposed": solve_p1, "comp-proposed": solve_p21,
             "ic-direct": solve_p1_direct, "comp-direct": solve_p21_direct}
 
 
-def _result_row(label, sweep_value, cfg: ScenarioConfig, opts: SolveOptions):
-    """Solve the design named by `label`; returns its RESULT_HEADER row, its
-    wall time and its solve report (None for the hovering bounds)."""
+def _result_row(label, sweep_value, cfg: ScenarioConfig, tau_grid: int):
+    """Solve the design named by `label`, from the hovering solution of its
+    mode on a `tau_grid` charge-duration grid; returns its RESULT_HEADER
+    row, its wall time and its solve report (None for the hovering bounds)."""
+    comp = label.startswith("comp-")
+    hover = (solve_infinite_comp if comp else solve_infinite_ic)(cfg, tau_grid=tau_grid)
     if label.endswith("-bound"):
-        comp = label == "comp-bound"
-        sol = (solve_infinite_comp if comp else solve_infinite_ic)(cfg, tau_grid=opts.tau_grid)
-        mode = "zero-forcing" if comp else sol.wit_mode.value
-        return (sweep_value, label, sol.common_rate, mode, sol.charge_time, 0, 0.0), 0.0, None
-    rep = _SOLVERS[label](cfg, opts)
+        mode = "zero-forcing" if comp else hover.wit_mode.value
+        return (sweep_value, label, hover.common_rate, mode, hover.charge_time, 0, 0.0), 0.0, None
+    rep = _SOLVERS[label](cfg, hover)
     alloc = rep.allocation
     charge = alloc.beam_time if isinstance(alloc, AllocationCoMP) else alloc.charge_time
     return (sweep_value, label, rep.common_rate, rep.initialization.value,
@@ -283,10 +274,9 @@ def _solve_labels(command, labels, config_path, overrides, out_dir, seed):
     design, a trajectory CSV per finite-horizon design, and the manifest."""
     def body():
         values, cfg, out = _prepare(config_path, overrides, out_dir)
-        opts = solver_options(values)
         rows, timings, files = [], {}, ["results.csv"]
         for label in labels:
-            row, wall, rep = _result_row(label, cfg.device_distance, cfg, opts)
+            row, wall, rep = _result_row(label, cfg.device_distance, cfg, values["tau_grid"])
             rows.append(row)
             if rep is not None:
                 timings[label] = wall
@@ -339,8 +329,7 @@ def _sweep(command, key, labels, config_path, overrides, out_dir, jobs, seed,
             pv = dict(values)
             pv[key] = point
             cfg = scenario_from_settings(pv)
-            opts = solver_options(pv)
-            tasks.extend((label, point, cfg, opts) for label in labels)
+            tasks.extend((label, point, cfg, pv["tau_grid"]) for label in labels)
         raw = _run_tasks(tasks, jobs)
         rows, timings = _results_from(raw)
         write_csv(out / "results.csv", RESULT_HEADER, rows)

@@ -23,8 +23,8 @@ from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
                     _positions_of, common_throughput_comp,
                     comp_coherent_power, comp_noncoherent_power,
                     comp_rate_upper_bound, harvested_energy_comp)
-from .sca_ic import (Initialization, SolveOptions, SolveReport, _Mode,
-                     _add_strict_quad, _alternate, _direct_start,
+from .sca_ic import (INNER_TOL, MAX_INNER, TAU_GRID, Initialization, SolveReport,
+                     _Mode, _add_strict_quad, _alternate, _direct_start,
                      _feasible_plan, _free_coords, _harvest_tangent, _leg_time,
                      _lift_epigraph, _power_budgets, _refine_trajectory,
                      _sample_paths, _time_lp, _window_masks, _within_budget,
@@ -299,7 +299,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, ref: np.nd
 
 
 def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory,
-                       sca_tol: float = 1e-4, max_iter: int = 30):
+                       sca_tol: float = INNER_TOL, max_iter: int = MAX_INNER):
     """Iterative concave maximization of the trajectories and slacks.
 
     Every pass expands with the slacks at equality with the incumbent
@@ -321,14 +321,11 @@ def _comp_mode() -> _Mode:
     return _Mode(
         throughput=common_throughput_comp,
         time_step=optimize_time_comp,
-        power_step=lambda cfg, traj, alloc, opts, max_iter: optimize_power_comp(
-            cfg, traj, alloc),
-        traj_step=lambda cfg, alloc, traj, opts: optimize_traj_comp(
-            cfg, alloc, traj, opts.inner_tol, opts.max_inner)[0])
+        power_step=lambda cfg, traj, alloc, max_iter: optimize_power_comp(cfg, traj, alloc),
+        traj_step=lambda cfg, alloc, traj: optimize_traj_comp(cfg, alloc, traj)[0])
 
 
-def solve_p21(cfg: ScenarioConfig, options: SolveOptions | None = None,
-              hover: HoverSolutionCoMP | None = None) -> SolveReport:
+def solve_p21(cfg: ScenarioConfig, hover: HoverSolutionCoMP | None = None) -> SolveReport:
     """Alternating time / power / trajectory optimization of the joint mode.
 
     Initialized from the hover-and-fly plan, the uplink-pair plan or direct
@@ -336,10 +333,9 @@ def solve_p21(cfg: ScenarioConfig, options: SolveOptions | None = None,
     crosses the whole device span twice, one UAV at a time, so it only pays
     off once the mission leaves enough hovering time; below that the
     uplink-pair plan, which charges from the uplink hover pair, wins."""
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_comp(cfg, tau_grid=opts.tau_grid)
+        hover = solve_infinite_comp(cfg, tau_grid=TAU_GRID)
     candidates = []
     built = _shf_comp(cfg, hover)
     if built is not None:
@@ -351,15 +347,13 @@ def solve_p21(cfg: ScenarioConfig, options: SolveOptions | None = None,
         alloc = initial_allocation_comp(cfg, traj, hover, None)
         candidates.append((traj, alloc, Initialization.UPLINK_PAIR))
     candidates.append(_direct_start(cfg, hover, initial_allocation_comp))
-    return _alternate(cfg, opts, _comp_mode(), candidates, t0)
+    return _alternate(cfg, _comp_mode(), candidates, t0)
 
 
-def solve_p21_direct(cfg: ScenarioConfig, options: SolveOptions | None = None,
-                     hover: HoverSolutionCoMP | None = None) -> SolveReport:
+def solve_p21_direct(cfg: ScenarioConfig, hover: HoverSolutionCoMP | None = None) -> SolveReport:
     """Benchmark: fixed straight-line flight, only time and power optimized."""
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_comp(cfg, tau_grid=opts.tau_grid)
-    return _alternate(cfg, opts, replace(_comp_mode(), traj_step=None),
+        hover = solve_infinite_comp(cfg, tau_grid=TAU_GRID)
+    return _alternate(cfg, replace(_comp_mode(), traj_step=None),
                       [_direct_start(cfg, hover, initial_allocation_comp)], t0)

@@ -8,13 +8,15 @@ non-decreasing across accepted iterates; candidates that fail that check are
 rejected, which keeps the trace monotone under solver noise.  The outer
 loop (`_alternate`), its start probe, the time LP and the trajectory SCA
 loop (`_refine_trajectory`) see a mode only through its steps, so the joint
-mode (`sca_comp`) reuses them as they are.
+mode (`sca_comp`) reuses them as they are.  The engine's caps and
+tolerances are fixed constants.  A step is a deterministic function of its
+(trajectory, allocation) state, so a solve reuses its result on a repeat.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable
 
@@ -40,13 +42,10 @@ class Initialization(Enum):
     DIRECT_FLIGHT = "direct-flight"
 
 
-@dataclass
-class SolveOptions:
-    outer_tol: float = 1e-4
-    max_outer: int = 50
-    max_inner: int = 30
-    inner_tol: float = 1e-4
-    tau_grid: int = 400           # grid for the embedded infinite-horizon solve
+OUTER_TOL, MAX_OUTER = 1e-4, 50   # relative gain that stops the alternation; its cap
+INNER_TOL, MAX_INNER = 1e-4, 30   # the same for each SCA step's passes
+TAU_GRID = 400                    # charge-duration grid of the hover solve behind the starts
+_PROBE_PASSES = 5                 # power-step passes of a start probe
 
 
 @dataclass
@@ -325,7 +324,7 @@ def _finish_power_program(cfg: ScenarioConfig, prob: Problem, Q: np.ndarray,
 
 
 def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
-                      sca_tol: float = 1e-4, max_iter: int = 30):
+                      sca_tol: float = INNER_TOL, max_iter: int = MAX_INNER):
     """Iterative concave maximization of the transmit powers.
 
     Slots with no uplink time are frozen at the incumbent; each pass solves
@@ -566,7 +565,7 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
 
 
 def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory,
-                     sca_tol: float = 1e-4, max_iter: int = 30):
+                     sca_tol: float = INNER_TOL, max_iter: int = MAX_INNER):
     """Iterative concave maximization of both UAV trajectories; returns the
     trajectory and the accepted throughputs (see `_refine_trajectory`)."""
     return _refine_trajectory(
@@ -587,52 +586,73 @@ class _Mode:
 
     throughput: Callable   # (alloc, traj, cfg) -> common throughput
     time_step: Callable    # (cfg, traj, tx_power) -> allocation
-    power_step: Callable   # (cfg, traj, alloc, SolveOptions, max_iter) -> (Q, trace)
-    traj_step: Callable | None   # (cfg, alloc, traj, SolveOptions) -> trajectory, or None
+    power_step: Callable   # (cfg, traj, alloc, max_iter=) -> (Q, trace)
+    traj_step: Callable | None   # (cfg, alloc, traj) -> trajectory, or None
 
 
 def _ic_mode() -> _Mode:
     return _Mode(
         throughput=common_throughput_ic,
         time_step=optimize_time_ic,
-        power_step=lambda cfg, traj, alloc, opts, max_iter: optimize_power_ic(
-            cfg, traj, alloc, opts.inner_tol, max_iter),
-        traj_step=lambda cfg, alloc, traj, opts: optimize_traj_ic(
-            cfg, alloc, traj, opts.inner_tol, opts.max_inner)[0])
+        power_step=optimize_power_ic,
+        traj_step=lambda cfg, alloc, traj: optimize_traj_ic(cfg, alloc, traj)[0])
 
 
-def _pick_start(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates):
+def _once(memo: dict, step: str, traj: Trajectory, alloc, solve: Callable):
+    """`step`'s stored result if its last solve saw equal state arrays, else `solve()`."""
+    state = (traj.positions, *(getattr(alloc, f.name) for f in fields(alloc)))
+    if step not in memo or not all(map(np.array_equal, memo[step][0], state)):
+        memo[step] = (state, solve())
+    return memo[step][1]
+
+
+def _time_pass(cfg: ScenarioConfig, mode: _Mode, memo: dict, traj, alloc, value: float):
+    """The time step's allocation if its throughput is no worse than `value`, else `alloc`."""
+    cand = _once(memo, "time", traj, alloc, lambda: mode.time_step(cfg, traj, alloc.tx_power))
+    return cand if _no_worse(mode.throughput(cand, traj, cfg), value) else alloc
+
+
+def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
     """Rank candidate starts by one cheap time+power pass (no trajectory
     step); the raw initial objective misjudges which basin the trajectory
     step can refine.  A candidate scores the throughput of the power step's
-    last pass, accepted or not."""
-    if len(candidates) == 1:
-        return candidates[0]
+    last pass, accepted or not; a lone candidate is not scored.  Returns the
+    winner and its step memo: its time pass is the first outer iteration's,
+    and so is its power step when that stopped before the probe's pass cap,
+    since a larger cap then changes nothing."""
     best = None
     for traj, alloc, init in candidates:
-        times = mode.time_step(cfg, traj, alloc.tx_power)
-        probe = times if mode.throughput(times, traj, cfg) \
-            >= mode.throughput(alloc, traj, cfg) else alloc
-        _, ptrace = mode.power_step(cfg, traj, probe, opts, 5)
-        if best is None or ptrace[-1] > best[0]:
-            best = (ptrace[-1], (traj, alloc, init))
-    return best[1]
+        memo = {}
+        probe = _time_pass(cfg, mode, memo, traj, alloc, mode.throughput(alloc, traj, cfg))
+        score = 0.0
+        if len(candidates) > 1:
+            Q, ptrace = mode.power_step(cfg, traj, probe, max_iter=_PROBE_PASSES)
+            score = ptrace[-1]
+            if len(ptrace) - 1 < _PROBE_PASSES:
+                _once(memo, "power", traj, probe, lambda: (Q, ptrace))
+        if best is None or score > best[0]:
+            best = (score, (traj, alloc, init), memo)
+    return best[1], best[2]
 
 
-def _alternate(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates,
-               t0: float) -> SolveReport:
+def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> SolveReport:
     """Alternate the time, power and trajectory steps of `mode` from the best
     of the (trajectory, allocation, Initialization) `candidates` until an
-    outer iteration gains less than `outer_tol`."""
-    traj, alloc, init = _pick_start(cfg, opts, mode, candidates)
+    outer iteration after the first gains less than OUTER_TOL (relative).
+
+    A step that meets the state of its last solve again (say, a rejected
+    power step after a time step that returned its input) takes that
+    solve's result from `memo`, which the start probe fills for the first
+    iteration.  That is exact: a step is a deterministic function of its
+    (trajectory, allocation) state."""
+    (traj, alloc, init), memo = _pick_start(cfg, mode, candidates)
     trace = [mode.throughput(alloc, traj, cfg)]
     outer = 0
-    for outer in range(1, opts.max_outer + 1):
-        cand = mode.time_step(cfg, traj, alloc.tx_power)
-        if _no_worse(mode.throughput(cand, traj, cfg), trace[-1]):
-            alloc = cand
+    for outer in range(1, MAX_OUTER + 1):
+        alloc = _time_pass(cfg, mode, memo, traj, alloc, trace[-1])
 
-        Q, ptrace = mode.power_step(cfg, traj, alloc, opts, opts.max_inner)
+        Q, ptrace = _once(memo, "power", traj, alloc,
+                          lambda: mode.power_step(cfg, traj, alloc, max_iter=MAX_INNER))
         # Only a step's last pass can be unvetted: the coordination step
         # rejects lowering passes itself, the joint step returns its single
         # solve as it is.
@@ -640,12 +660,12 @@ def _alternate(cfg: ScenarioConfig, opts: SolveOptions, mode: _Mode, candidates,
             alloc = replace(alloc, tx_power=Q)
 
         if mode.traj_step is not None and cfg.num_slots >= 2:
-            traj = mode.traj_step(cfg, alloc, traj, opts)
+            traj = _once(memo, "traj", traj, alloc, lambda: mode.traj_step(cfg, alloc, traj))
 
         value = mode.throughput(alloc, traj, cfg)
         improved = value - trace[-1]
         trace.append(value)
-        if improved <= opts.outer_tol * (1.0 + abs(value)) and outer >= 2:
+        if improved <= OUTER_TOL * (1.0 + abs(value)) and outer >= 2:
             break
 
     return SolveReport(
@@ -666,17 +686,15 @@ def _direct_start(cfg: ScenarioConfig, hover, initial_allocation):
     return traj, initial_allocation(cfg, traj, hover, None), Initialization.DIRECT_FLIGHT
 
 
-def solve_p1(cfg: ScenarioConfig, options: SolveOptions | None = None,
-             hover: HoverSolutionIC | None = None) -> SolveReport:
+def solve_p1(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -> SolveReport:
     """Alternating time / power / trajectory optimization.
 
     Initialized from the hover-and-fly plan or from direct flight, whichever
     the start probe ranks best (hover-and-fly can be dominated when the
     mission barely fits the visit legs)."""
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_ic(cfg, tau_grid=opts.tau_grid)
+        hover = solve_infinite_ic(cfg, tau_grid=TAU_GRID)
     candidates = []
     built = _shf_ic(cfg, hover)
     if built is not None:
@@ -684,15 +702,13 @@ def solve_p1(cfg: ScenarioConfig, options: SolveOptions | None = None,
         alloc = initial_allocation_ic(cfg, traj, hover, windows)
         candidates.append((traj, alloc, Initialization.SHF))
     candidates.append(_direct_start(cfg, hover, initial_allocation_ic))
-    return _alternate(cfg, opts, _ic_mode(), candidates, t0)
+    return _alternate(cfg, _ic_mode(), candidates, t0)
 
 
-def solve_p1_direct(cfg: ScenarioConfig, options: SolveOptions | None = None,
-                    hover: HoverSolutionIC | None = None) -> SolveReport:
+def solve_p1_direct(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -> SolveReport:
     """Benchmark: fixed straight-line flight, only time and power optimized."""
-    opts = options or SolveOptions()
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_ic(cfg, tau_grid=opts.tau_grid)
-    return _alternate(cfg, opts, replace(_ic_mode(), traj_step=None),
+        hover = solve_infinite_ic(cfg, tau_grid=TAU_GRID)
+    return _alternate(cfg, replace(_ic_mode(), traj_step=None),
                       [_direct_start(cfg, hover, initial_allocation_ic)], t0)

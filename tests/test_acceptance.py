@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from wpcn_traj import (AllocationCoMP, AllocationIC, SolveOptions,
-                       channel_gain, common_throughput_comp,
+from wpcn_traj import (AllocationCoMP, AllocationIC, channel_gain,
+                       common_throughput_comp,
                        common_throughput_ic, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
                        direct_flight_trajectory, harvested_energy_comp,
@@ -237,7 +237,7 @@ def test_criterion_5_monotone_convergence():
     ok = True
     details = []
     for label, solver in [("ic", solve_p1), ("comp", solve_p21)]:
-        rep = solver(cfg, SolveOptions(tau_grid=400))
+        rep = solver(cfg)
         trace = rep.objective_trace
         monotone = bool(np.all(np.diff(trace) >= -1e-9))
         tail = abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1]))
@@ -253,7 +253,6 @@ def test_criterion_5_monotone_convergence():
 
 def test_criterion_6_ordering_claims():
     t0 = time.perf_counter()
-    opts = SolveOptions(tau_grid=300)
     bounds = {}
     cfg50 = benchmark_config(device_distance=15.0, duration=50.0, num_slots=50)
     bounds["ic"] = solve_infinite_ic(cfg50, tau_grid=400).common_rate
@@ -265,10 +264,12 @@ def test_criterion_6_ordering_claims():
     for T in horizons:
         cfg = benchmark_config(device_distance=15.0, duration=T, num_slots=50)
         rates = {}
-        for label, solver, direct in [("ic", solve_p1, solve_p1_direct),
-                                      ("comp", solve_p21, solve_p21_direct)]:
-            prop = solver(cfg, opts)
-            bench = direct(cfg, opts)
+        for label, solver, direct, hover_of in [
+                ("ic", solve_p1, solve_p1_direct, solve_infinite_ic),
+                ("comp", solve_p21, solve_p21_direct, solve_infinite_comp)]:
+            hover = hover_of(cfg, tau_grid=300)
+            prop = solver(cfg, hover)
+            bench = direct(cfg, hover)
             _RESULTS["solves"].append((label, cfg, prop))
             _RESULTS["solves"].append((label, cfg, bench))
             rates[label] = (bench.common_rate, prop.common_rate)
@@ -333,8 +334,8 @@ def test_criterion_8_feasibility_of_emitted_solutions():
     solves = _RESULTS["solves"]
     if not solves:  # criterion run in isolation: produce two quick solutions
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=16)
-        solves = [("ic", cfg, solve_p1(cfg, SolveOptions(tau_grid=150))),
-                  ("comp", cfg, solve_p21(cfg, SolveOptions(tau_grid=150)))]
+        solves = [("ic", cfg, solve_p1(cfg, solve_infinite_ic(cfg, tau_grid=150))),
+                  ("comp", cfg, solve_p21(cfg, solve_infinite_comp(cfg, tau_grid=150)))]
     ok = True
     worst_geom, worst_energy = 0.0, 0.0
     for label, cfg, rep in solves:

@@ -6,8 +6,7 @@ from click.testing import CliRunner
 
 from wpcn_traj.cli import main
 
-FAST = ["--set", "mission_s=2", "--set", "num_slots=6", "--set", "tau_grid=80",
-        "--set", "max_outer=2", "--set", "max_inner=5"]
+FAST = ["--set", "mission_s=2", "--set", "num_slots=6", "--set", "tau_grid=80"]
 
 
 def run_cli(args):
@@ -22,9 +21,11 @@ def invoke(args):
 
 class TestConfigHandling:
     def test_unknown_key_exits_one(self, tmp_path):
-        res = invoke(["infinite-ic", "--out", str(tmp_path), "--set", "bogus=1"])
-        assert res.exit_code == 1
-        assert "bogus" in res.output
+        # The solver's caps and tolerances are fixed, not config keys.
+        for item in ("bogus=1", "max_outer=0", "outer_tol=1e-3"):
+            res = invoke(["infinite-ic", "--out", str(tmp_path), "--set", item])
+            assert res.exit_code == 1
+            assert item.split("=")[0] in res.output
 
     def test_bad_value_exits_one(self, tmp_path):
         res = invoke(["infinite-ic", "--out", str(tmp_path),
@@ -32,7 +33,7 @@ class TestConfigHandling:
         assert res.exit_code == 1
 
     @pytest.mark.parametrize("item", ["altitude_m=nan", "mission_s=inf",
-                                      "num_slots=6.7", "max_outer=2.5"])
+                                      "num_slots=6.7", "mc_cases=2.5"])
     def test_non_finite_or_non_integral_value_exits_one(self, tmp_path, item):
         res = invoke(["infinite-ic", "--out", str(tmp_path), "--set", item])
         assert res.exit_code == 1

@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wpcn_traj import (SolveOptions, is_feasible, solve_infinite_comp,
-                       solve_infinite_ic, solve_p1, solve_p21)
+from wpcn_traj import (is_feasible, solve_infinite_comp, solve_infinite_ic,
+                       solve_p1, solve_p21)
 from conftest import benchmark_config
 
 
@@ -21,11 +21,10 @@ from conftest import benchmark_config
 def test_solutions_feasible_monotone_below_hover_bound(num_slots, distance, duration):
     cfg = benchmark_config(device_distance=distance, duration=duration,
                            num_slots=num_slots)
-    opts = SolveOptions(tau_grid=150)
     for solve, solve_hover in ((solve_p1, solve_infinite_ic),
                                (solve_p21, solve_infinite_comp)):
-        hover = solve_hover(cfg, tau_grid=opts.tau_grid)
-        rep = solve(cfg, opts, hover=hover)
+        hover = solve_hover(cfg, tau_grid=150)
+        rep = solve(cfg, hover=hover)
         assert is_feasible(cfg, rep.trajectory, rep.allocation)
         trace = rep.objective_trace
         assert np.all(trace[1:] >= trace[:-1] - 1e-12 * (1.0 + np.abs(trace[:-1])))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from wpcn_traj import (AllocationCoMP, Initialization, SolveOptions, Trajectory,
+from wpcn_traj import (AllocationCoMP, Initialization, Trajectory,
                        common_throughput_comp, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
                        direct_flight_trajectory, harvested_energy_comp,
@@ -14,10 +14,6 @@ from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import (_shf_comp, initial_allocation_comp,
                                 uplink_pair_trajectory_comp)
 from conftest import benchmark_config
-
-
-def small_options():
-    return SolveOptions(tau_grid=150, max_outer=8)
 
 
 class TestShfTrajectory:
@@ -102,7 +98,7 @@ class TestShfTrajectory:
         assert built is not None and built[0].is_feasible(cfg)
         np.testing.assert_array_equal(built[0].positions, plans[1][1][0])
         monkeypatch.undo()
-        rep = solve_p21(cfg, small_options(), hover=hover)
+        rep = solve_p21(cfg, hover=hover)
         assert is_feasible(cfg, rep.trajectory, rep.allocation)
         trace = rep.objective_trace
         assert np.all(trace[1:] >= trace[:-1] - 1e-12 * (1.0 + np.abs(trace[:-1])))
@@ -272,7 +268,7 @@ class TestSolveP21:
     def test_monotone_feasible_below_bound(self):
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=12)
         bound = solve_infinite_comp(cfg, tau_grid=300).common_rate
-        rep = solve_p21(cfg, small_options())
+        rep = solve_p21(cfg, solve_infinite_comp(cfg, tau_grid=150))
         assert np.all(np.diff(rep.objective_trace) >= -1e-9)
         assert max(rep.residuals.values()) <= 1e-6
         assert rep.common_rate <= bound
@@ -286,15 +282,15 @@ class TestSolveP21:
         rates = {}
         for T in (4.0, 20.0):
             cfg = benchmark_config(device_distance=15.0, duration=T, num_slots=12)
-            rep = solve_p21(cfg, small_options())
+            rep = solve_p21(cfg, solve_infinite_comp(cfg, tau_grid=150))
             assert rep.initialization is Initialization.UPLINK_PAIR
             rates[T] = rep.common_rate
         assert rates[20.0] >= rates[4.0] - 1e-9
 
     def test_beats_direct_benchmark_and_coordination(self):
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=12)
-        rep = solve_p21(cfg, small_options())
-        bench = solve_p21_direct(cfg, small_options())
+        rep = solve_p21(cfg, solve_infinite_comp(cfg, tau_grid=150))
+        bench = solve_p21_direct(cfg, solve_infinite_comp(cfg, tau_grid=150))
         assert rep.common_rate >= bench.common_rate - 1e-9
-        ic = solve_p1(cfg, small_options())
+        ic = solve_p1(cfg, solve_infinite_ic(cfg, tau_grid=150))
         assert rep.common_rate >= ic.common_rate

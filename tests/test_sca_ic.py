@@ -1,24 +1,22 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from wpcn_traj import (AllocationIC, Initialization, SolveOptions, Trajectory,
+from wpcn_traj import (AllocationIC, Initialization, Trajectory,
                        common_throughput_comp, common_throughput_ic,
                        direct_flight_trajectory, energy_residual_ic,
                        harvested_energy_ic, optimize_power_ic, optimize_time_ic,
                        optimize_traj_comp, optimize_traj_ic, sinr_ic,
                        solve_infinite_comp, solve_infinite_ic, solve_p1,
-                       solve_p1_direct)
-from wpcn_traj import sca_ic
+                       solve_p1_direct, solve_p21)
+from wpcn_traj import sca_comp, sca_ic
 from wpcn_traj.kernel import StartInfeasible
 from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
 from wpcn_traj.sca_ic import _shf_ic, _time_lp, initial_allocation_ic
 from conftest import benchmark_config
-
-
-def small_options():
-    return SolveOptions(tau_grid=150, max_outer=10)
 
 
 class TestShfTrajectory:
@@ -300,7 +298,7 @@ class TestOptimizeTrajectory:
 class TestSolveP1:
     def test_monotone_and_feasible(self):
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=16)
-        rep = solve_p1(cfg, small_options())
+        rep = solve_p1(cfg, solve_infinite_ic(cfg, tau_grid=150))
         assert np.all(np.diff(rep.objective_trace) >= -1e-9)
         assert rep.initialization in (Initialization.SHF, Initialization.DIRECT_FLIGHT)
         assert max(rep.residuals.values()) <= 1e-6
@@ -309,18 +307,77 @@ class TestSolveP1:
     def test_below_hovering_bound(self):
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=16)
         bound = solve_infinite_ic(cfg, tau_grid=300).common_rate
-        rep = solve_p1(cfg, small_options())
+        rep = solve_p1(cfg, solve_infinite_ic(cfg, tau_grid=150))
         assert rep.common_rate <= bound
 
     def test_beats_direct_benchmark(self):
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=16)
-        rep = solve_p1(cfg, small_options())
-        bench = solve_p1_direct(cfg, small_options())
+        rep = solve_p1(cfg, solve_infinite_ic(cfg, tau_grid=150))
+        bench = solve_p1_direct(cfg, solve_infinite_ic(cfg, tau_grid=150))
         assert bench.initialization is Initialization.DIRECT_FLIGHT
         assert rep.common_rate >= bench.common_rate - 1e-9
 
     def test_short_mission_falls_back(self):
         cfg = benchmark_config(device_distance=15.0, duration=1.5, num_slots=8)
-        rep = solve_p1(cfg, small_options())
+        rep = solve_p1(cfg, solve_infinite_ic(cfg, tau_grid=150))
         assert rep.initialization is Initialization.DIRECT_FLIGHT
         assert np.all(np.diff(rep.objective_trace) >= -1e-9)
+
+
+class TestNoStepSolvedTwice:
+    """Within one solve no step is solved twice on one (trajectory,
+    allocation) state.  The steps are wrapped as module globals, the way a
+    tracer wraps them, and each call's input arrays are recorded."""
+
+    @staticmethod
+    def _record(monkeypatch, module, mode):
+        calls, starts = [], []
+
+        def wrap(kind, traj_at, alloc_at):
+            name = f"optimize_{kind}_{mode}"
+            step = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                state = None
+                if alloc_at is not None:
+                    state = (args[traj_at].positions.copy(), astuple(args[alloc_at]))
+                calls.append((kind, state))
+                return step(*args, **kwargs)
+            monkeypatch.setattr(module, name, recorded)
+
+        wrap("time", 1, None)
+        wrap("power", 1, 2)
+        wrap("traj", 2, 1)
+        pick = sca_ic._pick_start
+
+        def counted_pick(*args):
+            starts.append(len(args[-1]))   # the candidates
+            return pick(*args)
+        monkeypatch.setattr(sca_ic, "_pick_start", counted_pick)
+        return calls, starts
+
+    @staticmethod
+    def _assert_no_repeat(calls, candidates, outer):
+        for kind in ("power", "traj"):
+            seen = []
+            for pos, alloc in (state for k, state in calls if k == kind):
+                assert not any(np.array_equal(pos, p) and all(
+                    np.array_equal(a, b) for a, b in zip(alloc, q)) for p, q in seen)
+                seen.append((pos, alloc))
+        assert sum(kind == "time" for kind, _ in calls) <= candidates + outer - 1
+
+    def test_joint_solve(self, monkeypatch):
+        # The start probe's time LP and power step used to repeat in
+        # iteration 1, and the trajectory step in iteration 2.
+        calls, starts = self._record(monkeypatch, sca_comp, "comp")
+        rep = solve_p21(benchmark_config(device_distance=15.0, duration=20.0, num_slots=12))
+        assert rep.outer_iterations >= 2 and any(kind == "traj" for kind, _ in calls)
+        self._assert_no_repeat(calls, starts[0], rep.outer_iterations)
+
+    def test_direct_coordination_solve(self, monkeypatch):
+        # Iteration 2's power step used to repeat iteration 1's.
+        calls, starts = self._record(monkeypatch, sca_ic, "ic")
+        rep = solve_p1_direct(benchmark_config(device_distance=5.0, duration=20.0,
+                                               num_slots=80))
+        assert rep.outer_iterations >= 2
+        self._assert_no_repeat(calls, starts[0], rep.outer_iterations)
