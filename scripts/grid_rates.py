@@ -22,7 +22,9 @@ change moved any rate or trace:
 `--against REV` does that in one command: it checks REV out into a
 temporary `git worktree` (local, no fetch), prints this grid for REV and for
 the working tree this script sits in (one BLAS thread each), prints the
-differing lines, removes the worktree and exits 1 on any difference:
+differing lines, then one line per differing config with the relative move
+of its rate and the keys that changed, removes the worktree and exits 1 on
+any difference:
 
     python3 scripts/grid_rates.py --against HEAD~1
 """
@@ -125,6 +127,29 @@ def grid_of(checkout: Path) -> list:
     return run.stdout.splitlines()
 
 
+def _label(line: dict) -> str:
+    """The config a grid line belongs to, e.g. "p1 -80 dBm D=30 T=50 N=6"."""
+    return " ".join([line["mode"], f"{line['noise_dbm']:g} dBm"]
+                    + [f"{k}={line[k]:g}" for k in ("D", "T", "N") if k in line])
+
+
+def moves(base: list, head: list, rev: str) -> list:
+    """One line per config whose grid line differs between `base` (at `rev`)
+    and `head`: the relative move of its rate and the keys that changed."""
+    old = {_label(line): line for line in map(json.loads, base)}
+    out = []
+    for new in map(json.loads, head):
+        was = old.pop(_label(new), None)
+        if was is None:
+            out.append(f"{_label(new)}: only in the working tree")
+        elif was != new:
+            a, b = float(was["common_rate"]), float(new["common_rate"])
+            changed = [k for k in {**was, **new} if was.get(k) != new.get(k)]
+            out.append(f"{_label(new)}: rate {(b - a) / (abs(a) or 1.0):+.2e} relative; "
+                       f"changed: {', '.join(changed)}")
+    return out + [f"{label}: only at {rev}" for label in old]
+
+
 def against(rev: str) -> int:
     """Diff the grid of `rev` against that of the working tree; 1 if any
     line differs."""
@@ -140,7 +165,7 @@ def against(rev: str) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     head = grid_of(ROOT)
     diff = list(difflib.unified_diff(base, head, rev, "working tree", lineterm="", n=0))
-    print("\n".join(diff))
+    print("\n".join(diff + moves(base, head, rev)))
     print(f"{len(base)} lines at {rev}, {len(head)} in the working tree: "
           + ("identical" if not diff else "DIFFERENT"))
     return 1 if diff else 0

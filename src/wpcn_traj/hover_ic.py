@@ -83,51 +83,24 @@ def _stationarity(x: float, D: float, H: float, snr_scale: float) -> float:
         - D * (H**2 + (D / 2.0) ** 2 - x**2)
 
 
-def _stationarity_deriv(x: float, D: float, H: float, snr_scale: float) -> float:
-    v = (x - D / 2.0) ** 2 + H**2
-    return (v**2 + (x + D / 2.0) * 4.0 * v * (x - D / 2.0)) / snr_scale + 2.0 * D * x
-
-
-def _polish_root(x: float, lo: float, hi: float, D, H, c, steps: int = 12) -> float:
-    """Newton-polish the bracketed root down to evaluation noise."""
-    for _ in range(steps):
-        f = _stationarity(x, D, H, c)
-        if f == 0.0:
-            break
-        df = _stationarity_deriv(x, D, H, c)
-        if df == 0.0:
-            break
-        x_new = min(max(x - f / df, lo), hi)
-        if x_new == x:
-            break
-        x = x_new
-    return x
-
-
 def wit_mode1_hover(cfg: ScenarioConfig, tau_E: float, energy: float) -> tuple[float, float]:
     """Simultaneous-transmission hover offset and common rate.
 
-    The offset solves the stationarity equation inside the bracket
-    [max(D/2, dmin/2), max(dmin/2, sqrt((D/2)^2 + H^2))]; when there is no
-    sign change the better bracket endpoint is taken.
+    The offset is the root of the stationarity equation inside the bracket
+    [max(D/2, dmin/2), max(dmin/2, sqrt((D/2)^2 + H^2))], placed by Brent's
+    method to 1e-12 m; when there is no sign change the better bracket
+    endpoint is taken.
     """
     D, H = cfg.device_distance, cfg.altitude
     Q = energy / (cfg.duration - tau_E)
     c = cfg.ref_gain * Q / cfg.noise_power
     lo = max(D / 2.0, cfg.min_separation / 2.0)
     hi = max(cfg.min_separation / 2.0, float(np.sqrt((D / 2.0) ** 2 + H**2)))
-    x = None
-    if hi - lo >= 1e-12:
-        f_lo, f_hi = _stationarity(lo, D, H, c), _stationarity(hi, D, H, c)
-        if f_lo == 0.0:
-            x = lo
-        elif f_hi == 0.0:
-            x = hi
-        elif f_lo * f_hi <= 0.0:
-            x = float(brentq(_stationarity, lo, hi, args=(D, H, c),
-                             xtol=1e-12, rtol=8.9e-16))
-            x = _polish_root(x, lo, hi, D, H, c)
-    if x is None:  # degenerate bracket or no sign change
+    if hi - lo >= 1e-12 and _stationarity(lo, D, H, c) * _stationarity(hi, D, H, c) <= 0.0:
+        # brentq returns an endpoint where the residual is exactly zero.
+        x = float(brentq(_stationarity, lo, hi, args=(D, H, c),
+                         xtol=1e-12, rtol=8.9e-16))
+    else:  # degenerate bracket or no sign change
         r_lo, r_hi = (float(simultaneous_rate_at(cfg, tau_E, energy, e)) for e in (lo, hi))
         x = lo if r_lo >= r_hi else hi
     return x, float(simultaneous_rate_at(cfg, tau_E, energy, x))

@@ -23,12 +23,12 @@ from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
                     _positions_of, common_throughput_comp,
                     comp_coherent_power, comp_noncoherent_power,
                     comp_rate_upper_bound, harvested_energy_comp)
-from .sca_ic import (INNER_TOL, MAX_INNER, TAU_GRID, Initialization, SolveReport,
-                     _Mode, _add_strict_quad, _alternate, _direct_start,
-                     _feasible_plan, _free_coords, _harvest_tangent, _leg_time,
-                     _lift_epigraph, _power_budgets, _refine_trajectory,
-                     _sample_paths, _time_lp, _window_masks, _within_budget,
-                     add_geometry_rows, build_visit_paths, traj_var_base)
+from .sca_ic import (TAU_GRID, Initialization, SolveReport, _Mode, _add_strict_quad,
+                     _alternate, _direct_start, _feasible_plan, _free_coords,
+                     _harvest_tangent, _leg_time, _lift_epigraph, _power_budgets,
+                     _refine_trajectory, _sample_paths, _time_lp, _window_masks,
+                     _within_budget, add_geometry_rows, build_visit_paths,
+                     traj_var_base)
 
 
 @dataclass(frozen=True)
@@ -298,8 +298,7 @@ def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, ref: np.nd
     return prob, _lift_epigraph(prob, x_ref.copy()), keys[:na], keys[na:]
 
 
-def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory,
-                       sca_tol: float = INNER_TOL, max_iter: int = MAX_INNER):
+def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory):
     """Iterative concave maximization of the trajectories and slacks.
 
     Every pass expands with the slacks at equality with the incumbent
@@ -308,7 +307,7 @@ def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Traject
     traj, trace = _refine_trajectory(
         cfg, alloc, traj,
         lambda pos: _traj_subproblem_comp(cfg, alloc, pos)[:2],
-        common_throughput_comp, harvested_energy_comp, sca_tol, max_iter)
+        common_throughput_comp, harvested_energy_comp)
     return traj, slack_at_equality(cfg, traj), trace
 
 

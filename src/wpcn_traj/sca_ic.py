@@ -9,14 +9,14 @@ rejected, which keeps the trace monotone under solver noise.  The outer
 loop (`_alternate`), its start probe, the time LP and the trajectory SCA
 loop (`_refine_trajectory`) see a mode only through its steps, so the joint
 mode (`sca_comp`) reuses them as they are.  The engine's caps and
-tolerances are fixed constants.  A step is a deterministic function of its
-(trajectory, allocation) state, so a solve reuses its result on a repeat.
+tolerances are fixed constants.  A step is a deterministic function of the
+state it reads, so a solve reuses its result on a repeat.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -27,7 +27,7 @@ from .kernel import (LogGroup, NegLogGroup, Problem, StartInfeasible,
                      solve_concave)
 from .model import (AllocationCoMP, AllocationIC, ScenarioConfig, Trajectory,
                     common_throughput_ic, feasibility_report, gain_matrix,
-                    harvested_energy_ic)
+                    harvested_energy_ic, sinr_ic)
 
 LOG2E = float(np.log2(np.e))
 _SPEED_MARGIN = 1.0 - 1e-9   # legs fly just under the cap for strict interiors
@@ -272,9 +272,7 @@ def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power) -> AllocationIC:
     """Exact epigraph LP over the per-slot charging/uplink durations."""
     g = gain_matrix(traj, cfg)
     Q = np.asarray(tx_power, dtype=float)
-    rate = np.stack([np.log2(1.0 + Q[k] * g[k, k]
-                             / (Q[1 - k] * g[1 - k, k] + cfg.noise_power))
-                     for k in range(2)])
+    rate = np.stack([np.log2(1.0 + sinr_ic(Q, traj, k, cfg)) for k in range(2)])
     harvest = np.stack([cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
                         for k in range(2)])[:, None, :]
     x = _time_lp(cfg, rate, harvest, Q)
@@ -301,26 +299,6 @@ def _power_budgets(cfg: ScenarioConfig, alloc, traj, harvested,
     Q, uplink = alloc.tx_power, alloc.uplink_time
     return [harvested(alloc, traj, k, cfg) - float((Q[k, idle] * uplink[idle]).sum())
             for k in range(2)]
-
-
-def _finish_power_program(cfg: ScenarioConfig, prob: Problem, Q: np.ndarray,
-                          active: np.ndarray, uplink: np.ndarray, budgets) -> np.ndarray:
-    """Add each device's energy budget and Q >= 0 to the coordination power
-    step's program over [Q_1 on the active slots, Q_2 on them, R] that holds
-    the rate rows.
-    Returns a strictly feasible start: the incumbent powers, lifted off zero
-    and scaled to 0.999 of a budget they exhaust."""
-    A = active.size
-    start = np.zeros(prob.n)
-    for k in range(2):
-        prob.add_affine(k * A + np.arange(A), uplink[active], budgets[k])
-        q0 = np.maximum(Q[k, active], 1e-9 * (1.0 + budgets[k] / cfg.duration))
-        spend = float((q0 * uplink[active]).sum())
-        if spend >= budgets[k]:
-            q0 = q0 * (0.999 * budgets[k] / spend)
-        start[k * A:(k + 1) * A] = q0
-    prob.add_bounds(np.arange(2 * A))
-    return _lift_epigraph(prob, start)
 
 
 def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
@@ -360,8 +338,19 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
                 weights=wt,
             )
             prob.add_concave_ge(idx=idx, lin=lin, const=const, logs=(logs,))
-        start = _finish_power_program(cfg, prob, Q, active, uplink, budgets)
-        out = solve_concave(prob, start)
+        # Budget rows and Q >= 0.  The start is the incumbent, lifted off zero and
+        # scaled to 0.999 of a budget it spends to within rounding or beyond:
+        # the kernel sums the row its own way and may find it over budget.
+        start = np.zeros(prob.n)
+        for k in range(2):
+            prob.add_affine(k * A + np.arange(A), uplink[active], budgets[k])
+            q0 = np.maximum(Q[k, active], 1e-9 * (1.0 + budgets[k] / cfg.duration))
+            spend = float((q0 * uplink[active]).sum())
+            if spend >= (1.0 - 1e-12) * budgets[k]:
+                q0 = q0 * (0.999 * budgets[k] / spend)
+            start[k * A:(k + 1) * A] = q0
+        prob.add_bounds(np.arange(2 * A))
+        out = solve_concave(prob, _lift_epigraph(prob, start))
         Q_new = Q.copy()
         Q_new[:, active] = np.clip(out.x[:-1], 0.0, None).reshape(2, A)
         val = common_throughput_ic(AllocationIC(charge, uplink, Q_new), traj, cfg)
@@ -529,7 +518,7 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC, ref: np.ndarra
 
 
 def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
-                       throughput, harvested, sca_tol: float, max_iter: int):
+                       throughput, harvested):
     """SCA loop of both modes' trajectory steps: one surrogate solve per pass.
 
     `build(positions)` returns the concave program of one pass at
@@ -544,7 +533,7 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
     positions = traj.positions.copy()
     N = cfg.num_slots
     spend = [float((alloc.tx_power[k] * alloc.uplink_time).sum()) for k in range(2)]
-    for _ in range(max_iter):
+    for _ in range(MAX_INNER):
         try:
             out = solve_concave(*build(positions))
         except (StartInfeasible, np.linalg.LinAlgError):
@@ -559,18 +548,17 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
             break
         positions, best = cand, val
         trace.append(val)
-        if val - trace[-2] <= sca_tol * (1.0 + abs(val)):
+        if val - trace[-2] <= INNER_TOL * (1.0 + abs(val)):
             break
     return Trajectory(positions), trace
 
 
-def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory,
-                     sca_tol: float = INNER_TOL, max_iter: int = MAX_INNER):
+def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory):
     """Iterative concave maximization of both UAV trajectories; returns the
     trajectory and the accepted throughputs (see `_refine_trajectory`)."""
     return _refine_trajectory(
         cfg, alloc, traj, lambda pos: _traj_subproblem_ic(cfg, alloc, pos),
-        common_throughput_ic, harvested_energy_ic, sca_tol, max_iter)
+        common_throughput_ic, harvested_energy_ic)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +586,9 @@ def _ic_mode() -> _Mode:
         traj_step=lambda cfg, alloc, traj: optimize_traj_ic(cfg, alloc, traj)[0])
 
 
-def _once(memo: dict, step: str, traj: Trajectory, alloc, solve: Callable):
-    """`step`'s stored result if its last solve saw equal state arrays, else `solve()`."""
-    state = (traj.positions, *(getattr(alloc, f.name) for f in fields(alloc)))
+def _once(memo: dict, step: str, state: tuple, solve: Callable):
+    """`step`'s stored result if its last solve saw equal `state` arrays (the
+    ones the step reads), else `solve()`."""
     if step not in memo or not all(map(np.array_equal, memo[step][0], state)):
         memo[step] = (state, solve())
     return memo[step][1]
@@ -608,7 +596,8 @@ def _once(memo: dict, step: str, traj: Trajectory, alloc, solve: Callable):
 
 def _time_pass(cfg: ScenarioConfig, mode: _Mode, memo: dict, traj, alloc, value: float):
     """The time step's allocation if its throughput is no worse than `value`, else `alloc`."""
-    cand = _once(memo, "time", traj, alloc, lambda: mode.time_step(cfg, traj, alloc.tx_power))
+    cand = _once(memo, "time", (traj.positions, alloc.tx_power),
+                 lambda: mode.time_step(cfg, traj, alloc.tx_power))
     return cand if _no_worse(mode.throughput(cand, traj, cfg), value) else alloc
 
 
@@ -629,7 +618,8 @@ def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
             Q, ptrace = mode.power_step(cfg, traj, probe, max_iter=_PROBE_PASSES)
             score = ptrace[-1]
             if len(ptrace) - 1 < _PROBE_PASSES:
-                _once(memo, "power", traj, probe, lambda: (Q, ptrace))
+                _once(memo, "power", (traj.positions, *vars(probe).values()),
+                      lambda: (Q, ptrace))
         if best is None or score > best[0]:
             best = (score, (traj, alloc, init), memo)
     return best[1], best[2]
@@ -643,15 +633,16 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     A step that meets the state of its last solve again (say, a rejected
     power step after a time step that returned its input) takes that
     solve's result from `memo`, which the start probe fills for the first
-    iteration.  That is exact: a step is a deterministic function of its
-    (trajectory, allocation) state."""
+    iteration.  That is exact: a step is a deterministic function of the
+    arrays it reads, which key its entry (the time step reads the positions
+    and powers only)."""
     (traj, alloc, init), memo = _pick_start(cfg, mode, candidates)
     trace = [mode.throughput(alloc, traj, cfg)]
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
         alloc = _time_pass(cfg, mode, memo, traj, alloc, trace[-1])
 
-        Q, ptrace = _once(memo, "power", traj, alloc,
+        Q, ptrace = _once(memo, "power", (traj.positions, *vars(alloc).values()),
                           lambda: mode.power_step(cfg, traj, alloc, max_iter=MAX_INNER))
         # Only a step's last pass can be unvetted: the coordination step
         # rejects lowering passes itself, the joint step returns its single
@@ -660,7 +651,8 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
             alloc = replace(alloc, tx_power=Q)
 
         if mode.traj_step is not None and cfg.num_slots >= 2:
-            traj = _once(memo, "traj", traj, alloc, lambda: mode.traj_step(cfg, alloc, traj))
+            traj = _once(memo, "traj", (traj.positions, *vars(alloc).values()),
+                         lambda: mode.traj_step(cfg, alloc, traj))
 
         value = mode.throughput(alloc, traj, cfg)
         improved = value - trace[-1]

@@ -248,7 +248,7 @@ class TestOptimizeTrajectory:
 
     def test_slacks_bind_at_convergence(self):
         cfg, traj, alloc = self._prepared()
-        new_traj, state, _ = optimize_traj_comp(cfg, alloc, traj, sca_tol=1e-6)
+        new_traj, state, _ = optimize_traj_comp(cfg, alloc, traj)
         d2 = ((new_traj.slot_positions[None, :, :, :]
                - cfg.device_positions[:, None, None, :]) ** 2).sum(-1)
         tol = 1e-6 * cfg.slot_duration

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from wpcn_traj import sca_comp, sca_ic
 from wpcn_traj.kernel import StartInfeasible
 from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
-from wpcn_traj.sca_ic import _shf_ic, _time_lp, initial_allocation_ic
+from wpcn_traj.sca_ic import _power_budgets, _shf_ic, _time_lp, initial_allocation_ic
 from conftest import benchmark_config
 
 
@@ -241,6 +241,28 @@ class TestOptimizePower:
         oracle = _refining_power_oracle(cfg, traj, uplink, budgets)
         assert got >= oracle - 1e-3 * (1 + abs(oracle))
 
+    def test_start_from_a_spent_budget(self):
+        # Powers that spend each device's budget to within a few ulps: the
+        # kernel's own sum of the budget row can then exceed the budget, and
+        # an unscaled start used to raise StartInfeasible.
+        for D in (5.0, 15.0, 30.0):
+            for T in (4.0, 20.0):
+                cfg = benchmark_config(device_distance=D, duration=T, num_slots=6)
+                traj = direct_flight_trajectory(cfg)
+                alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+                alloc = optimize_time_ic(cfg, traj, alloc.tx_power)
+                up = alloc.uplink_time
+                active = np.flatnonzero(up > 1e-12 * cfg.slot_duration)
+                budgets = _power_budgets(cfg, alloc, traj, harvested_energy_ic, active)
+                for ulps in range(6):
+                    Q = alloc.tx_power.copy()
+                    for k in range(2):
+                        Q[k, active] *= budgets[k] / float((Q[k, active] * up[active]).sum())
+                        Q[k, active] *= 1.0 - ulps * np.finfo(float).eps / 2
+                    _, trace = optimize_power_ic(cfg, traj, replace(alloc, tx_power=Q),
+                                                 max_iter=1)
+                    assert trace == sorted(trace)
+
     def test_monotone_true_objective(self):
         cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=10)
         hover = solve_infinite_ic(cfg, tau_grid=150)
@@ -325,29 +347,28 @@ class TestSolveP1:
 
 
 class TestNoStepSolvedTwice:
-    """Within one solve no step is solved twice on one (trajectory,
-    allocation) state.  The steps are wrapped as module globals, the way a
-    tracer wraps them, and each call's input arrays are recorded."""
+    """Within one solve no step is solved twice on the arrays it reads: the
+    positions and powers for the time step, the positions and every
+    allocation field for the power and trajectory steps.  The steps are
+    wrapped as module globals, the way a tracer wraps them, and each call's
+    input arrays are recorded."""
 
     @staticmethod
     def _record(monkeypatch, module, mode):
         calls, starts = [], []
 
-        def wrap(kind, traj_at, alloc_at):
+        def wrap(kind, reads):
             name = f"optimize_{kind}_{mode}"
             step = getattr(module, name)
 
             def recorded(*args, **kwargs):
-                state = None
-                if alloc_at is not None:
-                    state = (args[traj_at].positions.copy(), astuple(args[alloc_at]))
-                calls.append((kind, state))
+                calls.append((kind, tuple(np.array(a) for a in reads(*args))))
                 return step(*args, **kwargs)
             monkeypatch.setattr(module, name, recorded)
 
-        wrap("time", 1, None)
-        wrap("power", 1, 2)
-        wrap("traj", 2, 1)
+        wrap("time", lambda cfg, traj, tx_power: (traj.positions, tx_power))
+        wrap("power", lambda cfg, traj, alloc: (traj.positions, *astuple(alloc)))
+        wrap("traj", lambda cfg, alloc, traj: (traj.positions, *astuple(alloc)))
         pick = sca_ic._pick_start
 
         def counted_pick(*args):
@@ -358,12 +379,11 @@ class TestNoStepSolvedTwice:
 
     @staticmethod
     def _assert_no_repeat(calls, candidates, outer):
-        for kind in ("power", "traj"):
+        for kind in ("time", "power", "traj"):
             seen = []
-            for pos, alloc in (state for k, state in calls if k == kind):
-                assert not any(np.array_equal(pos, p) and all(
-                    np.array_equal(a, b) for a, b in zip(alloc, q)) for p, q in seen)
-                seen.append((pos, alloc))
+            for state in (state for k, state in calls if k == kind):
+                assert not any(all(map(np.array_equal, state, old)) for old in seen), kind
+                seen.append(state)
         assert sum(kind == "time" for kind, _ in calls) <= candidates + outer - 1
 
     def test_joint_solve(self, monkeypatch):
@@ -375,7 +395,8 @@ class TestNoStepSolvedTwice:
         self._assert_no_repeat(calls, starts[0], rep.outer_iterations)
 
     def test_direct_coordination_solve(self, monkeypatch):
-        # Iteration 2's power step used to repeat iteration 1's.
+        # Iteration 2's power step used to repeat iteration 1's, and so did
+        # its time step, on the same positions and powers.
         calls, starts = self._record(monkeypatch, sca_ic, "ic")
         rep = solve_p1_direct(benchmark_config(device_distance=5.0, duration=20.0,
                                                num_slots=80))
