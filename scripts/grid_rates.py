@@ -13,6 +13,10 @@ the charging time, common rate and hover offsets of
 mode.  At -100 dBm turn-taking wins the uplink on every D of the grid, so a
 -80 dBm block follows, `solve_p1` (N=6) and `solve_infinite_ic` on D in
 {15, 30} x T in {4, 20, 50}: there D=30 takes the simultaneous uplink.
+Last, one `zf_mc` line per D in {5, 10, ..., 30} (T=50 in the label only)
+with the Monte-Carlo zero-forcing oracle `sample_zf_rate` at a fixed
+asymmetric UAV pair, 1e5 samples and a fixed seed: the repr of each device's
+mean and standard error, and the smaller mean as `common_rate`.
 
 Running it against two checkouts and diffing the outputs shows whether a
 change moved any rate or trace:
@@ -79,10 +83,17 @@ def hover_configs():
             yield "infinite_ic", -80.0, D, T
 
 
+def zf_configs():
+    """(noise dBm, D, T, UAV positions, transmit power, samples, seed) of
+    every Monte-Carlo line; T labels the line and enters no computation."""
+    for D in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
+        yield -100.0, D, 50.0, [[-0.3 * D, 0.2 * D], [0.45 * D, -0.1 * D]], 1e-6, 100000, 7
+
+
 def print_grid() -> None:
-    from wpcn_traj import (ScenarioConfig, is_feasible, solve_infinite_comp,
-                           solve_infinite_ic, solve_p1, solve_p1_direct, solve_p21,
-                           solve_p21_direct)
+    from wpcn_traj import (ScenarioConfig, is_feasible, sample_zf_rate,
+                           solve_infinite_comp, solve_infinite_ic, solve_p1,
+                           solve_p1_direct, solve_p21, solve_p21_direct)
     from wpcn_traj.model import dbm_to_watt
 
     solvers = {"p1": solve_p1, "p21": solve_p21, "p1_direct": solve_p1_direct,
@@ -116,6 +127,15 @@ def print_grid() -> None:
             line.update(wpt_hover_pair=[repr(float(x)) for x in hover.wpt_hover_pair])
         line["wit_hover_x"] = repr(float(hover.wit_hover_x))
         print(json.dumps(line), flush=True)
+    for noise, D, T, pos, power, samples, seed in zf_configs():
+        cfg = ScenarioConfig(device_distance=D, noise_power=dbm_to_watt(noise))
+        est = sample_zf_rate(cfg, np.array(pos), [power, power], samples, seed)
+        print(json.dumps({
+            "mode": "zf_mc", "noise_dbm": noise, "D": D, "T": T,
+            "mean": [repr(e.mean) for e in est],
+            "stderr": [repr(e.stderr) for e in est],
+            "common_rate": repr(min(e.mean for e in est)),
+        }), flush=True)
 
 
 def grid_of(checkout: Path) -> list:

@@ -16,7 +16,7 @@ from .hover_ic import (HoverSolutionIC, WitMode, solve_infinite_ic,
 from .hover_comp import (EmptyFeasibleGrid, HoverSolutionCoMP,
                          solve_infinite_comp, wit_hover_comp, wpt_hover_comp)
 from .kernel import Problem, SolveOutcome, StartInfeasible, Status, solve_concave
-from .mc import McEstimate, SingularChannel, sample_zf_rate
+from .mc import McEstimate, sample_zf_rate
 from .sca_ic import (Initialization, SolveReport,
                      direct_flight_trajectory, optimize_power_ic,
                      optimize_time_ic, optimize_traj_ic, solve_p1,

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ScenarioConfig, channel_gain
-
-# Largest condition number of an accepted channel draw.
-MAX_COND = 1e12
-
-
-class SingularChannel(RuntimeError):
-    """Persistent ill-conditioned channel draws (probability-zero geometry)."""
+from .model import ScenarioConfig, gain_matrix
 
 
 @dataclass(frozen=True)
@@ -39,50 +32,30 @@ def _estimate(values: np.ndarray, seed: int) -> McEstimate:
     return McEstimate(mean=float(values.mean()), stderr=se, samples=n, seed=seed)
 
 
-def _gains(cfg: ScenarioConfig, uav_positions, gain_override) -> np.ndarray:
-    if gain_override is not None:
-        g = np.asarray(gain_override, dtype=float)
-        if g.shape != (2, 2):
-            raise ValueError("gain_override must be a (device, uav) 2x2 array")
-        return g
-    pos = np.asarray(uav_positions, dtype=float)
-    return np.stack([channel_gain(pos, cfg.device_positions[k], cfg) for k in range(2)])
-
-
-def sample_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int,
-                   seed: int, gain_override=None):
+def sample_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int, seed: int):
     """Expected zero-forcing uplink rate of each device, estimated by sampling
-    the channel phases.
+    the channel phases theta[device, uav].
 
     Both devices transmit at once; the receivers invert the 2x2 channel
-    matrix (rows renormalized to unit norm), which nulls the other device
-    exactly.  Draws whose matrix condition number exceeds MAX_COND are
-    rejected and resampled.  Returns one McEstimate per device.
+    matrix M (rows renormalized to unit norm), which nulls the other device
+    exactly.  By the adjugate, device k's SNR is then
+    Q_k |det M|^2 / (sigma^2 (g_o1 + g_o2)), g_o being the other device's
+    gains, with |det M|^2 = g11 g22 + g12 g21 - 2 sqrt(g11 g22 g12 g21) cos phi
+    and phi = theta11 + theta22 - theta12 - theta21.  Returns one McEstimate
+    per device.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    g = _gains(cfg, uav_positions, gain_override)
-    amp = np.sqrt(g)  # (device, uav)
+    pos = np.asarray(uav_positions, dtype=float)
     Q = np.asarray(tx_power, dtype=float)
-
-    inv_row_norm2 = np.empty((samples, 2))
-    pending = np.arange(samples)
-    for _round in range(64):
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(pending.size, 2, 2))
-        # Channel matrix rows = UAVs, columns = devices.
-        M = (amp.T[None, :, :] * np.exp(1j * theta.transpose(0, 2, 1)))
-        cond = np.linalg.cond(M)
-        ok = cond <= MAX_COND
-        if ok.any():
-            idx = pending[ok]
-            Minv = np.linalg.inv(M[ok])
-            inv_row_norm2[idx] = 1.0 / (np.abs(Minv) ** 2).sum(axis=2)
-        pending = pending[~ok]
-        if pending.size == 0:
-            break
-    else:
-        raise SingularChannel("channel draws persistently exceed the condition cap")
-
-    rates = np.log2(1.0 + Q[None, :] * inv_row_norm2 / cfg.noise_power)
+    if pos.shape != (2, 2) or Q.shape != (2,):
+        raise ValueError("uav_positions must have shape (2, 2) and tx_power shape (2,)")
+    rng = np.random.default_rng(seed)
+    g = gain_matrix(pos[:, None, :], cfg)[:, :, 0]  # (device, uav)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))
+    phi = theta[:, 0, 0] + theta[:, 1, 1] - theta[:, 0, 1] - theta[:, 1, 0]
+    direct, cross = g[0, 0] * g[1, 1], g[0, 1] * g[1, 0]
+    det2 = direct + cross - 2.0 * np.sqrt(direct * cross) * np.cos(phi)
+    snr = Q[None, :] * det2[:, None] / (cfg.noise_power * g[::-1].sum(axis=1))
+    rates = np.log2(1.0 + snr)
     return tuple(_estimate(rates[:, k], seed) for k in range(2))

@@ -302,7 +302,7 @@ def _power_budgets(cfg: ScenarioConfig, alloc, traj, harvested,
 
 
 def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
-                      sca_tol: float = INNER_TOL, max_iter: int = MAX_INNER):
+                      max_iter: int = MAX_INNER):
     """Iterative concave maximization of the transmit powers.
 
     Slots with no uplink time are frozen at the incumbent; each pass solves
@@ -360,7 +360,7 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
         trace.append(val)
         sur = float(out.x[-1])
         if prev_surrogate is not None and \
-                sur - prev_surrogate <= sca_tol * (1.0 + abs(prev_surrogate)):
+                sur - prev_surrogate <= INNER_TOL * (1.0 + abs(prev_surrogate)):
             break
         prev_surrogate = sur
     return Q, trace

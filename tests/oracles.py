@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from wpcn_traj.mc import _estimate, _gains
+from wpcn_traj.mc import _estimate
 from wpcn_traj.model import ScenarioConfig, gain_matrix
 
 LOG2E = float(np.log2(np.e))
@@ -128,7 +128,8 @@ def sample_received_power(cfg: ScenarioConfig, uav_positions, target: int,
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    g = _gains(cfg, uav_positions, None)
+    pos = np.asarray(uav_positions, dtype=float)
+    g = gain_matrix(pos[:, None, :], cfg)[:, :, 0]  # (device, uav)
     amp = np.sqrt(g)
     other = 1 - target
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))  # (s, device, uav)

@@ -391,8 +391,7 @@ def test_criterion_9_subproblem_oracles():
     budgets = [harvested_energy_ic(zero, traj, k, cfg) for k in range(2)]
     Q0 = np.array([[0.0, 0.999 * budgets[0] / uplink[1]],
                    [0.999 * budgets[1] / uplink[0], 0.0]])
-    Qp, _ = optimize_power_ic(cfg, traj, AllocationIC(charge, uplink, Q0),
-                              sca_tol=1e-7, max_iter=60)
+    Qp, _ = optimize_power_ic(cfg, traj, AllocationIC(charge, uplink, Q0))
     got = common_throughput_ic(AllocationIC(charge, uplink, Qp), traj, cfg)
     oracle = _refining_power_oracle(cfg, traj, uplink, budgets)
     ok &= got >= oracle - 1e-3 * (1 + abs(oracle))

@@ -1,28 +1,37 @@
 import numpy as np
 import pytest
 
-from wpcn_traj import (SingularChannel, channel_gain, comp_coherent_power,
-                       comp_noncoherent_power, comp_rate_upper_bound,
-                       sample_zf_rate)
+from wpcn_traj import (channel_gain, comp_coherent_power, comp_noncoherent_power,
+                       comp_rate_upper_bound, sample_zf_rate)
 from conftest import benchmark_config, hover_positions
 from oracles import sample_received_power
 
 
 class TestZfRate:
     def test_orthogonal_channels_exact(self):
-        cfg = benchmark_config(device_distance=5.0)
-        pos = np.array([[-2.5, 0.0], [2.5, 0.0]])
+        # Each UAV hovers over its own device, 1e4 m from the other one: the
+        # cross gains are ~2.5e-7 of the direct ones, so zero forcing costs
+        # nothing and every draw gives the interference-free rate.
+        cfg = benchmark_config(device_distance=1e4)
+        pos = cfg.device_positions.copy()
         own = cfg.ref_gain / cfg.altitude**2
-        override = np.array([[own, 0.0], [0.0, own]])
         q = 1e-6
-        est = sample_zf_rate(cfg, pos, [q, q], samples=200, seed=5,
-                             gain_override=override)
+        est = sample_zf_rate(cfg, pos, [q, q], samples=200, seed=5)
         expected = np.log2(1.0 + q * own / cfg.noise_power)
         for k in range(2):
-            # |e^{j theta}|^2 rounds at machine precision, so "zero variance"
-            # means float-level jitter here.
-            assert est[k].stderr <= 1e-12 * est[k].mean
-            assert est[k].mean == pytest.approx(expected, rel=1e-12)
+            assert est[k].stderr <= 1e-6 * est[k].mean
+            assert est[k].mean == pytest.approx(expected, rel=1e-6)
+
+    def test_rejects_wrong_shapes(self):
+        cfg = benchmark_config(device_distance=5.0)
+        pos = np.array([[-2.5, 0.0], [2.5, 0.0]])
+        with pytest.raises(ValueError):
+            sample_zf_rate(cfg, np.vstack([pos, [[0.0, 1.0]]]), [1e-6, 1e-6],
+                           samples=16, seed=1)
+        with pytest.raises(ValueError):
+            sample_zf_rate(cfg, pos, [1e-6, 1e-6, 1e-6], samples=16, seed=1)
+        with pytest.raises(ValueError):
+            sample_zf_rate(cfg, pos, 1e-6, samples=16, seed=1)
 
     def test_mean_below_closed_form_bound(self):
         cfg = benchmark_config(device_distance=5.0)
@@ -42,14 +51,6 @@ class TestZfRate:
         assert a == b
         c = sample_zf_rate(cfg, pos, [1e-6, 2e-6], samples=500, seed=78)
         assert c[0].mean != a[0].mean
-
-    def test_persistently_singular_raises(self):
-        cfg = benchmark_config(device_distance=5.0)
-        pos = np.array([[-2.5, 0.0], [2.5, 0.0]])
-        override = np.array([[0.0, 0.0], [1e-5, 1e-5]])  # dead device-1 channel
-        with pytest.raises(SingularChannel):
-            sample_zf_rate(cfg, pos, [1e-6, 1e-6], samples=16, seed=1,
-                           gain_override=override)
 
     def test_standard_error_scaling(self):
         cfg = benchmark_config(device_distance=8.0)
@@ -78,26 +79,48 @@ class TestZfRate:
                 mean_snr = q * det2 / (cfg.noise_power * g[1 - k].sum())
                 assert est[k].mean <= np.log2(1.0 + mean_snr) + 3.0 * est[k].stderr
 
-    def test_matches_independent_adjugate_reconstruction(self):
-        # Same seed, same draws: rebuild the estimate through the explicit
-        # 2x2 adjugate instead of the library inverse.
+    def test_mean_matches_exact_phase_average(self):
+        # The rate is log2(alpha - beta cos phi) with phi uniform, and
+        # int_0^2pi ln(a - b cos phi) dphi = 2 pi ln((a + sqrt(a^2 - b^2)) / 2)
+        # for a >= |b| (Gradshteyn & Ryzhik 4.224), which gives the exact mean.
+        # Geometries as in acceptance criterion 7 (D=15) and at D=8.
+        rng = np.random.default_rng(2024)
+        for D, span in ((15.0, 12.5), (8.0, 10.0)):
+            cfg = benchmark_config(device_distance=D)
+            for _ in range(20):
+                pos = rng.uniform(-span, span, size=(2, 2))
+                q = 10.0 ** rng.uniform(-7.0, -4.0, size=2)
+                est = sample_zf_rate(cfg, pos, q, samples=20000,
+                                     seed=int(rng.integers(2**63)))
+                g = np.array([[float(channel_gain(pos[m], cfg.device_positions[k], cfg))
+                               for m in range(2)] for k in range(2)])
+                direct, cross = g[0, 0] * g[1, 1], g[0, 1] * g[1, 0]
+                for k in range(2):
+                    c = q[k] / (cfg.noise_power * g[1 - k].sum())
+                    alpha = 1.0 + c * (direct + cross)
+                    beta = 2.0 * c * np.sqrt(direct * cross)
+                    exact = np.log2((alpha + np.sqrt((alpha - beta) * (alpha + beta))) / 2.0)
+                    assert abs(est[k].mean - exact) <= 4.0 * est[k].stderr
+
+    def test_matches_library_inverse_of_the_same_draws(self):
+        # Same seed, same draws: rebuild the estimate by inverting each
+        # channel matrix with the library inverse instead of the closed-form
+        # determinant.
         cfg = benchmark_config(device_distance=7.0)
         pos = np.array([[-2.0, 1.5], [3.5, -0.5]])
         q = np.array([2e-6, 5e-7])
         seed, n = 424242, 4000
         est = sample_zf_rate(cfg, pos, q, samples=n, seed=seed)
         rng = np.random.default_rng(seed)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2, 2))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2, 2))  # (s, device, uav)
         amp = np.sqrt(np.array(
             [[float(channel_gain(pos[m], cfg.device_positions[k], cfg))
               for m in range(2)] for k in range(2)]))
+        # Channel matrix rows = UAVs, columns = devices.
         M = amp.T[None] * np.exp(1j * theta.transpose(0, 2, 1))
-        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-        rows2 = np.stack([np.abs(M[:, 0, 1]) ** 2 + np.abs(M[:, 1, 1]) ** 2,
-                          np.abs(M[:, 0, 0]) ** 2 + np.abs(M[:, 1, 0]) ** 2])
+        inv_row_norm2 = 1.0 / (np.abs(np.linalg.inv(M)) ** 2).sum(axis=2)
         for k in range(2):
-            snr = q[k] * np.abs(det) ** 2 / (cfg.noise_power * rows2[k])
-            rate = np.log2(1.0 + snr)
+            rate = np.log2(1.0 + q[k] * inv_row_norm2[:, k] / cfg.noise_power)
             assert est[k].mean == pytest.approx(float(rate.mean()), rel=1e-10)
 
 

@@ -236,7 +236,7 @@ class TestOptimizePower:
         Q0 = np.array([[0.0, 0.999 * budgets[0] / uplink[1]],
                        [0.999 * budgets[1] / uplink[0], 0.0]])
         warm = AllocationIC(charge, uplink, Q0)
-        Q, _ = optimize_power_ic(cfg, traj, warm, sca_tol=1e-7, max_iter=60)
+        Q, _ = optimize_power_ic(cfg, traj, warm)
         got = common_throughput_ic(AllocationIC(charge, uplink, Q), traj, cfg)
         oracle = _refining_power_oracle(cfg, traj, uplink, budgets)
         assert got >= oracle - 1e-3 * (1 + abs(oracle))
