@@ -563,8 +563,9 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
         ran out or the line search collapsed)."""
         count = 0
         dec = np.inf
+        s = lay.slacks(x)
+        log_s = np.log(s)
         for _it in range(MAX_STAGE_STEPS):
-            s = lay.slacks(x)
             inv_s = 1.0 / s
             gv, hv = lay.derivatives(x, inv_s)
             grad = lay.gradient(gv, inv_s)
@@ -583,22 +584,22 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             alpha = 1.0
             if near.any():
                 alpha = min(1.0, 0.99 * float((s[near] / gd_rows[near]).min()))
-            f0 = -t * float(x[-1]) - float(np.log(s).sum())
+            f0 = -t * float(x[-1]) - float(log_s.sum())
             gd = float(grad @ d)
-
-            def psi(xx: np.ndarray) -> float:
-                ss = lay.slacks(xx)
-                if ss.min() <= 0.0:
-                    return np.inf
-                return -t * float(xx[-1]) - float(np.log(ss).sum())
-
-            while psi(x + alpha * d) > f0 + ARMIJO * alpha * gd:
+            # The accepted trial's slacks and their logs serve the next step.
+            while True:
+                trial = x + alpha * d
+                s_try = lay.slacks(trial)
+                if s_try.min() > 0.0:
+                    log_try = np.log(s_try)
+                    if -t * float(trial[-1]) - float(log_try.sum()) <= f0 + ARMIJO * alpha * gd:
+                        break
                 alpha *= BACKTRACK
                 if alpha < 1e-16:
                     break
             if alpha < 1e-16:
                 break
-            x = x + alpha * d
+            x, s, log_s = trial, s_try, log_try
         return x, count, dec
 
     total_steps = 0

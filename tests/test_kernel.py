@@ -152,6 +152,35 @@ class TestSolveConcave:
 
 
 # ---------------------------------------------------------------------------
+# The line search
+# ---------------------------------------------------------------------------
+
+def test_one_slack_evaluation_per_trial_point(monkeypatch):
+    # Slacks are evaluated at the start, once per barrier stage, once per
+    # line-search trial and once for the final residuals; an accepted trial's
+    # slacks serve the next Newton step.
+    points = []
+    slacks = kernel._Layout.slacks
+
+    def recorded(layout, x):
+        points.append(x.copy())
+        return slacks(layout, x)
+
+    monkeypatch.setattr(kernel._Layout, "slacks", recorded)
+    prob, start = _toy_epigraph(), np.array([0.5, 0.7, 0.1])
+    out = solve_concave(prob, start)
+    assert out.status is Status.OPTIMAL
+    # Stage weights run 1, MU, MU^2, ..., and the last one is m / gap.
+    stages = round(np.log(prob.num_rows / out.residuals["gap"]) / np.log(kernel.MU)) + 1
+    # Every trial point is new; the stage and final evaluations repeat the
+    # start or an accepted trial.
+    trials = len({p.tobytes() for p in points}) - 1
+    assert np.array_equal(points[0], start) and np.array_equal(points[-1], out.x)
+    assert trials >= out.iterations - stages
+    assert len(points) == trials + stages + 2
+
+
+# ---------------------------------------------------------------------------
 # The Newton step against a dense reference
 # ---------------------------------------------------------------------------
 
