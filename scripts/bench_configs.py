@@ -7,9 +7,9 @@ Newton steps, busy time, milliseconds per Newton step, slack evaluations per
 Newton step and kernel statuses.  The kernel calls are counted by wrapping
 `sca_ic.solve_concave`, the name through which both engines call the kernel,
 and a call's kind is the name of the function that made it.  Slack
-evaluations are counted by wrapping `kernel._Layout.slacks`: one per Newton
-step, one per line-search trial, and two per call (start check and final
-residuals).  The configs (D = 15 m) are:
+evaluations are counted by wrapping `kernel._Layout.slacks`: one per
+line-search trial, one per barrier stage, and two per call (start check and
+final residuals).  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;

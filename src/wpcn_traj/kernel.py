@@ -23,6 +23,14 @@ Scheinberg, Math. Prog. 2004).  A step then costs O(n) for a bounded
 bandwidth.  Below a crossover in n the one dense factorization of the whole
 Hessian is faster, and that is used instead.  On both paths the log groups
 of all rows are evaluated at once, in one stacked evaluation per kind.
+
+A Newton step is damped by backtracking until the barrier function
+psi = -t R - sum(ln s) passes the Armijo test with an allowance for its own
+rounding, eps_psi = PSI_ROUNDING u (t |R| + sum |ln s|), u the machine
+epsilon (as in approximate-Wolfe line searches, Hager and Zhang, SIAM J.
+Optim. 2005): a decrement below that floor takes the full step, where the
+plain test would backtrack on noise.  Slacks are evaluated once per trial,
+and the accepted trial's slacks serve the next step.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ class StartInfeasible(RuntimeError):
 # Barrier settings, read when `solve_concave` runs.
 MU = 10.0               # barrier parameter growth per stage
 ARMIJO = 0.25           # sufficient-decrease fraction
+PSI_ROUNDING = 4.0      # rounding allowance of the Armijo test, in ulps per term
 BACKTRACK = 0.5         # step shrink factor
 GAP_ABS = 1e-9
 GAP_REL = 1e-9
@@ -542,6 +551,10 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     """Log-barrier maximization of the last variable from a strictly feasible
     start.
 
+    The line search takes the Armijo test plus eps_psi (module docstring).
+    Slacks are evaluated at the start, once per barrier stage, once per
+    line-search trial and once for the final residuals.
+
     Raises StartInfeasible if any row slack at the start is non-positive.
     """
     x = np.asarray(start, dtype=float).copy()
@@ -586,13 +599,17 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
                 alpha = min(1.0, 0.99 * float((s[near] / gd_rows[near]).min()))
             f0 = -t * float(x[-1]) - float(log_s.sum())
             gd = float(grad @ d)
-            # The accepted trial's slacks and their logs serve the next step.
+            # Armijo test with an allowance for psi's own rounding; the
+            # accepted trial's slacks and their logs serve the next step.
+            ceiling = f0 + PSI_ROUNDING * np.finfo(float).eps * (t * abs(float(x[-1]))
+                                                                  + float(np.abs(log_s).sum()))
             while True:
                 trial = x + alpha * d
                 s_try = lay.slacks(trial)
                 if s_try.min() > 0.0:
                     log_try = np.log(s_try)
-                    if -t * float(trial[-1]) - float(log_try.sum()) <= f0 + ARMIJO * alpha * gd:
+                    psi_try = -t * float(trial[-1]) - float(log_try.sum())
+                    if psi_try <= ceiling + ARMIJO * alpha * gd:
                         break
                 alpha *= BACKTRACK
                 if alpha < 1e-16:

@@ -180,6 +180,34 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
     assert len(points) == trials + stages + 2
 
 
+def test_coordination_solve_converges_below_the_rounding_floor(monkeypatch):
+    # In the late barrier stages (t ~ 1e10) the Newton decrement falls below
+    # the rounding of the barrier function itself; an Armijo test that
+    # compares that noise backtracks every step to no gain until the stage's
+    # step cap runs out.
+    outcomes, evaluations, in_kernel = [], [0], [False]
+    kernel_call, slacks = sca_ic.solve_concave, kernel._Layout.slacks
+
+    def recorded(problem, start):
+        in_kernel[0] = True
+        try:
+            outcomes.append(kernel_call(problem, start))
+        finally:
+            in_kernel[0] = False
+        return outcomes[-1]
+
+    def counted(layout, x):
+        evaluations[0] += in_kernel[0]
+        return slacks(layout, x)
+
+    monkeypatch.setattr(sca_ic, "solve_concave", recorded)
+    monkeypatch.setattr(kernel._Layout, "slacks", counted)
+    sca_ic.solve_p1(benchmark_config(15.0, 4.0, num_slots=6))
+    assert outcomes
+    assert [out.status for out in outcomes] == [Status.OPTIMAL] * len(outcomes)
+    assert evaluations[0] <= 1.5 * sum(out.iterations for out in outcomes)
+
+
 # ---------------------------------------------------------------------------
 # The Newton step against a dense reference
 # ---------------------------------------------------------------------------
