@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Time the finite-horizon solvers at the roadmap's fixed configs.
 
-For each config it records the wall time, the common rate and, per kind of
-barrier subproblem (time LP, power step, trajectory step), the kernel calls,
-Newton steps, busy time, milliseconds per Newton step, slack evaluations per
-Newton step and kernel statuses.  The kernel calls are counted by wrapping
-`sca_ic.solve_concave`, the name through which both engines call the kernel,
-and a call's kind is the name of the function that made it.  Slack
-evaluations are counted by wrapping `kernel._Layout.slacks`: one per
-line-search trial, one per barrier stage, and two per call (start check and
-final residuals).  The configs (D = 15 m) are:
+For each config it records the wall time, the common rate, whether the
+solution passes `is_feasible`, whether its objective trace is monotone (by
+`grid_rates.py`'s rule) and, per kind of barrier subproblem (time LP, power
+step, trajectory step), the kernel calls, Newton steps, busy time,
+milliseconds per Newton step, slack evaluations per Newton step and kernel
+statuses.  The kernel calls are counted by wrapping `sca_ic.solve_concave`,
+the name through which both engines call the kernel, and a call's kind is
+the name of the function that made it.  Slack evaluations are counted by
+wrapping `kernel._Layout.slacks`: one per line-search trial, one per barrier
+stage, and two per call (start check and final residuals).  The configs
+(D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
@@ -45,7 +47,8 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import wpcn_traj  # noqa: E402
-from wpcn_traj import ScenarioConfig, kernel, sca_ic  # noqa: E402
+from grid_rates import TRACE_SLACK  # noqa: E402
+from wpcn_traj import ScenarioConfig, is_feasible, kernel, sca_ic  # noqa: E402
 
 CONFIGS = (
     ("coordination N=40 T=4", "solve_p1", 40, 4.0),
@@ -136,8 +139,11 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                        "ms_per_step": round(1e3 * rec["busy_s"] / steps, 4) if steps else None,
                        "slacks_per_step": round(rec["slacks"] / steps, 3) if steps else None,
                        "statuses": dict(rec["statuses"])}
+    trace = np.asarray(rep.objective_trace, dtype=float)
     return {"solver": solver_name, "D": 15.0, "N": N, "T": T,
             "wall_s": round(wall, 3), "common_rate": repr(float(rep.common_rate)),
+            "is_feasible": bool(is_feasible(cfg, rep.trajectory, rep.allocation)),
+            "monotone": bool(np.all(np.diff(trace) >= -TRACE_SLACK * (1.0 + np.abs(trace[:-1])))),
             "outer_iterations": int(rep.outer_iterations),
             "newton_steps": sum(k["newton_steps"] for k in kinds.values()),
             "kinds": kinds}

@@ -166,14 +166,16 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
         points.append(x.copy())
         return slacks(layout, x)
 
-    monkeypatch.setattr(kernel._Layout, "slacks", recorded)
     prob, start = _toy_epigraph(), np.array([0.5, 0.7, 0.1])
+    t0 = np.clip(_t_star(prob, start), 1.0, kernel.START_WEIGHT_MAX)
+    monkeypatch.setattr(kernel._Layout, "slacks", recorded)
     out = solve_concave(prob, start)
     assert out.status is Status.OPTIMAL
-    # Stage weights run 1, MU, MU^2, ..., and the last one is m / gap.
-    stages = round(np.log(prob.num_rows / out.residuals["gap"]) / np.log(kernel.MU)) + 1
+    # Stage weights run t0, t0 MU, t0 MU^2, ..., and the last one is m / gap.
+    stages = round(np.log(prob.num_rows / out.residuals["gap"] / t0) / np.log(kernel.MU)) + 1
     # Every trial point is new; the stage and final evaluations repeat the
-    # start or an accepted trial.
+    # start or an accepted trial, and the start weight reuses the start's
+    # slacks.
     trials = len({p.tobytes() for p in points}) - 1
     assert np.array_equal(points[0], start) and np.array_equal(points[-1], out.x)
     assert trials >= out.iterations - stages
@@ -243,6 +245,56 @@ def _dense_reference(prob, x, rhs):
             return H, d, d + cho_solve(cf, (rhs - H @ d) * inv) * inv
         except np.linalg.LinAlgError:
             damp = 1e-12 if damp == 0.0 else 10.0 * damp
+
+
+def _barrier_gradient(prob, x):
+    """Gradient of -sum(ln s) at x, G^T (1/s) from the dense row gradients."""
+    lay = prob._compiled()
+    s = prob.slacks(x)
+    G = np.zeros((lay.m, lay.n))
+    G[lay.pat_row, lay.pat_col] = lay.derivatives(x, 1.0 / s)[0]
+    return G.T @ (1.0 / s)
+
+
+def _t_star(prob, x):
+    """e^T H^-1 grad / e^T H^-1 e at x, with H the dense barrier Hessian and
+    e the epigraph column."""
+    e = np.zeros(prob.n)
+    e[-1] = 1.0
+    w = np.linalg.solve(_dense_reference(prob, x, e)[0], e)
+    return float(w @ _barrier_gradient(prob, x) / w[-1])
+
+
+def test_first_centering_runs_at_the_start_weight(monkeypatch):
+    # The first stage's weight minimizes the start's Newton decrement,
+    # ||grad - t e|| in the H^-1 norm (Boyd and Vandenberghe, Convex
+    # Optimization, 11.3.1), clipped to [1, START_WEIGHT_MAX]: a warm-started
+    # power step and the toy program, both with t* inside that range.  The
+    # power step's Hessian has condition number ~1e21 at its start, where
+    # plain, Jacobi-scaled and refined dense solves give t* = 15.07757 to
+    # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.
+    calls = []
+
+    def keep(prob, start):
+        calls.append((prob, start))
+        return solve_concave(prob, start)
+
+    monkeypatch.setattr(sca_ic, "solve_concave", keep)
+    sca_ic.solve_p1(benchmark_config(15.0, 20.0, num_slots=6))
+    monkeypatch.undo()
+    # The start probe's time LP, then its power step from that LP's optimum.
+    power_step = calls[1]
+    for (prob, start), rel in ((power_step, 1e-4),
+                               ((_toy_epigraph(), np.array([0.5, 0.7, 0.1])), 1e-12)):
+        t_star = _t_star(prob, start)
+        assert 1.0 < t_star < kernel.START_WEIGHT_MAX
+        systems = _newton_systems(prob, start)
+        # System 0 is the start weight's own solve, with rhs e; system 1 is
+        # the first centering step, rhs = -(grad - t e) at the start.
+        x, rhs, _ = systems[1]
+        assert np.array_equal(x, start)
+        t = rhs[-1] + _barrier_gradient(prob, start)[-1]
+        assert t == pytest.approx(np.clip(t_star, 1.0, kernel.START_WEIGHT_MAX), rel=rel)
 
 
 def _captured_subproblems(monkeypatch):
