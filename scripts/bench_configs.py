@@ -5,13 +5,16 @@ For each config it records the wall time, the common rate, whether the
 solution passes `is_feasible`, whether its objective trace is monotone (by
 `grid_rates.py`'s rule) and, per kind of barrier subproblem (time LP, power
 step, trajectory step), the kernel calls, Newton steps, busy time,
-milliseconds per Newton step, slack evaluations per Newton step and kernel
-statuses.  The kernel calls are counted by wrapping `sca_ic.solve_concave`,
-the name through which both engines call the kernel, and a call's kind is
-the name of the function that made it.  Slack evaluations are counted by
-wrapping `kernel._Layout.slacks`: one per line-search trial, one per barrier
-stage, and two per call (start check and final residuals).  The configs
-(D = 15 m) are:
+milliseconds per Newton step, slack evaluations per Newton step, structured
+Newton solves with milliseconds per solve, and kernel statuses.  The kernel
+calls are counted by wrapping `sca_ic.solve_concave`, the name through which
+both engines call the kernel, and a call's kind is the name of the function
+that made it.  Slack evaluations are counted by wrapping
+`kernel._Layout.slacks`: one per line-search trial, one per barrier stage,
+and two per call (start check and final residuals).  Structured Newton
+solves are counted and timed by wrapping `kernel._solve_band_updates`,
+which programs of at least `kernel.STRUCTURED_MIN_N` variables call once
+per Newton system.  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
@@ -99,8 +102,10 @@ def source_digest() -> str:
 
 def run_config(solver_name: str, N: int, T: float) -> dict:
     stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0, "slacks": 0,
+                                 "band_solves": 0, "band_s": 0.0,
                                  "statuses": defaultdict(int)})
     kernel_call, slacks_call = sca_ic.solve_concave, kernel._Layout.slacks
+    band_call = kernel._solve_band_updates
     current = []
 
     def counted(problem, start):
@@ -123,14 +128,25 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
             stats[current[-1]]["slacks"] += 1
         return slacks_call(layout, x)
 
+    def timed_band(*args):
+        t0 = time.perf_counter()
+        try:
+            return band_call(*args)
+        finally:
+            if current:
+                stats[current[-1]]["band_solves"] += 1
+                stats[current[-1]]["band_s"] += time.perf_counter() - t0
+
     cfg = ScenarioConfig(device_distance=15.0, duration=T, num_slots=N)
     sca_ic.solve_concave, kernel._Layout.slacks = counted, counted_slacks
+    kernel._solve_band_updates = timed_band
     try:
         t0 = time.perf_counter()
         rep = getattr(wpcn_traj, solver_name)(cfg)
         wall = time.perf_counter() - t0
     finally:
         sca_ic.solve_concave, kernel._Layout.slacks = kernel_call, slacks_call
+        kernel._solve_band_updates = band_call
     kinds = {}
     for kind, rec in sorted(stats.items()):
         steps = rec["newton_steps"]
@@ -138,6 +154,9 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                        "busy_s": round(rec["busy_s"], 4),
                        "ms_per_step": round(1e3 * rec["busy_s"] / steps, 4) if steps else None,
                        "slacks_per_step": round(rec["slacks"] / steps, 3) if steps else None,
+                       "band_solves": rec["band_solves"],
+                       "ms_per_band_solve": (round(1e3 * rec["band_s"] / rec["band_solves"], 4)
+                                             if rec["band_solves"] else None),
                        "statuses": dict(rec["statuses"])}
     trace = np.asarray(rep.objective_trace, dtype=float)
     return {"solver": solver_name, "D": 15.0, "N": N, "T": T,

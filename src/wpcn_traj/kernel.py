@@ -14,15 +14,17 @@ slot's rows couple only its own few variables, while a handful of dense rows
 step uses that.  A row is dense when its k nonzeros exceed sqrt(n), or
 when it holds the epigraph column beside another variable; the other rows
 and every row's curvature form a banded matrix once the variables are put
-in reverse Cuthill-McKee order.  That matrix is factored with
-`cholesky_banded`, and each dense row is added to the factor as a positive
-rank-one update kept in product form (method C1 of Gill, Golub, Murray and
-Saunders, "Methods for modifying matrix factorizations", Math. Comp. 1974;
-its use for dense rows of interior-point systems is Goldfarb and
-Scheinberg, Math. Prog. 2004).  A step then costs O(n) for a bounded
-bandwidth.  Below a crossover in n the one dense factorization of the whole
-Hessian is faster, and that is used instead.  On both paths the log groups
-of all rows are evaluated at once, in one stacked evaluation per kind.
+in reverse Cuthill-McKee order.  That matrix is factored by LAPACK's
+banded Cholesky `dpbtrf`, and each dense row is added to the factor as a
+positive rank-one update kept in product form (method C1 of Gill, Golub,
+Murray and Saunders, "Methods for modifying matrix factorizations", Math.
+Comp. 1974; its use for dense rows of interior-point systems is Goldfarb
+and Scheinberg, Math. Prog. 2004), whose vectors are stored once per
+factorization, the back sweep's reversed.  A step then costs O(n) for a
+bounded bandwidth.  Below a crossover in n the one dense factorization of
+the whole Hessian is faster, and that is used instead.  On both paths the
+log groups of all rows are evaluated at once, in one stacked evaluation per
+kind.
 
 A Newton step is damped by backtracking until the barrier function
 psi = -t R - sum(ln s) passes the Armijo test with an allowance for its own
@@ -48,8 +50,7 @@ from enum import Enum
 from itertools import groupby
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpotrf, dpotrs, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs, dtbtrs
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -71,15 +72,17 @@ MU = 10.0               # barrier parameter growth per stage
 START_WEIGHT_MAX = 1e3
 ARMIJO = 0.25           # sufficient-decrease fraction
 PSI_ROUNDING = 4.0      # rounding allowance of the Armijo test, in ulps per term
+MACHINE_EPS = np.finfo(float).eps  # u of the allowance
 BACKTRACK = 0.5         # step shrink factor
 GAP_ABS = 1e-9
 GAP_REL = 1e-9
 NEWTON_TOL = 1e-8       # half squared Newton decrement
 MAX_STAGE_STEPS = 100
 MAX_STAGES = 64
-# Programs with fewer variables take the dense factorization: the measured
-# crossover of the Newton step (one BLAS thread; ROADMAP item 3) lies near
-# n = 150 on the subproblems the solvers emit, whose bands stay below n/7.
+# Programs with fewer variables take the dense factorization.  A structured
+# Newton step costs 1.05 dense ones at n = 161 (band 1), 0.33 at n = 241
+# (band 2) and 1.48 at n = 137 (band 30), with one BLAS thread: the
+# crossover lies just above n = 161 for thin bands and higher for wide ones.
 STRUCTURED_MIN_N = 150
 
 
@@ -337,9 +340,6 @@ class _Layout:
             self.h_target = (pos[hi] - pos[hj])[self.keep] * n + pos[hj][self.keep]
             self.z_target = rank[self.dz_row] * n + pos[self.pat_col[self.dz]]
             self.pos, self.perm = pos, np.argsort(pos)
-            # Row of every band-storage entry (clipped past the last row,
-            # where the storage holds zeros).
-            self.band_rows = np.minimum(np.arange(n) + np.arange(self.band + 1)[:, None], n - 1)
         else:
             self.keep = None
             self.h_target = hi * n + hj
@@ -447,7 +447,7 @@ class _Layout:
                 H += Z.T @ Z
             return _solve_spd(H, rhs)
         ab = np.bincount(self.h_target, hv, minlength=(self.band + 1) * n).reshape(-1, n)
-        return _solve_band_updates(ab, Z, rhs[self.perm], self.band_rows)[self.pos]
+        return _solve_band_updates(ab, Z, rhs[self.perm])[self.pos]
 
 
 # ---------------------------------------------------------------------------
@@ -485,71 +485,101 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _damped(solve) * inv_d
 
 
-def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray,
-                        band_rows: np.ndarray) -> np.ndarray:
+def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve (B + Z^T Z) x = g, B symmetric banded in lower storage
-    (ab[r, j] = B[j + r, j], band_rows[r, j] = min(j + r, n - 1)), with the
-    same Jacobi equilibration and damping as `_solve_spd`, then one step of
-    iterative refinement against the undamped matrix: with the dense rows
-    dominating B, the product form alone left residuals up to ~500 times the
-    dense factorization's on captured time-LP steps, and one refinement step
-    removes that gap."""
+    (ab[r, j] = B[j + r, j], zero past the last row), with the same Jacobi
+    equilibration and damping as `_solve_spd`, then one step of iterative
+    refinement against the undamped matrix: with the dense rows dominating
+    B, the product form alone left residuals up to ~500 times the dense
+    factorization's on captured time-LP steps, and one refinement step
+    removes that gap.  ab is scaled in place."""
+    rows, n = ab.shape
     diag = ab[0] + np.einsum("kn,kn->n", Z, Z)
     inv_d = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
-    Bs = ab * inv_d[None, :] * inv_d[band_rows]
+    Bs = ab
+    Bs *= inv_d
+    Bs *= _diagonals(inv_d, rows)[0]
     Zs = Z * inv_d
     gs = g * inv_d
     solve = _damped(lambda damp: _band_factor(Bs, Zs, damp))
     x = solve(gs)
-    upper = (Bs[1:] * x[band_rows[1:]]).sum(axis=0)
-    r = gs - np.bincount(band_rows.ravel(), (Bs * x).ravel(), minlength=x.size) - upper \
-        - Zs.T @ (Zs @ x)
-    return (x + solve(r)) * inv_d
+    # B x, each entry summing over r in order: the lower part's row i sums
+    # Bs[r, i - r] x[i - r] (a skewed view of Bs, whose entries at i < r
+    # are row r - 1's and meet the zeros of `behind`), the strict upper
+    # part's row j sums Bs[r, j] x[j + r].
+    ahead, behind = _diagonals(x, rows)
+    lower = np.einsum("rn,rn->n", _view(Bs, (rows, n), (n - 1, 1)), behind)
+    upper = np.einsum("rn,rn->n", Bs[1:], ahead[1:])
+    res = gs - lower - upper - Zs.T @ (Zs @ x)
+    return (x + solve(res)) * inv_d
+
+
+def _view(a: np.ndarray, shape: tuple, steps: tuple, start: int = 0) -> np.ndarray:
+    """View w[r, j] = a.flat[start + r steps[0] + j steps[1]] of a
+    C-contiguous array a."""
+    return np.ndarray(shape, a.dtype, a, start * a.itemsize,
+                      tuple(step * a.itemsize for step in steps))
+
+
+def _diagonals(v: np.ndarray, rows: int) -> tuple:
+    """Views ahead[r, j] = v[j + r] and behind[r, j] = v[j - r] for r < rows,
+    zero off the ends of v."""
+    n = v.size
+    pad = np.zeros(n + 2 * rows - 2)
+    pad[rows - 1:n + rows - 1] = v
+    return _view(pad, (rows, n), (1, 1), rows - 1), _view(pad, (rows, n), (-1, 1), rows - 1)
 
 
 def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float):
     """Factor B + damp I + Z^T Z and return the function that solves with it.
 
-    B + damp I = L D L^T is factored by `cholesky_banded` (L unit lower).
+    B + damp I = L D L^T is factored by LAPACK's `dpbtrf` (L unit lower).
     Each row z of Z then updates D + p p^T = Lt Dbar Lt^T, with p the
     forward-solved z and Lt = I + tril(p beta^T, -1), beta_j = p_j/(d_j t_j),
     t_j = 1 + sum_{i<=j} p_i^2 / d_i (method C1).  Lt is never formed: a
-    solve with it is a cumulative sum.  Only the last pivot may be zero (an
+    solve with it is a prefix sum, and the back sweep's vectors are stored
+    reversed once per factorization.  Only the last pivot may be zero (an
     epigraph column no band row touches), and the recurrences never divide
     by it."""
-    n, k = B.shape[1], Z.shape[0]
-    M = B.copy()
+    k, n = Z.shape
+    M = np.array(B, order="F")
     M[0] += damp
     cut = n - 1 if M[0, -1] == 0.0 else n
-    L = cholesky_banded(M[:, :cut], lower=True, check_finite=False)
+    L, info = dpbtrf(M[:, :cut], lower=1, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError("band part is not positive definite")
     d = np.zeros(n)
     d[:cut] = L[0] ** 2
-    L /= L[0]
-    Y = Z.T.copy()
-    Y[:cut] = dtbtrs(L, Y[:cut], uplo="L", diag="U")[0]
-    updates = []
-    tp = np.ones(n)
-    for i in range(k):
-        p = Y[:, i]
-        pd = p[:-1] / d[:-1]
-        np.cumsum(p[:-1] * pd, out=tp[1:])
-        tp[1:] += 1.0
-        d += p * p / tp
-        Y[1:, i + 1:] -= (p[1:] / tp[1:])[:, None] * np.cumsum(pd[:, None] * Y[:-1, i + 1:],
-                                                               axis=0)
-        updates.append((p, pd, p[1:] / tp[1:], 1.0 / tp[1:]))
+    L[1:] /= L[0]           # dtbtrs with diag="U" never reads L[0]
+    # Row i of P is the i-th update's p once the updates before it apply.
+    # (dtbtrs corrupts the heap when given no right-hand sides.)
+    P = Z.copy()
+    if k:
+        P[:, :cut] = dtbtrs(L, P[:, :cut].T, uplo="L", diag="U")[0].T
+    PD, PT, T = np.empty((k, n - 1)), np.empty((k, n - 1)), np.ones((k, n))
+    for i, (p, pd, pt, t) in enumerate(zip(P, PD, PT, T)):
+        np.divide(p[:-1], d[:-1], out=pd)
+        np.add.accumulate(p[:-1] * pd, out=t[1:])
+        t[1:] += 1.0
+        d += p * p / t
+        np.divide(p[1:], t[1:], out=pt)
+        if i + 1 < k:
+            P[i + 1:, 1:] -= pt * np.add.accumulate(pd * P[i + 1:, :-1], axis=1)
     if not d[-1] > 0.0:
         raise np.linalg.LinAlgError("singular barrier Hessian")
+    # The back sweep runs the updates last to first, each from the end.
+    back = (PD[::-1], P[::-1, :0:-1].copy(), 1.0 / T[::-1, :0:-1])
 
     def solve(g: np.ndarray) -> np.ndarray:
         y = g.copy()
-        y[:cut] = dtbtrs(L, y[:cut, None], uplo="L", diag="U")[0][:, 0]
-        for _p, pd, p_tp, _inv_tp in updates:
-            y[1:] -= p_tp * np.cumsum(pd * y[:-1])
+        y[:cut] = dtbtrs(L, y[:cut], uplo="L", diag="U")[0]
+        head, tail, tail_rev = y[:-1], y[1:], y[:0:-1]
+        for pd, pt in zip(PD, PT):
+            tail -= pt * np.add.accumulate(pd * head)
         y /= d
-        for p, pd, _p_tp, inv_tp in reversed(updates):
-            y[:-1] -= pd * np.cumsum((p[:0:-1] * y[:0:-1]) * inv_tp[::-1])[::-1]
-        y[:cut] = dtbtrs(L, y[:cut, None], uplo="L", trans="T", diag="U")[0][:, 0]
+        for pd, p_rev, inv_t_rev in zip(*back):
+            head -= pd * np.add.accumulate(p_rev * tail_rev * inv_t_rev)[::-1]
+        y[:cut] = dtbtrs(L, y[:cut], uplo="L", trans="T", diag="U")[0]
         return y
 
     return solve
@@ -618,8 +648,8 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             gd = float(grad @ d)
             # Armijo test with an allowance for psi's own rounding; the
             # accepted trial's slacks and their logs serve the next step.
-            ceiling = f0 + PSI_ROUNDING * np.finfo(float).eps * (t * abs(float(x[-1]))
-                                                                  + float(np.abs(log_s).sum()))
+            ceiling = f0 + PSI_ROUNDING * MACHINE_EPS * (t * abs(float(x[-1]))
+                                                         + float(np.abs(log_s).sum()))
             while True:
                 trial = x + alpha * d
                 s_try = lay.slacks(trial)

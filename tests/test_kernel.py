@@ -493,3 +493,79 @@ def test_spd_solve_damps_a_singular_matrix(monkeypatch):
     assert infos[0] > 0 and infos[-1] == 0
     assert np.isfinite(d).all()
     assert np.linalg.norm(H @ d - g) <= 1e-6 * np.linalg.norm(g)
+
+
+def _band_storage(B, band):
+    """Lower band storage of symmetric B, ab[r, j] = B[j + r, j], zero past
+    the last row."""
+    n = B.shape[0]
+    ab = np.zeros((band + 1, n))
+    for r in range(band + 1):
+        ab[r, :n - r] = B.diagonal(-r)
+    return ab
+
+
+def _bandwidth_two(rng, n):
+    """Random positive definite C C^T, C lower bidiagonal."""
+    C = np.diag(rng.uniform(0.5, 2.0, n)) + np.diag(rng.standard_normal(n - 1), -1)
+    return C @ C.T
+
+
+def test_band_solve_matches_dense_solve():
+    # Bandwidth 2 and four dense rows, two of them identical, as the joint
+    # time LP's two rate rows are on a symmetric path.
+    rng = np.random.default_rng(6)
+    n = 200
+    B = _bandwidth_two(rng, n)
+    Z = rng.standard_normal((4, n))
+    Z[3] = Z[1]
+    g = rng.standard_normal(n)
+    d = kernel._solve_band_updates(_band_storage(B, 2), Z, g)
+    ref = np.linalg.solve(B + Z.T @ Z, g)
+    assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_band_solve_damps_a_singular_band(monkeypatch):
+    # One variable with no band curvature at all: the band part's own
+    # factorization breaks down on it, and a shifted one gives the step,
+    # which the dense rows and the refinement step make exact.
+    rng = np.random.default_rng(8)
+    n = 30
+    B = _bandwidth_two(rng, n)
+    B[5], B[:, 5] = 0.0, 0.0
+    Z = rng.standard_normal((4, n))
+    g = rng.standard_normal(n)
+    infos = []
+    dpbtrf = kernel.dpbtrf
+
+    def counted(*args, **kw):
+        out = dpbtrf(*args, **kw)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(kernel, "dpbtrf", counted)
+    d = kernel._solve_band_updates(_band_storage(B, 2), Z, g)
+    assert infos[0] > 0 and infos[-1] == 0
+    assert np.linalg.norm((B + Z.T @ Z) @ d - g) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_structured_program_without_dense_rows(monkeypatch):
+    # With no dense row there is nothing to forward-solve for the updates,
+    # and LAPACK's dtbtrs corrupts the heap when given no right-hand sides.
+    dtbtrs = kernel.dtbtrs
+
+    def checked(ab, b, **kw):
+        assert b.size, "dtbtrs called without right-hand sides"
+        return dtbtrs(ab, b, **kw)
+
+    monkeypatch.setattr(kernel, "dtbtrs", checked)
+    n = kernel.STRUCTURED_MIN_N
+    prob = Problem(n)
+    prob.add_affine(np.arange(n - 1)[:, None], np.ones((n - 1, 1)), np.ones(n - 1))
+    prob.add_bounds(np.arange(n - 1))
+    prob.add_affine([n - 1], [1.0], 1.0)
+    lay = prob._compiled()
+    assert lay.structured and lay.k == 0
+    out = solve_concave(prob, np.r_[np.full(n - 1, 0.5), 0.0])
+    assert out.status is Status.OPTIMAL
+    assert out.objective == pytest.approx(1.0, abs=1e-8)
