@@ -5,9 +5,9 @@ its start probe, the time LP and the trajectory SCA loop are the ones in
 `sca_ic`, shared by both modes.  The joint mode differs in three
 places: the throughput objective uses the closed-form bound on the
 joint-reception rate; that bound separates across devices, so the power step
-is one water-filling per device; and the trajectory subproblem introduces
-amplitude/gain slack variables so the coherent charging term and the rate
-term become concave.
+is one water-filling per device; and the trajectory subproblem bounds that
+rate and the coherent charging power, convex in the squared UAV-device
+distances, by tangents in them built by the shared `sca_ic._harvest_tangent`.
 """
 
 from __future__ import annotations
@@ -18,30 +18,29 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
-from .kernel import LogGroup, Problem
+from .kernel import Problem
 from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
                     _positions_of, common_throughput_comp,
                     comp_coherent_power, comp_noncoherent_power,
                     comp_rate_upper_bound, harvested_energy_comp)
-from .sca_ic import (TAU_GRID, Initialization, SolveReport, _Mode, _add_strict_quad,
+from .sca_ic import (LOG2E, TAU_GRID, Initialization, SolveReport, _Mode, _add_strict_quad,
                      _alternate, _direct_start, _feasible_plan, _free_coords,
                      _harvest_tangent, _leg_time, _lift_epigraph, _power_budgets,
                      _refine_trajectory, _sample_paths, _time_lp, _window_masks,
-                     _within_budget, add_geometry_rows, build_visit_paths,
-                     traj_var_base)
+                     _within_budget, add_geometry_rows, build_visit_paths)
 
 
 @dataclass(frozen=True)
 class SlackState:
-    """Amplitude and inverse-gain slacks of the trajectory subproblem; each
-    pass expands them at equality with the incumbent geometry."""
+    """Channel amplitudes and inverse gains of a trajectory, per (device,
+    UAV, slot); `optimize_traj_comp` returns them for its trajectory."""
 
-    amp: np.ndarray       # (2 devices, 2 uavs, N); amp^2 <= gain
-    inv_gain: np.ndarray  # (2 devices, 2 uavs, N); dist^2 + H^2 <= 1/inv_gain
+    amp: np.ndarray       # (2 devices, 2 uavs, N); amp^2 = gain
+    inv_gain: np.ndarray  # (2 devices, 2 uavs, N); 1 / (dist^2 + H^2)
 
 
 def slack_at_equality(cfg: ScenarioConfig, traj) -> SlackState:
-    """Slacks that make both defining inequalities tight for a trajectory."""
+    """Amplitudes and inverse gains of a trajectory."""
     inv = 1.0 / (_device_dist2(traj, cfg) + cfg.altitude**2)
     return SlackState(amp=np.sqrt(cfg.ref_gain * inv), inv_gain=inv)
 
@@ -211,102 +210,59 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP):
 
 
 def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, ref: np.ndarray):
-    """Concave program of one trajectory SCA pass with slack variables,
-    expanded at `ref` with the slacks at equality (`slack_at_equality`).
+    """Concave program of one trajectory SCA pass at the reference `ref`.
 
-    Returns the program, its strictly feasible start and the (device, uav,
-    slot, variable index) rows of the amplitude slacks, then of the
-    inverse-gain slacks."""
+    The bound rate log2(1 + c sum_m a_m^2) and the coherent charging power
+    b0 (sum_m a_m)^2, with a_m = (H^2 + u_m)^(-1/2) and u_m the squared
+    distance from UAV m to the device, are convex and decreasing in the u_m,
+    so their tangents in the u_m (`_harvest_tangent`) are global concave
+    lower bounds.  Rows, in order: the two rate rows, the two energy rows,
+    then `add_geometry_rows`."""
     N = cfg.num_slots
-    H2 = cfg.altitude**2
     b0 = cfg.ref_gain
     w = cfg.device_positions
     beam, uplink, Q = alloc.beam_time, alloc.uplink_time, alloc.tx_power
-    slack_ref = slack_at_equality(cfg, ref[:, 1:, :])
-    tol = 1e-6 * cfg.slot_duration
-
-    beam_slots = [np.flatnonzero(beam[k] > tol) for k in range(2)]
-    rate_slots = [np.flatnonzero((uplink > tol) & (Q[k] > 0.0)) for k in range(2)]
-
-    # Variables: interior positions, amplitude slacks, inverse-gain slacks, R.
-    # Slack variable J[i] belongs to device K[i], UAV M[i] and slot S[i]; the
-    # amplitude slacks (the first na) run over each device's charging slots,
-    # the inverse-gain slacks over its rate slots, both UAVs per slot.
-    K = np.repeat([0, 1, 0, 1], [2 * s.size for s in beam_slots + rate_slots])
-    S = np.repeat(np.concatenate(beam_slots + rate_slots), 2)
-    M = np.tile([0, 1], S.size // 2)
-    J = 4 * (N - 1) + np.arange(S.size)
-    na = 2 * (beam_slots[0].size + beam_slots[1].size)
-    nv = 4 * (N - 1) + J.size + 1
-
+    nv = 4 * (N - 1) + 1
+    slots = np.arange(N)
+    at_ref = slack_at_equality(cfg, ref[:, 1:, :])   # inv_gain = a^2
     prob = Problem(nv)
-    ref_d2 = _device_dist2(ref[:, 1:, :], cfg)
-
-    # Rate rows through the inverse-gain slacks.
-    for k in range(2):
-        logs = ()
-        if rate_slots[k].size:
-            idx = J[na:][K[na:] == k].reshape(-1, 2)
-            coef = (Q[k, rate_slots[k]] * b0 / (2.0 * cfg.noise_power))[:, None]
-            logs = (LogGroup(idx=idx, coeffs=np.repeat(coef, 2, axis=1),
-                             offsets=np.ones(rate_slots[k].size),
-                             weights=uplink[rate_slots[k]] / (cfg.duration * np.log(2.0))),)
-        prob.add_concave_ge(idx=[nv - 1], lin=[-1.0], logs=logs)
-
-    amp_ref = slack_ref.amp[K[:na], M[:na], S[:na]]
-    inv_ref = slack_ref.inv_gain[K[na:], M[na:], S[na:]]
     x_ref = _free_coords(cfg, ref, nv)
-    x_ref[J] = np.concatenate((amp_ref, inv_ref))
 
-    # Energy rows: coherent part through the amplitude slacks (tangent of the
-    # squared sum), leaked part through the tangent bound in the positions.
+    # Rate rows: the rate at `ref` plus the tangent of sum coef * a^2 minus
+    # its value there, with coef the rate's slope in a^2.
+    wt = uplink / cfg.duration
+    for k in range(2):
+        c = Q[k] * b0 / (2.0 * cfg.noise_power)
+        gain = at_ref.inv_gain[k].sum(axis=0)
+        coef = wt * LOG2E * c / (1.0 + c * gain)
+        idx, diag, lin, const = _harvest_tangent(cfg, coef, ref, w[k], slots)
+        prob.add_concave_ge(idx=np.append(idx, nv - 1), lin=np.append(-lin, -1.0),
+                            diag_neg=np.append(diag, 0.0),
+                            const=float((wt * np.log2(1.0 + c * gain)).sum())
+                            - float((coef * gain).sum()) - const)
+
+    # Energy rows: spend - (tangent of the harvested energy) <= 0.  With
+    # coef = eta P b0 (leaked beam time + own beam time * sum_m a_m / a_m),
+    # sum coef * a^2 has the harvested energy's value and slope at `ref`
+    # (the amplitudes sqrt(b0) a give the same ratio).
     eta_p = cfg.eh_efficiency * cfg.uav_power
     for k in range(2):
-        ko = 1 - k
         spend = float((Q[k] * uplink).sum())
-        slots = beam_slots[k]
-        s_ref = slack_ref.amp[k, :, slots].sum(axis=1)
-        scale = eta_p * beam[k, slots]
-        amp = J[:na][K[:na] == k]
-        idx, diag, lin, const = _harvest_tangent(
-            cfg, eta_p * b0 * beam[ko, beam_slots[ko]], ref, w[k], beam_slots[ko])
-        _add_strict_quad(prob, np.concatenate((amp, idx)),
-                         np.concatenate((np.zeros(amp.size), diag)),
-                         np.concatenate((np.repeat(-2.0 * scale * s_ref, 2), lin)),
-                         spend + float((scale * s_ref**2).sum()) + const,
-                         x_ref, 1e-10 * (1.0 + spend))
-
-    # Slack-definition rows ||q_m[n] - w_k||^2 + H^2 <= b0 / amp^2 and
-    # <= 1 / inv_gain, with the convex right-hand sides replaced by their
-    # tangents (slope on the slack, offset) at the reference slacks.  Each
-    # row holds the slot's two position coordinates and its slack; a fixed
-    # final position enters as a constant, its coordinates with coefficient 0.
-    slope = np.concatenate((2.0 * b0 / amp_ref**3, 1.0 / inv_ref**2))
-    offset = np.concatenate((3.0 * b0 / amp_ref**2, 2.0 / inv_ref))
-    inner = S + 1 <= N - 1
-    base = np.where(inner, traj_var_base(cfg, M, S + 1), J)
-    wk = w[K] * inner[:, None]
-    _add_strict_quad(prob, np.stack([base, base + inner, J], axis=1),
-                     np.stack([2.0 * inner, 2.0 * inner, np.zeros(J.size)], axis=1),
-                     np.column_stack([-2.0 * wk, slope]),
-                     np.where(inner, (w[K] ** 2).sum(axis=1), ref_d2[K, M, S]) + H2 - offset,
-                     x_ref, 1e-9 * (1.0 + H2))
-    prob.add_bounds(J)
+        amp = at_ref.amp[k]
+        coef = eta_p * b0 * (beam[1 - k] + beam[k] * amp.sum(axis=0) / amp)
+        idx, diag, lin, const = _harvest_tangent(cfg, coef, ref, w[k], slots)
+        _add_strict_quad(prob, idx, diag, lin, spend + const, x_ref, 1e-10 * (1.0 + spend))
 
     add_geometry_rows(prob, cfg, ref)
-    keys = np.column_stack((K, M, S, J))
-    return prob, _lift_epigraph(prob, x_ref.copy()), keys[:na], keys[na:]
+    return prob, _lift_epigraph(prob, x_ref.copy())
 
 
 def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory):
-    """Iterative concave maximization of the trajectories and slacks.
-
-    Every pass expands with the slacks at equality with the incumbent
-    geometry, which keeps every surrogate row valid.  Returns the trajectory,
-    those slacks for it and the accepted throughputs."""
+    """Iterative concave maximization of both UAV trajectories (see
+    `_refine_trajectory`).  Returns the trajectory, its amplitudes and
+    inverse gains (`slack_at_equality`) and the accepted throughputs."""
     traj, trace = _refine_trajectory(
-        cfg, alloc, traj,
-        lambda pos: _traj_subproblem_comp(cfg, alloc, pos)[:2],
+        cfg, alloc, traj, lambda pos: _traj_subproblem_comp(cfg, alloc, pos),
         common_throughput_comp, harvested_energy_comp)
     return traj, slack_at_equality(cfg, traj), trace
 

@@ -426,10 +426,13 @@ def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray) -> No
 
 def _harvest_tangent(cfg: ScenarioConfig, coef: np.ndarray, ref: np.ndarray,
                      w_k: np.ndarray, slots: np.ndarray):
-    """Minus the tangent lower bound of the sum over `slots` and both UAVs of
-    coef / (H^2 + ||q_m[n] - w_k||^2), expanded at ref[m, n] (n = slot + 1),
-    as (idx, diag, lin, const) of one `Problem.add_quad` row; a fixed final
-    position enters as a constant."""
+    """Minus the tangent lower bound, in the squared distances, of the sum
+    over `slots` and both UAVs of coef / (H^2 + ||q_m[n] - w_k||^2), expanded
+    at ref[m, n] (n = slot + 1), as (idx, diag, lin, const) of one
+    `Problem.add_quad` row; a fixed final position enters as a constant.
+    `coef` is per slot or per (UAV, slot).  Both modes' one tangent builder:
+    a function convex in the squared distances is bounded by it, with coef
+    the function's slope in 1 / (H^2 + ||q - w||^2) at `ref`."""
     H2 = cfg.altitude**2
     n = slots + 1
     u_ref = ((ref[:, n, :] - w_k) ** 2).sum(axis=-1)         # (uav, slot)

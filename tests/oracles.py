@@ -88,6 +88,52 @@ def harvest_bound_ic(pos, pos_ref, charge_time, k: int, cfg: ScenarioConfig) -> 
     return float(per.sum())
 
 
+def comp_traj_rate_bound(pos, pos_ref, tx_power, alloc_uplink_time,
+                         k: int, cfg: ScenarioConfig) -> np.ndarray:
+    """Per-slot lower bound on device k's weighted joint-reception bound rate,
+    concave in both UAVs' positions.
+
+    The rate log2(1 + c sum_m 1/(H^2 + u_m)), c = Q_k b0 / (2 sigma^2), is
+    convex in the squared distances u_m = ||q_m - w_k||^2; this is its value
+    at the reference plus its gradient in u times (u - u_ref).
+    """
+    pos = np.asarray(pos, dtype=float)          # (2 uav, N, 2)
+    ref = np.asarray(pos_ref, dtype=float)
+    dI = np.asarray(alloc_uplink_time, dtype=float)
+    H2 = cfg.altitude**2
+    w = cfg.device_positions[k]
+    c = np.asarray(tx_power, dtype=float)[k] * cfg.ref_gain / (2.0 * cfg.noise_power)
+    u_ref = ((ref - w) ** 2).sum(axis=-1)       # (2 uav, N)
+    u_new = ((pos - w) ** 2).sum(axis=-1)
+    snr_ref = c * (1.0 / (H2 + u_ref)).sum(axis=0)
+    d_rate = -LOG2E * c / (1.0 + snr_ref) / (H2 + u_ref) ** 2   # d rate / d u_m
+    return dI * (np.log2(1.0 + snr_ref) + (d_rate * (u_new - u_ref)).sum(axis=0))
+
+
+def harvest_bound_comp(pos, pos_ref, beam_time, k: int, cfg: ScenarioConfig) -> float:
+    """Lower bound on device k's harvested energy under joint energy
+    beamforming, concave (quadratic) in the UAV positions.
+
+    With a_m = (H^2 + u_m)^(-1/2), device k harvests eta P b0 per unit time
+    (sum_m a_m)^2 while the beams aim at it and sum_m a_m^2 while they aim
+    at the other device, both convex in the squared distances u_m; this is
+    the energy at the reference plus its gradient in u times (u - u_ref).
+    """
+    pos = np.asarray(pos, dtype=float)
+    ref = np.asarray(pos_ref, dtype=float)
+    beam = np.asarray(beam_time, dtype=float)   # (2 beams, N)
+    H2 = cfg.altitude**2
+    w = cfg.device_positions[k]
+    scale = cfg.eh_efficiency * cfg.uav_power * cfg.ref_gain
+    u_ref = ((ref - w) ** 2).sum(axis=-1)       # (2 uav, N)
+    u_new = ((pos - w) ** 2).sum(axis=-1)
+    a = (H2 + u_ref) ** -0.5
+    s = a.sum(axis=0)
+    value = scale * (beam[k] * s**2 + beam[1 - k] * (a**2).sum(axis=0))
+    grad = -scale * (beam[k] * s * a**3 + beam[1 - k] * a**4)   # d value / d u_m
+    return float((value + (grad * (u_new - u_ref)).sum(axis=0)).sum())
+
+
 def separation_bound(pos, pos_ref) -> np.ndarray:
     """Per-slot affine lower bound on the squared inter-UAV distance."""
     pos = np.asarray(pos, dtype=float)

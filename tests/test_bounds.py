@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from wpcn_traj import AllocationIC, harvested_energy_ic, sinr_ic
+from wpcn_traj import (AllocationCoMP, AllocationIC, comp_rate_upper_bound,
+                       harvested_energy_comp, harvested_energy_ic, sinr_ic)
 from conftest import benchmark_config
-from oracles import (amp_sum_sq_bound, harvest_bound_ic, inv_square_bound,
-                     power_rate_bound, reciprocal_bound, separation_bound,
-                     traj_rate_bound)
+from oracles import (amp_sum_sq_bound, comp_traj_rate_bound, harvest_bound_comp,
+                     harvest_bound_ic, inv_square_bound, power_rate_bound,
+                     reciprocal_bound, separation_bound, traj_rate_bound)
 
 N = 8
 RNG = np.random.default_rng(2024)
@@ -101,6 +102,65 @@ class TestHarvestBound:
             for k in range(2):
                 b = harvest_bound_ic(pos, ref, charge, k, cfg)
                 t = harvested_energy_ic(alloc, pos, k, cfg)
+                assert b <= t + 1e-12
+
+
+def _true_rate_comp(cfg, Q, pos, uplink, k):
+    """Device k's per-slot terms of `rates_comp`, before the 1/T."""
+    return uplink * comp_rate_upper_bound(Q[k], pos, k, cfg)
+
+
+class TestCompTrajRateBound:
+    def test_exact_at_expansion(self):
+        cfg = _cfg()
+        rng = np.random.default_rng(11)
+        pos = _random_positions(rng)
+        Q = rng.uniform(0.0, 1e-4, size=(2, N))
+        uplink = rng.uniform(0.0, 0.1, size=N)
+        for k in range(2):
+            b = comp_traj_rate_bound(pos, pos, Q, uplink, k, cfg)
+            t = _true_rate_comp(cfg, Q, pos, uplink, k)
+            assert np.all(np.abs(b - t) <= 1e-10 * (1.0 + np.abs(t)))
+
+    def test_valid_on_random_perturbations(self):
+        cfg = _cfg()
+        rng = np.random.default_rng(12)
+        ref = _random_positions(rng)
+        Q = rng.uniform(0.0, 1e-4, size=(2, N))
+        uplink = rng.uniform(0.0, 0.1, size=N)
+        for _ in range(1000 // N):
+            pos = ref + rng.uniform(-5.0, 5.0, size=ref.shape)
+            for k in range(2):
+                b = comp_traj_rate_bound(pos, ref, Q, uplink, k, cfg)
+                t = _true_rate_comp(cfg, Q, pos, uplink, k)
+                assert np.all(b <= t + 1e-12)
+
+
+class TestCompHarvestBound:
+    def _alloc(self, rng):
+        beam = rng.uniform(0.0, 0.1, size=(2, N))
+        return AllocationCoMP(beam, np.zeros(N), np.zeros((2, N)))
+
+    def test_exact_at_expansion(self):
+        cfg = _cfg()
+        rng = np.random.default_rng(13)
+        pos = _random_positions(rng)
+        alloc = self._alloc(rng)
+        for k in range(2):
+            b = harvest_bound_comp(pos, pos, alloc.beam_time, k, cfg)
+            t = harvested_energy_comp(alloc, pos, k, cfg)
+            assert b == pytest.approx(t, rel=1e-10)
+
+    def test_valid_on_random_perturbations(self):
+        cfg = _cfg()
+        rng = np.random.default_rng(14)
+        ref = _random_positions(rng)
+        alloc = self._alloc(rng)
+        for _ in range(1000):
+            pos = ref + rng.uniform(-5.0, 5.0, size=ref.shape)
+            for k in range(2):
+                b = harvest_bound_comp(pos, ref, alloc.beam_time, k, cfg)
+                t = harvested_energy_comp(alloc, pos, k, cfg)
                 assert b <= t + 1e-12
 
 

@@ -9,7 +9,8 @@ from wpcn_traj import (AllocationCoMP, Initialization, Trajectory,
                        is_feasible, optimize_power_comp, optimize_time_comp,
                        optimize_traj_comp, rates_comp, solve_infinite_comp,
                        solve_infinite_ic, solve_p1, solve_p21, solve_p21_direct)
-from wpcn_traj import sca_comp
+from wpcn_traj import sca_comp, sca_ic
+from wpcn_traj.kernel import Status
 from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import (_shf_comp, initial_allocation_comp,
                                 uplink_pair_trajectory_comp)
@@ -294,3 +295,30 @@ class TestSolveP21:
         assert rep.common_rate >= bench.common_rate - 1e-9
         ic = solve_p1(cfg, solve_infinite_ic(cfg, tau_grid=150))
         assert rep.common_rate >= ic.common_rate
+
+    def test_library_default_trajectory_solves_converge(self, monkeypatch):
+        # Library default slots (N=100, T=10 s): every trajectory program
+        # (n = 397) is solved to an optimal status, and the accepted steps
+        # carry the rate to at least 11.64640.
+        built, statuses = [], []
+        build, kernel_call = sca_comp._traj_subproblem_comp, sca_ic.solve_concave
+
+        def recorded_build(*args):
+            program = build(*args)
+            built.append(program[0])
+            return program
+
+        def recorded_solve(problem, start):
+            out = kernel_call(problem, start)
+            if any(problem is p for p in built):
+                statuses.append(out.status)
+            return out
+
+        monkeypatch.setattr(sca_comp, "_traj_subproblem_comp", recorded_build)
+        monkeypatch.setattr(sca_ic, "solve_concave", recorded_solve)
+        cfg = benchmark_config(device_distance=15.0, duration=10.0, num_slots=100)
+        rep = solve_p21(cfg)
+        assert statuses
+        assert statuses == [Status.OPTIMAL] * len(statuses)
+        assert rep.common_rate >= 11.64640
+        assert is_feasible(cfg, rep.trajectory, rep.allocation)

@@ -3,19 +3,19 @@ tests evaluate each assembled row at random points near the expansion point
 and compare it with the reference surrogate in `oracles.py`.
 
 Rows are read through `Problem.slacks` (slack = -g for a row g(x) <= 0), in
-the order the builders add them: the two rate rows, the two energy rows, the
-joint mode's slack-definition rows, and the N-1 collision rows last."""
+the order the builders add them: the two rate rows, the two energy rows,
+and the N-1 collision rows last."""
 
 import numpy as np
 import pytest
 
 from wpcn_traj import AllocationCoMP, AllocationIC, direct_flight_trajectory
-from wpcn_traj.model import harvested_energy_ic
-from wpcn_traj.sca_comp import _traj_subproblem_comp, slack_at_equality
+from wpcn_traj.model import harvested_energy_comp, harvested_energy_ic
+from wpcn_traj.sca_comp import _traj_subproblem_comp
 from wpcn_traj.sca_ic import _traj_subproblem_ic
 from conftest import benchmark_config
-from oracles import (amp_sum_sq_bound, harvest_bound_ic, inv_square_bound,
-                     reciprocal_bound, separation_bound, traj_rate_bound)
+from oracles import (comp_traj_rate_bound, harvest_bound_comp, harvest_bound_ic,
+                     separation_bound, traj_rate_bound)
 
 N = 8
 
@@ -91,52 +91,24 @@ def test_joint_rows_match_bounds(seed):
     split = rng.uniform(0.1, 0.9, size=N)
     beam = np.stack([split, 1.0 - split]) * d * (1.0 - share)
     alloc = AllocationCoMP(beam, d * share, Q)
-    prob, start, amp_keys, inv_keys = _traj_subproblem_comp(cfg, alloc, ref)
-    slack = slack_at_equality(cfg, ref[:, 1:, :])
-    H2 = cfg.altitude**2
-    w = cfg.device_positions
+    prob, start = _traj_subproblem_comp(cfg, alloc, ref)
+    assert prob.n == 4 * (N - 1) + 1
+    ref_slots = ref[:, 1:, :]
     spend = (Q * alloc.uplink_time).sum(axis=1)
-    eta_p = cfg.eh_efficiency * cfg.uav_power
     for _ in range(5):
         x = _point(rng, ref, prob.n)
-        amp = slack.amp * rng.uniform(0.8, 1.2, size=slack.amp.shape)
-        inv = slack.inv_gain * rng.uniform(0.8, 1.2, size=slack.inv_gain.shape)
-        for k, m, s, j in amp_keys:
-            x[j] = amp[k, m, s]
-        for k, m, s, j in inv_keys:
-            x[j] = inv[k, m, s]
         pos = _positions(ref, x)[:, 1:, :]
-        x_ref = start.copy()
-        x_ref[-1] = 0.0
-
-        def energy(k, pos, amp):
-            """spend minus the coherent (amplitude) and leaked harvest bounds."""
-            slots = sorted({s for kk, _, s, _ in amp_keys if kk == k})
-            coherent = sum(eta_p * beam[k, s] * float(amp_sum_sq_bound(
-                amp[k, :, s], slack.amp[k, :, s])) for s in slots)
-            leaked = harvest_bound_ic(pos, ref[:, 1:, :], beam[1 - k], k, cfg)
-            return spend[k] - coherent - leaked
-
         slacks = prob.slacks(x)
         for k in range(2):
-            eps = 1e-10 * (1.0 + spend[k]) + max(0.0, energy(k, ref[:, 1:, :], slack.amp))
-            assert -slacks[2 + k] == pytest.approx(
-                energy(k, pos, amp) - eps, rel=1e-9, abs=1e-15)
-
-        # Slack rows: ||q - w_k||^2 + H^2 <= b0 inv_square_bound(amp) and
-        # <= reciprocal_bound(inv_gain), relaxed at the reference.
-        rows = iter(-slacks[4:4 + len(amp_keys) + len(inv_keys)])
-        for keys, bound, refs in (
-                (amp_keys, lambda v, r: cfg.ref_gain * inv_square_bound(v, r), slack.amp),
-                (inv_keys, reciprocal_bound, slack.inv_gain)):
-            for k, m, s, j in keys:
-                def gap(p, v):
-                    return (float(((p[m, s] - w[k]) ** 2).sum()) + H2
-                            - float(bound(v, refs[k, m, s])))
-
-                eps = 1e-9 * (1.0 + H2) + max(0.0, gap(ref[:, 1:, :], x_ref[j]))
-                assert next(rows) == pytest.approx(gap(pos, x[j]) - eps,
-                                                             rel=1e-9, abs=1e-12)
+            want = comp_traj_rate_bound(pos, ref_slots, Q, alloc.uplink_time, k, cfg).sum()
+            assert slacks[k] == pytest.approx(
+                want / cfg.duration, rel=1e-10, abs=1e-12)
+            # Energy row: spend - harvest bound <= 0, relaxed so that the
+            # reference is strictly inside.
+            at_ref = spend[k] - harvested_energy_comp(alloc, ref_slots, k, cfg)
+            eps = 1e-10 * (1.0 + spend[k]) + max(0.0, at_ref)
+            want = spend[k] - harvest_bound_comp(pos, ref_slots, beam, k, cfg) - eps
+            assert -slacks[2 + k] == pytest.approx(want, rel=1e-9, abs=1e-15)
         np.testing.assert_allclose(slacks[-(N - 1):],
                                    _collision_slack(cfg, ref, _positions(ref, x)),
                                    rtol=1e-10, atol=1e-10)
