@@ -52,7 +52,7 @@ class ScenarioConfig:
     Defaults follow the benchmark setup: 5 m altitude, -100 dBm noise,
     -30 dB reference gain, 40 dBm UAV transmit power, 60% harvesting
     efficiency, 5 m/s speed cap and 1 m separation, with the UAVs flying
-    from (-2,-2)/(2,-2) to (-2,2)/(2,2).
+    from (-2,-2)/(2,-2) to (-2,2)/(2,2) and the devices at (-D/2,0), (D/2,0).
     """
 
     altitude: float = 5.0
@@ -65,21 +65,18 @@ class ScenarioConfig:
     min_separation: float = 1.0
     duration: float = 10.0
     num_slots: int = 100
-    device_positions: np.ndarray = None  # (2, 2); defaults to (-D/2,0), (D/2,0)
     uav_initial: np.ndarray = field(
         default_factory=lambda: np.array([[-2.0, -2.0], [2.0, -2.0]])
     )
     uav_final: np.ndarray = field(
         default_factory=lambda: np.array([[-2.0, 2.0], [2.0, 2.0]])
     )
+    device_positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.device_positions is None:
-            half = self.device_distance / 2.0
-            object.__setattr__(
-                self, "device_positions", np.array([[-half, 0.0], [half, 0.0]])
-            )
-        for name in ("device_positions", "uav_initial", "uav_final"):
+        half = self.device_distance / 2.0
+        object.__setattr__(self, "device_positions", np.array([[-half, 0.0], [half, 0.0]]))
+        for name in ("uav_initial", "uav_final"):
             object.__setattr__(self, name, _as_point_pair(getattr(self, name), name))
         for key in ("altitude", "uav_power", "ref_gain", "noise_power",
                     "max_speed", "min_separation", "duration", "device_distance"):

@@ -7,7 +7,7 @@ places: the throughput objective uses the closed-form bound on the
 joint-reception rate; that bound separates across devices, so the power step
 is one water-filling per device; and the trajectory subproblem bounds that
 rate and the coherent charging power, convex in the squared UAV-device
-distances, by tangents in them built by the shared `sca_ic._harvest_tangent`.
+distances, by tangents in them, assembled by the shared `sca_ic._traj_program`.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
-from .kernel import Problem
 from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
                     _positions_of, common_throughput_comp,
                     comp_coherent_power, comp_noncoherent_power,
                     comp_rate_upper_bound, harvested_energy_comp)
-from .sca_ic import (LOG2E, TAU_GRID, Initialization, SolveReport, _Mode, _add_strict_quad,
-                     _alternate, _direct_start, _feasible_plan, _free_coords,
-                     _harvest_tangent, _leg_time, _lift_epigraph, _power_budgets,
-                     _refine_trajectory, _sample_paths, _time_lp, _window_masks,
-                     _within_budget, add_geometry_rows, build_visit_paths)
+from .sca_ic import (LOG2E, TAU_GRID, Initialization, SolveReport, _Mode, _alternate,
+                     _direct_start, _feasible_plan, _leg_time, _power_budgets,
+                     _refine_trajectory, _sample_paths, _time_lp, _traj_program,
+                     _window_masks, _within_budget, build_visit_paths)
 
 
 @dataclass(frozen=True)
@@ -210,51 +208,36 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP):
 
 
 def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, ref: np.ndarray):
-    """Concave program of one trajectory SCA pass at the reference `ref`.
+    """`_traj_program` of the joint mode at the reference `ref`.
 
     The bound rate log2(1 + c sum_m a_m^2) and the coherent charging power
     b0 (sum_m a_m)^2, with a_m = (H^2 + u_m)^(-1/2) and u_m the squared
     distance from UAV m to the device, are convex and decreasing in the u_m,
-    so their tangents in the u_m (`_harvest_tangent`) are global concave
-    lower bounds.  Rows, in order: the two rate rows, the two energy rows,
-    then `add_geometry_rows`."""
-    N = cfg.num_slots
+    so their tangents in the u_m (`_distance_tangent`) are global concave
+    lower bounds."""
     b0 = cfg.ref_gain
-    w = cfg.device_positions
     beam, uplink, Q = alloc.beam_time, alloc.uplink_time, alloc.tx_power
-    nv = 4 * (N - 1) + 1
-    slots = np.arange(N)
+    slots = np.arange(cfg.num_slots)
     at_ref = slack_at_equality(cfg, ref[:, 1:, :])   # inv_gain = a^2
-    prob = Problem(nv)
-    x_ref = _free_coords(cfg, ref, nv)
 
-    # Rate rows: the rate at `ref` plus the tangent of sum coef * a^2 minus
-    # its value there, with coef the rate's slope in a^2.
+    # Rate rows: the rate at `ref` minus the value there of sum coef * a^2,
+    # with coef the rate's slope in a^2, plus that sum's tangent.
     wt = uplink / cfg.duration
+    rates = []
     for k in range(2):
         c = Q[k] * b0 / (2.0 * cfg.noise_power)
         gain = at_ref.inv_gain[k].sum(axis=0)
         coef = wt * LOG2E * c / (1.0 + c * gain)
-        idx, diag, lin, const = _harvest_tangent(cfg, coef, ref, w[k], slots)
-        prob.add_concave_ge(idx=np.append(idx, nv - 1), lin=np.append(-lin, -1.0),
-                            diag_neg=np.append(diag, 0.0),
-                            const=float((wt * np.log2(1.0 + c * gain)).sum())
-                            - float((coef * gain).sum()) - const)
+        rates.append((float((wt * np.log2(1.0 + c * gain)).sum()) - float((coef * gain).sum()),
+                      (coef, [0, 1], [k], slots), ()))
 
-    # Energy rows: spend - (tangent of the harvested energy) <= 0.  With
-    # coef = eta P b0 (leaked beam time + own beam time * sum_m a_m / a_m),
-    # sum coef * a^2 has the harvested energy's value and slope at `ref`
-    # (the amplitudes sqrt(b0) a give the same ratio).
-    eta_p = cfg.eh_efficiency * cfg.uav_power
-    for k in range(2):
-        spend = float((Q[k] * uplink).sum())
-        amp = at_ref.amp[k]
-        coef = eta_p * b0 * (beam[1 - k] + beam[k] * amp.sum(axis=0) / amp)
-        idx, diag, lin, const = _harvest_tangent(cfg, coef, ref, w[k], slots)
-        _add_strict_quad(prob, idx, diag, lin, spend + const, x_ref, 1e-10 * (1.0 + spend))
-
-    add_geometry_rows(prob, cfg, ref)
-    return prob, _lift_epigraph(prob, x_ref.copy())
+    # Energy rows: with coef = eta P b0 (leaked beam time + own beam time *
+    # sum_m a_m / a_m), sum coef * a^2 has the harvested energy's value and
+    # slope at `ref` (the amplitudes sqrt(b0) a give the same ratio).
+    eta_p, amp = cfg.eh_efficiency * cfg.uav_power, at_ref.amp
+    harvests = [((eta_p * b0 * (beam[1 - k] + beam[k] * amp[k].sum(axis=0) / amp[k]))[:, None, :],
+                 [0, 1], [k], slots) for k in range(2)]
+    return _traj_program(cfg, alloc, ref, rates, harvests)
 
 
 def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Trajectory):

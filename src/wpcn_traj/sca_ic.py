@@ -8,9 +8,12 @@ non-decreasing across accepted iterates; candidates that fail that check are
 rejected, which keeps the trace monotone under solver noise.  The outer
 loop (`_alternate`), its start probe, the time LP and the trajectory SCA
 loop (`_refine_trajectory`) see a mode only through its steps, so the joint
-mode (`sca_comp`) reuses them as they are.  The engine's caps and
-tolerances are fixed constants.  A step is a deterministic function of the
-state it reads, so a solve reuses its result on a repeat.
+mode (`sca_comp`) reuses them as they are.  Both modes' trajectory programs
+are assembled by `_traj_program` from tangents in the squared UAV-device
+distances, all built by `_distance_tangent`; each mode supplies only their
+coefficients.  The engine's caps and tolerances are fixed constants.  A
+step is a deterministic function of the state it reads, so a solve reuses
+its result on a repeat.
 """
 
 from __future__ import annotations
@@ -366,14 +369,6 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
     return Q, trace
 
 
-def _free_coords(cfg: ScenarioConfig, ref: np.ndarray, nv: int) -> np.ndarray:
-    """Length-nv vector holding the interior positions of `ref` in the
-    `traj_var_base` layout, zeros elsewhere."""
-    x = np.zeros(nv)
-    x[:4 * (cfg.num_slots - 1)] = ref[:, 1:-1, :].reshape(-1)
-    return x
-
-
 def traj_var_base(cfg: ScenarioConfig, m, slot):
     """Index of UAV m's x-coordinate at interior slot `slot` (1..N-1) in the
     trajectory subproblem layout shared by both engines (elementwise for
@@ -424,77 +419,91 @@ def add_geometry_rows(prob: Problem, cfg: ScenarioConfig, ref: np.ndarray) -> No
                     np.hstack([-2.0 * d_ref, 2.0 * d_ref]), -(dmin2 - eps) - nrm2)
 
 
-def _harvest_tangent(cfg: ScenarioConfig, coef: np.ndarray, ref: np.ndarray,
-                     w_k: np.ndarray, slots: np.ndarray):
-    """Minus the tangent lower bound, in the squared distances, of the sum
-    over `slots` and both UAVs of coef / (H^2 + ||q_m[n] - w_k||^2), expanded
-    at ref[m, n] (n = slot + 1), as (idx, diag, lin, const) of one
-    `Problem.add_quad` row; a fixed final position enters as a constant.
-    `coef` is per slot or per (UAV, slot).  Both modes' one tangent builder:
-    a function convex in the squared distances is bounded by it, with coef
-    the function's slope in 1 / (H^2 + ||q - w||^2) at `ref`."""
+def _distance_tangent(cfg: ScenarioConfig, ref: np.ndarray, coef: np.ndarray,
+                      uavs, devs, slots: np.ndarray):
+    """Minus the tangent lower bound, in the squared distances, of the sum of
+    coef[m, j, slot] / (H^2 + ||q_m[n] - w_j||^2) over UAVs m in `uavs`,
+    devices j in `devs` and `slots`, expanded at ref[m, n] (n = slot + 1),
+    as (idx, diag, lin, const) of one `Problem.add_quad` row over the
+    positions of `uavs`, summed over the devices; a fixed final position
+    enters as a constant.  `coef` broadcasts to (uavs, devs, slots).  Both
+    modes' one tangent builder: a function convex in the squared distances
+    is bounded by it, with coef its slope in 1 / (H^2 + ||q - w||^2)."""
     H2 = cfg.altitude**2
     n = slots + 1
-    u_ref = ((ref[:, n, :] - w_k) ** 2).sum(axis=-1)         # (uav, slot)
+    uavs = np.asarray(uavs)
+    w = cfg.device_positions[devs]                                        # (dev, 2)
+    u_ref = ((ref[uavs][:, None, n, :] - w[:, None, :]) ** 2).sum(axis=-1)  # (uav, dev, slot)
     gamma = coef / (H2 + u_ref) ** 2
     inner = n <= cfg.num_slots - 1
     const = (float((-2.0 * coef / (H2 + u_ref)).sum())
-             + float((gamma[:, inner] * (float((w_k**2).sum()) + H2)).sum())
-             + float((gamma[:, ~inner] * (H2 + u_ref[:, ~inner])).sum()))
-    base = traj_var_base(cfg, np.arange(2)[:, None], n[inner][None, :])
-    g = gamma[:, inner]
+             + float((gamma[..., inner] * ((w**2).sum(axis=-1)[:, None] + H2)).sum())
+             + float((gamma[..., ~inner] * (H2 + u_ref[..., ~inner])).sum()))
+    base = traj_var_base(cfg, uavs[:, None], n[inner][None, :])
+    g = gamma[..., inner]
     return (np.stack([base, base + 1], axis=-1).reshape(-1),
-            np.repeat(2.0 * g.reshape(-1), 2),
-            (-2.0 * g[:, :, None] * w_k).reshape(-1), const)
+            np.repeat(2.0 * g.sum(axis=1).reshape(-1), 2),
+            (-2.0 * g[..., None] * w[:, None, :]).sum(axis=1).reshape(-1), const)
+
+
+def _traj_program(cfg: ScenarioConfig, alloc, ref: np.ndarray, rates, harvests, domain=()):
+    """Concave program of one trajectory SCA pass of either mode at the
+    reference `ref`, and its strictly feasible start.  The variables are the
+    interior positions (`traj_var_base` layout) and the common rate R.  Rows,
+    in order: R <= value + tangent bound + neglogs per (value, tangent,
+    neglogs) of `rates`; device k's spend <= its tangent bound `harvests[k]`;
+    the affine `domain` rows (idx, coef, rhs); `add_geometry_rows`.  A
+    tangent is the (coef, uavs, devs, slots) of `_distance_tangent`."""
+    nv = 4 * (cfg.num_slots - 1) + 1
+    prob = Problem(nv)
+    x_ref = np.append(ref[:, 1:-1, :].reshape(-1), 0.0)
+    for value, tangent, neglogs in rates:
+        idx, diag, lin, const = _distance_tangent(cfg, ref, *tangent)
+        prob.add_concave_ge(idx=np.append(idx, nv - 1), lin=np.append(-lin, -1.0),
+                            diag_neg=np.append(diag, 0.0), const=value - const,
+                            neglogs=neglogs)
+    for k, tangent in enumerate(harvests):
+        spend = float((alloc.tx_power[k] * alloc.uplink_time).sum())
+        idx, diag, lin, const = _distance_tangent(cfg, ref, *tangent)
+        _add_strict_quad(prob, idx, diag, lin, spend + const, x_ref, 1e-10 * (1.0 + spend))
+    for rows in domain:
+        prob.add_affine(*rows)
+    add_geometry_rows(prob, cfg, ref)
+    return prob, _lift_epigraph(prob, x_ref.copy())
 
 
 def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC, ref: np.ndarray):
-    """Concave program of one trajectory SCA pass at the reference `ref`.
+    """`_traj_program` of the coordination mode at the reference `ref`.
 
-    Rows, in order: the two rate rows, the two energy rows, the domain rows
-    of the interference terms, then `add_geometry_rows`."""
-    N = cfg.num_slots
+    UAV k's rate is log2 S - log2 I, with S the power it receives plus noise
+    and I the interference from device 1-k plus noise.  log2 S is convex in
+    the squared distances; its tangent in them has the coefficient
+    (tau/T) log2(e) Q_j b0 / S_ref per device j.  -log2 I is concave in the
+    affine minorant of the squared distance to device 1-k (a `NegLogGroup`,
+    kept in its domain by an affine row), and the constant -log2 I_ref where
+    device 1-k is silent or the position is the fixed final one."""
     H2 = cfg.altitude**2
     b0 = cfg.ref_gain
-    nv = 4 * (N - 1) + 1
     uplink, charge, Q = alloc.uplink_time, alloc.charge_time, alloc.tx_power
     w = cfg.device_positions
-    prob = Problem(nv)
-    x_ref = _free_coords(cfg, ref, nv)
-
-    # Rate rows: one concave row per device (depends on its own UAV only).
     slot = np.flatnonzero(uplink > 1e-6 * cfg.slot_duration)
     n = slot + 1
-    inner = n <= N - 1
     wt = uplink[slot] / cfg.duration
-    domain = []
+    rates, domain = [], []
     for k in range(2):
         ko = 1 - k
-        qk = ref[k, n]                                          # (slot, 2)
-        u_ref = ((qk[:, None, :] - w[None]) ** 2).sum(axis=-1)  # (slot, device)
-        s_ref = (Q[0, slot] * b0 / (u_ref[:, 0] + H2)
-                 + Q[1, slot] * b0 / (u_ref[:, 1] + H2) + cfg.noise_power)
-        alpha = Q[:, slot].T * b0 / (u_ref + H2) ** 2 * LOG2E / s_ref[:, None]
-        const = wt * (np.log2(s_ref) + (alpha * u_ref).sum(axis=1))
-        # Interior positions are variables; the fixed final point enters
-        # as a constant.
-        const -= wt * np.where(inner, (alpha * (w**2).sum(axis=1)).sum(axis=1),
-                               (alpha * u_ref).sum(axis=1))
-        base = traj_var_base(cfg, k, n[inner])
-        idx = np.append(np.stack([base, base + 1], axis=1).reshape(-1), nv - 1)
-        diag = np.append(np.repeat(2.0 * wt[inner] * alpha[inner].sum(axis=1), 2), 0.0)
-        lin = np.append((2.0 * wt[inner, None] * (alpha[inner] @ w)).reshape(-1), -1.0)
-
-        silent = Q[ko, slot] <= 0.0
-        end = ~silent & ~inner
-        const[silent] -= wt[silent] * np.log2(cfg.noise_power)
-        const[end] -= wt[end] * np.log2(cfg.noise_power
-                                        + Q[ko, slot[end]] * b0 / (u_ref[end, ko] + H2))
+        qk = ref[k, n]                                              # (slot, 2)
+        u_ref = ((qk[None] - w[:, None, :]) ** 2).sum(axis=-1)      # (device, slot)
+        rx = Q[:, slot] * b0 / (u_ref + H2)                       # from each device
+        s_ref = rx[0] + rx[1] + cfg.noise_power
+        coef = wt * LOG2E * Q[:, slot] * b0 / s_ref
+        value = wt * np.log2(s_ref) - (coef / (u_ref + H2)).sum(axis=0)
+        nl = (Q[ko, slot] > 0.0) & (n <= cfg.num_slots - 1)
+        value[~nl] -= wt[~nl] * np.log2(rx[ko, ~nl] + cfg.noise_power)
         neglogs = ()
-        nl = ~silent & inner
         if nl.any():
             grad = 2.0 * (qk[nl] - w[ko])
-            off = u_ref[nl, ko] + H2 - (grad * qk[nl]).sum(axis=1)
+            off = u_ref[ko, nl] + H2 - (grad * qk[nl]).sum(axis=1)
             bn = traj_var_base(cfg, k, n[nl])
             nl_idx = np.stack([bn, bn + 1], axis=1)
             neglogs = (NegLogGroup(
@@ -503,21 +512,12 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC, ref: np.ndarra
                 scales=Q[ko, slot[nl]] * b0),)
             # Keep the affine squared-distance minorant inside the domain.
             domain.append((nl_idx, -grad, off - 0.01 * H2))
-        prob.add_concave_ge(idx=idx, lin=lin, diag_neg=diag, const=float(const.sum()),
-                            neglogs=neglogs)
+        rates.append((float(value.sum()), (coef[None], [k], [0, 1], slot), neglogs))
 
-    # Energy rows: spend - (tangent lower bound of harvested energy) <= 0.
-    for k in range(2):
-        spend = float((Q[k] * uplink).sum())
-        slots = np.flatnonzero(charge > 1e-6 * cfg.slot_duration)
-        coef = cfg.eh_efficiency * cfg.uav_power * b0 * charge[slots]
-        idx, diag, lin, const = _harvest_tangent(cfg, coef, ref, w[k], slots)
-        _add_strict_quad(prob, idx, diag, lin, spend + const, x_ref, 1e-10 * (1.0 + spend))
-
-    for rows in domain:
-        prob.add_affine(*rows)
-    add_geometry_rows(prob, cfg, ref)
-    return prob, _lift_epigraph(prob, x_ref.copy())
+    slots = np.flatnonzero(charge > 1e-6 * cfg.slot_duration)
+    coef = cfg.eh_efficiency * cfg.uav_power * b0 * charge[slots]
+    return _traj_program(cfg, alloc, ref, rates,
+                         [(coef, [0, 1], [k], slots) for k in range(2)], domain)
 
 
 def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,

@@ -349,25 +349,20 @@ def test_newton_step_matches_dense_reference(monkeypatch):
     sides = set()
     for prob, start in _captured_subproblems(monkeypatch):
         sides.add(prob._compiled().structured)
-        systems = _newton_systems(prob, start)
-        # The first steps, a sample of the middle and the late-stage steps,
-        # where the near-active dense rows dominate the Hessian.
-        picks = sorted(set(range(3)) | set(range(0, len(systems), 10))
-                       | set(range(len(systems) - 5, len(systems))))
-        for i in picks:
-            x, rhs, d = systems[i]
+        for i, (x, rhs, d) in enumerate(_newton_systems(prob, start)):
             H, d_ref, d_refined = _dense_reference(prob, x, rhs)
             r, r_ref = np.linalg.norm(H @ d - rhs), np.linalg.norm(H @ d_refined - rhs)
             assert r <= 10.0 * np.linalg.norm(H @ d_ref - rhs) + 1e-12 * np.linalg.norm(rhs), \
                 (prob.n, i)
             # Decrements agree to 1e-8 relative, beyond what the two
-            # residuals let any solver of this system differ by:
-            # |rhs.(d - d')| <= |d'| (|r| + |r'|).  The reference is the
-            # refined dense step, since on ill-conditioned time-LP systems
-            # the plain dense step is the less accurate one.
+            # residuals let any two solutions d, d' of this system differ
+            # by: rhs.(d - d') = d'.(H d - rhs) - d.(H d' - rhs), so
+            # |rhs.(d - d')| <= |d'| |r| + |d| |r'|.  The reference d' is
+            # the refined dense step, since on ill-conditioned time-LP
+            # systems the plain dense step is the less accurate one.
             dec, dec_ref = rhs @ d, rhs @ d_refined
             assert abs(dec - dec_ref) <= 1e-8 * abs(dec_ref) \
-                + np.linalg.norm(d_refined) * (r + r_ref), (prob.n, i)
+                + np.linalg.norm(d_refined) * r + np.linalg.norm(d) * r_ref, (prob.n, i)
     assert sides == {True, False}
 
 

@@ -285,11 +285,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kw", [
         {"duration": np.inf}, {"noise_power": np.nan}, {"altitude": np.nan},
-        {"max_speed": np.inf}, {"device_positions": [[-7.5, 0.0], [np.nan, 0.0]]},
-        {"uav_initial": [[-2.0, -2.0], [np.nan, -2.0]]}])
+        {"max_speed": np.inf}, {"uav_initial": [[-2.0, -2.0], [np.nan, -2.0]]}])
     def test_non_finite_values(self, kw):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kw)
+
+    def test_device_positions_derived_from_distance(self):
+        cfg = ScenarioConfig(device_distance=15.0)
+        assert np.array_equal(cfg.device_positions, [[-7.5, 0.0], [7.5, 0.0]])
+        with pytest.raises(TypeError):
+            ScenarioConfig(device_positions=[[-7.5, 0.0], [7.5, 0.0]])
 
     def test_slot_duration(self):
         cfg = ScenarioConfig(duration=7.0, num_slots=70)

@@ -1,6 +1,8 @@
-"""The trajectory subproblems assemble their surrogate rows by hand; these
-tests evaluate each assembled row at random points near the expansion point
-and compare it with the reference surrogate in `oracles.py`.
+"""Both modes' trajectory subproblems assemble their surrogate rows in
+`sca_ic._traj_program`, from tangents in the squared UAV-device distances
+built by `sca_ic._distance_tangent`.  These tests check that builder
+directly, then evaluate each assembled row at random points near the
+expansion point and compare it with the reference surrogate in `oracles.py`.
 
 Rows are read through `Problem.slacks` (slack = -g for a row g(x) <= 0), in
 the order the builders add them: the two rate rows, the two energy rows,
@@ -12,7 +14,7 @@ import pytest
 from wpcn_traj import AllocationCoMP, AllocationIC, direct_flight_trajectory
 from wpcn_traj.model import harvested_energy_comp, harvested_energy_ic
 from wpcn_traj.sca_comp import _traj_subproblem_comp
-from wpcn_traj.sca_ic import _traj_subproblem_ic
+from wpcn_traj.sca_ic import _distance_tangent, _traj_subproblem_ic
 from conftest import benchmark_config
 from oracles import (comp_traj_rate_bound, harvest_bound_comp, harvest_bound_ic,
                      separation_bound, traj_rate_bound)
@@ -55,6 +57,32 @@ def _collision_slack(cfg, ref, pos):
     nrm2 = ((ref[0, 1:N] - ref[1, 1:N]) ** 2).sum(axis=-1)
     eps = 1e-8 * max(1.0, dmin2) + np.maximum(0.0, dmin2 - nrm2)
     return separation_bound(pos[:, 1:N], ref[:, 1:N]) - dmin2 + eps
+
+
+@pytest.mark.parametrize("uavs, devs", [([0, 1], [1]), ([1], [0, 1])])
+def test_distance_tangent_is_exact_at_ref_and_below(uavs, devs):
+    """Minus the builder's row is exact at `ref` and below
+    sum coef / (H^2 + u) elsewhere, also with a nonzero coefficient on the
+    fixed final slot."""
+    rng, cfg, ref, _, _ = _setup(3)
+    coef = rng.uniform(0.1, 2.0, size=(len(uavs), len(devs), N))
+    idx, diag, lin, const = _distance_tangent(cfg, ref, coef, uavs, devs, np.arange(N))
+    w = cfg.device_positions[devs]
+
+    def exact(pos):
+        u = ((pos[uavs][:, None, 1:, :] - w[:, None, :]) ** 2).sum(axis=-1)
+        return float((coef / (cfg.altitude**2 + u)).sum())
+
+    def bound(x):
+        xi = x[idx]
+        return -(0.5 * (diag * xi * xi).sum() + (lin * xi).sum() + const)
+
+    x = np.zeros(4 * (N - 1) + 1)
+    x[:-1] = ref[:, 1:N, :].reshape(-1)
+    assert bound(x) == pytest.approx(exact(ref), rel=1e-12)
+    for _ in range(20):
+        x[:-1] = (ref[:, 1:N, :] + rng.uniform(-5.0, 5.0, size=(2, N - 1, 2))).reshape(-1)
+        assert bound(x) <= exact(_positions(ref, x)) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
