@@ -285,7 +285,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kw", [
         {"duration": np.inf}, {"noise_power": np.nan}, {"altitude": np.nan},
-        {"max_speed": np.inf}, {"uav_initial": [[-2.0, -2.0], [np.nan, -2.0]]}])
+        {"max_speed": np.inf}, {"device_distance": np.nan},
+        {"uav_initial": [[-2.0, -2.0], [np.nan, -2.0]]}])
     def test_non_finite_values(self, kw):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kw)
