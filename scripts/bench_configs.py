@@ -6,15 +6,18 @@ solution passes `is_feasible`, whether its objective trace is monotone (by
 `grid_rates.py`'s rule) and, per kind of barrier subproblem (time LP, power
 step, trajectory step), the kernel calls, Newton steps, busy time,
 milliseconds per Newton step, slack evaluations per Newton step, structured
-Newton solves with milliseconds per solve, and kernel statuses.  The kernel
-calls are counted by wrapping `sca_ic.solve_concave`, the name through which
-both engines call the kernel, and a call's kind is the name of the function
-that made it.  Slack evaluations are counted by wrapping
-`kernel._Layout.slacks`: one per line-search trial, one per barrier stage,
-and two per call (start check and final residuals).  Structured Newton
-solves are counted and timed by wrapping `kernel._solve_band_updates`,
-which programs of at least `kernel.STRUCTURED_MIN_N` variables call once
-per Newton system.  The configs (D = 15 m) are:
+Newton solves with milliseconds and minor page faults per solve, and kernel
+statuses; and the calls and busy time of the hovering-solution search the
+starts are built from.  The hover search is timed by wrapping
+`sca_ic.solve_infinite_ic` and `sca_comp.solve_infinite_comp`, the names
+through which the engines call it.  The kernel calls are counted by wrapping
+`sca_ic.solve_concave`, the name through which both engines call the kernel,
+and a call's kind is the name of the function that made it.  Slack
+evaluations are counted by wrapping `kernel._Layout.slacks`: one per
+line-search trial, one per barrier stage, and two per call (start check and
+final residuals).  Structured Newton solves are counted and timed by
+wrapping `kernel._solve_band_updates`, which programs of at least
+`kernel.STRUCTURED_MIN_N` variables call once per Newton system.  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
@@ -41,6 +44,7 @@ import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from collections import defaultdict  # noqa: E402
@@ -51,7 +55,7 @@ import scipy  # noqa: E402
 
 import wpcn_traj  # noqa: E402
 from grid_rates import TRACE_SLACK  # noqa: E402
-from wpcn_traj import ScenarioConfig, is_feasible, kernel, sca_ic  # noqa: E402
+from wpcn_traj import ScenarioConfig, is_feasible, kernel, sca_comp, sca_ic  # noqa: E402
 
 CONFIGS = (
     ("coordination N=40 T=4", "solve_p1", 40, 4.0),
@@ -102,10 +106,13 @@ def source_digest() -> str:
 
 def run_config(solver_name: str, N: int, T: float) -> dict:
     stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0, "slacks": 0,
-                                 "band_solves": 0, "band_s": 0.0,
+                                 "band_solves": 0, "band_s": 0.0, "band_minflt": 0,
                                  "statuses": defaultdict(int)})
     kernel_call, slacks_call = sca_ic.solve_concave, kernel._Layout.slacks
     band_call = kernel._solve_band_updates
+    hover_calls = {(sca_ic, "solve_infinite_ic"): sca_ic.solve_infinite_ic,
+                   (sca_comp, "solve_infinite_comp"): sca_comp.solve_infinite_comp}
+    hover = {"calls": 0, "busy_s": 0.0}
     current = []
 
     def counted(problem, start):
@@ -129,17 +136,31 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
         return slacks_call(layout, x)
 
     def timed_band(*args):
-        t0 = time.perf_counter()
+        flt0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         try:
             return band_call(*args)
         finally:
             if current:
                 stats[current[-1]]["band_solves"] += 1
                 stats[current[-1]]["band_s"] += time.perf_counter() - t0
+                stats[current[-1]]["band_minflt"] += \
+                    resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
+
+    def timed_hover(call):
+        def timed(*args, **kw):
+            t0 = time.perf_counter()
+            try:
+                return call(*args, **kw)
+            finally:
+                hover["calls"] += 1
+                hover["busy_s"] += time.perf_counter() - t0
+        return timed
 
     cfg = ScenarioConfig(device_distance=15.0, duration=T, num_slots=N)
     sca_ic.solve_concave, kernel._Layout.slacks = counted, counted_slacks
     kernel._solve_band_updates = timed_band
+    for (module, name), call in hover_calls.items():
+        setattr(module, name, timed_hover(call))
     try:
         t0 = time.perf_counter()
         rep = getattr(wpcn_traj, solver_name)(cfg)
@@ -147,6 +168,8 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
     finally:
         sca_ic.solve_concave, kernel._Layout.slacks = kernel_call, slacks_call
         kernel._solve_band_updates = band_call
+        for (module, name), call in hover_calls.items():
+            setattr(module, name, call)
     kinds = {}
     for kind, rec in sorted(stats.items()):
         steps = rec["newton_steps"]
@@ -157,6 +180,8 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                        "band_solves": rec["band_solves"],
                        "ms_per_band_solve": (round(1e3 * rec["band_s"] / rec["band_solves"], 4)
                                              if rec["band_solves"] else None),
+                       "minflt_per_band_solve": (round(rec["band_minflt"] / rec["band_solves"], 1)
+                                                 if rec["band_solves"] else None),
                        "statuses": dict(rec["statuses"])}
     trace = np.asarray(rep.objective_trace, dtype=float)
     return {"solver": solver_name, "D": 15.0, "N": N, "T": T,
@@ -164,6 +189,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
             "is_feasible": bool(is_feasible(cfg, rep.trajectory, rep.allocation)),
             "monotone": bool(np.all(np.diff(trace) >= -TRACE_SLACK * (1.0 + np.abs(trace[:-1])))),
             "outer_iterations": int(rep.outer_iterations),
+            "hover_calls": hover["calls"], "hover_s": round(hover["busy_s"], 4),
             "newton_steps": sum(k["newton_steps"] for k in kinds.values()),
             "kinds": kinds}
 

@@ -3,6 +3,7 @@
 Charging happens in two mirrored phases, one aimed at each device, with the
 hover pair found by a 2-D exhaustive search; the uplink hover pair has the
 same closed form as the coordination mode and sits between the devices.
+The charging-time grid of the bound rate is evaluated in one array pass.
 """
 
 from __future__ import annotations
@@ -92,11 +93,16 @@ def wit_hover_comp(cfg: ScenarioConfig) -> float:
 def bound_rate_at(cfg: ScenarioConfig, tau_E: float, energy: float, x_I: float) -> float:
     """Common bound-rate when both devices transmit at full power toward the
     symmetric uplink hover pair at +-x_I."""
+    return float(_bound_rate(cfg, tau_E, energy, x_I))
+
+
+def _bound_rate(cfg: ScenarioConfig, tau_E, energy, x_I: float) -> np.ndarray:
+    """`bound_rate_at` over arrays of charging times and energies."""
     tau_I = cfg.duration - tau_E
     Q = energy / tau_I
     snr = 0.5 * Q * cfg.ref_gain / cfg.noise_power * pair_gain_sum(x_I, cfg.device_distance,
                                                                    cfg.altitude)
-    return float(tau_I / cfg.duration * np.log2(1.0 + snr))
+    return tau_I / cfg.duration * np.log2(1.0 + snr)
 
 
 def solve_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionCoMP:
@@ -104,7 +110,8 @@ def solve_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolut
     the 2-D hover search.
 
     The charging objective scales linearly with the charging time, so the 2-D
-    hover search runs once and its per-second yield is reused on the grid.
+    hover search runs once and its per-second yield is reused on the grid,
+    which is evaluated in one array pass.
     """
     T = cfg.duration
     pair, e_unit = wpt_hover_comp(cfg, 1.0)
@@ -113,7 +120,8 @@ def solve_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolut
     def rate(tau: float) -> float:
         return bound_rate_at(cfg, tau, e_unit * tau, x_I)
 
-    tau = _best_charge_time(rate, T, tau_grid)
+    tau = _best_charge_time(lambda taus: _bound_rate(cfg, taus, e_unit * taus, x_I),
+                            rate, T, tau_grid)
     energy = e_unit * tau
     return HoverSolutionCoMP(
         charge_time=tau,

@@ -2,7 +2,10 @@
 
 With an unbounded mission the endpoint and speed constraints vanish and the
 optimum decomposes into a charging phase at one symmetric hover pair and an
-uplink phase at another, with the charging duration found by a 1-D search.
+uplink phase at another, with the charging duration found by a 1-D search:
+the whole charging-time grid is evaluated in one array pass (`_rate_grid`),
+and the scalar path (`_rate_at`) refines around the best cell and gives the
+returned solution.
 """
 
 from __future__ import annotations
@@ -60,9 +63,13 @@ def wpt_hover_ic(cfg: ScenarioConfig, tau_E: float) -> tuple[float, float]:
     (x, 0); both devices harvest the same amount by symmetry.
     """
     x = _pair_hover_x(cfg)
-    energy = tau_E * cfg.eh_efficiency * cfg.uav_power * cfg.ref_gain \
+    return x, float(_harvested(cfg, tau_E, x))
+
+
+def _harvested(cfg: ScenarioConfig, tau_E, x: float) -> np.ndarray:
+    """Per-device energy over charging time(s) tau_E from the pair at +-x."""
+    return tau_E * cfg.eh_efficiency * cfg.uav_power * cfg.ref_gain \
         * pair_gain_sum(x, cfg.device_distance, cfg.altitude)
-    return x, float(energy)
 
 
 def simultaneous_rate_at(cfg: ScenarioConfig, tau_E: float, energy: float, x) -> np.ndarray:
@@ -83,19 +90,26 @@ def _stationarity(x: float, D: float, H: float, snr_scale: float) -> float:
         - D * (H**2 + (D / 2.0) ** 2 - x**2)
 
 
+def _mode1_bracket(cfg: ScenarioConfig) -> tuple[float, float]:
+    """Bracket [max(D/2, dmin/2), max(dmin/2, sqrt((D/2)^2 + H^2))] of the
+    simultaneous-transmission hover offset."""
+    D, H = cfg.device_distance, cfg.altitude
+    lo = max(D / 2.0, cfg.min_separation / 2.0)
+    hi = max(cfg.min_separation / 2.0, float(np.sqrt((D / 2.0) ** 2 + H**2)))
+    return lo, hi
+
+
 def wit_mode1_hover(cfg: ScenarioConfig, tau_E: float, energy: float) -> tuple[float, float]:
     """Simultaneous-transmission hover offset and common rate.
 
     The offset is the root of the stationarity equation inside the bracket
-    [max(D/2, dmin/2), max(dmin/2, sqrt((D/2)^2 + H^2))], placed by Brent's
-    method to 1e-12 m; when there is no sign change the better bracket
-    endpoint is taken.
+    of `_mode1_bracket`, placed by Brent's method to 1e-12 m; when there is
+    no sign change the better bracket endpoint is taken.
     """
     D, H = cfg.device_distance, cfg.altitude
     Q = energy / (cfg.duration - tau_E)
     c = cfg.ref_gain * Q / cfg.noise_power
-    lo = max(D / 2.0, cfg.min_separation / 2.0)
-    hi = max(cfg.min_separation / 2.0, float(np.sqrt((D / 2.0) ** 2 + H**2)))
+    lo, hi = _mode1_bracket(cfg)
     if hi - lo >= 1e-12 and _stationarity(lo, D, H, c) * _stationarity(hi, D, H, c) <= 0.0:
         # brentq returns an endpoint where the residual is exactly zero.
         x = float(brentq(_stationarity, lo, hi, args=(D, H, c),
@@ -109,10 +123,14 @@ def wit_mode1_hover(cfg: ScenarioConfig, tau_E: float, energy: float) -> tuple[f
 def wit_mode2_rate(cfg: ScenarioConfig, tau_E: float, energy: float) -> float:
     """Common rate when the devices take turns at double power with their UAV
     hovering directly overhead."""
+    return float(_tdma_rate(cfg, tau_E, energy))
+
+
+def _tdma_rate(cfg: ScenarioConfig, tau_E, energy) -> np.ndarray:
     tau_I = cfg.duration - tau_E
     Q = 2.0 * energy / tau_I
     snr = Q * cfg.ref_gain / (cfg.noise_power * cfg.altitude**2)
-    return float(tau_I / (2.0 * cfg.duration) * np.log2(1.0 + snr))
+    return tau_I / (2.0 * cfg.duration) * np.log2(1.0 + snr)
 
 
 def _rate_at(cfg: ScenarioConfig, tau_E: float) -> tuple[float, WitMode, float, float, float]:
@@ -124,27 +142,69 @@ def _rate_at(cfg: ScenarioConfig, tau_E: float) -> tuple[float, WitMode, float, 
     return r_td, WitMode.TDMA, cfg.device_distance / 2.0, x_E, energy
 
 
-def _best_charge_time(rate, T: float, tau_grid: int) -> float:
-    """Charging duration maximizing `rate(tau)`: a uniform grid over (0, T)
-    (the endpoint tau = T gives zero rate and is excluded), then a bounded
-    scalar minimizer around the best cell."""
+def _rate_grid(cfg: ScenarioConfig, taus: np.ndarray) -> np.ndarray:
+    """`_rate_at(cfg, tau)[0]` at every tau of `taus` in one array pass.
+
+    Where the stationarity residual changes sign over `_mode1_bracket`, all
+    those offsets are placed by one bisection to 1e-12 m; elsewhere the
+    better bracket endpoint is taken, as in `wit_mode1_hover`.  Bisection
+    and Brent's method place an offset up to ~1e-12 m apart, so those cells'
+    rates may differ from the scalar path's in the last digits (~1e-14
+    relative); every other cell takes the same operations.  The grid only
+    picks the best cell: the scalar path gives every returned value."""
+    D, H = cfg.device_distance, cfg.altitude
+    energy = _harvested(cfg, taus, _pair_hover_x(cfg))
+    c = cfg.ref_gain * (energy / (cfg.duration - taus)) / cfg.noise_power
+    lo, hi = _mode1_bracket(cfg)
+    f_lo, f_hi = _stationarity(lo, D, H, c), _stationarity(hi, D, H, c)
+    better_lo = simultaneous_rate_at(cfg, taus, energy, lo) \
+        >= simultaneous_rate_at(cfg, taus, energy, hi)
+    x = np.where(better_lo, lo, hi)
+    root = (f_lo * f_hi <= 0.0) & (hi - lo >= 1e-12)
+    if root.any():
+        x[root] = _bisect_stationarity(lo, hi, D, H, c[root], f_lo[root], f_hi[root])
+    r_st = simultaneous_rate_at(cfg, taus, energy, x)
+    r_td = _tdma_rate(cfg, taus, energy)
+    return np.where(r_st >= r_td, r_st, r_td)
+
+
+def _bisect_stationarity(lo: float, hi: float, D: float, H: float, c: np.ndarray,
+                         f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """Root of `_stationarity` on [lo, hi] for each scale in c, whose
+    residuals f_lo, f_hi at the ends differ in sign, by bisection to 1e-12 m.
+    An exact zero at an end is the root there, as brentq returns it."""
+    a, b = np.full(c.shape, lo), np.full(c.shape, hi)
+    for _ in range(int(np.ceil(np.log2((hi - lo) / 1e-12)))):
+        mid = 0.5 * (a + b)
+        up = (_stationarity(mid, D, H, c) > 0.0) == (f_lo > 0.0)  # root above mid
+        a = np.where(up, mid, a)
+        b = np.where(up, b, mid)
+    return np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, 0.5 * (a + b)))
+
+
+def _best_charge_time(grid, rate, T: float, tau_grid: int) -> float:
+    """Charging duration maximizing `rate(tau)`: the best cell of a uniform
+    grid over (0, T) (the endpoint tau = T gives zero rate and is excluded),
+    picked by `grid(taus)`, the same rate over an array, then a bounded
+    scalar minimizer of `rate` around that cell.  The refined point is
+    kept only if `rate` there is at least `rate` at the cell."""
     if tau_grid < 2:
         raise ValueError("tau_grid must be at least 2")
     step = T / tau_grid
     taus = step * np.arange(1, tau_grid)
-    rates = np.array([rate(t) for t in taus])
-    best = int(rates.argmax())
-    lo = max(taus[best] - step, step * 1e-3)
-    hi = min(taus[best] + step, T - step * 1e-3)
+    best = taus[int(np.argmax(grid(taus)))]
+    lo = max(best - step, step * 1e-3)
+    hi = min(best + step, T - step * 1e-3)
     res = minimize_scalar(lambda t: -rate(t), bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-10 * T})
-    return float(res.x) if -res.fun >= rates[best] else float(taus[best])
+    return float(res.x) if -res.fun >= rate(best) else float(best)
 
 
 def solve_infinite_ic(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionIC:
     """Grid-plus-refinement search of the charging duration
     (`_best_charge_time`) for the best of the two uplink modes."""
-    tau = _best_charge_time(lambda t: _rate_at(cfg, t)[0], cfg.duration, tau_grid)
+    tau = _best_charge_time(lambda taus: _rate_grid(cfg, taus),
+                            lambda t: _rate_at(cfg, t)[0], cfg.duration, tau_grid)
     rate, mode, x_I, x_E, energy = _rate_at(cfg, tau)
     return HoverSolutionIC(
         charge_time=tau,

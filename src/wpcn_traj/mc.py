@@ -3,7 +3,8 @@
 The deterministic model works with channel magnitudes and expectations only;
 this module samples the random channel phases to estimate the expected
 zero-forcing uplink rate.  Estimates are reproducible per seed (fixed
-reduction order).
+reduction order).  The sampler forms the phase, its cosine and |det M|^2 in
+one buffer, and each device's rates as one contiguous array.
 """
 
 from __future__ import annotations
@@ -52,10 +53,20 @@ def sample_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int, s
         raise ValueError("uav_positions must have shape (2, 2) and tx_power shape (2,)")
     rng = np.random.default_rng(seed)
     g = gain_matrix(pos[:, None, :], cfg)[:, :, 0]  # (device, uav)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))
-    phi = theta[:, 0, 0] + theta[:, 1, 1] - theta[:, 0, 1] - theta[:, 1, 0]
+    # theta[device, uav] flattened per sample: 00, 01, 10, 11.
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 4))
+    det2 = theta[:, 0] + theta[:, 3]                # phi, then cos phi, then |det M|^2
+    det2 -= theta[:, 1]
+    det2 -= theta[:, 2]
+    np.cos(det2, out=det2)
     direct, cross = g[0, 0] * g[1, 1], g[0, 1] * g[1, 0]
-    det2 = direct + cross - 2.0 * np.sqrt(direct * cross) * np.cos(phi)
-    snr = Q[None, :] * det2[:, None] / (cfg.noise_power * g[::-1].sum(axis=1))
-    rates = np.log2(1.0 + snr)
-    return tuple(_estimate(rates[:, k], seed) for k in range(2))
+    det2 *= 2.0 * np.sqrt(direct * cross)
+    np.subtract(direct + cross, det2, out=det2)
+    scale = cfg.noise_power * g[::-1].sum(axis=1)
+    out = []
+    for k in range(2):
+        rates = det2 * Q[k]
+        rates /= scale[k]
+        rates += 1.0
+        out.append(_estimate(np.log2(rates, out=rates), seed))
+    return tuple(out)

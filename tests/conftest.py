@@ -1,10 +1,19 @@
 import os
+import sys
 
 # Single-threaded BLAS, set before numpy loads: the solvers' small dense
 # factorizations run faster than with threaded BLAS, and rates then do not
 # depend on the thread count (they differ in the 9th digit).  A value the
-# user sets still wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# user sets still wins.  Pinned after numpy has loaded, it would not take
+# effect, and checks that depend on the thread count would fail or pass
+# silently by it; so that stops the run.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(v not in os.environ for v in _BLAS_VARS):
+    raise RuntimeError(
+        "numpy was imported before tests/conftest.py pinned BLAS to one thread "
+        "(a plugin or startup hook loaded it); set OPENBLAS_NUM_THREADS, "
+        "OMP_NUM_THREADS and MKL_NUM_THREADS in the environment, e.g. to 1")
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
@@ -20,6 +29,19 @@ def benchmark_config(device_distance=15.0, duration=10.0, num_slots=None, **kw):
         num_slots = max(1, round(duration / 0.1))
     return ScenarioConfig(device_distance=device_distance, duration=duration,
                           num_slots=num_slots, **kw)
+
+
+# Noise powers of the hover sweeps, W: -100, -80 and -120 dBm.
+SWEEP_NOISE = (1e-13, 1e-11, 1e-15)
+
+
+def hover_sweep(noise):
+    """Configs of the hover sweeps at one noise power: D in {2, 5, 15, 30,
+    40} m x T in {1, 4, 50, 200} s."""
+    for D in (2.0, 5.0, 15.0, 30.0, 40.0):
+        for T in (1.0, 4.0, 50.0, 200.0):
+            yield benchmark_config(device_distance=D, duration=T, num_slots=10,
+                                   noise_power=noise)
 
 
 @pytest.fixture

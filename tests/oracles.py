@@ -5,14 +5,21 @@ each is exact at its expansion point and valid everywhere on its domain.
 The trajectory and power subproblems assemble the same surrogates as rows;
 here they are plain functions, so tightness and validity can be tested
 directly and each assembled row compared with its bound.  Also the sampled
-received powers of joint energy beamforming and the analytic derivative of
-the charging-hover objective.
+received powers of joint energy beamforming, the analytic derivative of
+the charging-hover objective, and scalar references of the hovering
+solutions' charging-time search and of the zero-forcing sampler: one
+scalar rate evaluation per grid point, and the sampler with its
+temporaries, which the array forms must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
+from wpcn_traj.hover_comp import (HoverSolutionCoMP, bound_rate_at, wit_hover_comp,
+                                  wpt_hover_comp)
+from wpcn_traj.hover_ic import HoverSolutionIC, _rate_at
 from wpcn_traj.mc import _estimate
 from wpcn_traj.model import ScenarioConfig, gain_matrix
 
@@ -196,3 +203,58 @@ def phi_derivative(x, D: float, H: float, tau_E: float,
     num = x**4 + 2.0 * a * x**2 - 3.0 * D**4 / 16.0 + H**4 - H**2 * D**2 / 2.0
     den = ((x**2 + a - D * x) ** 2) * ((x**2 + a + D * x) ** 2)
     return -4.0 * eta * tau_E * beta0 * P * x * num / den
+
+
+def scalar_grid_charge_time(rate, T: float, tau_grid: int) -> float:
+    """Charging duration maximizing the scalar `rate(tau)`: one call per
+    point of the uniform grid over (0, T), then a bounded scalar minimizer
+    around the best cell."""
+    step = T / tau_grid
+    taus = step * np.arange(1, tau_grid)
+    rates = np.array([rate(t) for t in taus])
+    best = int(rates.argmax())
+    lo = max(taus[best] - step, step * 1e-3)
+    hi = min(taus[best] + step, T - step * 1e-3)
+    res = minimize_scalar(lambda t: -rate(t), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-10 * T})
+    return float(res.x) if -res.fun >= rates[best] else float(taus[best])
+
+
+def reference_infinite_ic(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionIC:
+    """`solve_infinite_ic` by the scalar grid search."""
+    tau = scalar_grid_charge_time(lambda t: _rate_at(cfg, t)[0], cfg.duration, tau_grid)
+    rate, mode, x_I, x_E, energy = _rate_at(cfg, tau)
+    return HoverSolutionIC(charge_time=tau, wpt_hover_x=x_E, wit_mode=mode, wit_hover_x=x_I,
+                           common_rate=rate, harvested_per_device=energy)
+
+
+def reference_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionCoMP:
+    """`solve_infinite_comp` by the scalar grid search."""
+    T = cfg.duration
+    pair, e_unit = wpt_hover_comp(cfg, 1.0)
+    x_I = wit_hover_comp(cfg)
+
+    def rate(tau: float) -> float:
+        return bound_rate_at(cfg, tau, e_unit * tau, x_I)
+
+    tau = scalar_grid_charge_time(rate, T, tau_grid)
+    energy = e_unit * tau
+    return HoverSolutionCoMP(charge_time=tau, wpt_hover_pair=pair, wit_hover_x=x_I,
+                             tx_power=energy / (T - tau), common_rate=rate(tau),
+                             harvested_per_device=energy)
+
+
+def reference_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int, seed: int):
+    """`sample_zf_rate` from (samples, 2, 2) phase draws, with each step's
+    temporaries and the rates as one (samples, 2) array."""
+    pos = np.asarray(uav_positions, dtype=float)
+    Q = np.asarray(tx_power, dtype=float)
+    rng = np.random.default_rng(seed)
+    g = gain_matrix(pos[:, None, :], cfg)[:, :, 0]  # (device, uav)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))
+    phi = theta[:, 0, 0] + theta[:, 1, 1] - theta[:, 0, 1] - theta[:, 1, 0]
+    direct, cross = g[0, 0] * g[1, 1], g[0, 1] * g[1, 0]
+    det2 = direct + cross - 2.0 * np.sqrt(direct * cross) * np.cos(phi)
+    snr = Q[None, :] * det2[:, None] / (cfg.noise_power * g[::-1].sum(axis=1))
+    rates = np.log2(1.0 + snr)
+    return tuple(_estimate(rates[:, k], seed) for k in range(2))

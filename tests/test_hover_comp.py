@@ -6,8 +6,9 @@ from wpcn_traj import (AllocationCoMP, EmptyFeasibleGrid, common_throughput_comp
                        harvested_energy_comp, solve_infinite_comp,
                        wit_hover_comp, wpt_hover_comp, wpt_hover_ic,
                        solve_infinite_ic)
-from wpcn_traj.hover_comp import bound_rate_at, charge_pair_power
-from conftest import benchmark_config, hover_positions
+from wpcn_traj.hover_comp import _bound_rate, bound_rate_at, charge_pair_power
+from conftest import SWEEP_NOISE, benchmark_config, hover_positions, hover_sweep
+from oracles import reference_infinite_comp
 
 
 def charge_pair_oracle(x1, x2, cfg):
@@ -159,3 +160,24 @@ class TestSolveInfiniteCoMP:
         sol = solve_infinite_comp(cfg, tau_grid=300)
         spend = sol.tx_power * (cfg.duration - sol.charge_time)
         assert spend == pytest.approx(sol.harvested_per_device, rel=1e-12)
+
+
+class TestArrayGrid:
+    @pytest.mark.parametrize("noise", SWEEP_NOISE)
+    def test_solution_equals_scalar_grid_reference(self, noise):
+        for cfg in hover_sweep(noise):
+            for grid in (1000, 400):
+                sol, ref = solve_infinite_comp(cfg, tau_grid=grid), \
+                    reference_infinite_comp(cfg, tau_grid=grid)
+                assert sol == ref and repr(sol) == repr(ref), \
+                    (cfg.device_distance, cfg.duration, grid)
+
+    @pytest.mark.parametrize("D, T, noise", [(15.0, 50.0, 1e-13), (30.0, 4.0, 1e-11)])
+    def test_grid_matches_scalar_rate(self, D, T, noise):
+        cfg = benchmark_config(device_distance=D, duration=T, num_slots=10, noise_power=noise)
+        _, e_unit = wpt_hover_comp(cfg, 1.0)
+        x_i = wit_hover_comp(cfg)
+        taus = T / 1000 * np.arange(1, 1000)
+        grid = _bound_rate(cfg, taus, e_unit * taus, x_i)
+        scalar = np.array([bound_rate_at(cfg, t, e_unit * t, x_i) for t in taus])
+        np.testing.assert_array_max_ulp(grid, scalar, maxulp=2)

@@ -4,9 +4,10 @@ import pytest
 from wpcn_traj import (AllocationIC, WitMode, common_throughput_ic,
                        harvested_energy_ic, solve_infinite_ic, wit_mode1_hover,
                        wit_mode2_rate, wpt_hover_ic)
-from wpcn_traj.hover_ic import interior_hover_x
-from conftest import benchmark_config, hover_positions
-from oracles import phi_derivative
+from wpcn_traj.hover_ic import (_mode1_bracket, _rate_at, _rate_grid, _stationarity,
+                                interior_hover_x)
+from conftest import SWEEP_NOISE, benchmark_config, hover_positions, hover_sweep
+from oracles import phi_derivative, reference_infinite_ic
 
 
 def charge_objective(x, D, H):
@@ -240,3 +241,50 @@ class TestSolveInfinite:
         e1 = harvested_energy_ic(alloc, pos, 0, cfg)
         e2 = harvested_energy_ic(alloc, pos, 1, cfg)
         assert e1 == pytest.approx(e2, rel=1e-12)
+
+
+class TestArrayGrid:
+    """The charging-time grid evaluated in one array pass against the
+    scalar path."""
+
+    @pytest.mark.parametrize("noise", SWEEP_NOISE)
+    def test_solution_equals_scalar_grid_reference(self, noise):
+        # Turn-taking wins at most points; at -80 dBm, D >= 30 takes the
+        # simultaneous uplink, and there the first grid cell has no sign
+        # change of the stationarity residual (test_grid_matches_scalar_rate).
+        modes = set()
+        for cfg in hover_sweep(noise):
+            for grid in (1000, 400):
+                sol, ref = solve_infinite_ic(cfg, tau_grid=grid), \
+                    reference_infinite_ic(cfg, tau_grid=grid)
+                assert sol == ref and repr(sol) == repr(ref), \
+                    (cfg.device_distance, cfg.duration, grid)
+            modes.add(sol.wit_mode)
+        assert WitMode.TDMA in modes
+        if noise == 1e-11:
+            assert WitMode.SIMULTANEOUS in modes
+
+    @pytest.mark.parametrize("D, T, noise", [(30.0, 50.0, 1e-11), (40.0, 4.0, 1e-11),
+                                             (15.0, 50.0, 1e-11), (15.0, 100.0, 1e-13)])
+    def test_grid_matches_scalar_rate(self, D, T, noise):
+        cfg = benchmark_config(device_distance=D, duration=T, num_slots=10, noise_power=noise)
+        taus = T / 1000 * np.arange(1, 1000)
+        grid = _rate_grid(cfg, taus)
+        scalar = np.array([_rate_at(cfg, t)[0] for t in taus])
+        # The bisection and Brent's method place a simultaneous-mode offset
+        # up to ~1e-12 m apart, and there the rate still has a slope in x of
+        # up to ~0.06 per m at -80 dBm (its maximizer is not the root of the
+        # stationarity residual at that noise), so those cells agree to
+        # ~1e-14 relative; every other cell takes the same operations.
+        assert np.allclose(grid, scalar, rtol=5e-14, atol=0.0)
+        lo, hi = _mode1_bracket(cfg)
+        c = cfg.ref_gain * (np.array([wpt_hover_ic(cfg, t)[1] for t in taus]) / (T - taus)) \
+            / cfg.noise_power
+        solved = (_stationarity(lo, D, cfg.altitude, c)
+                  * _stationarity(hi, D, cfg.altitude, c) <= 0.0)
+        tdma = np.array([_rate_at(cfg, t)[1] is WitMode.TDMA for t in taus])
+        same_ops = tdma | ~solved
+        np.testing.assert_array_max_ulp(grid[same_ops], scalar[same_ops], maxulp=2)
+        if (D, noise) == (30.0, 1e-11):
+            # The sweep's no-sign-change cell: the better bracket endpoint.
+            assert not solved.all() and not tdma[~solved].all()

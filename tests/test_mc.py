@@ -4,7 +4,7 @@ import pytest
 from wpcn_traj import (channel_gain, comp_coherent_power, comp_noncoherent_power,
                        comp_rate_upper_bound, sample_zf_rate)
 from conftest import benchmark_config, hover_positions
-from oracles import sample_received_power
+from oracles import reference_zf_rate, sample_received_power
 
 
 class TestZfRate:
@@ -122,6 +122,22 @@ class TestZfRate:
         for k in range(2):
             rate = np.log2(1.0 + q[k] * inv_row_norm2[:, k] / cfg.noise_power)
             assert est[k].mean == pytest.approx(float(rate.mean()), rel=1e-10)
+
+    @pytest.mark.parametrize("pos, q, samples, seed", [
+        ([[-2.0, 1.5], [3.5, -0.5]], [2e-6, 5e-7], 4000, 424242),
+        ([[-2.0, 1.5], [3.5, -0.5]], [2e-6, 5e-7], 4000, 7),
+        ([[-6.0, 3.0], [9.0, -4.0]], [1e-6, 1e-6], 100000, 2**61 + 5),
+        ([[-3.5, 0.0], [3.5, 0.0]], [1e-6, 1e-6], 2048, 11),    # symmetric geometry
+        ([[-1.0, -2.0], [4.0, 2.5]], [3e-7, 8e-6], 1001, 99),    # odd sample count
+        ([[-1.0, -2.0], [4.0, 2.5]], [3e-7, 8e-6], 1, 12),       # zero-stderr branch
+    ])
+    def test_equals_reference_sampler(self, pos, q, samples, seed):
+        cfg = benchmark_config(device_distance=7.0)
+        est = sample_zf_rate(cfg, np.array(pos), q, samples=samples, seed=seed)
+        ref = reference_zf_rate(cfg, np.array(pos), q, samples=samples, seed=seed)
+        assert est == ref and repr(est) == repr(ref)
+        if samples == 1:
+            assert all(e.stderr == 0.0 for e in est)
 
 
 class TestReceivedPower:
