@@ -99,24 +99,48 @@ def _mode1_bracket(cfg: ScenarioConfig) -> tuple[float, float]:
     return lo, hi
 
 
+def _stationarity_ends(cfg: ScenarioConfig, tau_E, energy):
+    """Scale c of `_stationarity` and its residuals f_lo, f_hi at the ends of
+    `_mode1_bracket`, and whether the bracket holds a root: a sign change
+    over a bracket at least 1e-12 m wide.  Scalars or arrays of tau_E."""
+    D, H = cfg.device_distance, cfg.altitude
+    c = cfg.ref_gain * (energy / (cfg.duration - tau_E)) / cfg.noise_power
+    lo, hi = _mode1_bracket(cfg)
+    f_lo, f_hi = _stationarity(lo, D, H, c), _stationarity(hi, D, H, c)
+    return c, f_lo, f_hi, (f_lo * f_hi <= 0.0) & (hi - lo >= 1e-12)
+
+
+def _endpoint_x(cfg: ScenarioConfig, tau_E, energy) -> np.ndarray:
+    """End of `_mode1_bracket` with the better simultaneous rate (the lower
+    end on a tie): the offset taken where the bracket holds no root."""
+    lo, hi = _mode1_bracket(cfg)
+    return np.where(simultaneous_rate_at(cfg, tau_E, energy, lo)
+                    >= simultaneous_rate_at(cfg, tau_E, energy, hi), lo, hi)
+
+
+def _best_mode(r_st, r_td) -> tuple[np.ndarray, np.ndarray]:
+    """The better of the simultaneous and TDMA rates, and where the
+    simultaneous mode is taken (on a tie too)."""
+    simultaneous = r_st >= r_td
+    return np.where(simultaneous, r_st, r_td), simultaneous
+
+
 def wit_mode1_hover(cfg: ScenarioConfig, tau_E: float, energy: float) -> tuple[float, float]:
     """Simultaneous-transmission hover offset and common rate.
 
     The offset is the root of the stationarity equation inside the bracket
     of `_mode1_bracket`, placed by Brent's method to 1e-12 m; when there is
-    no sign change the better bracket endpoint is taken.
+    no root (`_stationarity_ends`) the better bracket end is taken
+    (`_endpoint_x`).
     """
-    D, H = cfg.device_distance, cfg.altitude
-    Q = energy / (cfg.duration - tau_E)
-    c = cfg.ref_gain * Q / cfg.noise_power
-    lo, hi = _mode1_bracket(cfg)
-    if hi - lo >= 1e-12 and _stationarity(lo, D, H, c) * _stationarity(hi, D, H, c) <= 0.0:
+    c, _, _, root = _stationarity_ends(cfg, tau_E, energy)
+    if root:
         # brentq returns an endpoint where the residual is exactly zero.
-        x = float(brentq(_stationarity, lo, hi, args=(D, H, c),
+        x = float(brentq(_stationarity, *_mode1_bracket(cfg),
+                         args=(cfg.device_distance, cfg.altitude, c),
                          xtol=1e-12, rtol=8.9e-16))
-    else:  # degenerate bracket or no sign change
-        r_lo, r_hi = (float(simultaneous_rate_at(cfg, tau_E, energy, e)) for e in (lo, hi))
-        x = lo if r_lo >= r_hi else hi
+    else:
+        x = float(_endpoint_x(cfg, tau_E, energy))
     return x, float(simultaneous_rate_at(cfg, tau_E, energy, x))
 
 
@@ -136,36 +160,30 @@ def _tdma_rate(cfg: ScenarioConfig, tau_E, energy) -> np.ndarray:
 def _rate_at(cfg: ScenarioConfig, tau_E: float) -> tuple[float, WitMode, float, float, float]:
     x_E, energy = wpt_hover_ic(cfg, tau_E)
     x_1, r_st = wit_mode1_hover(cfg, tau_E, energy)
-    r_td = wit_mode2_rate(cfg, tau_E, energy)
-    if r_st >= r_td:
-        return r_st, WitMode.SIMULTANEOUS, x_1, x_E, energy
-    return r_td, WitMode.TDMA, cfg.device_distance / 2.0, x_E, energy
+    rate, simultaneous = _best_mode(r_st, wit_mode2_rate(cfg, tau_E, energy))
+    if simultaneous:
+        return float(rate), WitMode.SIMULTANEOUS, x_1, x_E, energy
+    return float(rate), WitMode.TDMA, cfg.device_distance / 2.0, x_E, energy
 
 
 def _rate_grid(cfg: ScenarioConfig, taus: np.ndarray) -> np.ndarray:
     """`_rate_at(cfg, tau)[0]` at every tau of `taus` in one array pass.
 
-    Where the stationarity residual changes sign over `_mode1_bracket`, all
-    those offsets are placed by one bisection to 1e-12 m; elsewhere the
-    better bracket endpoint is taken, as in `wit_mode1_hover`.  Bisection
-    and Brent's method place an offset up to ~1e-12 m apart, so those cells'
+    The root test, the endpoint rule and the mode choice are the scalar
+    path's own helpers over arrays; only the root is placed differently:
+    all bracketed offsets by one bisection to 1e-12 m.  Bisection and
+    Brent's method place an offset up to ~1e-12 m apart, so those cells'
     rates may differ from the scalar path's in the last digits (~1e-14
     relative); every other cell takes the same operations.  The grid only
     picks the best cell: the scalar path gives every returned value."""
-    D, H = cfg.device_distance, cfg.altitude
     energy = _harvested(cfg, taus, _pair_hover_x(cfg))
-    c = cfg.ref_gain * (energy / (cfg.duration - taus)) / cfg.noise_power
-    lo, hi = _mode1_bracket(cfg)
-    f_lo, f_hi = _stationarity(lo, D, H, c), _stationarity(hi, D, H, c)
-    better_lo = simultaneous_rate_at(cfg, taus, energy, lo) \
-        >= simultaneous_rate_at(cfg, taus, energy, hi)
-    x = np.where(better_lo, lo, hi)
-    root = (f_lo * f_hi <= 0.0) & (hi - lo >= 1e-12)
+    c, f_lo, f_hi, root = _stationarity_ends(cfg, taus, energy)
+    x = _endpoint_x(cfg, taus, energy)
     if root.any():
-        x[root] = _bisect_stationarity(lo, hi, D, H, c[root], f_lo[root], f_hi[root])
-    r_st = simultaneous_rate_at(cfg, taus, energy, x)
-    r_td = _tdma_rate(cfg, taus, energy)
-    return np.where(r_st >= r_td, r_st, r_td)
+        x[root] = _bisect_stationarity(*_mode1_bracket(cfg), cfg.device_distance,
+                                       cfg.altitude, c[root], f_lo[root], f_hi[root])
+    return _best_mode(simultaneous_rate_at(cfg, taus, energy, x),
+                      _tdma_rate(cfg, taus, energy))[0]
 
 
 def _bisect_stationarity(lo: float, hi: float, D: float, H: float, c: np.ndarray,

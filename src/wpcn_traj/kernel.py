@@ -340,8 +340,6 @@ class _Layout:
             self.h_target = (pos[hi] - pos[hj])[self.keep] * n + pos[hj][self.keep]
             self.z_target = rank[self.dz_row] * n + pos[self.pat_col[self.dz]]
             self.pos, self.perm = pos, np.argsort(pos)
-            # Every Newton step factors the band in this one buffer.
-            self.factor_buf = np.empty((self.band + 1, n), order="F")
         else:
             self.keep = None
             self.h_target = hi * n + hj
@@ -449,7 +447,7 @@ class _Layout:
                 H += Z.T @ Z
             return _solve_spd(H, rhs)
         ab = np.bincount(self.h_target, hv, minlength=(self.band + 1) * n).reshape(-1, n)
-        return _solve_band_updates(ab, Z, rhs[self.perm], self.factor_buf)[self.pos]
+        return _solve_band_updates(ab, Z, rhs[self.perm])[self.pos]
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +485,14 @@ def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _damped(solve) * inv_d
 
 
-def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray,
-                        buf: np.ndarray | None = None) -> np.ndarray:
+def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve (B + Z^T Z) x = g, B symmetric banded in lower storage
     (ab[r, j] = B[j + r, j], zero past the last row), with the same Jacobi
     equilibration and damping as `_solve_spd`, then one step of iterative
     refinement against the undamped matrix: with the dense rows dominating
     B, the product form alone left residuals up to ~500 times the dense
     factorization's on captured time-LP steps, and one refinement step
-    removes that gap.  ab is scaled in place, and the band is factored in
-    buf, a Fortran-order array of ab's shape (a new one when not given)."""
+    removes that gap.  ab is scaled in place."""
     rows, n = ab.shape
     diag = ab[0] + np.einsum("kn,kn->n", Z, Z)
     inv_d = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
@@ -505,8 +501,7 @@ def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray,
     Bs *= _diagonals(inv_d, rows)[0]
     Zs = Z * inv_d
     gs = g * inv_d
-    buf = np.empty(ab.shape, order="F") if buf is None else buf
-    solve = _damped(lambda damp: _band_factor(Bs, Zs, damp, buf))
+    solve = _damped(lambda damp: _band_factor(Bs, Zs, damp))
     x = solve(gs)
     # B x, each entry summing over r in order: the lower part's row i sums
     # Bs[r, i - r] x[i - r] (a skewed view of Bs, whose entries at i < r
@@ -535,10 +530,8 @@ def _diagonals(v: np.ndarray, rows: int) -> tuple:
     return _view(pad, (rows, n), (1, 1), rows - 1), _view(pad, (rows, n), (-1, 1), rows - 1)
 
 
-def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float, buf: np.ndarray):
+def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float):
     """Factor B + damp I + Z^T Z and return the function that solves with it.
-    The band factor is formed in buf (Fortran order, B's shape), which each
-    call refills from B, and which the returned function reads.
 
     B + damp I = L D L^T is factored by LAPACK's `dpbtrf` (L unit lower).
     Each row z of Z then updates D + p p^T = Lt Dbar Lt^T, with p the
@@ -549,8 +542,7 @@ def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float, buf: np.ndarray):
     epigraph column no band row touches), and the recurrences never divide
     by it."""
     k, n = Z.shape
-    M = buf
-    M[...] = B
+    M = np.array(B, order="F")
     M[0] += damp
     cut = n - 1 if M[0, -1] == 0.0 else n
     L, info = dpbtrf(M[:, :cut], lower=1, overwrite_ab=1)
