@@ -6,7 +6,7 @@ solution passes `is_feasible`, whether its objective trace is monotone (by
 `grid_rates.py`'s rule) and, per kind of barrier subproblem (time LP, power
 step, trajectory step), the kernel calls, Newton steps, busy time,
 milliseconds per Newton step, slack evaluations per Newton step, structured
-Newton solves with milliseconds and minor page faults per solve, and kernel
+Newton systems with milliseconds and minor page faults per system, and kernel
 statuses; and the calls and busy time of the hovering-solution search the
 starts are built from.  The hover search is timed by wrapping
 `sca_ic.solve_infinite_ic` and `sca_comp.solve_infinite_comp`, the names
@@ -15,9 +15,12 @@ through which the engines call it.  The kernel calls are counted by wrapping
 and a call's kind is the name of the function that made it.  Slack
 evaluations are counted by wrapping `kernel._Layout.slacks`: one per
 line-search trial, one per barrier stage, and two per call (start check and
-final residuals).  Structured Newton solves are counted and timed by
-wrapping `kernel._solve_band_updates`, which programs of at least
-`kernel.STRUCTURED_MIN_N` variables call once per Newton system.  The configs (D = 15 m) are:
+final residuals).  Structured Newton systems are counted and timed by
+wrapping `kernel._factor_band_updates`, which programs of at least
+`kernel.STRUCTURED_MIN_N` variables call once per Newton system, and the
+solve function it returns: a system's time and faults are its
+factorization's and those of every solve with it (one for a barrier step,
+two for a primal-dual iteration).  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
@@ -109,7 +112,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                                  "band_solves": 0, "band_s": 0.0, "band_minflt": 0,
                                  "statuses": defaultdict(int)})
     kernel_call, slacks_call = sca_ic.solve_concave, kernel._Layout.slacks
-    band_call = kernel._solve_band_updates
+    band_call = kernel._factor_band_updates
     hover_calls = {(sca_ic, "solve_infinite_ic"): sca_ic.solve_infinite_ic,
                    (sca_comp, "solve_infinite_comp"): sca_comp.solve_infinite_comp}
     hover = {"calls": 0, "busy_s": 0.0}
@@ -135,16 +138,21 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
             stats[current[-1]]["slacks"] += 1
         return slacks_call(layout, x)
 
+    def timed(call, systems):
+        def run(*args):
+            flt0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+            try:
+                return call(*args)
+            finally:
+                if current:
+                    stats[current[-1]]["band_solves"] += systems
+                    stats[current[-1]]["band_s"] += time.perf_counter() - t0
+                    stats[current[-1]]["band_minflt"] += \
+                        resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
+        return run
+
     def timed_band(*args):
-        flt0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
-        try:
-            return band_call(*args)
-        finally:
-            if current:
-                stats[current[-1]]["band_solves"] += 1
-                stats[current[-1]]["band_s"] += time.perf_counter() - t0
-                stats[current[-1]]["band_minflt"] += \
-                    resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
+        return timed(timed(band_call, 1)(*args), 0)
 
     def timed_hover(call):
         def timed(*args, **kw):
@@ -158,7 +166,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
 
     cfg = ScenarioConfig(device_distance=15.0, duration=T, num_slots=N)
     sca_ic.solve_concave, kernel._Layout.slacks = counted, counted_slacks
-    kernel._solve_band_updates = timed_band
+    kernel._factor_band_updates = timed_band
     for (module, name), call in hover_calls.items():
         setattr(module, name, timed_hover(call))
     try:
@@ -167,7 +175,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
         wall = time.perf_counter() - t0
     finally:
         sca_ic.solve_concave, kernel._Layout.slacks = kernel_call, slacks_call
-        kernel._solve_band_updates = band_call
+        kernel._factor_band_updates = band_call
         for (module, name), call in hover_calls.items():
             setattr(module, name, call)
     kinds = {}

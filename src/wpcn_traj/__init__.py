@@ -1,7 +1,21 @@
 """Solvers for a two-UAV, two-device wireless-powered communication network:
 closed-form infinite-horizon hovering solutions and finite-horizon alternating
 optimization of trajectories, time allocation and transmit powers, for both
-the interference-coordination and the joint transmission/reception modes."""
+the interference-coordination and the joint transmission/reception modes.
+
+Imported before numpy, as the `wpcn-traj` command imports it, the package
+pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS, each unless the environment sets it), so the command and
+its pool workers give the same results for any `--jobs`: rates differ in
+the 9th digit between thread counts, and the solvers' small factorizations
+run faster on one thread."""
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 from .model import (AllocationCoMP, AllocationIC, ConfigError, ScenarioConfig,
                     Trajectory, channel_gain, common_throughput_comp,

@@ -1,12 +1,24 @@
-"""Structured log-barrier solver for the per-iteration subproblems.
+"""Structured interior-point solver for the per-iteration subproblems.
 
-One log-barrier Newton engine serves the subproblems the alternating solvers
-emit.  Every one is a max-min in epigraph form: maximize the last variable,
-the common rate R, subject to concave rate rows, energy rows and convex
+One Newton engine serves the subproblems the alternating solvers emit.
+Every one is a max-min in epigraph form: maximize the last variable, the
+common rate R, subject to concave rate rows, energy rows and convex
 quadratic geometry rows.  The time allocation is such a program with affine
 rows only.  Each is solved from a strictly feasible start its caller
 supplies, with the fixed settings below, and everything is deterministic:
 identical problem and start give bit-identical outcomes.
+
+Every solve ends at the log barrier's last stage, the first weight
+t_f = t0 MU^k with m / t_f <= GAP_ABS + GAP_REL |R|, centered to NEWTON_TOL.
+There are two ways to that stage.  A program with any square, pair or log
+term runs the barrier stages t0, t0 MU, ..., each centered loosely.  A
+program whose rows are all affine runs Mehrotra predictor-corrector
+iterations instead (Mehrotra, SIAM J. Optim. 1992; Wright, Primal-Dual
+Interior-Point Methods, 1997), from the duals lambda = 1/(t0 s) until
+s^T lambda / m <= 1/t_f: each factors the barrier's Newton matrix with the
+rows weighted by sqrt(lambda/s) once and solves with it twice.  The last
+centering then starts near its center, so the outcome is the barrier's own
+last center either way, with the same status, gap and residuals.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -79,6 +91,8 @@ GAP_REL = 1e-9
 NEWTON_TOL = 1e-8       # half squared Newton decrement
 MAX_STAGE_STEPS = 100
 MAX_STAGES = 64
+MAX_PD_ITER = 50        # primal-dual iterations of a program with affine rows only
+STEP_FRACTION = 0.99    # first-order cap: fraction of the step to the boundary
 # Programs with fewer variables take the dense factorization.  A structured
 # Newton step costs 1.05 dense ones at n = 161 (band 1), 0.33 at n = 241
 # (band 2) and 1.48 at n = 137 (band 30), with one BLAS thread: the
@@ -358,6 +372,7 @@ class _Layout:
         self.sparse_terms = (self.lin_c[~on_l], self.lin_v[~on_l], self.sq_c[~on_s],
                              self.sq_v[~on_s])
         self.sparse_rows = np.concatenate((lin_r[~on_l], self.sq_r[~on_s], self.pr_r))
+        self.affine = not (self.sq_c.size or self.pr_r.size or self.groups)
 
     @staticmethod
     def _row_pairs(select, support, starts):
@@ -434,20 +449,22 @@ class _Layout:
         """Directional derivative of every row, G d."""
         return np.bincount(self.pat_row, gv * d[self.pat_col], minlength=self.m)
 
-    def newton(self, gv: np.ndarray, hv: np.ndarray, inv_s: np.ndarray,
-               rhs: np.ndarray) -> np.ndarray:
-        """Solve (band part + sum of the dense rows' z z^T) d = rhs, where z
-        is a dense row's gradient over its slack."""
+    def factor(self, gv: np.ndarray, hv: np.ndarray, w: np.ndarray):
+        """Factor the band part plus the dense rows' z z^T, z a dense row's
+        gradient times its weight w, and return the function that solves
+        with it.  The barrier weights rows by 1/s, the primal-dual
+        iterations by sqrt(lambda/s)."""
         n, k = self.n, self.k
-        Z = np.bincount(self.z_target, gv[self.dz] * inv_s[self.dz_row],
+        Z = np.bincount(self.z_target, gv[self.dz] * w[self.dz_row],
                         minlength=k * n).reshape(k, n)
         if not self.structured:
             H = np.bincount(self.h_target, hv, minlength=n * n).reshape(n, n)
             if k:
                 H += Z.T @ Z
-            return _solve_spd(H, rhs)
+            return _factor_spd(H)
         ab = np.bincount(self.h_target, hv, minlength=(self.band + 1) * n).reshape(-1, n)
-        return _solve_band_updates(ab, Z, rhs[self.perm])[self.pos]
+        solve = _factor_band_updates(ab, Z)
+        return lambda rhs: solve(rhs[self.perm])[self.pos]
 
 
 # ---------------------------------------------------------------------------
@@ -466,33 +483,35 @@ def _damped(solve):
     raise np.linalg.LinAlgError("barrier Hessian could not be factorized")
 
 
-def _solve_spd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _factor_spd(H: np.ndarray):
+    """Factor H and return the function that solves with it."""
     # Jacobi equilibration keeps the factorization well-scaled; the barrier
     # Hessian mixes position, slack and epigraph blocks of wildly different
     # magnitudes.
     d = np.sqrt(np.maximum(H.diagonal(), 1e-300))
     inv_d = 1.0 / d
     Hs = H * inv_d[:, None] * inv_d[None, :]
-    gs = g * inv_d
 
-    def solve(damp):
+    def factor(damp):
         M = Hs if damp == 0.0 else Hs + damp * np.eye(Hs.shape[0])
         L, info = dpotrf(M, lower=1, clean=0)
         if info:
             raise np.linalg.LinAlgError("barrier Hessian is not positive definite")
-        return dpotrs(L, gs, lower=1)[0]
+        return L
 
-    return _damped(solve) * inv_d
+    L = _damped(factor)
+    return lambda g: dpotrs(L, g * inv_d, lower=1)[0] * inv_d
 
 
-def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve (B + Z^T Z) x = g, B symmetric banded in lower storage
-    (ab[r, j] = B[j + r, j], zero past the last row), with the same Jacobi
-    equilibration and damping as `_solve_spd`, then one step of iterative
-    refinement against the undamped matrix: with the dense rows dominating
-    B, the product form alone left residuals up to ~500 times the dense
-    factorization's on captured time-LP steps, and one refinement step
-    removes that gap.  ab is scaled in place."""
+def _factor_band_updates(ab: np.ndarray, Z: np.ndarray):
+    """Factor B + Z^T Z, B symmetric banded in lower storage (ab[r, j] =
+    B[j + r, j], zero past the last row), with the same Jacobi equilibration
+    and damping as `_factor_spd`, and return the function that solves with
+    it.  Each solve takes one step of iterative refinement against the
+    undamped matrix: with the dense rows dominating B, the product form
+    alone left residuals up to ~500 times the dense factorization's on
+    captured time-LP steps, and one refinement step removes that gap.  ab is
+    scaled in place."""
     rows, n = ab.shape
     diag = ab[0] + np.einsum("kn,kn->n", Z, Z)
     inv_d = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
@@ -500,18 +519,23 @@ def _solve_band_updates(ab: np.ndarray, Z: np.ndarray, g: np.ndarray) -> np.ndar
     Bs *= inv_d
     Bs *= _diagonals(inv_d, rows)[0]
     Zs = Z * inv_d
-    gs = g * inv_d
     solve = _damped(lambda damp: _band_factor(Bs, Zs, damp))
-    x = solve(gs)
-    # B x, each entry summing over r in order: the lower part's row i sums
-    # Bs[r, i - r] x[i - r] (a skewed view of Bs, whose entries at i < r
-    # are row r - 1's and meet the zeros of `behind`), the strict upper
-    # part's row j sums Bs[r, j] x[j + r].
-    ahead, behind = _diagonals(x, rows)
-    lower = np.einsum("rn,rn->n", _view(Bs, (rows, n), (n - 1, 1)), behind)
-    upper = np.einsum("rn,rn->n", Bs[1:], ahead[1:])
-    res = gs - lower - upper - Zs.T @ (Zs @ x)
-    return (x + solve(res)) * inv_d
+    lower_view = _view(Bs, (rows, n), (n - 1, 1))
+
+    def solve_refined(g: np.ndarray) -> np.ndarray:
+        gs = g * inv_d
+        x = solve(gs)
+        # B x, each entry summing over r in order: the lower part's row i
+        # sums Bs[r, i - r] x[i - r] (a skewed view of Bs, whose entries at
+        # i < r are row r - 1's and meet the zeros of `behind`), the strict
+        # upper part's row j sums Bs[r, j] x[j + r].
+        ahead, behind = _diagonals(x, rows)
+        lower = np.einsum("rn,rn->n", lower_view, behind)
+        upper = np.einsum("rn,rn->n", Bs[1:], ahead[1:])
+        res = gs - lower - upper - Zs.T @ (Zs @ x)
+        return (x + solve(res)) * inv_d
+
+    return solve_refined
 
 
 def _view(a: np.ndarray, shape: tuple, steps: tuple, start: int = 0) -> np.ndarray:
@@ -589,14 +613,98 @@ def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float):
 # Barrier engine
 # ---------------------------------------------------------------------------
 
+def _gap_closed(m: int, t: float, R: float) -> bool:
+    """Whether the barrier's gap m/t at weight t is within the tolerance:
+    the stage at t is the last one."""
+    return m / t <= GAP_ABS + GAP_REL * abs(R)
+
+
+def _last_weight(t: float, m: int, R: float) -> float:
+    """The barrier's last stage weight from t, the first t MU^k whose gap is
+    closed at R, multiplied up as the stages are."""
+    while not _gap_closed(m, t, R):
+        t *= MU
+    return t
+
+
+def _boundary_step(v: np.ndarray, dv: np.ndarray, frac: float) -> float:
+    """frac times the step to the boundary of v + a dv > 0, at most 1.  Only
+    entries the full step uses up by more than half can bind (elsewhere
+    frac v / -dv >= 2 frac); skipping the others keeps v / dv from
+    overflowing."""
+    near = dv < -0.5 * v
+    if not near.any():
+        return 1.0
+    return min(1.0, frac * float((v[near] / -dv[near]).min()))
+
+
+def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float):
+    """Mehrotra predictor-corrector iterations on a program whose rows are
+    all affine, A x + s = b, from a strictly feasible x with slacks s and the
+    duals lambda = 1/(t0 s) (Wright, Primal-Dual Interior-Point Methods,
+    1997, ch. 10).  Each iteration factors A^T diag(lambda/s) A once, the
+    barrier's Newton matrix with the rows weighted by sqrt(lambda/s) in
+    place of 1/s, and solves with it twice: the affine-scaling predictor,
+    then the corrector toward sigma mu with sigma = (mu_aff/mu)^3, though not
+    past the central point at t_f.  The primal iterate stays feasible; the
+    duals may start infeasible, and a full dual step makes them feasible.
+
+    t_f is the barrier's last stage weight from t0 at the current R.  The
+    iterations stop once s^T lambda / m <= 1/t_f, or once a full step aimed
+    at the central point at t_f, and return (x, t_f, iterations), where the
+    barrier's final centering takes over.  When MAX_PD_ITER runs out first,
+    or the primal step collapses, they return t = m / s^T lambda instead,
+    where the barrier stages take over."""
+    m = lay.m
+    lam = 1.0 / (t0 * s)
+    e = np.zeros(lay.n)
+    e[-1] = 1.0
+    centered = False
+    for it in range(MAX_PD_ITER):
+        t_f = _last_weight(t0, m, float(x[-1]))
+        gap = float(s @ lam)
+        if gap <= m / t_f or centered:
+            return x, t_f, it
+        w = np.sqrt(lam / s)
+        gv, hv = lay.derivatives(x, w)
+        solve = lay.factor(gv, hv, w)
+        # Predictor: the affine-scaling direction, sigma = 0.
+        dx = solve(e)
+        ds = -lay.row_dot(gv, dx)
+        dlam = -lam - lam / s * ds
+        a_p, a_d = _boundary_step(s, ds, 1.0), _boundary_step(lam, dlam, 1.0)
+        sigma = (float((s + a_p * ds) @ (lam + a_d * dlam)) / gap) ** 3
+        # Corrector, with the predictor's second-order term.
+        mu = max(sigma * gap / m, 1.0 / t_f)
+        target = mu - ds * dlam
+        dx = solve(e - lay.gradient(gv, target / s))
+        ds = -lay.row_dot(gv, dx)
+        dlam = (target - lam * ds) / s - lam
+        a_p, a_d = _boundary_step(s, ds, STEP_FRACTION), _boundary_step(lam, dlam, STEP_FRACTION)
+        while True:
+            trial = x + a_p * dx
+            s_try = lay.slacks(trial)
+            if s_try.min() > 0.0:
+                break
+            a_p *= BACKTRACK
+            if a_p < 1e-16:
+                return x, m / gap, it + 1
+        centered = mu == 1.0 / t_f and a_p == a_d == 1.0
+        x, s, lam = trial, s_try, lam + a_d * dlam
+    return x, m / float(s @ lam), MAX_PD_ITER
+
+
 def solve_concave(problem: Problem, start) -> SolveOutcome:
-    """Log-barrier maximization of the last variable from a strictly feasible
-    start.
+    """Interior-point maximization of the last variable from a strictly
+    feasible start.
 
     Barrier weights run t0, t0 MU, t0 MU^2, ... and the line search takes the
-    Armijo test plus eps_psi (module docstring).  Slacks are evaluated at the
-    start, once per barrier stage, once per line-search trial and once for
-    the final residuals.
+    Armijo test plus eps_psi (module docstring); a program with affine rows
+    only reaches the last weight by primal-dual iterations.  Slacks are
+    evaluated at the start, once per barrier stage, once per line-search or
+    primal-dual trial point and once for the final residuals.
+    `iterations` counts the Newton systems factored after the start
+    weight's.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
     """
@@ -614,8 +722,11 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     gv, hv = lay.derivatives(x, inv_s)
     e = np.zeros(problem.n)
     e[-1] = 1.0
-    w = lay.newton(gv, hv, inv_s, e)
+    w = lay.factor(gv, hv, inv_s)(e)
     t = min(START_WEIGHT_MAX, max(1.0, float(w @ lay.gradient(gv, inv_s)) / float(w[-1])))
+    total_steps = 0
+    if lay.affine:
+        x, t, total_steps = _predictor_corrector(lay, x, s0, t)
 
     def center(t: float, x: np.ndarray, tol: float):
         """Damped Newton centering; also returns the step count and the half
@@ -630,20 +741,13 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             gv, hv = lay.derivatives(x, inv_s)
             grad = lay.gradient(gv, inv_s)
             grad[-1] -= t
-            d = lay.newton(gv, hv, inv_s, -grad)
+            d = lay.factor(gv, hv, inv_s)(-grad)
             dec = float(-grad @ d) / 2.0
             count += 1
             if dec <= tol:
                 break
             # First-order cap on the step keeps most trials inside the domain.
-            # Only rows whose slack the full step uses up by more than half
-            # can bind (elsewhere 0.99 * s/g >= 1.98); skipping the others
-            # keeps s/g from overflowing.
-            gd_rows = lay.row_dot(gv, d)
-            near = gd_rows > 0.5 * s
-            alpha = 1.0
-            if near.any():
-                alpha = min(1.0, 0.99 * float((s[near] / gd_rows[near]).min()))
+            alpha = _boundary_step(s, -lay.row_dot(gv, d), STEP_FRACTION)
             f0 = -t * float(x[-1]) - float(log_s.sum())
             gd = float(grad @ d)
             # Armijo test with an allowance for psi's own rounding; the
@@ -666,26 +770,24 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             x, s, log_s = trial, s_try, log_try
         return x, count, dec
 
-    total_steps = 0
     gap = np.inf
     dec = np.inf
     # Intermediate stages are centered loosely (long-step style); the final
     # stage is polished to the tight Newton tolerance.
     loose = max(1e-6, NEWTON_TOL)
     for _stage in range(MAX_STAGES):
-        gap = m / t
-        last = gap <= GAP_ABS + GAP_REL * abs(x[-1])
+        last = _gap_closed(m, t, x[-1])
         x, took, dec = center(t, x, NEWTON_TOL if last else loose)
         total_steps += took
         gap = m / t
-        if gap <= GAP_ABS + GAP_REL * abs(x[-1]):
+        if _gap_closed(m, t, x[-1]):
             break
         t *= MU
     obj = float(x[-1])
     # m/t bounds the suboptimality only on the central path, so an iterate
     # whose final centering stopped short of the Newton tolerance certifies
     # no gap and no dual bound.
-    converged = dec <= NEWTON_TOL and gap <= GAP_ABS + GAP_REL * abs(obj)
+    converged = dec <= NEWTON_TOL and _gap_closed(m, t, obj)
     if not converged:
         gap = np.inf
     s = lay.slacks(x)

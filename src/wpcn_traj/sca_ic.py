@@ -238,7 +238,7 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
     in the slot, and every variable >= 0.  Returns the (blocks + 1, N)
     durations, clipped at 0.
 
-    The barrier starts from a strictly feasible point built in closed form:
+    The kernel starts from a strictly feasible point built in closed form:
     the charging blocks share half of every slot, every slot gets the same
     uplink time, small enough that each device spends at most a quarter of
     what it harvests, and R is half the smaller device rate.

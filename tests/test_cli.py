@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from click.testing import CliRunner
 from wpcn_traj.cli import main
 
 FAST = ["--set", "mission_s=2", "--set", "num_slots=6", "--set", "tau_grid=80"]
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
@@ -170,6 +176,26 @@ class TestCommands:
             res = invoke(["sweep-T", "--values", "2,2.5", "--out", str(out),
                           "--jobs", jobs] + FAST[2:])
             assert res.exit_code == 0, res.output
+            outs.append((out / "results.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_fresh_processes_pin_blas_and_reproduce_serial_csv(self, tmp_path):
+        # With no BLAS thread count in the environment, the command's process
+        # pins one thread before numpy loads, and so do its pool workers: a
+        # sweep writes the same results.csv serially and on two workers.
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import os, wpcn_traj; "
+             f"print(*(os.environ[v] for v in {BLAS_VARS!r}))"],
+            env=env, check=True, capture_output=True, text=True)
+        assert probe.stdout.split() == ["1", "1", "1"]
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            subprocess.run([sys.executable, "-m", "wpcn_traj.cli", "sweep-T", "--values", "2,2.5",
+                            "--out", str(out), "--jobs", jobs] + FAST[2:],
+                           env=env, check=True, capture_output=True)
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1]
 

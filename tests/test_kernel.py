@@ -130,6 +130,34 @@ class TestSolveConcave:
         assert out.status is Status.OPTIMAL
         assert out.x[0] == pytest.approx(1.0, abs=1e-7)
 
+    def test_primal_dual_cap_hands_over_to_the_barrier(self, monkeypatch):
+        # maximize min(3 u1 + u2, u1 + 2 u2) s.t. u1 + u2 <= 1, u >= 0: the
+        # optimum is u = (1/3, 2/3), R = 5/3.  Its rows are all affine, so
+        # primal-dual iterations run first; once their cap runs out, the
+        # barrier stages finish the solve.
+        prob = Problem(3)
+        prob.add_affine([[0, 1, 2], [0, 1, 2]], [[-3.0, -1.0, 1.0], [-1.0, -2.0, 1.0]], [0.0, 0.0])
+        prob.add_affine([0, 1], [1.0, 1.0], 1.0)
+        prob.add_bounds([0, 1])
+        start = np.array([0.2, 0.2, 0.1])
+        pd_steps = []
+        predictor_corrector = kernel._predictor_corrector
+
+        def counted(*args):
+            out = predictor_corrector(*args)
+            pd_steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(kernel, "_predictor_corrector", counted)
+        full = solve_concave(prob, start)
+        monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
+        capped = solve_concave(prob, start)
+        assert pd_steps[0] > 1 and pd_steps[1] == 1
+        for out in (full, capped):
+            assert out.status is Status.OPTIMAL
+            assert out.objective == pytest.approx(5.0 / 3.0, abs=1e-8)
+            assert out.x[:2] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-7)
+
     def test_scalar_group_fields_apply_to_every_term(self):
         def solve(offsets, weights, bases, scales):
             prob = Problem(3)
@@ -214,17 +242,19 @@ def test_coordination_solve_converges_below_the_rounding_floor(monkeypatch):
 # The Newton step against a dense reference
 # ---------------------------------------------------------------------------
 
-def _dense_reference(prob, x, rhs):
-    """Barrier Hessian at x assembled densely, (G/s)^T (G/s) plus every
-    row's curvature over its slack, the step solved by one Jacobi-scaled
+def _dense_reference(prob, x, rhs, weights=None):
+    """Newton matrix at x assembled densely, (G w)^T (G w) plus every row's
+    curvature over its slack, with the rows weighted by w = `weights` (1/s,
+    the barrier Hessian, by default); the step solved by one Jacobi-scaled
     dense Cholesky factorization, shifted until it factorizes, and that step
     after one round of iterative refinement."""
     lay = prob._compiled()
     s = prob.slacks(x)
-    gv, _ = lay.derivatives(x, 1.0 / s)
+    weights = 1.0 / s if weights is None else weights
+    gv, _ = lay.derivatives(x, weights)
     G = np.zeros((lay.m, lay.n))
     G[lay.pat_row, lay.pat_col] = gv
-    Gs = G / s[:, None]
+    Gs = G * weights[:, None]
     H = Gs.T @ Gs
     np.add.at(H, (lay.sq_c, lay.sq_c), 2.0 * lay.sq_v / s[lay.sq_r])
     w = 2.0 / s[lay.pr_r]
@@ -291,7 +321,7 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
         systems = _newton_systems(prob, start)
         # System 0 is the start weight's own solve, with rhs e; system 1 is
         # the first centering step, rhs = -(grad - t e) at the start.
-        x, rhs, _ = systems[1]
+        x, _, rhs, _ = systems[1]
         assert np.array_equal(x, start)
         t = rhs[-1] + _barrier_gradient(prob, start)[-1]
         assert t == pytest.approx(np.clip(t_star, 1.0, kernel.START_WEIGHT_MAX), rel=rel)
@@ -326,31 +356,41 @@ def _captured_subproblems(monkeypatch):
 
 
 def _newton_systems(prob, start):
-    """Every Newton system of one solve, as (x, right-hand side, step)."""
+    """Every Newton system of one solve, as (x, row weights, right-hand
+    side, step).  The barrier weights the rows by 1/s, the primal-dual
+    iterations by sqrt(lambda/s), and solve twice with each factorization."""
     lay = prob._compiled()
-    seen = []
-    derivatives, newton = lay.derivatives, lay.newton
+    seen, systems = [], []
+    derivatives, factor = lay.derivatives, lay.factor
 
-    def record_x(x, inv_s):
+    def record_x(x, w):
         seen.append(x.copy())
-        return derivatives(x, inv_s)
+        return derivatives(x, w)
 
-    def record_step(gv, hv, inv_s, rhs):
-        d = newton(gv, hv, inv_s, rhs)
-        seen[-1] = (seen[-1], rhs.copy(), d)
-        return d
+    def record_factor(gv, hv, w):
+        solve, x, w = factor(gv, hv, w), seen[-1], w.copy()
 
-    lay.derivatives, lay.newton = record_x, record_step
+        def record_solve(rhs):
+            d = solve(rhs)
+            systems.append((x, w, rhs.copy(), d))
+            return d
+        return record_solve
+
+    lay.derivatives, lay.factor = record_x, record_factor
     solve_concave(prob, start)
-    return [rec for rec in seen if isinstance(rec, tuple)]
+    return systems
 
 
 def test_newton_step_matches_dense_reference(monkeypatch):
-    sides = set()
+    # The time LPs take primal-dual systems, whose weights are not the
+    # inverse slacks; every other program takes barrier systems only.
+    sides, pd_sides = set(), set()
     for prob, start in _captured_subproblems(monkeypatch):
         sides.add(prob._compiled().structured)
-        for i, (x, rhs, d) in enumerate(_newton_systems(prob, start)):
-            H, d_ref, d_refined = _dense_reference(prob, x, rhs)
+        for i, (x, w, rhs, d) in enumerate(_newton_systems(prob, start)):
+            if not np.array_equal(w, 1.0 / prob.slacks(x)):
+                pd_sides.add(prob._compiled().structured)
+            H, d_ref, d_refined = _dense_reference(prob, x, rhs, w)
             r, r_ref = np.linalg.norm(H @ d - rhs), np.linalg.norm(H @ d_refined - rhs)
             assert r <= 10.0 * np.linalg.norm(H @ d_ref - rhs) + 1e-12 * np.linalg.norm(rhs), \
                 (prob.n, i)
@@ -363,7 +403,7 @@ def test_newton_step_matches_dense_reference(monkeypatch):
             dec, dec_ref = rhs @ d, rhs @ d_refined
             assert abs(dec - dec_ref) <= 1e-8 * abs(dec_ref) \
                 + np.linalg.norm(d_refined) * r + np.linalg.norm(d) * r_ref, (prob.n, i)
-    assert sides == {True, False}
+    assert sides == pd_sides == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +504,7 @@ def test_spd_solve_equals_cho_solve():
     g = rng.standard_normal(9)
     inv_d = 1.0 / np.sqrt(H.diagonal())
     ref = cho_solve(cho_factor(H * inv_d[:, None] * inv_d[None, :], lower=True), g * inv_d)
-    assert np.array_equal(kernel._solve_spd(H, g), ref * inv_d)
+    assert np.array_equal(kernel._factor_spd(H)(g), ref * inv_d)
 
 
 def test_spd_solve_damps_a_singular_matrix(monkeypatch):
@@ -484,7 +524,7 @@ def test_spd_solve_damps_a_singular_matrix(monkeypatch):
         return out
 
     monkeypatch.setattr(kernel, "dpotrf", counted)
-    d = kernel._solve_spd(H, g)
+    d = kernel._factor_spd(H)(g)
     assert infos[0] > 0 and infos[-1] == 0
     assert np.isfinite(d).all()
     assert np.linalg.norm(H @ d - g) <= 1e-6 * np.linalg.norm(g)
@@ -515,7 +555,7 @@ def test_band_solve_matches_dense_solve():
     Z = rng.standard_normal((4, n))
     Z[3] = Z[1]
     g = rng.standard_normal(n)
-    d = kernel._solve_band_updates(_band_storage(B, 2), Z, g)
+    d = kernel._factor_band_updates(_band_storage(B, 2), Z)(g)
     ref = np.linalg.solve(B + Z.T @ Z, g)
     assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -539,7 +579,7 @@ def test_band_solve_damps_a_singular_band(monkeypatch):
         return out
 
     monkeypatch.setattr(kernel, "dpbtrf", counted)
-    d = kernel._solve_band_updates(_band_storage(B, 2), Z, g)
+    d = kernel._factor_band_updates(_band_storage(B, 2), Z)(g)
     assert infos[0] > 0 and infos[-1] == 0
     assert np.linalg.norm((B + Z.T @ Z) @ d - g) <= 1e-6 * np.linalg.norm(g)
 

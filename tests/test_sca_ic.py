@@ -12,7 +12,7 @@ from wpcn_traj import (AllocationIC, Initialization, Trajectory,
                        solve_infinite_comp, solve_infinite_ic, solve_p1,
                        solve_p1_direct, solve_p21)
 from wpcn_traj import sca_comp, sca_ic
-from wpcn_traj.kernel import StartInfeasible
+from wpcn_traj.kernel import StartInfeasible, Status, solve_concave
 from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
 from wpcn_traj.sca_ic import _power_budgets, _shf_ic, _time_lp, initial_allocation_ic
@@ -139,12 +139,10 @@ class TestOptimizeTime:
         assert np.array_equal(a.uplink_time, b.uplink_time)
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_time_lp_matches_highs(blocks):
-    # Random instances of the time step of either mode (one charging block in
-    # the coordination mode, two in the joint mode) against HiGHS on the
-    # same LP: maximize R s.t. R <= rate[k].u / T, spend <= harvest, each
-    # slot's durations <= the slot, every duration >= 0.
+def _random_time_lps(blocks):
+    """Twelve random instances (cfg, rate, harvest, tx_power) of the time step
+    of either mode: one charging block in the coordination mode, two in the
+    joint mode."""
     rng = np.random.default_rng(20 + blocks)
     for _ in range(12):
         N = int(rng.integers(1, 13))
@@ -154,6 +152,16 @@ def test_time_lp_matches_highs(blocks):
         rate[:, 0] += 0.1   # every device has some rate somewhere
         harvest = 10.0 ** rng.uniform(-5.0, -3.0, (2, blocks, N))
         tx_power = 10.0 ** rng.uniform(-5.0, -3.0, (2, N))
+        yield cfg, rate, harvest, tx_power
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_time_lp_matches_highs(blocks):
+    # Each random instance against HiGHS on the same LP: maximize R s.t.
+    # R <= rate[k].u / T, spend <= harvest, each slot's durations <= the
+    # slot, every duration >= 0.
+    for cfg, rate, harvest, tx_power in _random_time_lps(blocks):
+        N = cfg.num_slots
         x = _time_lp(cfg, rate, harvest, tx_power)
         uplink = x[-1]
         got = min(float(rate[k] @ uplink) for k in range(2)) / cfg.duration
@@ -177,6 +185,25 @@ def test_time_lp_matches_highs(blocks):
         for k in range(2):
             spend = float(tx_power[k] @ uplink)
             assert spend <= float((harvest[k] * x[:-1]).sum()) + 1e-12 * spend
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_time_lp_solves_in_few_newton_systems(blocks, monkeypatch):
+    # The time LP's rows are all affine, so the kernel reaches the barrier's
+    # last stage by primal-dual iterations and then centers that stage; the
+    # barrier stages alone take 82-109 Newton systems on these instances.
+    outcomes = []
+
+    def kept(problem, start):
+        outcomes.append(solve_concave(problem, start))
+        return outcomes[-1]
+
+    monkeypatch.setattr(sca_ic, "solve_concave", kept)
+    for instance in _random_time_lps(blocks):
+        _time_lp(*instance)
+    assert len(outcomes) == 12
+    assert [out.status for out in outcomes] == [Status.OPTIMAL] * 12
+    assert max(out.iterations for out in outcomes) <= 40
 
 
 def _refining_power_oracle(cfg, traj, uplink, budgets, rounds=3, grid=24):
