@@ -14,13 +14,15 @@ through which the engines call it.  The kernel calls are counted by wrapping
 `sca_ic.solve_concave`, the name through which both engines call the kernel,
 and a call's kind is the name of the function that made it.  Slack
 evaluations are counted by wrapping `kernel._Layout.slacks`: one per
-line-search trial, one per barrier stage, and two per call (start check and
-final residuals).  Structured Newton systems are counted and timed by
-wrapping `kernel._factor_band_updates`, which programs of at least
-`kernel.STRUCTURED_MIN_N` variables call once per Newton system, and the
-solve function it returns: a system's time and faults are its
-factorization's and those of every solve with it (one for a barrier step,
-two for a primal-dual iteration).  The configs (D = 15 m) are:
+line-search or primal-dual trial and one per call (the start check).
+Structured Newton systems are counted and timed by wrapping
+`kernel._factor_band_updates`, which programs of at least
+`kernel.STRUCTURED_MIN_N` variables call once per factored Newton system,
+and the solve function it returns: a system's time and faults are its
+factorization's and those of every solve with it (one or two per barrier
+stage, since a stage's last system is the next stage's first; two per
+primal-dual iteration; the start weight's system serves the first
+centering step or primal-dual iteration too).  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;

@@ -10,15 +10,19 @@ identical problem and start give bit-identical outcomes.
 
 Every solve ends at the log barrier's last stage, the first weight
 t_f = t0 MU^k with m / t_f <= GAP_ABS + GAP_REL |R|, centered to NEWTON_TOL.
-There are two ways to that stage.  A program with any square, pair or log
-term runs the barrier stages t0, t0 MU, ..., each centered loosely.  A
-program whose rows are all affine runs Mehrotra predictor-corrector
-iterations instead (Mehrotra, SIAM J. Optim. 1992; Wright, Primal-Dual
-Interior-Point Methods, 1997), from the duals lambda = 1/(t0 s) until
-s^T lambda / m <= 1/t_f: each factors the barrier's Newton matrix with the
-rows weighted by sqrt(lambda/s) once and solves with it twice.  The last
-centering then starts near its center, so the outcome is the barrier's own
-last center either way, with the same status, gap and residuals.
+There are two ways to that stage.  A program with any square or pair term
+(the trajectory programs) runs the barrier stages t0, t0 MU, ..., each
+centered loosely.  A program of affine and log rows only (the time LPs and
+the coordination power step) runs Mehrotra predictor-corrector iterations
+instead (Mehrotra, SIAM J. Optim. 1992; Wright, Primal-Dual Interior-Point
+Methods, 1997), from the duals lambda = 1/(t0 s) until
+s^T lambda / m <= 1/t_f: each factors the Newton matrix
+sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves with it
+twice, with Mehrotra's sigma safeguarded on log rows (Salahi, Peng and
+Terlaky, SIAM J. Optim. 2007).  The last centering then starts near its
+center, so the outcome is the barrier's own last center either way, with
+the same status, gap and residuals; iterations that lose their way hand
+the solve to the barrier stages from the start.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -91,7 +95,12 @@ GAP_REL = 1e-9
 NEWTON_TOL = 1e-8       # half squared Newton decrement
 MAX_STAGE_STEPS = 100
 MAX_STAGES = 64
-MAX_PD_ITER = 50        # primal-dual iterations of a program with affine rows only
+# Primal-dual iterations of a program without square or pair terms.  At
+# 50, the first N = 500 coordination power step ran out at R = 3.9111380,
+# a gap of 1.5e-8 short of its last stage, and restarted on the barrier.
+MAX_PD_ITER = 100
+SIGMA_MIN = 0.1         # least centering of a primal-dual iteration on log rows
+RECENTER_STEP = 0.9     # a shorter primal step on log rows is followed by pure centering
 STEP_FRACTION = 0.99    # first-order cap: fraction of the step to the boundary
 # Programs with fewer variables take the dense factorization.  A structured
 # Newton step costs 1.05 dense ones at n = 161 (band 1), 0.33 at n = 241
@@ -372,7 +381,16 @@ class _Layout:
         self.sparse_terms = (self.lin_c[~on_l], self.lin_v[~on_l], self.sq_c[~on_s],
                              self.sq_v[~on_s])
         self.sparse_rows = np.concatenate((lin_r[~on_l], self.sq_r[~on_s], self.pr_r))
-        self.affine = not (self.sq_c.size or self.pr_r.size or self.groups)
+        # Programs with no square or pair term (the time LPs and the
+        # coordination power step) take primal-dual iterations.  The
+        # trajectory programs keep the barrier stages: their strict quadratic
+        # rows start at slacks near 1e-10, and on the primal-dual path 6 of
+        # the 56 trajectory programs of the N = 6 coordination grid lost
+        # their way and restarted on the barrier, and one ended MAX_ITER
+        # 1.1e-3 below the barrier's objective (without the restarts, 6
+        # ended MAX_ITER, up to 2.3e-3 lower, on primal steps of 1e-2 to
+        # 1e-5).
+        self.primal_dual = not (self.sq_c.size or self.pr_r.size)
 
     @staticmethod
     def _row_pairs(select, support, starts):
@@ -422,23 +440,25 @@ class _Layout:
             np.add.at(s, self.grp_rows, sums)
         return s
 
-    def derivatives(self, x: np.ndarray, inv_s: np.ndarray):
+    def derivatives(self, x: np.ndarray, w: np.ndarray, c: np.ndarray):
         """Row-gradient values on the pattern, and the values of the band
-        part of the barrier Hessian at each of its storage entries."""
+        part of the Newton matrix sum_i c_i grad^2 g_i + G^T diag(w^2) G at
+        each of its storage entries: the barrier Hessian for w = c = 1/s,
+        the primal-dual matrix for w = sqrt(lambda/s) and c = lambda."""
         gvals, curv = [self.lin_v], []
         if self.sq_c.size:
             gvals.append(2.0 * self.sq_v * x[self.sq_c])
-            curv.append(2.0 * self.sq_v * inv_s[self.sq_r])
+            curv.append(2.0 * self.sq_v * c[self.sq_r])
         if self.pr_r.size:
-            diff, c = 2.0 * (x[self.pr_a] - x[self.pr_b]), 2.0 * inv_s[self.pr_r]
+            diff, cp = 2.0 * (x[self.pr_a] - x[self.pr_b]), 2.0 * c[self.pr_r]
             gvals += [diff, -diff]
-            curv += [c, c, -c, -c]
+            curv += [cp, cp, -cp, -cp]
         for grp, rows, _, outer in self.stacks:
             d1, d2 = grp.slopes(grp.args(x))
             gvals.append(-(d1[:, None] * grp.coeffs).ravel())
-            curv.append(((inv_s[rows] * d2)[:, None] * outer).ravel())
+            curv.append(((c[rows] * d2)[:, None] * outer).ravel())
         gv = np.bincount(self.g_slot, np.concatenate(gvals), minlength=self.nnz)
-        hv = np.concatenate([inv_s[self.op_row] ** 2 * gv[self.op_a] * gv[self.op_b]] + curv)
+        hv = np.concatenate([w[self.op_row] ** 2 * gv[self.op_a] * gv[self.op_b]] + curv)
         return gv, (hv if self.keep is None else hv[self.keep])
 
     def gradient(self, gv: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
@@ -638,45 +658,89 @@ def _boundary_step(v: np.ndarray, dv: np.ndarray, frac: float) -> float:
     return min(1.0, frac * float((v[near] / -dv[near]).min()))
 
 
-def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float):
-    """Mehrotra predictor-corrector iterations on a program whose rows are
-    all affine, A x + s = b, from a strictly feasible x with slacks s and the
+def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
+                         gv: np.ndarray, solve0, w: np.ndarray):
+    """Mehrotra predictor-corrector iterations on a program with affine and
+    log rows, g(x) + s = 0, from a strictly feasible x with slacks s and the
     duals lambda = 1/(t0 s) (Wright, Primal-Dual Interior-Point Methods,
-    1997, ch. 10).  Each iteration factors A^T diag(lambda/s) A once, the
-    barrier's Newton matrix with the rows weighted by sqrt(lambda/s) in
-    place of 1/s, and solves with it twice: the affine-scaling predictor,
-    then the corrector toward sigma mu with sigma = (mu_aff/mu)^3, though not
-    past the central point at t_f.  The primal iterate stays feasible; the
-    duals may start infeasible, and a full dual step makes them feasible.
+    1997, ch. 10).  Each iteration factors the Newton matrix
+    sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves with
+    it twice: the affine-scaling predictor H^-1 e, then the corrector
+    H^-1 (e - G^T (target/s)) toward sigma mu with sigma = (mu_aff/mu)^3,
+    though not past the central point at t_f.  The primal iterate stays
+    feasible; the duals may start infeasible.  At the start duals the
+    matrix is the barrier Hessian over t0, so the first iteration solves
+    with the start weight's factorization `solve0` (gv its row gradients,
+    w = solve0(e)) and factors nothing.
+
+    On log rows the linearized slack change overshoots, so Mehrotra's sigma
+    is safeguarded (Salahi, Peng and Terlaky, SIAM J. Optim. 2007): it is
+    at least SIGMA_MIN, and an iteration whose accepted primal step was
+    below RECENTER_STEP is followed by a pure centering one, sigma = 1.
+    Without them the 123 power steps of the N = 6 coordination grid took
+    9,771 Newton systems, not 2,149, and 3 ended MAX_ITER.  Nor does a full
+    dual step zero the dual residual r = e - sum_i lambda_i grad g_i on
+    curved rows, so the iterations keep it within the infeasible-path
+    neighborhood ||r|| / mu <= ||r_0|| / mu_0 (Wright, ch. 6, beta = 1):
+    on a power step whose primal steps stalled, the gap closed while the
+    residual left that bound 1e4-fold, and the final centering from there
+    ran out its steps.  The time LPs go without all three: there the sigma
+    bound and the centering iterations cost 30% more Newton systems.
 
     t_f is the barrier's last stage weight from t0 at the current R.  The
     iterations stop once s^T lambda / m <= 1/t_f, or once a full step aimed
-    at the central point at t_f, and return (x, t_f, iterations), where the
-    barrier's final centering takes over.  When MAX_PD_ITER runs out first,
-    or the primal step collapses, they return t = m / s^T lambda instead,
-    where the barrier stages take over."""
+    at the central point at t_f, and return (x, s, t_f, systems factored),
+    where the barrier's final centering takes over.  When MAX_PD_ITER runs
+    out first, the primal step collapses or the residual leaves its
+    neighborhood, they return the start and t0, where the barrier stages
+    start over: an iterate that lost its centering has slacks near the
+    rounding of its rows, and barrier stages from there stalled too (42 of
+    the 124 power steps of the -80 dBm N = 6 grid ended MAX_ITER, up to
+    2.8% below the barrier from the start)."""
     m = lay.m
+    x0, s0 = x, s
+    safeguarded = bool(lay.stacks)
     lam = 1.0 / (t0 * s)
     e = np.zeros(lay.n)
     e[-1] = 1.0
-    centered = False
+    centered = recenter = False
+    systems = 0
     for it in range(MAX_PD_ITER):
         t_f = _last_weight(t0, m, float(x[-1]))
         gap = float(s @ lam)
+        if it:
+            v = np.sqrt(lam / s)
+            gv, hv = lay.derivatives(x, v, lam)
+        if safeguarded:
+            residual = lay.gradient(gv, lam)
+            residual[-1] -= 1.0
+            ratio = float(np.abs(residual).max()) / gap
+            if not it:
+                ratio0 = ratio
+            elif ratio > ratio0:
+                return x0, s0, t0, systems
         if gap <= m / t_f or centered:
-            return x, t_f, it
-        w = np.sqrt(lam / s)
-        gv, hv = lay.derivatives(x, w)
-        solve = lay.factor(gv, hv, w)
-        # Predictor: the affine-scaling direction, sigma = 0.
-        dx = solve(e)
-        ds = -lay.row_dot(gv, dx)
-        dlam = -lam - lam / s * ds
-        a_p, a_d = _boundary_step(s, ds, 1.0), _boundary_step(lam, dlam, 1.0)
-        sigma = (float((s + a_p * ds) @ (lam + a_d * dlam)) / gap) ** 3
-        # Corrector, with the predictor's second-order term.
-        mu = max(sigma * gap / m, 1.0 / t_f)
-        target = mu - ds * dlam
+            return x, s, t_f, systems
+        if it:
+            solve = lay.factor(gv, hv, v)
+            systems += 1
+        else:
+            def solve(rhs):
+                return t0 * solve0(rhs)
+        if recenter:
+            mu = target = max(gap / m, 1.0 / t_f)
+        else:
+            # Predictor: the affine-scaling direction, sigma = 0.
+            dx = solve(e) if it else t0 * w
+            ds = -lay.row_dot(gv, dx)
+            dlam = -lam - lam / s * ds
+            a_p, a_d = _boundary_step(s, ds, 1.0), _boundary_step(lam, dlam, 1.0)
+            sigma = (float((s + a_p * ds) @ (lam + a_d * dlam)) / gap) ** 3
+            if safeguarded:
+                sigma = max(sigma, SIGMA_MIN)
+            # Corrector, with the predictor's second-order term.
+            mu = max(sigma * gap / m, 1.0 / t_f)
+            target = mu - ds * dlam
         dx = solve(e - lay.gradient(gv, target / s))
         ds = -lay.row_dot(gv, dx)
         dlam = (target - lam * ds) / s - lam
@@ -688,10 +752,11 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float):
                 break
             a_p *= BACKTRACK
             if a_p < 1e-16:
-                return x, m / gap, it + 1
+                return x0, s0, t0, systems
         centered = mu == 1.0 / t_f and a_p == a_d == 1.0
+        recenter = safeguarded and a_p < RECENTER_STEP
         x, s, lam = trial, s_try, lam + a_d * dlam
-    return x, m / float(s @ lam), MAX_PD_ITER
+    return x0, s0, t0, systems
 
 
 def solve_concave(problem: Problem, start) -> SolveOutcome:
@@ -699,12 +764,14 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     feasible start.
 
     Barrier weights run t0, t0 MU, t0 MU^2, ... and the line search takes the
-    Armijo test plus eps_psi (module docstring); a program with affine rows
-    only reaches the last weight by primal-dual iterations.  Slacks are
-    evaluated at the start, once per barrier stage, once per line-search or
-    primal-dual trial point and once for the final residuals.
-    `iterations` counts the Newton systems factored after the start
-    weight's.
+    Armijo test plus eps_psi (module docstring); a program with no square or
+    pair term reaches the last weight by primal-dual iterations.  The
+    barrier Hessian does not depend on t, so a stage's first Newton system
+    is the one its start point was last solved with, when there is one: the
+    start weight's, or the previous stage's last.  Slacks are evaluated at
+    the start and once per line-search or primal-dual trial point; every
+    other use takes those of the point's evaluation.  `iterations` counts
+    the Newton systems factored after the start weight's.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
     """
@@ -712,38 +779,50 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     if x.shape != (problem.n,):
         raise ValueError(f"start must have shape ({problem.n},)")
     lay = problem._compiled()
-    s0 = lay.slacks(x)
-    if s0.size and s0.min() <= 0.0:
-        raise StartInfeasible(f"start violates {int((s0 <= 0).sum())} row(s); "
-                              f"worst slack {s0.min():.3e}")
+    s = lay.slacks(x)
+    if s.size and s.min() <= 0.0:
+        raise StartInfeasible(f"start violates {int((s <= 0).sum())} row(s); "
+                              f"worst slack {s.min():.3e}")
     m = problem.num_rows
-    # Start weight t0 (module docstring): one Newton solve, w = H^-1 e.
-    inv_s = 1.0 / s0
-    gv, hv = lay.derivatives(x, inv_s)
+    # Start weight t0 (module docstring): one Newton solve, w = H^-1 e.  Its
+    # system, (gradients, barrier gradient, solve), serves the first
+    # centering step at the start too.
+    inv_s = 1.0 / s
+    gv, hv = lay.derivatives(x, inv_s, inv_s)
     e = np.zeros(problem.n)
     e[-1] = 1.0
-    w = lay.factor(gv, hv, inv_s)(e)
-    t = min(START_WEIGHT_MAX, max(1.0, float(w @ lay.gradient(gv, inv_s)) / float(w[-1])))
+    solve = lay.factor(gv, hv, inv_s)
+    w = solve(e)
+    grad0 = lay.gradient(gv, inv_s)
+    t = min(START_WEIGHT_MAX, max(1.0, float(w @ grad0) / float(w[-1])))
+    system = (gv, grad0, solve)
     total_steps = 0
-    if lay.affine:
-        x, t, total_steps = _predictor_corrector(lay, x, s0, t)
+    if lay.primal_dual:
+        x_pd, s, t, total_steps = _predictor_corrector(lay, x, s, t, gv, solve, w)
+        if x_pd is not x:
+            x, system = x_pd, None
+    log_s = np.log(s)
 
-    def center(t: float, x: np.ndarray, tol: float):
-        """Damped Newton centering; also returns the step count and the half
-        squared Newton decrement it stopped at (above tol when the step cap
-        ran out or the line search collapsed)."""
+    def center(t: float, x, s, log_s, system, tol: float):
+        """Damped Newton centering from x with slacks s (logs log_s) and, if
+        not None, the Newton system at x.  Returns the point, its slacks and
+        their logs, the Newton system at the point (None if the step cap ran
+        out after a step), the step count and the half squared Newton
+        decrement it stopped at (above tol when the step cap ran out or the
+        line search collapsed)."""
         count = 0
         dec = np.inf
-        s = lay.slacks(x)
-        log_s = np.log(s)
         for _it in range(MAX_STAGE_STEPS):
-            inv_s = 1.0 / s
-            gv, hv = lay.derivatives(x, inv_s)
-            grad = lay.gradient(gv, inv_s)
+            if system is None:
+                inv_s = 1.0 / s
+                gv, hv = lay.derivatives(x, inv_s, inv_s)
+                system = (gv, lay.gradient(gv, inv_s), lay.factor(gv, hv, inv_s))
+                count += 1
+            gv, grad, solve = system
+            grad = grad.copy()
             grad[-1] -= t
-            d = lay.factor(gv, hv, inv_s)(-grad)
+            d = solve(-grad)
             dec = float(-grad @ d) / 2.0
-            count += 1
             if dec <= tol:
                 break
             # First-order cap on the step keeps most trials inside the domain.
@@ -767,8 +846,8 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
                     break
             if alpha < 1e-16:
                 break
-            x, s, log_s = trial, s_try, log_try
-        return x, count, dec
+            x, s, log_s, system = trial, s_try, log_try, None
+        return x, s, log_s, system, count, dec
 
     gap = np.inf
     dec = np.inf
@@ -777,7 +856,8 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     loose = max(1e-6, NEWTON_TOL)
     for _stage in range(MAX_STAGES):
         last = _gap_closed(m, t, x[-1])
-        x, took, dec = center(t, x, NEWTON_TOL if last else loose)
+        x, s, log_s, system, took, dec = center(t, x, s, log_s, system,
+                                                NEWTON_TOL if last else loose)
         total_steps += took
         gap = m / t
         if _gap_closed(m, t, x[-1]):
@@ -790,9 +870,12 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     converged = dec <= NEWTON_TOL and _gap_closed(m, t, obj)
     if not converged:
         gap = np.inf
-    s = lay.slacks(x)
-    inv_s = 1.0 / s
-    residual = lay.gradient(lay.derivatives(x, inv_s)[0], inv_s) / t
+    if system is None:
+        inv_s = 1.0 / s
+        grad = lay.gradient(lay.derivatives(x, inv_s, inv_s)[0], inv_s)
+    else:
+        grad = system[1]
+    residual = grad / t
     residual[-1] -= 1.0
     return SolveOutcome(
         x=x,

@@ -15,14 +15,18 @@ from wpcn_traj.sca_ic import (_traj_subproblem_ic, initial_allocation_ic,
                               optimize_power_ic, optimize_time_ic)
 
 
-def _toy_epigraph(weighted=False):
-    # maximize min(ln(1+x), ln(1+y)) s.t. x + y <= 2, x, y >= 0
+def _toy_epigraph(square_row=False):
+    # maximize min(ln(1+x), ln(1+y)) s.t. x + y <= 2, x, y >= 0; with
+    # square_row, also x^2 <= 4, never active, which puts the program on
+    # the barrier stages.
     prob = Problem(3)
     for i in range(2):
         prob.add_concave_ge(idx=[2], lin=[-1.0], logs=(LogGroup(
             idx=[[i]], coeffs=[[1.0]], offsets=[1.0], weights=[1.0]),))
     prob.add_affine([0, 1], [1.0, 1.0], 2.0)
     prob.add_bounds([0, 1])
+    if square_row:
+        prob.add_quad(idx=[0], diag=[2.0], lin=[0.0], const=-4.0)
     return prob
 
 
@@ -112,7 +116,11 @@ class TestSolveConcave:
             assert g[i] == pytest.approx(num, rel=1e-5)
 
     def test_step_cap_reports_max_iter(self, monkeypatch):
+        # The toy's rows are affine and log rows, so primal-dual iterations
+        # run first; capped at one, they hand the solve to the barrier
+        # stages, whose step cap then runs out.
         monkeypatch.setattr(kernel, "MAX_STAGE_STEPS", 1)
+        monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
         out = solve_concave(_toy_epigraph(), np.array([0.5, 0.7, 0.1]))
         assert out.status is Status.MAX_ITER
         # An uncentered iterate certifies no gap and no dual bound.
@@ -134,7 +142,8 @@ class TestSolveConcave:
         # maximize min(3 u1 + u2, u1 + 2 u2) s.t. u1 + u2 <= 1, u >= 0: the
         # optimum is u = (1/3, 2/3), R = 5/3.  Its rows are all affine, so
         # primal-dual iterations run first; once their cap runs out, the
-        # barrier stages finish the solve.
+        # barrier stages solve it from the start.  Capped at one iteration,
+        # they factor no system: the first solves with the start weight's.
         prob = Problem(3)
         prob.add_affine([[0, 1, 2], [0, 1, 2]], [[-3.0, -1.0, 1.0], [-1.0, -2.0, 1.0]], [0.0, 0.0])
         prob.add_affine([0, 1], [1.0, 1.0], 1.0)
@@ -145,14 +154,14 @@ class TestSolveConcave:
 
         def counted(*args):
             out = predictor_corrector(*args)
-            pd_steps.append(out[2])
+            pd_steps.append(out[3])
             return out
 
         monkeypatch.setattr(kernel, "_predictor_corrector", counted)
         full = solve_concave(prob, start)
         monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
         capped = solve_concave(prob, start)
-        assert pd_steps[0] > 1 and pd_steps[1] == 1
+        assert pd_steps[0] > 1 and pd_steps[1] == 0
         for out in (full, capped):
             assert out.status is Status.OPTIMAL
             assert out.objective == pytest.approx(5.0 / 3.0, abs=1e-8)
@@ -184,9 +193,11 @@ class TestSolveConcave:
 # ---------------------------------------------------------------------------
 
 def test_one_slack_evaluation_per_trial_point(monkeypatch):
-    # Slacks are evaluated at the start, once per barrier stage, once per
-    # line-search trial and once for the final residuals; an accepted trial's
-    # slacks serve the next Newton step.
+    # Slacks are evaluated at the start and once per line-search or
+    # primal-dual trial; every stage start and the final residuals take
+    # those of the point's own evaluation.  The toy takes primal-dual
+    # iterations and the final centering; with a square row it takes the
+    # barrier stages.
     points = []
     slacks = kernel._Layout.slacks
 
@@ -194,20 +205,21 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
         points.append(x.copy())
         return slacks(layout, x)
 
-    prob, start = _toy_epigraph(), np.array([0.5, 0.7, 0.1])
-    t0 = np.clip(_t_star(prob, start), 1.0, kernel.START_WEIGHT_MAX)
     monkeypatch.setattr(kernel._Layout, "slacks", recorded)
-    out = solve_concave(prob, start)
-    assert out.status is Status.OPTIMAL
-    # Stage weights run t0, t0 MU, t0 MU^2, ..., and the last one is m / gap.
-    stages = round(np.log(prob.num_rows / out.residuals["gap"] / t0) / np.log(kernel.MU)) + 1
-    # Every trial point is new; the stage and final evaluations repeat the
-    # start or an accepted trial, and the start weight reuses the start's
-    # slacks.
-    trials = len({p.tobytes() for p in points}) - 1
-    assert np.array_equal(points[0], start) and np.array_equal(points[-1], out.x)
-    assert trials >= out.iterations - stages
-    assert len(points) == trials + stages + 2
+    start = np.array([0.5, 0.7, 0.1])
+    for square_row in (False, True):
+        prob = _toy_epigraph(square_row)
+        assert prob._compiled().primal_dual is not square_row
+        points.clear()
+        out = solve_concave(prob, start)
+        assert out.status is Status.OPTIMAL
+        # Every trial point is new, and only the last Newton system of the
+        # last stage takes no step: a stage's last system is the next
+        # stage's first.
+        trials = len({p.tobytes() for p in points}) - 1
+        assert np.array_equal(points[0], start) and np.array_equal(points[-1], out.x)
+        assert trials >= out.iterations - 1
+        assert len(points) == trials + 1
 
 
 def test_coordination_solve_converges_below_the_rounding_floor(monkeypatch):
@@ -242,27 +254,29 @@ def test_coordination_solve_converges_below_the_rounding_floor(monkeypatch):
 # The Newton step against a dense reference
 # ---------------------------------------------------------------------------
 
-def _dense_reference(prob, x, rhs, weights=None):
+def _dense_reference(prob, x, rhs, weights=None, curvature=None):
     """Newton matrix at x assembled densely, (G w)^T (G w) plus every row's
-    curvature over its slack, with the rows weighted by w = `weights` (1/s,
-    the barrier Hessian, by default); the step solved by one Jacobi-scaled
-    dense Cholesky factorization, shifted until it factorizes, and that step
-    after one round of iterative refinement."""
+    curvature times c, with the rows weighted by w = `weights` and c =
+    `curvature` (both 1/s, the barrier Hessian, by default; sqrt(lambda/s)
+    and lambda for a primal-dual system); the step solved by one
+    Jacobi-scaled dense Cholesky factorization, shifted until it
+    factorizes, and that step after one round of iterative refinement."""
     lay = prob._compiled()
     s = prob.slacks(x)
     weights = 1.0 / s if weights is None else weights
-    gv, _ = lay.derivatives(x, weights)
+    curvature = 1.0 / s if curvature is None else curvature
+    gv, _ = lay.derivatives(x, weights, curvature)
     G = np.zeros((lay.m, lay.n))
     G[lay.pat_row, lay.pat_col] = gv
     Gs = G * weights[:, None]
     H = Gs.T @ Gs
-    np.add.at(H, (lay.sq_c, lay.sq_c), 2.0 * lay.sq_v / s[lay.sq_r])
-    w = 2.0 / s[lay.pr_r]
+    np.add.at(H, (lay.sq_c, lay.sq_c), 2.0 * lay.sq_v * curvature[lay.sq_r])
+    w = 2.0 * curvature[lay.pr_r]
     for a, b, sign in ((lay.pr_a, lay.pr_a, 1), (lay.pr_b, lay.pr_b, 1),
                        (lay.pr_a, lay.pr_b, -1), (lay.pr_b, lay.pr_a, -1)):
         np.add.at(H, (a, b), sign * w)
     for row, grp in lay.groups:
-        c = grp.slopes(grp.args(x))[1] / s[row]
+        c = grp.slopes(grp.args(x))[1] * curvature[row]
         np.add.at(H, (grp.idx[:, :, None], grp.idx[:, None, :]),
                   c[:, None, None] * grp.coeffs[:, :, None] * grp.coeffs[:, None, :])
     inv = 1.0 / np.sqrt(np.maximum(H.diagonal(), 1e-300))
@@ -282,7 +296,7 @@ def _barrier_gradient(prob, x):
     lay = prob._compiled()
     s = prob.slacks(x)
     G = np.zeros((lay.m, lay.n))
-    G[lay.pat_row, lay.pat_col] = lay.derivatives(x, 1.0 / s)[0]
+    G[lay.pat_row, lay.pat_col] = lay.derivatives(x, 1.0 / s, 1.0 / s)[0]
     return G.T @ (1.0 / s)
 
 
@@ -302,7 +316,10 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
     # power step and the toy program, both with t* inside that range.  The
     # power step's Hessian has condition number ~1e21 at its start, where
     # plain, Jacobi-scaled and refined dense solves give t* = 15.07757 to
-    # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.
+    # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.  Both
+    # programs take primal-dual iterations, whose duals start at the central
+    # ones of that weight, lambda = 1/(t s); with a square row the toy takes
+    # the barrier stages, whose first centering runs at that weight.
     calls = []
 
     def keep(prob, start):
@@ -312,19 +329,33 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
     monkeypatch.setattr(sca_ic, "solve_concave", keep)
     sca_ic.solve_p1(benchmark_config(15.0, 20.0, num_slots=6))
     monkeypatch.undo()
+    weights = []
+    predictor_corrector = kernel._predictor_corrector
+
+    def recorded(lay, x, s, t0, *args):
+        weights.append(t0)
+        return predictor_corrector(lay, x, s, t0, *args)
+
+    monkeypatch.setattr(kernel, "_predictor_corrector", recorded)
+    start = np.array([0.5, 0.7, 0.1])
     # The start probe's time LP, then its power step from that LP's optimum.
-    power_step = calls[1]
-    for (prob, start), rel in ((power_step, 1e-4),
-                               ((_toy_epigraph(), np.array([0.5, 0.7, 0.1])), 1e-12)):
-        t_star = _t_star(prob, start)
+    for (prob, x0), rel in ((calls[1], 1e-4), ((_toy_epigraph(), start), 1e-12),
+                            ((_toy_epigraph(square_row=True), start), 1e-12)):
+        t_star = _t_star(prob, x0)
         assert 1.0 < t_star < kernel.START_WEIGHT_MAX
-        systems = _newton_systems(prob, start)
-        # System 0 is the start weight's own solve, with rhs e; system 1 is
-        # the first centering step, rhs = -(grad - t e) at the start.
-        x, _, rhs, _ = systems[1]
-        assert np.array_equal(x, start)
-        t = rhs[-1] + _barrier_gradient(prob, start)[-1]
+        if prob._compiled().primal_dual:
+            solve_concave(prob, x0)
+            t = weights.pop()
+        else:
+            # System 0 is the start weight's own solve, with rhs e, and it
+            # serves the first centering step, rhs = -(grad - t e) at the
+            # start.
+            systems = _newton_systems(prob, x0)
+            x, _, _, rhs, _ = systems[1]
+            assert np.array_equal(x, x0)
+            t = rhs[-1] + _barrier_gradient(prob, x0)[-1]
         assert t == pytest.approx(np.clip(t_star, 1.0, kernel.START_WEIGHT_MAX), rel=rel)
+    assert not weights
 
 
 def _captured_subproblems(monkeypatch):
@@ -356,23 +387,25 @@ def _captured_subproblems(monkeypatch):
 
 
 def _newton_systems(prob, start):
-    """Every Newton system of one solve, as (x, row weights, right-hand
-    side, step).  The barrier weights the rows by 1/s, the primal-dual
-    iterations by sqrt(lambda/s), and solve twice with each factorization."""
+    """Every Newton system of one solve, as (x, row weights, curvature
+    weights, right-hand side, step).  The barrier weights the rows and
+    their curvature by 1/s; the primal-dual iterations weight the rows by
+    sqrt(lambda/s) and the curvature by lambda, and solve twice with each
+    factorization."""
     lay = prob._compiled()
     seen, systems = [], []
     derivatives, factor = lay.derivatives, lay.factor
 
-    def record_x(x, w):
-        seen.append(x.copy())
-        return derivatives(x, w)
+    def record_x(x, w, c):
+        seen.append((x.copy(), c.copy()))
+        return derivatives(x, w, c)
 
     def record_factor(gv, hv, w):
-        solve, x, w = factor(gv, hv, w), seen[-1], w.copy()
+        solve, (x, c), w = factor(gv, hv, w), seen[-1], w.copy()
 
         def record_solve(rhs):
             d = solve(rhs)
-            systems.append((x, w, rhs.copy(), d))
+            systems.append((x, w, c, rhs.copy(), d))
             return d
         return record_solve
 
@@ -382,15 +415,18 @@ def _newton_systems(prob, start):
 
 
 def test_newton_step_matches_dense_reference(monkeypatch):
-    # The time LPs take primal-dual systems, whose weights are not the
-    # inverse slacks; every other program takes barrier systems only.
+    # The time LPs and the power steps take primal-dual systems, whose
+    # weights are not the inverse slacks; the trajectory programs take
+    # barrier systems only.  A power step's primal-dual systems carry log
+    # rows' curvature at lambda, on both Newton paths.
     sides, pd_sides = set(), set()
     for prob, start in _captured_subproblems(monkeypatch):
-        sides.add(prob._compiled().structured)
-        for i, (x, w, rhs, d) in enumerate(_newton_systems(prob, start)):
+        lay = prob._compiled()
+        sides.add(lay.structured)
+        for i, (x, w, c, rhs, d) in enumerate(_newton_systems(prob, start)):
             if not np.array_equal(w, 1.0 / prob.slacks(x)):
-                pd_sides.add(prob._compiled().structured)
-            H, d_ref, d_refined = _dense_reference(prob, x, rhs, w)
+                pd_sides.add((bool(lay.groups), lay.structured))
+            H, d_ref, d_refined = _dense_reference(prob, x, rhs, w, c)
             r, r_ref = np.linalg.norm(H @ d - rhs), np.linalg.norm(H @ d_refined - rhs)
             assert r <= 10.0 * np.linalg.norm(H @ d_ref - rhs) + 1e-12 * np.linalg.norm(rhs), \
                 (prob.n, i)
@@ -403,7 +439,8 @@ def test_newton_step_matches_dense_reference(monkeypatch):
             dec, dec_ref = rhs @ d, rhs @ d_refined
             assert abs(dec - dec_ref) <= 1e-8 * abs(dec_ref) \
                 + np.linalg.norm(d_refined) * r + np.linalg.norm(d) * r_ref, (prob.n, i)
-    assert sides == pd_sides == {True, False}
+    assert sides == {True, False}
+    assert pd_sides == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +513,7 @@ def test_stacked_groups_match_per_group_form():
         s, gv, hv = _per_group_reference(prob, x)
         assert (s > 0.0).all()
         assert np.array_equal(prob.slacks(x), s)
-        gv_new, hv_new = lay.derivatives(x, 1.0 / s)
+        gv_new, hv_new = lay.derivatives(x, 1.0 / s, 1.0 / s)
         assert np.array_equal(gv_new, gv)
         assert np.array_equal(hv_new, hv)
 

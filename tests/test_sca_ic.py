@@ -206,6 +206,35 @@ def test_time_lp_solves_in_few_newton_systems(blocks, monkeypatch):
     assert max(out.iterations for out in outcomes) <= 40
 
 
+def test_power_step_solves_in_few_newton_systems(monkeypatch):
+    # The coordination power step has affine and log rows only, so the
+    # kernel reaches the barrier's last stage by primal-dual iterations; the
+    # barrier stages alone take 92-166 Newton systems per call here, and one
+    # call ends MAX_ITER.
+    outcomes, in_power_step = [], [False]
+    power_step = sca_ic.optimize_power_ic
+
+    def flagged(*args, **kw):
+        in_power_step[0] = True
+        try:
+            return power_step(*args, **kw)
+        finally:
+            in_power_step[0] = False
+
+    def kept(problem, start):
+        out = solve_concave(problem, start)
+        if in_power_step[0]:
+            outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(sca_ic, "optimize_power_ic", flagged)
+    monkeypatch.setattr(sca_ic, "solve_concave", kept)
+    solve_p1(benchmark_config(15.0, 20.0, num_slots=6))
+    assert len(outcomes) >= 10
+    assert [out.status for out in outcomes] == [Status.OPTIMAL] * len(outcomes)
+    assert max(out.iterations for out in outcomes) <= 40
+
+
 def _refining_power_oracle(cfg, traj, uplink, budgets, rounds=3, grid=24):
     """Exhaustive 4-D search over both devices' two-slot powers, refined."""
     g = gain_matrix(traj, cfg)
