@@ -15,14 +15,19 @@ through which the engines call it.  The kernel calls are counted by wrapping
 and a call's kind is the name of the function that made it.  Slack
 evaluations are counted by wrapping `kernel._Layout.slacks`: one per
 line-search or primal-dual trial and one per call (the start check).
-Structured Newton systems are counted and timed by wrapping
-`kernel._factor_band_updates`, which programs of at least
-`kernel.STRUCTURED_MIN_N` variables call once per factored Newton system,
-and the solve function it returns: a system's time and faults are its
-factorization's and those of every solve with it (one or two per barrier
-stage, since a stage's last system is the next stage's first; two per
-primal-dual iteration; the start weight's system serves the first
-centering step or primal-dual iteration too).  The configs (D = 15 m) are:
+The calls that took primal-dual iterations, and among them those whose
+iterations lost their way and restarted on the barrier stages, are counted
+by wrapping `kernel._predictor_corrector`, which a restart tells by
+returning its `x` argument unchanged.  Structured Newton systems are
+counted and timed by wrapping `kernel._factor_band_updates`, which
+programs of at least `kernel.STRUCTURED_MIN_N` variables call once per
+factored Newton system, and the solve function it returns: a system's
+time and faults are its factorization's and those of every solve with it
+(one or two per barrier stage, since a stage's last system is the next
+stage's first; two per primal-dual iteration; the start weight's system
+serves the first centering step or primal-dual iteration too, and a
+trajectory program's first stage's last system the first primal-dual
+iteration from its center).  The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
@@ -112,8 +117,10 @@ def source_digest() -> str:
 def run_config(solver_name: str, N: int, T: float) -> dict:
     stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0, "slacks": 0,
                                  "band_solves": 0, "band_s": 0.0, "band_minflt": 0,
+                                 "pd_calls": 0, "pd_restarts": 0,
                                  "statuses": defaultdict(int)})
     kernel_call, slacks_call = sca_ic.solve_concave, kernel._Layout.slacks
+    pd_call = kernel._predictor_corrector
     band_call = kernel._factor_band_updates
     hover_calls = {(sca_ic, "solve_infinite_ic"): sca_ic.solve_infinite_ic,
                    (sca_comp, "solve_infinite_comp"): sca_comp.solve_infinite_comp}
@@ -133,6 +140,13 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
         rec["calls"] += 1
         rec["newton_steps"] += int(out.iterations)
         rec["statuses"][out.status.value] += 1
+        return out
+
+    def counted_pd(lay, x, *args):
+        out = pd_call(lay, x, *args)
+        if current:
+            stats[current[-1]]["pd_calls"] += 1
+            stats[current[-1]]["pd_restarts"] += out[0] is x
         return out
 
     def counted_slacks(layout, x):
@@ -168,7 +182,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
 
     cfg = ScenarioConfig(device_distance=15.0, duration=T, num_slots=N)
     sca_ic.solve_concave, kernel._Layout.slacks = counted, counted_slacks
-    kernel._factor_band_updates = timed_band
+    kernel._factor_band_updates, kernel._predictor_corrector = timed_band, counted_pd
     for (module, name), call in hover_calls.items():
         setattr(module, name, timed_hover(call))
     try:
@@ -177,7 +191,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
         wall = time.perf_counter() - t0
     finally:
         sca_ic.solve_concave, kernel._Layout.slacks = kernel_call, slacks_call
-        kernel._factor_band_updates = band_call
+        kernel._factor_band_updates, kernel._predictor_corrector = band_call, pd_call
         for (module, name), call in hover_calls.items():
             setattr(module, name, call)
     kinds = {}
@@ -192,6 +206,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                                              if rec["band_solves"] else None),
                        "minflt_per_band_solve": (round(rec["band_minflt"] / rec["band_solves"], 1)
                                                  if rec["band_solves"] else None),
+                       "pd_calls": rec["pd_calls"], "pd_restarts": rec["pd_restarts"],
                        "statuses": dict(rec["statuses"])}
     trace = np.asarray(rep.objective_trace, dtype=float)
     return {"solver": solver_name, "D": 15.0, "N": N, "T": T,

@@ -10,19 +10,25 @@ identical problem and start give bit-identical outcomes.
 
 Every solve ends at the log barrier's last stage, the first weight
 t_f = t0 MU^k with m / t_f <= GAP_ABS + GAP_REL |R|, centered to NEWTON_TOL.
-There are two ways to that stage.  A program with any square or pair term
-(the trajectory programs) runs the barrier stages t0, t0 MU, ..., each
-centered loosely.  A program of affine and log rows only (the time LPs and
-the coordination power step) runs Mehrotra predictor-corrector iterations
-instead (Mehrotra, SIAM J. Optim. 1992; Wright, Primal-Dual Interior-Point
-Methods, 1997), from the duals lambda = 1/(t0 s) until
-s^T lambda / m <= 1/t_f: each factors the Newton matrix
-sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves with it
-twice, with Mehrotra's sigma safeguarded on log rows (Salahi, Peng and
-Terlaky, SIAM J. Optim. 2007).  The last centering then starts near its
+The stages t0, t0 MU, ... before it, each centered loosely, are mostly
+replaced by Mehrotra predictor-corrector iterations (Mehrotra, SIAM J.
+Optim. 1992; Wright, Primal-Dual Interior-Point Methods, 1997): each
+factors the Newton matrix sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G
+once and solves with it twice, with Mehrotra's sigma safeguarded on curved
+rows (Salahi, Peng and Terlaky, SIAM J. Optim. 2007).  A program of affine
+and log rows only (the time LPs and the coordination power step) takes
+them from its start, with the duals lambda = 1/(t0 s), until
+s^T lambda / m <= 1/t_f.  A program with any square or pair term (the
+trajectory programs) runs its first stage at t0, and once that stage
+centers takes them from its center, where lambda = 1/(t0 s) are the central
+duals (the standard start of a path-following method, Boyd and
+Vandenberghe, Convex Optimization, 11.7), up to t_f / MU; the barrier's
+last two stages then end the solve.  The last centering starts near its
 center, so the outcome is the barrier's own last center either way, with
-the same status, gap and residuals; iterations that lose their way hand
-the solve to the barrier stages from the start.
+the same status, gap and residuals.  Iterations that lose their way hand
+the solve back to the barrier stages, from the start or from the first
+stage's center; a first stage that runs out its steps goes on to the
+stages as well.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -382,14 +388,14 @@ class _Layout:
                              self.sq_v[~on_s])
         self.sparse_rows = np.concatenate((lin_r[~on_l], self.sq_r[~on_s], self.pr_r))
         # Programs with no square or pair term (the time LPs and the
-        # coordination power step) take primal-dual iterations.  The
-        # trajectory programs keep the barrier stages: their strict quadratic
-        # rows start at slacks near 1e-10, and on the primal-dual path 6 of
-        # the 56 trajectory programs of the N = 6 coordination grid lost
-        # their way and restarted on the barrier, and one ended MAX_ITER
-        # 1.1e-3 below the barrier's objective (without the restarts, 6
-        # ended MAX_ITER, up to 2.3e-3 lower, on primal steps of 1e-2 to
-        # 1e-5).
+        # coordination power step) take primal-dual iterations from the
+        # caller's start.  The others (the trajectory programs) take them
+        # from their first barrier stage's center: their strict quadratic
+        # rows start at slacks near 1e-10, and from there 6 of the 56
+        # trajectory programs of the N = 6 coordination grid lost their way
+        # and restarted on the barrier, and one ended MAX_ITER 1.1e-3 below
+        # the barrier's objective; from the center none of the 73 of the
+        # N = 6 coordination and N = 12 joint grids restarts.
         self.primal_dual = not (self.sq_c.size or self.pr_r.size)
 
     @staticmethod
@@ -660,46 +666,63 @@ def _boundary_step(v: np.ndarray, dv: np.ndarray, frac: float) -> float:
 
 def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
                          gv: np.ndarray, solve0, w: np.ndarray):
-    """Mehrotra predictor-corrector iterations on a program with affine and
-    log rows, g(x) + s = 0, from a strictly feasible x with slacks s and the
-    duals lambda = 1/(t0 s) (Wright, Primal-Dual Interior-Point Methods,
-    1997, ch. 10).  Each iteration factors the Newton matrix
+    """Mehrotra predictor-corrector iterations on the rows g(x) + s = 0
+    (Wright, Primal-Dual Interior-Point Methods, 1997, ch. 10) from a
+    strictly feasible x with slacks s and the duals lambda = 1/(t0 s): the
+    caller's start of a program of affine and log rows
+    (`_Layout.primal_dual`), or else the center of the program's first
+    barrier stage, at t0, where those duals are the central ones.  Each
+    iteration factors the Newton matrix
     sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves with
     it twice: the affine-scaling predictor H^-1 e, then the corrector
     H^-1 (e - G^T (target/s)) toward sigma mu with sigma = (mu_aff/mu)^3,
-    though not past the central point at t_f.  The primal iterate stays
-    feasible; the duals may start infeasible.  At the start duals the
-    matrix is the barrier Hessian over t0, so the first iteration solves
-    with the start weight's factorization `solve0` (gv its row gradients,
-    w = solve0(e)) and factors nothing.
+    though not past the central point at the hand-over weight.  The primal
+    iterate stays feasible; the duals may start infeasible.  At the start
+    duals the matrix is the barrier Hessian at x over t0, so the first
+    iteration solves with its factorization `solve0` (gv its row
+    gradients, w = solve0(e)) and factors nothing.
 
-    On log rows the linearized slack change overshoots, so Mehrotra's sigma
-    is safeguarded (Salahi, Peng and Terlaky, SIAM J. Optim. 2007): it is
-    at least SIGMA_MIN, and an iteration whose accepted primal step was
-    below RECENTER_STEP is followed by a pure centering one, sigma = 1.
-    Without them the 123 power steps of the N = 6 coordination grid took
-    9,771 Newton systems, not 2,149, and 3 ended MAX_ITER.  Nor does a full
-    dual step zero the dual residual r = e - sum_i lambda_i grad g_i on
-    curved rows, so the iterations keep it within the infeasible-path
-    neighborhood ||r|| / mu <= ||r_0|| / mu_0 (Wright, ch. 6, beta = 1):
-    on a power step whose primal steps stalled, the gap closed while the
+    On curved rows (log, square or pair terms) the linearized slack change
+    overshoots, so Mehrotra's sigma is safeguarded (Salahi, Peng and
+    Terlaky, SIAM J. Optim. 2007): it is at least SIGMA_MIN, and an
+    iteration whose accepted primal step was below RECENTER_STEP is
+    followed by a pure centering one, sigma = 1.  Without them the 123
+    power steps of the N = 6 coordination grid took 9,771 Newton systems,
+    not 2,149, and 3 ended MAX_ITER; the 17 trajectory programs of the
+    N = 12 joint grid (no log rows) took 1,361, not 763, and 5 lost their
+    way.  The time LPs go without them, which there cost 30% more systems.
+    Nor does a full dual step zero the dual residual
+    r = e - sum_i lambda_i grad g_i on curved rows, so from the caller's
+    start on log rows the iterations keep it within the infeasible-path
+    neighborhood ||r|| / mu <= ||r_0|| / mu_0 (Wright, ch. 6, beta = 1): on
+    a power step whose primal steps stalled, the gap closed while the
     residual left that bound 1e4-fold, and the final centering from there
-    ran out its steps.  The time LPs go without all three: there the sigma
-    bound and the centering iterations cost 30% more Newton systems.
+    ran out its steps.  From a center r_0 is about 0 and the bound would
+    stop the iterations at once: floored at ||r_0|| / mu_0 = 1e-3, it made
+    69 of the 73 trajectory programs of the N = 6 coordination and N = 12
+    joint grids lose their way, at 1, 35; without it none does.
 
     t_f is the barrier's last stage weight from t0 at the current R.  The
-    iterations stop once s^T lambda / m <= 1/t_f, or once a full step aimed
-    at the central point at t_f, and return (x, s, t_f, systems factored),
-    where the barrier's final centering takes over.  When MAX_PD_ITER runs
-    out first, the primal step collapses or the residual leaves its
-    neighborhood, they return the start and t0, where the barrier stages
-    start over: an iterate that lost its centering has slacks near the
+    hand-over weight is t_f from the caller's start, and t_f / MU (at least
+    t0) from a center, so that the barrier's own last two stages end the
+    solve: handed over at t_f, one of the two joint N = 500, T = 50
+    trajectory programs took full steps at decrements of 5e-7 to 8e-6, a
+    rounding floor, for all of its final centering's 100 steps and ended
+    MAX_ITER, where from t_f / MU both end OPTIMAL.  The iterations stop
+    once s^T lambda / m <= 1 / (hand-over weight), or once a full step
+    aimed at the central point there, and return (x, s, hand-over weight,
+    systems factored).  When MAX_PD_ITER runs out first, the primal step
+    collapses or the residual leaves its neighborhood, they return their x
+    and s arguments themselves and t0, and the caller's barrier stages go
+    on from there: an iterate that lost its centering has slacks near the
     rounding of its rows, and barrier stages from there stalled too (42 of
     the 124 power steps of the -80 dBm N = 6 grid ended MAX_ITER, up to
     2.8% below the barrier from the start)."""
     m = lay.m
     x0, s0 = x, s
-    safeguarded = bool(lay.stacks)
+    from_center = not lay.primal_dual
+    safeguarded = bool(lay.stacks) or from_center
+    bounded = bool(lay.stacks) and not from_center
     lam = 1.0 / (t0 * s)
     e = np.zeros(lay.n)
     e[-1] = 1.0
@@ -707,11 +730,13 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     systems = 0
     for it in range(MAX_PD_ITER):
         t_f = _last_weight(t0, m, float(x[-1]))
+        if from_center:
+            t_f = max(t0, t_f / MU)
         gap = float(s @ lam)
         if it:
             v = np.sqrt(lam / s)
             gv, hv = lay.derivatives(x, v, lam)
-        if safeguarded:
+        if bounded:
             residual = lay.gradient(gv, lam)
             residual[-1] -= 1.0
             ratio = float(np.abs(residual).max()) / gap
@@ -764,12 +789,18 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     feasible start.
 
     Barrier weights run t0, t0 MU, t0 MU^2, ... and the line search takes the
-    Armijo test plus eps_psi (module docstring); a program with no square or
-    pair term reaches the last weight by primal-dual iterations.  The
-    barrier Hessian does not depend on t, so a stage's first Newton system
-    is the one its start point was last solved with, when there is one: the
-    start weight's, or the previous stage's last.  Slacks are evaluated at
-    the start and once per line-search or primal-dual trial point; every
+    Armijo test plus eps_psi (module docstring).  Primal-dual iterations
+    (`_predictor_corrector`) stand in for most stages: a program with no
+    square or pair term takes them from its start, and when they lose their
+    way its stages start over at t0; any other program takes them from
+    the center of its first stage, when that stage centers, and when they
+    lose their way, or when the first stage runs out its steps, the stages
+    go on from there at t0 MU.  The iterations bound their dual residual
+    only from a caller's start.  The barrier Hessian does not depend on t,
+    so a stage's or the iterations' first Newton system is the one its
+    start point was last solved with, when there is one: the start
+    weight's, or the previous stage's last.  Slacks are evaluated at the
+    start and once per line-search or primal-dual trial point; every
     other use takes those of the point's evaluation.  `iterations` counts
     the Newton systems factored after the start weight's.
 
@@ -854,7 +885,7 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     # Intermediate stages are centered loosely (long-step style); the final
     # stage is polished to the tight Newton tolerance.
     loose = max(1e-6, NEWTON_TOL)
-    for _stage in range(MAX_STAGES):
+    for stage in range(MAX_STAGES):
         last = _gap_closed(m, t, x[-1])
         x, s, log_s, system, took, dec = center(t, x, s, log_s, system,
                                                 NEWTON_TOL if last else loose)
@@ -862,6 +893,17 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
         gap = m / t
         if _gap_closed(m, t, x[-1]):
             break
+        # A centered first stage of a program with square or pair terms
+        # hands its point, and its last Newton system, to primal-dual
+        # iterations up to the stage before the last; when they lose their
+        # way, the stages go on from that center.
+        if not (stage or lay.primal_dual) and dec <= loose:
+            x_pd, s_pd, t_pd, took = _predictor_corrector(lay, x, s, t, system[0], system[2],
+                                                          system[2](e))
+            total_steps += took
+            if x_pd is not x:
+                x, s, log_s, t, system = x_pd, s_pd, np.log(s_pd), t_pd, None
+                continue
         t *= MU
     obj = float(x[-1])
     # m/t bounds the suboptimality only on the central path, so an iterate

@@ -18,7 +18,8 @@ from wpcn_traj.sca_ic import (_traj_subproblem_ic, initial_allocation_ic,
 def _toy_epigraph(square_row=False):
     # maximize min(ln(1+x), ln(1+y)) s.t. x + y <= 2, x, y >= 0; with
     # square_row, also x^2 <= 4, never active, which puts the program on
-    # the barrier stages.
+    # the path of programs with square terms: its first barrier stage, then
+    # primal-dual iterations from that stage's center.
     prob = Problem(3)
     for i in range(2):
         prob.add_concave_ge(idx=[2], lin=[-1.0], logs=(LogGroup(
@@ -194,10 +195,12 @@ class TestSolveConcave:
 
 def test_one_slack_evaluation_per_trial_point(monkeypatch):
     # Slacks are evaluated at the start and once per line-search or
-    # primal-dual trial; every stage start and the final residuals take
-    # those of the point's own evaluation.  The toy takes primal-dual
-    # iterations and the final centering; with a square row it takes the
-    # barrier stages.
+    # primal-dual trial; every stage start, the primal-dual iterations'
+    # start and the final residuals take those of the point's own
+    # evaluation.  The toy's primal-dual iterations from its start lose
+    # their way, and the barrier stages restart from the start; with a
+    # square row it takes its first barrier stage, primal-dual iterations
+    # from that stage's center and the last two stages.
     points = []
     slacks = kernel._Layout.slacks
 
@@ -206,13 +209,16 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
         return slacks(layout, x)
 
     monkeypatch.setattr(kernel._Layout, "slacks", recorded)
+    calls = _pd_calls(monkeypatch)
     start = np.array([0.5, 0.7, 0.1])
     for square_row in (False, True):
         prob = _toy_epigraph(square_row)
         assert prob._compiled().primal_dual is not square_row
         points.clear()
+        calls.clear()
         out = solve_concave(prob, start)
         assert out.status is Status.OPTIMAL
+        assert calls == [not square_row]
         # Every trial point is new, and only the last Newton system of the
         # last stage takes no step: a stage's last system is the next
         # stage's first.
@@ -318,8 +324,9 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
     # plain, Jacobi-scaled and refined dense solves give t* = 15.07757 to
     # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.  Both
     # programs take primal-dual iterations, whose duals start at the central
-    # ones of that weight, lambda = 1/(t s); with a square row the toy takes
-    # the barrier stages, whose first centering runs at that weight.
+    # ones of that weight, lambda = 1/(t s); with a square row the toy's
+    # first barrier stage runs at that weight, and its center starts
+    # primal-dual iterations at the same weight.
     calls = []
 
     def keep(prob, start):
@@ -354,6 +361,7 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
             x, _, _, rhs, _ = systems[1]
             assert np.array_equal(x, x0)
             t = rhs[-1] + _barrier_gradient(prob, x0)[-1]
+            assert weights.pop() == pytest.approx(t, rel=1e-12)
         assert t == pytest.approx(np.clip(t_star, 1.0, kernel.START_WEIGHT_MAX), rel=rel)
     assert not weights
 
@@ -414,18 +422,80 @@ def _newton_systems(prob, start):
     return systems
 
 
+def _coordination_trajectory_program():
+    """The coordination trajectory program (log, square and pair rows, n =
+    21) at the direct flight of D = 15 m, T = 20 s, N = 6, after one time
+    LP, and its start."""
+    cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=6)
+    traj = direct_flight_trajectory(cfg)
+    alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+    return _traj_subproblem_ic(cfg, optimize_time_ic(cfg, traj, alloc.tx_power), traj.positions)
+
+
+def _pd_calls(monkeypatch):
+    """Whether each `_predictor_corrector` call lost its way (returned its x
+    argument), in call order."""
+    calls = []
+    predictor_corrector = kernel._predictor_corrector
+
+    def recorded(lay, x, *args):
+        out = predictor_corrector(lay, x, *args)
+        calls.append(out[0] is x)
+        return out
+
+    monkeypatch.setattr(kernel, "_predictor_corrector", recorded)
+    return calls
+
+
+def test_lost_iterations_restart_from_the_first_center(monkeypatch):
+    # Capped at one iteration, the primal-dual iterations from the first
+    # stage's center lose their way; the barrier stages go on from that
+    # center, as with no iterations at all, and never return to the start.
+    prob, start = _coordination_trajectory_program()
+    calls = _pd_calls(monkeypatch)
+    full = solve_concave(prob, start)
+    outcomes = []
+    for cap in (1, 0):
+        monkeypatch.setattr(kernel, "MAX_PD_ITER", cap)
+        outcomes.append(solve_concave(prob, start))
+    capped, barrier = outcomes
+    assert calls == [False, True, True]
+    assert full.status is capped.status is Status.OPTIMAL
+    assert capped.objective == pytest.approx(full.objective, rel=1e-9)
+    assert np.array_equal(capped.x, barrier.x) and capped.iterations == barrier.iterations
+    monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
+    at_start = [np.array_equal(x, start) for x, *_ in _newton_systems(prob, start)]
+    assert at_start[0] and not any(at_start[at_start.index(False):])
+
+
+def test_uncentered_first_stage_takes_the_barrier_stages(monkeypatch):
+    # With 10 steps per stage the first stage runs out before it centers:
+    # no primal-dual iterations, and the barrier stages still solve it.
+    prob, start = _coordination_trajectory_program()
+    full = solve_concave(prob, start)
+    calls = _pd_calls(monkeypatch)
+    monkeypatch.setattr(kernel, "MAX_STAGE_STEPS", 10)
+    out = solve_concave(prob, start)
+    assert not calls
+    assert out.status is Status.OPTIMAL
+    assert out.objective == pytest.approx(full.objective, rel=1e-9)
+
+
 def test_newton_step_matches_dense_reference(monkeypatch):
-    # The time LPs and the power steps take primal-dual systems, whose
-    # weights are not the inverse slacks; the trajectory programs take
-    # barrier systems only.  A power step's primal-dual systems carry log
-    # rows' curvature at lambda, on both Newton paths.
+    # Every kind of program takes primal-dual systems, whose weights are not
+    # the inverse slacks, besides barrier systems: the time LPs (affine
+    # rows), the power steps (log rows' curvature at lambda) and the
+    # trajectory programs (square and pair rows' curvature at lambda), each
+    # on both Newton paths (trajectory programs: n = 21 dense, n = 157
+    # structured).
     sides, pd_sides = set(), set()
     for prob, start in _captured_subproblems(monkeypatch):
         lay = prob._compiled()
         sides.add(lay.structured)
+        kind = ("log" if lay.groups else "affine") if lay.primal_dual else "square"
         for i, (x, w, c, rhs, d) in enumerate(_newton_systems(prob, start)):
             if not np.array_equal(w, 1.0 / prob.slacks(x)):
-                pd_sides.add((bool(lay.groups), lay.structured))
+                pd_sides.add((kind, lay.structured))
             H, d_ref, d_refined = _dense_reference(prob, x, rhs, w, c)
             r, r_ref = np.linalg.norm(H @ d - rhs), np.linalg.norm(H @ d_refined - rhs)
             assert r <= 10.0 * np.linalg.norm(H @ d_ref - rhs) + 1e-12 * np.linalg.norm(rhs), \
@@ -440,7 +510,8 @@ def test_newton_step_matches_dense_reference(monkeypatch):
             assert abs(dec - dec_ref) <= 1e-8 * abs(dec_ref) \
                 + np.linalg.norm(d_refined) * r + np.linalg.norm(d) * r_ref, (prob.n, i)
     assert sides == {True, False}
-    assert pd_sides == {(False, False), (False, True), (True, False), (True, True)}
+    assert pd_sides == {(kind, structured) for kind in ("affine", "log", "square")
+                        for structured in (False, True)}
 
 
 # ---------------------------------------------------------------------------

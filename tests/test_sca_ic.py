@@ -11,7 +11,7 @@ from wpcn_traj import (AllocationIC, Initialization, Trajectory,
                        optimize_traj_comp, optimize_traj_ic, sinr_ic,
                        solve_infinite_comp, solve_infinite_ic, solve_p1,
                        solve_p1_direct, solve_p21)
-from wpcn_traj import sca_comp, sca_ic
+from wpcn_traj import kernel, sca_comp, sca_ic
 from wpcn_traj.kernel import StartInfeasible, Status, solve_concave
 from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
@@ -233,6 +233,39 @@ def test_power_step_solves_in_few_newton_systems(monkeypatch):
     assert len(outcomes) >= 10
     assert [out.status for out in outcomes] == [Status.OPTIMAL] * len(outcomes)
     assert max(out.iterations for out in outcomes) <= 40
+
+
+def _trajectory_programs(monkeypatch, solver, cfg):
+    """(problem, start) of every kernel call of `solver` on a program with
+    square or pair terms: the trajectory programs."""
+    programs = []
+
+    def kept(problem, start):
+        if not problem._compiled().primal_dual:
+            programs.append((problem, start))
+        return solve_concave(problem, start)
+
+    monkeypatch.setattr(sca_ic, "solve_concave", kept)
+    solver(cfg)
+    monkeypatch.undo()
+    return programs
+
+
+def test_trajectory_programs_solve_in_few_newton_systems(monkeypatch):
+    # Both modes' trajectory programs take primal-dual iterations from
+    # their first barrier stage's center; the barrier stages alone take
+    # 53-77 Newton systems per program here.  Either way the solve ends at
+    # the barrier's last center.
+    programs = (_trajectory_programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6))
+                + _trajectory_programs(monkeypatch, solve_p21, benchmark_config(15.0, 20.0, 12)))
+    assert len(programs) >= 7
+    outcomes = [solve_concave(*program) for program in programs]
+    monkeypatch.setattr(kernel, "MAX_PD_ITER", 0)
+    barrier = [solve_concave(*program) for program in programs]
+    for out, ref in zip(outcomes, barrier):
+        assert out.status is ref.status is Status.OPTIMAL
+        assert out.iterations <= 45
+        assert out.objective == pytest.approx(ref.objective, rel=1e-9)
 
 
 def _refining_power_oracle(cfg, traj, uplink, budgets, rounds=3, grid=24):
