@@ -22,12 +22,14 @@ returning its `x` argument unchanged.  Structured Newton systems are
 counted and timed by wrapping `kernel._factor_band_updates`, which
 programs of at least `kernel.STRUCTURED_MIN_N` variables call once per
 factored Newton system, and the solve function it returns: a system's
-time and faults are its factorization's and those of every solve with it
-(one or two per barrier stage, since a stage's last system is the next
-stage's first; two per primal-dual iteration; the start weight's system
-serves the first centering step or primal-dual iteration too, and a
-trajectory program's first stage's last system the first primal-dual
-iteration from its center).  The configs (D = 15 m) are:
+time and faults are its factorization's and those of every solve with it.
+A primal-dual iteration solves twice with its system, and the iterations
+end every solve in which they do not lose their way.  A barrier centering
+step solves once, and a stage's last system once more as the next stage's
+first.  The start weight's system also serves the first centering step or
+primal-dual iteration, and the last system of a trajectory program's first
+stage the first primal-dual iteration from that stage's center.  The
+configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;

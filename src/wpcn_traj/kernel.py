@@ -8,27 +8,25 @@ rows only.  Each is solved from a strictly feasible start its caller
 supplies, with the fixed settings below, and everything is deterministic:
 identical problem and start give bit-identical outcomes.
 
-Every solve ends at the log barrier's last stage, the first weight
-t_f = t0 MU^k with m / t_f <= GAP_ABS + GAP_REL |R|, centered to NEWTON_TOL.
-The stages t0, t0 MU, ... before it, each centered loosely, are mostly
-replaced by Mehrotra predictor-corrector iterations (Mehrotra, SIAM J.
-Optim. 1992; Wright, Primal-Dual Interior-Point Methods, 1997): each
-factors the Newton matrix sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G
-once and solves with it twice, with Mehrotra's sigma safeguarded on curved
-rows (Salahi, Peng and Terlaky, SIAM J. Optim. 2007).  A program of affine
-and log rows only (the time LPs and the coordination power step) takes
-them from its start, with the duals lambda = 1/(t0 s), until
-s^T lambda / m <= 1/t_f.  A program with any square or pair term (the
-trajectory programs) runs its first stage at t0, and once that stage
-centers takes them from its center, where lambda = 1/(t0 s) are the central
-duals (the standard start of a path-following method, Boyd and
-Vandenberghe, Convex Optimization, 11.7), up to t_f / MU; the barrier's
-last two stages then end the solve.  The last centering starts near its
-center, so the outcome is the barrier's own last center either way, with
-the same status, gap and residuals.  Iterations that lose their way hand
-the solve back to the barrier stages, from the start or from the first
-stage's center; a first stage that runs out its steps goes on to the
-stages as well.
+A solve ends once its gap is within GAP_ABS + GAP_REL |R|.  It gets there by
+Mehrotra predictor-corrector iterations (Mehrotra, SIAM J. Optim. 1992;
+Wright, Primal-Dual Interior-Point Methods, 1997): each factors the Newton
+matrix sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves
+with it twice, with Mehrotra's sigma safeguarded on curved rows (Salahi,
+Peng and Terlaky, SIAM J. Optim. 2007).  A program of affine and log rows
+only (the time LPs and the coordination power step) takes them from its
+start, with the duals lambda = 1/(t0 s).  A program with any square or pair
+term (the trajectory programs) first runs the log barrier's first stage at
+t0, and once that stage centers takes them from its center, where
+lambda = 1/(t0 s) are the central duals (the standard start of a
+path-following method, Boyd and Vandenberghe, Convex Optimization, 11.7).
+Either way they stop on their own gap, s^T lambda <= m / t_f with t_f the
+barrier's last stage weight, and the iterate they stop at is the outcome,
+certified by that gap and its dual residual.  The barrier stages t0,
+t0 MU, ..., t_f, each centered loosely and the last to NEWTON_TOL, solve
+what the iterations do not: a first stage that runs out its steps, and
+iterations that lose their way, which hand the solve back from the start
+or from the first stage's center.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -395,7 +393,8 @@ class _Layout:
         # trajectory programs of the N = 6 coordination grid lost their way
         # and restarted on the barrier, and one ended MAX_ITER 1.1e-3 below
         # the barrier's objective; from the center none of the 73 of the
-        # N = 6 coordination and N = 12 joint grids restarts.
+        # N = 6 coordination and N = 12 joint grids restarts, and the
+        # iterations end all of them.
         self.primal_dual = not (self.sq_c.size or self.pr_r.size)
 
     @staticmethod
@@ -676,11 +675,12 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves with
     it twice: the affine-scaling predictor H^-1 e, then the corrector
     H^-1 (e - G^T (target/s)) toward sigma mu with sigma = (mu_aff/mu)^3,
-    though not past the central point at the hand-over weight.  The primal
-    iterate stays feasible; the duals may start infeasible.  At the start
-    duals the matrix is the barrier Hessian at x over t0, so the first
-    iteration solves with its factorization `solve0` (gv its row
-    gradients, w = solve0(e)) and factors nothing.
+    though not past the central point at t_f, the barrier's last stage
+    weight from t0 at the current R.  The primal iterate stays feasible;
+    the duals may start infeasible.  At the start duals the matrix is the
+    barrier Hessian at x over t0, so the first iteration solves with its
+    factorization `solve0` (gv its row gradients, w = solve0(e)) and
+    factors nothing.
 
     On curved rows (log, square or pair terms) the linearized slack change
     overshoots, so Mehrotra's sigma is safeguarded (Salahi, Peng and
@@ -696,33 +696,26 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     start on log rows the iterations keep it within the infeasible-path
     neighborhood ||r|| / mu <= ||r_0|| / mu_0 (Wright, ch. 6, beta = 1): on
     a power step whose primal steps stalled, the gap closed while the
-    residual left that bound 1e4-fold, and the final centering from there
-    ran out its steps.  From a center r_0 is about 0 and the bound would
-    stop the iterations at once: floored at ||r_0|| / mu_0 = 1e-3, it made
-    69 of the 73 trajectory programs of the N = 6 coordination and N = 12
-    joint grids lose their way, at 1, 35; without it none does.
+    residual left that bound 1e4-fold.  From a center r_0 is about 0 and
+    the bound would stop the iterations at once: floored at
+    ||r_0|| / mu_0 = 1e-3, it made 69 of the 73 trajectory programs of the
+    N = 6 coordination and N = 12 joint grids lose their way, at 1, 35;
+    without it none does.
 
-    t_f is the barrier's last stage weight from t0 at the current R.  The
-    hand-over weight is t_f from the caller's start, and t_f / MU (at least
-    t0) from a center, so that the barrier's own last two stages end the
-    solve: handed over at t_f, one of the two joint N = 500, T = 50
-    trajectory programs took full steps at decrements of 5e-7 to 8e-6, a
-    rounding floor, for all of its final centering's 100 steps and ended
-    MAX_ITER, where from t_f / MU both end OPTIMAL.  The iterations stop
-    once s^T lambda / m <= 1 / (hand-over weight), or once a full step
-    aimed at the central point there, and return (x, s, hand-over weight,
-    systems factored).  When MAX_PD_ITER runs out first, the primal step
+    The iterations stop once s^T lambda <= m / t_f, or once a full step
+    aimed at the central point at t_f, and return (x, s, (lambda, ||r||),
+    systems factored), ||r|| the largest entry of r there: the solve ends
+    at that iterate.  When MAX_PD_ITER runs out first, the primal step
     collapses or the residual leaves its neighborhood, they return their x
-    and s arguments themselves and t0, and the caller's barrier stages go
+    and s arguments themselves and None, and the caller's barrier stages go
     on from there: an iterate that lost its centering has slacks near the
     rounding of its rows, and barrier stages from there stalled too (42 of
     the 124 power steps of the -80 dBm N = 6 grid ended MAX_ITER, up to
     2.8% below the barrier from the start)."""
     m = lay.m
     x0, s0 = x, s
-    from_center = not lay.primal_dual
-    safeguarded = bool(lay.stacks) or from_center
-    bounded = bool(lay.stacks) and not from_center
+    safeguarded = bool(lay.stacks) or not lay.primal_dual
+    bounded = bool(lay.stacks) and lay.primal_dual
     lam = 1.0 / (t0 * s)
     e = np.zeros(lay.n)
     e[-1] = 1.0
@@ -730,22 +723,22 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     systems = 0
     for it in range(MAX_PD_ITER):
         t_f = _last_weight(t0, m, float(x[-1]))
-        if from_center:
-            t_f = max(t0, t_f / MU)
         gap = float(s @ lam)
         if it:
             v = np.sqrt(lam / s)
             gv, hv = lay.derivatives(x, v, lam)
-        if bounded:
+        done = gap <= m / t_f or centered
+        if bounded or done:
             residual = lay.gradient(gv, lam)
             residual[-1] -= 1.0
-            ratio = float(np.abs(residual).max()) / gap
+            r_max = float(np.abs(residual).max())
+        if bounded:
             if not it:
-                ratio0 = ratio
-            elif ratio > ratio0:
-                return x0, s0, t0, systems
-        if gap <= m / t_f or centered:
-            return x, s, t_f, systems
+                ratio0 = r_max / gap
+            elif r_max / gap > ratio0:
+                return x0, s0, None, systems
+        if done:
+            return x, s, (lam, r_max), systems
         if it:
             solve = lay.factor(gv, hv, v)
             systems += 1
@@ -777,30 +770,42 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
                 break
             a_p *= BACKTRACK
             if a_p < 1e-16:
-                return x0, s0, t0, systems
+                return x0, s0, None, systems
         centered = mu == 1.0 / t_f and a_p == a_d == 1.0
         recenter = safeguarded and a_p < RECENTER_STEP
         x, s, lam = trial, s_try, lam + a_d * dlam
-    return x0, s0, t0, systems
+    return x0, s0, None, systems
+
+
+def _outcome(x: np.ndarray, s: np.ndarray, status: Status, iterations: int,
+             gap: float, stationarity: float) -> SolveOutcome:
+    obj = float(x[-1])
+    return SolveOutcome(x=x, objective=obj, status=status, iterations=iterations,
+                        residuals={"feasibility": max(0.0, float(-s.min())), "gap": gap,
+                                   "stationarity": stationarity, "dual_bound": obj + gap})
 
 
 def solve_concave(problem: Problem, start) -> SolveOutcome:
     """Interior-point maximization of the last variable from a strictly
     feasible start.
 
-    Barrier weights run t0, t0 MU, t0 MU^2, ... and the line search takes the
-    Armijo test plus eps_psi (module docstring).  Primal-dual iterations
-    (`_predictor_corrector`) stand in for most stages: a program with no
-    square or pair term takes them from its start, and when they lose their
-    way its stages start over at t0; any other program takes them from
-    the center of its first stage, when that stage centers, and when they
-    lose their way, or when the first stage runs out its steps, the stages
-    go on from there at t0 MU.  The iterations bound their dual residual
-    only from a caller's start.  The barrier Hessian does not depend on t,
-    so a stage's or the iterations' first Newton system is the one its
-    start point was last solved with, when there is one: the start
-    weight's, or the previous stage's last.  Slacks are evaluated at the
-    start and once per line-search or primal-dual trial point; every
+    Primal-dual iterations (`_predictor_corrector`) end the solve: a
+    program with no square or pair term takes them from its start, any
+    other program from the center of its first barrier stage, when that
+    stage centers.  Their outcome is OPTIMAL, with the gap s^T lambda,
+    the largest entry of the dual residual e - sum_i lambda_i grad g_i as
+    stationarity and the dual bound R + s^T lambda.  The barrier stages t0, t0 MU, ... take
+    the rest, with the line search's Armijo test plus eps_psi (module
+    docstring): when the iterations lose their way the stages start over
+    at t0 from the start, or go on at t0 MU from the first stage's center,
+    as they do when the first stage runs out its steps.  A barrier outcome
+    is OPTIMAL once its last stage centers, with the gap m / t_f and the
+    largest entry of grad phi / t_f - e as stationarity.  The iterations bound their dual
+    residual only from a caller's start.  The barrier Hessian does not
+    depend on t, so a stage's or the iterations' first Newton system is
+    the one its start point was last solved with, when there is one: the
+    start weight's, or the previous stage's last.  Slacks are evaluated at
+    the start and once per line-search or primal-dual trial point; every
     other use takes those of the point's evaluation.  `iterations` counts
     the Newton systems factored after the start weight's.
 
@@ -829,9 +834,10 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     system = (gv, grad0, solve)
     total_steps = 0
     if lay.primal_dual:
-        x_pd, s, t, total_steps = _predictor_corrector(lay, x, s, t, gv, solve, w)
-        if x_pd is not x:
-            x, system = x_pd, None
+        x_pd, s_pd, ended, total_steps = _predictor_corrector(lay, x, s, t, gv, solve, w)
+        if ended:
+            return _outcome(x_pd, s_pd, Status.OPTIMAL, total_steps,
+                            float(s_pd @ ended[0]), ended[1])
     log_s = np.log(s)
 
     def center(t: float, x, s, log_s, system, tol: float):
@@ -880,7 +886,6 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             x, s, log_s, system = trial, s_try, log_try, None
         return x, s, log_s, system, count, dec
 
-    gap = np.inf
     dec = np.inf
     # Intermediate stages are centered loosely (long-step style); the final
     # stage is polished to the tight Newton tolerance.
@@ -890,28 +895,24 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
         x, s, log_s, system, took, dec = center(t, x, s, log_s, system,
                                                 NEWTON_TOL if last else loose)
         total_steps += took
-        gap = m / t
         if _gap_closed(m, t, x[-1]):
             break
         # A centered first stage of a program with square or pair terms
         # hands its point, and its last Newton system, to primal-dual
-        # iterations up to the stage before the last; when they lose their
-        # way, the stages go on from that center.
+        # iterations, which end the solve; when they lose their way, the
+        # stages go on from that center.
         if not (stage or lay.primal_dual) and dec <= loose:
-            x_pd, s_pd, t_pd, took = _predictor_corrector(lay, x, s, t, system[0], system[2],
-                                                          system[2](e))
+            x_pd, s_pd, ended, took = _predictor_corrector(lay, x, s, t, system[0], system[2],
+                                                           system[2](e))
             total_steps += took
-            if x_pd is not x:
-                x, s, log_s, t, system = x_pd, s_pd, np.log(s_pd), t_pd, None
-                continue
+            if ended:
+                return _outcome(x_pd, s_pd, Status.OPTIMAL, total_steps,
+                                float(s_pd @ ended[0]), ended[1])
         t *= MU
-    obj = float(x[-1])
     # m/t bounds the suboptimality only on the central path, so an iterate
     # whose final centering stopped short of the Newton tolerance certifies
     # no gap and no dual bound.
-    converged = dec <= NEWTON_TOL and _gap_closed(m, t, obj)
-    if not converged:
-        gap = np.inf
+    converged = dec <= NEWTON_TOL and _gap_closed(m, t, float(x[-1]))
     if system is None:
         inv_s = 1.0 / s
         grad = lay.gradient(lay.derivatives(x, inv_s, inv_s)[0], inv_s)
@@ -919,15 +920,5 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
         grad = system[1]
     residual = grad / t
     residual[-1] -= 1.0
-    return SolveOutcome(
-        x=x,
-        objective=obj,
-        status=Status.OPTIMAL if converged else Status.MAX_ITER,
-        iterations=total_steps,
-        residuals={
-            "feasibility": max(0.0, float(-s.min())),
-            "gap": gap,
-            "stationarity": float(np.abs(residual).max()),
-            "dual_bound": obj + gap,
-        },
-    )
+    return _outcome(x, s, Status.OPTIMAL if converged else Status.MAX_ITER, total_steps,
+                    m / t if converged else np.inf, float(np.abs(residual).max()))

@@ -199,8 +199,8 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
     # start and the final residuals take those of the point's own
     # evaluation.  The toy's primal-dual iterations from its start lose
     # their way, and the barrier stages restart from the start; with a
-    # square row it takes its first barrier stage, primal-dual iterations
-    # from that stage's center and the last two stages.
+    # square row it takes its first barrier stage, then primal-dual
+    # iterations from that stage's center, which end the solve.
     points = []
     slacks = kernel._Layout.slacks
 
@@ -220,8 +220,8 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
         assert out.status is Status.OPTIMAL
         assert calls == [not square_row]
         # Every trial point is new, and only the last Newton system of the
-        # last stage takes no step: a stage's last system is the next
-        # stage's first.
+        # last barrier stage takes no step: a stage's last system is the
+        # next stage's, or the primal-dual iterations', first.
         trials = len({p.tobytes() for p in points}) - 1
         assert np.array_equal(points[0], start) and np.array_equal(points[-1], out.x)
         assert trials >= out.iterations - 1
@@ -466,6 +466,41 @@ def test_lost_iterations_restart_from_the_first_center(monkeypatch):
     monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
     at_start = [np.array_equal(x, start) for x, *_ in _newton_systems(prob, start)]
     assert at_start[0] and not any(at_start[at_start.index(False):])
+
+
+def test_primal_dual_ending_certifies_its_last_iterate(monkeypatch):
+    # A solve that the primal-dual iterations end returns their last
+    # iterate, certified by its own (s, lambda): the gap s^T lambda, within
+    # the barrier's last gap, and the largest entry of the dual residual
+    # sum_i lambda_i grad g_i - e as stationarity.  The log toy takes the
+    # iterations from its start, the trajectory program from its first
+    # stage's center.
+    ends = []
+    predictor_corrector = kernel._predictor_corrector
+
+    def recorded(*args):
+        ends.append(predictor_corrector(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(kernel, "_predictor_corrector", recorded)
+    for prob, start in ((_toy_epigraph(), np.array([0.5, 0.7, -1.0])),
+                        _coordination_trajectory_program()):
+        ends.clear()
+        out = solve_concave(prob, start)
+        (x, s, (lam, _), _), = ends
+        assert out.status is Status.OPTIMAL and np.array_equal(out.x, x)
+        assert np.array_equal(s, prob.slacks(x))
+        lay = prob._compiled()
+        G = np.zeros((lay.m, lay.n))
+        G[lay.pat_row, lay.pat_col] = lay.derivatives(x, 1.0 / s, 1.0 / s)[0]
+        r = G.T @ lam
+        r[-1] -= 1.0
+        res = out.residuals
+        assert res["gap"] == float(s @ lam)
+        assert res["gap"] <= kernel.GAP_ABS + kernel.GAP_REL * abs(out.objective)
+        assert out.objective <= res["dual_bound"]
+        assert res["stationarity"] == pytest.approx(
+            np.abs(r).max(), rel=1e-9, abs=1e-12 * float((np.abs(G.T) @ lam).max()))
 
 
 def test_uncentered_first_stage_takes_the_barrier_stages(monkeypatch):

@@ -189,9 +189,9 @@ def test_time_lp_matches_highs(blocks):
 
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_time_lp_solves_in_few_newton_systems(blocks, monkeypatch):
-    # The time LP's rows are all affine, so the kernel reaches the barrier's
-    # last stage by primal-dual iterations and then centers that stage; the
-    # barrier stages alone take 82-109 Newton systems on these instances.
+    # The time LP's rows are all affine, so the kernel solves it by
+    # primal-dual iterations from its start; the barrier stages alone take
+    # 82-109 Newton systems on these instances.
     outcomes = []
 
     def kept(problem, start):
@@ -206,42 +206,16 @@ def test_time_lp_solves_in_few_newton_systems(blocks, monkeypatch):
     assert max(out.iterations for out in outcomes) <= 40
 
 
-def test_power_step_solves_in_few_newton_systems(monkeypatch):
-    # The coordination power step has affine and log rows only, so the
-    # kernel reaches the barrier's last stage by primal-dual iterations; the
-    # barrier stages alone take 92-166 Newton systems per call here, and one
-    # call ends MAX_ITER.
-    outcomes, in_power_step = [], [False]
-    power_step = sca_ic.optimize_power_ic
-
-    def flagged(*args, **kw):
-        in_power_step[0] = True
-        try:
-            return power_step(*args, **kw)
-        finally:
-            in_power_step[0] = False
-
-    def kept(problem, start):
-        out = solve_concave(problem, start)
-        if in_power_step[0]:
-            outcomes.append(out)
-        return out
-
-    monkeypatch.setattr(sca_ic, "optimize_power_ic", flagged)
-    monkeypatch.setattr(sca_ic, "solve_concave", kept)
-    solve_p1(benchmark_config(15.0, 20.0, num_slots=6))
-    assert len(outcomes) >= 10
-    assert [out.status for out in outcomes] == [Status.OPTIMAL] * len(outcomes)
-    assert max(out.iterations for out in outcomes) <= 40
-
-
-def _trajectory_programs(monkeypatch, solver, cfg):
-    """(problem, start) of every kernel call of `solver` on a program with
-    square or pair terms: the trajectory programs."""
+def _programs(monkeypatch, solver, cfg, kind):
+    """(problem, start) of every kernel call of `solver` on one kind of
+    program, told apart by its rows: "time" (affine rows only, the time
+    LPs), "power" (affine and log rows, the coordination power step) or
+    "trajectory" (square or pair terms, both modes' trajectory programs)."""
     programs = []
 
     def kept(problem, start):
-        if not problem._compiled().primal_dual:
+        lay = problem._compiled()
+        if kind == (("power" if lay.groups else "time") if lay.primal_dual else "trajectory"):
             programs.append((problem, start))
         return solve_concave(problem, start)
 
@@ -251,21 +225,50 @@ def _trajectory_programs(monkeypatch, solver, cfg):
     return programs
 
 
-def test_trajectory_programs_solve_in_few_newton_systems(monkeypatch):
-    # Both modes' trajectory programs take primal-dual iterations from
-    # their first barrier stage's center; the barrier stages alone take
-    # 53-77 Newton systems per program here.  Either way the solve ends at
-    # the barrier's last center.
-    programs = (_trajectory_programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6))
-                + _trajectory_programs(monkeypatch, solve_p21, benchmark_config(15.0, 20.0, 12)))
-    assert len(programs) >= 7
+def _assert_few_newton_systems(monkeypatch, programs, budget):
+    """Every program ends OPTIMAL in at most `budget` Newton systems, at
+    the objective of the same program on the barrier stages alone
+    (`MAX_PD_ITER` = 0) within 1e-9 relative.  Returns the barrier
+    outcomes."""
     outcomes = [solve_concave(*program) for program in programs]
     monkeypatch.setattr(kernel, "MAX_PD_ITER", 0)
     barrier = [solve_concave(*program) for program in programs]
     for out, ref in zip(outcomes, barrier):
-        assert out.status is ref.status is Status.OPTIMAL
-        assert out.iterations <= 45
+        assert out.status is Status.OPTIMAL
+        assert out.iterations <= budget
         assert out.objective == pytest.approx(ref.objective, rel=1e-9)
+    return barrier
+
+
+def test_coordination_time_lps_solve_in_few_newton_systems(monkeypatch):
+    # The time LP's rows are all affine, so the kernel solves it by
+    # primal-dual iterations from its start, which stop on their own gap
+    # (7-9 Newton systems here); the barrier stages alone take 79-83.
+    programs = _programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6), "time")
+    assert len(programs) >= 6
+    _assert_few_newton_systems(monkeypatch, programs, 11)
+
+
+def test_power_step_solves_in_few_newton_systems(monkeypatch):
+    # The coordination power step has affine and log rows only, so the
+    # kernel solves it by primal-dual iterations from its start (6-16
+    # Newton systems here); the barrier stages alone take 84-158 per call
+    # and one ends MAX_ITER.
+    programs = _programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6), "power")
+    assert len(programs) >= 10
+    _assert_few_newton_systems(monkeypatch, programs, 18)
+
+
+def test_trajectory_programs_solve_in_few_newton_systems(monkeypatch):
+    # Both modes' trajectory programs take primal-dual iterations from
+    # their first barrier stage's center to the end (20-34 Newton systems
+    # here); the barrier stages alone take 53-77 per program.
+    programs = (_programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6), "trajectory")
+                + _programs(monkeypatch, solve_p21, benchmark_config(15.0, 20.0, 12),
+                            "trajectory"))
+    assert len(programs) >= 7
+    barrier = _assert_few_newton_systems(monkeypatch, programs, 38)
+    assert [ref.status for ref in barrier] == [Status.OPTIMAL] * len(programs)
 
 
 def _refining_power_oracle(cfg, traj, uplink, budgets, rounds=3, grid=24):
