@@ -18,7 +18,8 @@ line-search or primal-dual trial and one per call (the start check).
 The calls that took primal-dual iterations, and among them those whose
 iterations lost their way and restarted on the barrier stages, are counted
 by wrapping `kernel._predictor_corrector`, which a restart tells by
-returning its `x` argument unchanged.  Structured Newton systems are
+returning its `x` argument unchanged; the Newton systems such iterations
+factored before they handed back their start are `pd_lost_systems`.  Structured Newton systems are
 counted and timed by wrapping `kernel._factor_band_updates`, which
 programs of at least `kernel.STRUCTURED_MIN_N` variables call once per
 factored Newton system, and the solve function it returns: a system's
@@ -26,9 +27,9 @@ time and faults are its factorization's and those of every solve with it.
 A primal-dual iteration solves twice with its system, and the iterations
 end every solve in which they do not lose their way.  A barrier centering
 step solves once, and a stage's last system once more as the next stage's
-first.  The start weight's system also serves the first centering step or
-primal-dual iteration, and the last system of a trajectory program's first
-stage the first primal-dual iteration from that stage's center.  The
+first.  The start weight's system also serves the first primal-dual
+iteration, unless the start duals of square or pair rows are floored, and
+the first centering step after iterations that lost their way.  The
 configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
@@ -41,6 +42,12 @@ holds a before/after pair measured on the same host:
 
     PYTHONPATH=<checkout>/src python3 scripts/bench_configs.py --label parent --out B.json
     PYTHONPATH=src python3 scripts/bench_configs.py --label change --out B.json
+
+`--only NAME` (repeatable) runs just the named configs and merges them
+into that label's earlier results:
+
+    PYTHONPATH=src python3 scripts/bench_configs.py --label change --out B.json \
+        --only "coordination N=500 T=50"
 
 BLAS is pinned to one thread before numpy loads (a value set in the
 environment wins); the thread count in effect is recorded with the results.
@@ -119,7 +126,7 @@ def source_digest() -> str:
 def run_config(solver_name: str, N: int, T: float) -> dict:
     stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0, "slacks": 0,
                                  "band_solves": 0, "band_s": 0.0, "band_minflt": 0,
-                                 "pd_calls": 0, "pd_restarts": 0,
+                                 "pd_calls": 0, "pd_restarts": 0, "pd_lost_systems": 0,
                                  "statuses": defaultdict(int)})
     kernel_call, slacks_call = sca_ic.solve_concave, kernel._Layout.slacks
     pd_call = kernel._predictor_corrector
@@ -149,6 +156,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
         if current:
             stats[current[-1]]["pd_calls"] += 1
             stats[current[-1]]["pd_restarts"] += out[0] is x
+            stats[current[-1]]["pd_lost_systems"] += out[3] if out[0] is x else 0
         return out
 
     def counted_slacks(layout, x):
@@ -209,6 +217,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                        "minflt_per_band_solve": (round(rec["band_minflt"] / rec["band_solves"], 1)
                                                  if rec["band_solves"] else None),
                        "pd_calls": rec["pd_calls"], "pd_restarts": rec["pd_restarts"],
+                       "pd_lost_systems": rec["pd_lost_systems"],
                        "statuses": dict(rec["statuses"])}
     trace = np.asarray(rep.objective_trace, dtype=float)
     return {"solver": solver_name, "D": 15.0, "N": N, "T": T,
@@ -225,15 +234,18 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--out", required=True, help="JSON file the run is merged into")
+    ap.add_argument("--only", action="append", choices=[c[0] for c in CONFIGS],
+                    metavar="NAME", help="run only this config (repeatable)")
     args = ap.parse_args()
-
-    runs = {}
-    for name, solver, N, T in CONFIGS:
-        runs[name] = run_config(solver, N, T)
-        print(json.dumps({name: runs[name]}), flush=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
+    runs = doc.get(args.label, {}).get("configs", {}) if args.only else {}
+    for name, solver, N, T in CONFIGS:
+        if not args.only or name in args.only:
+            runs[name] = run_config(solver, N, T)
+            print(json.dumps({name: runs[name]}), flush=True)
+
     doc[args.label] = {
         "src_sha256": source_digest(),
         "blas_threads": blas_threads(),
@@ -241,7 +253,7 @@ def main() -> None:
                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "nproc": os.cpu_count(),
-        "configs": runs,
+        "configs": {name: runs[name] for name, *_ in CONFIGS if name in runs},
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
 

@@ -10,23 +10,17 @@ identical problem and start give bit-identical outcomes.
 
 A solve ends once its gap is within GAP_ABS + GAP_REL |R|.  It gets there by
 Mehrotra predictor-corrector iterations (Mehrotra, SIAM J. Optim. 1992;
-Wright, Primal-Dual Interior-Point Methods, 1997): each factors the Newton
-matrix sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves
-with it twice, with Mehrotra's sigma safeguarded on curved rows (Salahi,
-Peng and Terlaky, SIAM J. Optim. 2007).  A program of affine and log rows
-only (the time LPs and the coordination power step) takes them from its
-start, with the duals lambda = 1/(t0 s).  A program with any square or pair
-term (the trajectory programs) first runs the log barrier's first stage at
-t0, and once that stage centers takes them from its center, where
-lambda = 1/(t0 s) are the central duals (the standard start of a
-path-following method, Boyd and Vandenberghe, Convex Optimization, 11.7).
-Either way they stop on their own gap, s^T lambda <= m / t_f with t_f the
-barrier's last stage weight, and the iterate they stop at is the outcome,
-certified by that gap and its dual residual.  The barrier stages t0,
-t0 MU, ..., t_f, each centered loosely and the last to NEWTON_TOL, solve
-what the iterations do not: a first stage that runs out its steps, and
-iterations that lose their way, which hand the solve back from the start
-or from the first stage's center.
+Wright, Primal-Dual Interior-Point Methods, 1997) from the caller's start,
+each factoring the Newton matrix sum_i lambda_i grad^2 g_i + G^T
+diag(lambda/s) G once, with Mehrotra's sigma safeguarded on curved rows
+(Salahi, Peng and Terlaky, SIAM J. Optim. 2007).  On rows with square or
+pair terms the start duals are floored and the primal step is cut at the
+exact quadratic slack (`_predictor_corrector`).  The iterations stop on
+their own gap, s^T lambda <= m / t_f with t_f the barrier's last stage
+weight, and the iterate they stop at is the outcome, certified by that gap
+and its dual residual.  Iterations that lose their way hand the solve back
+to the barrier stages t0, t0 MU, ..., t_f from the start, each centered
+loosely and the last to NEWTON_TOL.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -54,12 +48,13 @@ Optim. 2005): a decrement below that floor takes the full step, where the
 plain test would backtrack on noise.  Slacks are evaluated once per trial,
 and the accepted trial's slacks serve the next step.
 
-The first stage runs at t0 = clip(t*, 1, START_WEIGHT_MAX), where
+The duals start at, and the first barrier stage runs at, the weight
+t0 = clip(t*, 1, START_WEIGHT_MAX), where
 t* = e^T H^-1 grad phi / e^T H^-1 e (phi = -sum(ln s), H its Hessian, e the
 epigraph column) minimizes the start's Newton decrement ||grad phi - t e||
 in the H^-1 norm (Boyd and Vandenberghe, Convex Optimization, 11.3.1).  The
-callers' starts are warm, and a first stage at t = 1 walks away from them.
-Cold starts keep t = 1; the cap keeps warm starts out of stages whose damped
+callers' starts are warm, and a weight of 1 walks away from them.  Cold
+starts keep t = 1; the cap keeps warm starts out of stages whose damped
 steps cannot center rows far from self-concordant.
 """
 
@@ -99,12 +94,21 @@ GAP_REL = 1e-9
 NEWTON_TOL = 1e-8       # half squared Newton decrement
 MAX_STAGE_STEPS = 100
 MAX_STAGES = 64
-# Primal-dual iterations of a program without square or pair terms.  At
-# 50, the first N = 500 coordination power step ran out at R = 3.9111380,
-# a gap of 1.5e-8 short of its last stage, and restarted on the barrier.
+# Primal-dual iterations per solve.  At 50, the first N = 500 coordination
+# power step ran out at R = 3.9111380, a gap of 1.5e-8 short of its last
+# stage, and restarted on the barrier.
 MAX_PD_ITER = 100
+# Start duals of rows with square or pair terms use slacks of at least this
+# fraction of the median slack; floors of 1e-3 and 1e-2 left one or both
+# N = 500 coordination trajectory programs past MAX_PD_ITER.
+DUAL_FLOOR = 0.1
+DUAL_RESIDUAL_TOL = 1e-6  # largest dual residual entry at which iterations from a floor stop
 SIGMA_MIN = 0.1         # least centering of a primal-dual iteration on log rows
 RECENTER_STEP = 0.9     # a shorter primal step on log rows is followed by pure centering
+# Pure centering iterations in a row from which those of a program with square
+# or pair terms take a second-order correction; the iterations that end took
+# at most 28 in a row on the N = 6 and 12 grids and the bench configs.
+CORRECT_AFTER = 40
 STEP_FRACTION = 0.99    # first-order cap: fraction of the step to the boundary
 # Programs with fewer variables take the dense factorization.  A structured
 # Newton step costs 1.05 dense ones at n = 161 (band 1), 0.33 at n = 241
@@ -385,17 +389,10 @@ class _Layout:
         self.sparse_terms = (self.lin_c[~on_l], self.lin_v[~on_l], self.sq_c[~on_s],
                              self.sq_v[~on_s])
         self.sparse_rows = np.concatenate((lin_r[~on_l], self.sq_r[~on_s], self.pr_r))
-        # Programs with no square or pair term (the time LPs and the
-        # coordination power step) take primal-dual iterations from the
-        # caller's start.  The others (the trajectory programs) take them
-        # from their first barrier stage's center: their strict quadratic
-        # rows start at slacks near 1e-10, and from there 6 of the 56
-        # trajectory programs of the N = 6 coordination grid lost their way
-        # and restarted on the barrier, and one ended MAX_ITER 1.1e-3 below
-        # the barrier's objective; from the center none of the 73 of the
-        # N = 6 coordination and N = 12 joint grids restarts, and the
-        # iterations end all of them.
-        self.primal_dual = not (self.sq_c.size or self.pr_r.size)
+        # Rows with square or pair terms: their slacks along a step are
+        # quadratic, and their start duals are floored.
+        self.quad = np.zeros(m, bool)
+        self.quad[self.sq_r] = self.quad[self.pr_r] = True
 
     @staticmethod
     def _row_pairs(select, support, starts):
@@ -473,6 +470,13 @@ class _Layout:
     def row_dot(self, gv: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Directional derivative of every row, G d."""
         return np.bincount(self.pat_row, gv * d[self.pat_col], minlength=self.m)
+
+    def curvature(self, d: np.ndarray) -> np.ndarray:
+        """Every row's q with g(x + a d) = g(x) + a G d + a^2 q on rows of
+        square, pair and affine terms: sum sq_v d_c^2 + sum (d_a - d_b)^2."""
+        return np.bincount(np.concatenate((self.sq_r, self.pr_r)),
+                           np.concatenate((self.sq_v * d[self.sq_c] ** 2,
+                                           (d[self.pr_a] - d[self.pr_b]) ** 2)), minlength=self.m)
 
     def factor(self, gv: np.ndarray, hv: np.ndarray, w: np.ndarray):
         """Factor the band part plus the dense rows' z z^T, z a dense row's
@@ -652,83 +656,104 @@ def _last_weight(t: float, m: int, R: float) -> float:
     return t
 
 
-def _boundary_step(v: np.ndarray, dv: np.ndarray, frac: float) -> float:
-    """frac times the step to the boundary of v + a dv > 0, at most 1.  Only
-    entries the full step uses up by more than half can bind (elsewhere
-    frac v / -dv >= 2 frac); skipping the others keeps v / dv from
-    overflowing."""
-    near = dv < -0.5 * v
+def _boundary_step(v: np.ndarray, dv: np.ndarray, frac: float, curv=None) -> float:
+    """frac times the step to the boundary of v + a dv - a^2 curv > 0
+    (curv >= 0, zero if None), at most 1.  Only entries that the step
+    1 / frac takes past the boundary can bind (with curv None, the test
+    keeps all that the full step uses up by more than half); skipping the
+    others keeps v / dv from overflowing.  The root
+    2 v / (sqrt(dv^2 + 4 curv v) - dv) is taken without cancellation."""
+    if curv is None:
+        near = dv < -0.5 * v
+        return min(1.0, frac * float((v[near] / -dv[near]).min())) if near.any() else 1.0
+    near = v + dv / frac - curv / frac**2 <= 0.0
     if not near.any():
         return 1.0
-    return min(1.0, frac * float((v[near] / -dv[near]).min()))
+    v, dv, c = v[near], dv[near], curv[near]
+    p = np.sqrt(dv * dv + 4.0 * c * v) + np.abs(dv)
+    return min(1.0, frac * float((2.0 * v / np.where(dv > 0.0, 4.0 * c * v / p, p)).min()))
 
 
 def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
                          gv: np.ndarray, solve0, w: np.ndarray):
     """Mehrotra predictor-corrector iterations on the rows g(x) + s = 0
-    (Wright, Primal-Dual Interior-Point Methods, 1997, ch. 10) from a
-    strictly feasible x with slacks s and the duals lambda = 1/(t0 s): the
-    caller's start of a program of affine and log rows
-    (`_Layout.primal_dual`), or else the center of the program's first
-    barrier stage, at t0, where those duals are the central ones.  Each
-    iteration factors the Newton matrix
-    sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves with
-    it twice: the affine-scaling predictor H^-1 e, then the corrector
+    (Wright, Primal-Dual Interior-Point Methods, 1997, ch. 10) from the
+    caller's strictly feasible start x, with slacks s and the duals
+    lambda = 1/(t0 s), on rows with square or pair terms
+    1/(t0 max(s, DUAL_FLOOR median(s))).  Each iteration factors the Newton
+    matrix sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves
+    with it twice: the affine-scaling predictor H^-1 e, then the corrector
     H^-1 (e - G^T (target/s)) toward sigma mu with sigma = (mu_aff/mu)^3,
     though not past the central point at t_f, the barrier's last stage
     weight from t0 at the current R.  The primal iterate stays feasible;
-    the duals may start infeasible.  At the start duals the matrix is the
-    barrier Hessian at x over t0, so the first iteration solves with its
-    factorization `solve0` (gv its row gradients, w = solve0(e)) and
-    factors nothing.
+    the duals may start infeasible.  With no floor applied, the matrix at
+    the start duals is the barrier Hessian over t0, so the first iteration
+    solves with its factorization `solve0` (gv its row gradients,
+    w = solve0(e)) and factors nothing.
 
-    On curved rows (log, square or pair terms) the linearized slack change
-    overshoots, so Mehrotra's sigma is safeguarded (Salahi, Peng and
-    Terlaky, SIAM J. Optim. 2007): it is at least SIGMA_MIN, and an
-    iteration whose accepted primal step was below RECENTER_STEP is
-    followed by a pure centering one, sigma = 1.  Without them the 123
-    power steps of the N = 6 coordination grid took 9,771 Newton systems,
-    not 2,149, and 3 ended MAX_ITER; the 17 trajectory programs of the
-    N = 12 joint grid (no log rows) took 1,361, not 763, and 5 lost their
-    way.  The time LPs go without them, which there cost 30% more systems.
-    Nor does a full dual step zero the dual residual
-    r = e - sum_i lambda_i grad g_i on curved rows, so from the caller's
-    start on log rows the iterations keep it within the infeasible-path
-    neighborhood ||r|| / mu <= ||r_0|| / mu_0 (Wright, ch. 6, beta = 1): on
-    a power step whose primal steps stalled, the gap closed while the
-    residual left that bound 1e4-fold.  From a center r_0 is about 0 and
-    the bound would stop the iterations at once: floored at
-    ||r_0|| / mu_0 = 1e-3, it made 69 of the 73 trajectory programs of the
-    N = 6 coordination and N = 12 joint grids lose their way, at 1, 35;
-    without it none does.
+    A warm start leaves the trajectory programs' energy and speed rows at
+    slacks of 1e-10 to 5e-7, where lambda_i = 1/(t0 s_i) makes
+    lambda_i grad^2 g_i swamp the matrix and freeze the step.  Along dx
+    such a row's slack is s + a ds - a^2 q, q from `_Layout.curvature` (an
+    upper bound where the row also holds log groups), and the primal step
+    takes its fraction to the boundary from that root, as s + a ds
+    overshoots.  The 73 trajectory programs of the N = 6 coordination and
+    N = 12 joint grids take 1,240 systems so, 2,245 from their first
+    barrier stage's center.  Without the floor and the residual test below
+    one ended 9.2e-4 below its optimum; flooring log and affine rows too
+    made the power steps take 2,501 systems, not 1,680.  Near an active
+    speed row a centering direction can run along the row's tangent, where
+    q cuts each step to about ds / q: one joint N = 12 program took 96 pure
+    centering iterations at steps near 0.006 and restarted (175 systems).
+    From the CORRECT_AFTER-th pure centering iteration in a row, each
+    solves once more with the target raised by lambda q, aiming at the
+    exact slacks s + ds - q (a second-order correction, Nocedal and Wright,
+    Numerical Optimization, 2006, 15.4): that program ends in 47.  From the
+    first one on, corrections moved the closed-loop rates by up to 3.5e-4.
+
+    On curved rows the linearized slack change overshoots, so Mehrotra's
+    sigma is safeguarded (Salahi, Peng and Terlaky, SIAM J. Optim. 2007):
+    it is at least SIGMA_MIN, and an iteration whose accepted primal step
+    was below RECENTER_STEP is followed by a pure centering one, sigma = 1.
+    Without them the 123 power steps of the N = 6 coordination grid took
+    9,771 Newton systems, not 2,149, and 3 ended MAX_ITER.  The time LPs go
+    without them, which there cost 30% more systems.  Nor does a full dual
+    step zero the dual residual r = e - sum_i lambda_i grad g_i on curved
+    rows, so on log rows without square or pair terms the iterations keep
+    it within the infeasible-path neighborhood ||r|| / mu <= ||r_0|| / mu_0
+    (Wright, ch. 6, beta = 1): on a power step whose primal steps stalled,
+    the gap closed while the residual left that bound 1e4-fold.
 
     The iterations stop once s^T lambda <= m / t_f, or once a full step
-    aimed at the central point at t_f, and return (x, s, (lambda, ||r||),
+    aimed at the central point at t_f, and with square or pair terms only
+    once the largest entry of r is at most DUAL_RESIDUAL_TOL besides, as a
+    floored start is not central.  They return (x, s, (lambda, ||r||),
     systems factored), ||r|| the largest entry of r there: the solve ends
     at that iterate.  When MAX_PD_ITER runs out first, the primal step
     collapses or the residual leaves its neighborhood, they return their x
-    and s arguments themselves and None, and the caller's barrier stages go
-    on from there: an iterate that lost its centering has slacks near the
-    rounding of its rows, and barrier stages from there stalled too (42 of
-    the 124 power steps of the -80 dBm N = 6 grid ended MAX_ITER, up to
-    2.8% below the barrier from the start)."""
+    and s arguments themselves and None, and the caller's barrier stages
+    solve from the start."""
     m = lay.m
     x0, s0 = x, s
-    safeguarded = bool(lay.stacks) or not lay.primal_dual
-    bounded = bool(lay.stacks) and lay.primal_dual
-    lam = 1.0 / (t0 * s)
+    quad = bool(lay.quad.any())
+    safeguarded = bool(lay.stacks) or quad
+    bounded = bool(lay.stacks) and not quad
+    floor = DUAL_FLOOR * float(np.median(s)) if quad else 0.0
+    floored = bool((lay.quad & (s < floor)).any())
+    lam = 1.0 / (t0 * np.maximum(s, floor, where=lay.quad, out=s.copy()))
     e = np.zeros(lay.n)
     e[-1] = 1.0
-    centered = recenter = False
-    systems = 0
+    centered = False
+    systems = recentered = 0
     for it in range(MAX_PD_ITER):
+        own = it or floored
         t_f = _last_weight(t0, m, float(x[-1]))
         gap = float(s @ lam)
-        if it:
+        if own:
             v = np.sqrt(lam / s)
             gv, hv = lay.derivatives(x, v, lam)
         done = gap <= m / t_f or centered
-        if bounded or done:
+        if bounded or quad or done:
             residual = lay.gradient(gv, lam)
             residual[-1] -= 1.0
             r_max = float(np.abs(residual).max())
@@ -737,19 +762,19 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
                 ratio0 = r_max / gap
             elif r_max / gap > ratio0:
                 return x0, s0, None, systems
-        if done:
+        if done and not (quad and r_max > DUAL_RESIDUAL_TOL):
             return x, s, (lam, r_max), systems
-        if it:
+        if own:
             solve = lay.factor(gv, hv, v)
             systems += 1
         else:
             def solve(rhs):
                 return t0 * solve0(rhs)
-        if recenter:
+        if recentered:
             mu = target = max(gap / m, 1.0 / t_f)
         else:
             # Predictor: the affine-scaling direction, sigma = 0.
-            dx = solve(e) if it else t0 * w
+            dx = solve(e) if own else t0 * w
             ds = -lay.row_dot(gv, dx)
             dlam = -lam - lam / s * ds
             a_p, a_d = _boundary_step(s, ds, 1.0), _boundary_step(lam, dlam, 1.0)
@@ -760,9 +785,14 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
             mu = max(sigma * gap / m, 1.0 / t_f)
             target = mu - ds * dlam
         dx = solve(e - lay.gradient(gv, target / s))
+        if quad and recentered >= CORRECT_AFTER:
+            # Second-order correction: aim at the exact slacks s + ds - q.
+            target = target + lam * lay.curvature(dx)
+            dx = solve(e - lay.gradient(gv, target / s))
         ds = -lay.row_dot(gv, dx)
         dlam = (target - lam * ds) / s - lam
-        a_p, a_d = _boundary_step(s, ds, STEP_FRACTION), _boundary_step(lam, dlam, STEP_FRACTION)
+        a_p = _boundary_step(s, ds, STEP_FRACTION, lay.curvature(dx) if quad else None)
+        a_d = _boundary_step(lam, dlam, STEP_FRACTION)
         while True:
             trial = x + a_p * dx
             s_try = lay.slacks(trial)
@@ -772,7 +802,7 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
             if a_p < 1e-16:
                 return x0, s0, None, systems
         centered = mu == 1.0 / t_f and a_p == a_d == 1.0
-        recenter = safeguarded and a_p < RECENTER_STEP
+        recentered = recentered + 1 if safeguarded and a_p < RECENTER_STEP else 0
         x, s, lam = trial, s_try, lam + a_d * dlam
     return x0, s0, None, systems
 
@@ -789,25 +819,20 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     """Interior-point maximization of the last variable from a strictly
     feasible start.
 
-    Primal-dual iterations (`_predictor_corrector`) end the solve: a
-    program with no square or pair term takes them from its start, any
-    other program from the center of its first barrier stage, when that
-    stage centers.  Their outcome is OPTIMAL, with the gap s^T lambda,
-    the largest entry of the dual residual e - sum_i lambda_i grad g_i as
-    stationarity and the dual bound R + s^T lambda.  The barrier stages t0, t0 MU, ... take
-    the rest, with the line search's Armijo test plus eps_psi (module
-    docstring): when the iterations lose their way the stages start over
-    at t0 from the start, or go on at t0 MU from the first stage's center,
-    as they do when the first stage runs out its steps.  A barrier outcome
+    Primal-dual iterations (`_predictor_corrector`) from the start end the
+    solve.  Their outcome is OPTIMAL, with the gap s^T lambda, the largest
+    entry of the dual residual e - sum_i lambda_i grad g_i as stationarity
+    and the dual bound R + s^T lambda.  When they lose their way, the
+    barrier stages t0, t0 MU, ... solve from the start, with the line
+    search's Armijo test plus eps_psi (module docstring).  A barrier outcome
     is OPTIMAL once its last stage centers, with the gap m / t_f and the
-    largest entry of grad phi / t_f - e as stationarity.  The iterations bound their dual
-    residual only from a caller's start.  The barrier Hessian does not
-    depend on t, so a stage's or the iterations' first Newton system is
-    the one its start point was last solved with, when there is one: the
-    start weight's, or the previous stage's last.  Slacks are evaluated at
+    largest entry of grad phi / t_f - e as stationarity.  The barrier
+    Hessian does not depend on t, so the iterations' (with no dual floor)
+    and the first stage's first Newton system is the start weight's, and a
+    later stage's first the previous stage's last.  Slacks are evaluated at
     the start and once per line-search or primal-dual trial point; every
     other use takes those of the point's evaluation.  `iterations` counts
-    the Newton systems factored after the start weight's.
+    the Newton systems factored after the start weight's, lost ones too.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
     """
@@ -822,7 +847,7 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     m = problem.num_rows
     # Start weight t0 (module docstring): one Newton solve, w = H^-1 e.  Its
     # system, (gradients, barrier gradient, solve), serves the first
-    # centering step at the start too.
+    # primal-dual iteration and the first centering step at the start too.
     inv_s = 1.0 / s
     gv, hv = lay.derivatives(x, inv_s, inv_s)
     e = np.zeros(problem.n)
@@ -832,29 +857,26 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     grad0 = lay.gradient(gv, inv_s)
     t = min(START_WEIGHT_MAX, max(1.0, float(w @ grad0) / float(w[-1])))
     system = (gv, grad0, solve)
-    total_steps = 0
-    if lay.primal_dual:
-        x_pd, s_pd, ended, total_steps = _predictor_corrector(lay, x, s, t, gv, solve, w)
-        if ended:
-            return _outcome(x_pd, s_pd, Status.OPTIMAL, total_steps,
-                            float(s_pd @ ended[0]), ended[1])
+    x_pd, s_pd, ended, total_steps = _predictor_corrector(lay, x, s, t, gv, solve, w)
+    if ended:
+        return _outcome(x_pd, s_pd, Status.OPTIMAL, total_steps,
+                        float(s_pd @ ended[0]), ended[1])
     log_s = np.log(s)
-
-    def center(t: float, x, s, log_s, system, tol: float):
-        """Damped Newton centering from x with slacks s (logs log_s) and, if
-        not None, the Newton system at x.  Returns the point, its slacks and
-        their logs, the Newton system at the point (None if the step cap ran
-        out after a step), the step count and the half squared Newton
-        decrement it stopped at (above tol when the step cap ran out or the
-        line search collapsed)."""
-        count = 0
-        dec = np.inf
+    # Intermediate stages are centered loosely (long-step style); the final
+    # stage is polished to the tight Newton tolerance.
+    loose = max(1e-6, NEWTON_TOL)
+    for _stage in range(MAX_STAGES):
+        # Damped Newton centering at t from x, with `system` the Newton
+        # system at x (None after a step), until the half squared decrement
+        # dec is within tol, the step cap runs out or the line search
+        # collapses.
+        tol = NEWTON_TOL if _gap_closed(m, t, x[-1]) else loose
         for _it in range(MAX_STAGE_STEPS):
             if system is None:
                 inv_s = 1.0 / s
                 gv, hv = lay.derivatives(x, inv_s, inv_s)
                 system = (gv, lay.gradient(gv, inv_s), lay.factor(gv, hv, inv_s))
-                count += 1
+                total_steps += 1
             gv, grad, solve = system
             grad = grad.copy()
             grad[-1] -= t
@@ -884,30 +906,8 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
             if alpha < 1e-16:
                 break
             x, s, log_s, system = trial, s_try, log_try, None
-        return x, s, log_s, system, count, dec
-
-    dec = np.inf
-    # Intermediate stages are centered loosely (long-step style); the final
-    # stage is polished to the tight Newton tolerance.
-    loose = max(1e-6, NEWTON_TOL)
-    for stage in range(MAX_STAGES):
-        last = _gap_closed(m, t, x[-1])
-        x, s, log_s, system, took, dec = center(t, x, s, log_s, system,
-                                                NEWTON_TOL if last else loose)
-        total_steps += took
         if _gap_closed(m, t, x[-1]):
             break
-        # A centered first stage of a program with square or pair terms
-        # hands its point, and its last Newton system, to primal-dual
-        # iterations, which end the solve; when they lose their way, the
-        # stages go on from that center.
-        if not (stage or lay.primal_dual) and dec <= loose:
-            x_pd, s_pd, ended, took = _predictor_corrector(lay, x, s, t, system[0], system[2],
-                                                           system[2](e))
-            total_steps += took
-            if ended:
-                return _outcome(x_pd, s_pd, Status.OPTIMAL, total_steps,
-                                float(s_pd @ ended[0]), ended[1])
         t *= MU
     # m/t bounds the suboptimality only on the central path, so an iterate
     # whose final centering stopped short of the Newton tolerance certifies

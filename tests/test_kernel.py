@@ -18,8 +18,9 @@ from wpcn_traj.sca_ic import (_traj_subproblem_ic, initial_allocation_ic,
 def _toy_epigraph(square_row=False):
     # maximize min(ln(1+x), ln(1+y)) s.t. x + y <= 2, x, y >= 0; with
     # square_row, also x^2 <= 4, never active, which puts the program on
-    # the path of programs with square terms: its first barrier stage, then
-    # primal-dual iterations from that stage's center.
+    # the path of programs with square terms: primal-dual iterations from
+    # the start that stop on their dual residual too, with no residual
+    # neighborhood.
     prob = Problem(3)
     for i in range(2):
         prob.add_concave_ge(idx=[2], lin=[-1.0], logs=(LogGroup(
@@ -195,12 +196,11 @@ class TestSolveConcave:
 
 def test_one_slack_evaluation_per_trial_point(monkeypatch):
     # Slacks are evaluated at the start and once per line-search or
-    # primal-dual trial; every stage start, the primal-dual iterations'
-    # start and the final residuals take those of the point's own
-    # evaluation.  The toy's primal-dual iterations from its start lose
-    # their way, and the barrier stages restart from the start; with a
-    # square row it takes its first barrier stage, then primal-dual
-    # iterations from that stage's center, which end the solve.
+    # primal-dual trial; every stage start and the final residuals take
+    # those of the point's own evaluation.  The toy's primal-dual
+    # iterations from its start lose their way, and the barrier stages
+    # restart from the start; with a square row the iterations from the
+    # start end the solve.
     points = []
     slacks = kernel._Layout.slacks
 
@@ -213,7 +213,7 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
     start = np.array([0.5, 0.7, 0.1])
     for square_row in (False, True):
         prob = _toy_epigraph(square_row)
-        assert prob._compiled().primal_dual is not square_row
+        assert prob._compiled().quad.any() == square_row
         points.clear()
         calls.clear()
         out = solve_concave(prob, start)
@@ -221,7 +221,7 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
         assert calls == [not square_row]
         # Every trial point is new, and only the last Newton system of the
         # last barrier stage takes no step: a stage's last system is the
-        # next stage's, or the primal-dual iterations', first.
+        # next stage's first.
         trials = len({p.tobytes() for p in points}) - 1
         assert np.array_equal(points[0], start) and np.array_equal(points[-1], out.x)
         assert trials >= out.iterations - 1
@@ -322,11 +322,11 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
     # power step and the toy program, both with t* inside that range.  The
     # power step's Hessian has condition number ~1e21 at its start, where
     # plain, Jacobi-scaled and refined dense solves give t* = 15.07757 to
-    # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.  Both
-    # programs take primal-dual iterations, whose duals start at the central
-    # ones of that weight, lambda = 1/(t s); with a square row the toy's
-    # first barrier stage runs at that weight, and its center starts
-    # primal-dual iterations at the same weight.
+    # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.  Every
+    # program takes primal-dual iterations, whose duals start at the
+    # central ones of that weight, lambda = 1/(t s); when they lose their
+    # way (here, with none allowed) the first barrier stage runs at that
+    # weight from the start.
     calls = []
 
     def keep(prob, start):
@@ -350,19 +350,17 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
                             ((_toy_epigraph(square_row=True), start), 1e-12)):
         t_star = _t_star(prob, x0)
         assert 1.0 < t_star < kernel.START_WEIGHT_MAX
-        if prob._compiled().primal_dual:
-            solve_concave(prob, x0)
-            t = weights.pop()
-        else:
-            # System 0 is the start weight's own solve, with rhs e, and it
-            # serves the first centering step, rhs = -(grad - t e) at the
-            # start.
-            systems = _newton_systems(prob, x0)
-            x, _, _, rhs, _ = systems[1]
-            assert np.array_equal(x, x0)
-            t = rhs[-1] + _barrier_gradient(prob, x0)[-1]
-            assert weights.pop() == pytest.approx(t, rel=1e-12)
+        solve_concave(prob, x0)
+        t = weights.pop()
         assert t == pytest.approx(np.clip(t_star, 1.0, kernel.START_WEIGHT_MAX), rel=rel)
+    # System 0 is the start weight's own solve, with rhs e, and it serves
+    # the first centering step, rhs = -(grad - t e) at the start.
+    monkeypatch.setattr(kernel, "MAX_PD_ITER", 0)
+    prob = _toy_epigraph(square_row=True)
+    x, _, _, rhs, _ = _newton_systems(prob, start)[1]
+    assert np.array_equal(x, start)
+    assert weights.pop() == pytest.approx(rhs[-1] + _barrier_gradient(prob, start)[-1],
+                                          rel=1e-12)
     assert not weights
 
 
@@ -398,8 +396,8 @@ def _newton_systems(prob, start):
     """Every Newton system of one solve, as (x, row weights, curvature
     weights, right-hand side, step).  The barrier weights the rows and
     their curvature by 1/s; the primal-dual iterations weight the rows by
-    sqrt(lambda/s) and the curvature by lambda, and solve twice with each
-    factorization."""
+    sqrt(lambda/s) and the curvature by lambda, and solve once or twice
+    with each factorization; each solve is one entry."""
     lay = prob._compiled()
     seen, systems = [], []
     derivatives, factor = lay.derivatives, lay.factor
@@ -447,10 +445,11 @@ def _pd_calls(monkeypatch):
     return calls
 
 
-def test_lost_iterations_restart_from_the_first_center(monkeypatch):
-    # Capped at one iteration, the primal-dual iterations from the first
-    # stage's center lose their way; the barrier stages go on from that
-    # center, as with no iterations at all, and never return to the start.
+def test_lost_iterations_restart_from_the_start(monkeypatch):
+    # Capped at one iteration, the primal-dual iterations of the trajectory
+    # program lose their way; the barrier stages then solve it from the
+    # caller's start, as with no iterations at all, and the one system the
+    # iterations factored (a floor applies at this start) is counted.
     prob, start = _coordination_trajectory_program()
     calls = _pd_calls(monkeypatch)
     full = solve_concave(prob, start)
@@ -462,19 +461,34 @@ def test_lost_iterations_restart_from_the_first_center(monkeypatch):
     assert calls == [False, True, True]
     assert full.status is capped.status is Status.OPTIMAL
     assert capped.objective == pytest.approx(full.objective, rel=1e-9)
-    assert np.array_equal(capped.x, barrier.x) and capped.iterations == barrier.iterations
-    monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
-    at_start = [np.array_equal(x, start) for x, *_ in _newton_systems(prob, start)]
-    assert at_start[0] and not any(at_start[at_start.index(False):])
+    assert np.array_equal(capped.x, barrier.x) and capped.iterations == barrier.iterations + 1
+
+
+def test_square_and_pair_rows_start_at_floored_duals():
+    # The start duals are lambda = 1/(t0 s), except on rows with square or
+    # pair terms, where the slack is floored at DUAL_FLOOR times the median
+    # slack.  The trajectory program's energy rows start at slacks near
+    # 1e-10, so a floor applies, and the first iteration factors its own
+    # system (system 1, after the start weight's) with lambda as the
+    # curvature weights.
+    prob, start = _coordination_trajectory_program()
+    lay, s = prob._compiled(), prob.slacks(start)
+    floor = kernel.DUAL_FLOOR * np.median(s)
+    assert (lay.quad & (s < floor)).any() and (~lay.quad).any()
+    x, w, lam, *_ = _newton_systems(prob, start)[1]
+    assert np.array_equal(x, start)
+    inv_t0 = lam[~lay.quad][0] * s[~lay.quad][0]
+    assert lam == pytest.approx(np.where(lay.quad, np.maximum(s, floor), s) ** -1 * inv_t0,
+                                rel=1e-12)
+    assert w == pytest.approx(np.sqrt(lam / s), rel=1e-12)
 
 
 def test_primal_dual_ending_certifies_its_last_iterate(monkeypatch):
     # A solve that the primal-dual iterations end returns their last
     # iterate, certified by its own (s, lambda): the gap s^T lambda, within
     # the barrier's last gap, and the largest entry of the dual residual
-    # sum_i lambda_i grad g_i - e as stationarity.  The log toy takes the
-    # iterations from its start, the trajectory program from its first
-    # stage's center.
+    # sum_i lambda_i grad g_i - e as stationarity.  Both the log toy and
+    # the trajectory program take the iterations from their start.
     ends = []
     predictor_corrector = kernel._predictor_corrector
 
@@ -503,17 +517,39 @@ def test_primal_dual_ending_certifies_its_last_iterate(monkeypatch):
             np.abs(r).max(), rel=1e-9, abs=1e-12 * float((np.abs(G.T) @ lam).max()))
 
 
-def test_uncentered_first_stage_takes_the_barrier_stages(monkeypatch):
-    # With 10 steps per stage the first stage runs out before it centers:
-    # no primal-dual iterations, and the barrier stages still solve it.
-    prob, start = _coordination_trajectory_program()
-    full = solve_concave(prob, start)
-    calls = _pd_calls(monkeypatch)
-    monkeypatch.setattr(kernel, "MAX_STAGE_STEPS", 10)
-    out = solve_concave(prob, start)
-    assert not calls
-    assert out.status is Status.OPTIMAL
-    assert out.objective == pytest.approx(full.objective, rel=1e-9)
+def test_quadratic_rows_take_the_exact_step(monkeypatch):
+    # Along a step, the slack of a row with square or pair terms falls
+    # below its linearization by a^2 q exactly, and the primal step takes
+    # its fraction to the boundary from that root.  The joint trajectory
+    # program has no log rows, so no trial point leaves the domain: the
+    # slacks are evaluated at the start and once per iteration.  From the
+    # linearized slacks (q = 0), trials overshoot and backtrack.
+    cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=12)
+    traj = direct_flight_trajectory(cfg)
+    alloc = initial_allocation_comp(cfg, traj, solve_infinite_comp(cfg, tau_grid=100))
+    prob, start = _traj_subproblem_comp(cfg, optimize_time_comp(cfg, traj, alloc.tx_power),
+                                        traj.positions)[:2]
+    assert prob._compiled().quad.any() and not prob._compiled().groups
+    evaluations = []
+    slacks = kernel._Layout.slacks
+
+    def counted(layout, x):
+        s = slacks(layout, x)
+        evaluations.append(s.min() > 0.0)
+        return s
+
+    monkeypatch.setattr(kernel._Layout, "slacks", counted)
+    outcomes = []
+    for linearized in (False, True):
+        if linearized:
+            monkeypatch.setattr(kernel._Layout, "curvature", lambda layout, d: np.zeros(layout.m))
+        evaluations.clear()
+        outcomes.append(solve_concave(prob, start))
+        assert outcomes[-1].status is Status.OPTIMAL
+        rejected = evaluations.count(False)
+        assert (rejected > 0) if linearized else (
+            rejected == 0 and len(evaluations) == outcomes[-1].iterations + 1)
+    assert outcomes[1].objective == pytest.approx(outcomes[0].objective, rel=1e-9)
 
 
 def test_newton_step_matches_dense_reference(monkeypatch):
@@ -527,7 +563,7 @@ def test_newton_step_matches_dense_reference(monkeypatch):
     for prob, start in _captured_subproblems(monkeypatch):
         lay = prob._compiled()
         sides.add(lay.structured)
-        kind = ("log" if lay.groups else "affine") if lay.primal_dual else "square"
+        kind = "square" if lay.quad.any() else "log" if lay.groups else "affine"
         for i, (x, w, c, rhs, d) in enumerate(_newton_systems(prob, start)):
             if not np.array_equal(w, 1.0 / prob.slacks(x)):
                 pd_sides.add((kind, lay.structured))

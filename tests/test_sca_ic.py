@@ -206,21 +206,26 @@ def test_time_lp_solves_in_few_newton_systems(blocks, monkeypatch):
     assert max(out.iterations for out in outcomes) <= 40
 
 
-def _programs(monkeypatch, solver, cfg, kind):
-    """(problem, start) of every kernel call of `solver` on one kind of
-    program, told apart by its rows: "time" (affine rows only, the time
-    LPs), "power" (affine and log rows, the coordination power step) or
-    "trajectory" (square or pair terms, both modes' trajectory programs)."""
+def _programs(monkeypatch, solver, N, kind, durations=(20.0, 4.0)):
+    """(problem, start) of every kernel call of `solver` at D = 15 m, N
+    slots and each duration (s) on one kind of program, told apart by its
+    rows: "time" (affine rows only, the time LPs), "power" (affine and log
+    rows, the coordination power step) or "trajectory" (square or pair
+    terms, both modes' trajectory programs).  How many programs one closed
+    loop makes moves with its outer iterations; each config adds at least
+    one outer iteration's worth, so the two fixed configs of the default
+    keep the minimum counts below clear of that."""
     programs = []
 
     def kept(problem, start):
         lay = problem._compiled()
-        if kind == (("power" if lay.groups else "time") if lay.primal_dual else "trajectory"):
+        if kind == ("trajectory" if lay.quad.any() else "power" if lay.groups else "time"):
             programs.append((problem, start))
         return solve_concave(problem, start)
 
     monkeypatch.setattr(sca_ic, "solve_concave", kept)
-    solver(cfg)
+    for duration in durations:
+        solver(benchmark_config(15.0, duration, N))
     monkeypatch.undo()
     return programs
 
@@ -243,8 +248,8 @@ def _assert_few_newton_systems(monkeypatch, programs, budget):
 def test_coordination_time_lps_solve_in_few_newton_systems(monkeypatch):
     # The time LP's rows are all affine, so the kernel solves it by
     # primal-dual iterations from its start, which stop on their own gap
-    # (7-9 Newton systems here); the barrier stages alone take 79-83.
-    programs = _programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6), "time")
+    # (7-9 Newton systems here); the barrier stages alone take 81-83.
+    programs = _programs(monkeypatch, solve_p1, 6, "time")
     assert len(programs) >= 6
     _assert_few_newton_systems(monkeypatch, programs, 11)
 
@@ -252,23 +257,38 @@ def test_coordination_time_lps_solve_in_few_newton_systems(monkeypatch):
 def test_power_step_solves_in_few_newton_systems(monkeypatch):
     # The coordination power step has affine and log rows only, so the
     # kernel solves it by primal-dual iterations from its start (6-16
-    # Newton systems here); the barrier stages alone take 84-158 per call
+    # Newton systems here); the barrier stages alone take 60-158 per call
     # and one ends MAX_ITER.
-    programs = _programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6), "power")
+    programs = _programs(monkeypatch, solve_p1, 6, "power")
     assert len(programs) >= 10
     _assert_few_newton_systems(monkeypatch, programs, 18)
 
 
 def test_trajectory_programs_solve_in_few_newton_systems(monkeypatch):
     # Both modes' trajectory programs take primal-dual iterations from
-    # their first barrier stage's center to the end (20-34 Newton systems
-    # here); the barrier stages alone take 53-77 per program.
-    programs = (_programs(monkeypatch, solve_p1, benchmark_config(15.0, 20.0, 6), "trajectory")
-                + _programs(monkeypatch, solve_p21, benchmark_config(15.0, 20.0, 12),
-                            "trajectory"))
+    # their start to the end (11-31 Newton systems here); the barrier
+    # stages alone take 53-92 per program.
+    programs = (_programs(monkeypatch, solve_p1, 6, "trajectory")
+                + _programs(monkeypatch, solve_p21, 12, "trajectory"))
     assert len(programs) >= 7
-    barrier = _assert_few_newton_systems(monkeypatch, programs, 38)
+    barrier = _assert_few_newton_systems(monkeypatch, programs, 34)
     assert [ref.status for ref in barrier] == [Status.OPTIMAL] * len(programs)
+
+
+def test_paper_resolution_trajectory_programs_end_optimal(monkeypatch):
+    # At the paper's 0.1 s slots (D = 15 m, T = 50 s, N = 500) the two
+    # coordination trajectory programs (n = 1,997) ran out their first
+    # barrier stage and ended MAX_ITER after 422 and 486 Newton systems.
+    # From the start the primal-dual iterations end them in about 30 each,
+    # at or above the barrier stages' own objective.
+    programs = _programs(monkeypatch, solve_p1, 500, "trajectory", durations=(50.0,))
+    assert len(programs) == 2
+    outcomes = [solve_concave(*program) for program in programs]
+    monkeypatch.setattr(kernel, "MAX_PD_ITER", 0)
+    for out, program in zip(outcomes, programs):
+        ref = solve_concave(*program)
+        assert out.status is Status.OPTIMAL and out.iterations <= 120
+        assert out.objective >= ref.objective - 1e-9 * abs(ref.objective)
 
 
 def _refining_power_oracle(cfg, traj, uplink, budgets, rounds=3, grid=24):
