@@ -3,8 +3,8 @@
 
 For each config it records the wall time, the common rate, whether the
 solution passes `is_feasible`, whether its objective trace is monotone (by
-`grid_rates.py`'s rule) and, per kind of barrier subproblem (time LP, power
-step, trajectory step), the kernel calls, Newton steps, busy time,
+`grid_rates.py`'s rule) and, per kind of subproblem (time LP, power step,
+trajectory step), the kernel calls, Newton steps, busy time,
 milliseconds per Newton step, slack evaluations per Newton step, structured
 Newton systems with milliseconds and minor page faults per system, and kernel
 statuses; and the calls and busy time of the hovering-solution search the
@@ -14,23 +14,20 @@ through which the engines call it.  The kernel calls are counted by wrapping
 `sca_ic.solve_concave`, the name through which both engines call the kernel,
 and a call's kind is the name of the function that made it.  Slack
 evaluations are counted by wrapping `kernel._Layout.slacks`: one per
-line-search or primal-dual trial and one per call (the start check).
-The calls that took primal-dual iterations, and among them those whose
-iterations lost their way and restarted on the barrier stages, are counted
-by wrapping `kernel._predictor_corrector`, which a restart tells by
-returning its `x` argument unchanged; the Newton systems such iterations
-factored before they handed back their start are `pd_lost_systems`.  Structured Newton systems are
+primal-dual trial and one per call (the start check).  Runs of primal-dual
+iterations are counted by wrapping `kernel._predictor_corrector`: a kernel
+call's first run counts in `pd_calls`, and a second one, the restart from
+the start after the first lost its way, in `pd_restarts`.  A run that
+loses its way returns its `x` argument unchanged, and the Newton systems
+such runs factored are `pd_lost_systems`.  Structured Newton systems are
 counted and timed by wrapping `kernel._factor_band_updates`, which
 programs of at least `kernel.STRUCTURED_MIN_N` variables call once per
 factored Newton system, and the solve function it returns: a system's
 time and faults are its factorization's and those of every solve with it.
-A primal-dual iteration solves twice with its system, and the iterations
-end every solve in which they do not lose their way.  A barrier centering
-step solves once, and a stage's last system once more as the next stage's
-first.  The start weight's system also serves the first primal-dual
-iteration, unless the start duals of square or pair rows are floored, and
-the first centering step after iterations that lost their way.  The
-configs (D = 15 m) are:
+A primal-dual iteration solves twice with its system, once when it takes
+pure centering.  The start weight's system also serves the first iteration
+of each run, unless the start duals of square or pair rows are floored.
+The configs (D = 15 m) are:
 
 - coordination (`solve_p1`) and joint (`solve_p21`) at N=40, T=4 s;
 - both direct-flight solvers at N=80, T=20 s;
@@ -138,7 +135,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
 
     def counted(problem, start):
         kind = KINDS.get(sys._getframe(1).f_code.co_name, "other")
-        current.append(kind)
+        current.append([kind, 0])    # the call's kind and its primal-dual runs
         t0 = time.perf_counter()
         try:
             out = kernel_call(problem, start)
@@ -154,14 +151,15 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
     def counted_pd(lay, x, *args):
         out = pd_call(lay, x, *args)
         if current:
-            stats[current[-1]]["pd_calls"] += 1
-            stats[current[-1]]["pd_restarts"] += out[0] is x
-            stats[current[-1]]["pd_lost_systems"] += out[3] if out[0] is x else 0
+            rec = stats[current[-1][0]]
+            rec["pd_restarts" if current[-1][1] else "pd_calls"] += 1
+            rec["pd_lost_systems"] += out[3] if out[0] is x else 0
+            current[-1][1] += 1
         return out
 
     def counted_slacks(layout, x):
         if current:
-            stats[current[-1]]["slacks"] += 1
+            stats[current[-1][0]]["slacks"] += 1
         return slacks_call(layout, x)
 
     def timed(call, systems):
@@ -171,9 +169,10 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                 return call(*args)
             finally:
                 if current:
-                    stats[current[-1]]["band_solves"] += systems
-                    stats[current[-1]]["band_s"] += time.perf_counter() - t0
-                    stats[current[-1]]["band_minflt"] += \
+                    rec = stats[current[-1][0]]
+                    rec["band_solves"] += systems
+                    rec["band_s"] += time.perf_counter() - t0
+                    rec["band_minflt"] += \
                         resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
         return run
 

@@ -16,11 +16,12 @@ diag(lambda/s) G once, with Mehrotra's sigma safeguarded on curved rows
 (Salahi, Peng and Terlaky, SIAM J. Optim. 2007).  On rows with square or
 pair terms the start duals are floored and the primal step is cut at the
 exact quadratic slack (`_predictor_corrector`).  The iterations stop on
-their own gap, s^T lambda <= m / t_f with t_f the barrier's last stage
-weight, and the iterate they stop at is the outcome, certified by that gap
-and its dual residual.  Iterations that lose their way hand the solve back
-to the barrier stages t0, t0 MU, ..., t_f from the start, each centered
-loosely and the last to NEWTON_TOL.
+their own gap, s^T lambda <= m / t_f with t_f the first weight t0 MU^k at
+which the barrier's gap m / t_f is within that tolerance, and the iterate
+they stop at is the outcome, certified by that gap and its dual residual.
+Iterations that lose their way run once more from the start, opening with
+pure centering; a solve whose restart loses its way too returns its start
+as MAX_ITER.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -40,22 +41,13 @@ the whole Hessian is faster, and that is used instead.  On both paths the
 log groups of all rows are evaluated at once, in one stacked evaluation per
 kind.
 
-A Newton step is damped by backtracking until the barrier function
-psi = -t R - sum(ln s) passes the Armijo test with an allowance for its own
-rounding, eps_psi = PSI_ROUNDING u (t |R| + sum |ln s|), u the machine
-epsilon (as in approximate-Wolfe line searches, Hager and Zhang, SIAM J.
-Optim. 2005): a decrement below that floor takes the full step, where the
-plain test would backtrack on noise.  Slacks are evaluated once per trial,
-and the accepted trial's slacks serve the next step.
-
-The duals start at, and the first barrier stage runs at, the weight
-t0 = clip(t*, 1, START_WEIGHT_MAX), where
-t* = e^T H^-1 grad phi / e^T H^-1 e (phi = -sum(ln s), H its Hessian, e the
-epigraph column) minimizes the start's Newton decrement ||grad phi - t e||
-in the H^-1 norm (Boyd and Vandenberghe, Convex Optimization, 11.3.1).  The
-callers' starts are warm, and a weight of 1 walks away from them.  Cold
-starts keep t = 1; the cap keeps warm starts out of stages whose damped
-steps cannot center rows far from self-concordant.
+The duals start central for the weight t0 = clip(t*, 1, START_WEIGHT_MAX),
+lambda = 1/(t0 s), where t* = e^T H^-1 grad phi / e^T H^-1 e (phi =
+-sum(ln s), H its Hessian, e the epigraph column) minimizes the start's
+Newton decrement ||grad phi - t e|| in the H^-1 norm (Boyd and
+Vandenberghe, Convex Optimization, 11.3.1): the weight at which the start
+is most nearly central.  The callers' starts are warm, and a weight of 1
+walks away from them; cold starts keep t = 1.
 """
 
 from __future__ import annotations
@@ -79,25 +71,24 @@ class StartInfeasible(RuntimeError):
     """The supplied start point is not strictly feasible."""
 
 
-# Barrier settings, read when `solve_concave` runs.
-MU = 10.0               # barrier parameter growth per stage
-# Cap of the start weight: uncapped, 99 trajectory-step calls of the N = 12
-# joint grid end MAX_ITER and its Newton steps go 5,052 -> 68,512; caps of
-# 1e2 to 1e4 all give the N = 500 coordination rate 6.4295 (D = 15, T = 50).
+# Interior-point settings, read when `solve_concave` runs.
+MU = 10.0               # growth factor from the start weight to t_f
+# Cap of the start weight: uncapped, the -100 dBm N = 6 coordination and
+# N = 12 joint grids take 3,535 Newton systems instead of 3,628, all calls
+# OPTIMAL, but coordination rates move by up to 3.4e-4 relative.
 START_WEIGHT_MAX = 1e3
-ARMIJO = 0.25           # sufficient-decrease fraction
-PSI_ROUNDING = 4.0      # rounding allowance of the Armijo test, in ulps per term
-MACHINE_EPS = np.finfo(float).eps  # u of the allowance
 BACKTRACK = 0.5         # step shrink factor
 GAP_ABS = 1e-9
 GAP_REL = 1e-9
-NEWTON_TOL = 1e-8       # half squared Newton decrement
-MAX_STAGE_STEPS = 100
-MAX_STAGES = 64
-# Primal-dual iterations per solve.  At 50, the first N = 500 coordination
-# power step ran out at R = 3.9111380, a gap of 1.5e-8 short of its last
-# stage, and restarted on the barrier.
+# Primal-dual iterations per run.  At 50, the first N = 500 coordination
+# power step ran out at R = 3.9111380, a gap of 1.5e-8 short of its t_f.
 MAX_PD_ITER = 100
+# Pure centering iterations that open the run after one that lost its way.
+# On the -80 dBm N = 6 grid block, 3 to 20 end all 186 kernel calls OPTIMAL,
+# with rates within 3e-8 of one another, and 1 ends 16 MAX_ITER.  At 3 the
+# one-slot power step of `test_no_interference_uses_full_budget` stops short
+# of its budget.
+RESTART_CENTERING = 5
 # Start duals of rows with square or pair terms use slacks of at least this
 # fraction of the median slack; floors of 1e-3 and 1e-2 left one or both
 # N = 500 coordination trajectory programs past MAX_PD_ITER.
@@ -481,8 +472,8 @@ class _Layout:
     def factor(self, gv: np.ndarray, hv: np.ndarray, w: np.ndarray):
         """Factor the band part plus the dense rows' z z^T, z a dense row's
         gradient times its weight w, and return the function that solves
-        with it.  The barrier weights rows by 1/s, the primal-dual
-        iterations by sqrt(lambda/s)."""
+        with it.  The start weight's barrier Hessian weights rows by 1/s,
+        the primal-dual iterations by sqrt(lambda/s)."""
         n, k = self.n, self.k
         Z = np.bincount(self.z_target, gv[self.dz] * w[self.dz_row],
                         minlength=k * n).reshape(k, n)
@@ -509,13 +500,13 @@ def _damped(solve):
             return solve(damp)
         except np.linalg.LinAlgError:
             damp = 1e-12 if damp == 0.0 else damp * 10.0
-    raise np.linalg.LinAlgError("barrier Hessian could not be factorized")
+    raise np.linalg.LinAlgError("Newton matrix could not be factorized")
 
 
 def _factor_spd(H: np.ndarray):
     """Factor H and return the function that solves with it."""
-    # Jacobi equilibration keeps the factorization well-scaled; the barrier
-    # Hessian mixes position, slack and epigraph blocks of wildly different
+    # Jacobi equilibration keeps the factorization well-scaled; the Newton
+    # matrix mixes position, slack and epigraph blocks of wildly different
     # magnitudes.
     d = np.sqrt(np.maximum(H.diagonal(), 1e-300))
     inv_d = 1.0 / d
@@ -525,7 +516,7 @@ def _factor_spd(H: np.ndarray):
         M = Hs if damp == 0.0 else Hs + damp * np.eye(Hs.shape[0])
         L, info = dpotrf(M, lower=1, clean=0)
         if info:
-            raise np.linalg.LinAlgError("barrier Hessian is not positive definite")
+            raise np.linalg.LinAlgError("Newton matrix is not positive definite")
         return L
 
     L = _damped(factor)
@@ -619,7 +610,7 @@ def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float):
         if i + 1 < k:
             P[i + 1:, 1:] -= pt * np.add.accumulate(pd * P[i + 1:, :-1], axis=1)
     if not d[-1] > 0.0:
-        raise np.linalg.LinAlgError("singular barrier Hessian")
+        raise np.linalg.LinAlgError("singular Newton matrix")
     # The back sweep runs the updates last to first, each from the end.
     back = (PD[::-1], P[::-1, :0:-1].copy(), 1.0 / T[::-1, :0:-1])
 
@@ -639,19 +630,13 @@ def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float):
 
 
 # ---------------------------------------------------------------------------
-# Barrier engine
+# Primal-dual engine
 # ---------------------------------------------------------------------------
 
-def _gap_closed(m: int, t: float, R: float) -> bool:
-    """Whether the barrier's gap m/t at weight t is within the tolerance:
-    the stage at t is the last one."""
-    return m / t <= GAP_ABS + GAP_REL * abs(R)
-
-
 def _last_weight(t: float, m: int, R: float) -> float:
-    """The barrier's last stage weight from t, the first t MU^k whose gap is
-    closed at R, multiplied up as the stages are."""
-    while not _gap_closed(m, t, R):
+    """t_f from t: the first t MU^k whose barrier gap m / t_f is within
+    GAP_ABS + GAP_REL |R|."""
+    while m / t > GAP_ABS + GAP_REL * abs(R):
         t *= MU
     return t
 
@@ -675,7 +660,7 @@ def _boundary_step(v: np.ndarray, dv: np.ndarray, frac: float, curv=None) -> flo
 
 
 def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
-                         gv: np.ndarray, solve0, w: np.ndarray):
+                         gv: np.ndarray, solve0, w: np.ndarray, centering: int):
     """Mehrotra predictor-corrector iterations on the rows g(x) + s = 0
     (Wright, Primal-Dual Interior-Point Methods, 1997, ch. 10) from the
     caller's strictly feasible start x, with slacks s and the duals
@@ -684,8 +669,8 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     matrix sum_i lambda_i grad^2 g_i + G^T diag(lambda/s) G once and solves
     with it twice: the affine-scaling predictor H^-1 e, then the corrector
     H^-1 (e - G^T (target/s)) toward sigma mu with sigma = (mu_aff/mu)^3,
-    though not past the central point at t_f, the barrier's last stage
-    weight from t0 at the current R.  The primal iterate stays feasible;
+    though not past the central point at t_f = `_last_weight`(t0, m, R) at
+    the current R.  The primal iterate stays feasible;
     the duals may start infeasible.  With no floor applied, the matrix at
     the start duals is the barrier Hessian over t0, so the first iteration
     solves with its factorization `solve0` (gv its row gradients,
@@ -698,13 +683,13 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     upper bound where the row also holds log groups), and the primal step
     takes its fraction to the boundary from that root, as s + a ds
     overshoots.  The 73 trajectory programs of the N = 6 coordination and
-    N = 12 joint grids take 1,240 systems so, 2,245 from their first
-    barrier stage's center.  Without the floor and the residual test below
-    one ended 9.2e-4 below its optimum; flooring log and affine rows too
-    made the power steps take 2,501 systems, not 1,680.  Near an active
-    speed row a centering direction can run along the row's tangent, where
-    q cuts each step to about ds / q: one joint N = 12 program took 96 pure
-    centering iterations at steps near 0.006 and restarted (175 systems).
+    N = 12 joint grids take 1,240 systems so.  Without the floor and the
+    residual test below one ended 9.2e-4 below its optimum; flooring log
+    and affine rows too made the power steps take 2,501 systems, not 1,680.
+    Near an active speed row a centering direction can run along the row's
+    tangent, where q cuts each step to about ds / q: one joint N = 12
+    program took 96 pure centering iterations at steps near 0.006 and lost
+    its way (175 systems).
     From the CORRECT_AFTER-th pure centering iteration in a row, each
     solves once more with the target raised by lambda q, aiming at the
     exact slacks s + ds - q (a second-order correction, Nocedal and Wright,
@@ -730,14 +715,23 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     floored start is not central.  They return (x, s, (lambda, ||r||),
     systems factored), ||r|| the largest entry of r there: the solve ends
     at that iterate.  When MAX_PD_ITER runs out first, the primal step
-    collapses or the residual leaves its neighborhood, they return their x
-    and s arguments themselves and None, and the caller's barrier stages
-    solve from the start."""
+    collapses or the residual leaves its neighborhood, they have lost their
+    way and return their x and s arguments themselves and None.
+
+    The caller then runs them once more from its start with `centering` =
+    RESTART_CENTERING: the first `centering` iterations are pure centering
+    ones (with no floor, the first is the barrier's Newton step at t0), and
+    the residual neighborhood is not kept, as the restarts of two small log
+    programs leave it and lose their way.  On the -80 dBm N = 6 block of
+    `scripts/grid_rates.py` 42 of the 186 kernel calls lose their way, all
+    power steps whose curved rate rows' slacks fall far below their
+    linearization, and every restart ends OPTIMAL.  Nothing bounds a
+    restart's dual residual, which its outcome's stationarity reports."""
     m = lay.m
     x0, s0 = x, s
     quad = bool(lay.quad.any())
     safeguarded = bool(lay.stacks) or quad
-    bounded = bool(lay.stacks) and not quad
+    bounded = bool(lay.stacks) and not quad and not centering
     floor = DUAL_FLOOR * float(np.median(s)) if quad else 0.0
     floored = bool((lay.quad & (s < floor)).any())
     lam = 1.0 / (t0 * np.maximum(s, floor, where=lay.quad, out=s.copy()))
@@ -770,7 +764,7 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
         else:
             def solve(rhs):
                 return t0 * solve0(rhs)
-        if recentered:
+        if recentered or it < centering:
             mu = target = max(gap / m, 1.0 / t_f)
         else:
             # Predictor: the affine-scaling direction, sigma = 0.
@@ -822,17 +816,13 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     Primal-dual iterations (`_predictor_corrector`) from the start end the
     solve.  Their outcome is OPTIMAL, with the gap s^T lambda, the largest
     entry of the dual residual e - sum_i lambda_i grad g_i as stationarity
-    and the dual bound R + s^T lambda.  When they lose their way, the
-    barrier stages t0, t0 MU, ... solve from the start, with the line
-    search's Armijo test plus eps_psi (module docstring).  A barrier outcome
-    is OPTIMAL once its last stage centers, with the gap m / t_f and the
-    largest entry of grad phi / t_f - e as stationarity.  The barrier
-    Hessian does not depend on t, so the iterations' (with no dual floor)
-    and the first stage's first Newton system is the start weight's, and a
-    later stage's first the previous stage's last.  Slacks are evaluated at
-    the start and once per line-search or primal-dual trial point; every
-    other use takes those of the point's evaluation.  `iterations` counts
-    the Newton systems factored after the start weight's, lost ones too.
+    and the dual bound R + s^T lambda.  When they lose their way they run
+    once more from the start, with the same start weight and its system,
+    opening with RESTART_CENTERING pure centering iterations; when those
+    lose their way too, the outcome is the start itself, MAX_ITER, with gap,
+    stationarity and dual bound inf.  Slacks are evaluated at the start and
+    once per primal-dual trial point.  `iterations` counts the Newton
+    systems factored after the start weight's, lost ones too.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
     """
@@ -844,10 +834,8 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     if s.size and s.min() <= 0.0:
         raise StartInfeasible(f"start violates {int((s <= 0).sum())} row(s); "
                               f"worst slack {s.min():.3e}")
-    m = problem.num_rows
     # Start weight t0 (module docstring): one Newton solve, w = H^-1 e.  Its
-    # system, (gradients, barrier gradient, solve), serves the first
-    # primal-dual iteration and the first centering step at the start too.
+    # system serves the first iteration of both runs from the start.
     inv_s = 1.0 / s
     gv, hv = lay.derivatives(x, inv_s, inv_s)
     e = np.zeros(problem.n)
@@ -856,69 +844,11 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     w = solve(e)
     grad0 = lay.gradient(gv, inv_s)
     t = min(START_WEIGHT_MAX, max(1.0, float(w @ grad0) / float(w[-1])))
-    system = (gv, grad0, solve)
-    x_pd, s_pd, ended, total_steps = _predictor_corrector(lay, x, s, t, gv, solve, w)
-    if ended:
-        return _outcome(x_pd, s_pd, Status.OPTIMAL, total_steps,
-                        float(s_pd @ ended[0]), ended[1])
-    log_s = np.log(s)
-    # Intermediate stages are centered loosely (long-step style); the final
-    # stage is polished to the tight Newton tolerance.
-    loose = max(1e-6, NEWTON_TOL)
-    for _stage in range(MAX_STAGES):
-        # Damped Newton centering at t from x, with `system` the Newton
-        # system at x (None after a step), until the half squared decrement
-        # dec is within tol, the step cap runs out or the line search
-        # collapses.
-        tol = NEWTON_TOL if _gap_closed(m, t, x[-1]) else loose
-        for _it in range(MAX_STAGE_STEPS):
-            if system is None:
-                inv_s = 1.0 / s
-                gv, hv = lay.derivatives(x, inv_s, inv_s)
-                system = (gv, lay.gradient(gv, inv_s), lay.factor(gv, hv, inv_s))
-                total_steps += 1
-            gv, grad, solve = system
-            grad = grad.copy()
-            grad[-1] -= t
-            d = solve(-grad)
-            dec = float(-grad @ d) / 2.0
-            if dec <= tol:
-                break
-            # First-order cap on the step keeps most trials inside the domain.
-            alpha = _boundary_step(s, -lay.row_dot(gv, d), STEP_FRACTION)
-            f0 = -t * float(x[-1]) - float(log_s.sum())
-            gd = float(grad @ d)
-            # Armijo test with an allowance for psi's own rounding; the
-            # accepted trial's slacks and their logs serve the next step.
-            ceiling = f0 + PSI_ROUNDING * MACHINE_EPS * (t * abs(float(x[-1]))
-                                                         + float(np.abs(log_s).sum()))
-            while True:
-                trial = x + alpha * d
-                s_try = lay.slacks(trial)
-                if s_try.min() > 0.0:
-                    log_try = np.log(s_try)
-                    psi_try = -t * float(trial[-1]) - float(log_try.sum())
-                    if psi_try <= ceiling + ARMIJO * alpha * gd:
-                        break
-                alpha *= BACKTRACK
-                if alpha < 1e-16:
-                    break
-            if alpha < 1e-16:
-                break
-            x, s, log_s, system = trial, s_try, log_try, None
-        if _gap_closed(m, t, x[-1]):
-            break
-        t *= MU
-    # m/t bounds the suboptimality only on the central path, so an iterate
-    # whose final centering stopped short of the Newton tolerance certifies
-    # no gap and no dual bound.
-    converged = dec <= NEWTON_TOL and _gap_closed(m, t, float(x[-1]))
-    if system is None:
-        inv_s = 1.0 / s
-        grad = lay.gradient(lay.derivatives(x, inv_s, inv_s)[0], inv_s)
-    else:
-        grad = system[1]
-    residual = grad / t
-    residual[-1] -= 1.0
-    return _outcome(x, s, Status.OPTIMAL if converged else Status.MAX_ITER, total_steps,
-                    m / t if converged else np.inf, float(np.abs(residual).max()))
+    systems = 0
+    for centering in (0, RESTART_CENTERING):
+        x_pd, s_pd, ended, used = _predictor_corrector(lay, x, s, t, gv, solve, w, centering)
+        systems += used
+        if ended:
+            return _outcome(x_pd, s_pd, Status.OPTIMAL, systems, float(s_pd @ ended[0]),
+                            ended[1])
+    return _outcome(x, s, Status.MAX_ITER, systems, np.inf, np.inf)

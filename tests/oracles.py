@@ -9,7 +9,9 @@ received powers of joint energy beamforming, the analytic derivative of
 the charging-hover objective, and scalar references of the hovering
 solutions' charging-time search and of the zero-forcing sampler: one
 scalar rate evaluation per grid point, and the sampler with its
-temporaries, which the array forms must reproduce bit for bit.
+temporaries, which the array forms must reproduce bit for bit.  Last, a
+plain barrier method whose objective the kernel's solves are checked
+against.
 """
 
 from __future__ import annotations
@@ -258,3 +260,46 @@ def reference_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int
     snr = Q[None, :] * det2[:, None] / (cfg.noise_power * g[::-1].sum(axis=1))
     rates = np.log2(1.0 + snr)
     return tuple(_estimate(rates[:, k], seed) for k in range(2))
+
+
+def barrier_objective(problem, start, t: float = 1.0) -> float:
+    """Objective of the plain barrier method (Boyd and Vandenberghe, Convex
+    Optimization, Algorithm 11.1) on a kernel `Problem` from its strictly
+    feasible start: maximize the last variable R by centering
+    psi = -t R - sum(ln s) at t, 10 t, 100 t, ... with damped Newton steps,
+    each backtracked by halves until it stays feasible and passes the Armijo
+    test with fraction 0.25, until the gap m / t is within 1e-9 (1 + |R|).
+    A stage stops once the half squared Newton decrement is within 1e-8,
+    after 100 steps, or when the line search finds no decrease (at psi's
+    rounding).  The problem's compiled rows give the slacks, the barrier
+    Hessian and its factorization, so programs of thousands of variables
+    stay affordable; nothing else of the kernel's solver is used."""
+    lay = problem._compiled()
+    x = np.asarray(start, dtype=float).copy()
+    s = lay.slacks(x)
+    assert s.min() > 0.0, "start is not strictly feasible"
+    while True:
+        for _ in range(100):
+            inv_s = 1.0 / s
+            gv, hv = lay.derivatives(x, inv_s, inv_s)
+            grad = lay.gradient(gv, inv_s)
+            grad[-1] -= t
+            d = lay.factor(gv, hv, inv_s)(-grad)
+            slope = float(grad @ d)
+            if -slope / 2.0 <= 1e-8:
+                break
+            psi = -t * x[-1] - np.log(s).sum()
+            alpha = 1.0
+            while alpha > 1e-16:
+                trial = x + alpha * d
+                s_try = lay.slacks(trial)
+                if s_try.min() > 0.0 and \
+                        -t * trial[-1] - np.log(s_try).sum() <= psi + 0.25 * alpha * slope:
+                    break
+                alpha /= 2.0
+            else:
+                break
+            x, s = trial, s_try
+        if lay.m / t <= 1e-9 * (1.0 + abs(x[-1])):
+            return float(x[-1])
+        t *= 10.0

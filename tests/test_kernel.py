@@ -5,10 +5,12 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import benchmark_config
+from oracles import barrier_objective
 from wpcn_traj import (Problem, StartInfeasible, Status, direct_flight_trajectory,
                        kernel, sca_ic, solve_concave, solve_infinite_comp,
                        solve_infinite_ic)
 from wpcn_traj.kernel import LogGroup, NegLogGroup
+from wpcn_traj.model import dbm_to_watt
 from wpcn_traj.sca_comp import (_traj_subproblem_comp, initial_allocation_comp,
                                 optimize_time_comp)
 from wpcn_traj.sca_ic import (_traj_subproblem_ic, initial_allocation_ic,
@@ -118,14 +120,18 @@ class TestSolveConcave:
             assert g[i] == pytest.approx(num, rel=1e-5)
 
     def test_step_cap_reports_max_iter(self, monkeypatch):
-        # The toy's rows are affine and log rows, so primal-dual iterations
-        # run first; capped at one, they hand the solve to the barrier
-        # stages, whose step cap then runs out.
-        monkeypatch.setattr(kernel, "MAX_STAGE_STEPS", 1)
+        # Capped at one iteration, the primal-dual iterations lose their way
+        # on the toy, and so does their restart: the solve returns its
+        # start, which certifies no gap and no dual bound.  Neither run
+        # factors a system, as each first iteration solves with the start
+        # weight's.
         monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
-        out = solve_concave(_toy_epigraph(), np.array([0.5, 0.7, 0.1]))
-        assert out.status is Status.MAX_ITER
-        # An uncentered iterate certifies no gap and no dual bound.
+        calls = _pd_calls(monkeypatch)
+        start = np.array([0.5, 0.7, 0.1])
+        out = solve_concave(_toy_epigraph(), start)
+        assert calls == [True, True]
+        assert out.status is Status.MAX_ITER and out.iterations == 0
+        assert np.array_equal(out.x, start)
         assert out.residuals["gap"] == np.inf
         assert out.residuals["dual_bound"] == np.inf
 
@@ -140,34 +146,28 @@ class TestSolveConcave:
         assert out.status is Status.OPTIMAL
         assert out.x[0] == pytest.approx(1.0, abs=1e-7)
 
-    def test_primal_dual_cap_hands_over_to_the_barrier(self, monkeypatch):
+    def test_lost_iterations_hand_over_to_the_restart(self, monkeypatch):
         # maximize min(3 u1 + u2, u1 + 2 u2) s.t. u1 + u2 <= 1, u >= 0: the
-        # optimum is u = (1/3, 2/3), R = 5/3.  Its rows are all affine, so
-        # primal-dual iterations run first; once their cap runs out, the
-        # barrier stages solve it from the start.  Capped at one iteration,
-        # they factor no system: the first solves with the start weight's.
+        # optimum is u = (1/3, 2/3), R = 5/3.  Its rows are all affine, and
+        # the iterations from its start end it.  On the log toy they leave
+        # their residual neighborhood at the second iteration, before
+        # factoring a system, and the restart from the start ends the solve
+        # at R = ln 2 in 13 systems.
         prob = Problem(3)
         prob.add_affine([[0, 1, 2], [0, 1, 2]], [[-3.0, -1.0, 1.0], [-1.0, -2.0, 1.0]], [0.0, 0.0])
         prob.add_affine([0, 1], [1.0, 1.0], 1.0)
         prob.add_bounds([0, 1])
-        start = np.array([0.2, 0.2, 0.1])
-        pd_steps = []
-        predictor_corrector = kernel._predictor_corrector
-
-        def counted(*args):
-            out = predictor_corrector(*args)
-            pd_steps.append(out[3])
-            return out
-
-        monkeypatch.setattr(kernel, "_predictor_corrector", counted)
-        full = solve_concave(prob, start)
-        monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
-        capped = solve_concave(prob, start)
-        assert pd_steps[0] > 1 and pd_steps[1] == 0
-        for out in (full, capped):
-            assert out.status is Status.OPTIMAL
-            assert out.objective == pytest.approx(5.0 / 3.0, abs=1e-8)
-            assert out.x[:2] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-7)
+        calls = _pd_calls(monkeypatch)
+        out = solve_concave(prob, np.array([0.2, 0.2, 0.1]))
+        assert calls == [False]
+        assert out.status is Status.OPTIMAL
+        assert out.objective == pytest.approx(5.0 / 3.0, abs=1e-8)
+        assert out.x[:2] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-7)
+        calls.clear()
+        out = solve_concave(_toy_epigraph(), np.array([0.5, 0.7, 0.1]))
+        assert calls == [True, False]
+        assert out.status is Status.OPTIMAL and out.iterations == 13
+        assert out.objective == pytest.approx(np.log(2.0), abs=1e-8)
 
     def test_scalar_group_fields_apply_to_every_term(self):
         def solve(offsets, weights, bases, scales):
@@ -191,16 +191,15 @@ class TestSolveConcave:
 
 
 # ---------------------------------------------------------------------------
-# The line search
+# Trial points
 # ---------------------------------------------------------------------------
 
 def test_one_slack_evaluation_per_trial_point(monkeypatch):
-    # Slacks are evaluated at the start and once per line-search or
-    # primal-dual trial; every stage start and the final residuals take
-    # those of the point's own evaluation.  The toy's primal-dual
-    # iterations from its start lose their way, and the barrier stages
-    # restart from the start; with a square row the iterations from the
-    # start end the solve.
+    # Slacks are evaluated at the start and once per primal-dual trial;
+    # the restart and the final residuals take those of the point's own
+    # evaluation.  The toy's primal-dual iterations from its start lose
+    # their way and restart from the start; with a square row the
+    # iterations from the start end the solve.
     points = []
     slacks = kernel._Layout.slacks
 
@@ -218,21 +217,21 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
         calls.clear()
         out = solve_concave(prob, start)
         assert out.status is Status.OPTIMAL
-        assert calls == [not square_row]
-        # Every trial point is new, and only the last Newton system of the
-        # last barrier stage takes no step: a stage's last system is the
-        # next stage's first.
+        assert calls == ([False] if square_row else [True, False])
+        # Every trial point is new, and each factored system takes at least
+        # one trial step: a run stops before factoring.
         trials = len({p.tobytes() for p in points}) - 1
         assert np.array_equal(points[0], start) and np.array_equal(points[-1], out.x)
-        assert trials >= out.iterations - 1
+        assert trials >= out.iterations
         assert len(points) == trials + 1
 
 
 def test_coordination_solve_converges_below_the_rounding_floor(monkeypatch):
-    # In the late barrier stages (t ~ 1e10) the Newton decrement falls below
-    # the rounding of the barrier function itself; an Armijo test that
-    # compares that noise backtracks every step to no gain until the stage's
-    # step cap runs out.
+    # The primal-dual iterations stop on their own gap, s^T lambda <= m /
+    # t_f with t_f ~ 1e10, where the barrier function's rounding exceeds
+    # its Newton decrement and an Armijo test on it would compare noise.
+    # Every kernel call of the solve ends OPTIMAL, at few slack evaluations
+    # per Newton system.
     outcomes, evaluations, in_kernel = [], [0], [False]
     kernel_call, slacks = sca_ic.solve_concave, kernel._Layout.slacks
 
@@ -324,9 +323,8 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
     # plain, Jacobi-scaled and refined dense solves give t* = 15.07757 to
     # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.  Every
     # program takes primal-dual iterations, whose duals start at the
-    # central ones of that weight, lambda = 1/(t s); when they lose their
-    # way (here, with none allowed) the first barrier stage runs at that
-    # weight from the start.
+    # central ones of that weight, lambda = 1/(t s), and so does the
+    # restart of iterations that lose their way (the toy's).
     calls = []
 
     def keep(prob, start):
@@ -351,17 +349,21 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
         t_star = _t_star(prob, x0)
         assert 1.0 < t_star < kernel.START_WEIGHT_MAX
         solve_concave(prob, x0)
-        t = weights.pop()
+        t, *restart = weights
+        assert restart == [t] * len(restart)
         assert t == pytest.approx(np.clip(t_star, 1.0, kernel.START_WEIGHT_MAX), rel=rel)
-    # System 0 is the start weight's own solve, with rhs e, and it serves
-    # the first centering step, rhs = -(grad - t e) at the start.
-    monkeypatch.setattr(kernel, "MAX_PD_ITER", 0)
-    prob = _toy_epigraph(square_row=True)
-    x, _, _, rhs, _ = _newton_systems(prob, start)[1]
-    assert np.array_equal(x, start)
-    assert weights.pop() == pytest.approx(rhs[-1] + _barrier_gradient(prob, start)[-1],
-                                          rel=1e-12)
-    assert not weights
+        weights.clear()
+    # System 0 is the start weight's own solve, with rhs e.  The toy's first
+    # run solves with it once (system 1) and loses its way; the restart
+    # opens with pure centering, whose first solve with it (system 2) is
+    # the barrier's Newton step at t from the start: t rhs = t e - grad.
+    prob = _toy_epigraph()
+    x, _, _, rhs, _ = _newton_systems(prob, start)[2]
+    t, t_restart = weights
+    assert np.array_equal(x, start) and t_restart == t
+    e = np.zeros(3)
+    e[-1] = 1.0
+    assert t * rhs == pytest.approx(t * e - _barrier_gradient(prob, start), rel=1e-12)
 
 
 def _captured_subproblems(monkeypatch):
@@ -446,22 +448,83 @@ def _pd_calls(monkeypatch):
 
 
 def test_lost_iterations_restart_from_the_start(monkeypatch):
-    # Capped at one iteration, the primal-dual iterations of the trajectory
-    # program lose their way; the barrier stages then solve it from the
-    # caller's start, as with no iterations at all, and the one system the
-    # iterations factored (a floor applies at this start) is counted.
+    # Iterations that lose their way run once more from the caller's start:
+    # the same x and slacks, the same start weight and its system, opening
+    # with RESTART_CENTERING pure centering iterations.  Capped at one
+    # iteration, both runs on the trajectory program lose their way, and
+    # the one system each factored (a floor applies at this start) is
+    # counted.
     prob, start = _coordination_trajectory_program()
-    calls = _pd_calls(monkeypatch)
+    args = []
+    predictor_corrector = kernel._predictor_corrector
+
+    def recorded(*call):
+        args.append(call)
+        return predictor_corrector(*call)
+
+    monkeypatch.setattr(kernel, "_predictor_corrector", recorded)
     full = solve_concave(prob, start)
-    outcomes = []
-    for cap in (1, 0):
-        monkeypatch.setattr(kernel, "MAX_PD_ITER", cap)
-        outcomes.append(solve_concave(prob, start))
-    capped, barrier = outcomes
-    assert calls == [False, True, True]
-    assert full.status is capped.status is Status.OPTIMAL
-    assert capped.objective == pytest.approx(full.objective, rel=1e-9)
-    assert np.array_equal(capped.x, barrier.x) and capped.iterations == barrier.iterations + 1
+    monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
+    capped = solve_concave(prob, start)
+    assert [call[-1] for call in args] == [0, 0, kernel.RESTART_CENTERING]
+    first, restart = args[1:]
+    assert all(a is b for a, b in zip(first[:-1], restart[:-1]))
+    assert np.array_equal(first[1], start)
+    assert full.status is Status.OPTIMAL and capped.status is Status.MAX_ITER
+    assert np.array_equal(capped.x, start) and capped.iterations == 2
+
+
+def _first_power_step(monkeypatch, cfg):
+    """(cfg, trajectory, allocation) of the first coordination power step
+    `solve_p1(cfg)` takes: the start probe's, after its time LP."""
+    steps = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(cfg, traj, alloc, **_):
+        steps.append((cfg, traj, alloc))
+        raise Captured
+
+    monkeypatch.setattr(sca_ic, "optimize_power_ic", capture)
+    with pytest.raises(Captured):
+        sca_ic.solve_p1(cfg)
+    monkeypatch.undo()
+    return steps[0]
+
+
+def test_power_step_restart_ends_optimal(monkeypatch):
+    # At -80 dBm, D = 30 m, T = 20 s, N = 6 the first pass of the first
+    # power step loses its way from the start: a curved rate row's true
+    # slack falls far below its linearization.  The restart from the start
+    # ends it OPTIMAL at the plain barrier method's objective.  Capped at
+    # one iteration, both runs of every pass lose their way: each returns
+    # its start, certifying nothing, and the power step keeps its incumbent.
+    cfg, traj, alloc = _first_power_step(monkeypatch, benchmark_config(
+        30.0, 20.0, num_slots=6, noise_power=dbm_to_watt(-80.0)))
+    solves = []
+
+    def kept(prob, start):
+        solves.append((prob, start, solve_concave(prob, start)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(sca_ic, "solve_concave", kept)
+    calls = _pd_calls(monkeypatch)
+    optimize_power_ic(cfg, traj, alloc, max_iter=1)
+    (prob, start, out), = solves
+    assert calls == [True, False]
+    assert out.status is Status.OPTIMAL
+    assert out.objective == pytest.approx(barrier_objective(prob, start), rel=1e-9)
+    monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
+    solves.clear()
+    calls.clear()
+    Q, trace = optimize_power_ic(cfg, traj, alloc)
+    assert solves and calls == [True, True] * len(solves)
+    for prob, start, out in solves:
+        assert out.status is Status.MAX_ITER and np.array_equal(out.x, start)
+        assert out.residuals["gap"] == out.residuals["dual_bound"] == np.inf
+    assert np.array_equal(Q, alloc.tx_power)
+    assert trace == [trace[0]] * len(trace)
 
 
 def test_square_and_pair_rows_start_at_floored_duals():

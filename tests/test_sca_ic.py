@@ -17,6 +17,7 @@ from wpcn_traj.model import gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
 from wpcn_traj.sca_ic import _power_budgets, _shf_ic, _time_lp, initial_allocation_ic
 from conftest import benchmark_config
+from oracles import barrier_objective
 
 
 class TestShfTrajectory:
@@ -230,65 +231,59 @@ def _programs(monkeypatch, solver, N, kind, durations=(20.0, 4.0)):
     return programs
 
 
-def _assert_few_newton_systems(monkeypatch, programs, budget):
+def _assert_few_newton_systems(programs, budget):
     """Every program ends OPTIMAL in at most `budget` Newton systems, at
-    the objective of the same program on the barrier stages alone
-    (`MAX_PD_ITER` = 0) within 1e-9 relative.  Returns the barrier
-    outcomes."""
-    outcomes = [solve_concave(*program) for program in programs]
-    monkeypatch.setattr(kernel, "MAX_PD_ITER", 0)
-    barrier = [solve_concave(*program) for program in programs]
-    for out, ref in zip(outcomes, barrier):
+    the objective of the plain barrier method (`oracles.barrier_objective`)
+    on the same program within 1e-9 relative."""
+    for program in programs:
+        out = solve_concave(*program)
         assert out.status is Status.OPTIMAL
         assert out.iterations <= budget
-        assert out.objective == pytest.approx(ref.objective, rel=1e-9)
-    return barrier
+        assert out.objective == pytest.approx(barrier_objective(*program), rel=1e-9)
 
 
 def test_coordination_time_lps_solve_in_few_newton_systems(monkeypatch):
     # The time LP's rows are all affine, so the kernel solves it by
     # primal-dual iterations from its start, which stop on their own gap
-    # (7-9 Newton systems here); the barrier stages alone take 81-83.
+    # (7-9 Newton systems here).
     programs = _programs(monkeypatch, solve_p1, 6, "time")
     assert len(programs) >= 6
-    _assert_few_newton_systems(monkeypatch, programs, 11)
+    _assert_few_newton_systems(programs, 11)
 
 
 def test_power_step_solves_in_few_newton_systems(monkeypatch):
     # The coordination power step has affine and log rows only, so the
     # kernel solves it by primal-dual iterations from its start (6-16
-    # Newton systems here); the barrier stages alone take 60-158 per call
-    # and one ends MAX_ITER.
+    # Newton systems here).
     programs = _programs(monkeypatch, solve_p1, 6, "power")
     assert len(programs) >= 10
-    _assert_few_newton_systems(monkeypatch, programs, 18)
+    _assert_few_newton_systems(programs, 18)
 
 
 def test_trajectory_programs_solve_in_few_newton_systems(monkeypatch):
     # Both modes' trajectory programs take primal-dual iterations from
-    # their start to the end (11-31 Newton systems here); the barrier
-    # stages alone take 53-92 per program.
+    # their start to the end (11-31 Newton systems here).
     programs = (_programs(monkeypatch, solve_p1, 6, "trajectory")
                 + _programs(monkeypatch, solve_p21, 12, "trajectory"))
     assert len(programs) >= 7
-    barrier = _assert_few_newton_systems(monkeypatch, programs, 34)
-    assert [ref.status for ref in barrier] == [Status.OPTIMAL] * len(programs)
+    _assert_few_newton_systems(programs, 34)
 
 
 def test_paper_resolution_trajectory_programs_end_optimal(monkeypatch):
     # At the paper's 0.1 s slots (D = 15 m, T = 50 s, N = 500) the two
-    # coordination trajectory programs (n = 1,997) ran out their first
+    # coordination trajectory programs (n = 1,997) once ran out their first
     # barrier stage and ended MAX_ITER after 422 and 486 Newton systems.
-    # From the start the primal-dual iterations end them in about 30 each,
-    # at or above the barrier stages' own objective.
+    # From the start the primal-dual iterations end them in 86 and 94, at
+    # or above the plain barrier method's objective.  That reference starts
+    # at t = START_WEIGHT_MAX: from t = 1 its first stages walk away from
+    # the warm start and run out 1.8% lower.
     programs = _programs(monkeypatch, solve_p1, 500, "trajectory", durations=(50.0,))
     assert len(programs) == 2
-    outcomes = [solve_concave(*program) for program in programs]
-    monkeypatch.setattr(kernel, "MAX_PD_ITER", 0)
-    for out, program in zip(outcomes, programs):
-        ref = solve_concave(*program)
+    for program in programs:
+        out = solve_concave(*program)
+        ref = barrier_objective(*program, t=kernel.START_WEIGHT_MAX)
         assert out.status is Status.OPTIMAL and out.iterations <= 120
-        assert out.objective >= ref.objective - 1e-9 * abs(ref.objective)
+        assert out.objective >= ref - 1e-9 * abs(ref)
 
 
 def _refining_power_oracle(cfg, traj, uplink, budgets, rounds=3, grid=24):
