@@ -20,8 +20,8 @@ their own gap, s^T lambda <= m / t_f with t_f the first weight t0 MU^k at
 which the barrier's gap m / t_f is within that tolerance, and the iterate
 they stop at is the outcome, certified by that gap and its dual residual.
 Iterations that lose their way run once more from the start, opening with
-pure centering; a solve whose restart loses its way too returns its start
-as MAX_ITER.
+pure centering and stopping on their dual residual too; a solve whose
+restart loses its way too returns its start as MAX_ITER.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -84,16 +84,16 @@ GAP_REL = 1e-9
 # power step ran out at R = 3.9111380, a gap of 1.5e-8 short of its t_f.
 MAX_PD_ITER = 100
 # Pure centering iterations that open the run after one that lost its way.
-# On the -80 dBm N = 6 grid block, 3 to 20 end all 186 kernel calls OPTIMAL,
-# with rates within 3e-8 of one another, and 1 ends 16 MAX_ITER.  At 3 the
-# one-slot power step of `test_no_interference_uses_full_budget` stops short
-# of its budget.
+# On the -80 dBm N = 6 grid block, 1 to 10 end all 186 kernel calls OPTIMAL,
+# with rates within 5e-9 relative of one another.  At 1 both runs of the
+# one-slot power step of `test_no_interference_uses_full_budget` lose their
+# way, and its power stays at the start.
 RESTART_CENTERING = 5
 # Start duals of rows with square or pair terms use slacks of at least this
 # fraction of the median slack; floors of 1e-3 and 1e-2 left one or both
 # N = 500 coordination trajectory programs past MAX_PD_ITER.
 DUAL_FLOOR = 0.1
-DUAL_RESIDUAL_TOL = 1e-6  # largest dual residual entry at which iterations from a floor stop
+DUAL_RESIDUAL_TOL = 1e-6  # largest entry of r at which floored starts and restarts stop
 SIGMA_MIN = 0.1         # least centering of a primal-dual iteration on log rows
 RECENTER_STEP = 0.9     # a shorter primal step on log rows is followed by pure centering
 # Pure centering iterations in a row from which those of a program with square
@@ -670,11 +670,11 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     with it twice: the affine-scaling predictor H^-1 e, then the corrector
     H^-1 (e - G^T (target/s)) toward sigma mu with sigma = (mu_aff/mu)^3,
     though not past the central point at t_f = `_last_weight`(t0, m, R) at
-    the current R.  The primal iterate stays feasible;
-    the duals may start infeasible.  With no floor applied, the matrix at
-    the start duals is the barrier Hessian over t0, so the first iteration
-    solves with its factorization `solve0` (gv its row gradients,
-    w = solve0(e)) and factors nothing.
+    the current R.  The primal iterate stays feasible; the duals may start
+    infeasible.  With no floor applied, the matrix at the start duals is the
+    barrier Hessian over t0, so the first iteration solves with its
+    factorization `solve0` (gv its row gradients, w = solve0(e)) and
+    factors nothing.
 
     A warm start leaves the trajectory programs' energy and speed rows at
     slacks of 1e-10 to 5e-7, where lambda_i = 1/(t0 s_i) makes
@@ -710,11 +710,11 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     the gap closed while the residual left that bound 1e4-fold.
 
     The iterations stop once s^T lambda <= m / t_f, or once a full step
-    aimed at the central point at t_f, and with square or pair terms only
-    once the largest entry of r is at most DUAL_RESIDUAL_TOL besides, as a
-    floored start is not central.  They return (x, s, (lambda, ||r||),
-    systems factored), ||r|| the largest entry of r there: the solve ends
-    at that iterate.  When MAX_PD_ITER runs out first, the primal step
+    aimed at the central point at t_f; with square or pair terms, or on a
+    restart, whose r no neighborhood bounds, only once the largest entry of
+    r is at most DUAL_RESIDUAL_TOL besides.  They return (x, s, (lambda,
+    ||r||), systems factored), ||r|| the largest entry of r there: the solve
+    ends at that iterate.  When MAX_PD_ITER runs out first, the primal step
     collapses or the residual leaves its neighborhood, they have lost their
     way and return their x and s arguments themselves and None.
 
@@ -722,16 +722,19 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     RESTART_CENTERING: the first `centering` iterations are pure centering
     ones (with no floor, the first is the barrier's Newton step at t0), and
     the residual neighborhood is not kept, as the restarts of two small log
-    programs leave it and lose their way.  On the -80 dBm N = 6 block of
-    `scripts/grid_rates.py` 42 of the 186 kernel calls lose their way, all
-    power steps whose curved rate rows' slacks fall far below their
-    linearization, and every restart ends OPTIMAL.  Nothing bounds a
-    restart's dual residual, which its outcome's stationarity reports."""
+    programs leave it and lose their way.  Its dual step is never longer
+    than its primal one: on the one-slot power step of
+    `test_no_interference_uses_full_budget` full dual steps close the gap
+    while backtracking cuts the primal ones to 1e-4, at R = 4.854711, r =
+    1.4e5, short of the optimum 6.816230.  On the -80 dBm
+    N = 6 block of `scripts/grid_rates.py` 42 of the 186 kernel calls, all
+    power steps, lose their way, and every restart ends OPTIMAL."""
     m = lay.m
     x0, s0 = x, s
     quad = bool(lay.quad.any())
     safeguarded = bool(lay.stacks) or quad
     bounded = bool(lay.stacks) and not quad and not centering
+    residual_stop = quad or bool(centering)
     floor = DUAL_FLOOR * float(np.median(s)) if quad else 0.0
     floored = bool((lay.quad & (s < floor)).any())
     lam = 1.0 / (t0 * np.maximum(s, floor, where=lay.quad, out=s.copy()))
@@ -747,7 +750,7 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
             v = np.sqrt(lam / s)
             gv, hv = lay.derivatives(x, v, lam)
         done = gap <= m / t_f or centered
-        if bounded or quad or done:
+        if bounded or residual_stop or done:
             residual = lay.gradient(gv, lam)
             residual[-1] -= 1.0
             r_max = float(np.abs(residual).max())
@@ -756,7 +759,7 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
                 ratio0 = r_max / gap
             elif r_max / gap > ratio0:
                 return x0, s0, None, systems
-        if done and not (quad and r_max > DUAL_RESIDUAL_TOL):
+        if done and not (residual_stop and r_max > DUAL_RESIDUAL_TOL):
             return x, s, (lam, r_max), systems
         if own:
             solve = lay.factor(gv, hv, v)
@@ -795,6 +798,8 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
             a_p *= BACKTRACK
             if a_p < 1e-16:
                 return x0, s0, None, systems
+        if centering:
+            a_d = min(a_d, a_p)    # a restart's duals follow x
         centered = mu == 1.0 / t_f and a_p == a_d == 1.0
         recentered = recentered + 1 if safeguarded and a_p < RECENTER_STEP else 0
         x, s, lam = trial, s_try, lam + a_d * dlam
@@ -818,11 +823,12 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     entry of the dual residual e - sum_i lambda_i grad g_i as stationarity
     and the dual bound R + s^T lambda.  When they lose their way they run
     once more from the start, with the same start weight and its system,
-    opening with RESTART_CENTERING pure centering iterations; when those
-    lose their way too, the outcome is the start itself, MAX_ITER, with gap,
-    stationarity and dual bound inf.  Slacks are evaluated at the start and
-    once per primal-dual trial point.  `iterations` counts the Newton
-    systems factored after the start weight's, lost ones too.
+    opening with RESTART_CENTERING pure centering iterations and ending at
+    stationarity within DUAL_RESIDUAL_TOL; when those lose their way too,
+    the outcome is the start, MAX_ITER, with gap, stationarity and dual
+    bound inf.  Slacks are evaluated at the start and once per primal-dual
+    trial point.  `iterations` counts the Newton systems factored after the
+    start weight's, lost ones too.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
     """

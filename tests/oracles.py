@@ -271,9 +271,16 @@ def barrier_objective(problem, start, t: float = 1.0) -> float:
     test with fraction 0.25, until the gap m / t is within 1e-9 (1 + |R|).
     A stage stops once the half squared Newton decrement is within 1e-8,
     after 100 steps, or when the line search finds no decrease (at psi's
-    rounding).  The problem's compiled rows give the slacks, the barrier
-    Hessian and its factorization, so programs of thousands of variables
-    stay affordable; nothing else of the kernel's solver is used."""
+    rounding).  The last stage must end in Newton's quadratic phase, at a
+    decrement lambda^2 = -grad psi . d of at most ((1 - 2 * 0.25) / 4)^2
+    (Boyd and Vandenberghe, 9.6.4), or this raises AssertionError: a stage
+    that stalled before it, as from t = 1 on the N = 500 coordination
+    trajectory programs (lambda^2 ~ 2e9, R 1.8% low), gives no reference.
+    At t ~ 1e10 psi's rounding can stop a stage short of its 1e-8 (the 36
+    programs of `tests/test_sca_ic.py` end at lambda^2 <= 4.7e-4).  The
+    problem's compiled rows give the slacks, the barrier Hessian and its
+    factorization, so programs of thousands of variables stay affordable;
+    nothing else of the kernel's solver is used."""
     lay = problem._compiled()
     x = np.asarray(start, dtype=float).copy()
     s = lay.slacks(x)
@@ -301,5 +308,7 @@ def barrier_objective(problem, start, t: float = 1.0) -> float:
                 break
             x, s = trial, s_try
         if lay.m / t <= 1e-9 * (1.0 + abs(x[-1])):
+            assert -slope <= 0.125 ** 2, \
+                f"last barrier stage (t = {t:.0e}) stalled at decrement {-slope:.2e}"
             return float(x[-1])
         t *= 10.0
