@@ -6,8 +6,9 @@ solution passes `is_feasible`, whether its objective trace is monotone (by
 `grid_rates.py`'s rule) and, per kind of subproblem (time LP, power step,
 trajectory step), the kernel calls, Newton steps, busy time,
 milliseconds per Newton step, slack evaluations per Newton step, structured
-Newton systems with milliseconds and minor page faults per system, and kernel
-statuses; and the calls and busy time of the hovering-solution search the
+Newton systems with milliseconds and minor page faults per system, kernel
+statuses and the largest `stationarity` (dual residual entry) of its
+OPTIMAL calls; and the calls and busy time of the hovering-solution search the
 starts are built from.  The hover search is timed by wrapping
 `sca_ic.solve_infinite_ic` and `sca_comp.solve_infinite_comp`, the names
 through which the engines call it.  The kernel calls are counted by wrapping
@@ -124,7 +125,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
     stats = defaultdict(lambda: {"calls": 0, "newton_steps": 0, "busy_s": 0.0, "slacks": 0,
                                  "band_solves": 0, "band_s": 0.0, "band_minflt": 0,
                                  "pd_calls": 0, "pd_restarts": 0, "pd_lost_systems": 0,
-                                 "statuses": defaultdict(int)})
+                                 "max_stationarity": None, "statuses": defaultdict(int)})
     kernel_call, slacks_call = sca_ic.solve_concave, kernel._Layout.slacks
     pd_call = kernel._predictor_corrector
     band_call = kernel._factor_band_updates
@@ -146,6 +147,9 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
         rec["calls"] += 1
         rec["newton_steps"] += int(out.iterations)
         rec["statuses"][out.status.value] += 1
+        if out.status is kernel.Status.OPTIMAL:
+            rec["max_stationarity"] = max(rec["max_stationarity"] or 0.0,
+                                          out.residuals["stationarity"])
         return out
 
     def counted_pd(lay, x, *args):
@@ -217,6 +221,7 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
                                                  if rec["band_solves"] else None),
                        "pd_calls": rec["pd_calls"], "pd_restarts": rec["pd_restarts"],
                        "pd_lost_systems": rec["pd_lost_systems"],
+                       "max_stationarity": rec["max_stationarity"],
                        "statuses": dict(rec["statuses"])}
     trace = np.asarray(rep.objective_trace, dtype=float)
     return {"solver": solver_name, "D": 15.0, "N": N, "T": T,

@@ -16,12 +16,13 @@ diag(lambda/s) G once, with Mehrotra's sigma safeguarded on curved rows
 (Salahi, Peng and Terlaky, SIAM J. Optim. 2007).  On rows with square or
 pair terms the start duals are floored and the primal step is cut at the
 exact quadratic slack (`_predictor_corrector`).  The iterations stop on
-their own gap, s^T lambda <= m / t_f with t_f the first weight t0 MU^k at
-which the barrier's gap m / t_f is within that tolerance, and the iterate
-they stop at is the outcome, certified by that gap and its dual residual.
-Iterations that lose their way run once more from the start, opening with
-pure centering and stopping on their dual residual too; a solve whose
-restart loses its way too returns its start as MAX_ITER.
+one test: their own gap, s^T lambda <= m / t_f with t_f the first weight
+t0 MU^k at which the barrier's gap m / t_f is within that tolerance, and,
+on programs with log, square or pair rows, the largest entry of their dual
+residual within DUAL_RESIDUAL_TOL.  The iterate they stop at is the
+outcome, certified by that gap and its dual residual.  Iterations that
+lose their way run once more from the start, opening with pure centering;
+a solve whose restart loses its way too returns its start as MAX_ITER.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -93,7 +94,7 @@ RESTART_CENTERING = 5
 # fraction of the median slack; floors of 1e-3 and 1e-2 left one or both
 # N = 500 coordination trajectory programs past MAX_PD_ITER.
 DUAL_FLOOR = 0.1
-DUAL_RESIDUAL_TOL = 1e-6  # largest entry of r at which floored starts and restarts stop
+DUAL_RESIDUAL_TOL = 1e-6  # largest entry of r at which runs on curved programs stop
 SIGMA_MIN = 0.1         # least centering of a primal-dual iteration on log rows
 RECENTER_STEP = 0.9     # a shorter primal step on log rows is followed by pure centering
 # Pure centering iterations in a row from which those of a program with square
@@ -101,10 +102,12 @@ RECENTER_STEP = 0.9     # a shorter primal step on log rows is followed by pure 
 # at most 28 in a row on the N = 6 and 12 grids and the bench configs.
 CORRECT_AFTER = 40
 STEP_FRACTION = 0.99    # first-order cap: fraction of the step to the boundary
-# Programs with fewer variables take the dense factorization.  A structured
-# Newton step costs 1.05 dense ones at n = 161 (band 1), 0.33 at n = 241
-# (band 2) and 1.48 at n = 137 (band 30), with one BLAS thread: the
-# crossover lies just above n = 161 for thin bands and higher for wide ones.
+# Programs with fewer variables take the dense factorization.  With one BLAS
+# thread, a structured primal-dual system costs 1.6 dense ones at n = 81
+# (the acceptance config's time LPs and power steps), 0.94 and 0.42 at
+# n = 161 (direct flight, N = 80) and 0.31 at n = 201 and 397 (coordination,
+# N = 100); forced on every program, it took the N = 6 coordination grid
+# from 0.59 to 1.31 s per pass and the N = 12 joint grid from 0.16 to 0.29 s.
 STRUCTURED_MIN_N = 150
 
 
@@ -702,39 +705,33 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     was below RECENTER_STEP is followed by a pure centering one, sigma = 1.
     Without them the 123 power steps of the N = 6 coordination grid took
     9,771 Newton systems, not 2,149, and 3 ended MAX_ITER.  The time LPs go
-    without them, which there cost 30% more systems.  Nor does a full dual
-    step zero the dual residual r = e - sum_i lambda_i grad g_i on curved
-    rows, so on log rows without square or pair terms the iterations keep
-    it within the infeasible-path neighborhood ||r|| / mu <= ||r_0|| / mu_0
-    (Wright, ch. 6, beta = 1): on a power step whose primal steps stalled,
-    the gap closed while the residual left that bound 1e4-fold.
+    without them, which there cost 30% more systems.
 
-    The iterations stop once s^T lambda <= m / t_f, or once a full step
-    aimed at the central point at t_f; with square or pair terms, or on a
-    restart, whose r no neighborhood bounds, only once the largest entry of
-    r is at most DUAL_RESIDUAL_TOL besides.  They return (x, s, (lambda,
-    ||r||), systems factored), ||r|| the largest entry of r there: the solve
-    ends at that iterate.  When MAX_PD_ITER runs out first, the primal step
-    collapses or the residual leaves its neighborhood, they have lost their
-    way and return their x and s arguments themselves and None.
+    The iterations stop on one test: s^T lambda <= m / t_f, or a full step
+    aimed at the central point at t_f, and on curved rows or a restart the
+    largest entry of the dual residual r = e - sum_i lambda_i grad g_i at
+    most DUAL_RESIDUAL_TOL besides, as a full dual step does not zero r
+    there; r is evaluated once the gap test passes.  Time LPs stop on their
+    gap alone: with the residual test, one N = 40 time LP took 117 systems,
+    not 13.  They return (x, s, (lambda, ||r||), systems factored), ||r||
+    the largest entry of r there: the solve ends at that iterate.  When
+    MAX_PD_ITER runs out first or the primal step collapses, they have lost
+    their way and return their x and s arguments themselves and None.
 
     The caller then runs them once more from its start with `centering` =
     RESTART_CENTERING: the first `centering` iterations are pure centering
-    ones (with no floor, the first is the barrier's Newton step at t0), and
-    the residual neighborhood is not kept, as the restarts of two small log
-    programs leave it and lose their way.  Its dual step is never longer
-    than its primal one: on the one-slot power step of
-    `test_no_interference_uses_full_budget` full dual steps close the gap
-    while backtracking cuts the primal ones to 1e-4, at R = 4.854711, r =
-    1.4e5, short of the optimum 6.816230.  On the -80 dBm
+    ones (with no floor, the first is the barrier's Newton step at t0).
+    Its dual step is never longer than its primal one: on the one-slot
+    power step of `test_no_interference_uses_full_budget` full dual steps
+    close the gap while backtracking cuts the primal ones to 1e-4, at R =
+    4.854711, r = 1.4e5, short of the optimum 6.816230.  On the -80 dBm
     N = 6 block of `scripts/grid_rates.py` 42 of the 186 kernel calls, all
     power steps, lose their way, and every restart ends OPTIMAL."""
     m = lay.m
     x0, s0 = x, s
     quad = bool(lay.quad.any())
     safeguarded = bool(lay.stacks) or quad
-    bounded = bool(lay.stacks) and not quad and not centering
-    residual_stop = quad or bool(centering)
+    residual_stop = safeguarded or bool(centering)
     floor = DUAL_FLOOR * float(np.median(s)) if quad else 0.0
     floored = bool((lay.quad & (s < floor)).any())
     lam = 1.0 / (t0 * np.maximum(s, floor, where=lay.quad, out=s.copy()))
@@ -749,18 +746,12 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
         if own:
             v = np.sqrt(lam / s)
             gv, hv = lay.derivatives(x, v, lam)
-        done = gap <= m / t_f or centered
-        if bounded or residual_stop or done:
+        if gap <= m / t_f or centered:
             residual = lay.gradient(gv, lam)
             residual[-1] -= 1.0
             r_max = float(np.abs(residual).max())
-        if bounded:
-            if not it:
-                ratio0 = r_max / gap
-            elif r_max / gap > ratio0:
-                return x0, s0, None, systems
-        if done and not (residual_stop and r_max > DUAL_RESIDUAL_TOL):
-            return x, s, (lam, r_max), systems
+            if not residual_stop or r_max <= DUAL_RESIDUAL_TOL:
+                return x, s, (lam, r_max), systems
         if own:
             solve = lay.factor(gv, hv, v)
             systems += 1
@@ -821,12 +812,12 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     Primal-dual iterations (`_predictor_corrector`) from the start end the
     solve.  Their outcome is OPTIMAL, with the gap s^T lambda, the largest
     entry of the dual residual e - sum_i lambda_i grad g_i as stationarity
-    and the dual bound R + s^T lambda.  When they lose their way they run
-    once more from the start, with the same start weight and its system,
-    opening with RESTART_CENTERING pure centering iterations and ending at
-    stationarity within DUAL_RESIDUAL_TOL; when those lose their way too,
-    the outcome is the start, MAX_ITER, with gap, stationarity and dual
-    bound inf.  Slacks are evaluated at the start and once per primal-dual
+    (within DUAL_RESIDUAL_TOL unless every row is affine) and the dual
+    bound R + s^T lambda.  When they lose their way they run once more from
+    the start, with the same start weight and its system, opening with
+    RESTART_CENTERING pure centering iterations; when those lose their way
+    too, the outcome is the start, MAX_ITER, with gap, stationarity and
+    dual bound inf.  Slacks are evaluated at the start and once per primal-dual
     trial point.  `iterations` counts the Newton systems factored after the
     start weight's, lost ones too.
 

@@ -11,6 +11,7 @@ they only matter to the Monte-Carlo oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -84,8 +85,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be positive and finite")
         if not 0.0 < self.eh_efficiency <= 1.0:
             raise ConfigError("eh_efficiency must lie in (0, 1]")
-        if self.num_slots < 1:
-            raise ConfigError("num_slots must be at least 1")
+        if isinstance(self.num_slots, bool) or not isinstance(self.num_slots, Integral) \
+                or self.num_slots < 1:
+            raise ConfigError(f"num_slots must be an integer >= 1, got {self.num_slots!r}")
         for m in range(2):
             need = float(np.linalg.norm(self.uav_initial[m] - self.uav_final[m])) / self.max_speed
             if self.duration < need - PHYS_TOL:

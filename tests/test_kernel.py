@@ -8,7 +8,7 @@ from conftest import benchmark_config
 from oracles import barrier_objective
 from wpcn_traj import (AllocationIC, Problem, StartInfeasible, Status, direct_flight_trajectory,
                        kernel, sca_ic, solve_concave, solve_infinite_comp,
-                       solve_infinite_ic)
+                       solve_infinite_ic, solve_p21)
 from wpcn_traj.kernel import LogGroup, NegLogGroup
 from wpcn_traj.model import dbm_to_watt
 from wpcn_traj.sca_comp import (_traj_subproblem_comp, initial_allocation_comp,
@@ -20,9 +20,9 @@ from wpcn_traj.sca_ic import (_traj_subproblem_ic, initial_allocation_ic,
 def _toy_epigraph(square_row=False):
     # maximize min(ln(1+x), ln(1+y)) s.t. x + y <= 2, x, y >= 0; with
     # square_row, also x^2 <= 4, never active, which puts the program on
-    # the path of programs with square terms: primal-dual iterations from
-    # the start that stop on their dual residual too, with no residual
-    # neighborhood.
+    # the path of programs with square terms: floored start duals and the
+    # exact quadratic step.  Either way the primal-dual iterations from the
+    # start stop on their gap and their dual residual, in 9 systems.
     prob = Problem(3)
     for i in range(2):
         prob.add_concave_ge(idx=[2], lin=[-1.0], logs=(LogGroup(
@@ -149,25 +149,40 @@ class TestSolveConcave:
     def test_lost_iterations_hand_over_to_the_restart(self, monkeypatch):
         # maximize min(3 u1 + u2, u1 + 2 u2) s.t. u1 + u2 <= 1, u >= 0: the
         # optimum is u = (1/3, 2/3), R = 5/3.  Its rows are all affine, and
-        # the iterations from its start end it.  On the log toy they leave
-        # their residual neighborhood at the second iteration, before
-        # factoring a system, and the restart from the start ends the solve
-        # at R = ln 2 in 13 systems.
+        # the iterations from its start end it; so do they on the log toy,
+        # at R = ln 2 in 9 systems.  On the power-step pass of
+        # `_lost_power_pass` they lose their way, and the restart from the
+        # start ends the solve OPTIMAL; the systems of both runs are counted.
+        lost_prob, lost_start = _lost_power_pass(monkeypatch)
         prob = Problem(3)
         prob.add_affine([[0, 1, 2], [0, 1, 2]], [[-3.0, -1.0, 1.0], [-1.0, -2.0, 1.0]], [0.0, 0.0])
         prob.add_affine([0, 1], [1.0, 1.0], 1.0)
         prob.add_bounds([0, 1])
-        calls = _pd_calls(monkeypatch)
+        runs = []
+        predictor_corrector = kernel._predictor_corrector
+
+        def recorded(lay, x, *args):
+            out = predictor_corrector(lay, x, *args)
+            runs.append((out[0] is x, out[3]))
+            return out
+
+        monkeypatch.setattr(kernel, "_predictor_corrector", recorded)
         out = solve_concave(prob, np.array([0.2, 0.2, 0.1]))
-        assert calls == [False]
+        assert [lost for lost, _ in runs] == [False]
         assert out.status is Status.OPTIMAL
         assert out.objective == pytest.approx(5.0 / 3.0, abs=1e-8)
         assert out.x[:2] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-7)
-        calls.clear()
+        runs.clear()
         out = solve_concave(_toy_epigraph(), np.array([0.5, 0.7, 0.1]))
-        assert calls == [True, False]
-        assert out.status is Status.OPTIMAL and out.iterations == 13
+        assert runs == [(False, 9)]
+        assert out.status is Status.OPTIMAL and out.iterations == 9
         assert out.objective == pytest.approx(np.log(2.0), abs=1e-8)
+        runs.clear()
+        out = solve_concave(lost_prob, lost_start)
+        assert [lost for lost, _ in runs] == [True, False]
+        assert out.status is Status.OPTIMAL
+        assert out.iterations == sum(systems for _, systems in runs)
+        assert out.residuals["stationarity"] <= kernel.DUAL_RESIDUAL_TOL
 
     def test_scalar_group_fields_apply_to_every_term(self):
         def solve(offsets, weights, bases, scales):
@@ -197,9 +212,11 @@ class TestSolveConcave:
 def test_one_slack_evaluation_per_trial_point(monkeypatch):
     # Slacks are evaluated at the start and once per primal-dual trial;
     # the restart and the final residuals take those of the point's own
-    # evaluation.  The toy's primal-dual iterations from its start lose
-    # their way and restart from the start; with a square row the
-    # iterations from the start end the solve.
+    # evaluation.  On the log toy, with or without a square row, the
+    # primal-dual iterations from the start end the solve; on the
+    # power-step pass of `_lost_power_pass` they lose their way and restart
+    # from the start.
+    lost = _lost_power_pass(monkeypatch)
     points = []
     slacks = kernel._Layout.slacks
 
@@ -209,15 +226,17 @@ def test_one_slack_evaluation_per_trial_point(monkeypatch):
 
     monkeypatch.setattr(kernel._Layout, "slacks", recorded)
     calls = _pd_calls(monkeypatch)
-    start = np.array([0.5, 0.7, 0.1])
-    for square_row in (False, True):
-        prob = _toy_epigraph(square_row)
-        assert prob._compiled().quad.any() == square_row
+    toy_start = np.array([0.5, 0.7, 0.1])
+    assert _toy_epigraph(square_row=True)._compiled().quad.any()
+    assert not _toy_epigraph()._compiled().quad.any()
+    for (prob, start), restarts in (((_toy_epigraph(), toy_start), False),
+                                    ((_toy_epigraph(square_row=True), toy_start), False),
+                                    (lost, True)):
         points.clear()
         calls.clear()
         out = solve_concave(prob, start)
         assert out.status is Status.OPTIMAL
-        assert calls == ([False] if square_row else [True, False])
+        assert calls == ([True, False] if restarts else [False])
         # Every trial point is new, and each factored system takes at least
         # one trial step: a run stops before factoring.
         trials = len({p.tobytes() for p in points}) - 1
@@ -253,6 +272,32 @@ def test_coordination_solve_converges_below_the_rounding_floor(monkeypatch):
     assert outcomes
     assert [out.status for out in outcomes] == [Status.OPTIMAL] * len(outcomes)
     assert evaluations[0] <= 1.5 * sum(out.iterations for out in outcomes)
+
+
+def test_curved_programs_end_optimal_at_stationarity(monkeypatch):
+    # Every run on a program with log, square or pair rows stops on its gap
+    # and on its dual residual, so each OPTIMAL outcome has the largest
+    # residual entry within DUAL_RESIDUAL_TOL: on `scripts/grid_rates.py`'s
+    # N = 6 coordination and N = 12 joint grids and its -80 dBm N = 6
+    # block, where a residual neighborhood alone left 22 and 5 log-program
+    # outcomes above it (worst 1.55e-5).
+    stationarity = []
+
+    def kept(prob, start):
+        out = solve_concave(prob, start)
+        lay = prob._compiled()
+        if out.status is Status.OPTIMAL and (lay.stacks or lay.quad.any()):
+            stationarity.append(out.residuals["stationarity"])
+        return out
+
+    monkeypatch.setattr(sca_ic, "solve_concave", kept)
+    for solve, N, noise, distances in ((sca_ic.solve_p1, 6, -100.0, (5.0, 15.0, 30.0)),
+                                       (solve_p21, 12, -100.0, (5.0, 15.0, 30.0)),
+                                       (sca_ic.solve_p1, 6, -80.0, (15.0, 30.0))):
+        for D in distances:
+            for T in (4.0, 20.0, 50.0):
+                solve(benchmark_config(D, T, num_slots=N, noise_power=dbm_to_watt(noise)))
+    assert stationarity and max(stationarity) <= kernel.DUAL_RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +369,9 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
     # 15.07767; 1e-4 relative still tells t* from 1 and from the cap.  Every
     # program takes primal-dual iterations, whose duals start at the
     # central ones of that weight, lambda = 1/(t s), and so does the
-    # restart of iterations that lose their way (the toy's).
+    # restart of iterations that lose their way (those of
+    # `_lost_power_pass`).
+    lost_prob, lost_start = _lost_power_pass(monkeypatch)
     calls = []
 
     def keep(prob, start):
@@ -353,17 +400,20 @@ def test_first_centering_runs_at_the_start_weight(monkeypatch):
         assert restart == [t] * len(restart)
         assert t == pytest.approx(np.clip(t_star, 1.0, kernel.START_WEIGHT_MAX), rel=rel)
         weights.clear()
-    # System 0 is the start weight's own solve, with rhs e.  The toy's first
-    # run solves with it once (system 1) and loses its way; the restart
-    # opens with pure centering, whose first solve with it (system 2) is
-    # the barrier's Newton step at t from the start: t rhs = t e - grad.
-    prob = _toy_epigraph()
-    x, _, _, rhs, _ = _newton_systems(prob, start)[2]
+    # The start weight's system solves at the start only: system 0, its own
+    # solve with rhs e, then once in each run's first iteration.  The
+    # power-step pass's first run loses its way; the restart opens with
+    # pure centering, whose first solve is the barrier's Newton step at t
+    # from the start: t rhs = t e - grad.
+    at_start = [rhs for x, _, _, rhs, _ in _newton_systems(lost_prob, lost_start)
+                if np.array_equal(x, lost_start)]
     t, t_restart = weights
-    assert np.array_equal(x, start) and t_restart == t
-    e = np.zeros(3)
+    assert len(at_start) == 3 and t_restart == t
+    e = np.zeros(lost_prob.n)
     e[-1] = 1.0
-    assert t * rhs == pytest.approx(t * e - _barrier_gradient(prob, start), rel=1e-12)
+    assert at_start[0] == pytest.approx(e, rel=1e-12)
+    assert t * at_start[2] == pytest.approx(
+        t * e - _barrier_gradient(lost_prob, lost_start), rel=1e-12)
 
 
 def _captured_subproblems(monkeypatch):
@@ -493,6 +543,24 @@ def _first_power_step(monkeypatch, cfg):
     return steps[0]
 
 
+def _lost_power_pass(monkeypatch):
+    """(problem, start) of the first pass of the first coordination power
+    step at -80 dBm, D = 30 m, T = 20 s, N = 6, whose primal-dual iterations
+    from the start lose their way."""
+    cfg, traj, alloc = _first_power_step(monkeypatch, benchmark_config(
+        30.0, 20.0, num_slots=6, noise_power=dbm_to_watt(-80.0)))
+    passes = []
+
+    def kept(prob, start):
+        passes.append((prob, start))
+        return solve_concave(prob, start)
+
+    monkeypatch.setattr(sca_ic, "solve_concave", kept)
+    optimize_power_ic(cfg, traj, alloc, max_iter=1)
+    monkeypatch.undo()
+    return passes[0]
+
+
 def test_power_step_restart_ends_optimal(monkeypatch):
     # At -80 dBm, D = 30 m, T = 20 s, N = 6 the first pass of the first
     # power step loses its way from the start: a curved rate row's true
@@ -535,8 +603,9 @@ def test_restart_ends_optimal_only_at_the_optimum(monkeypatch):
     # pass loses its way; with full dual steps and a stop on its gap alone,
     # the restart ended that pass OPTIMAL at R = 4.854711, stationarity
     # 1.4e5, 29% below the optimum 6.816230.  Every restarted solve here,
-    # and the log toy's, ends OPTIMAL within the tolerance at the plain
-    # barrier method's objective.
+    # and that of `_lost_power_pass`, ends OPTIMAL within the tolerance at
+    # the plain barrier method's objective.
+    lost = _lost_power_pass(monkeypatch)
     cfg = benchmark_config(device_distance=1000.0, duration=1.0, num_slots=1,
                            uav_initial=[[-500, -2], [500, -2]],
                            uav_final=[[-500, 2], [500, 2]])
@@ -553,7 +622,7 @@ def test_restart_ends_optimal_only_at_the_optimum(monkeypatch):
     optimize_power_ic(cfg, direct_flight_trajectory(cfg),
                       AllocationIC([0.5], [0.5], np.full((2, 1), 1e-7)))
     assert solves[0][3] == [True, False]
-    kept(_toy_epigraph(), np.array([0.5, 0.7, 0.1]))
+    kept(*lost)
     restarted = [solve for solve in solves if solve[3][0]]
     assert len(restarted) >= 2
     for prob, start, out, _ in restarted:

@@ -291,6 +291,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kw)
 
+    @pytest.mark.parametrize("num_slots", [2.5, 6.0, True, 0, np.int64(0), "6"])
+    def test_num_slots_must_be_a_positive_integer(self, num_slots):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(num_slots=num_slots)
+
+    def test_numpy_integer_num_slots(self):
+        assert ScenarioConfig(num_slots=np.int64(6)).slot_duration == pytest.approx(10.0 / 6)
+
     def test_device_positions_derived_from_distance(self):
         cfg = ScenarioConfig(device_distance=15.0)
         assert np.array_equal(cfg.device_positions, [[-7.5, 0.0], [7.5, 0.0]])
