@@ -42,6 +42,15 @@ the whole Hessian is faster, and that is used instead.  On both paths the
 log groups of all rows are evaluated at once, in one stacked evaluation per
 kind.
 
+Compiling a program (`_Layout`) splits it in two.  Its shape, which rows
+hold which terms once zero coefficients are dropped and which path its n
+takes, fixes the gradient pattern, the band and dense split and the
+variable order (`_Shape`).  The alternating solvers emit the same few
+shapes pass after pass, so a shape is compiled once and kept in a small
+cache of the shapes used last; each program then only lays its constants,
+coefficients and log groups on it.  A shape is a function of its cache key
+alone, so the cache changes no result.
+
 The duals start central for the weight t0 = clip(t*, 1, START_WEIGHT_MAX),
 lambda = 1/(t0 s), where t* = e^T H^-1 grad phi / e^T H^-1 e (phi =
 -sum(ln s), H its Hessian, e the epigraph column) minimizes the start's
@@ -53,6 +62,7 @@ walks away from them; cold starts keep t = 1.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import groupby
@@ -288,42 +298,48 @@ def _columns(parts: list, dtypes) -> tuple:
                  for i, t in enumerate(dtypes))
 
 
-class _Layout:
-    """A `Problem` compiled for evaluation: its terms as flat arrays, the
-    sparsity pattern of the row gradients, and the Newton system's split
-    into a band part and dense rows, with the variable order and storage
-    positions of each Hessian entry."""
+def _scatter(at, values, shape) -> np.ndarray:
+    """Float array of `shape` whose flat entries `at` sum `values` in order."""
+    return np.bincount(at, values, minlength=shape[0] * shape[1]).astype(float, copy=False) \
+        .reshape(shape)
 
-    def __init__(self, p: Problem):
-        n, m = p.n, p.num_rows
-        self.n, self.m = n, m
-        self.neg_const = -(np.concatenate(p._const) if p._const else np.zeros(0))
-        lin_r, self.lin_c, self.lin_v = _columns(p._lin, (int, int, float))
-        self.sq_r, self.sq_c, self.sq_v = _columns(p._sq, (int, int, float))
-        self.pr_r, self.pr_a, self.pr_b = _columns(p._pair, (int, int, int))
-        self.groups = p._groups
+
+class _Shape:
+    """What compiling a `Problem` computes from its shape alone: which
+    terms each row holds once zero coefficients are dropped, and which
+    factorization path its n takes.  That is the sparsity pattern of the
+    row gradients and the Newton system's split into a band part and dense
+    rows, with the variable order and storage positions of each Hessian
+    entry.  Its arrays are read-only: one shape serves every program that
+    has it (`_shape_of`)."""
+
+    def __init__(self, n, m, structured, lin_r, lin_c, sq_r, sq_c, pr_r, pr_a, pr_b, groups):
+        self.n, self.m, self.structured = n, m, structured
+        self.sq_r, self.sq_c = sq_r, sq_c
+        self.pr_r, self.pr_a, self.pr_b = pr_r, pr_a, pr_b
 
         # Each run of consecutive log groups of one kind (class and term width)
         # is stacked into one group, evaluated with one gather and one `args`;
-        # rows and shared Hessian entries sum the values in group order.
-        self.grp_rows = np.array([r for r, _ in self.groups], int)
-        self.stacks = []
-        for (cls, k), run in groupby(self.groups, lambda rg: (type(rg[1]), rg[1].idx.shape[1])):
+        # rows and shared Hessian entries sum the values in group order.  A
+        # run is (class, its first and end group, its terms' rows, each
+        # group's span of terms, the stacked idx).
+        self.grp_rows = np.array([r for r, _ in groups], int)
+        self.runs = []
+        first = 0
+        for (cls, _), run in groupby(groups, lambda rg: (type(rg[1]), rg[1].idx.shape[1])):
             rows, gs = zip(*run)
-            grp = cls(**{f.name: np.concatenate([getattr(g, f.name) for g in gs])
-                         for f in fields(cls)})
             terms = [g.idx.shape[0] for g in gs]
             ends = np.cumsum(terms)
             spans = list(zip((ends - terms).tolist(), ends.tolist()))
-            outer = (grp.coeffs[:, :, None] * grp.coeffs[:, None, :]).reshape(-1, k * k)
-            self.stacks.append((grp, np.repeat(rows, terms), spans, outer))
-        stacked = [g.idx for g, *_ in self.stacks]
+            self.runs.append((cls, first, first + len(gs), np.repeat(rows, terms), spans,
+                              np.concatenate([g.idx for g in gs])))
+            first += len(gs)
+        stacked = [run[-1] for run in self.runs]
 
         # Gradient pattern: one slot per distinct (row, column), rows in order.
-        rows = np.concatenate([lin_r, self.sq_r, self.pr_r, self.pr_r]
-                              + [np.repeat(r, g.idx.shape[1]) for g, r, *_ in self.stacks])
-        cols = np.concatenate([self.lin_c, self.sq_c, self.pr_a, self.pr_b]
-                              + [idx.ravel() for idx in stacked])
+        rows = np.concatenate([lin_r, sq_r, pr_r, pr_r]
+                              + [np.repeat(r, idx.shape[1]) for *_, r, _, idx in self.runs])
+        cols = np.concatenate([lin_c, sq_c, pr_a, pr_b] + [idx.ravel() for idx in stacked])
         keys, self.g_slot = np.unique(rows * n + cols, return_inverse=True)
         self.pat_row, self.pat_col = np.divmod(keys, n)
         self.nnz = keys.size
@@ -332,9 +348,9 @@ class _Layout:
 
         # Curvature entries (i, j), in the order `derivatives` lists their
         # values: square terms, pair terms, then each log group's blocks.
-        ci = np.concatenate([self.sq_c, self.pr_a, self.pr_b, self.pr_a, self.pr_b]
+        ci = np.concatenate([sq_c, pr_a, pr_b, pr_a, pr_b]
                             + [np.repeat(idx, idx.shape[1], axis=1).ravel() for idx in stacked])
-        cj = np.concatenate([self.sq_c, self.pr_a, self.pr_b, self.pr_b, self.pr_a]
+        cj = np.concatenate([sq_c, pr_a, pr_b, pr_b, pr_a]
                             + [np.tile(idx, (1, idx.shape[1])).ravel() for idx in stacked])
 
         # A row with more than sqrt(n) nonzeros, or holding the epigraph
@@ -350,7 +366,6 @@ class _Layout:
         self.op_a, self.op_b, self.op_row = a, b, self.pat_row[a]
         hi = np.concatenate((self.pat_col[a], ci))
         hj = np.concatenate((self.pat_col[b], cj))
-        self.structured = n >= STRUCTURED_MIN_N
 
         self.dense_rows = np.flatnonzero(dense)
         self.k = self.dense_rows.size
@@ -358,7 +373,7 @@ class _Layout:
         rank[self.dense_rows] = np.arange(self.k)
         self.dz = np.flatnonzero(dense[self.pat_row])
         self.dz_row = self.pat_row[self.dz]
-        if self.structured:
+        if structured:
             pos = self._order(hi, hj)
             self.band = int(np.abs(pos[hi] - pos[hj]).max()) if hi.size else 0
             self.keep = np.flatnonzero(pos[hi] >= pos[hj])
@@ -373,20 +388,20 @@ class _Layout:
         # Slacks of the dense rows are evaluated as dense products: rate and
         # budget rows are near-active at the optimum, where the line search
         # needs them to the last bits a BLAS dot product gives and a
-        # sequential sum of their terms does not.
-        self.lin_dense = np.zeros((self.k, n))
-        self.sq_dense = np.zeros((self.k, n))
-        on_l, on_s = dense[lin_r], dense[self.sq_r]
-        np.add.at(self.lin_dense, (rank[lin_r[on_l]], self.lin_c[on_l]), self.lin_v[on_l])
-        np.add.at(self.sq_dense, (rank[self.sq_r[on_s]], self.sq_c[on_s]), self.sq_v[on_s])
-        self.sq_dense = self.sq_dense if on_s.any() else None
-        self.sparse_terms = (self.lin_c[~on_l], self.lin_v[~on_l], self.sq_c[~on_s],
-                             self.sq_v[~on_s])
-        self.sparse_rows = np.concatenate((lin_r[~on_l], self.sq_r[~on_s], self.pr_r))
+        # sequential sum of their terms does not.  The dense rows' terms sit
+        # at these entries of their (k, n) matrices, the others are summed.
+        self.on_l, self.on_s = dense[lin_r], dense[sq_r]
+        self.lin_dense_at = rank[lin_r[self.on_l]] * n + lin_c[self.on_l]
+        self.sq_dense_at = rank[sq_r[self.on_s]] * n + sq_c[self.on_s]
+        self.sparse_cols = (lin_c[~self.on_l], sq_c[~self.on_s])
+        self.sparse_rows = np.concatenate((lin_r[~self.on_l], sq_r[~self.on_s], pr_r))
         # Rows with square or pair terms: their slacks along a step are
         # quadratic, and their start duals are floored.
         self.quad = np.zeros(m, bool)
-        self.quad[self.sq_r] = self.quad[self.pr_r] = True
+        self.quad[sq_r] = self.quad[pr_r] = True
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     @staticmethod
     def _row_pairs(select, support, starts):
@@ -414,6 +429,61 @@ class _Layout:
             order = reverse_cuthill_mckee(graph, symmetric_mode=True)
             pos[order] = np.arange(n - 1)
         return pos
+
+
+# Shapes compiled last, least recently used first.  An alternating solve
+# emits the same few shapes pass after pass (about 20 distinct ones in a
+# coordination solve's pass), and 8 of them serve 91% of its kernel calls.
+_SHAPES: OrderedDict = OrderedDict()
+_SHAPES_KEPT = 8
+
+
+def _shape_of(n, m, lin_r, lin_c, sq_r, sq_c, pr_r, pr_a, pr_b, groups) -> _Shape:
+    """The `_Shape` of these terms, from the cache when a program of equal
+    term arrays, group rows, classes and index arrays and the same
+    factorization path was compiled lately."""
+    structured = n >= STRUCTURED_MIN_N
+    ints = (lin_r, lin_c, sq_r, sq_c, pr_r, pr_a, pr_b)
+    key = (n, m, structured, *(a.tobytes() for a in ints),
+           tuple((r, type(g), g.idx.shape, g.idx.tobytes()) for r, g in groups))
+    shape = _SHAPES.pop(key, None)
+    if shape is None:
+        shape = _Shape(n, m, structured, *ints, groups)
+    _SHAPES[key] = shape
+    if len(_SHAPES) > _SHAPES_KEPT:
+        _SHAPES.popitem(last=False)
+    return shape
+
+
+class _Layout:
+    """A `Problem` compiled for evaluation: its `_Shape`, whose attributes
+    are the layout's too, and its values laid out on it: the constants,
+    the term coefficients, the stacked log groups and the dense rows'
+    matrices."""
+
+    def __init__(self, p: Problem):
+        n = p.n
+        lin_r, lin_c, self.lin_v = _columns(p._lin, (int, int, float))
+        sq_r, sq_c, self.sq_v = _columns(p._sq, (int, int, float))
+        shape = _shape_of(n, p.num_rows, lin_r, lin_c, sq_r, sq_c,
+                          *_columns(p._pair, (int, int, int)), p._groups)
+        vars(self).update(vars(shape))
+        self.neg_const = -(np.concatenate(p._const) if p._const else np.zeros(0))
+        self.groups = p._groups
+        self.stacks = []
+        for cls, first, end, rows, spans, idx in shape.runs:
+            gs = [g for _, g in self.groups[first:end]]
+            grp = cls(idx=idx, **{f.name: np.concatenate([getattr(g, f.name) for g in gs])
+                                  for f in fields(cls) if f.name != "idx"})
+            k = idx.shape[1]
+            outer = (grp.coeffs[:, :, None] * grp.coeffs[:, None, :]).reshape(-1, k * k)
+            self.stacks.append((grp, rows, spans, outer))
+        on_l, on_s = shape.on_l, shape.on_s
+        self.lin_dense = _scatter(shape.lin_dense_at, self.lin_v[on_l], (shape.k, n))
+        self.sq_dense = _scatter(shape.sq_dense_at, self.sq_v[on_s], (shape.k, n)) \
+            if on_s.any() else None
+        self.sparse_terms = (shape.sparse_cols[0], self.lin_v[~on_l],
+                             shape.sparse_cols[1], self.sq_v[~on_s])
 
     # -- per-step evaluation --------------------------------------------------
     def slacks(self, x: np.ndarray) -> np.ndarray:
@@ -652,8 +722,9 @@ def _boundary_step(v: np.ndarray, dv: np.ndarray, frac: float, curv=None) -> flo
     others keeps v / dv from overflowing.  The root
     2 v / (sqrt(dv^2 + 4 curv v) - dv) is taken without cancellation."""
     if curv is None:
-        near = dv < -0.5 * v
-        return min(1.0, frac * float((v[near] / -dv[near]).min())) if near.any() else 1.0
+        # The largest v / dv over those entries is minus their least v / -dv.
+        ratio = np.divide(v, dv, out=np.full(v.size, -np.inf), where=dv < -0.5 * v)
+        return min(1.0, -frac * float(ratio.max(initial=-np.inf)))
     near = v + dv / frac - curv / frac**2 <= 0.0
     if not near.any():
         return 1.0

@@ -13,7 +13,8 @@ are assembled by `_traj_program` from tangents in the squared UAV-device
 distances, all built by `_distance_tangent`; each mode supplies only their
 coefficients.  The engine's caps and tolerances are fixed constants.  A
 step is a deterministic function of the state it reads, so a solve reuses
-its result on a repeat.
+its result on a repeat, and the first outer iteration continues a start
+probe's power step that stopped at the probe's pass cap.
 """
 
 from __future__ import annotations
@@ -305,25 +306,30 @@ def _power_budgets(cfg: ScenarioConfig, alloc, traj, harvested,
 
 
 def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
-                      max_iter: int = MAX_INNER):
+                      max_iter: int = MAX_INNER, paused: dict | None = None):
     """Iterative concave maximization of the transmit powers.
 
     Slots with no uplink time are frozen at the incumbent; each pass solves
     the tangent surrogate of the interference term and is accepted only if
     the true common throughput does not decrease.  Returns the powers and the
     throughput of every accepted iterate.
+
+    A step that stops at its pass cap `max_iter` leaves its powers, trace
+    and last surrogate value in the dict `paused`, when given one.  A later
+    step on the same `traj` and `alloc` given that dict continues at the
+    next pass, and returns what one step with its larger cap returns.
     """
     uplink, charge = alloc.uplink_time, alloc.charge_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
-    Q = alloc.tx_power.copy()
-    trace = [common_throughput_ic(AllocationIC(charge, uplink, Q), traj, cfg)]
+    paused = {} if paused is None else paused
+    Q, trace, prev_surrogate = paused.pop("run", None) or (
+        alloc.tx_power.copy(), [common_throughput_ic(alloc, traj, cfg)], None)
     if active.size == 0:
         return Q, trace
     g = gain_matrix(traj, cfg)
     budgets = _power_budgets(cfg, alloc, traj, harvested_energy_ic, active)
     A = active.size
-    prev_surrogate = None
-    for _ in range(max_iter):
+    for _ in range(len(trace) - 1, max_iter):
         prob = Problem(2 * A + 1)
         wt = uplink[active] / (cfg.duration * np.log(2.0))
         for k in range(2):
@@ -366,6 +372,8 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
                 sur - prev_surrogate <= INNER_TOL * (1.0 + abs(prev_surrogate)):
             break
         prev_surrogate = sur
+    else:
+        paused["run"] = (Q, trace[:], prev_surrogate)
     return Q, trace
 
 
@@ -577,7 +585,7 @@ class _Mode:
 
     throughput: Callable   # (alloc, traj, cfg) -> common throughput
     time_step: Callable    # (cfg, traj, tx_power) -> allocation
-    power_step: Callable   # (cfg, traj, alloc, max_iter=) -> (Q, trace)
+    power_step: Callable   # (cfg, traj, alloc, max_iter=, paused=) -> (Q, trace)
     traj_step: Callable | None   # (cfg, alloc, traj) -> trajectory, or None
 
 
@@ -609,20 +617,24 @@ def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
     step); the raw initial objective misjudges which basin the trajectory
     step can refine.  A candidate scores the throughput of the power step's
     last pass, accepted or not; a lone candidate is not scored.  Returns the
-    winner and its step memo: its time pass is the first outer iteration's,
-    and so is its power step when that stopped before the probe's pass cap,
-    since a larger cap then changes nothing."""
+    winner and its step memo: its time pass is the first outer iteration's.
+    So is its power step when that stopped on its own test, since a larger
+    cap then changes nothing; one that stopped at the probe's pass cap is
+    paused in the memo, and the first outer iteration's power step
+    continues it at the next pass."""
     best = None
     for traj, alloc, init in candidates:
         memo = {}
         probe = _time_pass(cfg, mode, memo, traj, alloc, mode.throughput(alloc, traj, cfg))
         score = 0.0
         if len(candidates) > 1:
-            Q, ptrace = mode.power_step(cfg, traj, probe, max_iter=_PROBE_PASSES)
+            state = (traj.positions, *vars(probe).values())
+            paused = _once(memo, "paused power", state, dict)
+            Q, ptrace = mode.power_step(cfg, traj, probe, max_iter=_PROBE_PASSES,
+                                        paused=paused)
             score = ptrace[-1]
-            if len(ptrace) - 1 < _PROBE_PASSES:
-                _once(memo, "power", (traj.positions, *vars(probe).values()),
-                      lambda: (Q, ptrace))
+            if not paused:
+                _once(memo, "power", state, lambda: (Q, ptrace))
         if best is None or score > best[0]:
             best = (score, (traj, alloc, init), memo)
     return best[1], best[2]
@@ -636,7 +648,8 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     A step that meets the state of its last solve again (say, a rejected
     power step after a time step that returned its input) takes that
     solve's result from `memo`, which the start probe fills for the first
-    iteration.  That is exact: a step is a deterministic function of the
+    iteration; a power step continues the one the probe paused on its
+    state.  That is exact: a step is a deterministic function of the
     arrays it reads, which key its entry (the time step reads the positions
     and powers only)."""
     (traj, alloc, init), memo = _pick_start(cfg, mode, candidates)
@@ -645,8 +658,10 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     for outer in range(1, MAX_OUTER + 1):
         alloc = _time_pass(cfg, mode, memo, traj, alloc, trace[-1])
 
-        Q, ptrace = _once(memo, "power", (traj.positions, *vars(alloc).values()),
-                          lambda: mode.power_step(cfg, traj, alloc, max_iter=MAX_INNER))
+        state = (traj.positions, *vars(alloc).values())
+        Q, ptrace = _once(memo, "power", state, lambda: mode.power_step(
+            cfg, traj, alloc, max_iter=MAX_INNER,
+            paused=_once(memo, "paused power", state, dict)))
         # Only a step's last pass can be unvetted: the coordination step
         # rejects lowering passes itself, the joint step returns its single
         # solve as it is.

@@ -1,4 +1,7 @@
+import pickle
 import warnings
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from conftest import benchmark_config
 from oracles import barrier_objective
 from wpcn_traj import (AllocationIC, Problem, StartInfeasible, Status, direct_flight_trajectory,
                        kernel, sca_ic, solve_concave, solve_infinite_comp,
-                       solve_infinite_ic, solve_p21)
+                       solve_infinite_ic, solve_p1, solve_p21)
 from wpcn_traj.kernel import LogGroup, NegLogGroup
 from wpcn_traj.model import dbm_to_watt
 from wpcn_traj.sca_comp import (_traj_subproblem_comp, initial_allocation_comp,
@@ -950,3 +953,101 @@ def test_structured_program_without_dense_rows(monkeypatch):
     out = solve_concave(prob, np.r_[np.full(n - 1, 0.5), 0.0])
     assert out.status is Status.OPTIMAL
     assert out.objective == pytest.approx(1.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The shape cache
+# ---------------------------------------------------------------------------
+
+def _built_shapes(monkeypatch):
+    """Start an empty shape cache; the list that each `_Shape` built is
+    appended to."""
+    monkeypatch.setattr(kernel, "_SHAPES", OrderedDict())
+    built, shape = [], kernel._Shape
+
+    def counted(*args):
+        built.append(shape(*args))
+        return built[-1]
+    monkeypatch.setattr(kernel, "_Shape", counted)
+    return built
+
+
+def test_cached_shapes_leave_a_solve_bit_identical(monkeypatch):
+    # The same solve with no cache, from an empty one, and after solves of
+    # both modes and another config have filled it.
+    cfg = benchmark_config(device_distance=5.0, duration=4.0, num_slots=6)
+
+    def report():
+        return pickle.dumps(replace(solve_p1(cfg), wall_seconds=0.0))
+
+    uncached_builds = _built_shapes(monkeypatch)
+    monkeypatch.setattr(kernel, "_SHAPES_KEPT", 0)
+    uncached = report()
+    monkeypatch.undo()
+    built = _built_shapes(monkeypatch)
+    cold = report()
+    cold_builds = len(built)
+    solve_p1(benchmark_config(device_distance=30.0, duration=20.0, num_slots=6))
+    solve_p21(benchmark_config(device_distance=15.0, duration=20.0, num_slots=12))
+    warm_start = len(built)
+    warm = report()
+    assert cold_builds < len(uncached_builds) and len(built) - warm_start < cold_builds
+    assert uncached == cold == warm
+
+
+def test_a_zero_coefficient_makes_its_own_shape(monkeypatch):
+    built = _built_shapes(monkeypatch)
+
+    def program(coef):
+        prob = Problem(4)
+        prob.add_affine([0, 1, 2, 3], [1.0, coef, 1.0, 1.0], 2.0)
+        prob.add_bounds([0, 1, 2])
+        return prob
+
+    two, zero, three, zero_again = (program(c) for c in (2.0, 0.0, 3.0, 0.0))
+    layouts = [p._compiled() for p in (two, zero, three, zero_again)]
+    assert len(built) == 2
+    assert layouts[2].g_slot is layouts[0].g_slot and layouts[3].g_slot is layouts[1].g_slot
+    assert 1 in layouts[0].pat_col[layouts[0].pat_row == 0]
+    assert 1 not in layouts[1].pat_col[layouts[1].pat_row == 0]
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    for prob, coef in ((two, 2.0), (zero, 0.0), (three, 3.0)):
+        assert prob.slacks(x)[0] == pytest.approx(2.0 - 0.8 - coef * 0.2, abs=1e-15)
+
+
+def test_structured_threshold_applies_to_a_cached_shape(monkeypatch):
+    _built_shapes(monkeypatch)
+    start, threshold = np.array([0.5, 0.7, 0.1]), kernel.STRUCTURED_MIN_N
+    dense = solve_concave(_toy_epigraph(), start)
+    assert not _toy_epigraph()._compiled().structured
+    monkeypatch.setattr(kernel, "STRUCTURED_MIN_N", 0)
+    prob = _toy_epigraph()
+    assert prob._compiled().structured
+    out = solve_concave(prob, start)
+    assert out.status is Status.OPTIMAL
+    assert out.objective == pytest.approx(dense.objective, abs=1e-8)
+    monkeypatch.setattr(kernel, "STRUCTURED_MIN_N", threshold)
+    assert not _toy_epigraph()._compiled().structured
+
+
+def test_shape_cache_keeps_the_shapes_used_last(monkeypatch):
+    built = _built_shapes(monkeypatch)
+    kept = kernel._SHAPES_KEPT
+
+    def shape(n):
+        prob = Problem(n)
+        prob.add_bounds(np.arange(n))
+        return prob._compiled().g_slot
+
+    first = shape(2)
+    for n in range(3, 2 + kept):
+        shape(n)
+    assert len(kernel._SHAPES) == kept
+    assert shape(2) is first          # used again, so kept past the next one
+    shape(2 + kept)
+    assert shape(2) is first and len(built) == kept + 1
+    shape(3)                          # the least recently used, dropped
+    assert len(built) == kept + 2
+    for n in range(100, 100 + 3 * kept):
+        shape(n)
+        assert len(kernel._SHAPES) == kept

@@ -1,4 +1,5 @@
-from dataclasses import astuple, replace
+import pickle
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -466,12 +467,27 @@ class TestSolveP1:
         assert np.all(np.diff(rep.objective_trace) >= -1e-9)
 
 
+def _first_pass(paused=None, **_):
+    """The pass a coordination power step starts at: the one after those of
+    the paused step it continues, else the first."""
+    run = (paused or {}).get("run")
+    return len(run[1]) if run else 1
+
+
+def _kernel_call_key(problem, start) -> bytes:
+    """A kernel call's program (every row term and log group) and start."""
+    groups = [(row, type(g).__name__, [np.asarray(getattr(g, f.name)) for f in fields(g)])
+              for row, g in problem._groups]
+    return pickle.dumps((problem.n, problem._const, problem._lin, problem._sq,
+                         problem._pair, groups, np.asarray(start)))
+
+
 class TestNoStepSolvedTwice:
     """Within one solve no step is solved twice on the arrays it reads: the
     positions and powers for the time step, the positions and every
     allocation field for the power and trajectory steps.  The steps are
     wrapped as module globals, the way a tracer wraps them, and each call's
-    input arrays are recorded."""
+    input arrays are recorded, with the pass a power step starts at."""
 
     @staticmethod
     def _record(monkeypatch, module, mode):
@@ -482,12 +498,13 @@ class TestNoStepSolvedTwice:
             step = getattr(module, name)
 
             def recorded(*args, **kwargs):
-                calls.append((kind, tuple(np.array(a) for a in reads(*args))))
+                calls.append((kind, tuple(np.array(a) for a in reads(*args, **kwargs))))
                 return step(*args, **kwargs)
             monkeypatch.setattr(module, name, recorded)
 
         wrap("time", lambda cfg, traj, tx_power: (traj.positions, tx_power))
-        wrap("power", lambda cfg, traj, alloc: (traj.positions, *astuple(alloc)))
+        wrap("power", lambda cfg, traj, alloc, **kw: (traj.positions, *astuple(alloc),
+                                                      _first_pass(**kw)))
         wrap("traj", lambda cfg, alloc, traj: (traj.positions, *astuple(alloc)))
         pick = sca_ic._pick_start
 
@@ -522,3 +539,26 @@ class TestNoStepSolvedTwice:
                                                num_slots=80))
         assert rep.outer_iterations >= 2
         self._assert_no_repeat(calls, starts[0], rep.outer_iterations)
+
+    def test_coordination_solve(self, monkeypatch):
+        # The winning start's probe power step stops at its pass cap, and
+        # iteration 1 used to solve those passes again before going on.
+        # Nor does any kernel call repeat an earlier program and start.
+        calls, starts = self._record(monkeypatch, sca_ic, "ic")
+        power, kernel_call = sca_ic.optimize_power_ic, sca_ic.solve_concave
+        resumed, kernel_calls = [], []
+
+        def power_step(*args, **kwargs):
+            resumed.append(_first_pass(**kwargs) > 1)
+            return power(*args, **kwargs)
+
+        def keyed(problem, start):
+            kernel_calls.append(_kernel_call_key(problem, start))
+            return kernel_call(problem, start)
+
+        monkeypatch.setattr(sca_ic, "optimize_power_ic", power_step)
+        monkeypatch.setattr(sca_ic, "solve_concave", keyed)
+        rep = solve_p1(benchmark_config(device_distance=5.0, duration=4.0, num_slots=6))
+        assert starts[0] > 1 and any(resumed)
+        self._assert_no_repeat(calls, starts[0], rep.outer_iterations)
+        assert len(set(kernel_calls)) == len(kernel_calls)
