@@ -13,10 +13,13 @@ the charging time, common rate and hover offsets of
 mode.  At -100 dBm turn-taking wins the uplink on every D of the grid, so a
 -80 dBm block follows, `solve_p1` (N=6) and `solve_infinite_ic` on D in
 {15, 30} x T in {4, 20, 50}: there D=30 takes the simultaneous uplink.
-Last, one `zf_mc` line per D in {5, 10, ..., 30} (T=50 in the label only)
-with the Monte-Carlo zero-forcing oracle `sample_zf_rate` at a fixed
-asymmetric UAV pair, 1e5 samples and a fixed seed: the repr of each device's
-mean and standard error, and the smaller mean as `common_rate`.
+Two short missions close the solver lines, `solve_p1` at D=5, T=2 with
+N=50 at -100 dBm and N=40 at -80 dBm, where the hover-and-fly start wins
+only after its first power step has run to its end.  Last, one `zf_mc`
+line per D in {5, 10, ..., 30} (T=50 in the label only) with the
+Monte-Carlo zero-forcing oracle `sample_zf_rate` at a fixed asymmetric UAV
+pair, 1e5 samples and a fixed seed: the repr of each device's mean and
+standard error, and the smaller mean as `common_rate`.
 
 Running it against two checkouts and diffing the outputs shows whether a
 change moved any rate or trace:
@@ -70,6 +73,8 @@ def configs():
     for D in (15.0, 30.0):
         for T in (4.0, 20.0, 50.0):
             yield "p1", -80.0, D, T, 6
+    for noise, N in ((-100.0, 50), (-80.0, 40)):
+        yield "p1", noise, 5.0, 2.0, N
 
 
 def hover_configs():

@@ -472,9 +472,9 @@ class _Layout:
         self.groups = p._groups
         self.stacks = []
         for cls, first, end, rows, spans, idx in shape.runs:
-            gs = [g for _, g in self.groups[first:end]]
-            grp = cls(idx=idx, **{f.name: np.concatenate([getattr(g, f.name) for g in gs])
-                                  for f in fields(cls) if f.name != "idx"})
+            gs = [g for _, g in self.groups[first:end]]   # each validated when built
+            vars(grp := object.__new__(cls)).update(idx=idx, **{f.name: np.concatenate(
+                [getattr(g, f.name) for g in gs]) for f in fields(cls) if f.name != "idx"})
             k = idx.shape[1]
             outer = (grp.coeffs[:, :, None] * grp.coeffs[:, None, :]).reshape(-1, k * k)
             self.stacks.append((grp, rows, spans, outer))

@@ -255,12 +255,10 @@ def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Traject
 # ---------------------------------------------------------------------------
 
 def _comp_mode() -> _Mode:
-    # The power step is closed-form, so it takes no pass cap and never pauses.
     return _Mode(
         throughput=common_throughput_comp,
         time_step=optimize_time_comp,
-        power_step=lambda cfg, traj, alloc, max_iter, paused: optimize_power_comp(
-            cfg, traj, alloc),
+        power_step=optimize_power_comp,
         traj_step=lambda cfg, alloc, traj: optimize_traj_comp(cfg, alloc, traj)[0])
 
 

@@ -13,8 +13,8 @@ are assembled by `_traj_program` from tangents in the squared UAV-device
 distances, all built by `_distance_tangent`; each mode supplies only their
 coefficients.  The engine's caps and tolerances are fixed constants.  A
 step is a deterministic function of the state it reads, so a solve reuses
-its result on a repeat, and the first outer iteration continues a start
-probe's power step that stopped at the probe's pass cap.
+its result on a repeat: the start probe runs each start's time and power
+steps in full, and the winner's first outer iteration finds both.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class Initialization(Enum):
 OUTER_TOL, MAX_OUTER = 1e-4, 50   # relative gain that stops the alternation; its cap
 INNER_TOL, MAX_INNER = 1e-4, 30   # the same for each SCA step's passes
 TAU_GRID = 400                    # charge-duration grid of the hover solve behind the starts
-_PROBE_PASSES = 5                 # power-step passes of a start probe
 
 
 @dataclass
@@ -305,31 +304,25 @@ def _power_budgets(cfg: ScenarioConfig, alloc, traj, harvested,
             for k in range(2)]
 
 
-def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
-                      max_iter: int = MAX_INNER, paused: dict | None = None):
+def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC):
     """Iterative concave maximization of the transmit powers.
 
     Slots with no uplink time are frozen at the incumbent; each pass solves
     the tangent surrogate of the interference term and is accepted only if
     the true common throughput does not decrease.  Returns the powers and the
     throughput of every accepted iterate.
-
-    A step that stops at its pass cap `max_iter` leaves its powers, trace
-    and last surrogate value in the dict `paused`, when given one.  A later
-    step on the same `traj` and `alloc` given that dict continues at the
-    next pass, and returns what one step with its larger cap returns.
     """
     uplink, charge = alloc.uplink_time, alloc.charge_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
-    paused = {} if paused is None else paused
-    Q, trace, prev_surrogate = paused.pop("run", None) or (
-        alloc.tx_power.copy(), [common_throughput_ic(alloc, traj, cfg)], None)
+    Q = alloc.tx_power.copy()
+    trace = [common_throughput_ic(alloc, traj, cfg)]
     if active.size == 0:
         return Q, trace
     g = gain_matrix(traj, cfg)
     budgets = _power_budgets(cfg, alloc, traj, harvested_energy_ic, active)
     A = active.size
-    for _ in range(len(trace) - 1, max_iter):
+    prev_surrogate = None
+    for _ in range(MAX_INNER):
         prob = Problem(2 * A + 1)
         wt = uplink[active] / (cfg.duration * np.log(2.0))
         for k in range(2):
@@ -372,8 +365,6 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC,
                 sur - prev_surrogate <= INNER_TOL * (1.0 + abs(prev_surrogate)):
             break
         prev_surrogate = sur
-    else:
-        paused["run"] = (Q, trace[:], prev_surrogate)
     return Q, trace
 
 
@@ -578,14 +569,15 @@ def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory)
 
 @dataclass(frozen=True)
 class _Mode:
-    """One cooperation mode's blocks, in the form `_alternate` calls them.
+    """One cooperation mode's blocks, in the form `_alternate` calls them:
+    each step takes the state it reads and nothing else.
 
     Each solve builds its record when called, from its module's globals, so
     steps wrapped from outside (for tracing) are the ones that run."""
 
     throughput: Callable   # (alloc, traj, cfg) -> common throughput
     time_step: Callable    # (cfg, traj, tx_power) -> allocation
-    power_step: Callable   # (cfg, traj, alloc, max_iter=, paused=) -> (Q, trace)
+    power_step: Callable   # (cfg, traj, alloc) -> (Q, trace)
     traj_step: Callable | None   # (cfg, alloc, traj) -> trajectory, or None
 
 
@@ -613,28 +605,17 @@ def _time_pass(cfg: ScenarioConfig, mode: _Mode, memo: dict, traj, alloc, value:
 
 
 def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
-    """Rank candidate starts by one cheap time+power pass (no trajectory
+    """Rank candidate starts by their time and power steps (no trajectory
     step); the raw initial objective misjudges which basin the trajectory
-    step can refine.  A candidate scores the throughput of the power step's
-    last pass, accepted or not; a lone candidate is not scored.  Returns the
-    winner and its step memo: its time pass is the first outer iteration's.
-    So is its power step when that stopped on its own test, since a larger
-    cap then changes nothing; one that stopped at the probe's pass cap is
-    paused in the memo, and the first outer iteration's power step
-    continues it at the next pass."""
+    step can refine.  A candidate scores the throughput of its power step's
+    last pass, accepted or not.  Returns the winner and its step memo, which
+    holds the first outer iteration's time and power steps."""
     best = None
     for traj, alloc, init in candidates:
         memo = {}
         probe = _time_pass(cfg, mode, memo, traj, alloc, mode.throughput(alloc, traj, cfg))
-        score = 0.0
-        if len(candidates) > 1:
-            state = (traj.positions, *vars(probe).values())
-            paused = _once(memo, "paused power", state, dict)
-            Q, ptrace = mode.power_step(cfg, traj, probe, max_iter=_PROBE_PASSES,
-                                        paused=paused)
-            score = ptrace[-1]
-            if not paused:
-                _once(memo, "power", state, lambda: (Q, ptrace))
+        score = _once(memo, "power", (traj.positions, *vars(probe).values()),
+                      lambda: mode.power_step(cfg, traj, probe))[1][-1]
         if best is None or score > best[0]:
             best = (score, (traj, alloc, init), memo)
     return best[1], best[2]
@@ -648,8 +629,7 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     A step that meets the state of its last solve again (say, a rejected
     power step after a time step that returned its input) takes that
     solve's result from `memo`, which the start probe fills for the first
-    iteration; a power step continues the one the probe paused on its
-    state.  That is exact: a step is a deterministic function of the
+    iteration.  That is exact: a step is a deterministic function of the
     arrays it reads, which key its entry (the time step reads the positions
     and powers only)."""
     (traj, alloc, init), memo = _pick_start(cfg, mode, candidates)
@@ -658,10 +638,8 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     for outer in range(1, MAX_OUTER + 1):
         alloc = _time_pass(cfg, mode, memo, traj, alloc, trace[-1])
 
-        state = (traj.positions, *vars(alloc).values())
-        Q, ptrace = _once(memo, "power", state, lambda: mode.power_step(
-            cfg, traj, alloc, max_iter=MAX_INNER,
-            paused=_once(memo, "paused power", state, dict)))
+        Q, ptrace = _once(memo, "power", (traj.positions, *vars(alloc).values()),
+                          lambda: mode.power_step(cfg, traj, alloc))
         # Only a step's last pass can be unvetted: the coordination step
         # rejects lowering passes itself, the joint step returns its single
         # solve as it is.

@@ -437,9 +437,10 @@ def _captured_subproblems(monkeypatch):
         a_comp = initial_allocation_comp(cfg, traj, solve_infinite_comp(cfg, tau_grid=100))
         if n_slots != 40:
             monkeypatch.setattr(sca_ic, "solve_concave", keep)
+            monkeypatch.setattr(sca_ic, "MAX_INNER", 1)
             a_ic = optimize_time_ic(cfg, traj, a_ic.tx_power)
             optimize_time_comp(cfg, traj, a_comp.tx_power)
-            optimize_power_ic(cfg, traj, a_ic, max_iter=1)
+            optimize_power_ic(cfg, traj, a_ic)
             monkeypatch.undo()
         if n_slots != 80:
             probs.append(_traj_subproblem_ic(cfg, a_ic, traj.positions))
@@ -535,7 +536,7 @@ def _first_power_step(monkeypatch, cfg):
     class Captured(Exception):
         pass
 
-    def capture(cfg, traj, alloc, **_):
+    def capture(cfg, traj, alloc):
         steps.append((cfg, traj, alloc))
         raise Captured
 
@@ -559,7 +560,8 @@ def _lost_power_pass(monkeypatch):
         return solve_concave(prob, start)
 
     monkeypatch.setattr(sca_ic, "solve_concave", kept)
-    optimize_power_ic(cfg, traj, alloc, max_iter=1)
+    monkeypatch.setattr(sca_ic, "MAX_INNER", 1)
+    optimize_power_ic(cfg, traj, alloc)
     monkeypatch.undo()
     return passes[0]
 
@@ -581,7 +583,9 @@ def test_power_step_restart_ends_optimal(monkeypatch):
 
     monkeypatch.setattr(sca_ic, "solve_concave", kept)
     calls = _pd_calls(monkeypatch)
-    optimize_power_ic(cfg, traj, alloc, max_iter=1)
+    with monkeypatch.context() as one_pass:
+        one_pass.setattr(sca_ic, "MAX_INNER", 1)
+        optimize_power_ic(cfg, traj, alloc)
     (prob, start, out), = solves
     assert calls == [True, False]
     assert out.status is Status.OPTIMAL

@@ -14,9 +14,10 @@ from wpcn_traj import (AllocationIC, Initialization, Trajectory,
                        solve_p1_direct, solve_p21)
 from wpcn_traj import kernel, sca_comp, sca_ic
 from wpcn_traj.kernel import StartInfeasible, Status, solve_concave
-from wpcn_traj.model import gain_matrix
+from wpcn_traj.model import dbm_to_watt, gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
-from wpcn_traj.sca_ic import _power_budgets, _shf_ic, _time_lp, initial_allocation_ic
+from wpcn_traj.sca_ic import (_no_worse, _power_budgets, _shf_ic, _time_lp,
+                              initial_allocation_ic)
 from conftest import benchmark_config
 from oracles import barrier_objective
 
@@ -352,10 +353,11 @@ class TestOptimizePower:
         oracle = _refining_power_oracle(cfg, traj, uplink, budgets)
         assert got >= oracle - 1e-3 * (1 + abs(oracle))
 
-    def test_start_from_a_spent_budget(self):
+    def test_start_from_a_spent_budget(self, monkeypatch):
         # Powers that spend each device's budget to within a few ulps: the
         # kernel's own sum of the budget row can then exceed the budget, and
         # an unscaled start used to raise StartInfeasible.
+        monkeypatch.setattr(sca_ic, "MAX_INNER", 1)
         for D in (5.0, 15.0, 30.0):
             for T in (4.0, 20.0):
                 cfg = benchmark_config(device_distance=D, duration=T, num_slots=6)
@@ -370,8 +372,7 @@ class TestOptimizePower:
                     for k in range(2):
                         Q[k, active] *= budgets[k] / float((Q[k, active] * up[active]).sum())
                         Q[k, active] *= 1.0 - ulps * np.finfo(float).eps / 2
-                    _, trace = optimize_power_ic(cfg, traj, replace(alloc, tx_power=Q),
-                                                 max_iter=1)
+                    _, trace = optimize_power_ic(cfg, traj, replace(alloc, tx_power=Q))
                     assert trace == sorted(trace)
 
     def test_monotone_true_objective(self):
@@ -466,12 +467,28 @@ class TestSolveP1:
         assert rep.initialization is Initialization.DIRECT_FLIGHT
         assert np.all(np.diff(rep.objective_trace) >= -1e-9)
 
+    def test_no_worse_than_any_start_after_its_first_steps(self, monkeypatch):
+        # -80 dBm, D = 5 m, T = 2 s, N = 40: ranked by five power passes,
+        # direct flight won and the solve ended at 1.4007, where hover-and-fly
+        # reaches 3.68 after its time and power steps alone.
+        cfg = benchmark_config(device_distance=5.0, duration=2.0, num_slots=40,
+                               noise_power=dbm_to_watt(-80.0))
+        starts, pick = [], sca_ic._pick_start
 
-def _first_pass(paused=None, **_):
-    """The pass a coordination power step starts at: the one after those of
-    the paused step it continues, else the first."""
-    run = (paused or {}).get("run")
-    return len(run[1]) if run else 1
+        def recorded(cfg, mode, candidates):
+            starts.extend(candidates)
+            return pick(cfg, mode, candidates)
+
+        monkeypatch.setattr(sca_ic, "_pick_start", recorded)
+        rate = solve_p1(cfg).common_rate
+        assert len(starts) == 2
+        for traj, alloc, _ in starts:
+            timed = optimize_time_ic(cfg, traj, alloc.tx_power)
+            if not _no_worse(common_throughput_ic(timed, traj, cfg),
+                             common_throughput_ic(alloc, traj, cfg)):
+                timed = alloc
+            _, trace = optimize_power_ic(cfg, traj, timed)
+            assert _no_worse(rate, trace[-1]), (rate, trace[-1])
 
 
 def _kernel_call_key(problem, start) -> bytes:
@@ -487,7 +504,7 @@ class TestNoStepSolvedTwice:
     positions and powers for the time step, the positions and every
     allocation field for the power and trajectory steps.  The steps are
     wrapped as module globals, the way a tracer wraps them, and each call's
-    input arrays are recorded, with the pass a power step starts at."""
+    input arrays are recorded."""
 
     @staticmethod
     def _record(monkeypatch, module, mode):
@@ -503,8 +520,7 @@ class TestNoStepSolvedTwice:
             monkeypatch.setattr(module, name, recorded)
 
         wrap("time", lambda cfg, traj, tx_power: (traj.positions, tx_power))
-        wrap("power", lambda cfg, traj, alloc, **kw: (traj.positions, *astuple(alloc),
-                                                      _first_pass(**kw)))
+        wrap("power", lambda cfg, traj, alloc: (traj.positions, *astuple(alloc)))
         wrap("traj", lambda cfg, alloc, traj: (traj.positions, *astuple(alloc)))
         pick = sca_ic._pick_start
 
@@ -541,24 +557,18 @@ class TestNoStepSolvedTwice:
         self._assert_no_repeat(calls, starts[0], rep.outer_iterations)
 
     def test_coordination_solve(self, monkeypatch):
-        # The winning start's probe power step stops at its pass cap, and
-        # iteration 1 used to solve those passes again before going on.
+        # Iteration 1's time and power steps are the winning start probe's,
+        # and its power step used to be solved again from its first pass.
         # Nor does any kernel call repeat an earlier program and start.
         calls, starts = self._record(monkeypatch, sca_ic, "ic")
-        power, kernel_call = sca_ic.optimize_power_ic, sca_ic.solve_concave
-        resumed, kernel_calls = [], []
-
-        def power_step(*args, **kwargs):
-            resumed.append(_first_pass(**kwargs) > 1)
-            return power(*args, **kwargs)
+        kernel_call, kernel_calls = sca_ic.solve_concave, []
 
         def keyed(problem, start):
             kernel_calls.append(_kernel_call_key(problem, start))
             return kernel_call(problem, start)
 
-        monkeypatch.setattr(sca_ic, "optimize_power_ic", power_step)
         monkeypatch.setattr(sca_ic, "solve_concave", keyed)
         rep = solve_p1(benchmark_config(device_distance=5.0, duration=4.0, num_slots=6))
-        assert starts[0] > 1 and any(resumed)
+        assert starts[0] > 1
         self._assert_no_repeat(calls, starts[0], rep.outer_iterations)
         assert len(set(kernel_calls)) == len(kernel_calls)
