@@ -23,7 +23,7 @@ from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
                     comp_coherent_power, comp_noncoherent_power,
                     comp_rate_upper_bound, harvested_energy_comp)
 from .sca_ic import (LOG2E, TAU_GRID, Initialization, SolveReport, _Mode, _alternate,
-                     _direct_start, _feasible_plan, _leg_time, _power_budgets,
+                     _direct_start, _feasible_plan, _leg_time, _no_worse, _power_budgets,
                      _refine_trajectory, _sample_paths, _time_lp, _traj_program,
                      _window_masks, _within_budget, build_visit_paths)
 
@@ -191,20 +191,22 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP):
     q_n = (L_k - 1/c_kn)^+ with c_kn the slot's SNR per watt and the level
     L_k set so the device spends its whole budget.
 
-    Returns the powers and the throughput [before, after] the step; the
-    caller decides whether to accept them."""
+    Returns the powers and the accepted throughputs: [before, after], or the
+    incumbent's powers and [before] when the water-fill lowers the throughput
+    (by rounding) or no slot has uplink time."""
     uplink = alloc.uplink_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
     Q = alloc.tx_power.copy()
     before = common_throughput_comp(alloc, traj, cfg)
     if active.size == 0:
-        return Q, [before, before]
+        return Q, [before]
     d2 = _device_dist2(traj, cfg)
     csnr = 0.5 * cfg.ref_gain / cfg.noise_power * (1.0 / (d2 + cfg.altitude**2)).sum(axis=1)
     budgets = _power_budgets(cfg, alloc, traj, harvested_energy_comp, active)
     for k in range(2):
         Q[k, active] = _water_fill(1.0 / csnr[k, active], uplink[active], budgets[k])
-    return Q, [before, common_throughput_comp(replace(alloc, tx_power=Q), traj, cfg)]
+    after = common_throughput_comp(replace(alloc, tx_power=Q), traj, cfg)
+    return (Q, [before, after]) if _no_worse(after, before) else (alloc.tx_power.copy(), [before])
 
 
 def _traj_subproblem_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, ref: np.ndarray):

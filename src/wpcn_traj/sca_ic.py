@@ -11,10 +11,10 @@ loop (`_refine_trajectory`) see a mode only through its steps, so the joint
 mode (`sca_comp`) reuses them as they are.  Both modes' trajectory programs
 are assembled by `_traj_program` from tangents in the squared UAV-device
 distances, all built by `_distance_tangent`; each mode supplies only their
-coefficients.  The engine's caps and tolerances are fixed constants.  A
-step is a deterministic function of the state it reads, so a solve reuses
-its result on a repeat: the start probe runs each start's time and power
-steps in full, and the winner's first outer iteration finds both.
+coefficients.  Every loop ends by one stop test on the true throughput
+(`_converged`) or at a fixed cap.  A step is a deterministic function of the
+state it reads, so a solve reuses its result on a repeat: the start probe's
+time and power steps serve the winner's first outer iteration.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class Initialization(Enum):
     DIRECT_FLIGHT = "direct-flight"
 
 
-OUTER_TOL, MAX_OUTER = 1e-4, 50   # relative gain that stops the alternation; its cap
-INNER_TOL, MAX_INNER = 1e-4, 30   # the same for each SCA step's passes
+GAIN_TOL = 1e-4                   # relative gain that stops every loop (`_converged`)
+MAX_OUTER, MAX_INNER = 50, 30     # caps on outer iterations and on each SCA step's passes
 TAU_GRID = 400                    # charge-duration grid of the hover solve behind the starts
 
 
@@ -69,6 +69,12 @@ def _no_worse(new: float, old: float) -> bool:
     """Acceptance test of every candidate: the throughput may drop by solver
     noise, no more."""
     return new >= old - 1e-12 * (1.0 + abs(old))
+
+
+def _converged(trace) -> bool:
+    """Stop test of every loop: the last accepted throughput of `trace`
+    gained at most GAIN_TOL (relative) over the one before."""
+    return trace[-1] - trace[-2] <= GAIN_TOL * (1.0 + abs(trace[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +315,8 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC):
 
     Slots with no uplink time are frozen at the incumbent; each pass solves
     the tangent surrogate of the interference term and is accepted only if
-    the true common throughput does not decrease.  Returns the powers and the
+    the true common throughput does not decrease.  The step ends on the
+    first rejected pass or once `_converged`.  Returns the powers and the
     throughput of every accepted iterate.
     """
     uplink, charge = alloc.uplink_time, alloc.charge_time
@@ -321,7 +328,6 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC):
     g = gain_matrix(traj, cfg)
     budgets = _power_budgets(cfg, alloc, traj, harvested_energy_ic, active)
     A = active.size
-    prev_surrogate = None
     for _ in range(MAX_INNER):
         prob = Problem(2 * A + 1)
         wt = uplink[active] / (cfg.duration * np.log(2.0))
@@ -360,11 +366,8 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC):
             break
         Q = Q_new
         trace.append(val)
-        sur = float(out.x[-1])
-        if prev_surrogate is not None and \
-                sur - prev_surrogate <= INNER_TOL * (1.0 + abs(prev_surrogate)):
+        if _converged(trace):
             break
-        prev_surrogate = sur
     return Q, trace
 
 
@@ -529,9 +532,9 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
     when it is feasible, keeps every device's energy budget (`harvested` is
     the mode's harvested-energy function) and does not lower `throughput`.
     The step ends at the incumbent on the first rejected candidate or failed
-    surrogate solve.  Returns the trajectory and the accepted throughputs."""
-    best = throughput(alloc, traj, cfg)
-    trace = [best]
+    surrogate solve, or once `_converged`.  Returns the trajectory and the
+    accepted throughputs."""
+    trace = [throughput(alloc, traj, cfg)]
     positions = traj.positions.copy()
     N = cfg.num_slots
     spend = [float((alloc.tx_power[k] * alloc.uplink_time).sum()) for k in range(2)]
@@ -546,11 +549,11 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
         ok = cand_traj.is_feasible(cfg) and all(
             harvested(alloc, cand_traj, k, cfg) - spend[k] >= -1e-9 for k in range(2))
         val = throughput(alloc, cand_traj, cfg)
-        if not (ok and _no_worse(val, best)):
+        if not (ok and _no_worse(val, trace[-1])):
             break
-        positions, best = cand, val
+        positions = cand
         trace.append(val)
-        if val - trace[-2] <= INNER_TOL * (1.0 + abs(val)):
+        if _converged(trace):
             break
     return Trajectory(positions), trace
 
@@ -607,9 +610,9 @@ def _time_pass(cfg: ScenarioConfig, mode: _Mode, memo: dict, traj, alloc, value:
 def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
     """Rank candidate starts by their time and power steps (no trajectory
     step); the raw initial objective misjudges which basin the trajectory
-    step can refine.  A candidate scores the throughput of its power step's
-    last pass, accepted or not.  Returns the winner and its step memo, which
-    holds the first outer iteration's time and power steps."""
+    step can refine.  A candidate scores its power step's last accepted
+    throughput.  Returns the winner and its step memo, which holds the first
+    outer iteration's time and power steps."""
     best = None
     for traj, alloc, init in candidates:
         memo = {}
@@ -624,7 +627,8 @@ def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
 def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> SolveReport:
     """Alternate the time, power and trajectory steps of `mode` from the best
     of the (trajectory, allocation, Initialization) `candidates` until an
-    outer iteration after the first gains less than OUTER_TOL (relative).
+    outer iteration passes `_converged`.  Every step returns only what it
+    accepted, so its result is taken as it is.
 
     A step that meets the state of its last solve again (say, a rejected
     power step after a time step that returned its input) takes that
@@ -638,22 +642,16 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     for outer in range(1, MAX_OUTER + 1):
         alloc = _time_pass(cfg, mode, memo, traj, alloc, trace[-1])
 
-        Q, ptrace = _once(memo, "power", (traj.positions, *vars(alloc).values()),
-                          lambda: mode.power_step(cfg, traj, alloc))
-        # Only a step's last pass can be unvetted: the coordination step
-        # rejects lowering passes itself, the joint step returns its single
-        # solve as it is.
-        if len(ptrace) == 1 or _no_worse(ptrace[-1], ptrace[-2]):
-            alloc = replace(alloc, tx_power=Q)
+        Q, _ = _once(memo, "power", (traj.positions, *vars(alloc).values()),
+                     lambda: mode.power_step(cfg, traj, alloc))
+        alloc = replace(alloc, tx_power=Q)
 
         if mode.traj_step is not None and cfg.num_slots >= 2:
             traj = _once(memo, "traj", (traj.positions, *vars(alloc).values()),
                          lambda: mode.traj_step(cfg, alloc, traj))
 
-        value = mode.throughput(alloc, traj, cfg)
-        improved = value - trace[-1]
-        trace.append(value)
-        if improved <= OUTER_TOL * (1.0 + abs(value)) and outer >= 2:
+        trace.append(mode.throughput(alloc, traj, cfg))
+        if _converged(trace):
             break
 
     return SolveReport(

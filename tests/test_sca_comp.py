@@ -224,6 +224,28 @@ class TestOptimizePower:
         assert min(r / harvested_energy_comp(out, traj, k, cfg)
                    for k, r in enumerate(residuals)) < 1e-4
 
+    def test_a_lowering_water_fill_returns_the_incumbent(self, monkeypatch):
+        # One water-fill of this solve lowers the common throughput, by
+        # rounding: the step returns the incumbent powers and a one-entry
+        # trace, so it returns only what it accepted.
+        step, calls = sca_comp.optimize_power_comp, []
+
+        def recorded(cfg, traj, alloc):
+            calls.append((cfg, traj, alloc, step(cfg, traj, alloc)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(sca_comp, "optimize_power_comp", recorded)
+        solve_p21(benchmark_config(device_distance=5.0, duration=4.0, num_slots=12))
+        kept = [call for call in calls if len(call[3][1]) == 1
+                and (call[2].uplink_time > 1e-12 * call[0].slot_duration).any()]
+        assert len(kept) == 1
+        cfg, traj, alloc, (Q, trace) = kept[0]
+        np.testing.assert_array_equal(Q, alloc.tx_power)
+        assert trace == [common_throughput_comp(alloc, traj, cfg)]
+        monkeypatch.setattr(sca_comp, "_no_worse", lambda new, old: True)
+        filled, (before, after) = step(cfg, traj, alloc)
+        assert after < before and not np.array_equal(filled, Q)
+
 
 class TestOptimizeTrajectory:
     def _prepared(self):

@@ -16,7 +16,7 @@ from wpcn_traj import kernel, sca_comp, sca_ic
 from wpcn_traj.kernel import StartInfeasible, Status, solve_concave
 from wpcn_traj.model import dbm_to_watt, gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
-from wpcn_traj.sca_ic import (_no_worse, _power_budgets, _shf_ic, _time_lp,
+from wpcn_traj.sca_ic import (_converged, _no_worse, _power_budgets, _shf_ic, _time_lp,
                               initial_allocation_ic)
 from conftest import benchmark_config
 from oracles import barrier_objective
@@ -255,9 +255,10 @@ def test_coordination_time_lps_solve_in_few_newton_systems(monkeypatch):
 
 def test_power_step_solves_in_few_newton_systems(monkeypatch):
     # The coordination power step has affine and log rows only, so the
-    # kernel solves it by primal-dual iterations from its start (6-16
-    # Newton systems here).
-    programs = _programs(monkeypatch, solve_p1, 6, "power")
+    # kernel solves it by primal-dual iterations from its start (6-17
+    # Newton systems here).  Its steps stop after few passes, so a third
+    # config keeps the sample.
+    programs = _programs(monkeypatch, solve_p1, 6, "power", durations=(20.0, 4.0, 50.0))
     assert len(programs) >= 10
     _assert_few_newton_systems(programs, 18)
 
@@ -383,6 +384,26 @@ class TestOptimizePower:
         _, trace = optimize_power_ic(cfg, traj, alloc)
         assert np.all(np.diff(trace) >= -1e-9)
 
+    def test_steps_end_at_their_first_converged_pass(self, monkeypatch):
+        # Every power step of these solves stops at its first accepted pass
+        # whose true gain passes `_converged`.  Stopped on the gain of its
+        # surrogate optimum, 9 of these 26 steps ran on past such a pass: the
+        # first one at D = 5 m, T = 4 s gained that little at pass 3 and ran
+        # to pass 21.
+        step, traces = sca_ic.optimize_power_ic, []
+
+        def recorded(*args):
+            out = step(*args)
+            traces.append(out[1])
+            return out
+
+        monkeypatch.setattr(sca_ic, "optimize_power_ic", recorded)
+        for D, T in ((5.0, 4.0), (15.0, 20.0), (30.0, 50.0)):
+            solve_p1(benchmark_config(device_distance=D, duration=T, num_slots=6))
+        assert len(traces) >= 20 and any(len(trace) > 2 for trace in traces)
+        for trace in traces:
+            assert not any(_converged(trace[:i]) for i in range(2, len(trace))), trace
+
 
 class TestOptimizeTrajectory:
     def test_improves_and_stays_feasible(self):
@@ -460,6 +481,22 @@ class TestSolveP1:
         fine = solve_p1(cfg)
         assert fine.common_rate >= coarse.common_rate
         assert is_feasible(cfg, fine.trajectory, fine.allocation)
+
+    def test_alternation_ends_when_an_iteration_gains_nothing(self):
+        # Steps that return their input: the first outer iteration gains
+        # nothing, and the solve ends there.  It used to run a second one.
+        cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=8)
+        traj = direct_flight_trajectory(cfg)
+        alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+        mode = sca_ic._Mode(
+            throughput=common_throughput_ic,
+            time_step=lambda cfg, traj, tx_power: alloc,
+            power_step=lambda cfg, traj, alloc: (
+                alloc.tx_power.copy(), [common_throughput_ic(alloc, traj, cfg)]),
+            traj_step=lambda cfg, alloc, traj: traj)
+        rep = sca_ic._alternate(cfg, mode, [(traj, alloc, Initialization.DIRECT_FLIGHT)], 0.0)
+        assert rep.outer_iterations == 1
+        assert len(set(rep.objective_trace)) == 1 and len(rep.objective_trace) == 2
 
     def test_short_mission_falls_back(self):
         cfg = benchmark_config(device_distance=15.0, duration=1.5, num_slots=8)
