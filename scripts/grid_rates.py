@@ -13,9 +13,10 @@ the charging time, common rate and hover offsets of
 mode.  At -100 dBm turn-taking wins the uplink on every D of the grid, so a
 -80 dBm block follows, `solve_p1` (N=6) and `solve_infinite_ic` on D in
 {15, 30} x T in {4, 20, 50}: there D=30 takes the simultaneous uplink.
-Two short missions close the solver lines, `solve_p1` at D=5, T=2 with
-N=50 at -100 dBm and N=40 at -80 dBm, where the hover-and-fly start wins
-only after its first power step has run to its end.  Last, one `zf_mc`
+Two short missions follow, `solve_p1` at D=5, T=2 with N=50 at -100 dBm
+and N=40 at -80 dBm, where the hover-and-fly start wins only after its
+first power step has run to its end.  The acceptance config closes the
+solver lines: `solve_p1` at D=15, T=4, N=40, -100 dBm.  Last, one `zf_mc`
 line per D in {5, 10, ..., 30} (T=50 in the label only) with the
 Monte-Carlo zero-forcing oracle `sample_zf_rate` at a fixed asymmetric UAV
 pair, 1e5 samples and a fixed seed: the repr of each device's mean and
@@ -75,6 +76,7 @@ def configs():
             yield "p1", -80.0, D, T, 6
     for noise, N in ((-100.0, 50), (-80.0, 40)):
         yield "p1", noise, 5.0, 2.0, N
+    yield "p1", -100.0, 15.0, 4.0, 40
 
 
 def hover_configs():

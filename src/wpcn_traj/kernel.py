@@ -20,9 +20,10 @@ one test: their own gap, s^T lambda <= m / t_f with t_f the first weight
 t0 MU^k at which the barrier's gap m / t_f is within that tolerance, and,
 on programs with log, square or pair rows, the largest entry of their dual
 residual within DUAL_RESIDUAL_TOL.  The iterate they stop at is the
-outcome, certified by that gap and its dual residual.  Iterations that
-lose their way run once more from the start, opening with pure centering;
-a solve whose restart loses its way too returns its start as MAX_ITER.
+outcome, certified by that test: a time LP, every row affine, by its gap
+alone.  Iterations that lose their way run once more from the start,
+opening with pure centering; a solve whose restart loses its way too
+returns its start as MAX_ITER.
 
 Rows are stored sparsely, and every subproblem is slot-structured: each
 slot's rows couple only its own few variables, while a handful of dense rows
@@ -108,8 +109,10 @@ DUAL_RESIDUAL_TOL = 1e-6  # largest entry of r at which runs on curved programs 
 SIGMA_MIN = 0.1         # least centering of a primal-dual iteration on log rows
 RECENTER_STEP = 0.9     # a shorter primal step on log rows is followed by pure centering
 # Pure centering iterations in a row from which those of a program with square
-# or pair terms take a second-order correction; the iterations that end took
-# at most 28 in a row on the N = 6 and 12 grids and the bench configs.
+# or pair terms take a second-order correction.  On the N = 6 and 12 grids,
+# the short missions and the bench configs, two trajectory programs reach it:
+# one of `solve_p21` at D = 30, T = 4, N = 12 (40 in a row, 1 correction)
+# and one of `solve_p1` at -80 dBm, D = 5, T = 2, N = 40 (42, 3 corrections).
 CORRECT_AFTER = 40
 STEP_FRACTION = 0.99    # first-order cap: fraction of the step to the boundary
 # Programs with fewer variables take the dense factorization.  With one BLAS
@@ -298,12 +301,6 @@ def _columns(parts: list, dtypes) -> tuple:
                  for i, t in enumerate(dtypes))
 
 
-def _scatter(at, values, shape) -> np.ndarray:
-    """Float array of `shape` whose flat entries `at` sum `values` in order."""
-    return np.bincount(at, values, minlength=shape[0] * shape[1]).astype(float, copy=False) \
-        .reshape(shape)
-
-
 class _Shape:
     """What compiling a `Problem` computes from its shape alone: which
     terms each row holds once zero coefficients are dropped, and which
@@ -315,8 +312,11 @@ class _Shape:
 
     def __init__(self, n, m, structured, lin_r, lin_c, sq_r, sq_c, pr_r, pr_a, pr_b, groups):
         self.n, self.m, self.structured = n, m, structured
-        self.sq_r, self.sq_c = sq_r, sq_c
+        self.lin_c, self.sq_r, self.sq_c = lin_c, sq_r, sq_c
         self.pr_r, self.pr_a, self.pr_b = pr_r, pr_a, pr_b
+        # The row of every linear, square and pair term, in the order
+        # `slacks` lists their values.
+        self.term_rows = np.concatenate((lin_r, sq_r, pr_r))
 
         # Each run of consecutive log groups of one kind (class and term width)
         # is stacked into one group, evaluated with one gather and one `args`;
@@ -367,10 +367,10 @@ class _Shape:
         hi = np.concatenate((self.pat_col[a], ci))
         hj = np.concatenate((self.pat_col[b], cj))
 
-        self.dense_rows = np.flatnonzero(dense)
-        self.k = self.dense_rows.size
+        dense_rows = np.flatnonzero(dense)
+        self.k = dense_rows.size
         rank = np.zeros(m, int)
-        rank[self.dense_rows] = np.arange(self.k)
+        rank[dense_rows] = np.arange(self.k)
         self.dz = np.flatnonzero(dense[self.pat_row])
         self.dz_row = self.pat_row[self.dz]
         if structured:
@@ -385,16 +385,6 @@ class _Shape:
             self.h_target = hi * n + hj
             self.z_target = rank[self.dz_row] * n + self.pat_col[self.dz]
 
-        # Slacks of the dense rows are evaluated as dense products: rate and
-        # budget rows are near-active at the optimum, where the line search
-        # needs them to the last bits a BLAS dot product gives and a
-        # sequential sum of their terms does not.  The dense rows' terms sit
-        # at these entries of their (k, n) matrices, the others are summed.
-        self.on_l, self.on_s = dense[lin_r], dense[sq_r]
-        self.lin_dense_at = rank[lin_r[self.on_l]] * n + lin_c[self.on_l]
-        self.sq_dense_at = rank[sq_r[self.on_s]] * n + sq_c[self.on_s]
-        self.sparse_cols = (lin_c[~self.on_l], sq_c[~self.on_s])
-        self.sparse_rows = np.concatenate((lin_r[~self.on_l], sq_r[~self.on_s], pr_r))
         # Rows with square or pair terms: their slacks along a step are
         # quadratic, and their start duals are floored.
         self.quad = np.zeros(m, bool)
@@ -458,14 +448,12 @@ def _shape_of(n, m, lin_r, lin_c, sq_r, sq_c, pr_r, pr_a, pr_b, groups) -> _Shap
 class _Layout:
     """A `Problem` compiled for evaluation: its `_Shape`, whose attributes
     are the layout's too, and its values laid out on it: the constants,
-    the term coefficients, the stacked log groups and the dense rows'
-    matrices."""
+    the term coefficients and the stacked log groups."""
 
     def __init__(self, p: Problem):
-        n = p.n
         lin_r, lin_c, self.lin_v = _columns(p._lin, (int, int, float))
         sq_r, sq_c, self.sq_v = _columns(p._sq, (int, int, float))
-        shape = _shape_of(n, p.num_rows, lin_r, lin_c, sq_r, sq_c,
+        shape = _shape_of(p.n, p.num_rows, lin_r, lin_c, sq_r, sq_c,
                           *_columns(p._pair, (int, int, int)), p._groups)
         vars(self).update(vars(shape))
         self.neg_const = -(np.concatenate(p._const) if p._const else np.zeros(0))
@@ -478,22 +466,12 @@ class _Layout:
             k = idx.shape[1]
             outer = (grp.coeffs[:, :, None] * grp.coeffs[:, None, :]).reshape(-1, k * k)
             self.stacks.append((grp, rows, spans, outer))
-        on_l, on_s = shape.on_l, shape.on_s
-        self.lin_dense = _scatter(shape.lin_dense_at, self.lin_v[on_l], (shape.k, n))
-        self.sq_dense = _scatter(shape.sq_dense_at, self.sq_v[on_s], (shape.k, n)) \
-            if on_s.any() else None
-        self.sparse_terms = (shape.sparse_cols[0], self.lin_v[~on_l],
-                             shape.sparse_cols[1], self.sq_v[~on_s])
 
     # -- per-step evaluation --------------------------------------------------
     def slacks(self, x: np.ndarray) -> np.ndarray:
-        lc, lv, sc, sv = self.sparse_terms
-        vals = lv * x[lc]
-        if sc.size or self.pr_r.size:
-            vals = np.concatenate((vals, sv * x[sc] ** 2, (x[self.pr_a] - x[self.pr_b]) ** 2))
-        s = self.neg_const - np.bincount(self.sparse_rows, vals, minlength=self.m)
-        s[self.dense_rows] -= self.lin_dense @ x if self.sq_dense is None \
-            else self.lin_dense @ x + self.sq_dense @ (x * x)
+        vals = np.concatenate((self.lin_v * x[self.lin_c], self.sq_v * x[self.sq_c] ** 2,
+                               (x[self.pr_a] - x[self.pr_b]) ** 2))
+        s = self.neg_const - np.bincount(self.term_rows, vals, minlength=self.m)
         if self.stacks:
             # Each group's sum as `LogGroup.value` takes it, -inf off its domain.
             sums = []
@@ -783,11 +761,15 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     largest entry of the dual residual r = e - sum_i lambda_i grad g_i at
     most DUAL_RESIDUAL_TOL besides, as a full dual step does not zero r
     there; r is evaluated once the gap test passes.  Time LPs stop on their
-    gap alone: with the residual test, one N = 40 time LP took 117 systems,
-    not 13.  They return (x, s, (lambda, ||r||), systems factored), ||r||
-    the largest entry of r there: the solve ends at that iterate.  When
-    MAX_PD_ITER runs out first or the primal step collapses, they have lost
-    their way and return their x and s arguments themselves and None.
+    gap alone, so they are certified by their gap, and ||r|| is reported but
+    not bounded: with the residual test, one time LP of the N = 100, T = 10
+    coordination solve passed its gap test at r = 1.2e-6, then took 43 full
+    steps among 72 while r drifted to 3.2e-6, ran out of MAX_PD_ITER and
+    restarted (126 systems, not 26).  They return (x, s, (lambda, ||r||),
+    systems factored), ||r|| the largest entry of r there: the solve ends
+    at that iterate.  When MAX_PD_ITER runs out first or the primal step
+    collapses, they have lost their way and return their x and s arguments
+    themselves and None.
 
     The caller then runs them once more from its start with `centering` =
     RESTART_CENTERING: the first `centering` iterations are pure centering
@@ -796,7 +778,7 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     power step of `test_no_interference_uses_full_budget` full dual steps
     close the gap while backtracking cuts the primal ones to 1e-4, at R =
     4.854711, r = 1.4e5, short of the optimum 6.816230.  On the -80 dBm
-    N = 6 block of `scripts/grid_rates.py` 42 of the 186 kernel calls, all
+    N = 6 block of `scripts/grid_rates.py` 31 of the 146 kernel calls, all
     power steps, lose their way, and every restart ends OPTIMAL."""
     m = lay.m
     x0, s0 = x, s
@@ -868,12 +850,10 @@ def _predictor_corrector(lay: _Layout, x: np.ndarray, s: np.ndarray, t0: float,
     return x0, s0, None, systems
 
 
-def _outcome(x: np.ndarray, s: np.ndarray, status: Status, iterations: int,
-             gap: float, stationarity: float) -> SolveOutcome:
-    obj = float(x[-1])
-    return SolveOutcome(x=x, objective=obj, status=status, iterations=iterations,
-                        residuals={"feasibility": max(0.0, float(-s.min())), "gap": gap,
-                                   "stationarity": stationarity, "dual_bound": obj + gap})
+def _outcome(x: np.ndarray, status: Status, iterations: int, gap: float,
+             stationarity: float) -> SolveOutcome:
+    return SolveOutcome(x=x, objective=float(x[-1]), status=status, iterations=iterations,
+                        residuals={"gap": gap, "stationarity": stationarity})
 
 
 def solve_concave(problem: Problem, start) -> SolveOutcome:
@@ -881,16 +861,19 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     feasible start.
 
     Primal-dual iterations (`_predictor_corrector`) from the start end the
-    solve.  Their outcome is OPTIMAL, with the gap s^T lambda, the largest
-    entry of the dual residual e - sum_i lambda_i grad g_i as stationarity
-    (within DUAL_RESIDUAL_TOL unless every row is affine) and the dual
-    bound R + s^T lambda.  When they lose their way they run once more from
-    the start, with the same start weight and its system, opening with
+    solve at a strictly feasible iterate.  Their outcome is OPTIMAL, with
+    the gap s^T lambda and the largest entry of the dual residual
+    e - sum_i lambda_i grad g_i as stationarity.  A program with log, square
+    or pair rows, and any restarted solve, is certified by both: its gap
+    and its stationarity within DUAL_RESIDUAL_TOL.  A time LP, every row
+    affine, is certified by its gap alone; its stationarity is reported but
+    not bounded.  When the iterations lose their way they run once more
+    from the start, with the same start weight and its system, opening with
     RESTART_CENTERING pure centering iterations; when those lose their way
-    too, the outcome is the start, MAX_ITER, with gap, stationarity and
-    dual bound inf.  Slacks are evaluated at the start and once per primal-dual
-    trial point.  `iterations` counts the Newton systems factored after the
-    start weight's, lost ones too.
+    too, the outcome is the start, MAX_ITER, with gap and stationarity inf.
+    Slacks are evaluated at the start and once per primal-dual trial point.
+    `iterations` counts the Newton systems factored after the start
+    weight's, lost ones too.
 
     Raises StartInfeasible if any row slack at the start is non-positive.
     """
@@ -917,6 +900,5 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
         x_pd, s_pd, ended, used = _predictor_corrector(lay, x, s, t, gv, solve, w, centering)
         systems += used
         if ended:
-            return _outcome(x_pd, s_pd, Status.OPTIMAL, systems, float(s_pd @ ended[0]),
-                            ended[1])
-    return _outcome(x, s, Status.MAX_ITER, systems, np.inf, np.inf)
+            return _outcome(x_pd, Status.OPTIMAL, systems, float(s_pd @ ended[0]), ended[1])
+    return _outcome(x, Status.MAX_ITER, systems, np.inf, np.inf)

@@ -1,3 +1,4 @@
+import math
 import pickle
 import warnings
 from collections import OrderedDict
@@ -69,10 +70,10 @@ class TestSolveConcave:
         assert a.iterations == b.iterations
 
     def test_weak_duality_and_contracts(self):
-        out = solve_concave(_toy_epigraph(), np.array([0.5, 0.7, 0.1]))
-        assert out.objective <= out.residuals["dual_bound"] + 1e-12
-        assert out.residuals["feasibility"] <= 1e-8
-        assert out.residuals["gap"] <= 1e-8 * (1 + abs(out.objective))
+        prob = _toy_epigraph()
+        out = solve_concave(prob, np.array([0.5, 0.7, 0.1]))
+        assert prob.slacks(out.x).min() > 0.0
+        assert 0.0 <= out.residuals["gap"] <= 1e-8 * (1 + abs(out.objective))
         assert out.residuals["stationarity"] <= 1e-6 * (1 + 1.0)
 
     def test_trajectory_surrogate_instance_vs_grid(self):
@@ -125,7 +126,7 @@ class TestSolveConcave:
     def test_step_cap_reports_max_iter(self, monkeypatch):
         # Capped at one iteration, the primal-dual iterations lose their way
         # on the toy, and so does their restart: the solve returns its
-        # start, which certifies no gap and no dual bound.  Neither run
+        # start, which certifies no gap and no stationarity.  Neither run
         # factors a system, as each first iteration solves with the start
         # weight's.
         monkeypatch.setattr(kernel, "MAX_PD_ITER", 1)
@@ -136,7 +137,7 @@ class TestSolveConcave:
         assert out.status is Status.MAX_ITER and out.iterations == 0
         assert np.array_equal(out.x, start)
         assert out.residuals["gap"] == np.inf
-        assert out.residuals["dual_bound"] == np.inf
+        assert out.residuals["stationarity"] == np.inf
 
     def test_step_cap_ignores_far_rows_without_overflow(self):
         # The second row's slack is 1e10 while the Newton step moves it by
@@ -597,7 +598,7 @@ def test_power_step_restart_ends_optimal(monkeypatch):
     assert solves and calls == [True, True] * len(solves)
     for prob, start, out in solves:
         assert out.status is Status.MAX_ITER and np.array_equal(out.x, start)
-        assert out.residuals["gap"] == out.residuals["dual_bound"] == np.inf
+        assert out.residuals["gap"] == out.residuals["stationarity"] == np.inf
     assert np.array_equal(Q, alloc.tx_power)
     assert trace == [trace[0]] * len(trace)
 
@@ -685,8 +686,8 @@ def test_primal_dual_ending_certifies_its_last_iterate(monkeypatch):
         r[-1] -= 1.0
         res = out.residuals
         assert res["gap"] == float(s @ lam)
-        assert res["gap"] <= kernel.GAP_ABS + kernel.GAP_REL * abs(out.objective)
-        assert out.objective <= res["dual_bound"]
+        assert 0.0 <= res["gap"] <= kernel.GAP_ABS + kernel.GAP_REL * abs(out.objective)
+        assert prob.slacks(out.x).min() > 0.0
         assert res["stationarity"] == pytest.approx(
             np.abs(r).max(), rel=1e-9, abs=1e-12 * float((np.abs(G.T) @ lam).max()))
 
@@ -848,6 +849,64 @@ def test_group_off_its_domain_makes_only_its_row_infinite():
     assert s[1] == -np.inf
     assert np.isfinite(np.delete(s, 1)).all()
     assert np.array_equal(np.delete(s, 1), np.delete(_per_group_reference(prob, x)[0], 1))
+
+
+def _fsum_slacks(prob, x):
+    """Every row's slack -g(x), the `math.fsum` of its stored terms: its
+    constant, each c x[j], c x[j]^2 and (x[a] - x[b])^2, and each log term
+    w ln(v) or -w ln(base + scale / v) at its argument v, itself a `math.fsum`;
+    and the sum of the terms' magnitudes."""
+    terms = [[-c] for c in np.concatenate(prob._const)]
+    for rows, cols, coefs in prob._lin:
+        for r, j, c in zip(rows, cols, coefs):
+            terms[r].append(-c * x[j])
+    for rows, cols, coefs in prob._sq:
+        for r, j, c in zip(rows, cols, coefs):
+            terms[r].append(-c * x[j] ** 2)
+    for rows, a, b in prob._pair:
+        for r, i, j in zip(rows, a, b):
+            terms[r].append(-(x[i] - x[j]) ** 2)
+    for row, grp in prob._groups:
+        for j, w in enumerate(grp.weights):
+            v = math.fsum([grp.offsets[j], *(grp.coeffs[j] * x[grp.idx[j]])])
+            terms[row].append(-w * math.log(grp.bases[j] + grp.scales[j] / v)
+                              if isinstance(grp, NegLogGroup) else w * math.log(v))
+    return (np.array([math.fsum(t) for t in terms]),
+            np.array([math.fsum(np.abs(t)) for t in terms]), np.array([len(t) for t in terms]))
+
+
+def test_slacks_match_an_exact_sum_of_each_rows_terms():
+    # One row of every kind, on the structured path: affine rows (one dense
+    # over all 1,200 variables, as a budget row), bounds, a quadratic row, a
+    # pair row, and a concave rate row as large as the N = 500 power step's,
+    # with the epigraph column, square terms and 1,000-term log and negated
+    # log groups.  Each slack is within the error bound of a sequential sum
+    # of its terms, (terms + 8) eps times the sum of their magnitudes; the 8
+    # covers the rounding of each term's own product or log argument.
+    n, terms = 1201, 1000
+    rng = np.random.default_rng(3)
+    prob = Problem(n)
+    prob.add_affine(np.arange(n - 1), rng.uniform(0.1, 2.0, n - 1), 300.0)
+    prob.add_affine([[0, 1], [2, 3]], rng.uniform(-1.0, 1.0, (2, 2)), [1.0, 2.0])
+    prob.add_bounds(np.arange(5))
+    prob.add_quad(idx=[4, 5], diag=[2.0, 1.0], lin=[-1.0, 0.5], const=-3.0)
+    prob.add_pair_step(np.array([6, 7, 8, 9]), const=-4.0)
+    cols = rng.integers(0, n - 1, (terms, 2))
+    prob.add_concave_ge(
+        idx=[10, 11, n - 1], lin=[0.5, 0.2, -1.0], diag_neg=[1.0, 0.5, 0.0], const=5.0,
+        logs=(LogGroup(idx=cols, coeffs=rng.uniform(0.2, 2.0, (terms, 2)),
+                       offsets=rng.uniform(2.0, 3.0, terms), weights=rng.uniform(0.1, 1.0, terms)),),
+        neglogs=(NegLogGroup(idx=cols[:, ::-1], coeffs=rng.uniform(0.2, 2.0, (terms, 2)),
+                             offsets=rng.uniform(0.5, 1.5, terms),
+                             weights=rng.uniform(0.1, 1.0, terms),
+                             bases=rng.uniform(0.5, 2.0, terms),
+                             scales=rng.uniform(0.5, 2.0, terms)),))
+    lay = prob._compiled()
+    assert lay.structured and lay.k == 2 and prob.num_rows == 11
+    for x in rng.uniform(0.0, 1.0, (5, n)):
+        exact, size, count = _fsum_slacks(prob, x)
+        err = np.abs(prob.slacks(x) - exact)
+        assert (err <= (count + 8) * np.finfo(float).eps * size).all()
 
 
 def test_spd_solve_equals_cho_solve():
