@@ -105,7 +105,7 @@ def _bound_rate(cfg: ScenarioConfig, tau_E, energy, x_I: float) -> np.ndarray:
     return tau_I / cfg.duration * np.log2(1.0 + snr)
 
 
-def solve_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionCoMP:
+def solve_infinite_comp(cfg: ScenarioConfig, tau_grid: int = 400) -> HoverSolutionCoMP:
     """1-D search of the charging duration (`_best_charge_time`) on top of
     the 2-D hover search.
 

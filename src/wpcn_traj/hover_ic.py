@@ -218,7 +218,7 @@ def _best_charge_time(grid, rate, T: float, tau_grid: int) -> float:
     return float(res.x) if -res.fun >= rate(best) else float(best)
 
 
-def solve_infinite_ic(cfg: ScenarioConfig, tau_grid: int = 1000) -> HoverSolutionIC:
+def solve_infinite_ic(cfg: ScenarioConfig, tau_grid: int = 400) -> HoverSolutionIC:
     """Grid-plus-refinement search of the charging duration
     (`_best_charge_time`) for the best of the two uplink modes."""
     tau = _best_charge_time(lambda taus: _rate_grid(cfg, taus),

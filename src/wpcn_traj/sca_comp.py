@@ -1,9 +1,9 @@
 """Finite-horizon alternating solver for the joint transmission/reception mode.
 
-This module holds the joint mode's starts and steps; the alternation loop,
-its start probe, the time LP and the trajectory SCA loop are the ones in
-`sca_ic`, shared by both modes.  The joint mode differs in three
-places: the throughput objective uses the closed-form bound on the
+This module holds the joint mode's start plans and steps; the alternation
+loop, its start probe, the start builder, the time LP and the trajectory SCA
+loop are the ones in `sca_ic`, shared by both modes.  The joint mode differs
+in three places: the throughput objective uses the closed-form bound on the
 joint-reception rate; that bound separates across devices, so the power step
 is one water-filling per device; and the trajectory subproblem bounds that
 rate and the coherent charging power, convex in the squared UAV-device
@@ -22,10 +22,9 @@ from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
                     _positions_of, common_throughput_comp,
                     comp_coherent_power, comp_noncoherent_power,
                     comp_rate_upper_bound, harvested_energy_comp)
-from .sca_ic import (LOG2E, TAU_GRID, Initialization, SolveReport, _Mode, _alternate,
-                     _direct_start, _feasible_plan, _leg_time, _no_worse, _power_budgets,
-                     _refine_trajectory, _sample_paths, _time_lp, _traj_program,
-                     _window_masks, _within_budget, build_visit_paths)
+from .sca_ic import (LOG2E, Initialization, SolveReport, _candidates, _direct_plan, _Mode,
+                     _alternate, _no_worse, _power_budgets, _refine_trajectory, _time_lp,
+                     _traj_program, _window_masks, _within_budget)
 
 
 @dataclass(frozen=True)
@@ -44,85 +43,25 @@ def slack_at_equality(cfg: ScenarioConfig, traj) -> SlackState:
 
 
 # ---------------------------------------------------------------------------
-# Initial trajectory
+# Starts
 # ---------------------------------------------------------------------------
 
-def _staggered_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
-    """Serialize each transition (one UAV moves while the other holds) with a
-    greedy per-leg order keeping the pair farthest apart."""
-    n_legs = len(waypoints[0]) - 1
-    wp = [[np.asarray(p, dtype=float) for p in waypoints[m]] for m in range(2)]
-    t_fly = sum(_leg_time(wp[m][i], wp[m][i + 1], cfg) for m in range(2) for i in range(n_legs))
-    if t_fly > cfg.duration:
-        return None
-    slack = cfg.duration - t_fly
-    weights = np.asarray(dwell_weights, dtype=float)
-    dwells = slack * weights / weights.sum() if weights.sum() > 0 else np.zeros_like(weights)
-
-    def min_sep_serial(first: int, cur, tgt) -> float:
-        s = np.linspace(0.0, 1.0, 33)[:, None]
-        second = 1 - first
-        path1 = cur[first] + s * (tgt[first] - cur[first])
-        sep1 = np.linalg.norm(path1 - cur[second], axis=1).min()
-        path2 = cur[second] + s * (tgt[second] - cur[second])
-        sep2 = np.linalg.norm(path2 - tgt[first], axis=1).min()
-        return min(float(sep1), float(sep2))
-
-    sched = {m: [(0.0, wp[m][0])] for m in range(2)}
-    cur = [wp[0][0], wp[1][0]]
-    t = 0.0
-    windows = []
-    for i in range(n_legs):
-        tgt = [wp[0][i + 1], wp[1][i + 1]]
-        first = 0 if min_sep_serial(0, cur, tgt) >= min_sep_serial(1, cur, tgt) else 1
-        for m in (first, 1 - first):
-            dur = _leg_time(cur[m], tgt[m], cfg)
-            if dur > 0.0:
-                sched[m].append((t, cur[m]))
-                sched[m].append((t + dur, tgt[m]))
-                cur[m] = tgt[m]
-                t += dur
-        if i < n_legs - 1:
-            windows.append((t, t + float(dwells[i])))
-            t += float(dwells[i])
-    for m in range(2):
-        sched[m].append((cfg.duration, cur[m]))
-    times = [np.array([p[0] for p in sched[m]]) for m in range(2)]
-    points = [np.array([p[1] for p in sched[m]]) for m in range(2)]
-    return _sample_paths(cfg, times, points, wp), windows
-
-
-def _shf_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
-    """Hover-and-fly start visiting, in order, the first device's charging
-    pair, the uplink pair and the second device's charging pair.  Transitions
-    are serialized one UAV at a time when flying both at once would breach
-    the separation.  Returns the trajectory and its dwell windows, or None
-    when the mission is too short (direct flight)."""
+def _plans_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP) -> list:
+    """The joint mode's start plans (see `sca_ic._feasible_starts`):
+    hover-and-fly, visiting in order the first device's charging pair, the
+    uplink pair and the second device's charging pair; uplink pair, flying
+    straight to the uplink hover pair (-x_I, 0), (x_I, 0) and charging from
+    there with all the leftover time, so it never crosses the device span;
+    direct flight."""
     x1, x2 = hover.wpt_hover_pair
     m1, m2 = hover.mirror_pair
     xi = hover.wit_hover_x
-    wp = [
-        [cfg.uav_initial[0], np.array([x1, 0.0]), np.array([-xi, 0.0]),
-         np.array([m1, 0.0]), cfg.uav_final[0]],
-        [cfg.uav_initial[1], np.array([x2, 0.0]), np.array([xi, 0.0]),
-         np.array([m2, 0.0]), cfg.uav_final[1]],
-    ]
     tau_e = hover.charge_time
-    weights = [tau_e / 2.0, cfg.duration - tau_e, tau_e / 2.0]
-    return _feasible_plan(cfg, wp, weights, (build_visit_paths, _staggered_paths),
-                          ("charge1", "uplink", "charge2"))
-
-
-def uplink_pair_trajectory_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP):
-    """Start that flies straight to the uplink hover pair (-x_I, 0), (x_I, 0),
-    hovers there with all the leftover time and flies to the final locations.
-    Unlike the hover-and-fly plan it never crosses the device span; None when
-    the legs do not fit or breach the separation."""
-    xi = hover.wit_hover_x
-    wp = [[cfg.uav_initial[0], np.array([-xi, 0.0]), cfg.uav_final[0]],
-          [cfg.uav_initial[1], np.array([xi, 0.0]), cfg.uav_final[1]]]
-    built = _feasible_plan(cfg, wp, [1.0], (build_visit_paths,), ("uplink",))
-    return None if built is None else built[0]
+    return [(Initialization.SHF,
+             np.array([[[x1, 0.0], [-xi, 0.0], [m1, 0.0]], [[x2, 0.0], [xi, 0.0], [m2, 0.0]]]),
+             [tau_e / 2.0, cfg.duration - tau_e, tau_e / 2.0], ("charge1", "uplink", "charge2")),
+            (Initialization.UPLINK_PAIR, np.array([[[-xi, 0.0]], [[xi, 0.0]]]), [1.0], ()),
+            _direct_plan()]
 
 
 def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
@@ -269,30 +208,26 @@ def solve_p21(cfg: ScenarioConfig, hover: HoverSolutionCoMP | None = None) -> So
 
     Initialized from the hover-and-fly plan, the uplink-pair plan or direct
     flight, whichever the start probe ranks best.  The hover-and-fly plan
-    crosses the whole device span twice, one UAV at a time, so it only pays
-    off once the mission leaves enough hovering time; below that the
-    uplink-pair plan, which charges from the uplink hover pair, wins."""
+    crosses the whole device span twice, so it only pays off once the
+    mission leaves enough hovering time; below that the uplink-pair plan,
+    which charges from the uplink hover pair, wins.  A plan whose
+    synchronized flight breaches the separation falls back to the staggered
+    schedule (one UAV flies while the other holds); a mission that no plan
+    fits raises ConfigError."""
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_comp(cfg, tau_grid=TAU_GRID)
-    candidates = []
-    built = _shf_comp(cfg, hover)
-    if built is not None:
-        traj, windows = built
-        alloc = initial_allocation_comp(cfg, traj, hover, windows)
-        candidates.append((traj, alloc, Initialization.SHF))
-    traj = uplink_pair_trajectory_comp(cfg, hover)
-    if traj is not None:
-        alloc = initial_allocation_comp(cfg, traj, hover, None)
-        candidates.append((traj, alloc, Initialization.UPLINK_PAIR))
-    candidates.append(_direct_start(cfg, hover, initial_allocation_comp))
-    return _alternate(cfg, _comp_mode(), candidates, t0)
+        hover = solve_infinite_comp(cfg)
+    return _alternate(cfg, _comp_mode(),
+                      _candidates(cfg, hover, _plans_comp(cfg, hover), initial_allocation_comp),
+                      t0)
 
 
 def solve_p21_direct(cfg: ScenarioConfig, hover: HoverSolutionCoMP | None = None) -> SolveReport:
-    """Benchmark: fixed straight-line flight, only time and power optimized."""
+    """Benchmark: fixed direct flight (`direct_flight_trajectory`: straight
+    lines, or the staggered schedule when those breach the separation;
+    ConfigError when neither fits), only time and power optimized."""
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_comp(cfg, tau_grid=TAU_GRID)
+        hover = solve_infinite_comp(cfg)
     return _alternate(cfg, replace(_comp_mode(), traj_step=None),
-                      [_direct_start(cfg, hover, initial_allocation_comp)], t0)
+                      _candidates(cfg, hover, [_direct_plan()], initial_allocation_comp), t0)

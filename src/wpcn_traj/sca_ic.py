@@ -8,13 +8,15 @@ non-decreasing across accepted iterates; candidates that fail that check are
 rejected, which keeps the trace monotone under solver noise.  The outer
 loop (`_alternate`), its start probe, the time LP and the trajectory SCA
 loop (`_refine_trajectory`) see a mode only through its steps, so the joint
-mode (`sca_comp`) reuses them as they are.  Both modes' trajectory programs
-are assembled by `_traj_program` from tangents in the squared UAV-device
-distances, all built by `_distance_tangent`; each mode supplies only their
-coefficients.  Every loop ends by one stop test on the true throughput
-(`_converged`) or at a fixed cap.  A step is a deterministic function of the
-state it reads, so a solve reuses its result on a repeat: the start probe's
-time and power steps serve the winner's first outer iteration.
+mode (`sca_comp`) reuses them as they are.  Every start is a waypoint plan
+that its mode lists as data, flown by `_feasible_starts`.  Both modes'
+trajectory programs are assembled by `_traj_program` from tangents in the
+squared UAV-device distances, all built by `_distance_tangent`; each mode
+supplies only their coefficients.  Every loop ends by one stop test on the
+true throughput (`_converged`) or at a fixed cap.  A step is a
+deterministic function of the state it reads, so a solve reuses its result
+on a repeat: the start probe's time and power steps serve the winner's
+first outer iteration.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .hover_ic import HoverSolutionIC, WitMode, solve_infinite_ic
 from .kernel import (LogGroup, NegLogGroup, Problem, StartInfeasible,
                      solve_concave)
-from .model import (AllocationCoMP, AllocationIC, ScenarioConfig, Trajectory,
+from .model import (AllocationCoMP, AllocationIC, ConfigError, ScenarioConfig, Trajectory,
                     common_throughput_ic, feasibility_report, gain_matrix,
                     harvested_energy_ic, sinr_ic)
 
@@ -48,7 +50,6 @@ class Initialization(Enum):
 
 GAIN_TOL = 1e-4                   # relative gain that stops every loop (`_converged`)
 MAX_OUTER, MAX_INNER = 50, 30     # caps on outer iterations and on each SCA step's passes
-TAU_GRID = 400                    # charge-duration grid of the hover solve behind the starts
 
 
 @dataclass
@@ -138,38 +139,97 @@ def build_visit_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
     return _sample_paths(cfg, (times, times), points, waypoints), windows
 
 
+def _staggered_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
+    """Sample both UAVs flying through their waypoint lists one at a time:
+    each transition moves one UAV while the other holds, in the per-leg
+    order keeping the pair farthest apart.  Returns what `build_visit_paths`
+    returns, or None when the serial legs exceed the mission duration."""
+    n_legs = len(waypoints[0]) - 1
+    wp = [np.asarray(waypoints[m], dtype=float) for m in range(2)]
+    t_fly = sum(_leg_time(wp[m][i], wp[m][i + 1], cfg) for m in range(2) for i in range(n_legs))
+    if t_fly > cfg.duration:
+        return None
+    weights = np.asarray(dwell_weights, dtype=float)
+    dwells = ((cfg.duration - t_fly) * weights / weights.sum() if weights.sum() > 0
+              else np.zeros_like(weights))
+    s = np.linspace(0.0, 1.0, 33)[:, None]
+
+    def min_sep(a: int, cur, tgt) -> float:
+        """Least separation while UAV `a` flies its leg, then the other."""
+        b = 1 - a
+        return min(np.linalg.norm(cur[a] + s * (tgt[a] - cur[a]) - cur[b], axis=1).min(),
+                   np.linalg.norm(cur[b] + s * (tgt[b] - cur[b]) - tgt[a], axis=1).min())
+
+    sched = [[(0.0, wp[m][0])] for m in range(2)]
+    cur = [wp[0][0], wp[1][0]]
+    t, windows = 0.0, []
+    for i in range(n_legs):
+        tgt = [wp[0][i + 1], wp[1][i + 1]]
+        first = 0 if min_sep(0, cur, tgt) >= min_sep(1, cur, tgt) else 1
+        for m in (first, 1 - first):
+            dur = _leg_time(cur[m], tgt[m], cfg)
+            if dur > 0.0:
+                sched[m] += [(t, cur[m]), (t + dur, tgt[m])]
+                cur[m] = tgt[m]
+                t += dur
+        if i < n_legs - 1:
+            windows.append((t, t + float(dwells[i])))
+            t += float(dwells[i])
+    for m in range(2):
+        sched[m].append((cfg.duration, cur[m]))
+    return _sample_paths(cfg, [np.array([at for at, _ in sm]) for sm in sched],
+                         [np.array([p for _, p in sm]) for sm in sched], wp), windows
+
+
+def _direct_plan():
+    """Direct flight, the start plan with no stops (see `_feasible_starts`)."""
+    return Initialization.DIRECT_FLIGHT, np.empty((2, 0, 2)), [], ()
+
+
+def _feasible_starts(cfg: ScenarioConfig, plans) -> list:
+    """The one builder of every start of both modes.
+
+    A plan is (Initialization, stops, dwell weights, window names): UAV m
+    flies from its initial location through stops[m] to its final one,
+    hovering at the stops with the leftover time split by the weights, on
+    the synchronized schedule (`build_visit_paths`) or, when that is not
+    feasible (say, crossing paths breach the separation), the staggered one
+    (`_staggered_paths`).  Returns (Initialization, trajectory, windows
+    keyed by the names or None without names) of each feasible plan, in
+    order; raises ConfigError when no plan is feasible."""
+    starts = []
+    for init, stops, weights, names in plans:
+        waypoints = [np.vstack([cfg.uav_initial[m], stops[m], cfg.uav_final[m]]) for m in range(2)]
+        for schedule in (build_visit_paths, _staggered_paths):
+            built = schedule(cfg, waypoints, weights)
+            traj = None if built is None else Trajectory(built[0])
+            if traj is not None and traj.is_feasible(cfg):
+                starts.append((init, traj, dict(zip(names, built[1])) or None))
+                break
+    if not starts:
+        raise ConfigError(f"no start plan ({', '.join(p[0].value for p in plans)}) flies "
+                          f"within {cfg.duration:g} s, with the UAVs moving together or one "
+                          f"at a time, without breaching the speed cap or the separation")
+    return starts
+
+
 def direct_flight_trajectory(cfg: ScenarioConfig) -> Trajectory:
-    """Straight constant-speed paths from the initial to the final locations."""
-    frac = np.linspace(0.0, 1.0, cfg.num_slots + 1)[None, :, None]
-    pos = cfg.uav_initial[:, None, :] * (1 - frac) + cfg.uav_final[:, None, :] * frac
-    return Trajectory(pos)
+    """Straight constant-speed paths from the initial to the final locations,
+    or, when those breach the separation, the staggered schedule (one UAV
+    flies while the other holds); raises ConfigError when neither is
+    feasible."""
+    return _feasible_starts(cfg, [_direct_plan()])[0][1]
 
 
-def _feasible_plan(cfg: ScenarioConfig, waypoints, dwell_weights, builders, names):
-    """The first plan of `builders` (each called as build_visit_paths is)
-    whose trajectory is feasible, as the Trajectory and its dwell windows
-    keyed by `names`; None when there is none."""
-    for builder in builders:
-        built = builder(cfg, waypoints, dwell_weights)
-        if built is not None:
-            traj = Trajectory(built[0])
-            if traj.is_feasible(cfg):
-                return traj, dict(zip(names, built[1]))
-    return None
-
-
-def _shf_ic(cfg: ScenarioConfig, hover: HoverSolutionIC):
-    """Hover-and-fly start: initial -> charging hover -> uplink hover ->
-    final, hovering with the leftover time.  Returns the trajectory and its
-    dwell windows, or None when the mission is too short for the visits."""
+def _plans_ic(cfg: ScenarioConfig, hover: HoverSolutionIC) -> list:
+    """The coordination mode's start plans (see `_feasible_starts`):
+    hover-and-fly (charging hover, then uplink hover, hovering with the
+    leftover time) and direct flight."""
     x_e, x_i = hover.wpt_hover_x, hover.wit_hover_x
-    wp = [
-        [cfg.uav_initial[0], np.array([-x_e, 0.0]), np.array([-x_i, 0.0]), cfg.uav_final[0]],
-        [cfg.uav_initial[1], np.array([x_e, 0.0]), np.array([x_i, 0.0]), cfg.uav_final[1]],
-    ]
+    stops = np.array([[[-x_e, 0.0], [-x_i, 0.0]], [[x_e, 0.0], [x_i, 0.0]]])
     tau_e = hover.charge_time
-    return _feasible_plan(cfg, wp, [tau_e, cfg.duration - tau_e], (build_visit_paths,),
-                          ("charge", "uplink"))
+    return [(Initialization.SHF, stops, [tau_e, cfg.duration - tau_e], ("charge", "uplink")),
+            _direct_plan()]
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +726,12 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     )
 
 
-def _direct_start(cfg: ScenarioConfig, hover, initial_allocation):
-    """Direct-flight start candidate, with the mode's warm-start allocation."""
-    traj = direct_flight_trajectory(cfg)
-    return traj, initial_allocation(cfg, traj, hover, None), Initialization.DIRECT_FLIGHT
+def _candidates(cfg: ScenarioConfig, hover, plans, initial_allocation) -> list:
+    """Start-probe candidates (trajectory, allocation, Initialization) of the
+    feasible `plans` (`_feasible_starts`, which raises ConfigError when there
+    is none), each with the mode's warm-start allocation."""
+    return [(traj, initial_allocation(cfg, traj, hover, windows), init)
+            for init, traj, windows in _feasible_starts(cfg, plans)]
 
 
 def solve_p1(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -> SolveReport:
@@ -677,24 +739,22 @@ def solve_p1(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -> Solve
 
     Initialized from the hover-and-fly plan or from direct flight, whichever
     the start probe ranks best (hover-and-fly can be dominated when the
-    mission barely fits the visit legs)."""
+    mission barely fits the visit legs).  A plan whose synchronized flight
+    breaches the separation falls back to the staggered schedule; a mission
+    that no plan fits raises ConfigError."""
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_ic(cfg, tau_grid=TAU_GRID)
-    candidates = []
-    built = _shf_ic(cfg, hover)
-    if built is not None:
-        traj, windows = built
-        alloc = initial_allocation_ic(cfg, traj, hover, windows)
-        candidates.append((traj, alloc, Initialization.SHF))
-    candidates.append(_direct_start(cfg, hover, initial_allocation_ic))
-    return _alternate(cfg, _ic_mode(), candidates, t0)
+        hover = solve_infinite_ic(cfg)
+    return _alternate(cfg, _ic_mode(),
+                      _candidates(cfg, hover, _plans_ic(cfg, hover), initial_allocation_ic), t0)
 
 
 def solve_p1_direct(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -> SolveReport:
-    """Benchmark: fixed straight-line flight, only time and power optimized."""
+    """Benchmark: fixed direct flight (`direct_flight_trajectory`: straight
+    lines, or the staggered schedule when those breach the separation;
+    ConfigError when neither fits), only time and power optimized."""
     t0 = time.perf_counter()
     if hover is None:
-        hover = solve_infinite_ic(cfg, tau_grid=TAU_GRID)
+        hover = solve_infinite_ic(cfg)
     return _alternate(cfg, replace(_ic_mode(), traj_step=None),
-                      [_direct_start(cfg, hover, initial_allocation_ic)], t0)
+                      _candidates(cfg, hover, [_direct_plan()], initial_allocation_ic), t0)

@@ -2,9 +2,10 @@ import os
 import sys
 
 # Single-threaded BLAS, set before numpy loads: the solvers' small dense
-# factorizations run faster than with threaded BLAS, and rates then do not
-# depend on the thread count (they differ in the 9th digit).  A value the
-# user sets still wins.  Pinned after numpy has loaded, it would not take
+# factorizations run faster than with threaded BLAS, and every run uses the
+# same thread count (the results were byte-identical under 1, 2 and 4
+# threads where measured; test_cli compares 1 and 2).  A value the user
+# sets still wins.  Pinned after numpy has loaded, it would not take
 # effect, and checks that depend on the thread count would fail or pass
 # silently by it; so that stops the run.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

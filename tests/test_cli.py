@@ -33,6 +33,17 @@ class TestConfigHandling:
             assert res.exit_code == 1
             assert item.split("=")[0] in res.output
 
+    def test_mission_that_no_start_fits_exits_one(self, tmp_path):
+        # Crossing endpoints: the straight paths meet mid-mission, and the
+        # staggered schedule's serial legs need 2.26 s.
+        crossing = ["uav1_initial_x_m=2", "uav2_initial_x_m=-2",
+                    "uav1_final_x_m=-2", "uav2_final_x_m=2"]
+        res = invoke(["benchmark-direct", "--out", str(tmp_path)] + FAST
+                     + [a for item in crossing for a in ("--set", item)])
+        assert res.exit_code == 1
+        assert "config error: no start plan" in res.output
+        assert not (tmp_path / "results.csv").exists()
+
     def test_bad_value_exits_one(self, tmp_path):
         res = invoke(["infinite-ic", "--out", str(tmp_path),
                       "--set", "altitude_m=tall"])
@@ -196,6 +207,20 @@ class TestCommands:
             subprocess.run([sys.executable, "-m", "wpcn_traj.cli", "sweep-T", "--values", "2,2.5",
                             "--out", str(out), "--jobs", jobs] + FAST[2:],
                            env=env, check=True, capture_output=True)
+            outs.append((out / "results.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_results_do_not_depend_on_blas_threads(self, tmp_path):
+        # The same sweep under one and under two BLAS threads writes the same
+        # results.csv, byte for byte.
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, **dict.fromkeys(BLAS_VARS, threads))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "wpcn_traj.cli", "sweep-T", "--values",
+                            "2,4,10", "--out", str(out), "--set", "num_slots=40",
+                            "--set", "tau_grid=80"], env=env, check=True, capture_output=True)
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1]
 

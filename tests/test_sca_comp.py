@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from wpcn_traj import (AllocationCoMP, Initialization, Trajectory,
+from wpcn_traj import (AllocationCoMP, Initialization,
                        common_throughput_comp, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
                        direct_flight_trajectory, harvested_energy_comp,
@@ -12,18 +12,23 @@ from wpcn_traj import (AllocationCoMP, Initialization, Trajectory,
 from wpcn_traj import sca_comp, sca_ic
 from wpcn_traj.kernel import Status
 from wpcn_traj.model import gain_matrix
-from wpcn_traj.sca_comp import (_shf_comp, initial_allocation_comp,
-                                uplink_pair_trajectory_comp)
+from wpcn_traj.sca_comp import _plans_comp, initial_allocation_comp
+from wpcn_traj.sca_ic import _feasible_starts
 from conftest import benchmark_config
+
+
+def _starts_comp(cfg, hover):
+    """{Initialization: (trajectory, windows)} of the joint mode's feasible
+    start plans."""
+    return {init: (traj, windows)
+            for init, traj, windows in _feasible_starts(cfg, _plans_comp(cfg, hover))}
 
 
 class TestShfTrajectory:
     def test_visit_order_and_feasibility(self):
         cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=100)
         hover = solve_infinite_comp(cfg, tau_grid=150)
-        built = _shf_comp(cfg, hover)
-        assert built is not None
-        traj, windows = built
+        traj, windows = _starts_comp(cfg, hover)[Initialization.SHF]
         assert traj.is_feasible(cfg)
         x1, x2 = hover.wpt_hover_pair
         m1, m2 = hover.mirror_pair
@@ -45,9 +50,7 @@ class TestShfTrajectory:
     def test_uavs_revisit_similar_spots_at_different_times(self):
         cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=100)
         hover = solve_infinite_comp(cfg, tau_grid=150)
-        built = _shf_comp(cfg, hover)
-        assert built is not None
-        traj = built[0]
+        traj = _starts_comp(cfg, hover)[Initialization.SHF][0]
         # Each UAV passes close to where the other one hovers for charging,
         # yet the separation constraint holds throughout.
         x1, _ = hover.wpt_hover_pair
@@ -59,13 +62,13 @@ class TestShfTrajectory:
     def test_short_mission_needs_direct_flight(self):
         cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=10)
         hover = solve_infinite_comp(cfg, tau_grid=150)
-        assert _shf_comp(cfg, hover) is None
+        assert Initialization.SHF not in _starts_comp(cfg, hover)
 
     def test_uplink_pair_start_hovers_between_devices(self):
         cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=100)
         hover = solve_infinite_comp(cfg, tau_grid=150)
-        traj = uplink_pair_trajectory_comp(cfg, hover)
-        assert traj is not None and traj.is_feasible(cfg)
+        traj, windows = _starts_comp(cfg, hover)[Initialization.UPLINK_PAIR]
+        assert traj.is_feasible(cfg) and windows is None
         # Most of the mission is spent parked at the uplink pair, and no UAV
         # ever flies past a device.
         xi = hover.wit_hover_x
@@ -76,33 +79,7 @@ class TestShfTrajectory:
             cfg.device_distance / 2.0, np.abs(cfg.uav_initial[:, 0]).max(),
             np.abs(cfg.uav_final[:, 0]).max())
         short = benchmark_config(device_distance=15.0, duration=1.0, num_slots=10)
-        assert uplink_pair_trajectory_comp(short, hover) is None
-
-    def test_crossing_endpoints_take_the_staggered_plan(self, monkeypatch):
-        # The UAVs swap sides on the way, so flying both legs of each
-        # transition at once breaches the separation: the synchronized plan
-        # is built but infeasible, and the one-UAV-at-a-time plan is used.
-        cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=12,
-                               uav_initial=[[2.0, -2.0], [-2.0, -2.0]])
-        hover = solve_infinite_comp(cfg, tau_grid=150)
-        plans = []
-        for name in ("build_visit_paths", "_staggered_paths"):
-            def record(*args, _builder=getattr(sca_comp, name), _name=name):
-                built = _builder(*args)
-                plans.append((_name, built))
-                return built
-            monkeypatch.setattr(sca_comp, name, record)
-        built = _shf_comp(cfg, hover)
-        assert [name for name, _ in plans] == ["build_visit_paths", "_staggered_paths"]
-        assert plans[0][1] is not None
-        assert not Trajectory(plans[0][1][0]).is_feasible(cfg)
-        assert built is not None and built[0].is_feasible(cfg)
-        np.testing.assert_array_equal(built[0].positions, plans[1][1][0])
-        monkeypatch.undo()
-        rep = solve_p21(cfg, hover=hover)
-        assert is_feasible(cfg, rep.trajectory, rep.allocation)
-        trace = rep.objective_trace
-        assert np.all(trace[1:] >= trace[:-1] - 1e-12 * (1.0 + np.abs(trace[:-1])))
+        assert list(_starts_comp(short, hover)) == [Initialization.DIRECT_FLIGHT]
 
 
 class TestOptimizeTime:

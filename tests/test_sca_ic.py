@@ -5,30 +5,35 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from wpcn_traj import (AllocationIC, Initialization, Trajectory,
+from wpcn_traj import (AllocationIC, ConfigError, Initialization, Trajectory,
                        common_throughput_comp, common_throughput_ic,
                        direct_flight_trajectory, energy_residual_ic,
                        harvested_energy_ic, is_feasible, optimize_power_ic, optimize_time_ic,
                        optimize_traj_comp, optimize_traj_ic, sinr_ic,
                        solve_infinite_comp, solve_infinite_ic, solve_p1,
-                       solve_p1_direct, solve_p21)
+                       solve_p1_direct, solve_p21, solve_p21_direct)
 from wpcn_traj import kernel, sca_comp, sca_ic
 from wpcn_traj.kernel import StartInfeasible, Status, solve_concave
 from wpcn_traj.model import dbm_to_watt, gain_matrix
 from wpcn_traj.sca_comp import initial_allocation_comp
-from wpcn_traj.sca_ic import (_converged, _no_worse, _power_budgets, _shf_ic, _time_lp,
-                              initial_allocation_ic)
+from wpcn_traj.sca_ic import (_converged, _feasible_starts, _no_worse, _plans_ic,
+                              _power_budgets, _time_lp, initial_allocation_ic)
 from conftest import benchmark_config
 from oracles import barrier_objective
+
+
+def _starts_ic(cfg, hover):
+    """{Initialization: (trajectory, windows)} of the coordination mode's
+    feasible start plans."""
+    return {init: (traj, windows)
+            for init, traj, windows in _feasible_starts(cfg, _plans_ic(cfg, hover))}
 
 
 class TestShfTrajectory:
     def test_visits_hovers_and_dwells(self):
         cfg = benchmark_config(device_distance=15.0, duration=10.0, num_slots=100)
         hover = solve_infinite_ic(cfg, tau_grid=150)
-        built = _shf_ic(cfg, hover)
-        assert built is not None
-        traj = built[0]
+        traj = _starts_ic(cfg, hover)[Initialization.SHF][0]
         assert traj.is_feasible(cfg)
         for m, sign in ((0, -1.0), (1, 1.0)):
             for hx in (hover.wpt_hover_x, hover.wit_hover_x):
@@ -39,9 +44,7 @@ class TestShfTrajectory:
     def test_dwell_time_bookkeeping(self):
         cfg = benchmark_config(device_distance=15.0, duration=40.0, num_slots=400)
         hover = solve_infinite_ic(cfg, tau_grid=150)
-        built = _shf_ic(cfg, hover)
-        assert built is not None
-        _, windows = built
+        _, windows = _starts_ic(cfg, hover)[Initialization.SHF]
         dwell = sum(w[1] - w[0] for w in windows.values())
         legs = cfg.duration - dwell
         # Flight time at full speed for this geometry is under 3 seconds.
@@ -51,7 +54,7 @@ class TestShfTrajectory:
     def test_short_mission_needs_direct_flight(self):
         cfg = benchmark_config(device_distance=15.0, duration=1.5, num_slots=15)
         hover = solve_infinite_ic(cfg, tau_grid=150)
-        assert _shf_ic(cfg, hover) is None
+        assert list(_starts_ic(cfg, hover)) == [Initialization.DIRECT_FLIGHT]
 
     def test_direct_flight_is_feasible(self):
         cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=20)
@@ -59,6 +62,60 @@ class TestShfTrajectory:
         assert traj.is_feasible(cfg)
         assert np.allclose(traj.positions[:, 0, :], cfg.uav_initial)
         assert np.allclose(traj.positions[:, -1, :], cfg.uav_final)
+
+    def test_crossing_endpoints_take_the_staggered_plan(self, monkeypatch):
+        # The UAVs swap sides on the way, so flying both legs of each
+        # transition of the joint hover-and-fly plan at once breaches the
+        # separation: the synchronized schedule is built but infeasible, and
+        # the one-UAV-at-a-time schedule is used.
+        cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=12,
+                               uav_initial=[[2.0, -2.0], [-2.0, -2.0]])
+        hover = solve_infinite_comp(cfg, tau_grid=150)
+        plans = []
+        for name in ("build_visit_paths", "_staggered_paths"):
+            def record(*args, _builder=getattr(sca_ic, name), _name=name):
+                built = _builder(*args)
+                plans.append((_name, built))
+                return built
+            monkeypatch.setattr(sca_ic, name, record)
+        [(init, traj, windows)] = _feasible_starts(cfg, sca_comp._plans_comp(cfg, hover)[:1])
+        assert [name for name, _ in plans] == ["build_visit_paths", "_staggered_paths"]
+        assert plans[0][1] is not None
+        assert not Trajectory(plans[0][1][0]).is_feasible(cfg)
+        assert init is Initialization.SHF and traj.is_feasible(cfg)
+        assert set(windows) == {"charge1", "uplink", "charge2"}
+        np.testing.assert_array_equal(traj.positions, plans[1][1][0])
+        monkeypatch.undo()
+        rep = solve_p21(cfg, hover=hover)
+        assert is_feasible(cfg, rep.trajectory, rep.allocation)
+        trace = rep.objective_trace
+        assert np.all(trace[1:] >= trace[:-1] - 1e-12 * (1.0 + np.abs(trace[:-1])))
+
+
+# Endpoints whose straight paths meet mid-mission: direct flight on the
+# synchronized schedule puts both UAVs on one point.
+CROSSING = {"uav_initial": [[2.0, -2.0], [-2.0, -2.0]], "uav_final": [[-2.0, 2.0], [2.0, 2.0]]}
+SOLVERS = (solve_p1, solve_p21, solve_p1_direct, solve_p21_direct)
+
+
+class TestCrossingEndpoints:
+    @pytest.mark.parametrize("duration, num_slots", [(4.0, 12), (4.0, 40), (20.0, 12)])
+    def test_every_solver_returns_a_feasible_report(self, duration, num_slots):
+        cfg = benchmark_config(device_distance=15.0, duration=duration,
+                               num_slots=num_slots, **CROSSING)
+        for solve in SOLVERS:
+            rep = solve(cfg)
+            assert is_feasible(cfg, rep.trajectory, rep.allocation), solve.__name__
+
+    def test_a_start_that_fits_no_schedule_raises(self):
+        # The synchronized direct flight collides, and the staggered one
+        # needs 2.26 s of serial legs.
+        cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=12, **CROSSING)
+        for solve in SOLVERS:
+            with pytest.raises(ConfigError, match="no start plan"):
+                solve(cfg)
+        with pytest.raises(ConfigError, match="no start plan"):
+            direct_flight_trajectory(cfg)
 
 
 class TestOptimizeTime:
