@@ -47,6 +47,11 @@ into that label's earlier results:
     PYTHONPATH=src python3 scripts/bench_configs.py --label change --out B.json \
         --only "coordination N=500 T=50"
 
+Each run also records the cost of `import wpcn_traj` under `import`: the
+median wall time of the import over 9 fresh interpreters (the import
+alone, timed inside each; all nine times are kept), and the sorted public
+`scipy.*` subpackages it loads.
+
 BLAS is pinned to one thread before numpy loads (a value set in the
 environment wins); the thread count in effect is recorded with the results.
 """
@@ -62,6 +67,8 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from collections import defaultdict  # noqa: E402
@@ -119,6 +126,23 @@ def source_digest() -> str:
         h.update(str(path.relative_to(src)).encode())
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def import_cost(runs: int = 9) -> dict:
+    """Median wall time of `import wpcn_traj` over `runs` fresh interpreters,
+    importing the package measured here, and the public scipy subpackages
+    that the import loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(wpcn_traj.__file__).resolve().parents[1]), env.get("PYTHONPATH"))))
+    code = ("import json, sys, time; t0 = time.perf_counter(); import wpcn_traj; "
+            "t = time.perf_counter() - t0; print(json.dumps([t, sorted({'.'.join(m.split('.')[:2]) "
+            "for m in sys.modules if m.startswith('scipy.') and m.split('.')[1][0] != '_'})]))")
+    out = [json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                     capture_output=True, text=True).stdout)
+           for _ in range(runs)]
+    return {"runs": runs, "median_s": round(statistics.median(t for t, _ in out), 4),
+            "times_s": sorted(round(t, 4) for t, _ in out), "scipy_subpackages": out[-1][1]}
 
 
 def run_config(solver_name: str, N: int, T: float) -> dict:
@@ -257,6 +281,7 @@ def main() -> None:
                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        "import": import_cost(),
         "configs": {name: runs[name] for name, *_ in CONFIGS if name in runs},
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -6,15 +6,21 @@ uplink phase at another, with the charging duration found by a 1-D search:
 the whole charging-time grid is evaluated in one array pass (`_rate_grid`),
 and the scalar path (`_rate_at`) refines around the best cell and gives the
 returned solution.
+
+The scalar path's two 1-D methods are Brent's (Algorithms for Minimization
+without Derivatives, 1973, ch. 4-5) as package code that takes scipy's
+iterates, so no `scipy.optimize` is imported: the hover offset's root
+(`_brent_root`, as `brentq`) and the charging time's bounded refinement
+(`_brent_bounded_min`, as `minimize_scalar(method="bounded")`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .model import ScenarioConfig
 
@@ -129,19 +135,66 @@ def wit_mode1_hover(cfg: ScenarioConfig, tau_E: float, energy: float) -> tuple[f
     """Simultaneous-transmission hover offset and common rate.
 
     The offset is the root of the stationarity equation inside the bracket
-    of `_mode1_bracket`, placed by Brent's method to 1e-12 m; when there is
-    no root (`_stationarity_ends`) the better bracket end is taken
-    (`_endpoint_x`).
+    of `_mode1_bracket`, placed by the Brent-Dekker method (`_brent_root`)
+    to 1e-12 m; when there is no root (`_stationarity_ends`) the better
+    bracket end is taken (`_endpoint_x`).
     """
     c, _, _, root = _stationarity_ends(cfg, tau_E, energy)
     if root:
-        # brentq returns an endpoint where the residual is exactly zero.
-        x = float(brentq(_stationarity, *_mode1_bracket(cfg),
-                         args=(cfg.device_distance, cfg.altitude, c),
-                         xtol=1e-12, rtol=8.9e-16))
+        D, H, c = cfg.device_distance, cfg.altitude, float(c)
+        x = _brent_root(lambda x: _stationarity(x, D, H, c), *_mode1_bracket(cfg),
+                        xtol=1e-12, rtol=8.9e-16)
     else:
         x = float(_endpoint_x(cfg, tau_E, energy))
     return x, float(simultaneous_rate_at(cfg, tau_E, energy, x))
+
+
+def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Zero of f between xa and xb by the Brent-Dekker method, iterate for
+    iterate as scipy's `brentq` (C `brentq.c`): to a bracket half-width of
+    (xtol + rtol*|x|)/2, an exact zero at an end returning that end.  Ends
+    of one sign or a NaN residual raise ValueError, and 100 iterations
+    without convergence RuntimeError, as in brentq."""
+    def residual(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the residual at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = residual(xpre), residual(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("the residuals at the ends must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):     # keep the smaller residual at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:          # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                     # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:                         # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = residual(xcur)
+    raise RuntimeError("no convergence in 100 iterations")
 
 
 def wit_mode2_rate(cfg: ScenarioConfig, tau_E: float, energy: float) -> float:
@@ -172,7 +225,7 @@ def _rate_grid(cfg: ScenarioConfig, taus: np.ndarray) -> np.ndarray:
     The root test, the endpoint rule and the mode choice are the scalar
     path's own helpers over arrays; only the root is placed differently:
     all bracketed offsets by one bisection to 1e-12 m.  Bisection and
-    Brent's method place an offset up to ~1e-12 m apart, so those cells'
+    `_brent_root` place an offset up to ~1e-12 m apart, so those cells'
     rates may differ from the scalar path's in the last digits (~1e-14
     relative); every other cell takes the same operations.  The grid only
     picks the best cell: the scalar path gives every returned value."""
@@ -190,7 +243,7 @@ def _bisect_stationarity(lo: float, hi: float, D: float, H: float, c: np.ndarray
                          f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
     """Root of `_stationarity` on [lo, hi] for each scale in c, whose
     residuals f_lo, f_hi at the ends differ in sign, by bisection to 1e-12 m.
-    An exact zero at an end is the root there, as brentq returns it."""
+    An exact zero at an end is the root there, as `_brent_root` returns it."""
     a, b = np.full(c.shape, lo), np.full(c.shape, hi)
     for _ in range(int(np.ceil(np.log2((hi - lo) / 1e-12)))):
         mid = 0.5 * (a + b)
@@ -203,19 +256,79 @@ def _bisect_stationarity(lo: float, hi: float, D: float, H: float, c: np.ndarray
 def _best_charge_time(grid, rate, T: float, tau_grid: int) -> float:
     """Charging duration maximizing `rate(tau)`: the best cell of a uniform
     grid over (0, T) (the endpoint tau = T gives zero rate and is excluded),
-    picked by `grid(taus)`, the same rate over an array, then a bounded
-    scalar minimizer of `rate` around that cell.  The refined point is
-    kept only if `rate` there is at least `rate` at the cell."""
+    picked by `grid(taus)`, the same rate over an array, then Brent's
+    bounded minimizer of -`rate` (`_brent_bounded_min`) over the cell's two
+    neighbours, to 1e-10*T.  The refined point is kept only if `rate` there
+    is at least `rate` at the cell."""
     if tau_grid < 2:
         raise ValueError("tau_grid must be at least 2")
     step = T / tau_grid
     taus = step * np.arange(1, tau_grid)
-    best = taus[int(np.argmax(grid(taus)))]
+    best = float(taus[int(np.argmax(grid(taus)))])
     lo = max(best - step, step * 1e-3)
     hi = min(best + step, T - step * 1e-3)
-    res = minimize_scalar(lambda t: -rate(t), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10 * T})
-    return float(res.x) if -res.fun >= rate(best) else float(best)
+    x, f = _brent_bounded_min(lambda t: -rate(t), lo, hi, 1e-10 * T)
+    return x if -f >= rate(best) else best
+
+
+def _brent_bounded_min(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimizer of f on [a, b] and f there, by Brent's bounded method
+    (golden sections and parabolic steps), iterate for iterate as scipy's
+    `minimize_scalar(method="bounded")` takes it (`_minimize_scalar_bounded`):
+    converged when x is within 2*tol1 - (b - a)/2 of the interval's middle,
+    tol1 = sqrt(2.2e-16)*|x| + xatol/3, or after 500 evaluations."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    for _ in range(499):              # 500 evaluations in all, as in scipy
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:             # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (max(abs(rat), tol1) if rat >= 0.0 else -max(abs(rat), tol1))
+        fu = f(x)
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf, fx
 
 
 def solve_infinite_ic(cfg: ScenarioConfig, tau_grid: int = 400) -> HoverSolutionIC:

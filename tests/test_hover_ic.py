@@ -1,10 +1,19 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
+import wpcn_traj
 from wpcn_traj import (AllocationIC, WitMode, common_throughput_ic,
-                       harvested_energy_ic, solve_infinite_ic, wit_mode1_hover,
+                       harvested_energy_ic, hover_ic, solve_infinite_ic, wit_mode1_hover,
                        wit_mode2_rate, wpt_hover_ic)
-from wpcn_traj.hover_ic import (_mode1_bracket, _rate_at, _rate_grid, _stationarity,
+from wpcn_traj.hover_ic import (_brent_bounded_min, _brent_root, _mode1_bracket, _rate_at,
+                                _rate_grid, _stationarity, _stationarity_ends,
                                 interior_hover_x)
 from conftest import SWEEP_NOISE, benchmark_config, hover_positions, hover_sweep
 from oracles import phi_derivative, reference_infinite_ic
@@ -288,3 +297,110 @@ class TestArrayGrid:
         if (D, noise) == (30.0, 1e-11):
             # The sweep's no-sign-change cell: the better bracket endpoint.
             assert not solved.all() and not tdma[~solved].all()
+
+
+class TestBrentMethods:
+    """The package's Brent root and bounded minimizer take scipy's iterates,
+    so the package imports no `scipy.optimize`; the tests use it as the
+    oracle."""
+
+    def test_package_imports_no_scipy_optimize(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            str(Path(wpcn_traj.__file__).resolve().parents[1]), env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, wpcn_traj, wpcn_traj.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))"],
+            env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("noise", [1e-13, 1e-11])
+    def test_root_matches_brentq(self, noise):
+        # 200 random brackets of the stationarity residual, all with a root.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            D, T = rng.uniform(2.0, 40.0), rng.uniform(1.0, 200.0)
+            tau = rng.uniform(0.01, 0.99) * T
+            cfg = benchmark_config(device_distance=D, duration=T, num_slots=10,
+                                   noise_power=noise)
+            c, _, _, root = _stationarity_ends(cfg, tau, wpt_hover_ic(cfg, tau)[1])
+            assert root
+            args = (D, cfg.altitude, c)
+            ref = brentq(_stationarity, *_mode1_bracket(cfg), args=args,
+                         xtol=1e-12, rtol=8.9e-16)
+            x = _brent_root(lambda x: _stationarity(x, *args), *_mode1_bracket(cfg),
+                            xtol=1e-12, rtol=8.9e-16)
+            assert repr(x) == repr(ref), (D, T, tau)
+
+    @pytest.mark.parametrize("noise", [1e-13, 1e-11])
+    def test_refinement_matches_minimize_scalar(self, noise, monkeypatch):
+        # Every window `_best_charge_time` refines, over random configs and grids.
+        calls = []
+
+        def recorded(f, a, b, xatol):
+            calls.append((f, a, b, xatol, _brent_bounded_min(f, a, b, xatol)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(hover_ic, "_brent_bounded_min", recorded)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            cfg = benchmark_config(device_distance=rng.uniform(2.0, 40.0),
+                                   duration=rng.uniform(1.0, 200.0), num_slots=10,
+                                   noise_power=noise)
+            solve_infinite_ic(cfg, tau_grid=int(rng.choice([57, 400, 1000])))
+        assert len(calls) == 20
+        for f, a, b, xatol, (x, fx) in calls:
+            res = minimize_scalar(f, bounds=(a, b), method="bounded",
+                                  options={"xatol": xatol})
+            assert [repr(float(v)) for v in (x, fx)] == [repr(float(v)) for v in (res.x, res.fun)]
+
+    def test_both_match_scipy_on_generic_functions(self):
+        # Cubics, sines and exponentials over random brackets and tolerances:
+        # secant, interpolation and bisection steps, parabolic and golden ones.
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            c = rng.normal(size=3).tolist()
+            f = [lambda x: ((c[0] * x + c[1]) * x + c[2]) * x - 0.3,
+                 lambda x: math.sin(5.0 * c[0] * x) + 0.5 * c[1],
+                 lambda x: math.exp(c[0] * x) - 1.5 + c[1] * x][rng.integers(3)]
+            a, b = sorted(float(v) for v in rng.uniform(-3.0, 3.0, 2))
+            tol = {"xtol": float(10.0 ** rng.uniform(-14, -2)), "rtol": 8.9e-16}
+            if (f(a) < 0.0) != (f(b) < 0.0):
+                assert repr(_brent_root(f, a, b, **tol)) == repr(brentq(f, a, b, **tol))
+            g = lambda x: f(x) ** 2 + c[2] * x
+            res = minimize_scalar(g, bounds=(a, b), method="bounded",
+                                  options={"xatol": tol["xtol"]})
+            assert [repr(float(v)) for v in _brent_bounded_min(g, a, b, tol["xtol"])] \
+                == [repr(float(v)) for v in (res.x, res.fun)]
+
+    def test_minimizer_stops_after_500_evaluations(self):
+        # |x| at xatol=1e-300: the tolerance shrinks with |x|, so only the cap
+        # ends the search.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return abs(x)
+
+        x, fx = _brent_bounded_min(f, -1.0, 2.0, 1e-300)
+        res = minimize_scalar(abs, bounds=(-1.0, 2.0), method="bounded",
+                              options={"xatol": 1e-300})
+        assert len(calls) == res.nfev == 500 and res.status == 1
+        assert (x, fx) == (res.x, res.fun)
+
+    @pytest.mark.parametrize("f, a, b, error", [
+        (lambda x: x - 1.0, 1.0, 3.0, None),             # exact zero at the lower end
+        (lambda x: x - 1.0, -2.0, 1.0, None),            # ... and at the upper end
+        (lambda x: x * x + 1.0, -1.0, 2.0, ValueError),  # ends of one sign
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, ValueError),
+        # A residual too flat near its root for 100 iterations at xtol=1e-300.
+        (lambda x: math.copysign(abs(x) ** 1e-3, x), -1.0, 2.0, RuntimeError),
+    ])
+    def test_root_edge_cases_as_brentq(self, f, a, b, error):
+        tol = {"xtol": 1e-300 if error is RuntimeError else 1e-12, "rtol": 8.9e-16}
+        if error is None:
+            assert _brent_root(f, a, b, **tol) == brentq(f, a, b, **tol) == 1.0
+        else:
+            for solver in (brentq, _brent_root):
+                with pytest.raises(error):
+                    solver(f, a, b, **tol)
