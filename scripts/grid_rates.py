@@ -40,6 +40,15 @@ of its rate and the keys that changed, removes the worktree and exits 1 on
 any difference:
 
     python3 scripts/grid_rates.py --against HEAD~1
+
+`--spread` runs the grid of the working tree twice, as it is and with every
+kernel program on the structured factorization (`kernel.STRUCTURED_MIN_N =
+0`, set in the child process), and prints each line's relative rate spread
+between the two runs, largest first, with the outer iterations of each.  A
+grid diff that moves a line by less than its spread cannot be told from
+rounding:
+
+    python3 scripts/grid_rates.py --spread
 """
 
 import os
@@ -159,12 +168,18 @@ def print_grid() -> None:
         }), flush=True)
 
 
-def grid_of(checkout: Path) -> list:
-    """The grid lines of the package in `checkout`, one BLAS thread."""
+def grid_of(checkout: Path, structured: bool = False) -> list:
+    """The grid lines of the package in `checkout`, one BLAS thread; with
+    `structured`, every kernel program takes the structured factorization."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, str(Path(__file__).resolve())], env=env,
-                         check=True, stdout=subprocess.PIPE, text=True)
+    script = Path(__file__).resolve()
+    cmd = [sys.executable, str(script)]
+    if structured:
+        cmd = [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(script.parent)!r}); "
+               "from wpcn_traj import kernel; kernel.STRUCTURED_MIN_N = 0; "
+               "import grid_rates; grid_rates.print_grid()"]
+    run = subprocess.run(cmd, env=env, check=True, stdout=subprocess.PIPE, text=True)
     return run.stdout.splitlines()
 
 
@@ -214,11 +229,36 @@ def against(rev: str) -> int:
     return 1 if diff else 0
 
 
+def spread() -> int:
+    """Print each grid line's relative rate spread between the two
+    factorization paths, largest first."""
+    runs = [{_label(line): line for line in map(json.loads, grid_of(ROOT, structured))}
+            for structured in (False, True)]
+    rows = []
+    for label, a in runs[0].items():
+        b = runs[1][label]
+        ra, rb = float(a["common_rate"]), float(b["common_rate"])
+        iters = (f" (outer iterations {a['outer_iterations']} -> {b['outer_iterations']})"
+                 if "outer_iterations" in a else "")
+        rows.append(((rb - ra) / (abs(ra) or 1.0), label, iters))
+    rows.sort(key=lambda row: -abs(row[0]))
+    for rel, label, iters in rows:
+        print(f"{label}: {rel:+.2e}{iters}")
+    print(f"{sum(rel != 0.0 for rel, _, _ in rows)} of {len(rows)} rates differ between "
+          "the default and the all-structured factorization")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="REV",
-                        help="diff this grid between git revision REV and the working tree")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--against", metavar="REV",
+                       help="diff this grid between git revision REV and the working tree")
+    group.add_argument("--spread", action="store_true",
+                       help="print each line's rate spread across the two factorization paths")
     args = parser.parse_args()
+    if args.spread:
+        return spread()
     if args.against is None:
         print_grid()
         return 0

@@ -171,8 +171,6 @@ def write_trajectory_csv(path: Path, cfg: ScenarioConfig, report) -> None:
 # Sweep tasks (module level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-_LABEL_ORDER = ("ic-proposed", "comp-proposed", "ic-direct", "comp-direct",
-                "ic-bound", "comp-bound")
 _SOLVERS = {"ic-proposed": solve_p1, "comp-proposed": solve_p21,
             "ic-direct": solve_p1_direct, "comp-direct": solve_p21_direct}
 
@@ -204,14 +202,6 @@ def _run_tasks(tasks, jobs: int):
         return [_run_label(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_label, tasks))
-
-
-def _results_from(raw):
-    order = {label: i for i, label in enumerate(_LABEL_ORDER)}
-    raw = sorted(raw, key=lambda r: (r[0][0], order[r[0][1]]))
-    rows = [row for row, _ in raw]
-    timings = {f"{row[1]}@{_fmt(row[0])}": wall for row, wall in raw}
-    return rows, timings
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +320,12 @@ def _sweep(command, key, labels, config_path, overrides, out_dir, jobs, seed,
             pv[key] = point
             cfg = scenario_from_settings(pv)
             tasks.extend((label, point, cfg, pv["tau_grid"]) for label in labels)
-        raw = _run_tasks(tasks, jobs)
-        rows, timings = _results_from(raw)
-        write_csv(out / "results.csv", RESULT_HEADER, rows)
+        raw = _run_tasks(tasks, jobs)   # in task order: point by point, labels as listed
+        write_csv(out / "results.csv", RESULT_HEADER, [row for row, _ in raw])
         write_manifest(out, command, values, seed,
                        {"sweep_key": key, "sweep_values": points,
-                        "runtime_s": timings, "files": ["results.csv"]})
+                        "runtime_s": {f"{row[1]}@{_fmt(row[0])}": wall for row, wall in raw},
+                        "files": ["results.csv"]})
     _guarded(command, body)
 
 

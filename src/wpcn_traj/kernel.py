@@ -117,10 +117,12 @@ CORRECT_AFTER = 40
 STEP_FRACTION = 0.99    # first-order cap: fraction of the step to the boundary
 # Programs with fewer variables take the dense factorization.  With one BLAS
 # thread, a structured primal-dual system costs 1.6 dense ones at n = 81
-# (the acceptance config's time LPs and power steps), 0.94 and 0.42 at
-# n = 161 (direct flight, N = 80) and 0.31 at n = 201 and 397 (coordination,
-# N = 100); forced on every program, it took the N = 6 coordination grid
-# from 0.59 to 1.31 s per pass and the N = 12 joint grid from 0.16 to 0.29 s.
+# (the acceptance config's time LPs and power steps), 1.11 for the time LPs
+# and 1.00 for the power steps at n = 161 (direct flight, N = 80), 0.56 at
+# n = 241 (the joint time LPs there) and 0.31 at n = 201 and 397
+# (coordination, N = 100); forced on every program, it took the N = 6
+# coordination grid from 0.59 to 1.31 s per pass and the N = 12 joint grid
+# from 0.16 to 0.29 s.
 STRUCTURED_MIN_N = 150
 
 

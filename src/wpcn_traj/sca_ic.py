@@ -9,14 +9,15 @@ rejected, which keeps the trace monotone under solver noise.  The outer
 loop (`_alternate`), its start probe, the time LP and the trajectory SCA
 loop (`_refine_trajectory`) see a mode only through its steps, so the joint
 mode (`sca_comp`) reuses them as they are.  Every start is a waypoint plan
-that its mode lists as data, flown by `_feasible_starts`.  Both modes'
-trajectory programs are assembled by `_traj_program` from tangents in the
-squared UAV-device distances, all built by `_distance_tangent`; each mode
-supplies only their coefficients.  Every loop ends by one stop test on the
-true throughput (`_converged`) or at a fixed cap.  A step is a
-deterministic function of the state it reads, so a solve reuses its result
-on a repeat: the start probe's time and power steps serve the winner's
-first outer iteration.
+that its mode lists as data, flown by `_feasible_starts` through one
+schedule builder (`_fly_plan`), with both UAVs moving together or, for
+crossing paths, one at a time.  Both modes' trajectory programs are
+assembled by `_traj_program` from tangents in the squared UAV-device
+distances, all built by `_distance_tangent`; each mode supplies only their
+coefficients.  Every loop ends by one stop test on the true throughput
+(`_converged`) or at a fixed cap.  A step is a deterministic function of
+the state it reads, so a solve reuses its result on a repeat: the start
+probe's time and power steps serve the winner's first outer iteration.
 """
 
 from __future__ import annotations
@@ -82,103 +83,59 @@ def _converged(trace) -> bool:
 # Initial trajectories
 # ---------------------------------------------------------------------------
 
-def _sample_paths(cfg: ScenarioConfig, times, points, waypoints) -> np.ndarray:
-    """Slot-boundary positions, shape (2, N+1, 2), of both UAVs flying the
-    piecewise-linear paths through points[m] at times[m], pinned to their
-    first and last waypoints."""
-    at = cfg.slot_duration * np.arange(cfg.num_slots + 1)
-    pos = np.empty((2, cfg.num_slots + 1, 2))
-    for m in range(2):
-        pos[m, :, 0] = np.interp(at, times[m], points[m][:, 0])
-        pos[m, :, 1] = np.interp(at, times[m], points[m][:, 1])
-        pos[m, 0] = waypoints[m][0]
-        pos[m, -1] = waypoints[m][-1]
-    return pos
+def _fly_plan(cfg: ScenarioConfig, waypoints, dwell_weights, together: bool):
+    """Slot-boundary positions, shape (2, N+1, 2), and dwell windows of both
+    UAVs flying through their waypoint lists (equal lengths), or None when
+    the legs alone exceed the mission duration.
 
-
-def _leg_time(a, b, cfg: ScenarioConfig) -> float:
-    return float(np.linalg.norm(np.asarray(b) - np.asarray(a))) / (cfg.max_speed * _SPEED_MARGIN)
-
-
-def build_visit_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
-    """Sample both UAVs flying through synchronized waypoint lists.
-
-    waypoints[m] is UAV m's sequence (equal lengths); dwell_weights[i] is the
-    share of the leftover time spent hovering at interior waypoint i+1.  Legs
-    are synchronized, with the slower UAV setting each leg's duration.
-    Returns (positions, dwell windows) or None when the legs alone exceed the
-    mission duration.
-    """
-    n_legs = len(waypoints[0]) - 1
-    legs = np.array([
-        max(_leg_time(waypoints[0][i], waypoints[0][i + 1], cfg),
-            _leg_time(waypoints[1][i], waypoints[1][i + 1], cfg))
-        for i in range(n_legs)
-    ])
-    if float(legs.sum()) > cfg.duration:
-        return None
-    slack = cfg.duration - float(legs.sum())
-    weights = np.asarray(dwell_weights, dtype=float)
-    total = weights.sum()
-    dwells = slack * weights / total if total > 0 else np.zeros_like(weights)
-
-    times = [0.0]
-    windows = []
-    for i in range(n_legs):
-        times.append(times[-1] + legs[i])
-        if i < n_legs - 1:
-            start = times[-1]
-            times.append(start + dwells[i])
-            windows.append((start, start + dwells[i]))
-    times = np.asarray(times)
-    times[-1] = cfg.duration  # absorb rounding in the final breakpoint
-
-    # Each interior waypoint is listed twice: held through its dwell.
-    reps = [1] + [2] * (n_legs - 1) + [1]
-    points = [np.repeat(np.asarray(waypoints[m], dtype=float), reps, axis=0) for m in range(2)]
-    return _sample_paths(cfg, (times, times), points, waypoints), windows
-
-
-def _staggered_paths(cfg: ScenarioConfig, waypoints, dwell_weights):
-    """Sample both UAVs flying through their waypoint lists one at a time:
-    each transition moves one UAV while the other holds, in the per-leg
-    order keeping the pair farthest apart.  Returns what `build_visit_paths`
-    returns, or None when the serial legs exceed the mission duration."""
-    n_legs = len(waypoints[0]) - 1
-    wp = [np.asarray(waypoints[m], dtype=float) for m in range(2)]
-    t_fly = sum(_leg_time(wp[m][i], wp[m][i + 1], cfg) for m in range(2) for i in range(n_legs))
+    dwell_weights[i] is the share of the leftover time spent hovering at
+    interior waypoint i+1.  With `together` both UAVs fly each leg at once,
+    the slower one setting its duration, and the last leg ends at T.
+    Otherwise one UAV flies while the other holds, in the per-leg order
+    keeping the pair farthest apart, and a UAV done early holds to T."""
+    wp = [np.asarray(w, dtype=float) for w in waypoints]
+    n_legs = len(wp[0]) - 1
+    speed = cfg.max_speed * _SPEED_MARGIN
+    legs = [[float(np.linalg.norm(w[i + 1] - w[i])) / speed for i in range(n_legs)] for w in wp]
+    t_fly = sum(map(max, *legs)) if together else sum(legs[0] + legs[1])
     if t_fly > cfg.duration:
         return None
     weights = np.asarray(dwell_weights, dtype=float)
     dwells = ((cfg.duration - t_fly) * weights / weights.sum() if weights.sum() > 0
               else np.zeros_like(weights))
-    s = np.linspace(0.0, 1.0, 33)[:, None]
+    s = np.arange(33.0)[:, None] / 32   # 0, 1/32, ..., 1 along a leg
 
-    def min_sep(a: int, cur, tgt) -> float:
-        """Least separation while UAV `a` flies its leg, then the other."""
-        b = 1 - a
-        return min(np.linalg.norm(cur[a] + s * (tgt[a] - cur[a]) - cur[b], axis=1).min(),
-                   np.linalg.norm(cur[b] + s * (tgt[b] - cur[b]) - tgt[a], axis=1).min())
+    def min_sep(a: int, i: int) -> float:
+        """Least separation while UAV `a` flies leg i, then the other."""
+        p, q = wp[a][i:i + 2], wp[1 - a][i:i + 2]
+        return min(np.linalg.norm(p[0] + s * (p[1] - p[0]) - q[0], axis=1).min(),
+                   np.linalg.norm(q[0] + s * (q[1] - q[0]) - p[1], axis=1).min())
 
-    sched = [[(0.0, wp[m][0])] for m in range(2)]
-    cur = [wp[0][0], wp[1][0]]
+    times, visits = [[0.0], [0.0]], [[0], [0]]   # breakpoints: time, waypoint index
     t, windows = 0.0, []
     for i in range(n_legs):
-        tgt = [wp[0][i + 1], wp[1][i + 1]]
-        first = 0 if min_sep(0, cur, tgt) >= min_sep(1, cur, tgt) else 1
-        for m in (first, 1 - first):
-            dur = _leg_time(cur[m], tgt[m], cfg)
-            if dur > 0.0:
-                sched[m] += [(t, cur[m]), (t + dur, tgt[m])]
-                cur[m] = tgt[m]
-                t += dur
+        if together:
+            moves = [((0, 1), max(legs[0][i], legs[1][i]))]
+        else:
+            first = 0 if min_sep(0, i) >= min_sep(1, i) else 1
+            moves = [((m,), legs[m][i]) for m in (first, 1 - first) if legs[m][i] > 0.0]
+        for uavs, dur in moves:
+            end = cfg.duration if together and i == n_legs - 1 else t + dur
+            for m in uavs:
+                times[m] += [t, end]
+                visits[m] += [i, i + 1]
+            t += dur
         if i < n_legs - 1:
             windows.append((t, t + float(dwells[i])))
             t += float(dwells[i])
+    at = cfg.slot_duration * np.arange(cfg.num_slots + 1)
+    pos = np.empty((2, cfg.num_slots + 1, 2))
     for m in range(2):
-        sched[m].append((cfg.duration, cur[m]))
-    return _sample_paths(cfg, [np.array([at for at, _ in sm]) for sm in sched],
-                         [np.array([p for _, p in sm]) for sm in sched], wp), windows
+        tm, xy = np.array(times[m]), wp[m][visits[m]]
+        pos[m, :, 0] = np.interp(at, tm, xy[:, 0])
+        pos[m, :, 1] = np.interp(at, tm, xy[:, 1])
+        pos[m, 0], pos[m, -1] = wp[m][0], wp[m][-1]
+    return pos, windows
 
 
 def _direct_plan():
@@ -192,16 +149,16 @@ def _feasible_starts(cfg: ScenarioConfig, plans) -> list:
     A plan is (Initialization, stops, dwell weights, window names): UAV m
     flies from its initial location through stops[m] to its final one,
     hovering at the stops with the leftover time split by the weights, on
-    the synchronized schedule (`build_visit_paths`) or, when that is not
-    feasible (say, crossing paths breach the separation), the staggered one
-    (`_staggered_paths`).  Returns (Initialization, trajectory, windows
-    keyed by the names or None without names) of each feasible plan, in
-    order; raises ConfigError when no plan is feasible."""
+    the synchronized schedule or, when that is not feasible (say, crossing
+    paths breach the separation), the staggered one, both flown by
+    `_fly_plan`.  Returns (Initialization, trajectory, windows keyed by the
+    names or None without names) of each feasible plan, in order; raises
+    ConfigError when no plan is feasible."""
     starts = []
     for init, stops, weights, names in plans:
         waypoints = [np.vstack([cfg.uav_initial[m], stops[m], cfg.uav_final[m]]) for m in range(2)]
-        for schedule in (build_visit_paths, _staggered_paths):
-            built = schedule(cfg, waypoints, weights)
+        for together in (True, False):
+            built = _fly_plan(cfg, waypoints, weights, together)
             traj = None if built is None else Trajectory(built[0])
             if traj is not None and traj.is_feasible(cfg):
                 starts.append((init, traj, dict(zip(names, built[1])) or None))

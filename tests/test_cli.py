@@ -160,9 +160,9 @@ class TestCommands:
         sweep_vals = [float(r.split(",")[0]) for r in rows]
         assert sweep_vals == sorted(sweep_vals)
         assert len(rows) == 2 * 6  # six designs per point
-        labels = {r.split(",")[1] for r in rows}
-        assert labels == {"ic-proposed", "comp-proposed", "ic-direct",
-                          "comp-direct", "ic-bound", "comp-bound"}
+        labels = [r.split(",")[1] for r in rows]
+        assert labels == 2 * ["ic-proposed", "comp-proposed", "ic-direct",
+                              "comp-direct", "ic-bound", "comp-bound"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sweep_key"] == "mission_s"
 

@@ -63,6 +63,16 @@ class TestShfTrajectory:
         assert np.allclose(traj.positions[:, 0, :], cfg.uav_initial)
         assert np.allclose(traj.positions[:, -1, :], cfg.uav_final)
 
+    @pytest.mark.parametrize("duration, num_slots", [(2.0, 20), (4.0, 40), (10.0, 100), (50.0, 7)])
+    def test_direct_flight_is_the_constant_speed_line(self, duration, num_slots):
+        # Both UAVs fly their one leg together, and it ends at T.
+        cfg = benchmark_config(device_distance=15.0, duration=duration, num_slots=num_slots)
+        t = cfg.slot_duration * np.arange(num_slots + 1)
+        line = (cfg.uav_initial[:, None, :]
+                + (cfg.uav_final - cfg.uav_initial)[:, None, :] * (t / duration)[None, :, None])
+        err = np.abs(direct_flight_trajectory(cfg).positions - line).max()
+        assert err <= 1e-15 * np.abs(line).max()
+
     def test_crossing_endpoints_take_the_staggered_plan(self, monkeypatch):
         # The UAVs swap sides on the way, so flying both legs of each
         # transition of the joint hover-and-fly plan at once breaches the
@@ -72,14 +82,14 @@ class TestShfTrajectory:
                                uav_initial=[[2.0, -2.0], [-2.0, -2.0]])
         hover = solve_infinite_comp(cfg, tau_grid=150)
         plans = []
-        for name in ("build_visit_paths", "_staggered_paths"):
-            def record(*args, _builder=getattr(sca_ic, name), _name=name):
-                built = _builder(*args)
-                plans.append((_name, built))
-                return built
-            monkeypatch.setattr(sca_ic, name, record)
+
+        def record(cfg, waypoints, dwell_weights, together, _builder=sca_ic._fly_plan):
+            built = _builder(cfg, waypoints, dwell_weights, together)
+            plans.append((together, built))
+            return built
+        monkeypatch.setattr(sca_ic, "_fly_plan", record)
         [(init, traj, windows)] = _feasible_starts(cfg, sca_comp._plans_comp(cfg, hover)[:1])
-        assert [name for name, _ in plans] == ["build_visit_paths", "_staggered_paths"]
+        assert [together for together, _ in plans] == [True, False]
         assert plans[0][1] is not None
         assert not Trajectory(plans[0][1][0]).is_feasible(cfg)
         assert init is Initialization.SHF and traj.is_feasible(cfg)
@@ -106,6 +116,27 @@ class TestCrossingEndpoints:
         for solve in SOLVERS:
             rep = solve(cfg)
             assert is_feasible(cfg, rep.trajectory, rep.allocation), solve.__name__
+
+    @pytest.mark.parametrize("duration, num_slots", [(4.0, 40), (20.0, 120)])
+    def test_staggered_direct_flight_holds_each_uav_after_its_leg(self, duration, num_slots):
+        # One UAV flies its leg at the capped speed while the other holds at
+        # its initial point; then the other flies, and each holds at its
+        # final point until T.
+        cfg = benchmark_config(device_distance=15.0, duration=duration,
+                               num_slots=num_slots, **CROSSING)
+        pos = direct_flight_trajectory(cfg).positions
+        moved = np.any(pos[:, 1] != cfg.uav_initial, axis=1)
+        assert moved.sum() == 1
+        first = int(np.argmax(moved))
+        legs = np.linalg.norm(cfg.uav_final - cfg.uav_initial, axis=1) / cfg.max_speed
+        start = {first: 0.0, 1 - first: legs[first]}
+        for m in (first, 1 - first):
+            left = int(np.floor(start[m] / cfg.slot_duration)) + 1
+            done = int(np.ceil((start[m] + legs[m]) / cfg.slot_duration))
+            assert np.all(pos[m, :left] == cfg.uav_initial[m])
+            assert np.all(pos[m, done - 1] != cfg.uav_final[m])
+            assert np.all(pos[m, done:] == cfg.uav_final[m])
+        assert np.linalg.norm(np.diff(pos, axis=1), axis=2).max() <= cfg.max_step
 
     def test_a_start_that_fits_no_schedule_raises(self):
         # The synchronized direct flight collides, and the staggered one
