@@ -17,8 +17,13 @@ from wpcn_traj.cli import main as cli
 
 
 def run(args):
+    """Run one `wpcn-traj` command; stop on a failure.  Exit code 2 means a
+    solver failure, except from `verify-bound`, where it reports a bound
+    violated beyond 3 standard errors (criterion 7's known violation), so
+    only there is it accepted."""
     result = CliRunner().invoke(cli, args)
-    if result.exit_code not in (0, 2):
+    accepted = (0, 2) if args[0] == "verify-bound" else (0,)
+    if result.exit_code not in accepted:
         print(result.output, file=sys.stderr)
         raise SystemExit(result.exit_code)
     print(f"$ wpcn-traj {' '.join(args)}\n{result.output}")

@@ -20,13 +20,11 @@ if "numpy" not in sys.modules:
         os.environ.setdefault(_var, "1")
 
 from .model import (AllocationCoMP, AllocationIC, ConfigError, ScenarioConfig,
-                    Trajectory, channel_gain, common_throughput_comp,
-                    common_throughput_ic, comp_coherent_power,
-                    comp_noncoherent_power, comp_rate_upper_bound,
-                    db_to_linear, dbm_to_watt, energy_residual_comp,
-                    energy_residual_ic, feasibility_report, gain_matrix,
-                    harvested_energy_comp, harvested_energy_ic, is_feasible,
-                    rates_comp, rates_ic, sinr_ic, watt_to_dbm)
+                    Trajectory, channel_gain, common_throughput,
+                    comp_coherent_power, comp_noncoherent_power,
+                    comp_rate_upper_bound, db_to_linear, dbm_to_watt,
+                    feasibility_report, gain_matrix, is_feasible, sinr_ic,
+                    watt_to_dbm)
 from .hover_ic import (HoverSolutionIC, WitMode, solve_infinite_ic,
                        wit_mode1_hover, wit_mode2_rate, wpt_hover_ic)
 from .hover_comp import (EmptyFeasibleGrid, HoverSolutionCoMP,

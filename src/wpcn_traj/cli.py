@@ -21,8 +21,8 @@ from . import __version__
 from .hover_comp import solve_infinite_comp
 from .hover_ic import solve_infinite_ic
 from .mc import sample_zf_rate
-from .model import (AllocationCoMP, ConfigError, ScenarioConfig,
-                    comp_rate_upper_bound, db_to_linear, dbm_to_watt)
+from .model import (ConfigError, ScenarioConfig, comp_rate_upper_bound, db_to_linear,
+                    dbm_to_watt)
 from .sca_comp import solve_p21, solve_p21_direct
 from .sca_ic import solve_p1, solve_p1_direct
 
@@ -56,6 +56,9 @@ CONFIG_KEYS = {
 
 RESULT_HEADER = ("sweep_value", "scenario", "common_rate_bps_hz", "mode",
                  "charge_time_s", "iterations", "max_residual")
+# Trajectory-CSV names of the charging and uplink durations, by the number
+# of charging blocks: one in the coordination mode, one per device jointly.
+TIME_COLUMNS = {1: ("delta_E", "delta_I"), 2: ("rho_E1", "rho_E2", "rho_I")}
 
 
 def _parse_value(key: str, raw: str):
@@ -153,18 +156,15 @@ def write_manifest(out_dir: Path, command: str, values: dict, seed: int,
 def write_trajectory_csv(path: Path, cfg: ScenarioConfig, report) -> None:
     pos = report.trajectory.positions
     alloc = report.allocation
-    if isinstance(alloc, AllocationCoMP):
-        names, times = ["rho_E1", "rho_E2", "rho_I"], [*alloc.beam_time, alloc.uplink_time]
-    else:
-        names, times = ["delta_E", "delta_I"], [alloc.charge_time, alloc.uplink_time]
-    per_slot = np.vstack(times + [alloc.tx_power])  # (columns, N)
+    per_slot = np.vstack([alloc.blocks, alloc.uplink_time, alloc.tx_power])  # (columns, N)
     rows = []
     for n in range(cfg.num_slots + 1):
         row = [n, n * cfg.slot_duration,
                pos[0, n, 0], pos[0, n, 1], pos[1, n, 0], pos[1, n, 1]]
         row.extend(per_slot[:, n - 1] if n else [0.0] * len(per_slot))
         rows.append(row)
-    write_csv(path, ["n", "t", "x1", "y1", "x2", "y2", *names, "Q1", "Q2"], rows)
+    write_csv(path, ["n", "t", "x1", "y1", "x2", "y2", *TIME_COLUMNS[len(alloc.blocks)],
+                     "Q1", "Q2"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +185,8 @@ def _result_row(label, sweep_value, cfg: ScenarioConfig, tau_grid: int):
         mode = "zero-forcing" if comp else hover.wit_mode.value
         return (sweep_value, label, hover.common_rate, mode, hover.charge_time, 0, 0.0), 0.0, None
     rep = _SOLVERS[label](cfg, hover)
-    alloc = rep.allocation
-    charge = alloc.beam_time if isinstance(alloc, AllocationCoMP) else alloc.charge_time
     return (sweep_value, label, rep.common_rate, rep.initialization.value,
-            float(charge.sum()), rep.outer_iterations,
+            float(rep.allocation.blocks.sum()), rep.outer_iterations,
             max(rep.residuals.values())), rep.wall_seconds, rep
 
 

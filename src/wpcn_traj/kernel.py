@@ -877,15 +877,17 @@ def solve_concave(problem: Problem, start) -> SolveOutcome:
     `iterations` counts the Newton systems factored after the start
     weight's, lost ones too.
 
-    Raises StartInfeasible if any row slack at the start is non-positive.
+    Raises StartInfeasible if any row slack at the start is not positive
+    (NaN included).
     """
     x = np.asarray(start, dtype=float).copy()
     if x.shape != (problem.n,):
         raise ValueError(f"start must have shape ({problem.n},)")
     lay = problem._compiled()
     s = lay.slacks(x)
-    if s.size and s.min() <= 0.0:
-        raise StartInfeasible(f"start violates {int((s <= 0).sum())} row(s); "
+    bad = ~(s > 0.0)   # NaN slacks too
+    if bad.any():
+        raise StartInfeasible(f"start violates {int(bad.sum())} row(s); "
                               f"worst slack {s.min():.3e}")
     # Start weight t0 (module docstring): one Newton solve, w = H^-1 e.  Its
     # system serves the first iteration of both runs from the start.

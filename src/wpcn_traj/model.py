@@ -1,11 +1,17 @@
 """Physical model of the two-UAV / two-device wireless-powered network.
 
 Everything is kept in linear SI units (W, J, m, s); dB and dBm inputs are
-converted once at the configuration boundary.  Model evaluations are pure
-functions of plain arrays so that validated trajectories and synthetic hover
-schedules can be scored by the same code.  Channel phases are random in the
-underlying physical model but never enter these deterministic evaluations;
-they only matter to the Monte-Carlo oracle.
+converted once at the configuration boundary.  Both cooperation modes pose
+one problem, the common uplink throughput under each device's energy
+neutrality, and differ in two quantities only: the per-slot uplink rates
+and the harvested energy.  Each mode's allocation type defines those two
+(`slot_rates`, `harvested`); the rates, spent energy and residuals built on
+them are written once in `_Allocation`, and `common_throughput` and
+`feasibility_report` serve both modes.  Positions may be a `Trajectory` or
+a plain (2, N, 2) slot-position array, so validated trajectories and
+synthetic hover schedules are scored by the same code.  Channel phases are
+random in the underlying physical model but never enter these
+deterministic evaluations; they only matter to the Monte-Carlo oracle.
 """
 
 from __future__ import annotations
@@ -154,20 +160,44 @@ def _positions_of(traj) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Allocation:
-    """What both modes' allocations share: float-array fields and the slot
-    checks.  The fields are, in order, the charging durations (one row per
-    charging block), the uplink durations and the device transmit powers."""
+    """What both modes' allocations share: float-array fields, the slot and
+    energy checks, and the quantities built on the two that each mode
+    defines, its per-slot uplink rates (`slot_rates`) and each device's
+    harvested energy (`harvested`).  The fields are, in order, the charging
+    durations (one row per charging block, `blocks`), the uplink durations
+    and the device transmit powers."""
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
 
-    def residuals(self, cfg: ScenarioConfig) -> dict:
-        charge, uplink, power = (getattr(self, f.name) for f in fields(self))
-        used = np.atleast_2d(charge).sum(axis=0) + uplink
+    @property
+    def blocks(self) -> np.ndarray:
+        """Charging durations, shape (blocks, N)."""
+        return np.atleast_2d(getattr(self, fields(self)[0].name))
+
+    @property
+    def spent(self) -> np.ndarray:
+        """Energy each device spends on its uplink, J, shape (2,)."""
+        return (self.tx_power * self.uplink_time).sum(axis=1)
+
+    def rates(self, traj, cfg: ScenarioConfig) -> np.ndarray:
+        """Average uplink throughput of each device, bps/Hz, shape (2,)."""
+        slot = self.slot_rates(self.tx_power, traj, cfg)
+        return (self.uplink_time * slot).sum(axis=1) / cfg.duration
+
+    def residuals(self, cfg: ScenarioConfig, traj) -> dict:
+        """Slot budget, negativity and each device's energy shortfall
+        (harvested minus spent, negated), 0 when satisfied."""
+        charge, uplink, power = self.blocks, self.uplink_time, self.tx_power
+        used = charge.sum(axis=0) + uplink
         budget = float((used - cfg.slot_duration).max())
         neg = -min(float(charge.min()), float(uplink.min()), float(power.min()))
-        return {"slot_budget": max(0.0, budget), "negativity": max(0.0, neg)}
+        out = {"slot_budget": max(0.0, budget), "negativity": max(0.0, neg)}
+        energy = self.harvested(traj, cfg) - self.spent
+        for k in range(2):
+            out[f"energy_dev{k + 1}"] = max(0.0, -float(energy[k]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -178,6 +208,18 @@ class AllocationIC(_Allocation):
     uplink_time: np.ndarray  # (N,) uplink data sub-slot, s
     tx_power: np.ndarray     # (2, N) device transmit power, W
 
+    @staticmethod
+    def slot_rates(tx_power, traj, cfg: ScenarioConfig) -> np.ndarray:
+        """Per-slot uplink rate of each device when both transmit at once,
+        bps/Hz, shape (2, N)."""
+        return np.stack([np.log2(1.0 + sinr_ic(tx_power, traj, k, cfg)) for k in range(2)])
+
+    def harvested(self, traj, cfg: ScenarioConfig) -> np.ndarray:
+        """Energy each device collects from both UAVs' independent charging,
+        J, shape (2,)."""
+        g = gain_matrix(traj, cfg)
+        return (cfg.eh_efficiency * cfg.uav_power * self.charge_time * g.sum(axis=1)).sum(axis=1)
+
 
 @dataclass(frozen=True)
 class AllocationCoMP(_Allocation):
@@ -186,6 +228,22 @@ class AllocationCoMP(_Allocation):
     beam_time: np.ndarray    # (2, N) charging sub-sub-slot aimed at device k, s
     uplink_time: np.ndarray  # (N,) joint-reception uplink sub-slot, s
     tx_power: np.ndarray     # (2, N) device transmit power, W
+
+    @staticmethod
+    def slot_rates(tx_power, traj, cfg: ScenarioConfig) -> np.ndarray:
+        """Per-slot bound on each device's joint-reception rate
+        (`comp_rate_upper_bound`), bps/Hz, shape (2, N)."""
+        pos, Q = _positions_of(traj), np.asarray(tx_power, dtype=float)
+        return np.stack([comp_rate_upper_bound(Q[k], pos, k, cfg) for k in range(2)])
+
+    def harvested(self, traj, cfg: ScenarioConfig) -> np.ndarray:
+        """Energy each device collects under joint energy beamforming, J,
+        shape (2,): coherent power while the beams aim at it, leaked power
+        while they aim at the other device."""
+        pos, beam = _positions_of(traj), self.beam_time
+        return np.array([float((beam[k] * comp_coherent_power(pos, k, cfg)
+                                + beam[1 - k] * comp_noncoherent_power(pos, k, cfg)).sum())
+                         for k in range(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -212,39 +270,12 @@ def gain_matrix(traj, cfg: ScenarioConfig) -> np.ndarray:
     return cfg.ref_gain / (_device_dist2(traj, cfg) + cfg.altitude**2)
 
 
-def harvested_energy_ic(alloc: AllocationIC, traj, k: int, cfg: ScenarioConfig) -> float:
-    """Total energy collected by device k from both UAVs' independent charging."""
-    g = gain_matrix(traj, cfg)
-    per_slot = cfg.eh_efficiency * cfg.uav_power * alloc.charge_time * g[k].sum(axis=0)
-    return float(per_slot.sum())
-
-
 def sinr_ic(tx_power, traj, k: int, cfg: ScenarioConfig) -> np.ndarray:
     """Per-slot uplink SINR of device k when both devices transmit at once."""
     g = gain_matrix(traj, cfg)
     Q = np.asarray(tx_power, dtype=float)
     ko = 1 - k
     return Q[k] * g[k, k] / (Q[ko] * g[ko, k] + cfg.noise_power)
-
-
-def rates_ic(alloc: AllocationIC, traj, cfg: ScenarioConfig) -> np.ndarray:
-    """Average uplink throughput of each device, bps/Hz, shape (2,)."""
-    out = np.empty(2)
-    for k in range(2):
-        s = sinr_ic(alloc.tx_power, traj, k, cfg)
-        out[k] = (alloc.uplink_time * np.log2(1.0 + s)).sum() / cfg.duration
-    return out
-
-
-def common_throughput_ic(alloc: AllocationIC, traj, cfg: ScenarioConfig) -> float:
-    """Minimum of the two devices' average uplink rates, bps/Hz."""
-    return float(rates_ic(alloc, traj, cfg).min())
-
-
-def energy_residual_ic(alloc: AllocationIC, traj, k: int, cfg: ScenarioConfig) -> float:
-    """Harvested minus spent energy of device k; feasible iff >= -PHYS_TOL."""
-    spent = float((alloc.tx_power[k] * alloc.uplink_time).sum())
-    return harvested_energy_ic(alloc, traj, k, cfg) - spent
 
 
 def comp_coherent_power(slot_positions, k: int, cfg: ScenarioConfig) -> np.ndarray:
@@ -262,15 +293,6 @@ def comp_noncoherent_power(slot_positions, k: int, cfg: ScenarioConfig) -> np.nd
     return cfg.eh_efficiency * cfg.uav_power * g.sum(axis=0)
 
 
-def harvested_energy_comp(alloc: AllocationCoMP, traj, k: int, cfg: ScenarioConfig) -> float:
-    """Total energy collected by device k under joint energy beamforming."""
-    pos = _positions_of(traj)
-    coh = comp_coherent_power(pos, k, cfg)
-    non = comp_noncoherent_power(pos, k, cfg)
-    ko = 1 - k
-    return float((alloc.beam_time[k] * coh + alloc.beam_time[ko] * non).sum())
-
-
 def comp_rate_upper_bound(tx_power, slot_positions, k: int, cfg: ScenarioConfig) -> np.ndarray:
     """Upper bound on device k's joint-reception rate per unit uplink time."""
     pos = _positions_of(slot_positions)
@@ -279,33 +301,15 @@ def comp_rate_upper_bound(tx_power, slot_positions, k: int, cfg: ScenarioConfig)
     return np.log2(1.0 + snr)
 
 
-def rates_comp(alloc: AllocationCoMP, traj, cfg: ScenarioConfig) -> np.ndarray:
-    """Bound-rate average throughput of each device, bps/Hz, shape (2,)."""
-    pos = _positions_of(traj)
-    out = np.empty(2)
-    for k in range(2):
-        r = comp_rate_upper_bound(alloc.tx_power[k], pos, k, cfg)
-        out[k] = (alloc.uplink_time * r).sum() / cfg.duration
-    return out
-
-
-def common_throughput_comp(alloc: AllocationCoMP, traj, cfg: ScenarioConfig) -> float:
-    return float(rates_comp(alloc, traj, cfg).min())
-
-
-def energy_residual_comp(alloc: AllocationCoMP, traj, k: int, cfg: ScenarioConfig) -> float:
-    spent = float((alloc.tx_power[k] * alloc.uplink_time).sum())
-    return harvested_energy_comp(alloc, traj, k, cfg) - spent
+def common_throughput(alloc, traj, cfg: ScenarioConfig) -> float:
+    """Minimum of the two devices' average uplink rates in either mode,
+    bps/Hz."""
+    return float(alloc.rates(traj, cfg).min())
 
 
 def feasibility_report(cfg: ScenarioConfig, traj: Trajectory, alloc) -> Mapping[str, float]:
     """All constraint residuals of a candidate solution (0 = satisfied)."""
-    out = dict(traj.residuals(cfg))
-    out.update(alloc.residuals(cfg))
-    energy = energy_residual_ic if isinstance(alloc, AllocationIC) else energy_residual_comp
-    for k in range(2):
-        out[f"energy_dev{k + 1}"] = max(0.0, -energy(alloc, traj, k, cfg))
-    return out
+    return traj.residuals(cfg) | alloc.residuals(cfg, traj)
 
 
 def is_feasible(cfg: ScenarioConfig, traj: Trajectory, alloc) -> bool:

@@ -1,13 +1,15 @@
 """Finite-horizon alternating solver for the joint transmission/reception mode.
 
-This module holds the joint mode's start plans and steps; the alternation
-loop, its start probe, the start builder, the time LP and the trajectory SCA
-loop are the ones in `sca_ic`, shared by both modes.  The joint mode differs
-in three places: the throughput objective uses the closed-form bound on the
-joint-reception rate; that bound separates across devices, so the power step
-is one water-filling per device; and the trajectory subproblem bounds that
-rate and the coherent charging power, convex in the squared UAV-device
-distances, by tangents in them, assembled by the shared `sca_ic._traj_program`.
+This module holds the joint mode's start plans, its warm-start data and its
+steps; the alternation loop, its start probe, the start and warm-start
+builders, the time LP and the trajectory SCA loop are the ones in `sca_ic`,
+shared by both modes.  The mode's rates and harvested energy are those of
+its allocation type (`model.AllocationCoMP`): the closed-form bound on the
+joint-reception rate, and coherent charging with two charging blocks per
+slot.  That bound separates across devices, so the power step is one
+water-filling per device; and the trajectory subproblem bounds that rate and
+the coherent charging power, convex in the squared UAV-device distances, by
+tangents in them, assembled by the shared `sca_ic._traj_program`.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
 from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
-                    _positions_of, common_throughput_comp,
-                    comp_coherent_power, comp_noncoherent_power,
-                    comp_rate_upper_bound, harvested_energy_comp)
+                    _positions_of, common_throughput, comp_coherent_power,
+                    comp_noncoherent_power)
 from .sca_ic import (LOG2E, Initialization, SolveReport, _candidates, _direct_plan, _Mode,
                      _alternate, _no_worse, _power_budgets, _refine_trajectory, _time_lp,
-                     _traj_program, _window_masks, _within_budget)
+                     _traj_program)
 
 
 @dataclass(frozen=True)
@@ -59,33 +60,15 @@ def _plans_comp(cfg: ScenarioConfig, hover: HoverSolutionCoMP) -> list:
     tau_e = hover.charge_time
     return [(Initialization.SHF,
              np.array([[[x1, 0.0], [-xi, 0.0], [m1, 0.0]], [[x2, 0.0], [xi, 0.0], [m2, 0.0]]]),
-             [tau_e / 2.0, cfg.duration - tau_e, tau_e / 2.0], ("charge1", "uplink", "charge2")),
+             [tau_e / 2.0, cfg.duration - tau_e, tau_e / 2.0], (0, "uplink", 1)),
             (Initialization.UPLINK_PAIR, np.array([[[-xi, 0.0]], [[xi, 0.0]]]), [1.0], ()),
             _direct_plan()]
 
 
-def initial_allocation_comp(cfg: ScenarioConfig, traj: Trajectory,
-                            hover: HoverSolutionCoMP, windows=None) -> AllocationCoMP:
-    N, d = cfg.num_slots, cfg.slot_duration
-    beam = np.zeros((2, N))
-    uplink = np.zeros(N)
-    masks = _window_masks(cfg, windows)
-    if masks is None:
-        rho = min(max(hover.charge_time / cfg.duration, 0.05), 0.95)
-        beam[:, :] = d * rho / 2.0
-        uplink[:] = d * (1.0 - rho)
-    else:
-        c1, up, c2 = (masks[key] for key in ("charge1", "uplink", "charge2"))
-        beam[0, c1] = d
-        beam[1, c2] = d
-        uplink[up] = d
-        rest = ~(c1 | up | c2)
-        beam[:, rest] = d / 2.0
-    # Positive power floor on every slot: see initial_allocation_ic.
-    Q = np.full((2, N), 0.05)
-    Q[:, uplink > 0] = 1.0
-    return _within_budget(cfg, AllocationCoMP(beam, uplink, Q), traj,
-                          harvested_energy_comp)
+def _warm_comp(hover: HoverSolutionCoMP) -> tuple:
+    """The joint mode's data of `sca_ic.initial_allocation`: two charging
+    blocks, one beam per device, and a simultaneous uplink."""
+    return AllocationCoMP, 2, hover.charge_time, False
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +79,13 @@ def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power) -> AllocationCoMP:
     """Exact epigraph LP over beam-time, beam-time and uplink-time."""
     pos = _positions_of(traj)
     Q = np.asarray(tx_power, dtype=float)
-    rate = np.stack([comp_rate_upper_bound(Q[k], pos, k, cfg) for k in range(2)])
     # Device k harvests coherently while the beam aims at it, and leaked
     # power while it aims at the other device.
     harvest = np.empty((2, 2, cfg.num_slots))
     for k in range(2):
         harvest[k, k] = comp_coherent_power(pos, k, cfg)
         harvest[k, 1 - k] = comp_noncoherent_power(pos, k, cfg)
-    x = _time_lp(cfg, rate, harvest, Q)
+    x = _time_lp(cfg, AllocationCoMP.slot_rates(Q, pos, cfg), harvest, Q)
     return AllocationCoMP(x[:2], x[2], Q.copy())
 
 
@@ -136,15 +118,15 @@ def optimize_power_comp(cfg: ScenarioConfig, traj, alloc: AllocationCoMP):
     uplink = alloc.uplink_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
     Q = alloc.tx_power.copy()
-    before = common_throughput_comp(alloc, traj, cfg)
+    before = common_throughput(alloc, traj, cfg)
     if active.size == 0:
         return Q, [before]
     d2 = _device_dist2(traj, cfg)
     csnr = 0.5 * cfg.ref_gain / cfg.noise_power * (1.0 / (d2 + cfg.altitude**2)).sum(axis=1)
-    budgets = _power_budgets(cfg, alloc, traj, harvested_energy_comp, active)
+    budgets = _power_budgets(cfg, alloc, traj, active)
     for k in range(2):
         Q[k, active] = _water_fill(1.0 / csnr[k, active], uplink[active], budgets[k])
-    after = common_throughput_comp(replace(alloc, tx_power=Q), traj, cfg)
+    after = common_throughput(replace(alloc, tx_power=Q), traj, cfg)
     return (Q, [before, after]) if _no_worse(after, before) else (alloc.tx_power.copy(), [before])
 
 
@@ -185,9 +167,8 @@ def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Traject
     """Iterative concave maximization of both UAV trajectories (see
     `_refine_trajectory`).  Returns the trajectory, its amplitudes and
     inverse gains (`slack_at_equality`) and the accepted throughputs."""
-    traj, trace = _refine_trajectory(
-        cfg, alloc, traj, lambda pos: _traj_subproblem_comp(cfg, alloc, pos),
-        common_throughput_comp, harvested_energy_comp)
+    traj, trace = _refine_trajectory(cfg, alloc, traj,
+                                     lambda pos: _traj_subproblem_comp(cfg, alloc, pos))
     return traj, slack_at_equality(cfg, traj), trace
 
 
@@ -197,7 +178,6 @@ def optimize_traj_comp(cfg: ScenarioConfig, alloc: AllocationCoMP, traj: Traject
 
 def _comp_mode() -> _Mode:
     return _Mode(
-        throughput=common_throughput_comp,
         time_step=optimize_time_comp,
         power_step=optimize_power_comp,
         traj_step=lambda cfg, alloc, traj: optimize_traj_comp(cfg, alloc, traj)[0])
@@ -218,8 +198,7 @@ def solve_p21(cfg: ScenarioConfig, hover: HoverSolutionCoMP | None = None) -> So
     if hover is None:
         hover = solve_infinite_comp(cfg)
     return _alternate(cfg, _comp_mode(),
-                      _candidates(cfg, hover, _plans_comp(cfg, hover), initial_allocation_comp),
-                      t0)
+                      _candidates(cfg, _plans_comp(cfg, hover), _warm_comp(hover)), t0)
 
 
 def solve_p21_direct(cfg: ScenarioConfig, hover: HoverSolutionCoMP | None = None) -> SolveReport:
@@ -230,4 +209,4 @@ def solve_p21_direct(cfg: ScenarioConfig, hover: HoverSolutionCoMP | None = None
     if hover is None:
         hover = solve_infinite_comp(cfg)
     return _alternate(cfg, replace(_comp_mode(), traj_step=None),
-                      _candidates(cfg, hover, [_direct_plan()], initial_allocation_comp), t0)
+                      _candidates(cfg, [_direct_plan()], _warm_comp(hover)), t0)

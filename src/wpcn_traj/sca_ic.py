@@ -7,11 +7,15 @@ Every subproblem contains the incumbent, so the true common throughput is
 non-decreasing across accepted iterates; candidates that fail that check are
 rejected, which keeps the trace monotone under solver noise.  The outer
 loop (`_alternate`), its start probe, the time LP and the trajectory SCA
-loop (`_refine_trajectory`) see a mode only through its steps, so the joint
-mode (`sca_comp`) reuses them as they are.  Every start is a waypoint plan
-that its mode lists as data, flown by `_feasible_starts` through one
-schedule builder (`_fly_plan`), with both UAVs moving together or, for
-crossing paths, one at a time.  Both modes' trajectory programs are
+loop (`_refine_trajectory`) see a mode only through its steps and its
+allocation type, which carries the mode's rates and harvested energy
+(`model`); they score every candidate by `model.common_throughput`, so the
+joint mode (`sca_comp`) reuses them as they are and no model function is
+passed around.  Every start is a waypoint plan that its mode lists as data,
+flown by `_feasible_starts` through one schedule builder (`_fly_plan`), with
+both UAVs moving together or, for crossing paths, one at a time, and given
+its warm-start allocation by one builder (`initial_allocation`), which takes
+what differs by mode as data.  Both modes' trajectory programs are
 assembled by `_traj_program` from tangents in the squared UAV-device
 distances, all built by `_distance_tangent`; each mode supplies only their
 coefficients.  Every loop ends by one stop test on the true throughput
@@ -33,8 +37,7 @@ from .hover_ic import HoverSolutionIC, WitMode, solve_infinite_ic
 from .kernel import (LogGroup, NegLogGroup, Problem, StartInfeasible,
                      solve_concave)
 from .model import (AllocationCoMP, AllocationIC, ConfigError, ScenarioConfig, Trajectory,
-                    common_throughput_ic, feasibility_report, gain_matrix,
-                    harvested_energy_ic, sinr_ic)
+                    common_throughput, feasibility_report, gain_matrix)
 
 LOG2E = float(np.log2(np.e))
 _SPEED_MARGIN = 1.0 - 1e-9   # legs fly just under the cap for strict interiors
@@ -185,7 +188,7 @@ def _plans_ic(cfg: ScenarioConfig, hover: HoverSolutionIC) -> list:
     x_e, x_i = hover.wpt_hover_x, hover.wit_hover_x
     stops = np.array([[[-x_e, 0.0], [-x_i, 0.0]], [[x_e, 0.0], [x_i, 0.0]]])
     tau_e = hover.charge_time
-    return [(Initialization.SHF, stops, [tau_e, cfg.duration - tau_e], ("charge", "uplink")),
+    return [(Initialization.SHF, stops, [tau_e, cfg.duration - tau_e], (0, "uplink")),
             _direct_plan()]
 
 
@@ -205,44 +208,61 @@ def _window_masks(cfg: ScenarioConfig, windows):
     return masks if masks["uplink"].sum() >= 2 else None
 
 
-def _within_budget(cfg: ScenarioConfig, alloc, traj: Trajectory, harvested):
+def _within_budget(cfg: ScenarioConfig, alloc, traj: Trajectory):
     """`alloc` with each device's powers scaled to spend 0.999 of what it
-    harvests (`harvested` is the mode's harvested-energy function)."""
+    harvests."""
     Q = alloc.tx_power.copy()
+    budget, spend = alloc.harvested(traj, cfg), alloc.spent
     for k in range(2):
-        budget = harvested(alloc, traj, k, cfg)
-        spend = float((Q[k] * alloc.uplink_time).sum())
-        Q[k] *= 0.999 * budget / spend if spend > 0 else 0.0
+        Q[k] *= 0.999 * budget[k] / spend[k] if spend[k] > 0 else 0.0
     return replace(alloc, tx_power=Q)
 
 
-def initial_allocation_ic(cfg: ScenarioConfig, traj: Trajectory,
-                          hover: HoverSolutionIC, windows=None) -> AllocationIC:
-    """Feasible warm-start allocation mirroring the hover solution's split."""
+def initial_allocation(cfg: ScenarioConfig, traj: Trajectory, make, blocks: int,
+                       charge_time: float, split: bool, windows=None):
+    """Feasible warm-start allocation of either mode, `make(charging
+    durations (blocks, N), uplink durations, powers)`.
+
+    Without `windows` (or with fewer than two slots in the uplink window)
+    every slot mirrors the hover solution's split: `charge_time` of T
+    charging, shared evenly by the `blocks` charging blocks, the rest
+    uplink.  Otherwise the slots of window j charge block j, those of the
+    "uplink" window transmit, and the others charge all blocks evenly; with
+    `split` the devices take turns, the first half of the uplink slots for
+    device 1, the rest for device 2.  The powers are then scaled to the
+    harvested energy (`_within_budget`)."""
     N, d = cfg.num_slots, cfg.slot_duration
     masks = _window_masks(cfg, windows)
-    charge = np.full(N, d)
-    uplink = np.zeros(N)
-    # A small positive power floor everywhere keeps every slot visible to the
-    # time-allocation LP, so later passes can re-activate slots the warm
-    # start left idle.
-    Q = np.full((2, N), 0.05)
     if masks is None:
-        rho = min(max(hover.charge_time / cfg.duration, 0.05), 0.95)
-        charge = np.full(N, d * rho)
+        rho = min(max(charge_time / cfg.duration, 0.05), 0.95)
+        charge = np.full((blocks, N), d * rho / blocks)
         uplink = np.full(N, d * (1.0 - rho))
-        Q[:, :] = 1.0
+        Q = np.ones((2, N))
     else:
-        charge[masks["uplink"]] = 0.0
-        uplink[masks["uplink"]] = d
-        idx = np.flatnonzero(masks["uplink"])
-        if hover.wit_mode is WitMode.TDMA:
-            half = idx.size // 2
-            Q[0, idx[:half]] = 1.0
-            Q[1, idx[half:]] = 1.0
+        up = masks.pop("uplink")
+        charge = np.zeros((blocks, N))
+        for j, mask in masks.items():
+            charge[j, mask] = d
+        charge[:, ~np.logical_or.reduce([up, *masks.values()])] = d / blocks
+        uplink = np.where(up, d, 0.0)
+        # A small positive power floor everywhere keeps every slot visible to
+        # the time-allocation LP, so later passes can re-activate slots the
+        # warm start left idle.
+        Q = np.full((2, N), 0.05)
+        idx = np.flatnonzero(up)
+        if split:
+            Q[0, idx[:idx.size // 2]] = 1.0
+            Q[1, idx[idx.size // 2:]] = 1.0
         else:
             Q[:, idx] = 1.0
-    return _within_budget(cfg, AllocationIC(charge, uplink, Q), traj, harvested_energy_ic)
+    return _within_budget(cfg, make(charge, uplink, Q), traj)
+
+
+def _warm_ic(hover: HoverSolutionIC) -> tuple:
+    """The coordination mode's data of `initial_allocation`: one charging
+    block, and turn-taking when the hover uplink takes turns."""
+    return (lambda charge, uplink, Q: AllocationIC(charge[0], uplink, Q), 1,
+            hover.charge_time, hover.wit_mode is WitMode.TDMA)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +316,9 @@ def _time_lp(cfg: ScenarioConfig, rate: np.ndarray, harvest: np.ndarray,
 
 def optimize_time_ic(cfg: ScenarioConfig, traj, tx_power) -> AllocationIC:
     """Exact epigraph LP over the per-slot charging/uplink durations."""
-    g = gain_matrix(traj, cfg)
     Q = np.asarray(tx_power, dtype=float)
-    rate = np.stack([np.log2(1.0 + sinr_ic(Q, traj, k, cfg)) for k in range(2)])
-    harvest = np.stack([cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
-                        for k in range(2)])[:, None, :]
-    x = _time_lp(cfg, rate, harvest, Q)
+    harvest = cfg.eh_efficiency * cfg.uav_power * gain_matrix(traj, cfg).sum(axis=1)
+    x = _time_lp(cfg, AllocationIC.slot_rates(Q, traj, cfg), harvest[:, None, :], Q)
     return AllocationIC(x[0], x[1], Q.copy())
 
 
@@ -315,16 +332,14 @@ def _lift_epigraph(prob: Problem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _power_budgets(cfg: ScenarioConfig, alloc, traj, harvested,
-                   active: np.ndarray) -> list:
+def _power_budgets(cfg: ScenarioConfig, alloc, traj, active: np.ndarray) -> list:
     """Energy each device may spend on the active slots: what it harvests
-    (`harvested` is the mode's harvested-energy function) minus what its
-    frozen powers already spend on the idle slots, whose uplink time is
-    tiny but not always zero."""
+    minus what its frozen powers already spend on the idle slots, whose
+    uplink time is tiny but not always zero."""
     idle = np.setdiff1d(np.arange(cfg.num_slots), active)
     Q, uplink = alloc.tx_power, alloc.uplink_time
-    return [harvested(alloc, traj, k, cfg) - float((Q[k, idle] * uplink[idle]).sum())
-            for k in range(2)]
+    harvested = alloc.harvested(traj, cfg)
+    return [float(harvested[k]) - float((Q[k, idle] * uplink[idle]).sum()) for k in range(2)]
 
 
 def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC):
@@ -339,11 +354,11 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC):
     uplink, charge = alloc.uplink_time, alloc.charge_time
     active = np.flatnonzero(uplink > 1e-12 * cfg.slot_duration)
     Q = alloc.tx_power.copy()
-    trace = [common_throughput_ic(alloc, traj, cfg)]
+    trace = [common_throughput(alloc, traj, cfg)]
     if active.size == 0:
         return Q, trace
     g = gain_matrix(traj, cfg)
-    budgets = _power_budgets(cfg, alloc, traj, harvested_energy_ic, active)
+    budgets = _power_budgets(cfg, alloc, traj, active)
     A = active.size
     for _ in range(MAX_INNER):
         prob = Problem(2 * A + 1)
@@ -378,7 +393,7 @@ def optimize_power_ic(cfg: ScenarioConfig, traj, alloc: AllocationIC):
         out = solve_concave(prob, _lift_epigraph(prob, start))
         Q_new = Q.copy()
         Q_new[:, active] = np.clip(out.x[:-1], 0.0, None).reshape(2, A)
-        val = common_throughput_ic(AllocationIC(charge, uplink, Q_new), traj, cfg)
+        val = common_throughput(AllocationIC(charge, uplink, Q_new), traj, cfg)
         if not _no_worse(val, trace[-1]):
             break
         Q = Q_new
@@ -539,22 +554,20 @@ def _traj_subproblem_ic(cfg: ScenarioConfig, alloc: AllocationIC, ref: np.ndarra
                          [(coef, [0, 1], [k], slots) for k in range(2)], domain)
 
 
-def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
-                       throughput, harvested):
+def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build):
     """SCA loop of both modes' trajectory steps: one surrogate solve per pass.
 
     `build(positions)` returns the concave program of one pass at
     `positions` and a strictly feasible start; its leading variables are the
     interior positions (`traj_var_base` layout).  A candidate is accepted
-    when it is feasible, keeps every device's energy budget (`harvested` is
-    the mode's harvested-energy function) and does not lower `throughput`.
-    The step ends at the incumbent on the first rejected candidate or failed
-    surrogate solve, or once `_converged`.  Returns the trajectory and the
-    accepted throughputs."""
-    trace = [throughput(alloc, traj, cfg)]
+    when it is feasible, keeps every device's energy budget and does not
+    lower the common throughput.  The step ends at the incumbent on the
+    first rejected candidate or failed surrogate solve, or once
+    `_converged`.  Returns the trajectory and the accepted throughputs."""
+    trace = [common_throughput(alloc, traj, cfg)]
     positions = traj.positions.copy()
     N = cfg.num_slots
-    spend = [float((alloc.tx_power[k] * alloc.uplink_time).sum()) for k in range(2)]
+    spend = alloc.spent
     for _ in range(MAX_INNER):
         try:
             out = solve_concave(*build(positions))
@@ -563,9 +576,8 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
         cand = positions.copy()
         cand[:, 1:N, :] = out.x[:4 * (N - 1)].reshape(2, N - 1, 2)
         cand_traj = Trajectory(cand)
-        ok = cand_traj.is_feasible(cfg) and all(
-            harvested(alloc, cand_traj, k, cfg) - spend[k] >= -1e-9 for k in range(2))
-        val = throughput(alloc, cand_traj, cfg)
+        ok = cand_traj.is_feasible(cfg) and min(alloc.harvested(cand_traj, cfg) - spend) >= -1e-9
+        val = common_throughput(alloc, cand_traj, cfg)
         if not (ok and _no_worse(val, trace[-1])):
             break
         positions = cand
@@ -578,9 +590,7 @@ def _refine_trajectory(cfg: ScenarioConfig, alloc, traj: Trajectory, build,
 def optimize_traj_ic(cfg: ScenarioConfig, alloc: AllocationIC, traj: Trajectory):
     """Iterative concave maximization of both UAV trajectories; returns the
     trajectory and the accepted throughputs (see `_refine_trajectory`)."""
-    return _refine_trajectory(
-        cfg, alloc, traj, lambda pos: _traj_subproblem_ic(cfg, alloc, pos),
-        common_throughput_ic, harvested_energy_ic)
+    return _refine_trajectory(cfg, alloc, traj, lambda pos: _traj_subproblem_ic(cfg, alloc, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +605,6 @@ class _Mode:
     Each solve builds its record when called, from its module's globals, so
     steps wrapped from outside (for tracing) are the ones that run."""
 
-    throughput: Callable   # (alloc, traj, cfg) -> common throughput
     time_step: Callable    # (cfg, traj, tx_power) -> allocation
     power_step: Callable   # (cfg, traj, alloc) -> (Q, trace)
     traj_step: Callable | None   # (cfg, alloc, traj) -> trajectory, or None
@@ -603,7 +612,6 @@ class _Mode:
 
 def _ic_mode() -> _Mode:
     return _Mode(
-        throughput=common_throughput_ic,
         time_step=optimize_time_ic,
         power_step=optimize_power_ic,
         traj_step=lambda cfg, alloc, traj: optimize_traj_ic(cfg, alloc, traj)[0])
@@ -621,7 +629,7 @@ def _time_pass(cfg: ScenarioConfig, mode: _Mode, memo: dict, traj, alloc, value:
     """The time step's allocation if its throughput is no worse than `value`, else `alloc`."""
     cand = _once(memo, "time", (traj.positions, alloc.tx_power),
                  lambda: mode.time_step(cfg, traj, alloc.tx_power))
-    return cand if _no_worse(mode.throughput(cand, traj, cfg), value) else alloc
+    return cand if _no_worse(common_throughput(cand, traj, cfg), value) else alloc
 
 
 def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
@@ -633,7 +641,7 @@ def _pick_start(cfg: ScenarioConfig, mode: _Mode, candidates):
     best = None
     for traj, alloc, init in candidates:
         memo = {}
-        probe = _time_pass(cfg, mode, memo, traj, alloc, mode.throughput(alloc, traj, cfg))
+        probe = _time_pass(cfg, mode, memo, traj, alloc, common_throughput(alloc, traj, cfg))
         score = _once(memo, "power", (traj.positions, *vars(probe).values()),
                       lambda: mode.power_step(cfg, traj, probe))[1][-1]
         if best is None or score > best[0]:
@@ -654,7 +662,7 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     arrays it reads, which key its entry (the time step reads the positions
     and powers only)."""
     (traj, alloc, init), memo = _pick_start(cfg, mode, candidates)
-    trace = [mode.throughput(alloc, traj, cfg)]
+    trace = [common_throughput(alloc, traj, cfg)]
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
         alloc = _time_pass(cfg, mode, memo, traj, alloc, trace[-1])
@@ -667,7 +675,7 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
             traj = _once(memo, "traj", (traj.positions, *vars(alloc).values()),
                          lambda: mode.traj_step(cfg, alloc, traj))
 
-        trace.append(mode.throughput(alloc, traj, cfg))
+        trace.append(common_throughput(alloc, traj, cfg))
         if _converged(trace):
             break
 
@@ -683,11 +691,12 @@ def _alternate(cfg: ScenarioConfig, mode: _Mode, candidates, t0: float) -> Solve
     )
 
 
-def _candidates(cfg: ScenarioConfig, hover, plans, initial_allocation) -> list:
+def _candidates(cfg: ScenarioConfig, plans, warm) -> list:
     """Start-probe candidates (trajectory, allocation, Initialization) of the
     feasible `plans` (`_feasible_starts`, which raises ConfigError when there
-    is none), each with the mode's warm-start allocation."""
-    return [(traj, initial_allocation(cfg, traj, hover, windows), init)
+    is none), each with its warm-start allocation (`initial_allocation` of
+    the mode's data `warm`)."""
+    return [(traj, initial_allocation(cfg, traj, *warm, windows), init)
             for init, traj, windows in _feasible_starts(cfg, plans)]
 
 
@@ -703,7 +712,7 @@ def solve_p1(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -> Solve
     if hover is None:
         hover = solve_infinite_ic(cfg)
     return _alternate(cfg, _ic_mode(),
-                      _candidates(cfg, hover, _plans_ic(cfg, hover), initial_allocation_ic), t0)
+                      _candidates(cfg, _plans_ic(cfg, hover), _warm_ic(hover)), t0)
 
 
 def solve_p1_direct(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -> SolveReport:
@@ -714,4 +723,4 @@ def solve_p1_direct(cfg: ScenarioConfig, hover: HoverSolutionIC | None = None) -
     if hover is None:
         hover = solve_infinite_ic(cfg)
     return _alternate(cfg, replace(_ic_mode(), traj_step=None),
-                      _candidates(cfg, hover, [_direct_plan()], initial_allocation_ic), t0)
+                      _candidates(cfg, [_direct_plan()], _warm_ic(hover)), t0)

@@ -9,9 +9,11 @@ received powers of joint energy beamforming, the analytic derivative of
 the charging-hover objective, and scalar references of the hovering
 solutions' charging-time search and of the zero-forcing sampler: one
 scalar rate evaluation per grid point, and the sampler with its
-temporaries, which the array forms must reproduce bit for bit.  Last, a
-plain barrier method whose objective the kernel's solves are checked
-against.
+temporaries, which the array forms must reproduce bit for bit.  The model's
+per-device energy and rate formulas of each mode, one function per
+quantity and device, which the allocations' array forms and
+`common_throughput` must reproduce bit for bit.  Last, a plain barrier
+method whose objective the kernel's solves are checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from wpcn_traj.hover_comp import (HoverSolutionCoMP, bound_rate_at, wit_hover_co
                                   wpt_hover_comp)
 from wpcn_traj.hover_ic import HoverSolutionIC, _rate_at
 from wpcn_traj.mc import _estimate
-from wpcn_traj.model import ScenarioConfig, gain_matrix
+from wpcn_traj.model import (ScenarioConfig, _positions_of, comp_coherent_power,
+                             comp_noncoherent_power, comp_rate_upper_bound, gain_matrix)
 
 LOG2E = float(np.log2(np.e))
 
@@ -260,6 +263,62 @@ def reference_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int
     snr = Q[None, :] * det2[:, None] / (cfg.noise_power * g[::-1].sum(axis=1))
     rates = np.log2(1.0 + snr)
     return tuple(_estimate(rates[:, k], seed) for k in range(2))
+
+
+def harvested_energy_ic(alloc, traj, k: int, cfg: ScenarioConfig) -> float:
+    """Energy device k collects from both UAVs' independent charging."""
+    g = gain_matrix(traj, cfg)
+    per_slot = cfg.eh_efficiency * cfg.uav_power * alloc.charge_time * g[k].sum(axis=0)
+    return float(per_slot.sum())
+
+
+def rates_ic(alloc, traj, cfg: ScenarioConfig) -> np.ndarray:
+    """Average uplink throughput of each device when both transmit at once."""
+    g = gain_matrix(traj, cfg)
+    Q = alloc.tx_power
+    out = np.empty(2)
+    for k in range(2):
+        sinr = Q[k] * g[k, k] / (Q[1 - k] * g[1 - k, k] + cfg.noise_power)
+        out[k] = (alloc.uplink_time * np.log2(1.0 + sinr)).sum() / cfg.duration
+    return out
+
+
+def common_throughput_ic(alloc, traj, cfg: ScenarioConfig) -> float:
+    return float(rates_ic(alloc, traj, cfg).min())
+
+
+def energy_residual_ic(alloc, traj, k: int, cfg: ScenarioConfig) -> float:
+    """Harvested minus spent energy of device k."""
+    spent = float((alloc.tx_power[k] * alloc.uplink_time).sum())
+    return harvested_energy_ic(alloc, traj, k, cfg) - spent
+
+
+def harvested_energy_comp(alloc, traj, k: int, cfg: ScenarioConfig) -> float:
+    """Energy device k collects under joint energy beamforming."""
+    pos = _positions_of(traj)
+    coh = comp_coherent_power(pos, k, cfg)
+    non = comp_noncoherent_power(pos, k, cfg)
+    return float((alloc.beam_time[k] * coh + alloc.beam_time[1 - k] * non).sum())
+
+
+def rates_comp(alloc, traj, cfg: ScenarioConfig) -> np.ndarray:
+    """Bound-rate average throughput of each device, joint reception."""
+    pos = _positions_of(traj)
+    out = np.empty(2)
+    for k in range(2):
+        r = comp_rate_upper_bound(alloc.tx_power[k], pos, k, cfg)
+        out[k] = (alloc.uplink_time * r).sum() / cfg.duration
+    return out
+
+
+def common_throughput_comp(alloc, traj, cfg: ScenarioConfig) -> float:
+    return float(rates_comp(alloc, traj, cfg).min())
+
+
+def energy_residual_comp(alloc, traj, k: int, cfg: ScenarioConfig) -> float:
+    """Harvested minus spent energy of device k."""
+    spent = float((alloc.tx_power[k] * alloc.uplink_time).sum())
+    return harvested_energy_comp(alloc, traj, k, cfg) - spent
 
 
 def barrier_objective(problem, start, t: float = 1.0) -> float:

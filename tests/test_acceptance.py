@@ -29,11 +29,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from wpcn_traj import (AllocationCoMP, AllocationIC, channel_gain,
-                       common_throughput_comp,
-                       common_throughput_ic, comp_coherent_power,
+                       common_throughput, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
-                       direct_flight_trajectory, harvested_energy_comp,
-                       harvested_energy_ic, optimize_power_comp,
+                       direct_flight_trajectory, optimize_power_comp,
                        optimize_power_ic, optimize_time_comp, optimize_time_ic,
                        sample_zf_rate,
                        solve_infinite_comp, solve_infinite_ic, solve_p1,
@@ -199,7 +197,7 @@ def test_criterion_4_surrogate_bound_suite():
                      <= 1e-10 * (1 + np.abs(t)))
         ok &= np.all(np.abs(traj_rate_bound(ref, ref, Q, uplink, k, cfg) - t)
                      <= 1e-10 * (1 + np.abs(t)))
-        e_true = harvested_energy_ic(AllocationIC(charge, uplink, Q), ref, k, cfg)
+        e_true = AllocationIC(charge, uplink, Q).harvested(ref, cfg)[k]
         ok &= abs(harvest_bound_ic(ref, ref, charge, k, cfg) - e_true) \
             <= 1e-10 * (1 + abs(e_true))
     ok &= np.allclose(separation_bound(ref, ref),
@@ -218,7 +216,7 @@ def test_criterion_4_surrogate_bound_suite():
             b = traj_rate_bound(pos, ref, Q, uplink, k, cfg)
             fin = np.isfinite(b)
             ok &= np.all(b[fin] <= t[fin] + 1e-12)
-            e_true = harvested_energy_ic(AllocationIC(charge, uplink, Q), pos, k, cfg)
+            e_true = AllocationIC(charge, uplink, Q).harvested(pos, cfg)[k]
             ok &= harvest_bound_ic(pos, ref, charge, k, cfg) <= e_true + 1e-12
         ok &= np.all(separation_bound(pos, ref)
                      <= ((pos[0] - pos[1]) ** 2).sum(-1) + 1e-12)
@@ -364,7 +362,7 @@ def test_criterion_9_subproblem_oracles():
     # time allocation, coordination mode: 2-D grid over per-slot uplink shares
     Q = np.full((2, 2), 2e-5)
     alloc = optimize_time_ic(cfg, traj, Q)
-    got = common_throughput_ic(alloc, traj, cfg)
+    got = common_throughput(alloc, traj, cfg)
     rate = np.array([np.log2(1 + Q[k] * g[k, k] / (Q[1 - k] * g[1 - k, k]
                                                    + cfg.noise_power))
                      for k in range(2)])
@@ -388,11 +386,11 @@ def test_criterion_9_subproblem_oracles():
     uplink = np.array([0.6, 0.4])
     charge = np.array([0.4, 0.6])
     zero = AllocationIC(charge, uplink, np.zeros((2, 2)))
-    budgets = [harvested_energy_ic(zero, traj, k, cfg) for k in range(2)]
+    budgets = [zero.harvested(traj, cfg)[k] for k in range(2)]
     Q0 = np.array([[0.0, 0.999 * budgets[0] / uplink[1]],
                    [0.999 * budgets[1] / uplink[0], 0.0]])
     Qp, _ = optimize_power_ic(cfg, traj, AllocationIC(charge, uplink, Q0))
-    got = common_throughput_ic(AllocationIC(charge, uplink, Qp), traj, cfg)
+    got = common_throughput(AllocationIC(charge, uplink, Qp), traj, cfg)
     oracle = _refining_power_oracle(cfg, traj, uplink, budgets)
     ok &= got >= oracle - 1e-3 * (1 + abs(oracle))
     details.append(f"power-ic {got:.4f} vs {oracle:.4f}")
@@ -405,7 +403,7 @@ def test_criterion_9_subproblem_oracles():
     pos1 = traj1.slot_positions
     Qc = np.full((2, 1), 3e-5)
     alloc = optimize_time_comp(cfg1, traj1, Qc)
-    got = common_throughput_comp(alloc, traj1, cfg1)
+    got = common_throughput(alloc, traj1, cfg1)
     rate1 = np.array([float(comp_rate_upper_bound(Qc[k, 0], pos1[:, 0], k, cfg1))
                       for k in range(2)])
     coh = np.array([float(comp_coherent_power(pos1[:, 0], k, cfg1)) for k in range(2)])
@@ -424,9 +422,9 @@ def test_criterion_9_subproblem_oracles():
     beam = np.array([[0.4, 0.1], [0.1, 0.4]])
     uplink = np.array([0.5, 0.5])
     alloc = AllocationCoMP(beam, uplink, np.full((2, 2), 1e-8))
-    budgets = [harvested_energy_comp(alloc, traj, k, cfg) for k in range(2)]
+    budgets = [alloc.harvested(traj, cfg)[k] for k in range(2)]
     Qc, _ = optimize_power_comp(cfg, traj, alloc)
-    got = common_throughput_comp(AllocationCoMP(beam, uplink, Qc), traj, cfg)
+    got = common_throughput(AllocationCoMP(beam, uplink, Qc), traj, cfg)
     per_dev = []
     for k in range(2):
         csnr = np.array([0.5 * cfg.ref_gain / cfg.noise_power

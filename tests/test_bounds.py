@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from wpcn_traj import (AllocationCoMP, AllocationIC, comp_rate_upper_bound,
-                       harvested_energy_comp, harvested_energy_ic, sinr_ic)
+from wpcn_traj import AllocationCoMP, AllocationIC, comp_rate_upper_bound, sinr_ic
 from conftest import benchmark_config
 from oracles import (amp_sum_sq_bound, comp_traj_rate_bound, harvest_bound_comp,
                      harvest_bound_ic, inv_square_bound, power_rate_bound,
@@ -88,7 +87,7 @@ class TestHarvestBound:
         alloc = AllocationIC(charge, np.zeros(N), np.zeros((2, N)))
         for k in range(2):
             b = harvest_bound_ic(pos, pos, charge, k, cfg)
-            t = harvested_energy_ic(alloc, pos, k, cfg)
+            t = alloc.harvested(pos, cfg)[k]
             assert b == pytest.approx(t, rel=1e-10)
 
     def test_valid_on_random_perturbations(self):
@@ -101,12 +100,12 @@ class TestHarvestBound:
             pos = ref + rng.uniform(-5.0, 5.0, size=ref.shape)
             for k in range(2):
                 b = harvest_bound_ic(pos, ref, charge, k, cfg)
-                t = harvested_energy_ic(alloc, pos, k, cfg)
+                t = alloc.harvested(pos, cfg)[k]
                 assert b <= t + 1e-12
 
 
 def _true_rate_comp(cfg, Q, pos, uplink, k):
-    """Device k's per-slot terms of `rates_comp`, before the 1/T."""
+    """Device k's per-slot terms of `AllocationCoMP.rates`, before the 1/T."""
     return uplink * comp_rate_upper_bound(Q[k], pos, k, cfg)
 
 
@@ -148,7 +147,7 @@ class TestCompHarvestBound:
         alloc = self._alloc(rng)
         for k in range(2):
             b = harvest_bound_comp(pos, pos, alloc.beam_time, k, cfg)
-            t = harvested_energy_comp(alloc, pos, k, cfg)
+            t = alloc.harvested(pos, cfg)[k]
             assert b == pytest.approx(t, rel=1e-10)
 
     def test_valid_on_random_perturbations(self):
@@ -160,7 +159,7 @@ class TestCompHarvestBound:
             pos = ref + rng.uniform(-5.0, 5.0, size=ref.shape)
             for k in range(2):
                 b = harvest_bound_comp(pos, ref, alloc.beam_time, k, cfg)
-                t = harvested_energy_comp(alloc, pos, k, cfg)
+                t = alloc.harvested(pos, cfg)[k]
                 assert b <= t + 1e-12
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from wpcn_traj import (AllocationCoMP, EmptyFeasibleGrid, common_throughput_comp,
-                       comp_rate_upper_bound, energy_residual_comp,
-                       harvested_energy_comp, solve_infinite_comp,
+from wpcn_traj import (AllocationCoMP, EmptyFeasibleGrid, common_throughput,
+                       comp_rate_upper_bound, solve_infinite_comp,
                        wit_hover_comp, wpt_hover_comp, wpt_hover_ic,
                        solve_infinite_ic)
 from wpcn_traj.hover_comp import _bound_rate, bound_rate_at, charge_pair_power
@@ -149,11 +148,11 @@ class TestSolveInfiniteCoMP:
         Q = np.where(uplink > 0, q, 0.0)[None, :].repeat(2, axis=0)
         alloc = AllocationCoMP(beam, uplink, Q)
         for k in range(2):
-            assert harvested_energy_comp(alloc, pos, k, cfg) == pytest.approx(
+            assert alloc.harvested(pos, cfg)[k] == pytest.approx(
                 energy, rel=1e-9)
-            assert energy_residual_comp(alloc, pos, k, cfg) == pytest.approx(
+            assert (alloc.harvested(pos, cfg) - alloc.spent)[k] == pytest.approx(
                 0.0, abs=1e-9)
-        assert common_throughput_comp(alloc, pos, cfg) == pytest.approx(rate, abs=1e-9)
+        assert common_throughput(alloc, pos, cfg) == pytest.approx(rate, abs=1e-9)
 
     def test_full_power_neutrality_binds(self):
         cfg = benchmark_config(device_distance=15.0, duration=100.0)

@@ -9,8 +9,8 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 import wpcn_traj
-from wpcn_traj import (AllocationIC, WitMode, common_throughput_ic,
-                       harvested_energy_ic, hover_ic, solve_infinite_ic, wit_mode1_hover,
+from wpcn_traj import (AllocationIC, WitMode, common_throughput,
+                       hover_ic, solve_infinite_ic, wit_mode1_hover,
                        wit_mode2_rate, wpt_hover_ic)
 from wpcn_traj.hover_ic import (_brent_bounded_min, _brent_root, _mode1_bracket, _rate_at,
                                 _rate_grid, _stationarity, _stationarity_ends,
@@ -83,7 +83,7 @@ class TestWptHover:
         pos = hover_positions(-x, x, 2)
         alloc = AllocationIC([1.0, 0.0], [0.0, 0.0], np.zeros((2, 2)))
         for k in range(2):
-            assert harvested_energy_ic(alloc, pos, k, cfg) == pytest.approx(
+            assert alloc.harvested(pos, cfg)[k] == pytest.approx(
                 energy, rel=1e-12)
 
     def test_branch_consistency_random(self):
@@ -158,7 +158,7 @@ class TestWitMode1:
         uplink = 10.0 - charge
         Q = np.where(uplink > 0, q, 0.0)[None, :].repeat(2, axis=0)
         alloc = AllocationIC(charge, uplink, Q)
-        assert common_throughput_ic(alloc, pos, cfg) == pytest.approx(rate, abs=1e-9)
+        assert common_throughput(alloc, pos, cfg) == pytest.approx(rate, abs=1e-9)
 
 
 class TestWitMode2:
@@ -196,7 +196,7 @@ class TestWitMode2:
         Q[0, 4:7] = q2
         Q[1, 7:] = q2
         alloc = AllocationIC(charge, uplink, Q)
-        assert common_throughput_ic(alloc, pos, cfg) == pytest.approx(rate, abs=1e-9)
+        assert common_throughput(alloc, pos, cfg) == pytest.approx(rate, abs=1e-9)
 
 
 class TestSolveInfinite:
@@ -247,8 +247,7 @@ class TestSolveInfinite:
         sol = solve_infinite_ic(cfg, tau_grid=300)
         pos = hover_positions(-sol.wpt_hover_x, sol.wpt_hover_x, 10)
         alloc = AllocationIC(np.full(10, 1.0), np.zeros(10), np.zeros((2, 10)))
-        e1 = harvested_energy_ic(alloc, pos, 0, cfg)
-        e2 = harvested_energy_ic(alloc, pos, 1, cfg)
+        e1, e2 = alloc.harvested(pos, cfg)
         assert e1 == pytest.approx(e2, rel=1e-12)
 
 

@@ -15,9 +15,9 @@ from wpcn_traj import (AllocationIC, Problem, StartInfeasible, Status, direct_fl
                        solve_infinite_ic, solve_p1, solve_p21)
 from wpcn_traj.kernel import LogGroup, NegLogGroup
 from wpcn_traj.model import dbm_to_watt
-from wpcn_traj.sca_comp import (_traj_subproblem_comp, initial_allocation_comp,
+from wpcn_traj.sca_comp import (_traj_subproblem_comp, _warm_comp,
                                 optimize_time_comp)
-from wpcn_traj.sca_ic import (_traj_subproblem_ic, initial_allocation_ic,
+from wpcn_traj.sca_ic import (_traj_subproblem_ic, _warm_ic, initial_allocation,
                               optimize_power_ic, optimize_time_ic)
 
 
@@ -60,6 +60,16 @@ class TestSolveConcave:
         prob.add_affine([0], [1.0], 1.0)
         with pytest.raises(StartInfeasible):
             solve_concave(prob, np.array([2.0]))
+
+    def test_nan_start_raises(self):
+        # A NaN slack is not positive; it used to pass the start check, and
+        # both primal-dual runs went to the cap from the NaN point.
+        prob = Problem(2)  # [x, R]
+        prob.add_concave_ge(idx=[1], lin=[-1.0], logs=(LogGroup(
+            idx=[[0]], coeffs=[[1.0]], offsets=[1.0], weights=[1.0]),))
+        prob.add_affine([[0], [0]], [[1.0], [-1.0]], [3.0, 0.0])
+        with pytest.raises(StartInfeasible):
+            solve_concave(prob, np.array([np.nan, 0.0]))
 
     def test_deterministic(self):
         prob1 = _toy_epigraph()
@@ -434,8 +444,8 @@ def _captured_subproblems(monkeypatch):
     for n_slots in (6, 40, 80):
         cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=n_slots)
         traj = direct_flight_trajectory(cfg)
-        a_ic = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
-        a_comp = initial_allocation_comp(cfg, traj, solve_infinite_comp(cfg, tau_grid=100))
+        a_ic = initial_allocation(cfg, traj, *_warm_ic(solve_infinite_ic(cfg, tau_grid=100)))
+        a_comp = initial_allocation(cfg, traj, *_warm_comp(solve_infinite_comp(cfg, tau_grid=100)))
         if n_slots != 40:
             monkeypatch.setattr(sca_ic, "solve_concave", keep)
             monkeypatch.setattr(sca_ic, "MAX_INNER", 1)
@@ -483,7 +493,7 @@ def _coordination_trajectory_program():
     LP, and its start."""
     cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=6)
     traj = direct_flight_trajectory(cfg)
-    alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+    alloc = initial_allocation(cfg, traj, *_warm_ic(solve_infinite_ic(cfg, tau_grid=100)))
     return _traj_subproblem_ic(cfg, optimize_time_ic(cfg, traj, alloc.tx_power), traj.positions)
 
 
@@ -701,7 +711,7 @@ def test_quadratic_rows_take_the_exact_step(monkeypatch):
     # linearized slacks (q = 0), trials overshoot and backtrack.
     cfg = benchmark_config(device_distance=15.0, duration=20.0, num_slots=12)
     traj = direct_flight_trajectory(cfg)
-    alloc = initial_allocation_comp(cfg, traj, solve_infinite_comp(cfg, tau_grid=100))
+    alloc = initial_allocation(cfg, traj, *_warm_comp(solve_infinite_comp(cfg, tau_grid=100)))
     prob, start = _traj_subproblem_comp(cfg, optimize_time_comp(cfg, traj, alloc.tx_power),
                                         traj.positions)[:2]
     assert prob._compiled().quad.any() and not prob._compiled().groups

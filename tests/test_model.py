@@ -5,12 +5,20 @@ from hypothesis import strategies as st
 
 from wpcn_traj import (AllocationCoMP, AllocationIC, ConfigError,
                        ScenarioConfig, Trajectory, channel_gain,
-                       common_throughput_ic, comp_coherent_power,
+                       common_throughput, comp_coherent_power,
                        comp_noncoherent_power, comp_rate_upper_bound,
-                       db_to_linear, dbm_to_watt, energy_residual_ic,
-                       harvested_energy_comp, harvested_energy_ic, rates_ic,
-                       sinr_ic, watt_to_dbm)
+                       db_to_linear, dbm_to_watt, feasibility_report, sinr_ic,
+                       watt_to_dbm)
 from conftest import benchmark_config, hover_positions
+from oracles import (common_throughput_comp, common_throughput_ic, energy_residual_comp,
+                     energy_residual_ic, harvested_energy_comp, harvested_energy_ic,
+                     rates_comp, rates_ic)
+
+# Per-device evaluation forms of each mode: harvested energy, energy
+# residual, rates and common throughput.
+FORMULAS = {"ic": (harvested_energy_ic, energy_residual_ic, rates_ic, common_throughput_ic),
+            "comp": (harvested_energy_comp, energy_residual_comp, rates_comp,
+                     common_throughput_comp)}
 
 
 def test_unit_conversions_exact():
@@ -60,25 +68,25 @@ class TestHarvestedEnergyIC:
     def test_hand_value(self):
         cfg, pos, alloc = self._setup()
         expected = 0.6 * 10.0 * 1e-3 * (1.0 / 29.0 + 1.0 / 34.0)
-        assert harvested_energy_ic(alloc, pos, 0, cfg) == pytest.approx(expected, rel=1e-12)
+        assert alloc.harvested(pos, cfg)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_charge_time(self):
         cfg, pos, _ = self._setup()
         alloc = AllocationIC(np.zeros(2), np.zeros(2), np.zeros((2, 2)))
-        assert harvested_energy_ic(alloc, pos, 0, cfg) == 0.0
+        assert alloc.harvested(pos, cfg)[0] == 0.0
 
     def test_linear_in_power(self):
         cfg, pos, alloc = self._setup()
         doubled = benchmark_config(device_distance=5.0, duration=2.0, num_slots=2,
                                    uav_power=20.0)
-        assert harvested_energy_ic(alloc, pos, 0, doubled) == pytest.approx(
-            2.0 * harvested_energy_ic(alloc, pos, 0, cfg), rel=1e-12)
+        assert alloc.harvested(pos, doubled)[0] == pytest.approx(
+            2.0 * alloc.harvested(pos, cfg)[0], rel=1e-12)
 
     def test_linear_in_charge_time(self):
         cfg, pos, alloc = self._setup()
         alloc2 = AllocationIC(2.0 * alloc.charge_time, alloc.uplink_time, alloc.tx_power)
-        assert harvested_energy_ic(alloc2, pos, 0, cfg) == pytest.approx(
-            2.0 * harvested_energy_ic(alloc, pos, 0, cfg), rel=1e-12)
+        assert alloc2.harvested(pos, cfg)[0] == pytest.approx(
+            2.0 * alloc.harvested(pos, cfg)[0], rel=1e-12)
 
 
 class TestSinrIC:
@@ -108,7 +116,7 @@ class TestCommonThroughputIC:
         cfg = benchmark_config(device_distance=5.0, duration=1.0, num_slots=1)
         pos = hover_positions(-2.5, 2.5, 1)
         alloc = AllocationIC([0.5], [0.0], np.full((2, 1), 1e-4))
-        assert common_throughput_ic(alloc, pos, cfg) == 0.0
+        assert common_throughput(alloc, pos, cfg) == 0.0
 
     def test_unit_sinr_gives_one_bit(self):
         # Choose the power that makes the SINR exactly one for both devices.
@@ -118,7 +126,7 @@ class TestCommonThroughputIC:
         g_cross = cfg.ref_gain / (cfg.device_distance**2 + cfg.altitude**2)
         q = cfg.noise_power / (g_own - g_cross)
         alloc = AllocationIC([0.0], [1.0], np.full((2, 1), q))
-        assert common_throughput_ic(alloc, pos, cfg) == pytest.approx(1.0, rel=1e-12)
+        assert common_throughput(alloc, pos, cfg) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_in_own_power_without_interference(self):
         cfg = benchmark_config(device_distance=5.0, duration=1.0, num_slots=1)
@@ -126,7 +134,7 @@ class TestCommonThroughputIC:
         rates = []
         for q in [1e-6, 1e-5, 1e-4]:
             alloc = AllocationIC([0.0], [1.0], np.array([[q], [0.0]]))
-            rates.append(rates_ic(alloc, pos, cfg)[0])
+            rates.append(alloc.rates(pos, cfg)[0])
         assert rates[0] < rates[1] < rates[2]
 
 
@@ -135,25 +143,25 @@ class TestEnergyResidualIC:
         cfg = benchmark_config(device_distance=5.0, duration=2.0, num_slots=2)
         pos = hover_positions(-0.5, 0.5, 2)
         alloc = AllocationIC([1.0, 0.0], [0.0, 1.0], np.zeros((2, 2)))
-        assert energy_residual_ic(alloc, pos, 0, cfg) == pytest.approx(
-            harvested_energy_ic(alloc, pos, 0, cfg), rel=1e-12)
+        assert (alloc.harvested(pos, cfg) - alloc.spent)[0] == pytest.approx(
+            alloc.harvested(pos, cfg)[0], rel=1e-12)
 
     def test_overspending_sign(self):
         cfg = benchmark_config(device_distance=5.0, duration=2.0, num_slots=2)
         pos = hover_positions(-0.5, 0.5, 2)
         alloc0 = AllocationIC([1.0, 0.0], [0.0, 1.0], np.zeros((2, 2)))
-        budget = harvested_energy_ic(alloc0, pos, 0, cfg)
+        budget = alloc0.harvested(pos, cfg)[0]
         q = 1.1 * budget  # spends 10% beyond the harvested energy in 1 s
         alloc = AllocationIC([1.0, 0.0], [0.0, 1.0], np.array([[0.0, q], [0.0, 0.0]]))
-        assert energy_residual_ic(alloc, pos, 0, cfg) == pytest.approx(
+        assert (alloc.harvested(pos, cfg) - alloc.spent)[0] == pytest.approx(
             -0.1 * budget, rel=1e-9)
 
     def test_symmetric_layout_equal_residuals(self):
         cfg = benchmark_config(device_distance=5.0, duration=2.0, num_slots=2)
         pos = hover_positions(-0.5, 0.5, 2)
         alloc = AllocationIC([1.0, 0.0], [0.0, 1.0], np.full((2, 2), 1e-5))
-        assert energy_residual_ic(alloc, pos, 0, cfg) == pytest.approx(
-            energy_residual_ic(alloc, pos, 1, cfg), rel=1e-12)
+        assert (alloc.harvested(pos, cfg) - alloc.spent)[0] == pytest.approx(
+            (alloc.harvested(pos, cfg) - alloc.spent)[1], rel=1e-12)
 
 
 class TestCompPowers:
@@ -203,7 +211,7 @@ class TestHarvestedEnergyCoMP:
         cfg = benchmark_config(device_distance=5.0, duration=1.0, num_slots=1)
         pos = hover_positions(-0.5, 0.5, 1)
         alloc = AllocationCoMP(np.zeros((2, 1)), np.zeros(1), np.zeros((2, 1)))
-        assert harvested_energy_comp(alloc, pos, 0, cfg) == 0.0
+        assert alloc.harvested(pos, cfg)[0] == 0.0
 
     def test_single_slot_hand_value(self):
         cfg = benchmark_config(device_distance=5.0, duration=1.0, num_slots=1)
@@ -211,7 +219,7 @@ class TestHarvestedEnergyCoMP:
         alloc = AllocationCoMP(np.array([[0.3], [0.5]]), np.zeros(1), np.zeros((2, 1)))
         coh = 6.0 * (np.sqrt(1e-3 / 29.0) + np.sqrt(1e-3 / 34.0)) ** 2
         non = 6e-3 * (1.0 / 29.0 + 1.0 / 34.0)
-        assert harvested_energy_comp(alloc, pos, 0, cfg) == pytest.approx(
+        assert alloc.harvested(pos, cfg)[0] == pytest.approx(
             0.3 * coh + 0.5 * non, rel=1e-12)
 
     def test_linear_in_beam_time(self):
@@ -219,8 +227,8 @@ class TestHarvestedEnergyCoMP:
         pos = hover_positions(-0.5, 0.5, 1)
         a1 = AllocationCoMP(np.array([[0.2], [0.1]]), np.zeros(1), np.zeros((2, 1)))
         a2 = AllocationCoMP(np.array([[0.4], [0.2]]), np.zeros(1), np.zeros((2, 1)))
-        assert harvested_energy_comp(a2, pos, 0, cfg) == pytest.approx(
-            2.0 * harvested_energy_comp(a1, pos, 0, cfg), rel=1e-12)
+        assert a2.harvested(pos, cfg)[0] == pytest.approx(
+            2.0 * a1.harvested(pos, cfg)[0], rel=1e-12)
 
 
 class TestCompRateBound:
@@ -252,17 +260,44 @@ class TestMirrorSymmetry:
         alloc = AllocationIC(charge, uplink, Q)
         alloc_m = AllocationIC(charge, uplink, Q[::-1])
         for k in range(2):
-            assert harvested_energy_ic(alloc, pos, k, cfg) == pytest.approx(
-                harvested_energy_ic(alloc_m, mirrored, 1 - k, cfg), rel=1e-10)
-            assert harvested_energy_comp(
-                AllocationCoMP(np.stack([charge, uplink]), uplink, Q), pos, k, cfg
-            ) == pytest.approx(harvested_energy_comp(
-                AllocationCoMP(np.stack([uplink, charge]), uplink, Q[::-1]),
-                mirrored, 1 - k, cfg), rel=1e-10)
-        r = rates_ic(alloc, pos, cfg)
-        r_m = rates_ic(alloc_m, mirrored, cfg)
+            assert alloc.harvested(pos, cfg)[k] == pytest.approx(
+                alloc_m.harvested(mirrored, cfg)[1 - k], rel=1e-10)
+            comp = AllocationCoMP(np.stack([charge, uplink]), uplink, Q)
+            comp_m = AllocationCoMP(np.stack([uplink, charge]), uplink, Q[::-1])
+            assert comp.harvested(pos, cfg)[k] == pytest.approx(
+                comp_m.harvested(mirrored, cfg)[1 - k], rel=1e-10)
+        r = alloc.rates(pos, cfg)
+        r_m = alloc_m.rates(mirrored, cfg)
         assert r[0] == pytest.approx(r_m[1], rel=1e-10)
         assert r[1] == pytest.approx(r_m[0], rel=1e-10)
+
+
+class TestAllocationOracles:
+    @pytest.mark.parametrize("N", [1, 6, 80])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_methods_reproduce_the_per_device_formulas(self, N, seed):
+        # Both modes' rates, harvested energy, energy residuals and common
+        # throughput equal the per-device evaluation forms bit for bit.
+        rng = np.random.default_rng([seed, N])
+        cfg = benchmark_config(device_distance=rng.uniform(2.0, 30.0), duration=4.0,
+                               num_slots=N, noise_power=10.0 ** rng.uniform(-14.0, -10.0))
+        d = cfg.slot_duration
+        traj = Trajectory(rng.uniform(-20.0, 20.0, size=(2, N + 1, 2)))
+        Q = rng.uniform(0.0, 1e-3, size=(2, N)) * (rng.random((2, N)) < 0.8)
+        uplink = rng.uniform(0.0, d, N)
+        for alloc, mode in ((AllocationIC(rng.uniform(0.0, d, N), uplink, Q), "ic"),
+                            (AllocationCoMP(rng.uniform(0.0, d / 2, (2, N)), uplink, Q), "comp")):
+            harvested, residual, rates, common = FORMULAS[mode]
+            for pos in (traj, traj.slot_positions):
+                energy = [residual(alloc, pos, k, cfg) for k in range(2)]
+                assert alloc.harvested(pos, cfg).tolist() == \
+                    [harvested(alloc, pos, k, cfg) for k in range(2)]
+                assert (alloc.harvested(pos, cfg) - alloc.spent).tolist() == energy
+                assert alloc.rates(pos, cfg).tolist() == rates(alloc, pos, cfg).tolist()
+                assert common_throughput(alloc, pos, cfg) == common(alloc, pos, cfg)
+                report = feasibility_report(cfg, traj, alloc)
+                assert [report["energy_dev1"], report["energy_dev2"]] == \
+                    [max(0.0, -e) for e in energy]
 
 
 class TestConfigValidation:

@@ -6,18 +6,17 @@ import pytest
 from scipy.optimize import linprog
 
 from wpcn_traj import (AllocationIC, ConfigError, Initialization, Trajectory,
-                       common_throughput_comp, common_throughput_ic,
-                       direct_flight_trajectory, energy_residual_ic,
-                       harvested_energy_ic, is_feasible, optimize_power_ic, optimize_time_ic,
-                       optimize_traj_comp, optimize_traj_ic, sinr_ic,
+                       common_throughput, direct_flight_trajectory, is_feasible,
+                       optimize_power_ic, optimize_time_ic, optimize_traj_comp,
+                       optimize_traj_ic, sinr_ic,
                        solve_infinite_comp, solve_infinite_ic, solve_p1,
                        solve_p1_direct, solve_p21, solve_p21_direct)
 from wpcn_traj import kernel, sca_comp, sca_ic
 from wpcn_traj.kernel import StartInfeasible, Status, solve_concave
 from wpcn_traj.model import dbm_to_watt, gain_matrix
-from wpcn_traj.sca_comp import initial_allocation_comp
+from wpcn_traj.sca_comp import _warm_comp
 from wpcn_traj.sca_ic import (_converged, _feasible_starts, _no_worse, _plans_ic,
-                              _power_budgets, _time_lp, initial_allocation_ic)
+                              _power_budgets, _time_lp, _warm_ic, initial_allocation)
 from conftest import benchmark_config
 from oracles import barrier_objective
 
@@ -93,7 +92,7 @@ class TestShfTrajectory:
         assert plans[0][1] is not None
         assert not Trajectory(plans[0][1][0]).is_feasible(cfg)
         assert init is Initialization.SHF and traj.is_feasible(cfg)
-        assert set(windows) == {"charge1", "uplink", "charge2"}
+        assert set(windows) == {0, "uplink", 1}
         np.testing.assert_array_equal(traj.positions, plans[1][1][0])
         monkeypatch.undo()
         rep = solve_p21(cfg, hover=hover)
@@ -166,24 +165,24 @@ class TestOptimizeTime:
             ch_needed = max(Q[k, 0] * up / harvest[k] for k in range(2))
             if ch_needed + up <= 1.0 + 1e-12:
                 best = max(best, (up * rate.min()) / cfg.duration)
-        got = common_throughput_ic(alloc, traj, cfg)
+        got = common_throughput(alloc, traj, cfg)
         assert got == pytest.approx(best, abs=1e-3 * (1 + abs(best)))
 
     def test_zero_power_gives_zero_objective(self):
         cfg = benchmark_config(device_distance=15.0, duration=1.0, num_slots=4)
         traj = direct_flight_trajectory(cfg)
         alloc = optimize_time_ic(cfg, traj, np.zeros((2, 4)))
-        assert common_throughput_ic(alloc, traj, cfg) == 0.0
-        assert max(alloc.residuals(cfg).values()) <= 1e-9
+        assert common_throughput(alloc, traj, cfg) == 0.0
+        assert max(alloc.residuals(cfg, traj).values()) <= 1e-9
 
     def test_weakly_improves_incumbent(self):
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=20)
         hover = solve_infinite_ic(cfg, tau_grid=150)
         traj = direct_flight_trajectory(cfg)
-        alloc0 = initial_allocation_ic(cfg, traj, hover, None)
+        alloc0 = initial_allocation(cfg, traj, *_warm_ic(hover))
         alloc1 = optimize_time_ic(cfg, traj, alloc0.tx_power)
-        assert common_throughput_ic(alloc1, traj, cfg) >= \
-            common_throughput_ic(alloc0, traj, cfg) - 1e-12
+        assert common_throughput(alloc1, traj, cfg) >= \
+            common_throughput(alloc0, traj, cfg) - 1e-12
 
     def test_time_allocation_toy_vs_grid(self):
         # Two slots with different rates and harvest yields; the epigraph LP
@@ -196,7 +195,7 @@ class TestOptimizeTime:
         traj = direct_flight_trajectory(cfg)
         Q = np.array([[2e-4, 5e-5], [3e-5, 3e-4]])
         alloc = optimize_time_ic(cfg, traj, Q)
-        got = common_throughput_ic(alloc, traj, cfg)
+        got = common_throughput(alloc, traj, cfg)
         g = gain_matrix(traj, cfg)
         rates = np.stack([np.log2(1.0 + sinr_ic(Q, traj, k, cfg)) for k in range(2)])
         yields = np.stack([cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
@@ -216,9 +215,9 @@ class TestOptimizeTime:
         # to the barrier's stopping gap of 1e-9 + 1e-9 R.
         assert got >= best - 1e-9 * (1 + best)
         assert got == pytest.approx(best, abs=2e-3 * (1 + best))
-        assert max(alloc.residuals(cfg).values()) <= 1e-9
+        assert max(alloc.residuals(cfg, traj).values()) <= 1e-9
         for k in range(2):
-            assert energy_residual_ic(alloc, traj, k, cfg) >= -1e-9
+            assert (alloc.harvested(traj, cfg) - alloc.spent)[k] >= -1e-9
 
     def test_deterministic(self):
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=12)
@@ -415,7 +414,7 @@ class TestOptimizePower:
                                uav_final=[[-500, 2], [500, 2]])
         traj = direct_flight_trajectory(cfg)
         alloc = AllocationIC([0.5], [0.5], np.full((2, 1), 1e-7))
-        budgets = [harvested_energy_ic(alloc, traj, k, cfg) for k in range(2)]
+        budgets = [alloc.harvested(traj, cfg)[k] for k in range(2)]
         Q, trace = optimize_power_ic(cfg, traj, alloc)
         for k in range(2):
             assert Q[k, 0] == pytest.approx(budgets[k] / 0.5, rel=1e-4)
@@ -433,12 +432,12 @@ class TestOptimizePower:
         uplink = np.array([0.6, 0.4])
         charge = np.array([0.4, 0.6])
         zero = AllocationIC(charge, uplink, np.zeros((2, 2)))
-        budgets = [harvested_energy_ic(zero, traj, k, cfg) for k in range(2)]
+        budgets = [zero.harvested(traj, cfg)[k] for k in range(2)]
         Q0 = np.array([[0.0, 0.999 * budgets[0] / uplink[1]],
                        [0.999 * budgets[1] / uplink[0], 0.0]])
         warm = AllocationIC(charge, uplink, Q0)
         Q, _ = optimize_power_ic(cfg, traj, warm)
-        got = common_throughput_ic(AllocationIC(charge, uplink, Q), traj, cfg)
+        got = common_throughput(AllocationIC(charge, uplink, Q), traj, cfg)
         oracle = _refining_power_oracle(cfg, traj, uplink, budgets)
         assert got >= oracle - 1e-3 * (1 + abs(oracle))
 
@@ -451,11 +450,12 @@ class TestOptimizePower:
             for T in (4.0, 20.0):
                 cfg = benchmark_config(device_distance=D, duration=T, num_slots=6)
                 traj = direct_flight_trajectory(cfg)
-                alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+                hover = solve_infinite_ic(cfg, tau_grid=100)
+                alloc = initial_allocation(cfg, traj, *_warm_ic(hover))
                 alloc = optimize_time_ic(cfg, traj, alloc.tx_power)
                 up = alloc.uplink_time
                 active = np.flatnonzero(up > 1e-12 * cfg.slot_duration)
-                budgets = _power_budgets(cfg, alloc, traj, harvested_energy_ic, active)
+                budgets = _power_budgets(cfg, alloc, traj, active)
                 for ulps in range(6):
                     Q = alloc.tx_power.copy()
                     for k in range(2):
@@ -468,7 +468,7 @@ class TestOptimizePower:
         cfg = benchmark_config(device_distance=15.0, duration=2.0, num_slots=10)
         hover = solve_infinite_ic(cfg, tau_grid=150)
         traj = direct_flight_trajectory(cfg)
-        alloc = initial_allocation_ic(cfg, traj, hover, None)
+        alloc = initial_allocation(cfg, traj, *_warm_ic(hover))
         _, trace = optimize_power_ic(cfg, traj, alloc)
         assert np.all(np.diff(trace) >= -1e-9)
 
@@ -498,19 +498,19 @@ class TestOptimizeTrajectory:
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=16)
         hover = solve_infinite_ic(cfg, tau_grid=150)
         traj = direct_flight_trajectory(cfg)
-        alloc = initial_allocation_ic(cfg, traj, hover, None)
+        alloc = initial_allocation(cfg, traj, *_warm_ic(hover))
         times = optimize_time_ic(cfg, traj, alloc.tx_power)
         alloc = AllocationIC(times.charge_time, times.uplink_time, alloc.tx_power)
         Q, _ = optimize_power_ic(cfg, traj, alloc)
         alloc = AllocationIC(alloc.charge_time, alloc.uplink_time, Q)
-        before = common_throughput_ic(alloc, traj, cfg)
+        before = common_throughput(alloc, traj, cfg)
         new_traj, trace = optimize_traj_ic(cfg, alloc, traj)
         assert np.all(np.diff(trace) >= -1e-9)
-        assert common_throughput_ic(alloc, new_traj, cfg) >= before - 1e-12
+        assert common_throughput(alloc, new_traj, cfg) >= before - 1e-12
         assert new_traj.is_feasible(cfg)
         for k in range(2):
             spend = float((alloc.tx_power[k] * alloc.uplink_time).sum())
-            assert harvested_energy_ic(alloc, new_traj, k, cfg) - spend >= -1e-9
+            assert alloc.harvested(new_traj, cfg)[k] - spend >= -1e-9
 
     @pytest.mark.parametrize("error", [StartInfeasible, np.linalg.LinAlgError])
     @pytest.mark.parametrize("mode", ["ic", "comp"])
@@ -520,11 +520,10 @@ class TestOptimizeTrajectory:
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=8)
         traj = direct_flight_trajectory(cfg)
         if mode == "ic":
-            alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
-            step, throughput = optimize_traj_ic, common_throughput_ic
+            warm, step = _warm_ic(solve_infinite_ic(cfg, tau_grid=100)), optimize_traj_ic
         else:
-            alloc = initial_allocation_comp(cfg, traj, solve_infinite_comp(cfg, tau_grid=100))
-            step, throughput = optimize_traj_comp, common_throughput_comp
+            warm, step = _warm_comp(solve_infinite_comp(cfg, tau_grid=100)), optimize_traj_comp
+        alloc = initial_allocation(cfg, traj, *warm)
         calls = []
 
         def fail(prob, start):
@@ -535,7 +534,7 @@ class TestOptimizeTrajectory:
         out = step(cfg, alloc, traj)
         assert len(calls) == 1
         np.testing.assert_array_equal(out[0].positions, traj.positions)
-        assert out[-1] == [throughput(alloc, traj, cfg)]
+        assert out[-1] == [common_throughput(alloc, traj, cfg)]
 
 
 class TestSolveP1:
@@ -575,12 +574,11 @@ class TestSolveP1:
         # nothing, and the solve ends there.  It used to run a second one.
         cfg = benchmark_config(device_distance=15.0, duration=4.0, num_slots=8)
         traj = direct_flight_trajectory(cfg)
-        alloc = initial_allocation_ic(cfg, traj, solve_infinite_ic(cfg, tau_grid=100))
+        alloc = initial_allocation(cfg, traj, *_warm_ic(solve_infinite_ic(cfg, tau_grid=100)))
         mode = sca_ic._Mode(
-            throughput=common_throughput_ic,
             time_step=lambda cfg, traj, tx_power: alloc,
             power_step=lambda cfg, traj, alloc: (
-                alloc.tx_power.copy(), [common_throughput_ic(alloc, traj, cfg)]),
+                alloc.tx_power.copy(), [common_throughput(alloc, traj, cfg)]),
             traj_step=lambda cfg, alloc, traj: traj)
         rep = sca_ic._alternate(cfg, mode, [(traj, alloc, Initialization.DIRECT_FLIGHT)], 0.0)
         assert rep.outer_iterations == 1
@@ -609,8 +607,8 @@ class TestSolveP1:
         assert len(starts) == 2
         for traj, alloc, _ in starts:
             timed = optimize_time_ic(cfg, traj, alloc.tx_power)
-            if not _no_worse(common_throughput_ic(timed, traj, cfg),
-                             common_throughput_ic(alloc, traj, cfg)):
+            if not _no_worse(common_throughput(timed, traj, cfg),
+                             common_throughput(alloc, traj, cfg)):
                 timed = alloc
             _, trace = optimize_power_ic(cfg, traj, timed)
             assert _no_worse(rate, trace[-1]), (rate, trace[-1])

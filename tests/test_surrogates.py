@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from wpcn_traj import AllocationCoMP, AllocationIC, direct_flight_trajectory
-from wpcn_traj.model import harvested_energy_comp, harvested_energy_ic
 from wpcn_traj.sca_comp import _traj_subproblem_comp
 from wpcn_traj.sca_ic import _distance_tangent, _traj_subproblem_ic
 from conftest import benchmark_config
@@ -103,7 +102,7 @@ def test_coordination_rows_match_bounds(seed):
                 want / cfg.duration, rel=1e-10, abs=1e-12)
             # Energy row: spend - harvest bound <= 0, relaxed so that the
             # reference is strictly inside.
-            at_ref = spend[k] - harvested_energy_ic(alloc, ref_slots, k, cfg)
+            at_ref = spend[k] - alloc.harvested(ref_slots, cfg)[k]
             eps = 1e-10 * (1.0 + spend[k]) + max(0.0, at_ref)
             want = spend[k] - harvest_bound_ic(pos, ref_slots, alloc.charge_time, k, cfg) - eps
             assert -slacks[2 + k] == pytest.approx(want, rel=1e-9, abs=1e-15)
@@ -133,7 +132,7 @@ def test_joint_rows_match_bounds(seed):
                 want / cfg.duration, rel=1e-10, abs=1e-12)
             # Energy row: spend - harvest bound <= 0, relaxed so that the
             # reference is strictly inside.
-            at_ref = spend[k] - harvested_energy_comp(alloc, ref_slots, k, cfg)
+            at_ref = spend[k] - alloc.harvested(ref_slots, cfg)[k]
             eps = 1e-10 * (1.0 + spend[k]) + max(0.0, at_ref)
             want = spend[k] - harvest_bound_comp(pos, ref_slots, beam, k, cfg) - eps
             assert -slacks[2 + k] == pytest.approx(want, rel=1e-9, abs=1e-15)
