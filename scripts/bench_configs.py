@@ -13,7 +13,9 @@ starts are built from.  The hover search is timed by wrapping
 `sca_ic.solve_infinite_ic` and `sca_comp.solve_infinite_comp`, the names
 through which the engines call it.  The kernel calls are counted by wrapping
 `sca_ic.solve_concave`, the name through which both engines call the kernel,
-and a call's kind is the name of the function that made it.  Slack
+and a call's kind is named after the function that made it (`KINDS`); a
+call from a function `KINDS` does not list stops the run, naming it, so a
+renamed or moved caller cannot file its counts under a wrong kind.  Slack
 evaluations are counted by wrapping `kernel._Layout.slacks`: one per
 primal-dual trial and one per call (the start check).  Runs of primal-dual
 iterations are counted by wrapping `kernel._predictor_corrector`: a kernel
@@ -159,7 +161,11 @@ def run_config(solver_name: str, N: int, T: float) -> dict:
     current = []
 
     def counted(problem, start):
-        kind = KINDS.get(sys._getframe(1).f_code.co_name, "other")
+        caller = sys._getframe(1).f_code.co_name
+        if caller not in KINDS:
+            raise RuntimeError(f"kernel called from {caller}, which KINDS does not list: "
+                               "add it there so its counts are filed under a kind")
+        kind = KINDS[caller]
         current.append([kind, 0])    # the call's kind and its primal-dual runs
         t0 = time.perf_counter()
         try:

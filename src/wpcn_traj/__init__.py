@@ -21,7 +21,6 @@ if "numpy" not in sys.modules:
 
 from .model import (AllocationCoMP, AllocationIC, ConfigError, ScenarioConfig,
                     Trajectory, channel_gain, common_throughput,
-                    comp_coherent_power, comp_noncoherent_power,
                     comp_rate_upper_bound, db_to_linear, dbm_to_watt,
                     feasibility_report, gain_matrix, is_feasible, sinr_ic,
                     watt_to_dbm)

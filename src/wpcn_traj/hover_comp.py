@@ -68,13 +68,13 @@ def _best_pair_on(xs1: np.ndarray, xs2: np.ndarray, cfg: ScenarioConfig):
 def wpt_hover_comp(cfg: ScenarioConfig, tau_E_total: float):
     """Exhaustive-search charging hover pair and the per-device energy.
 
-    Searches the box [-(D/2+H), D/2+H]^2 under the separation constraint with
-    a coarse grid of step GRID_STEP, then refines locally with step
-    REFINE_STEP.  The second charging phase is the mirror image, so both
-    devices harvest the same energy.
+    Searches the box [-s, s]^2, s = D/2 + max(H, d_min), under the separation
+    constraint with a coarse grid of step GRID_STEP, then refines locally
+    with step REFINE_STEP; the half-width covers a pair d_min apart however
+    short the device span and the altitude are.  The second charging phase
+    is the mirror image, so both devices harvest the same energy.
     """
-    D, H = cfg.device_distance, cfg.altitude
-    span = D / 2.0 + H
+    span = cfg.device_distance / 2.0 + max(cfg.altitude, cfg.min_separation)
     coarse = np.arange(-span, span + GRID_STEP / 2.0, GRID_STEP)
     x1, x2, _ = _best_pair_on(coarse, coarse, cfg)
     fine1, fine2 = (np.clip(np.arange(x - GRID_STEP, x + GRID_STEP + REFINE_STEP / 2.0,

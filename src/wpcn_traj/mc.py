@@ -52,7 +52,7 @@ def sample_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int, s
     if pos.shape != (2, 2) or Q.shape != (2,):
         raise ValueError("uav_positions must have shape (2, 2) and tx_power shape (2,)")
     rng = np.random.default_rng(seed)
-    g = gain_matrix(pos[:, None, :], cfg)[:, :, 0]  # (device, uav)
+    g = gain_matrix(pos, cfg)  # (device, uav)
     # theta[device, uav] flattened per sample: 00, 01, 10, 11.
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 4))
     det2 = theta[:, 0] + theta[:, 3]                # phi, then cos phi, then |det M|^2

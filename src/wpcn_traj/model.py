@@ -7,9 +7,13 @@ neutrality, and differ in two quantities only: the per-slot uplink rates
 and the harvested energy.  Each mode's allocation type defines those two
 (`slot_rates`, `harvested`); the rates, spent energy and residuals built on
 them are written once in `_Allocation`, and `common_throughput` and
-`feasibility_report` serve both modes.  Positions may be a `Trajectory` or
-a plain (2, N, 2) slot-position array, so validated trajectories and
-synthetic hover schedules are scored by the same code.  Channel phases are
+`feasibility_report` serve both modes.  Every model call evaluates the
+channel once, for both devices: the line-of-sight gain b0 / (d^2 + H^2) is
+written once (`channel_gain`), `gain_matrix` broadcasts it over both
+devices and UAVs, and the SINRs, bounds and charging powers of both devices
+come from that one tensor.  Positions may be a `Trajectory` or a plain
+(2, N, 2) slot-position array, so validated trajectories and synthetic
+hover schedules are scored by the same code.  Channel phases are
 random in the underlying physical model but never enter these
 deterministic evaluations; they only matter to the Monte-Carlo oracle.
 """
@@ -212,7 +216,7 @@ class AllocationIC(_Allocation):
     def slot_rates(tx_power, traj, cfg: ScenarioConfig) -> np.ndarray:
         """Per-slot uplink rate of each device when both transmit at once,
         bps/Hz, shape (2, N)."""
-        return np.stack([np.log2(1.0 + sinr_ic(tx_power, traj, k, cfg)) for k in range(2)])
+        return np.log2(1.0 + sinr_ic(tx_power, traj, cfg))
 
     def harvested(self, traj, cfg: ScenarioConfig) -> np.ndarray:
         """Energy each device collects from both UAVs' independent charging,
@@ -231,19 +235,29 @@ class AllocationCoMP(_Allocation):
 
     @staticmethod
     def slot_rates(tx_power, traj, cfg: ScenarioConfig) -> np.ndarray:
-        """Per-slot bound on each device's joint-reception rate
-        (`comp_rate_upper_bound`), bps/Hz, shape (2, N)."""
-        pos, Q = _positions_of(traj), np.asarray(tx_power, dtype=float)
-        return np.stack([comp_rate_upper_bound(Q[k], pos, k, cfg) for k in range(2)])
+        """Per-slot bound on each device's joint-reception rate, bps/Hz,
+        shape (2, N): log2(1 + Q sum_m g / (2 sigma^2)), the SNR of both
+        UAVs' received powers added."""
+        g = gain_matrix(traj, cfg)
+        return np.log2(1.0 + 0.5 * np.asarray(tx_power, dtype=float) / cfg.noise_power
+                       * g.sum(axis=1))
+
+    @staticmethod
+    def charging_power(traj, cfg: ScenarioConfig) -> np.ndarray:
+        """Harvested power power[k, j] of device k while both UAVs' beams aim
+        at device j, W, shape (2, 2, N): coherent, eta P (sum_m sqrt g)^2,
+        on the diagonal, and leaked, eta P sum_m g, off it."""
+        g = gain_matrix(traj, cfg)
+        eta_p = cfg.eh_efficiency * cfg.uav_power
+        power = np.repeat((eta_p * g.sum(axis=1))[:, None], 2, axis=1)
+        power[[0, 1], [0, 1]] = eta_p * np.sqrt(g).sum(axis=1) ** 2
+        return power
 
     def harvested(self, traj, cfg: ScenarioConfig) -> np.ndarray:
         """Energy each device collects under joint energy beamforming, J,
-        shape (2,): coherent power while the beams aim at it, leaked power
-        while they aim at the other device."""
-        pos, beam = _positions_of(traj), self.beam_time
-        return np.array([float((beam[k] * comp_coherent_power(pos, k, cfg)
-                                + beam[1 - k] * comp_noncoherent_power(pos, k, cfg)).sum())
-                         for k in range(2)])
+        shape (2,): each beam's time weighting `charging_power`, summed over
+        the beams and the slots."""
+        return (self.beam_time * self.charging_power(traj, cfg)).sum(axis=1).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,39 +280,26 @@ def _device_dist2(traj, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def gain_matrix(traj, cfg: ScenarioConfig) -> np.ndarray:
-    """Channel power gains g[k, m, n] from UAV m to device k over all slots."""
-    return cfg.ref_gain / (_device_dist2(traj, cfg) + cfg.altitude**2)
+    """Channel power gains g[k, m, ...] from UAV m to device k, for UAV
+    positions of any shape (2, ..., 2): (2, N, 2) slots, or one (2, 2) pair."""
+    pos = _positions_of(traj)
+    devices = cfg.device_positions.reshape((2,) + (1,) * (pos.ndim - 1) + (2,))
+    return channel_gain(pos[None], devices, cfg)
 
 
-def sinr_ic(tx_power, traj, k: int, cfg: ScenarioConfig) -> np.ndarray:
-    """Per-slot uplink SINR of device k when both devices transmit at once."""
+def sinr_ic(tx_power, traj, cfg: ScenarioConfig) -> np.ndarray:
+    """Per-slot uplink SINR of each device when both transmit at once, shape
+    (2, N): device k is received by UAV k, device 1-k interferes."""
     g = gain_matrix(traj, cfg)
     Q = np.asarray(tx_power, dtype=float)
-    ko = 1 - k
-    return Q[k] * g[k, k] / (Q[ko] * g[ko, k] + cfg.noise_power)
-
-
-def comp_coherent_power(slot_positions, k: int, cfg: ScenarioConfig) -> np.ndarray:
-    """Received power at device k when both UAVs phase-align toward it."""
-    pos = _positions_of(slot_positions)
-    g = channel_gain(pos, cfg.device_positions[k], cfg)  # (2, ...) over UAVs
-    amp = np.sqrt(g).sum(axis=0)
-    return cfg.eh_efficiency * cfg.uav_power * amp**2
-
-
-def comp_noncoherent_power(slot_positions, k: int, cfg: ScenarioConfig) -> np.ndarray:
-    """Received power at device k from beams aligned to the other device."""
-    pos = _positions_of(slot_positions)
-    g = channel_gain(pos, cfg.device_positions[k], cfg)
-    return cfg.eh_efficiency * cfg.uav_power * g.sum(axis=0)
+    own, other = [0, 1], [1, 0]
+    return Q * g[own, own] / (Q[other] * g[other, own] + cfg.noise_power)
 
 
 def comp_rate_upper_bound(tx_power, slot_positions, k: int, cfg: ScenarioConfig) -> np.ndarray:
-    """Upper bound on device k's joint-reception rate per unit uplink time."""
-    pos = _positions_of(slot_positions)
-    g = channel_gain(pos, cfg.device_positions[k], cfg)
-    snr = 0.5 * np.asarray(tx_power, dtype=float) / cfg.noise_power * g.sum(axis=0)
-    return np.log2(1.0 + snr)
+    """Upper bound on device k's joint-reception rate per unit uplink time:
+    row k of `AllocationCoMP.slot_rates` at power `tx_power`."""
+    return AllocationCoMP.slot_rates(tx_power, slot_positions, cfg)[k]
 
 
 def common_throughput(alloc, traj, cfg: ScenarioConfig) -> float:

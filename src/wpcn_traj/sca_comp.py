@@ -6,7 +6,9 @@ builders, the time LP and the trajectory SCA loop are the ones in `sca_ic`,
 shared by both modes.  The mode's rates and harvested energy are those of
 its allocation type (`model.AllocationCoMP`): the closed-form bound on the
 joint-reception rate, and coherent charging with two charging blocks per
-slot.  That bound separates across devices, so the power step is one
+slot, whose powers (`AllocationCoMP.charging_power`, one array for both
+devices and blocks) are the time LP's harvest coefficients as they are.
+That bound separates across devices, so the power step is one
 water-filling per device; and the trajectory subproblem bounds that rate and
 the coherent charging power, convex in the squared UAV-device distances, by
 tangents in them, assembled by the shared `sca_ic._traj_program`.
@@ -21,8 +23,7 @@ import numpy as np
 
 from .hover_comp import HoverSolutionCoMP, solve_infinite_comp
 from .model import (AllocationCoMP, ScenarioConfig, Trajectory, _device_dist2,
-                    _positions_of, common_throughput, comp_coherent_power,
-                    comp_noncoherent_power)
+                    common_throughput)
 from .sca_ic import (LOG2E, Initialization, SolveReport, _candidates, _direct_plan, _Mode,
                      _alternate, _no_worse, _power_budgets, _refine_trajectory, _time_lp,
                      _traj_program)
@@ -77,15 +78,9 @@ def _warm_comp(hover: HoverSolutionCoMP) -> tuple:
 
 def optimize_time_comp(cfg: ScenarioConfig, traj, tx_power) -> AllocationCoMP:
     """Exact epigraph LP over beam-time, beam-time and uplink-time."""
-    pos = _positions_of(traj)
     Q = np.asarray(tx_power, dtype=float)
-    # Device k harvests coherently while the beam aims at it, and leaked
-    # power while it aims at the other device.
-    harvest = np.empty((2, 2, cfg.num_slots))
-    for k in range(2):
-        harvest[k, k] = comp_coherent_power(pos, k, cfg)
-        harvest[k, 1 - k] = comp_noncoherent_power(pos, k, cfg)
-    x = _time_lp(cfg, AllocationCoMP.slot_rates(Q, pos, cfg), harvest, Q)
+    x = _time_lp(cfg, AllocationCoMP.slot_rates(Q, traj, cfg),
+                 AllocationCoMP.charging_power(traj, cfg), Q)
     return AllocationCoMP(x[:2], x[2], Q.copy())
 
 

@@ -496,8 +496,7 @@ def _traj_program(cfg: ScenarioConfig, alloc, ref: np.ndarray, rates, harvests, 
         prob.add_concave_ge(idx=np.append(idx, nv - 1), lin=np.append(-lin, -1.0),
                             diag_neg=np.append(diag, 0.0), const=value - const,
                             neglogs=neglogs)
-    for k, tangent in enumerate(harvests):
-        spend = float((alloc.tx_power[k] * alloc.uplink_time).sum())
+    for spend, tangent in zip(alloc.spent, harvests):
         idx, diag, lin, const = _distance_tangent(cfg, ref, *tangent)
         _add_strict_quad(prob, idx, diag, lin, spend + const, x_ref, 1e-10 * (1.0 + spend))
     for rows in domain:

@@ -12,8 +12,13 @@ scalar rate evaluation per grid point, and the sampler with its
 temporaries, which the array forms must reproduce bit for bit.  The model's
 per-device energy and rate formulas of each mode, one function per
 quantity and device, which the allocations' array forms and
-`common_throughput` must reproduce bit for bit.  Last, a plain barrier
-method whose objective the kernel's solves are checked against.
+`common_throughput` must reproduce bit for bit; and the per-device channel
+quantities they are built on (SINR, coherent and leaked charging power,
+joint-reception bound), each from `channel_gain` for one device, which the
+model's forms from one gain tensor for both devices (`sinr_ic`,
+`AllocationCoMP.charging_power`, `slot_rates`) must reproduce bit for bit.
+Last, a plain barrier method whose objective the kernel's solves are
+checked against.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from wpcn_traj.hover_comp import (HoverSolutionCoMP, bound_rate_at, wit_hover_co
                                   wpt_hover_comp)
 from wpcn_traj.hover_ic import HoverSolutionIC, _rate_at
 from wpcn_traj.mc import _estimate
-from wpcn_traj.model import (ScenarioConfig, _positions_of, comp_coherent_power,
-                             comp_noncoherent_power, comp_rate_upper_bound, gain_matrix)
+from wpcn_traj.model import ScenarioConfig, _positions_of, channel_gain, gain_matrix
 
 LOG2E = float(np.log2(np.e))
 
@@ -187,7 +191,7 @@ def sample_received_power(cfg: ScenarioConfig, uav_positions, target: int,
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     pos = np.asarray(uav_positions, dtype=float)
-    g = gain_matrix(pos[:, None, :], cfg)[:, :, 0]  # (device, uav)
+    g = gain_matrix(pos, cfg)  # (device, uav)
     amp = np.sqrt(g)
     other = 1 - target
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))  # (s, device, uav)
@@ -255,7 +259,7 @@ def reference_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int
     pos = np.asarray(uav_positions, dtype=float)
     Q = np.asarray(tx_power, dtype=float)
     rng = np.random.default_rng(seed)
-    g = gain_matrix(pos[:, None, :], cfg)[:, :, 0]  # (device, uav)
+    g = gain_matrix(pos, cfg)  # (device, uav)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 2, 2))
     phi = theta[:, 0, 0] + theta[:, 1, 1] - theta[:, 0, 1] - theta[:, 1, 0]
     direct, cross = g[0, 0] * g[1, 1], g[0, 1] * g[1, 0]
@@ -265,20 +269,49 @@ def reference_zf_rate(cfg: ScenarioConfig, uav_positions, tx_power, samples: int
     return tuple(_estimate(rates[:, k], seed) for k in range(2))
 
 
+def device_gains(traj, k: int, cfg: ScenarioConfig) -> np.ndarray:
+    """Channel gains from both UAVs to device k, shape (2 uavs, ...)."""
+    return channel_gain(_positions_of(traj), cfg.device_positions[k], cfg)
+
+
+def sinr_ic_device(tx_power, traj, k: int, cfg: ScenarioConfig) -> np.ndarray:
+    """Per-slot uplink SINR of device k at UAV k, device 1-k interfering."""
+    pos, Q, ko = _positions_of(traj), np.asarray(tx_power, dtype=float), 1 - k
+    own = channel_gain(pos[k], cfg.device_positions[k], cfg)
+    itf = channel_gain(pos[k], cfg.device_positions[ko], cfg)
+    return Q[k] * own / (Q[ko] * itf + cfg.noise_power)
+
+
+def coherent_power(traj, k: int, cfg: ScenarioConfig) -> np.ndarray:
+    """Received power at device k when both UAVs phase-align toward it."""
+    amp = np.sqrt(device_gains(traj, k, cfg)).sum(axis=0)
+    return cfg.eh_efficiency * cfg.uav_power * amp**2
+
+
+def leaked_power(traj, k: int, cfg: ScenarioConfig) -> np.ndarray:
+    """Received power at device k from beams aligned to the other device."""
+    return cfg.eh_efficiency * cfg.uav_power * device_gains(traj, k, cfg).sum(axis=0)
+
+
+def rate_bound_comp(tx_power, traj, k: int, cfg: ScenarioConfig) -> np.ndarray:
+    """Upper bound on device k's joint-reception rate per unit uplink time."""
+    g = device_gains(traj, k, cfg)
+    snr = 0.5 * np.asarray(tx_power, dtype=float) / cfg.noise_power * g.sum(axis=0)
+    return np.log2(1.0 + snr)
+
+
 def harvested_energy_ic(alloc, traj, k: int, cfg: ScenarioConfig) -> float:
     """Energy device k collects from both UAVs' independent charging."""
-    g = gain_matrix(traj, cfg)
-    per_slot = cfg.eh_efficiency * cfg.uav_power * alloc.charge_time * g[k].sum(axis=0)
+    g = device_gains(traj, k, cfg)
+    per_slot = cfg.eh_efficiency * cfg.uav_power * alloc.charge_time * g.sum(axis=0)
     return float(per_slot.sum())
 
 
 def rates_ic(alloc, traj, cfg: ScenarioConfig) -> np.ndarray:
     """Average uplink throughput of each device when both transmit at once."""
-    g = gain_matrix(traj, cfg)
-    Q = alloc.tx_power
     out = np.empty(2)
     for k in range(2):
-        sinr = Q[k] * g[k, k] / (Q[1 - k] * g[1 - k, k] + cfg.noise_power)
+        sinr = sinr_ic_device(alloc.tx_power, traj, k, cfg)
         out[k] = (alloc.uplink_time * np.log2(1.0 + sinr)).sum() / cfg.duration
     return out
 
@@ -295,18 +328,15 @@ def energy_residual_ic(alloc, traj, k: int, cfg: ScenarioConfig) -> float:
 
 def harvested_energy_comp(alloc, traj, k: int, cfg: ScenarioConfig) -> float:
     """Energy device k collects under joint energy beamforming."""
-    pos = _positions_of(traj)
-    coh = comp_coherent_power(pos, k, cfg)
-    non = comp_noncoherent_power(pos, k, cfg)
+    coh, non = coherent_power(traj, k, cfg), leaked_power(traj, k, cfg)
     return float((alloc.beam_time[k] * coh + alloc.beam_time[1 - k] * non).sum())
 
 
 def rates_comp(alloc, traj, cfg: ScenarioConfig) -> np.ndarray:
     """Bound-rate average throughput of each device, joint reception."""
-    pos = _positions_of(traj)
     out = np.empty(2)
     for k in range(2):
-        r = comp_rate_upper_bound(alloc.tx_power[k], pos, k, cfg)
+        r = rate_bound_comp(alloc.tx_power[k], traj, k, cfg)
         out[k] = (alloc.uplink_time * r).sum() / cfg.duration
     return out
 

@@ -29,8 +29,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from wpcn_traj import (AllocationCoMP, AllocationIC, channel_gain,
-                       common_throughput, comp_coherent_power,
-                       comp_noncoherent_power, comp_rate_upper_bound,
+                       common_throughput, comp_rate_upper_bound,
                        direct_flight_trajectory, optimize_power_comp,
                        optimize_power_ic, optimize_time_comp, optimize_time_ic,
                        sample_zf_rate,
@@ -188,7 +187,7 @@ def test_criterion_4_surrogate_bound_suite():
     ok = True
 
     def true_rate(q, pos, k):
-        return uplink * np.log2(1.0 + sinr_ic(q, pos, k, cfg))
+        return uplink * np.log2(1.0 + sinr_ic(q, pos, cfg)[k])
 
     # exactness at the expansion point, 1e-10 relative
     for k in range(2):
@@ -314,11 +313,10 @@ def test_criterion_7_zf_bound_validity():
 
     pos = np.array([[-0.5, 0.0], [0.5, 0.0]])
     coh, leak = sample_received_power(cfg, pos, target=0, samples=100000, seed=71)
+    power = AllocationCoMP.charging_power(pos, cfg)
     coh_ok = (coh.stderr == 0.0
-              and coh.mean == pytest.approx(float(comp_coherent_power(pos, 0, cfg)),
-                                            rel=1e-12))
-    leak_ok = abs(leak.mean - float(comp_noncoherent_power(pos, 1, cfg))) \
-        <= 3.0 * leak.stderr
+              and coh.mean == pytest.approx(float(power[0, 0]), rel=1e-12))
+    leak_ok = abs(leak.mean - float(power[1, 0])) <= 3.0 * leak.stderr
     dt = time.perf_counter() - t0
     detail = (f"rate bound held in {100 - len(violations)}/100 device-cases "
               f"(worst excess {max((v[2] for v in violations), default=0.0):.3f} "
@@ -406,8 +404,8 @@ def test_criterion_9_subproblem_oracles():
     got = common_throughput(alloc, traj1, cfg1)
     rate1 = np.array([float(comp_rate_upper_bound(Qc[k, 0], pos1[:, 0], k, cfg1))
                       for k in range(2)])
-    coh = np.array([float(comp_coherent_power(pos1[:, 0], k, cfg1)) for k in range(2)])
-    non = np.array([float(comp_noncoherent_power(pos1[:, 0], k, cfg1)) for k in range(2)])
+    power = AllocationCoMP.charging_power(pos1[:, 0], cfg1)
+    coh, non = power[[0, 1], [0, 1]], power[[0, 1], [1, 0]]
     e = np.arange(0.0, 1.0 + 5e-4, 1e-3)
     E1, E2 = np.meshgrid(e, e, indexing="ij")
     UP = 1.0 - E1 - E2

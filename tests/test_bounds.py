@@ -20,7 +20,7 @@ def _random_positions(rng, n=N):
 
 
 def _true_rate(cfg, Q, pos, uplink, k):
-    return uplink * np.log2(1.0 + sinr_ic(Q, pos, k, cfg))
+    return uplink * np.log2(1.0 + sinr_ic(Q, pos, cfg)[k])
 
 
 class TestPowerRateBound:

@@ -145,6 +145,14 @@ class TestCommands:
         dump = (out / "trajectory_comp-proposed.csv").read_text().splitlines()
         assert dump[0] == "n,t,x1,y1,x2,y2,rho_E1,rho_E2,rho_I,Q1,Q2"
 
+    def test_solve_comp_separation_wider_than_device_span(self, tmp_path):
+        # The joint charging-pair search once spanned D/2 + H = 1 m either
+        # side, too narrow for a 3 m separation: the command exited 2.
+        res = invoke(["solve-comp", "--out", str(tmp_path / "wide"),
+                      "--set", "device_distance_m=1", "--set", "altitude_m=0.5",
+                      "--set", "min_separation_m=3", "--set", "num_slots=10"])
+        assert res.exit_code == 0, res.output
+
     def test_benchmark_direct_both(self, tmp_path):
         out = tmp_path / "bench"
         res = invoke(["benchmark-direct", "--out", str(out)] + FAST)

@@ -5,7 +5,7 @@ from wpcn_traj import (AllocationCoMP, EmptyFeasibleGrid, common_throughput,
                        comp_rate_upper_bound, solve_infinite_comp,
                        wit_hover_comp, wpt_hover_comp, wpt_hover_ic,
                        solve_infinite_ic)
-from wpcn_traj.hover_comp import _bound_rate, bound_rate_at, charge_pair_power
+from wpcn_traj.hover_comp import _best_pair_on, _bound_rate, bound_rate_at, charge_pair_power
 from conftest import SWEEP_NOISE, benchmark_config, hover_positions, hover_sweep
 from oracles import reference_infinite_comp
 
@@ -99,11 +99,36 @@ class TestWptHoverPair:
         assert e_comp >= e_ic
 
     def test_empty_grid_raises(self):
-        # The search box [-0.3, 0.3] m cannot hold a 1 m separation.
+        # A grid [-0.3, 0.3] m cannot hold a 1 m separation.
         cfg = benchmark_config(device_distance=0.2, altitude=0.2,
                                min_separation=1.0, num_slots=10)
+        xs = np.array([-0.3, 0.0, 0.3])
         with pytest.raises(EmptyFeasibleGrid):
-            wpt_hover_comp(cfg, 1.0)
+            _best_pair_on(xs, xs, cfg)
+
+    @pytest.mark.parametrize("D, H, d_min", [(0.2, 0.2, 1.0), (1.0, 0.5, 3.0)])
+    def test_search_box_holds_the_separation(self, D, H, d_min):
+        # The box [-(D/2 + H), D/2 + H]^2 is narrower than d_min here and
+        # once held no feasible pair.
+        cfg = benchmark_config(device_distance=D, altitude=H, min_separation=d_min,
+                               num_slots=10)
+        (x1, x2), energy = wpt_hover_comp(cfg, 1.0)
+        assert x2 - x1 >= d_min - 1e-9
+        assert energy > 0.0
+
+    @pytest.mark.parametrize("D, H, d_min", [(1.0, 0.5, 3.0), (2.0, 1.0, 3.5)])
+    def test_pair_not_clipped_by_the_search_box(self, D, H, d_min):
+        # The narrow box pinned the D=2 pair to its edge at (-1.5, 2.0),
+        # 2.2% below the best pair.  The pair found is within 0.1% (the
+        # refinement step's resolution on the separation boundary) of every
+        # pair of a grid on the wider box [-(D/2 + H + d_min), D/2 + H + d_min]^2.
+        cfg = benchmark_config(device_distance=D, altitude=H, min_separation=d_min,
+                               num_slots=10)
+        (x1, x2), _ = wpt_hover_comp(cfg, 1.0)
+        span = D / 2.0 + H + d_min
+        X1, X2 = np.meshgrid(*[np.linspace(-span, span, 81)] * 2)
+        oracle = np.where(X2 - X1 >= d_min, charge_pair_oracle(X1, X2, cfg), -np.inf).max()
+        assert charge_pair_oracle(x1, x2, cfg) >= (1.0 - 1e-3) * oracle
 
 
 class TestSolveInfiniteCoMP:

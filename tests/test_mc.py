@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wpcn_traj import (channel_gain, comp_coherent_power, comp_noncoherent_power,
-                       comp_rate_upper_bound, sample_zf_rate)
+from wpcn_traj import (AllocationCoMP, channel_gain, comp_rate_upper_bound,
+                       sample_zf_rate)
 from conftest import benchmark_config, hover_positions
 from oracles import reference_zf_rate, sample_received_power
 
@@ -146,14 +146,14 @@ class TestReceivedPower:
         pos = hover_positions(-0.5, 0.5, 1)[:, 0]
         coh, _ = sample_received_power(cfg, pos, target=0, samples=4000, seed=21)
         assert coh.stderr == 0.0
-        assert coh.mean == pytest.approx(float(comp_coherent_power(pos, 0, cfg)),
-                                         rel=1e-12)
+        expected = float(AllocationCoMP.charging_power(pos, cfg)[0, 0])
+        assert coh.mean == pytest.approx(expected, rel=1e-12)
 
     def test_leakage_matches_expectation(self):
         cfg = benchmark_config(device_distance=5.0)
         pos = hover_positions(-0.5, 0.5, 1)[:, 0]
         _, leak = sample_received_power(cfg, pos, target=0, samples=100000, seed=22)
-        expected = float(comp_noncoherent_power(pos, 1, cfg))
+        expected = float(AllocationCoMP.charging_power(pos, cfg)[1, 0])
         assert abs(leak.mean - expected) <= 3.0 * leak.stderr
         assert leak.stderr > 0.0
 

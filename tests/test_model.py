@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 from wpcn_traj import (AllocationCoMP, AllocationIC, ConfigError,
                        ScenarioConfig, Trajectory, channel_gain,
-                       common_throughput, comp_coherent_power,
-                       comp_noncoherent_power, comp_rate_upper_bound,
-                       db_to_linear, dbm_to_watt, feasibility_report, sinr_ic,
-                       watt_to_dbm)
+                       common_throughput, comp_rate_upper_bound,
+                       db_to_linear, dbm_to_watt, feasibility_report, gain_matrix,
+                       sinr_ic, watt_to_dbm)
 from conftest import benchmark_config, hover_positions
-from oracles import (common_throughput_comp, common_throughput_ic, energy_residual_comp,
-                     energy_residual_ic, harvested_energy_comp, harvested_energy_ic,
-                     rates_comp, rates_ic)
+from oracles import (coherent_power, common_throughput_comp, common_throughput_ic,
+                     energy_residual_comp, energy_residual_ic, harvested_energy_comp,
+                     harvested_energy_ic, leaked_power, rate_bound_comp, rates_comp,
+                     rates_ic, sinr_ic_device)
+
+charging_power = AllocationCoMP.charging_power
 
 # Per-device evaluation forms of each mode: harvested energy, energy
 # residual, rates and common throughput.
@@ -95,20 +97,20 @@ class TestSinrIC:
         pos = hover_positions(-2.5, 2.5, 1)
         Q = np.array([[1e-4], [0.0]])
         snr = 1e-4 * channel_gain(pos[0, 0], cfg.device_positions[0], cfg) / cfg.noise_power
-        assert sinr_ic(Q, pos, 0, cfg)[0] == pytest.approx(snr, rel=1e-12)
+        assert sinr_ic(Q, pos, cfg)[0, 0] == pytest.approx(snr, rel=1e-12)
 
     def test_zero_power_zero_sinr(self):
         cfg = benchmark_config(device_distance=5.0, duration=1.0, num_slots=1)
         pos = hover_positions(-2.5, 2.5, 1)
         Q = np.array([[0.0], [1e-4]])
-        assert sinr_ic(Q, pos, 0, cfg)[0] == 0.0
+        assert sinr_ic(Q, pos, cfg)[0, 0] == 0.0
 
     def test_mirror_symmetry(self):
         cfg = benchmark_config(device_distance=8.0, duration=1.0, num_slots=1)
         pos = hover_positions(-3.0, 3.0, 1)
         Q = np.full((2, 1), 2e-5)
-        assert sinr_ic(Q, pos, 0, cfg)[0] == pytest.approx(
-            sinr_ic(Q, pos, 1, cfg)[0], rel=1e-12)
+        assert sinr_ic(Q, pos, cfg)[0, 0] == pytest.approx(
+            sinr_ic(Q, pos, cfg)[1, 0], rel=1e-12)
 
 
 class TestCommonThroughputIC:
@@ -169,41 +171,39 @@ class TestCompPowers:
         cfg = benchmark_config(device_distance=5.0)
         pos = hover_positions(-2.5, -2.5, 1)  # both directly above device 1
         expected = 4.0 * 0.6 * 10.0 * 1e-3 / 25.0
-        assert comp_coherent_power(pos[:, 0], 0, cfg)[()] == pytest.approx(expected, rel=1e-12)
+        assert charging_power(pos[:, 0], cfg)[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_far_uav_limit(self):
         cfg = benchmark_config(device_distance=5.0)
         pos = hover_positions(-2.5, 1e9, 1)
         near_only = 0.6 * 10.0 * 1e-3 / 25.0
-        assert comp_coherent_power(pos[:, 0], 0, cfg)[()] == pytest.approx(
+        assert charging_power(pos[:, 0], cfg)[0, 0] == pytest.approx(
             near_only, rel=1e-6)
 
     def test_coherent_hand_value(self):
         cfg = benchmark_config(device_distance=5.0)
         pos = hover_positions(-0.5, 0.5, 1)
         expected = 6.0 * (np.sqrt(1e-3 / 29.0) + np.sqrt(1e-3 / 34.0)) ** 2
-        assert comp_coherent_power(pos[:, 0], 0, cfg)[()] == pytest.approx(expected, rel=1e-12)
+        assert charging_power(pos[:, 0], cfg)[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_noncoherent_hand_value(self):
         cfg = benchmark_config(device_distance=5.0)
         pos = hover_positions(-0.5, 0.5, 1)
         expected = 6e-3 * (1.0 / 29.0 + 1.0 / 34.0)
-        assert comp_noncoherent_power(pos[:, 0], 0, cfg)[()] == pytest.approx(expected, rel=1e-12)
+        assert charging_power(pos[:, 0], cfg)[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_coherent_dominates_noncoherent(self):
         cfg = benchmark_config(device_distance=12.0)
         rng = np.random.default_rng(3)
         pos = rng.uniform(-15, 15, size=(2, 100, 2))
-        coh = comp_coherent_power(pos, 0, cfg)
-        non = comp_noncoherent_power(pos, 0, cfg)
-        assert np.all(coh >= non)
+        power = charging_power(pos, cfg)
+        assert np.all(power[0, 0] >= power[0, 1])
 
     def test_equal_distance_gives_factor_two(self):
         cfg = benchmark_config(device_distance=6.0)
         pos = hover_positions(-4.0, -2.0, 1)  # both 1 m from device 1 horizontally
-        coh = comp_coherent_power(pos[:, 0], 0, cfg)
-        non = comp_noncoherent_power(pos[:, 0], 0, cfg)
-        assert coh[()] == pytest.approx(2.0 * non[()], rel=1e-12)
+        power = charging_power(pos[:, 0], cfg)
+        assert power[0, 0] == pytest.approx(2.0 * power[0, 1], rel=1e-12)
 
 
 class TestHarvestedEnergyCoMP:
@@ -298,6 +298,39 @@ class TestAllocationOracles:
                 report = feasibility_report(cfg, traj, alloc)
                 assert [report["energy_dev1"], report["energy_dev2"]] == \
                     [max(0.0, -e) for e in energy]
+
+    @pytest.mark.parametrize("N", [1, 6, 80, None])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_gain_tensor_reproduces_the_per_device_formulas(self, N, seed):
+        # The SINRs, charging powers, both modes' slot rates, the rate bound
+        # and the gain matrix, each evaluated for both devices at once, equal
+        # the per-device forms bit for bit.  N=None is one raw (2, 2)
+        # position pair, with a scalar power for the bound.
+        rng = np.random.default_rng([seed, N or 0])
+        cfg = benchmark_config(device_distance=rng.uniform(2.0, 30.0), duration=4.0,
+                               num_slots=N or 1, altitude=rng.uniform(0.5, 10.0),
+                               noise_power=10.0 ** rng.uniform(-14.0, -10.0))
+        slots = () if N is None else (N,)
+        pos = rng.uniform(-20.0, 20.0, size=(2, *slots, 2))
+        Q = rng.uniform(0.0, 1e-3, size=(2, *slots)) * (rng.random((2, *slots)) < 0.8)
+        sinr, power = sinr_ic(Q, pos, cfg), charging_power(pos, cfg)
+        ic_rates, comp_rates = (mode.slot_rates(Q, pos, cfg)
+                                for mode in (AllocationIC, AllocationCoMP))
+        g = gain_matrix(pos, cfg)
+        q = Q[:, 0] if N else Q
+        for k in range(2):
+            own = sinr_ic_device(Q, pos, k, cfg)
+            assert sinr[k].tolist() == own.tolist()
+            assert ic_rates[k].tolist() == np.log2(1.0 + own).tolist()
+            assert power[k, k].tolist() == coherent_power(pos, k, cfg).tolist()
+            assert power[k, 1 - k].tolist() == leaked_power(pos, k, cfg).tolist()
+            assert comp_rates[k].tolist() == rate_bound_comp(Q[k], pos, k, cfg).tolist()
+            assert comp_rate_upper_bound(Q[k], pos, k, cfg).tolist() == comp_rates[k].tolist()
+            assert comp_rate_upper_bound(float(q[k]), pos, k, cfg).tolist() == \
+                rate_bound_comp(float(q[k]), pos, k, cfg).tolist()
+            for m in range(2):
+                assert g[k, m].tolist() == \
+                    channel_gain(pos[m], cfg.device_positions[k], cfg).tolist()
 
 
 class TestConfigValidation:

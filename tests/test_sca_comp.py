@@ -3,8 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from wpcn_traj import (AllocationCoMP, Initialization,
-                       common_throughput, comp_coherent_power,
-                       comp_noncoherent_power, comp_rate_upper_bound,
+                       common_throughput, comp_rate_upper_bound,
                        direct_flight_trajectory,
                        is_feasible, optimize_power_comp, optimize_time_comp,
                        optimize_traj_comp, solve_infinite_comp,
@@ -94,8 +93,8 @@ class TestOptimizeTime:
         pos = traj.slot_positions
         rate = np.array([float(comp_rate_upper_bound(Q[k, 0], pos[:, 0], k, cfg))
                          for k in range(2)])
-        coh = np.array([float(comp_coherent_power(pos[:, 0], k, cfg)) for k in range(2)])
-        non = np.array([float(comp_noncoherent_power(pos[:, 0], k, cfg)) for k in range(2)])
+        power = AllocationCoMP.charging_power(pos[:, 0], cfg)
+        coh, non = power[[0, 1], [0, 1]], power[[0, 1], [1, 0]]
         step = 1e-3
         e = np.arange(0.0, 1.0 + step / 2, step)
         E1, E2 = np.meshgrid(e, e, indexing="ij")
@@ -273,6 +272,20 @@ class TestSolveP21:
         assert max(rep.residuals.values()) <= 1e-6
         assert rep.common_rate <= bound
         assert rep.common_rate > 0
+
+    def test_separation_wider_than_device_span_solves(self):
+        # D=1, H=0.5: the charging-pair search once spanned D/2 + H = 1 m
+        # either side, too narrow for a 3 m separation, and both solvers
+        # raised EmptyFeasibleGrid.
+        cfg = benchmark_config(device_distance=1.0, altitude=0.5, min_separation=3.0,
+                               duration=10.0, num_slots=10)
+        hover = solve_infinite_comp(cfg)
+        x1, x2 = hover.wpt_hover_pair
+        assert x2 - x1 >= cfg.min_separation - 1e-9
+        for solve in (solve_p21, solve_p21_direct):
+            rep = solve(cfg)
+            assert is_feasible(cfg, rep.trajectory, rep.allocation)
+            assert 0.0 < rep.common_rate <= hover.common_rate
 
     def test_longer_mission_rates_at_least_shorter(self):
         # With N fixed, the T=4 solution with every sub-slot time scaled by 5

@@ -197,7 +197,7 @@ class TestOptimizeTime:
         alloc = optimize_time_ic(cfg, traj, Q)
         got = common_throughput(alloc, traj, cfg)
         g = gain_matrix(traj, cfg)
-        rates = np.stack([np.log2(1.0 + sinr_ic(Q, traj, k, cfg)) for k in range(2)])
+        rates = np.log2(1.0 + sinr_ic(Q, traj, cfg))
         yields = np.stack([cfg.eh_efficiency * cfg.uav_power * g[k].sum(axis=0)
                            for k in range(2)])
         slot = cfg.slot_duration
