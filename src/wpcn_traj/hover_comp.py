@@ -15,8 +15,8 @@ import numpy as np
 from .model import ScenarioConfig
 from .hover_ic import _best_charge_time, _pair_hover_x, pair_gain_sum
 
-# Steps of the coarse charging-pair grid and of the refinement around its
-# optimum, m.
+# Largest steps of the coarse charging-pair grid and of the refinement
+# around its optimum, m; small search boxes take finer ones.
 GRID_STEP = 0.25
 REFINE_STEP = 0.01
 
@@ -69,16 +69,20 @@ def wpt_hover_comp(cfg: ScenarioConfig, tau_E_total: float):
     """Exhaustive-search charging hover pair and the per-device energy.
 
     Searches the box [-s, s]^2, s = D/2 + max(H, d_min), under the separation
-    constraint with a coarse grid of step GRID_STEP, then refines locally
-    with step REFINE_STEP; the half-width covers a pair d_min apart however
-    short the device span and the altitude are.  The second charging phase
-    is the mirror image, so both devices harvest the same energy.
+    constraint with a coarse grid of step min(GRID_STEP, s/8), then refines
+    within one coarse step of its optimum with step min(REFINE_STEP, coarse
+    step/25); the half-width covers a pair d_min apart however short the
+    device span and the altitude are, and the steps keep at least 17 coarse
+    points per axis however small the box.  The second charging phase is
+    the mirror image, so both devices harvest the same energy.
     """
     span = cfg.device_distance / 2.0 + max(cfg.altitude, cfg.min_separation)
-    coarse = np.arange(-span, span + GRID_STEP / 2.0, GRID_STEP)
+    step = min(GRID_STEP, span / 8.0)
+    refine = min(REFINE_STEP, step / 25.0)
+    coarse = np.arange(-span, span + step / 2.0, step)
     x1, x2, _ = _best_pair_on(coarse, coarse, cfg)
-    fine1, fine2 = (np.clip(np.arange(x - GRID_STEP, x + GRID_STEP + REFINE_STEP / 2.0,
-                                      REFINE_STEP), -span, span) for x in (x1, x2))
+    fine1, fine2 = (np.clip(np.arange(x - step, x + step + refine / 2.0, refine),
+                            -span, span) for x in (x1, x2))
     x1, x2, best = _best_pair_on(fine1, fine2, cfg)
     energy = tau_E_total / 2.0 * best
     return (x1, x2), float(energy)

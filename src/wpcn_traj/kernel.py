@@ -583,48 +583,31 @@ def _factor_band_updates(ab: np.ndarray, Z: np.ndarray):
     it.  Each solve takes one step of iterative refinement against the
     undamped matrix: with the dense rows dominating B, the product form
     alone left residuals up to ~500 times the dense factorization's on
-    captured time-LP steps, and one refinement step removes that gap.  ab is
-    scaled in place."""
+    captured time-LP steps, and one refinement step removes that gap.  The
+    scaling and the refinement's B x run over the diagonals r = 0, 1, ...
+    in turn, on slices of ab.  ab is scaled in place."""
     rows, n = ab.shape
     diag = ab[0] + np.einsum("kn,kn->n", Z, Z)
     inv_d = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
     Bs = ab
     Bs *= inv_d
-    Bs *= _diagonals(inv_d, rows)[0]
+    for r in range(rows):
+        Bs[r, :n - r] *= inv_d[r:]
     Zs = Z * inv_d
     solve = _damped(lambda damp: _band_factor(Bs, Zs, damp))
-    lower_view = _view(Bs, (rows, n), (n - 1, 1))
 
     def solve_refined(g: np.ndarray) -> np.ndarray:
         gs = g * inv_d
         x = solve(gs)
-        # B x, each entry summing over r in order: the lower part's row i
-        # sums Bs[r, i - r] x[i - r] (a skewed view of Bs, whose entries at
-        # i < r are row r - 1's and meet the zeros of `behind`), the strict
-        # upper part's row j sums Bs[r, j] x[j + r].
-        ahead, behind = _diagonals(x, rows)
-        lower = np.einsum("rn,rn->n", lower_view, behind)
-        upper = np.einsum("rn,rn->n", Bs[1:], ahead[1:])
+        # B x = lower + strict upper part, each entry summed over r in order.
+        lower, upper = Bs[0] * x, np.zeros(n)
+        for r in range(1, rows):
+            lower[r:] += Bs[r, :n - r] * x[:n - r]
+            upper[:n - r] += Bs[r, :n - r] * x[r:]
         res = gs - lower - upper - Zs.T @ (Zs @ x)
         return (x + solve(res)) * inv_d
 
     return solve_refined
-
-
-def _view(a: np.ndarray, shape: tuple, steps: tuple, start: int = 0) -> np.ndarray:
-    """View w[r, j] = a.flat[start + r steps[0] + j steps[1]] of a
-    C-contiguous array a."""
-    return np.ndarray(shape, a.dtype, a, start * a.itemsize,
-                      tuple(step * a.itemsize for step in steps))
-
-
-def _diagonals(v: np.ndarray, rows: int) -> tuple:
-    """Views ahead[r, j] = v[j + r] and behind[r, j] = v[j - r] for r < rows,
-    zero off the ends of v."""
-    n = v.size
-    pad = np.zeros(n + 2 * rows - 2)
-    pad[rows - 1:n + rows - 1] = v
-    return _view(pad, (rows, n), (1, 1), rows - 1), _view(pad, (rows, n), (-1, 1), rows - 1)
 
 
 def _band_factor(B: np.ndarray, Z: np.ndarray, damp: float):

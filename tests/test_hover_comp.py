@@ -130,6 +130,18 @@ class TestWptHoverPair:
         oracle = np.where(X2 - X1 >= d_min, charge_pair_oracle(X1, X2, cfg), -np.inf).max()
         assert charge_pair_oracle(x1, x2, cfg) >= (1.0 - 1e-3) * oracle
 
+    def test_small_box_finds_the_best_basin(self):
+        # A fixed 0.25 m coarse step put the pair in the wrong basin here,
+        # (-0.05, 0.95) at 0.3048, 1.8% below the best pair, near
+        # (-1.01, -0.01) at 0.3103 on a 2801 x 2801 grid.
+        cfg = benchmark_config(device_distance=0.2, altitude=0.2, min_separation=1.0,
+                               num_slots=10)
+        (x1, x2), _ = wpt_hover_comp(cfg, 1.0)
+        X1, X2 = np.meshgrid(*[np.linspace(-1.1, 1.1, 881)] * 2)
+        oracle = np.where(X2 - X1 >= 1.0, charge_pair_oracle(X1, X2, cfg), -np.inf).max()
+        assert x2 - x1 >= 1.0 - 1e-9
+        assert charge_pair_oracle(x1, x2, cfg) >= (1.0 - 1e-3) * oracle
+
 
 class TestSolveInfiniteCoMP:
     def test_beats_interference_coordination(self):
@@ -137,6 +149,16 @@ class TestSolveInfiniteCoMP:
         comp = solve_infinite_comp(cfg, tau_grid=300)
         ic = solve_infinite_ic(cfg, tau_grid=300)
         assert comp.common_rate >= ic.common_rate
+
+    def test_tiny_box_solves(self):
+        # Below a half-width of 0.0625 m a fixed 0.25 m coarse grid held one
+        # point and raised EmptyFeasibleGrid on this solvable config.
+        cfg = benchmark_config(device_distance=0.02, altitude=0.01, min_separation=0.05,
+                               num_slots=10)
+        sol = solve_infinite_comp(cfg)
+        x1, x2 = sol.wpt_hover_pair
+        assert x2 - x1 >= 0.05 - 1e-9
+        assert sol.harvested_per_device > 0.0 and sol.common_rate > 0.0
 
     def test_grid_refinement_stable(self):
         cfg = benchmark_config(device_distance=15.0, duration=100.0)

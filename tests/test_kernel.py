@@ -970,16 +970,21 @@ def _bandwidth_two(rng, n):
 
 def test_band_solve_matches_dense_solve():
     # Bandwidth 2 and four dense rows, two of them identical, as the joint
-    # time LP's two rate rows are on a symmetric path.
+    # time LP's two rate rows are on a symmetric path.  Bandwidths 0 and
+    # n - 1 are the two ends of the solve's loops over the diagonals.
     rng = np.random.default_rng(6)
     n = 200
-    B = _bandwidth_two(rng, n)
-    Z = rng.standard_normal((4, n))
-    Z[3] = Z[1]
-    g = rng.standard_normal(n)
-    d = kernel._factor_band_updates(_band_storage(B, 2), Z)(g)
-    ref = np.linalg.solve(B + Z.T @ Z, g)
-    assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+    draws = [(2, _bandwidth_two),
+             (0, lambda rng, n: np.diag(rng.uniform(0.5, 2.0, n))),
+             (n - 1, lambda rng, n: np.cov(rng.standard_normal((n, 2 * n))) + np.eye(n))]
+    for band, draw in draws:
+        B = draw(rng, n)
+        Z = rng.standard_normal((4, n))
+        Z[3] = Z[1]
+        g = rng.standard_normal(n)
+        d = kernel._factor_band_updates(_band_storage(B, band), Z)(g)
+        ref = np.linalg.solve(B + Z.T @ Z, g)
+        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_band_solve_damps_a_singular_band(monkeypatch):
