@@ -7,11 +7,15 @@ the whole charging-time grid is evaluated in one array pass (`_rate_grid`),
 and the scalar path (`_rate_at`) refines around the best cell and gives the
 returned solution.
 
-The scalar path's two 1-D methods are Brent's (Algorithms for Minimization
-without Derivatives, 1973, ch. 4-5) as package code that takes scipy's
-iterates, so no `scipy.optimize` is imported: the hover offset's root
-(`_brent_root`, as `brentq`) and the charging time's bounded refinement
-(`_brent_bounded_min`, as `minimize_scalar(method="bounded")`).
+Both paths place the simultaneous-uplink hover offset with the one Newton
+root (`_stationarity_root`), so the grid equals the scalar path bit for
+bit.  Offsets are squared by `np.square`, not `** 2`: numpy squares a
+scalar with the C library's `pow`, which differs from x*x in the last bit
+for about one value in a thousand.  The charging time's bounded refinement
+is Brent's method (Algorithms for Minimization without Derivatives, 1973,
+ch. 5) as package code that takes scipy's iterates (`_brent_bounded_min`,
+as `minimize_scalar(method="bounded")`), so no `scipy.optimize` is
+imported.
 """
 
 from __future__ import annotations
@@ -85,15 +89,15 @@ def simultaneous_rate_at(cfg: ScenarioConfig, tau_E: float, energy: float, x) ->
     D, H = cfg.device_distance, cfg.altitude
     tau_I = cfg.duration - tau_E
     Q = energy / tau_I
-    sig = Q * cfg.ref_gain / ((x - D / 2.0) ** 2 + H**2)
-    itf = Q * cfg.ref_gain / ((x + D / 2.0) ** 2 + H**2)
+    sig = Q * cfg.ref_gain / (np.square(x - D / 2.0) + H**2)
+    itf = Q * cfg.ref_gain / (np.square(x + D / 2.0) + H**2)
     return tau_I / cfg.duration * np.log2(1.0 + sig / (itf + cfg.noise_power))
 
 
 def _stationarity(x: float, D: float, H: float, snr_scale: float) -> float:
     """Simultaneous-mode hover stationarity residual at symmetric offset x."""
-    return (x + D / 2.0) * ((x - D / 2.0) ** 2 + H**2) ** 2 / snr_scale \
-        - D * (H**2 + (D / 2.0) ** 2 - x**2)
+    return (x + D / 2.0) * np.square(np.square(x - D / 2.0) + H**2) / snr_scale \
+        - D * (H**2 + (D / 2.0) ** 2 - np.square(x))
 
 
 def _mode1_bracket(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -106,14 +110,35 @@ def _mode1_bracket(cfg: ScenarioConfig) -> tuple[float, float]:
 
 
 def _stationarity_ends(cfg: ScenarioConfig, tau_E, energy):
-    """Scale c of `_stationarity` and its residuals f_lo, f_hi at the ends of
-    `_mode1_bracket`, and whether the bracket holds a root: a sign change
-    over a bracket at least 1e-12 m wide.  Scalars or arrays of tau_E."""
+    """Scale c of `_stationarity`, and whether `_mode1_bracket` holds a
+    root: a sign change of the residual over a bracket at least 1e-12 m
+    wide.  Scalars or arrays of tau_E."""
     D, H = cfg.device_distance, cfg.altitude
     c = cfg.ref_gain * (energy / (cfg.duration - tau_E)) / cfg.noise_power
     lo, hi = _mode1_bracket(cfg)
     f_lo, f_hi = _stationarity(lo, D, H, c), _stationarity(hi, D, H, c)
-    return c, f_lo, f_hi, (f_lo * f_hi <= 0.0) & (hi - lo >= 1e-12)
+    return c, (f_lo * f_hi <= 0.0) & (hi - lo >= 1e-12)
+
+
+def _stationarity_root(cfg: ScenarioConfig, c):
+    """Root of `_stationarity` in `_mode1_bracket` for a scale c or an array
+    of scales, each bracket holding a root (`_stationarity_ends`).
+
+    On x >= D/2 the residual is increasing and convex, so Newton's method
+    from the upper end decreases monotonically to the root and never passes
+    it (Fourier's condition; Ortega & Rheinboldt, 1970); it stops once no
+    offset moves left.  Each offset takes the same operations alone or in
+    an array."""
+    D, H = cfg.device_distance, cfg.altitude
+    x = np.full(np.shape(c), _mode1_bracket(cfg)[1])
+    while True:
+        a = np.square(x - D / 2.0) + H**2
+        slope = a * (a + 4.0 * (x + D / 2.0) * (x - D / 2.0)) / c + 2.0 * D * x
+        step = x - _stationarity(x, D, H, c) / slope
+        left = step < x
+        if not left.any():
+            return x
+        x = np.where(left, step, x)
 
 
 def _endpoint_x(cfg: ScenarioConfig, tau_E, energy) -> np.ndarray:
@@ -135,66 +160,12 @@ def wit_mode1_hover(cfg: ScenarioConfig, tau_E: float, energy: float) -> tuple[f
     """Simultaneous-transmission hover offset and common rate.
 
     The offset is the root of the stationarity equation inside the bracket
-    of `_mode1_bracket`, placed by the Brent-Dekker method (`_brent_root`)
-    to 1e-12 m; when there is no root (`_stationarity_ends`) the better
-    bracket end is taken (`_endpoint_x`).
+    of `_mode1_bracket` (`_stationarity_root`); when there is no root
+    (`_stationarity_ends`) the better bracket end is taken (`_endpoint_x`).
     """
-    c, _, _, root = _stationarity_ends(cfg, tau_E, energy)
-    if root:
-        D, H, c = cfg.device_distance, cfg.altitude, float(c)
-        x = _brent_root(lambda x: _stationarity(x, D, H, c), *_mode1_bracket(cfg),
-                        xtol=1e-12, rtol=8.9e-16)
-    else:
-        x = float(_endpoint_x(cfg, tau_E, energy))
+    c, root = _stationarity_ends(cfg, tau_E, energy)
+    x = float(_stationarity_root(cfg, c) if root else _endpoint_x(cfg, tau_E, energy))
     return x, float(simultaneous_rate_at(cfg, tau_E, energy, x))
-
-
-def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Zero of f between xa and xb by the Brent-Dekker method, iterate for
-    iterate as scipy's `brentq` (C `brentq.c`): to a bracket half-width of
-    (xtol + rtol*|x|)/2, an exact zero at an end returning that end.  Ends
-    of one sign or a NaN residual raise ValueError, and 100 iterations
-    without convergence RuntimeError, as in brentq."""
-    def residual(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the residual at x={x} is NaN")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = residual(xpre), residual(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("the residuals at the ends must differ in sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket [xpre, xcur]
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):     # keep the smaller residual at xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:          # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                     # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:                         # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = residual(xcur)
-    raise RuntimeError("no convergence in 100 iterations")
 
 
 def wit_mode2_rate(cfg: ScenarioConfig, tau_E: float, energy: float) -> float:
@@ -222,35 +193,17 @@ def _rate_at(cfg: ScenarioConfig, tau_E: float) -> tuple[float, WitMode, float, 
 def _rate_grid(cfg: ScenarioConfig, taus: np.ndarray) -> np.ndarray:
     """`_rate_at(cfg, tau)[0]` at every tau of `taus` in one array pass.
 
-    The root test, the endpoint rule and the mode choice are the scalar
-    path's own helpers over arrays; only the root is placed differently:
-    all bracketed offsets by one bisection to 1e-12 m.  Bisection and
-    `_brent_root` place an offset up to ~1e-12 m apart, so those cells'
-    rates may differ from the scalar path's in the last digits (~1e-14
-    relative); every other cell takes the same operations.  The grid only
-    picks the best cell: the scalar path gives every returned value."""
+    The root test, the root, the endpoint rule and the mode choice are the
+    scalar path's own helpers over arrays, so every cell equals the scalar
+    path's rate bit for bit.  The grid only picks the best cell: the scalar
+    path gives every returned value."""
     energy = _harvested(cfg, taus, _pair_hover_x(cfg))
-    c, f_lo, f_hi, root = _stationarity_ends(cfg, taus, energy)
+    c, root = _stationarity_ends(cfg, taus, energy)
     x = _endpoint_x(cfg, taus, energy)
     if root.any():
-        x[root] = _bisect_stationarity(*_mode1_bracket(cfg), cfg.device_distance,
-                                       cfg.altitude, c[root], f_lo[root], f_hi[root])
+        x[root] = _stationarity_root(cfg, c[root])
     return _best_mode(simultaneous_rate_at(cfg, taus, energy, x),
                       _tdma_rate(cfg, taus, energy))[0]
-
-
-def _bisect_stationarity(lo: float, hi: float, D: float, H: float, c: np.ndarray,
-                         f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
-    """Root of `_stationarity` on [lo, hi] for each scale in c, whose
-    residuals f_lo, f_hi at the ends differ in sign, by bisection to 1e-12 m.
-    An exact zero at an end is the root there, as `_brent_root` returns it."""
-    a, b = np.full(c.shape, lo), np.full(c.shape, hi)
-    for _ in range(int(np.ceil(np.log2((hi - lo) / 1e-12)))):
-        mid = 0.5 * (a + b)
-        up = (_stationarity(mid, D, H, c) > 0.0) == (f_lo > 0.0)  # root above mid
-        a = np.where(up, mid, a)
-        b = np.where(up, b, mid)
-    return np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, 0.5 * (a + b)))
 
 
 def _best_charge_time(grid, rate, T: float, tau_grid: int) -> float:

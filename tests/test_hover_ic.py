@@ -12,8 +12,8 @@ import wpcn_traj
 from wpcn_traj import (AllocationIC, WitMode, common_throughput,
                        hover_ic, solve_infinite_ic, wit_mode1_hover,
                        wit_mode2_rate, wpt_hover_ic)
-from wpcn_traj.hover_ic import (_brent_bounded_min, _brent_root, _mode1_bracket, _rate_at,
-                                _rate_grid, _stationarity, _stationarity_ends,
+from wpcn_traj.hover_ic import (_brent_bounded_min, _mode1_bracket, _rate_at, _rate_grid,
+                                _stationarity, _stationarity_ends, _stationarity_root,
                                 interior_hover_x)
 from conftest import SWEEP_NOISE, benchmark_config, hover_positions, hover_sweep
 from oracles import phi_derivative, reference_infinite_ic
@@ -275,33 +275,24 @@ class TestArrayGrid:
     @pytest.mark.parametrize("D, T, noise", [(30.0, 50.0, 1e-11), (40.0, 4.0, 1e-11),
                                              (15.0, 50.0, 1e-11), (15.0, 100.0, 1e-13)])
     def test_grid_matches_scalar_rate(self, D, T, noise):
+        # Both paths place every offset with `_stationarity_root`, so every
+        # cell takes the same operations, simultaneous or turn-taking.
         cfg = benchmark_config(device_distance=D, duration=T, num_slots=10, noise_power=noise)
         taus = T / 1000 * np.arange(1, 1000)
-        grid = _rate_grid(cfg, taus)
-        scalar = np.array([_rate_at(cfg, t)[0] for t in taus])
-        # The bisection and Brent's method place a simultaneous-mode offset
-        # up to ~1e-12 m apart, and there the rate still has a slope in x of
-        # up to ~0.06 per m at -80 dBm (its maximizer is not the root of the
-        # stationarity residual at that noise), so those cells agree to
-        # ~1e-14 relative; every other cell takes the same operations.
-        assert np.allclose(grid, scalar, rtol=5e-14, atol=0.0)
-        lo, hi = _mode1_bracket(cfg)
-        c = cfg.ref_gain * (np.array([wpt_hover_ic(cfg, t)[1] for t in taus]) / (T - taus)) \
-            / cfg.noise_power
-        solved = (_stationarity(lo, D, cfg.altitude, c)
-                  * _stationarity(hi, D, cfg.altitude, c) <= 0.0)
-        tdma = np.array([_rate_at(cfg, t)[1] is WitMode.TDMA for t in taus])
-        same_ops = tdma | ~solved
-        np.testing.assert_array_max_ulp(grid[same_ops], scalar[same_ops], maxulp=2)
+        scalar = [_rate_at(cfg, t) for t in taus]
+        assert np.array_equal(_rate_grid(cfg, taus), [r[0] for r in scalar])
         if (D, noise) == (30.0, 1e-11):
-            # The sweep's no-sign-change cell: the better bracket endpoint.
-            assert not solved.all() and not tdma[~solved].all()
+            # Simultaneous cells with and without a root in the bracket: the
+            # root and the better bracket end (the sweep's first cell).
+            root = np.array([_stationarity_ends(cfg, t, r[4])[1] for t, r in zip(taus, scalar)])
+            simultaneous = np.array([r[1] is WitMode.SIMULTANEOUS for r in scalar])
+            assert (root & simultaneous).any() and (~root & simultaneous).any()
 
 
 class TestBrentMethods:
-    """The package's Brent root and bounded minimizer take scipy's iterates,
-    so the package imports no `scipy.optimize`; the tests use it as the
-    oracle."""
+    """The package's Newton root of the stationarity residual and its Brent
+    bounded minimizer, against scipy's `brentq` and `minimize_scalar`, which
+    the package does not import."""
 
     def test_package_imports_no_scipy_optimize(self):
         env = dict(os.environ)
@@ -314,22 +305,38 @@ class TestBrentMethods:
         assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("noise", [1e-13, 1e-11])
-    def test_root_matches_brentq(self, noise):
-        # 200 random brackets of the stationarity residual, all with a root.
+    def test_root_matches_brentq(self, noise, monkeypatch):
+        # Random bracketed residuals over D 0.03-50 m, H 0.3-20 m,
+        # min_separation 0.05-3.9 m and noise -10...+30 dB from `noise`
+        # (-110...-50 dBm over both).
+        evaluations = [0]
+
+        def counted(x, D, H, c):
+            evaluations[0] += 1
+            return _stationarity(x, D, H, c)
+
+        monkeypatch.setattr(hover_ic, "_stationarity", counted)
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            D, T = rng.uniform(2.0, 40.0), rng.uniform(1.0, 200.0)
+        cases = 0
+        while cases < 250:
+            D, H = 10.0 ** rng.uniform(np.log10(0.03), np.log10(50.0)), rng.uniform(0.3, 20.0)
+            T = rng.uniform(1.0, 200.0)
             tau = rng.uniform(0.01, 0.99) * T
-            cfg = benchmark_config(device_distance=D, duration=T, num_slots=10,
-                                   noise_power=noise)
-            c, _, _, root = _stationarity_ends(cfg, tau, wpt_hover_ic(cfg, tau)[1])
-            assert root
-            args = (D, cfg.altitude, c)
-            ref = brentq(_stationarity, *_mode1_bracket(cfg), args=args,
-                         xtol=1e-12, rtol=8.9e-16)
-            x = _brent_root(lambda x: _stationarity(x, *args), *_mode1_bracket(cfg),
-                            xtol=1e-12, rtol=8.9e-16)
-            assert repr(x) == repr(ref), (D, T, tau)
+            cfg = benchmark_config(device_distance=D, altitude=H, duration=T, num_slots=10,
+                                   min_separation=rng.uniform(0.05, 3.9),
+                                   noise_power=noise * 10.0 ** rng.uniform(-1.0, 3.0))
+            c, root = _stationarity_ends(cfg, tau, wpt_hover_ic(cfg, tau)[1])
+            if not root:
+                continue
+            cases += 1
+            lo, hi = _mode1_bracket(cfg)
+            evaluations[0] = 0
+            x = _stationarity_root(cfg, c)
+            assert evaluations[0] <= 16, (D, H, tau)
+            ref = brentq(_stationarity, lo, hi, args=(D, H, c), xtol=1e-15, rtol=8.9e-16)
+            assert lo <= x <= hi and abs(x - ref) <= 2e-15 * ref, (D, H, tau, x, ref)
+            # A larger scale keeps a root in the bracket, nearer its upper end.
+            assert _stationarity_root(cfg, np.array([c, 2.0 * c, 4.0 * c]))[0] == x, (D, H, tau)
 
     @pytest.mark.parametrize("noise", [1e-13, 1e-11])
     def test_refinement_matches_minimize_scalar(self, noise, monkeypatch):
@@ -354,8 +361,8 @@ class TestBrentMethods:
             assert [repr(float(v)) for v in (x, fx)] == [repr(float(v)) for v in (res.x, res.fun)]
 
     def test_both_match_scipy_on_generic_functions(self):
-        # Cubics, sines and exponentials over random brackets and tolerances:
-        # secant, interpolation and bisection steps, parabolic and golden ones.
+        # Squared cubics, sines and exponentials plus a slope, over random
+        # intervals and tolerances: parabolic and golden steps.
         rng = np.random.default_rng(3)
         for _ in range(300):
             c = rng.normal(size=3).tolist()
@@ -363,13 +370,11 @@ class TestBrentMethods:
                  lambda x: math.sin(5.0 * c[0] * x) + 0.5 * c[1],
                  lambda x: math.exp(c[0] * x) - 1.5 + c[1] * x][rng.integers(3)]
             a, b = sorted(float(v) for v in rng.uniform(-3.0, 3.0, 2))
-            tol = {"xtol": float(10.0 ** rng.uniform(-14, -2)), "rtol": 8.9e-16}
-            if (f(a) < 0.0) != (f(b) < 0.0):
-                assert repr(_brent_root(f, a, b, **tol)) == repr(brentq(f, a, b, **tol))
+            xatol = float(10.0 ** rng.uniform(-14, -2))
             g = lambda x: f(x) ** 2 + c[2] * x
             res = minimize_scalar(g, bounds=(a, b), method="bounded",
-                                  options={"xatol": tol["xtol"]})
-            assert [repr(float(v)) for v in _brent_bounded_min(g, a, b, tol["xtol"])] \
+                                  options={"xatol": xatol})
+            assert [repr(float(v)) for v in _brent_bounded_min(g, a, b, xatol)] \
                 == [repr(float(v)) for v in (res.x, res.fun)]
 
     def test_minimizer_stops_after_500_evaluations(self):
@@ -386,20 +391,3 @@ class TestBrentMethods:
                               options={"xatol": 1e-300})
         assert len(calls) == res.nfev == 500 and res.status == 1
         assert (x, fx) == (res.x, res.fun)
-
-    @pytest.mark.parametrize("f, a, b, error", [
-        (lambda x: x - 1.0, 1.0, 3.0, None),             # exact zero at the lower end
-        (lambda x: x - 1.0, -2.0, 1.0, None),            # ... and at the upper end
-        (lambda x: x * x + 1.0, -1.0, 2.0, ValueError),  # ends of one sign
-        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, ValueError),
-        # A residual too flat near its root for 100 iterations at xtol=1e-300.
-        (lambda x: math.copysign(abs(x) ** 1e-3, x), -1.0, 2.0, RuntimeError),
-    ])
-    def test_root_edge_cases_as_brentq(self, f, a, b, error):
-        tol = {"xtol": 1e-300 if error is RuntimeError else 1e-12, "rtol": 8.9e-16}
-        if error is None:
-            assert _brent_root(f, a, b, **tol) == brentq(f, a, b, **tol) == 1.0
-        else:
-            for solver in (brentq, _brent_root):
-                with pytest.raises(error):
-                    solver(f, a, b, **tol)
